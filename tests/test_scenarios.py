@@ -13,12 +13,19 @@ Four pillars:
   hand-wired construction produces (the tentpole contract: the
   declarative layer adds vocabulary, never behaviour);
 * **characterization** — each adversarial library scenario
-  deterministically reproduces its pinned accounting signature.
+  deterministically reproduces its pinned accounting signature;
+* **stats digests** — the full-retention ``ServiceStats`` of every
+  library scenario and every fidelity-SLO example scenario hashes to a
+  pinned SHA-256, so any drift in the statistics path — not just in the
+  accounting counters — fails loudly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +41,7 @@ from repro import (
 from repro.engine import PartitionedTraceSource
 from repro.hardware.parameters import TABLE3_PARAMETERS
 from repro.metrics.sinks import JsonlSink
+from repro.metrics import ServiceStats
 from repro.scenarios import (
     FleetSpec,
     PolicySpec,
@@ -44,6 +52,7 @@ from repro.scenarios import (
     library_names,
     library_scenario,
 )
+from repro.sweep.engine import _canonical
 from repro.workloads import (
     bursty_trace,
     closed_loop_source,
@@ -61,6 +70,16 @@ def _example(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _stats_digest(stats: ServiceStats) -> str:
+    """SHA-256 of the stats' canonical JSON (``report_digest``'s encoding)."""
+    text = json.dumps(
+        _canonical(dataclasses.asdict(stats)),
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------------------ validation
@@ -466,24 +485,58 @@ def test_serving_scale_telemetry_bit_identity():
 
 
 # ------------------------------------------------------------ library pins
-#: The deterministic accounting signature of each adversarial scenario.
+#: The deterministic accounting signature of each adversarial scenario,
+#: plus the digest of its full-retention stats (:func:`_stats_digest`).
 _LIBRARY_PINS = {
-    "diurnal-cycle": dict(offered=120, served=120, rejected=0, shed=0),
-    "flash-crowd": dict(offered=120, served=76, rejected=44, shed=0),
-    "hot-key-skew": dict(offered=120, served=120, rejected=0, shed=0),
-    "misbehaving-tenant": dict(offered=150, served=53, rejected=97, shed=0),
-    "deadline-impossible": dict(offered=80, served=24, rejected=0, shed=56),
+    "diurnal-cycle": dict(
+        offered=120, served=120, rejected=0, shed=0,
+        stats_sha256="7b6cee730ec3980adbb050edc764b04f2495ae5331f80c832bd1427fe8351069",
+    ),
+    "flash-crowd": dict(
+        offered=120, served=76, rejected=44, shed=0,
+        stats_sha256="788e9e27a8d14456c1a7380d6888fcf7d6fc6d577a5bb202ef35901aaa056c98",
+    ),
+    "hot-key-skew": dict(
+        offered=120, served=120, rejected=0, shed=0,
+        stats_sha256="bbf12b82bc95573e570ba5d4481fc434e2f86dfb74390ccab32b9615f2acc3c8",
+    ),
+    "misbehaving-tenant": dict(
+        offered=150, served=53, rejected=97, shed=0,
+        stats_sha256="468ae865c62e8a31c5e56e1f60cc5fee5f03cd91e62dff3b9038963ef2777a64",
+    ),
+    "deadline-impossible": dict(
+        offered=80, served=24, rejected=0, shed=56,
+        stats_sha256="9f9f11bb9be0f6ade01966a691c416fc3e2ac271c33eae5cb180176b74f1ecd5",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_LIBRARY_PINS))
 def test_library_characterization(name):
     pins = _LIBRARY_PINS[name]
-    stats = library_scenario(name).execute().stats
+    report = library_scenario(name).execute()
+    stats = report.stats
     assert stats.offered_queries == pins["offered"]
     assert stats.total_queries == pins["served"]
     assert stats.rejected_queries == pins["rejected"]
     assert stats.shed_queries == pins["shed"]
+    assert report.retention == "full"
+    assert _stats_digest(stats) == pins["stats_sha256"]
+
+
+#: Full-retention stats digests of the ``serving_fidelity_slo`` examples.
+_FIDELITY_SLO_STATS_PINS = {
+    "predicted-fidelity": "23135de40b6b66cdb0823f3bf04261b869b1d9994786efb1a940a7a8f361d909",
+    "mixed-encoded": "091a7125318faa8483652145c3f59b9899b6a63b357b7baa9037ed5793b570ee",
+    "distillation-retry": "92472fb779056b2ce58284dfa092f1e07f2cf25393487af7acc1a126ceb85b95",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIDELITY_SLO_STATS_PINS))
+def test_fidelity_slo_stats_digest(name):
+    report = _example("serving_fidelity_slo").SCENARIOS[name].execute()
+    assert report.retention == "full"
+    assert _stats_digest(report.stats) == _FIDELITY_SLO_STATS_PINS[name]
 
 
 def test_library_signatures():
