@@ -238,9 +238,9 @@ class ServiceReport:
             the whole run).
         windows: executed pipeline windows (retained per the same mode).
         stats: aggregated per-tenant / per-shard / per-backend statistics —
-            the exact batch summary under full retention, the streaming
-            aggregates (exact counts and means, sketched percentiles)
-            otherwise.
+            the retained records' summary (exact percentiles) under full
+            retention, the streaming aggregates (exact counts and means,
+            sketched percentiles) otherwise.
         outputs: per-query output amplitudes over global ``(address, bus)``
             pairs (populated only on functional runs under full retention).
         rejected: requests refused by backpressure or shed past deadline

@@ -37,9 +37,11 @@ telemetry, whose intervals are recombined per tick from raw per-shard
 totals (the oracle accumulates its interval fidelity sum per shard and
 both paths combine partials with an exactly-rounded ``fsum``, so the
 merged intervals are byte-equal to the oracle's).  Streaming-retention
-runs additionally replace the order-sensitive P² latency sketches with
-the deterministic weighted merge of
-:func:`repro.metrics.streaming.merge_service_aggregators`.
+runs merge their per-shard aggregators with
+:func:`repro.metrics.streaming.merge_service_aggregators`: the log-bucket
+latency sketches merge by adding bucket counts, so every count and
+latency percentile equals the oracle's exactly, while the merged means,
+summed in shard order, may differ from the oracle's in their last bits.
 
 Worker errors propagate: the lowest-shard failure is re-raised in the
 parent with its original type and message, which keeps failures

@@ -9,8 +9,8 @@
 * :mod:`repro.metrics.service_stats` — per-tenant / per-shard serving
   statistics for the traffic-facing service layer (:mod:`repro.service`).
 * :mod:`repro.metrics.streaming` — online (bounded-memory) aggregates and
-  quantile sketches behind the engine's ``retention="sampled"`` /
-  ``"none"`` modes and its periodic telemetry ticks.
+  the mergeable log-bucket latency sketch behind every retention mode's
+  statistics, plus the engine's periodic telemetry ticks.
 * :mod:`repro.metrics.sinks` — pluggable record destinations (keep / sample
   / drop / JSON-lines tee) for the serving engine's observation path.
 """
@@ -49,8 +49,7 @@ from repro.metrics.sinks import (
 )
 from repro.metrics.streaming import (
     IntervalStats,
-    LatencySketch,
-    P2Quantile,
+    LogBucketSketch,
     StreamingServiceAggregator,
     StreamingStat,
 )
@@ -84,8 +83,7 @@ __all__ = [
     "NullSink",
     "load_jsonl",
     "StreamingStat",
-    "P2Quantile",
-    "LatencySketch",
+    "LogBucketSketch",
     "IntervalStats",
     "StreamingServiceAggregator",
 ]

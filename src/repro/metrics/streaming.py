@@ -1,18 +1,16 @@
 """Online (single-pass, bounded-memory) serving statistics.
 
-The batch path in :mod:`repro.metrics.service_stats` aggregates *records* —
-one :class:`~repro.metrics.service_stats.ServedQuery` per completed request
-— so its memory and summarize time grow with the request count.  This
-module is the streaming alternative the engine uses under
-``retention="sampled"`` / ``retention="none"``: every record is folded into
-constant-size accumulators the moment it is produced and never stored.
+Every serving statistic is computed here.  The engine folds each record
+into constant-size accumulators the moment it is produced under
+``retention="sampled"`` / ``retention="none"``; under full retention
+:func:`repro.metrics.service_stats.summarize_service` folds the retained
+records through the same aggregator and swaps in exact percentiles.
 
 * :class:`StreamingStat` — count / sum / mean / min / max of one series.
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, 1985): one
-  running quantile estimate from five markers, no sample storage.  Exact
-  below five observations, approximate beyond (error bounds are pinned
-  against exact percentiles in ``tests/test_telemetry.py``).
-* :class:`LatencySketch` — the p50 / p95 / p99 bundle used for latency.
+* :class:`LogBucketSketch` — a log-bucket relative-error quantile sketch
+  (DDSketch): every percentile it reports is within
+  :data:`RELATIVE_ACCURACY` (1%) relative of an exact order statistic,
+  and merging two sketches adds bucket counts, so merges are exact.
 * :class:`StreamingServiceAggregator` — the full
   :class:`~repro.metrics.service_stats.ServiceStats` surface (global,
   per-tenant, per-shard, per-backend, rejection and SLO accounting)
@@ -21,14 +19,17 @@ constant-size accumulators the moment it is produced and never stored.
   queue depths, rejection rate, fidelity) emitted by the engine's periodic
   :class:`~repro.engine.events.TelemetryTick`.
 
-Memory is O(tenants + shards + backends), never O(requests): a
+Memory grows with the tenants, shards and backends and with the
+logarithmic spread of the latencies, never with the request count: a
 million-query run aggregates through the same few kilobytes as a
-hundred-query run.  Counts, sums and extrema are exact; only the latency
-percentiles are sketched.
+hundred-query run.  Counts, sums and extrema are exact;
+only the latency percentiles are sketched.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.metrics.service_stats import (
@@ -41,17 +42,21 @@ from repro.metrics.service_stats import (
     ShardStats,
     TenantStats,
     WindowRecord,
-    _percentile,
 )
 
 __all__ = [
     "IntervalStats",
-    "LatencySketch",
-    "P2Quantile",
+    "LogBucketSketch",
+    "RELATIVE_ACCURACY",
     "StreamingServiceAggregator",
     "StreamingStat",
     "merge_service_aggregators",
 ]
+
+#: Relative accuracy ``α`` of :class:`LogBucketSketch` percentiles.
+RELATIVE_ACCURACY = 0.01
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
 
 
 class StreamingStat:
@@ -75,7 +80,7 @@ class StreamingStat:
 
     @property
     def mean(self) -> float:
-        """Mean of the series (0.0 when empty, matching ``_mean``)."""
+        """Mean of the series (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
     def merge(self, other: StreamingStat) -> None:
@@ -99,154 +104,60 @@ class StreamingStat:
             self.maximum = other.maximum
 
 
-class P2Quantile:
-    """One running quantile via the P² algorithm — five markers, no samples.
+class LogBucketSketch:
+    """Mergeable relative-error quantile sketch (DDSketch; Masson et al.,
+    VLDB 2019).
 
-    The estimator keeps five marker heights that track the minimum, the
-    target quantile, the quantile's half-way neighbours and the maximum,
-    adjusting them with a piecewise-parabolic update as observations
-    stream past.  Below five observations the buffered values give the
-    exact (linearly interpolated) percentile.
+    A positive value ``v`` lands in bucket ``ceil(log(v) / log(γ))`` with
+    ``γ = (1 + α) / (1 - α)`` and :data:`RELATIVE_ACCURACY` ``α``; bucket
+    ``k`` covers ``(γ^(k-1), γ^k]`` and reports ``2γ^k / (γ + 1)``, which is
+    within ``α`` relative of every value in it.  Non-positive values share
+    one zero count, reported as 0.0.  The state is nothing but counts, so
+    :meth:`merge` adds them: any partition of a series, merged in any
+    order, holds exactly the buckets of one sketch fed the whole series.
     """
 
-    __slots__ = (
-        "quantile",
-        "_count",
-        "_heights",
-        "_positions",
-        "_desired",
-        "_increments",
-    )
-
-    def __init__(self, quantile: float) -> None:
-        if not 0.0 < quantile < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.quantile = quantile
-        self._count = 0
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments = [
-            0.0, quantile / 2.0, quantile, (1.0 + quantile) / 2.0, 1.0
-        ]
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def add(self, value: float) -> None:
-        # Branches and loops are unrolled and attributes bound once: four
-        # sketches fold every served record (global p50/p95/p99 + tenant
-        # p95), making this the single hottest method of streaming
-        # retention.  Float operations and their order are unchanged.
-        count = self._count + 1
-        self._count = count
-        heights = self._heights
-        if count <= 5:
-            heights.append(value)
-            heights.sort()
-            if count == 5:
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [
-                    1.0 + 4.0 * inc for inc in self._increments
-                ]
-            return
-
-        # Locate the cell the observation falls into, stretching the
-        # extreme markers when it lands outside the current range.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        elif value < heights[1]:
-            cell = 0
-        elif value < heights[2]:
-            cell = 1
-        elif value < heights[3]:
-            cell = 2
-        else:
-            cell = 3
-        positions = self._positions
-        if cell == 0:
-            positions[1] += 1.0
-            positions[2] += 1.0
-        elif cell == 1:
-            positions[2] += 1.0
-        if cell <= 2:
-            positions[3] += 1.0
-        positions[4] += 1.0
-        desired = self._desired
-        increments = self._increments
-        # increments[0] is always 0.0 (and desired[0] stays 1.0), so the
-        # first slot's no-op update is skipped.
-        desired[1] += increments[1]
-        desired[2] += increments[2]
-        desired[3] += increments[3]
-        desired[4] += increments[4]
-
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (0.0 before any observation)."""
-        if not self._count:
-            return 0.0
-        if self._count <= 5:
-            return _percentile(self._heights, self.quantile * 100.0)
-        return self._heights[2]
-
-
-class LatencySketch:
-    """The p50 / p95 / p99 latency bundle of one streaming series."""
-
-    __slots__ = ("_p50", "_p95", "_p99")
+    __slots__ = ("count", "zero_count", "buckets")
 
     def __init__(self) -> None:
-        self._p50 = P2Quantile(0.50)
-        self._p95 = P2Quantile(0.95)
-        self._p99 = P2Quantile(0.99)
+        self.count = 0
+        self.zero_count = 0
+        self.buckets: dict[int, int] = {}
 
     def add(self, value: float) -> None:
-        self._p50.add(value)
-        self._p95.add(value)
-        self._p99.add(value)
+        self.count += 1
+        if value > 0.0:
+            key = math.ceil(math.log(value) / _LOG_GAMMA)
+            buckets = self.buckets
+            buckets[key] = buckets.get(key, 0) + 1
+        else:
+            self.zero_count += 1
 
-    @property
-    def p50(self) -> float:
-        return self._p50.value
+    def merge(self, other: LogBucketSketch) -> None:
+        """Add another sketch's counts into this one (exact)."""
+        self.count += other.count
+        self.zero_count += other.zero_count
+        buckets = self.buckets
+        for key, count in other.buckets.items():
+            buckets[key] = buckets.get(key, 0) + count
 
-    @property
-    def p95(self) -> float:
-        return self._p95.value
+    def quantile(self, q: float) -> float:
+        """Estimate of the order statistic at rank ``floor(q * (count - 1))``.
 
-    @property
-    def p99(self) -> float:
-        return self._p99.value
+        Within :data:`RELATIVE_ACCURACY` relative of that order statistic;
+        0.0 for an empty sketch.
+        """
+        if not self.count:
+            return 0.0
+        rank = math.floor(q * (self.count - 1))
+        seen = self.zero_count
+        if rank < seen:
+            return 0.0
+        for key in sorted(self.buckets):
+            seen += self.buckets[key]
+            if rank < seen:
+                break
+        return 2.0 * _GAMMA**key / (_GAMMA + 1.0)
 
 
 @dataclass(frozen=True)
@@ -313,17 +224,6 @@ class _GroupAggregate:
     shed: int = 0
     fidelity_rejected: int = 0
 
-    def observe_served(self, record: ServedQuery) -> None:
-        self._observe_values(
-            record.latency_layers,
-            record.queue_delay_layers,
-            record.fidelity,
-            record.deadline is not None,
-            record.missed_deadline,
-            record.min_fidelity is not None,
-            record.missed_fidelity_slo,
-        )
-
     def _observe_values(
         self,
         latency_layers: float,
@@ -385,86 +285,6 @@ class _GroupAggregate:
         return self.batch_total / self.windows if self.windows else 0.0
 
 
-@dataclass(frozen=True)
-class _FrozenQuantile:
-    """A merged quantile estimate: duck-types ``P2Quantile.value``."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class _FrozenSketch:
-    """A merged latency bundle: duck-types ``LatencySketch.p50/p95/p99``."""
-
-    p50: float
-    p95: float
-    p99: float
-
-
-def _representatives(sketch: P2Quantile) -> list[tuple[float, float]]:
-    """Compress one P² sketch into ``(value, weight)`` representatives.
-
-    Below five observations the buffered values *are* the series (unit
-    weights, exact).  Beyond, the five marker heights stand in for the
-    series, each weighted by the share of observations its cell covers —
-    half the span between its neighbouring marker positions, normalized so
-    the weights sum to the observation count.  Merging partitions then
-    reduces to a weighted percentile over all partitions' representatives.
-    """
-    count = sketch.count
-    if count == 0:
-        return []
-    if count <= 5:
-        return [(height, 1.0) for height in sketch._heights]
-    positions = sketch._positions
-    spans = [
-        positions[1] - positions[0],
-        (positions[2] - positions[0]) / 2.0,
-        (positions[3] - positions[1]) / 2.0,
-        (positions[4] - positions[2]) / 2.0,
-        positions[4] - positions[3],
-    ]
-    total = sum(spans)
-    return [
-        (height, count * span / total)
-        for height, span in zip(sketch._heights, spans)
-    ]
-
-
-def _weighted_percentile(
-    representatives: list[tuple[float, float]], quantile: float
-) -> float:
-    """Linear-interpolated percentile of weighted representatives.
-
-    Each representative of weight ``w`` sits at the center of its run of
-    ``w`` virtual observations (``c_i = W_before + (w_i - 1) / 2``), so
-    with unit weights this reproduces ``_percentile`` exactly — merged
-    streaming percentiles of short series stay exact, and sketched ones
-    degrade no further than the sketches themselves.
-    """
-    if not representatives:
-        return 0.0
-    ordered = sorted(representatives)
-    total = sum(weight for _, weight in ordered)
-    rank = (total - 1.0) * quantile
-    centers: list[float] = []
-    before = 0.0
-    for _, weight in ordered:
-        centers.append(before + (weight - 1.0) / 2.0)
-        before += weight
-    if rank <= centers[0]:
-        return ordered[0][0]
-    if rank >= centers[-1]:
-        return ordered[-1][0]
-    for index in range(1, len(ordered)):
-        if rank <= centers[index]:
-            lower, upper = centers[index - 1], centers[index]
-            fraction = (rank - lower) / (upper - lower) if upper > lower else 0.0
-            low_value = ordered[index - 1][0]
-            return low_value + fraction * (ordered[index][0] - low_value)
-    return ordered[-1][0]
-
-
 class StreamingServiceAggregator:
     """The full :class:`ServiceStats` surface, maintained one record at a time.
 
@@ -473,9 +293,9 @@ class StreamingServiceAggregator:
     :meth:`observe_window` / :meth:`observe_rejected`;
     :meth:`to_stats` materializes a :class:`ServiceStats` whose counts,
     sums, means, extrema and rates are exact and whose latency percentiles
-    come from the P² sketches (global p50/p95/p99 and per-tenant p95).
-    Memory is O(tenants + shards + backends), independent of the number of
-    records observed.
+    come from log-bucket sketches (:class:`LogBucketSketch`, one for the
+    global view and one per tenant).  Memory is independent of the number
+    of records observed.
     """
 
     def __init__(self) -> None:
@@ -485,9 +305,9 @@ class StreamingServiceAggregator:
         self.fidelity_rejected_count = 0
         self.makespan_layers = 0.0
         self._global = _GroupAggregate()
-        self._latency_sketch = LatencySketch()
+        self._latency_sketch = LogBucketSketch()
         self._tenants: dict[int, _GroupAggregate] = {}
-        self._tenant_sketches: dict[int, P2Quantile] = {}
+        self._tenant_sketches: dict[int, LogBucketSketch] = {}
         self._shards: dict[int, _GroupAggregate] = {}
         self._backends: dict[str, _GroupAggregate] = {}
 
@@ -496,7 +316,7 @@ class StreamingServiceAggregator:
         group = self._tenants.get(tenant)
         if group is None:
             group = self._tenants[tenant] = _GroupAggregate()
-            self._tenant_sketches[tenant] = P2Quantile(0.95)
+            self._tenant_sketches[tenant] = LogBucketSketch()
         return group
 
     def observe_served(self, record: ServedQuery) -> None:
@@ -566,12 +386,10 @@ class StreamingServiceAggregator:
         backend.observe_window(record)
 
     def observe_rejected(self, record: RejectedQuery) -> None:
-        # Mirror the batch path's tenant universe: shed and
-        # fidelity-infeasible refusals surface per tenant (they are SLO
-        # misses), while queue-full backpressure is service-level only — a
-        # tenant whose whole demand bounced off a full queue must not
-        # appear as a phantom zero-query row that summarize_service would
-        # not report.
+        # Shed and fidelity-infeasible refusals surface per tenant (they
+        # are SLO misses), while queue-full backpressure is service-level
+        # only — a tenant whose whole demand bounced off a full queue must
+        # not appear as a phantom zero-query row.
         self.rejected_count += 1
         if record.reason == REJECT_DEADLINE_EXPIRED:
             self.shed_count += 1
@@ -579,6 +397,30 @@ class StreamingServiceAggregator:
         elif record.reason == REJECT_FIDELITY:
             self.fidelity_rejected_count += 1
             self._tenant(record.tenant).fidelity_rejected += 1
+
+    # Private aliases for :meth:`_folded`: instrumentation that wraps the
+    # public observers then counts live engine observations only, never a
+    # batch re-summary of retained records.
+    _observe_served = observe_served
+    _observe_window = observe_window
+    _observe_rejected = observe_rejected
+
+    @classmethod
+    def _folded(
+        cls,
+        served: Iterable[ServedQuery],
+        windows: Iterable[WindowRecord],
+        rejected: Iterable[RejectedQuery],
+    ) -> StreamingServiceAggregator:
+        """A fresh aggregator fed every record, each stream in its order."""
+        aggregator = cls()
+        for record in served:
+            aggregator._observe_served(record)
+        for window in windows:
+            aggregator._observe_window(window)
+        for refusal in rejected:
+            aggregator._observe_rejected(refusal)
+        return aggregator
 
     # ----------------------------------------------------------- summarizing
     def to_stats(
@@ -588,10 +430,9 @@ class StreamingServiceAggregator:
     ) -> ServiceStats:
         """Materialize the running aggregates as a :class:`ServiceStats`.
 
-        Mirrors :func:`repro.metrics.service_stats.summarize_service`
-        record for record — identical counts, rates and extrema — with
-        sketched latency percentiles in place of the exact order
-        statistics.
+        Latency percentiles are sketched (see :class:`LogBucketSketch`);
+        :func:`repro.metrics.service_stats.summarize_service` replaces
+        them with exact order statistics when the records are retained.
         """
         if not self.served_count:
             raise ValueError("at least one served query is required")
@@ -613,7 +454,7 @@ class StreamingServiceAggregator:
                 max_latency_layers=group.latency.maximum or 0.0,
                 mean_queue_delay_layers=group.queue_delay.mean,
                 throughput_queries_per_sec=group.queries / seconds,
-                p95_latency_layers=self._tenant_sketches[tenant].value,
+                p95_latency_layers=self._tenant_sketches[tenant].quantile(0.95),
                 deadline_misses=deadline_misses,
                 deadline_miss_rate=(
                     deadline_misses / deadline_demand if deadline_demand else 0.0
@@ -687,9 +528,9 @@ class StreamingServiceAggregator:
             per_tenant=per_tenant,
             per_shard=per_shard,
             per_backend=per_backend,
-            p50_latency_layers=self._latency_sketch.p50,
-            p95_latency_layers=self._latency_sketch.p95,
-            p99_latency_layers=self._latency_sketch.p99,
+            p50_latency_layers=self._latency_sketch.quantile(0.50),
+            p95_latency_layers=self._latency_sketch.quantile(0.95),
+            p99_latency_layers=self._latency_sketch.quantile(0.99),
             offered_queries=self.served_count + self.rejected_count,
             rejected_queries=self.rejected_count - self.shed_count,
             shed_queries=self.shed_count,
@@ -715,26 +556,16 @@ def merge_service_aggregators(
     """Combine per-partition aggregators into one fleet-wide aggregator.
 
     Parallel serving aggregates each shard's records in its own worker;
-    this merge reassembles the run-wide view.  Counts, sums, means and
-    extrema merge exactly — identical to observing every record in one
-    aggregator.  The P² latency sketches are order-sensitive, so instead
-    of replaying them the merge combines each partition's weighted
-    representatives (:func:`_representatives`) into one weighted
-    percentile: exact when every partition saw at most five observations,
-    sketch-accurate beyond.  ``parts`` must be passed in shard order — the
-    float-summation order is then fixed by the partition layout, making
-    the merged statistics bit-identical across worker counts.
-
-    The merged aggregator is a summarizing snapshot: its percentile
-    sketches are frozen, so it must not observe further records.
+    this merge reassembles the run-wide view.  Counts, extrema and latency
+    percentiles come out identical to observing every record in one
+    aggregator.  ``parts`` must be passed in shard order — the
+    float-summation order of the means is then fixed by the partition
+    layout, making the merged statistics bit-identical across worker
+    counts.
     """
     if not parts:
         raise ValueError("at least one partition aggregator is required")
     merged = StreamingServiceAggregator()
-    p50_reps: list[tuple[float, float]] = []
-    p95_reps: list[tuple[float, float]] = []
-    p99_reps: list[tuple[float, float]] = []
-    tenant_reps: dict[int, list[tuple[float, float]]] = {}
     for part in parts:
         merged.served_count += part.served_count
         merged.rejected_count += part.rejected_count
@@ -743,27 +574,14 @@ def merge_service_aggregators(
         if part.makespan_layers > merged.makespan_layers:
             merged.makespan_layers = part.makespan_layers
         merged._global.merge(part._global)
-        p50_reps.extend(_representatives(part._latency_sketch._p50))
-        p95_reps.extend(_representatives(part._latency_sketch._p95))
-        p99_reps.extend(_representatives(part._latency_sketch._p99))
+        merged._latency_sketch.merge(part._latency_sketch)
         for tenant, group in part._tenants.items():
-            merged._tenants.setdefault(tenant, _GroupAggregate()).merge(group)
-            tenant_reps.setdefault(tenant, []).extend(
-                _representatives(part._tenant_sketches[tenant])
-            )
+            merged._tenant(tenant).merge(group)
+            merged._tenant_sketches[tenant].merge(part._tenant_sketches[tenant])
         for shard, shard_group in part._shards.items():
             merged._shards.setdefault(shard, _GroupAggregate()).merge(shard_group)
         for name, backend_group in part._backends.items():
             merged._backends.setdefault(name, _GroupAggregate()).merge(
                 backend_group
             )
-    merged._latency_sketch = _FrozenSketch(  # type: ignore[assignment]
-        p50=_weighted_percentile(p50_reps, 0.50),
-        p95=_weighted_percentile(p95_reps, 0.95),
-        p99=_weighted_percentile(p99_reps, 0.99),
-    )
-    merged._tenant_sketches = {  # type: ignore[assignment]
-        tenant: _FrozenQuantile(_weighted_percentile(reps, 0.95))
-        for tenant, reps in tenant_reps.items()
-    }
     return merged

@@ -16,10 +16,11 @@ checked against the engine's cross-cutting invariants:
   delivery produce equal full-retention reports.
 * **parallel-identity** — ``workers=2`` equals the single-process oracle
   under full retention (exact where :mod:`repro.engine.partition` proves
-  partitionability, trivially via fallback elsewhere); under sampled/none
-  retention — where the parallel path's deterministic P²-sketch merge is
-  worker-count invariant but not byte-equal to the oracle's
-  order-sensitive sketch — it must equal ``workers=1``.
+  partitionability, trivially via fallback elsewhere).  Under
+  sampled/none retention its counts and latency percentiles (log-bucket
+  sketches merge exactly) must equal the oracle's, and the whole report —
+  whose merged means differ from the oracle's in their last bits — must
+  equal ``workers=1``.
 
 A failing draw is greedily shrunk (:func:`shrink_spec`) toward the
 smallest spec that still violates the same invariant — fewer requests,
@@ -39,10 +40,11 @@ import argparse
 import json
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from repro.engine.core import AutoscalerConfig, ServiceReport
+from repro.metrics.service_stats import ServiceStats
 from repro.scenarios.spec import (
     FleetSpec,
     PolicySpec,
@@ -71,6 +73,9 @@ _EPS = 1e-9
 
 #: Open-loop generator kinds (streaming/partitioned deliveries exist).
 _OPEN_LOOP_KINDS = ("poisson", "bursty", "diurnal", "flash-crowd", "periodic")
+
+#: Latency-percentile fields of the stats tables.
+_PERCENTILES = ("p50_latency_layers", "p95_latency_layers", "p99_latency_layers")
 
 
 @dataclass(frozen=True)
@@ -250,24 +255,53 @@ def _check_with_report(
             )
 
     # The engine's determinism contract: under full retention workers=N is
-    # bit-identical to the single-process oracle (workers=0); under
-    # sampled/none retention the P² latency sketches are replaced by a
-    # deterministic weighted merge that is worker-count invariant but not
-    # byte-equal to the oracle's order-sensitive sketch, so there the
-    # invariant is workers=2 == workers=1 through the same merge path.
-    parallel = replace(spec, run=replace(spec.run, workers=2))
+    # bit-identical to the single-process oracle (workers=0).  Under
+    # sampled/none retention the merged means depend on the shard-order
+    # summation in their last bits, so the whole report is compared with
+    # workers=1 (same merge path), and the counts and latency percentiles
+    # — exact under the merge — with the oracle.
+    parallel = _execute(replace(spec, run=replace(spec.run, workers=2)))
     if spec.run.retention == "full":
         baseline, against = report, "the single-process oracle"
     else:
         baseline = _execute(replace(spec, run=replace(spec.run, workers=1)))
         against = "workers=1"
-    if _execute(parallel) != baseline:
+        if parallel is not None:
+            merged = _merge_exact_fields(parallel.stats)
+            oracle = _merge_exact_fields(report.stats)
+            if merged != oracle:
+                field = min(
+                    key for key in merged.keys() | oracle.keys()
+                    if merged.get(key) != oracle.get(key)
+                )
+                return Violation(
+                    "parallel-identity",
+                    f"workers=2 {field} differs from the oracle's",
+                    spec,
+                )
+    if parallel != baseline:
         return Violation(
             "parallel-identity",
             f"workers=2 differs from {against}",
             spec,
         )
     return None
+
+
+def _merge_exact_fields(stats: ServiceStats) -> dict[str, Any]:
+    """The stats fields a parallel merge reproduces exactly: every count
+    and every latency percentile, keyed by their path in ``stats``."""
+    fields: dict[str, Any] = {}
+
+    def walk(path: str, value: Any) -> None:
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}.{key}" if path else str(key), item)
+        elif isinstance(value, int) or path.rsplit(".", 1)[-1] in _PERCENTILES:
+            fields[path] = value
+
+    walk("", asdict(stats))
+    return fields
 
 
 # ------------------------------------------------------------------ drawing

@@ -5,9 +5,8 @@
 * :mod:`repro.scheduling.policy` — the pluggable admission-policy objects
   (FIFO / LIFO / random / priority) used by the scheduler and the serving
   layer.
-* :mod:`repro.scheduling.fifo` — FIFO scheduling (with the deprecated
-  ``SchedulingPolicy`` enum alias), plus the empirical check of the
-  greedy-exchange optimality proof (Sec. A.2).
+* :mod:`repro.scheduling.fifo` — FIFO scheduling, plus the empirical check
+  of the greedy-exchange optimality proof (Sec. A.2).
 * :mod:`repro.scheduling.contention` — discrete-event simulation of multiple
   QPUs/algorithms sharing one QRAM (the engine behind Fig. 7 and Fig. 10).
 * :mod:`repro.scheduling.utilization` — utilization accounting.
@@ -20,7 +19,6 @@ from repro.scheduling.events import (
     random_arrivals,
 )
 from repro.scheduling.fifo import (
-    SchedulingPolicy,
     schedule_queries,
     total_latency,
     verify_fifo_optimality,
@@ -48,7 +46,6 @@ __all__ = [
     "periodic_algorithm_arrivals",
     "random_arrivals",
     "burst_arrivals",
-    "SchedulingPolicy",
     "AdmissionPolicy",
     "FIFOPolicy",
     "LIFOPolicy",

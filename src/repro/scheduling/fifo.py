@@ -10,36 +10,10 @@ exchange argument used by the test-suite.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
 from repro.scheduling.events import QueryArrival
-
-
-class SchedulingPolicy(enum.Enum):
-    """Order in which queued requests are admitted.
-
-    .. deprecated::
-        This enum is a legacy alias for the pluggable policy objects in
-        :mod:`repro.scheduling.policy` (:class:`AdmissionPolicy` and its
-        subclasses), which the serving layer uses directly.  Enum members
-        remain accepted everywhere a policy is expected —
-        :func:`repro.scheduling.policy.as_policy` maps them onto policy
-        objects, emitting a :class:`DeprecationWarning` — but new code
-        should pass policy objects (or their string names, e.g.
-        ``"priority"``).
-    """
-
-    FIFO = "fifo"
-    LIFO = "lifo"
-    RANDOM = "random"
-
-    def to_policy(self, seed: int = 0):
-        """The equivalent :class:`repro.scheduling.policy.AdmissionPolicy`."""
-        from repro.scheduling.policy import as_policy
-
-        return as_policy(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -85,8 +59,8 @@ def schedule_queries(
         admission_interval: minimum spacing between admissions.
         parallelism: maximum queries in flight.
         policy: admission order among queued requests — an
-            :class:`repro.scheduling.policy.AdmissionPolicy`, a policy name,
-            or a deprecated :class:`SchedulingPolicy` member.
+            :class:`repro.scheduling.policy.AdmissionPolicy` or a policy
+            name.
         seed: RNG seed for the RANDOM policy.
 
     Returns:

@@ -1,10 +1,7 @@
 """Pluggable admission policies for queued QRAM requests.
 
-This is the one coherent policy abstraction the serving layer uses.  The
-historical :class:`repro.scheduling.fifo.SchedulingPolicy` enum named the
-same concept but could not carry state or new orderings; it is kept as a
-deprecated alias and every entry point that accepted it still does —
-:func:`as_policy` maps enum members (and plain strings) onto policy objects.
+This is the one policy abstraction the scheduler and the serving layer
+use; :func:`as_policy` maps plain names onto policy objects.
 
 Policies:
 
@@ -28,10 +25,8 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 
 from repro.core.query import QueryRequest
-from repro.scheduling.fifo import SchedulingPolicy
 
 
 class AdmissionPolicy:
@@ -156,14 +151,12 @@ def policy_names() -> tuple[str, ...]:
 
 
 def as_policy(
-    policy: AdmissionPolicy | SchedulingPolicy | str, seed: int = 0
+    policy: AdmissionPolicy | str, seed: int = 0
 ) -> AdmissionPolicy:
     """Coerce any accepted policy designation into an :class:`AdmissionPolicy`.
 
     Args:
-        policy: a policy object (returned as-is), a deprecated
-            :class:`SchedulingPolicy` enum member (emits a
-            :class:`DeprecationWarning`), or a name
+        policy: a policy object (returned as-is) or a name
             ("fifo" / "lifo" / "random" / "priority" / "edf").
         seed: RNG seed used when a :class:`RandomPolicy` must be built.
 
@@ -173,14 +166,6 @@ def as_policy(
     """
     if isinstance(policy, AdmissionPolicy):
         return policy
-    if isinstance(policy, SchedulingPolicy):
-        warnings.warn(
-            "SchedulingPolicy is deprecated; pass an AdmissionPolicy object "
-            f"or its name (e.g. {policy.value!r}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        policy = policy.value
     if isinstance(policy, str):
         name = policy.casefold()
         if name not in _BY_NAME:

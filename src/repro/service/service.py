@@ -16,8 +16,7 @@ shortest-queue placement (:class:`~repro.service.sharding.ReplicatedShardMap`).
 Admission order within a queue is an
 :class:`repro.scheduling.policy.AdmissionPolicy` (FIFO — provably
 latency-optimal, Sec. A.2 — LIFO, random, priority, or EDF for
-deadline-carrying traffic); the deprecated
-:class:`repro.scheduling.fifo.SchedulingPolicy` enum is still accepted.
+deadline-carrying traffic).
 
 Each gate-level backend reuses one cached executor, so schedules, lowered
 gate sequences and admission intervals are derived once per memory image
@@ -59,9 +58,8 @@ class QRAMService:
         num_shards: number of shards in the fleet.
         data: global classical memory contents (defaults to zeros).
         policy: admission order among queued requests per shard — an
-            :class:`AdmissionPolicy`, a policy name ("fifo" / "lifo" /
-            "random" / "priority" / "edf"), or a deprecated
-            :class:`repro.scheduling.fifo.SchedulingPolicy` member.
+            :class:`AdmissionPolicy` or a policy name ("fifo" / "lifo" /
+            "random" / "priority" / "edf").
         window_size: maximum queries batched into one pipeline window.
             Capped per shard at the backend's query parallelism: the
             architecture cannot pipeline more queries concurrently, and

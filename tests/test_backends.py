@@ -15,7 +15,6 @@ from repro.scheduling.policy import (
     PriorityPolicy,
     as_policy,
 )
-from repro.scheduling.fifo import SchedulingPolicy
 from repro.workloads import poisson_trace, random_data
 
 CAPACITY = 8
@@ -245,14 +244,10 @@ def test_service_priority_policy_admits_high_priority_first():
     assert order == [3, 4, 5, 0, 1, 2]
 
 
-def test_policy_coercion_accepts_legacy_enum_and_names():
-    with pytest.warns(DeprecationWarning, match="SchedulingPolicy is deprecated"):
-        assert isinstance(as_policy(SchedulingPolicy.FIFO), FIFOPolicy)
+def test_policy_coercion_accepts_names_and_objects():
     assert isinstance(as_policy("fifo"), FIFOPolicy)
-    with pytest.warns(DeprecationWarning):
-        assert as_policy(SchedulingPolicy.LIFO).name == "lifo"
-    with pytest.warns(DeprecationWarning):
-        assert SchedulingPolicy.RANDOM.to_policy(seed=3).name == "random"
+    assert as_policy("LIFO").name == "lifo"
+    assert as_policy("random", seed=3).name == "random"
     existing = PriorityPolicy()
     assert as_policy(existing) is existing
     with pytest.raises(KeyError):

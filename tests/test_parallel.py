@@ -35,12 +35,7 @@ from repro.engine import (
     partition_unsupported_reason,
 )
 from repro.engine.events import SanitizerViolation
-from repro.metrics.service_stats import ServedQuery
 from repro.metrics.sinks import ListSink
-from repro.metrics.streaming import (
-    StreamingServiceAggregator,
-    merge_service_aggregators,
-)
 from repro.schedule_cache import default_registry
 from repro.service import QRAMService
 from repro.workloads import (
@@ -119,6 +114,25 @@ def test_streaming_retention_worker_count_invariant():
     assert reports[0] == reports[1]
     assert reports[0].telemetry, "telemetry intervals must survive the merge"
     assert reports[0].stats.total_queries == len(requests)
+
+
+@pytest.mark.parametrize("retention", ["none", "sampled"])
+def test_streaming_percentiles_equal_oracle(retention):
+    """Sketch merges add bucket counts, so a partitioned streaming run
+    reports exactly the oracle's latency percentiles."""
+    requests = _trace()
+    oracle, split = (
+        _serve(_service(), requests, workers=workers, retention=retention)
+        for workers in (0, 2)
+    )
+    for name in ("p50_latency_layers", "p95_latency_layers", "p99_latency_layers"):
+        assert getattr(split.stats, name) == getattr(oracle.stats, name)
+    assert split.stats.per_tenant.keys() == oracle.stats.per_tenant.keys()
+    for tenant, stats in oracle.stats.per_tenant.items():
+        assert (
+            split.stats.per_tenant[tenant].p95_latency_layers
+            == stats.p95_latency_layers
+        )
 
 
 def test_sampled_retention_worker_count_invariant():
@@ -417,38 +431,3 @@ def test_merge_service_aggregators_matches_single_aggregator():
         assert merged.mean_latency_layers == pytest.approx(
             stats.mean_latency_layers
         )
-
-
-def _served(query_id, latency, shard=0):
-    return ServedQuery(
-        query_id=query_id,
-        tenant=0,
-        shard=shard,
-        request_time=0.0,
-        admit_layer=0.0,
-        start_layer=0.0,
-        finish_layer=latency,
-        architecture="Fat-Tree",
-    )
-
-
-def test_merged_percentiles_track_exact_for_unit_weights():
-    # Few enough observations that the P2 sketches still hold the exact
-    # heights: the weighted merge must then reproduce the exact batch
-    # percentile, not an approximation.
-    latencies = [5.0, 9.0, 2.0, 7.0]
-    left = StreamingServiceAggregator()
-    right = StreamingServiceAggregator()
-    combined = StreamingServiceAggregator()
-    for index, latency in enumerate(latencies):
-        target = left if index % 2 == 0 else right
-        record = _served(index, latency)
-        target.observe_served(record)
-        combined.observe_served(record)
-    merged = merge_service_aggregators([left, right])
-    exact = combined.to_stats({0: 0})
-    merged_stats = merged.to_stats({0: 0})
-    assert merged_stats.p95_latency_layers == pytest.approx(
-        exact.p95_latency_layers
-    )
-    assert merged_stats.total_queries == exact.total_queries

@@ -6,7 +6,7 @@ stage-time table on the report without perturbing a single simulated
 value — the engine wraps its stage methods but never changes them.  These
 tests pin that contract, the profiler/StageProfile mechanics, and the
 bit-exactness of the allocation trims the profile motivated (fast record
-construction, the interleaved route fast path, the unrolled P² update).
+construction, the interleaved route fast path).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 
 import repro.perf.profiler as profiler_module
 from repro.engine.workload import StreamingTraceSource
-from repro.metrics.service_stats import ServedQuery, WindowRecord, _percentile
-from repro.metrics.streaming import P2Quantile
+from repro.metrics.service_stats import ServedQuery, WindowRecord
 from repro.perf import HotPathProfiler, StageProfile, env_profile
 from repro.service.service import QRAMService
 from repro.service.sharding import InterleavedShardMap
@@ -174,98 +173,3 @@ def test_interleaved_route_single_address_fast_path():
     assert shard_map.route({1: 0.5, 5: 0.5}) == (1, {0: 0.5, 1: 0.5})
     with pytest.raises(ValueError):
         shard_map.route({0: 0.5, 1: 0.5})
-
-
-class _ReferenceP2:
-    """The original P² update, verbatim (the pinned oracle for the
-    unrolled hot-path version)."""
-
-    def __init__(self, quantile):
-        self.quantile = quantile
-        self._count = 0
-        self._heights = []
-        self._positions = []
-        self._desired = []
-        self._increments = [
-            0.0, quantile / 2.0, quantile, (1.0 + quantile) / 2.0, 1.0
-        ]
-
-    def add(self, value):
-        self._count += 1
-        heights = self._heights
-        if self._count <= 5:
-            heights.append(value)
-            heights.sort()
-            if self._count == 5:
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0 + 4.0 * inc for inc in self._increments]
-            return
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 3
-            for i in range(1, 4):
-                if value < heights[i]:
-                    cell = i - 1
-                    break
-        positions = self._positions
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i, step):
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i, step):
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self):
-        if not self._count:
-            return 0.0
-        if self._count <= 5:
-            return _percentile(self._heights, self.quantile * 100.0)
-        return self._heights[2]
-
-
-@pytest.mark.parametrize("quantile", [0.5, 0.9, 0.95, 0.99])
-def test_p2_unrolled_update_bitwise_parity(quantile):
-    """The unrolled P² add matches the original loop state for state."""
-    import numpy as np
-
-    rng = np.random.default_rng(42)
-    optimized = P2Quantile(quantile)
-    reference = _ReferenceP2(quantile)
-    for value in rng.exponential(25.0, size=5000).tolist():
-        optimized.add(value)
-        reference.add(value)
-    assert [h.hex() for h in optimized._heights] == [
-        h.hex() for h in reference._heights
-    ]
-    assert optimized._positions == reference._positions
-    assert [d.hex() for d in optimized._desired] == [
-        d.hex() for d in reference._desired
-    ]
-    assert optimized.value.hex() == reference.value.hex()

@@ -2,9 +2,9 @@
 
 Covers the observation-path refactor end to end:
 
-* online aggregates (:class:`StreamingStat`, :class:`P2Quantile`) against
-  exact batch computations, including sketch error bounds on seed
-  workloads;
+* online aggregates (:class:`StreamingStat`, :class:`LogBucketSketch`)
+  against exact batch computations, including the sketch's relative
+  error bound and its exact merges;
 * record sinks — list / reservoir sample / JSONL round-trip / null;
 * engine retention modes: ``"full"`` reproduces the historical batch
   :class:`ServiceStats` byte for byte, ``"sampled"`` and ``"none"`` report
@@ -17,6 +17,7 @@ Covers the observation-path refactor end to end:
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,6 @@ from repro.engine import (
     StreamingTraceSource,
     TraceSource,
 )
-from repro.metrics.service_stats import _percentile
 from repro.metrics.sinks import (
     JsonlSink,
     ListSink,
@@ -38,7 +38,8 @@ from repro.metrics.sinks import (
     load_jsonl,
 )
 from repro.metrics.streaming import (
-    P2Quantile,
+    RELATIVE_ACCURACY,
+    LogBucketSketch,
     StreamingServiceAggregator,
     StreamingStat,
 )
@@ -92,33 +93,56 @@ def test_streaming_stat_matches_batch():
     assert empty.mean == 0.0 and empty.minimum is None and empty.maximum is None
 
 
-def test_p2_quantile_exact_below_five_samples():
-    sketch = P2Quantile(0.5)
-    for value in (5.0, 1.0, 3.0):
-        sketch.add(value)
-    assert sketch.value == _percentile([5.0, 1.0, 3.0], 50)
+def _exponential_latencies():
+    rng = np.random.default_rng(11)
+    return [float(v) for v in rng.exponential(50.0, size=4000)]
 
 
 @pytest.mark.parametrize("quantile", [0.5, 0.95, 0.99])
-def test_p2_quantile_error_bounds(quantile):
-    """The sketch tracks exact percentiles within a few percent of the
-    sample range on heavy-tailed seed-workload-like data."""
-    rng = np.random.default_rng(11)
-    values = [float(v) for v in rng.exponential(50.0, size=4000)]
-    sketch = P2Quantile(quantile)
+def test_sketch_error_bounds(quantile):
+    """Every estimate is within alpha relative of the exact order
+    statistic at the sketch's rank, on heavy-tailed latency-like data."""
+    values = _exponential_latencies()
+    sketch = LogBucketSketch()
     for value in values:
         sketch.add(value)
-    exact = _percentile(values, quantile * 100.0)
-    spread = max(values) - min(values)
-    assert abs(sketch.value - exact) <= 0.05 * spread
-    assert sketch.value == pytest.approx(exact, rel=0.15)
+    exact = sorted(values)[math.floor(quantile * (len(values) - 1))]
+    assert abs(sketch.quantile(quantile) - exact) <= RELATIVE_ACCURACY * exact
 
 
-def test_p2_quantile_validates():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
+def test_sketch_merge_is_exact():
+    """Merging any partition, in any order, yields exactly the buckets of
+    one sketch fed the concatenated series."""
+    values = _exponential_latencies()
+    whole = LogBucketSketch()
+    for value in values:
+        whole.add(value)
+    rng = np.random.default_rng(5)
+    for parts in (2, 3, 7):
+        labels = rng.integers(0, parts, size=len(values))
+        pieces = [LogBucketSketch() for _ in range(parts)]
+        for label, value in zip(labels, values):
+            pieces[label].add(value)
+        merged = LogBucketSketch()
+        for index in rng.permutation(parts):
+            merged.merge(pieces[index])
+        assert merged.count == whole.count
+        assert merged.zero_count == whole.zero_count
+        assert merged.buckets == whole.buckets
+        for quantile in (0.5, 0.95, 0.99):
+            assert merged.quantile(quantile) == whole.quantile(quantile)
+
+
+def test_sketch_counts_zero():
+    sketch = LogBucketSketch()
+    assert sketch.quantile(0.5) == 0.0
+    sketch.add(0.0)
+    assert sketch.count == 1 and sketch.zero_count == 1
+    assert sketch.buckets == {}
+    assert sketch.quantile(0.99) == 0.0
+    sketch.add(10.0)
+    assert sketch.quantile(0.0) == 0.0
+    assert sketch.quantile(1.0) == pytest.approx(10.0, rel=RELATIVE_ACCURACY)
 
 
 # --------------------------------------------------------------------- sinks
