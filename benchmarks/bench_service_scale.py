@@ -48,19 +48,22 @@ reduced versions of the same measurements so the harness stays cheap.
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import repro.engine.parallel
 import repro.perf.profiler
-from repro.engine import PartitionedTraceSource, StreamingTraceSource
+from repro.engine import (
+    PartitionedTraceSource,
+    ServiceEngine,
+    StreamingTraceSource,
+)
 from repro.service import QRAMService
 from repro.workloads import iter_poisson_trace
+from trajectory import SCALE
 
 CAPACITY = 8
 NUM_SHARDS = 2
@@ -84,51 +87,12 @@ PARALLEL_REQUESTS = int(
 MAX_RSS_MIB = float(os.environ.get("QRAM_SCALE_MAX_RSS_MIB", "0"))
 MIN_RPS = float(os.environ.get("QRAM_SCALE_MIN_RPS", "0"))
 MIN_SPEEDUP = float(os.environ.get("QRAM_SCALE_MIN_SPEEDUP", "5.0"))
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_service_scale.json"
 
 # Simulation code never reads host wall time; measurement harnesses opt in
 # so ParallelRunInfo.worker_seconds reports real per-worker elapsed times
 # and (under REPRO_PROFILE=1) the stage profiler attributes real seconds.
 repro.engine.parallel.host_clock = time.perf_counter
 repro.perf.profiler.host_clock = time.perf_counter
-
-#: Every key a trajectory row carries.  Historical rows predate some keys
-#: (the seed row has no ``cpu_count`` or ``workers_axis``; rows before the
-#: profiler have no ``profiled``); :func:`_normalize_trajectory` backfills
-#: ``null`` so consumers can rely on one uniform row shape, and new rows
-#: are checked against the full schema before being appended.
-ROW_SCHEMA = (
-    "label",
-    "cpu_count",
-    "requests",
-    "workers",
-    "wall_seconds",
-    "requests_per_sec",
-    "requests_per_second",
-    "peak_rss_mib",
-    "retention",
-    "makespan_layers",
-    "bandwidth_queries_per_sec",
-    "mean_latency_layers",
-    "p50_latency_layers",
-    "p99_latency_layers",
-    "telemetry_intervals",
-    "bounded_memory_check",
-    "workers_axis",
-    "profiled",
-)
-
-#: Keys every *new* row must populate at write time.  Historical rows
-#: predate them and keep their backfilled ``null``; a fresh measurement
-#: recording ``null`` here is a writer bug (the regression this guards
-#: against: rows appended with labels/worker counts silently missing).
-NON_NULL_KEYS = (
-    "label",
-    "workers",
-    "requests_per_sec",
-    "requests_per_second",
-)
-
 
 def _serve(num_requests: int, telemetry_interval: float | None = None):
     """One bounded-memory open-loop run: lazy trace, no record retention."""
@@ -142,11 +106,9 @@ def _serve(num_requests: int, telemetry_interval: float | None = None):
         seed=SEED,
     )
     service = QRAMService(CAPACITY, num_shards=NUM_SHARDS, functional=False)
-    return service.serve_workload(
-        StreamingTraceSource(trace),
-        retention="none",
-        telemetry_interval=telemetry_interval,
-    )
+    return ServiceEngine(
+        service, retention="none", telemetry_interval=telemetry_interval
+    ).run(StreamingTraceSource(trace))
 
 
 def _traced_peak_bytes(num_requests: int) -> int:
@@ -201,8 +163,8 @@ def _serve_parallel(num_requests: int, workers: int):
     service = QRAMService(
         PARALLEL_CAPACITY, num_shards=PARALLEL_SHARDS, functional=False
     )
-    return service.serve_workload(
-        _parallel_source(num_requests), retention="none", workers=workers
+    return ServiceEngine(service, retention="none", workers=workers).run(
+        _parallel_source(num_requests)
     )
 
 
@@ -272,7 +234,6 @@ def run_scale(num_requests: int) -> dict:
     rss_raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     per_mib = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
     info = report.parallel
-    requests_per_sec = round(num_requests / wall_seconds, 1)
     return {
         "label": os.environ.get(
             "QRAM_SCALE_LABEL", f"scale-{num_requests}"
@@ -282,8 +243,7 @@ def run_scale(num_requests: int) -> dict:
         # Worker processes the headline run used (1 = in-process serial).
         "workers": info.workers if info is not None else 1,
         "wall_seconds": round(wall_seconds, 3),
-        "requests_per_sec": requests_per_sec,
-        "requests_per_second": requests_per_sec,
+        "requests_per_sec": round(num_requests / wall_seconds, 1),
         "peak_rss_mib": round(rss_raw / per_mib, 1),
         "retention": "none",
         "makespan_layers": stats.makespan_layers,
@@ -345,86 +305,11 @@ def test_service_scale_workers_axis(benchmark):
     )
 
 
-def _load_trajectory() -> list[dict]:
-    """Existing runs (wrapping the pre-trajectory single-object format)."""
-    if not RESULT_PATH.exists():
-        return []
-    data = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
-    if isinstance(data, dict) and isinstance(data.get("runs"), list):
-        return data["runs"]
-    return [data]  # legacy layout: one bare metrics object
-
-
-def _normalize_trajectory(runs: list[dict]) -> list[dict]:
-    """Backfill ``null`` for schema keys historical rows predate.
-
-    Recorded measurements are never rewritten — only missing keys gain an
-    explicit ``None`` so every row exposes the full :data:`ROW_SCHEMA`.
-    """
-    for row in runs:
-        for key in ROW_SCHEMA:
-            row.setdefault(key, None)
-    return runs
-
-
-def _check_row(row: dict) -> None:
-    """A freshly measured row must carry the full schema, nothing ad hoc —
-    and must actually populate the keys only historical rows may null."""
-    missing = [key for key in ROW_SCHEMA if key not in row]
-    extra = [key for key in row if key not in ROW_SCHEMA]
-    assert not missing and not extra, (
-        f"trajectory row schema drift: missing={missing} extra={extra} — "
-        f"update ROW_SCHEMA alongside run_scale()"
-    )
-    nulled = [key for key in NON_NULL_KEYS if row[key] is None]
-    assert not nulled, (
-        f"new trajectory row records null for {nulled} — these keys must "
-        f"be populated at write time (only historical rows stay null)"
-    )
-
-
-def test_trajectory_row_schema():
-    """Normalization backfills exactly the missing keys, as ``None``."""
-    legacy = {"requests": 10, "requests_per_sec": 1.0}
-    rows = _normalize_trajectory([legacy])
-    assert rows[0] is legacy  # in place: recorded values untouched
-    assert set(legacy) == set(ROW_SCHEMA)
-    assert legacy["requests"] == 10 and legacy["requests_per_sec"] == 1.0
-    assert legacy["cpu_count"] is None and legacy["workers_axis"] is None
-    # Historical rows may stay null; a *new* row must populate the
-    # write-time keys, so the normalized legacy shape itself no longer
-    # passes the new-row check.
-    try:
-        _check_row(legacy)
-    except AssertionError:
-        pass
-    else:  # pragma: no cover - the check must reject null write-time keys
-        raise AssertionError("null label/workers went undetected")
-    fresh = {
-        **legacy,
-        "label": "scale-10",
-        "workers": 1,
-        "requests_per_second": 1.0,
-    }
-    _check_row(fresh)
-    try:
-        _check_row({**fresh, "ad_hoc": 1})
-    except AssertionError:
-        pass
-    else:  # pragma: no cover - the check must reject drift
-        raise AssertionError("schema drift went undetected")
-
-
 def main() -> None:
     metrics = run_scale(REQUESTS)
     metrics["workers_axis"] = run_workers_axis(PARALLEL_REQUESTS)
-    _check_row(metrics)
-    runs = _normalize_trajectory(_load_trajectory())
-    runs.append(metrics)
-    RESULT_PATH.write_text(
-        json.dumps({"runs": runs}, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {RESULT_PATH} ({len(runs)} run(s) in the trajectory)")
+    runs = SCALE.append(metrics)
+    print(f"wrote {SCALE.path} ({len(runs)} run(s) in the trajectory)")
     for key, value in metrics.items():
         print(f"  {key}: {value}")
     failures = []

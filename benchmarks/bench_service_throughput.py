@@ -59,6 +59,7 @@ from repro.core.query import QueryRequest
 from repro.engine import (
     AutoscalerConfig,
     PartitionedTraceSource,
+    ServiceEngine,
     StreamingTraceSource,
     TraceSource,
 )
@@ -73,7 +74,7 @@ from repro.scenarios import (
 )
 from repro.schedule_cache import default_registry
 from repro.service import QRAMService
-from repro.workloads import iter_poisson_trace, poisson_trace, random_data
+from repro.workloads import iter_poisson_trace, random_data
 
 CAPACITY = 32
 BATCH = 4
@@ -179,13 +180,13 @@ def test_bb_schedule_cache_speedup(benchmark):
 def test_service_throughput_poisson(benchmark):
     capacity = 16
     data = random_data(capacity, seed=1)
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 60, mean_interarrival=8.0, num_tenants=3, num_shards=2, seed=7
-    )
+    ))
 
     def serve():
         service = QRAMService(capacity, num_shards=2, data=data)
-        return service.serve(trace)
+        return ServiceEngine(service).run(TraceSource(trace))
 
     start = time.perf_counter()
     report = serve()
@@ -215,9 +216,9 @@ def test_service_throughput_backend_axis(benchmark):
     """The same trace drained by every registered architecture."""
     capacity = 16
     data = random_data(capacity, seed=2)
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 40, mean_interarrival=6.0, num_tenants=2, num_shards=2, seed=3
-    )
+    ))
 
     def serve_all():
         results = {}
@@ -226,7 +227,7 @@ def test_service_throughput_backend_axis(benchmark):
                 capacity, num_shards=2, data=data, architecture=name,
                 functional=False,
             )
-            results[name] = service.serve(trace).stats
+            results[name] = ServiceEngine(service).run(TraceSource(trace)).stats
         return results
 
     results = serve_all()
@@ -407,10 +408,9 @@ def test_service_retention_axis(benchmark):
             addresses_per_query=1, num_tenants=4, num_shards=2, seed=5,
         )
         service = QRAMService(capacity, num_shards=2, functional=False)
-        return service.serve_workload(
-            StreamingTraceSource(trace), retention=retention,
-            telemetry_interval=10_000.0,
-        )
+        return ServiceEngine(
+            service, retention=retention, telemetry_interval=10_000.0
+        ).run(StreamingTraceSource(trace))
 
     serve("none")                          # warm schedule caches
     results = {}
@@ -475,8 +475,8 @@ def test_service_workers_axis(benchmark):
     for workers in (1, 2, 4):
         service = QRAMService(capacity, num_shards=num_shards, functional=False)
         start = time.perf_counter()
-        report = service.serve_workload(
-            PartitionedTraceSource(factory), workers=workers
+        report = ServiceEngine(service, workers=workers).run(
+            PartitionedTraceSource(factory)
         )
         results[workers] = (report, time.perf_counter() - start)
 
@@ -562,7 +562,7 @@ def test_autoscaled_replica_hits_warm_schedule_cache(benchmark):
     requests.append(QueryRequest(99, {3: 1.0}, request_time=50_000.0))
     config = AutoscalerConfig(period=100.0, high_watermark=4, low_watermark=0,
                               min_shards=1, max_shards=3)
-    report = service.serve_workload(TraceSource(requests), autoscaler=config)
+    report = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
     benchmark(lambda: report)
     scaled = registry.stats()
 
@@ -611,7 +611,7 @@ def test_fleet_build_precompiles_fidelity_vectors(benchmark):
         capacity, num_queries, mean_interarrival=14.0, addresses_per_query=1,
         num_tenants=4, num_shards=2, seed=5,
     )
-    report = service.serve_workload(StreamingTraceSource(trace))
+    report = ServiceEngine(service).run(StreamingTraceSource(trace))
     benchmark(lambda: report)
     served = registry.stats()
 

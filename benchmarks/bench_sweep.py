@@ -42,47 +42,19 @@ reuse assertions.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from repro.scenarios.spec import FleetSpec, ScenarioSpec, WorkloadSpec
 from repro.sweep import SweepSpec, frontier_report, run_sweep
+from trajectory import SWEEP
 
 INTENSITY_STEPS = int(os.environ.get("QRAM_SWEEP_INTENSITIES", "8"))
 MIN_REUSE_SPEEDUP = float(
     os.environ.get("QRAM_SWEEP_MIN_REUSE_SPEEDUP", "2.0")
 )
 MIN_SPEEDUP = float(os.environ.get("QRAM_SWEEP_MIN_SPEEDUP", "5.0"))
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
-
-#: Every key a trajectory row carries (new file — no historical backfill
-#: yet; the normalizer still runs so future keys can be added the same
-#: way ``bench_service_scale`` grew).
-ROW_SCHEMA = (
-    "label",
-    "cpu_count",
-    "points",
-    "unique_executions",
-    "serial_cold_seconds",
-    "pool1_seconds",
-    "pool8_seconds",
-    "speedup_pool1_vs_cold",
-    "speedup_pool8_vs_cold",
-    "cache_hits",
-    "cache_misses",
-    "cache_prewarms",
-    "cache_hit_rate",
-    "rows_identical",
-    "frontier_points",
-)
-
-#: Keys every new row must populate (the whole schema — this file has no
-#: historical nulls to preserve).
-NON_NULL_KEYS = ROW_SCHEMA
-
 
 def headline_sweep(intensity_steps: int = INTENSITY_STEPS) -> SweepSpec:
     """The benchmark campaign: 2 x 2 x 2 x ``intensity_steps`` points.
@@ -171,55 +143,12 @@ def run_modes(sweep: SweepSpec) -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not RESULT_PATH.exists():
-        return []
-    data = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
-    return data["runs"] if isinstance(data, dict) else [data]
-
-
-def _normalize_trajectory(runs: list[dict]) -> list[dict]:
-    """Backfill ``null`` for schema keys future historical rows predate."""
-    for row in runs:
-        for key in ROW_SCHEMA:
-            row.setdefault(key, None)
-    return runs
-
-
-def _check_row(row: dict) -> None:
-    """A fresh row must carry the full schema, populated, nothing ad hoc."""
-    missing = [key for key in ROW_SCHEMA if key not in row]
-    extra = [key for key in row if key not in ROW_SCHEMA]
-    assert not missing and not extra, (
-        f"trajectory row schema drift: missing={missing} extra={extra} — "
-        f"update ROW_SCHEMA alongside run_modes()"
-    )
-    nulled = [key for key in NON_NULL_KEYS if row[key] is None]
-    assert not nulled, (
-        f"new trajectory row records null for {nulled} — populate them at "
-        f"write time"
-    )
-
-
-def test_trajectory_row_schema():
-    """The normalizer backfills; the new-row check rejects nulls/drift."""
-    partial = {"points": 8}
-    rows = _normalize_trajectory([partial])
-    assert rows[0] is partial and set(partial) == set(ROW_SCHEMA)
-    try:
-        _check_row(partial)
-    except AssertionError:
-        pass
-    else:  # pragma: no cover - nulls must be rejected
-        raise AssertionError("null keys went undetected")
-
-
 def test_sweep_modes_identical_and_reuse(benchmark):
     """Reduced entry: cold/persistent rows identical, reuse observable."""
     sweep = headline_sweep(intensity_steps=2)  # 16 points
     metrics = run_modes(sweep)
     benchmark(lambda: metrics)
-    _check_row(metrics)
+    SWEEP.check_row(metrics)
     assert metrics["points"] == 16
     assert metrics["unique_executions"] == 16
     assert metrics["rows_identical"] is True
@@ -245,13 +174,8 @@ def test_sweep_modes_identical_and_reuse(benchmark):
 
 def main() -> None:
     metrics = run_modes(headline_sweep())
-    _check_row(metrics)
-    runs = _normalize_trajectory(_load_trajectory())
-    runs.append(metrics)
-    RESULT_PATH.write_text(
-        json.dumps({"runs": runs}, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {RESULT_PATH} ({len(runs)} run(s) in the trajectory)")
+    runs = SWEEP.append(metrics)
+    print(f"wrote {SWEEP.path} ({len(runs)} run(s) in the trajectory)")
     for key, value in metrics.items():
         print(f"  {key}: {value}")
     failures = []

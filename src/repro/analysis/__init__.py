@@ -12,7 +12,6 @@ from repro.analysis.figures import (
     generate_fig6_pipeline,
     generate_fig7_schedule,
     generate_fig8_bandwidth,
-    generate_fig9_algorithm_depths,
     generate_fig10_synthetic,
     generate_fig11_qec,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "generate_fig6_pipeline",
     "generate_fig7_schedule",
     "generate_fig8_bandwidth",
-    "generate_fig9_algorithm_depths",
     "generate_fig10_synthetic",
     "generate_fig11_qec",
     "format_table",

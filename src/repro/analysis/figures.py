@@ -1,11 +1,14 @@
-"""Regenerate the data series behind Figures 2, 6, 7, 8, 9, 10 and 11."""
+"""Regenerate the data series behind Figures 2, 6, 7, 8, 10 and 11.
+
+Fig. 9's depths come straight from
+:func:`repro.algorithms.depth_model.fig9_depths`.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.algorithms.depth_model import fig9_depths
-from repro.algorithms.synthetic import SyntheticAlgorithm, sweep_to_grids, synthetic_sweep
+from repro.algorithms.synthetic import sweep_to_grids, synthetic_sweep
 from repro.baselines.registry import build_architecture
 from repro.bucket_brigade.schedule import BBQuerySchedule
 from repro.core.pipeline import FatTreePipeline
@@ -66,11 +69,6 @@ def generate_fig8_bandwidth(
     series = bandwidth_scaling(capacities)
     series["capacity"] = [float(c) for c in capacities]
     return series
-
-
-def generate_fig9_algorithm_depths(capacity: int = 1024) -> dict[str, dict[str, float]]:
-    """Fig. 9: overall circuit depth of the four parallel algorithms."""
-    return fig9_depths(capacity)
 
 
 def generate_fig10_synthetic(

@@ -66,15 +66,6 @@ class BucketBrigadeQRAM:
             self._executor = None
             default_registry().note_invalidation()
 
-    def load_memory(self, data: Sequence[int]) -> None:
-        """Replace the whole classical memory."""
-        if len(data) != self._capacity:
-            raise ValueError("data length must equal capacity")
-        self._data = [int(x) & 1 for x in data]
-        if self._executor is not None:
-            self._executor = None
-            default_registry().note_invalidation()
-
     # --------------------------------------------------------------- resources
     @property
     def num_routers(self) -> int:
@@ -164,7 +155,3 @@ class BucketBrigadeQRAM:
     def executor(self) -> BBExecutor:
         """A fresh gate-level executor bound to the current memory contents."""
         return BBExecutor(self._capacity, self._data)
-
-    def query_results(self, addresses: Sequence[int]) -> list[int]:
-        """Classical convenience read of several addresses (basis queries)."""
-        return [self._data[a] for a in addresses]

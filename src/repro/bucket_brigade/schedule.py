@@ -79,11 +79,6 @@ class BBQuerySchedule:
         return bb_weighted_query_latency(self.capacity)
 
     @property
-    def loading_layers(self) -> int:
-        """Layers used by address loading (bus reaches the leaves): ``4n``."""
-        return 4 * self.address_width
-
-    @property
     def data_retrieval_layer(self) -> int:
         """Raw layer of the CLASSICAL-GATES step: ``4n + 1``."""
         return 4 * self.address_width + 1
@@ -199,14 +194,6 @@ class BBQuerySchedule:
                             f"layer {layer}: location {location} touched twice"
                         )
                     touched.add(location)
-
-    def layer_costs(self) -> dict[int, float]:
-        """Cost (1 or 0.125) of every occupied raw layer."""
-        costs: dict[int, float] = {}
-        for instr in self.instructions:
-            cost = instr.kind.layer_cost
-            costs[instr.raw_layer] = max(costs.get(instr.raw_layer, 0.0), cost)
-        return costs
 
 
 def _touched_locations(instr: Instruction) -> list[tuple]:

@@ -109,12 +109,6 @@ class BBTree:
             for index in range(2**level):
                 yield RouterId(level, index)
 
-    def routers_at_level(self, level: int) -> Iterator[RouterId]:
-        """Routers at the given level."""
-        self._check_level(level)
-        for index in range(2**level):
-            yield RouterId(level, index)
-
     def path_to_leaf(self, address: int) -> list[RouterId]:
         """Root-to-leaf router path activated by ``address``."""
         if not 0 <= address < self._capacity:

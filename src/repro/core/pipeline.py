@@ -149,11 +149,6 @@ class FatTreePipeline:
         ``log N`` queries at the default interval)."""
         return self.timeline(self.num_queries - 1).finish_layer
 
-    def total_weighted_latency(self) -> float:
-        """Weighted latency until the last query finishes (Table 1 row
-        ``t_log(N)`` when ``num_queries = log2 N``)."""
-        return fat_tree_parallel_query_latency(self._capacity, self.num_queries)
-
     def amortized_weighted_latency(self) -> float:
         """Weighted steady-state amortized latency per query.
 

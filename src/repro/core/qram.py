@@ -64,15 +64,6 @@ class FatTreeQRAM:
             self._executor = None
             default_registry().note_invalidation()
 
-    def load_memory(self, data: Sequence[int]) -> None:
-        """Replace the whole classical memory."""
-        if len(data) != self._capacity:
-            raise ValueError("data length must equal capacity")
-        self._data = [int(x) & 1 for x in data]
-        if self._executor is not None:
-            self._executor = None
-            default_registry().note_invalidation()
-
     # --------------------------------------------------------------- resources
     @property
     def num_routers(self) -> int:

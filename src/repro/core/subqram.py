@@ -63,10 +63,6 @@ class SubQRAM:
         """All routers of the sub-QRAM."""
         return list(self.structure.routers_with_label(self.label))
 
-    def transient_router_level(self) -> int:
-        """Level of the transient-storage routers (the bottom level)."""
-        return self.label
-
     def neighbour_above(self) -> "SubQRAM | None":
         """The next larger sub-QRAM, if any."""
         if self.reaches_data:

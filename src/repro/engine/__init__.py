@@ -17,8 +17,9 @@
   :class:`PartitionedTraceSource` lets each worker regenerate just its
   partition of a lazy trace.
 
-:meth:`repro.service.QRAMService.serve` is a thin wrapper over this engine;
-richer scenarios go through :meth:`~repro.service.QRAMService.serve_workload`.
+``ServiceEngine(service, **knobs).run(source)`` is the one way to serve a
+:class:`repro.service.QRAMService` fleet; :mod:`repro.scenarios` and
+:mod:`repro.sweep` build the same call from declarative specs.
 """
 
 from repro.engine.core import (

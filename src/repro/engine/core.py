@@ -16,8 +16,7 @@ shared memory under live contention needs:
 * **closed-loop clients** — a :class:`~repro.engine.workload.ClosedLoopSource`
   issues each client's next request only after its previous completion
   (think-time feedback), while :class:`~repro.engine.workload.TraceSource`
-  replays open-loop traces bit-for-bit like the legacy
-  ``QRAMService.serve`` loop and
+  replays a materialized open-loop trace and
   :class:`~repro.engine.workload.StreamingTraceSource` pulls a lazy trace
   one arrival at a time;
 * **SLO-aware admission** — per-request deadlines (EDF ordering via
@@ -72,7 +71,7 @@ from repro.engine.events import (
     WindowStart,
 )
 from repro.engine.partition import ParallelRunInfo, partition_unsupported_reason
-from repro.engine.workload import WorkloadSource
+from repro.engine.workload import WorkloadSource, check_request_time
 from repro.fidelity.distillation import distilled_infidelity
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -87,7 +86,7 @@ from repro.metrics.service_stats import (
 )
 from repro.metrics.sinks import ListSink, NullSink, RecordSink, SamplingSink
 from repro.metrics.streaming import IntervalStats, StreamingServiceAggregator
-from repro.perf.profiler import HotPathProfiler, StageProfile, env_profile
+from repro.perf.profiler import PROFILE_ENV, HotPathProfiler, StageProfile
 from repro.schedule_cache import CacheStats, default_registry
 
 #: Retention modes for the engine's per-request records.
@@ -104,9 +103,10 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 WORKERS_ENV = "REPRO_WORKERS"
 
 
-def _env_sanitize() -> bool:
-    """Default sanitizer setting from the ``REPRO_SANITIZE`` variable."""
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() in (
+def _env_flag(name: str) -> bool:
+    """Default on/off setting from a ``REPRO_*`` switch variable
+    (``REPRO_SANITIZE``, ``REPRO_PROFILE``): on for 1/true/yes/on."""
+    return os.environ.get(name, "").strip().lower() in (
         "1",
         "true",
         "yes",
@@ -115,14 +115,18 @@ def _env_sanitize() -> bool:
 
 
 def _env_workers() -> int | None:
-    """Default worker count from the ``REPRO_WORKERS`` variable."""
+    """Default worker count from the ``REPRO_WORKERS`` variable: unset,
+    empty or ``0`` means single-process; anything but an integer is an
+    error, never a silent fallback."""
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
+        raise ValueError(
+            f"{WORKERS_ENV} must be an integer worker count, got {raw!r}"
+        ) from None
     return value if value >= 1 else None
 
 
@@ -357,8 +361,8 @@ class ServiceEngine:
             fall back to the oracle with the reason recorded on
             ``report.parallel``.  ``0`` forces the single-process oracle;
             ``None`` (default) reads the ``REPRO_WORKERS`` environment
-            variable, which only ever parallelizes provably
-            oracle-identical configurations.
+            variable (a non-integer value is an error), which only ever
+            parallelizes provably oracle-identical configurations.
         sanitize: runtime invariant checking.  When True every run asserts
             clock monotonicity, nondecreasing heap-key order, that windows
             only start on idle shards, and the conservation invariant
@@ -438,9 +442,13 @@ class ServiceEngine:
         self.sample_seed = sample_seed
         self.telemetry_interval = telemetry_interval
         self.sink = sink
-        self.sanitize = _env_sanitize() if sanitize is None else bool(sanitize)
+        self.sanitize = (
+            _env_flag(SANITIZE_ENV) if sanitize is None else bool(sanitize)
+        )
         self.workers = workers
-        self.profile = env_profile() if profile is None else bool(profile)
+        self.profile = (
+            _env_flag(PROFILE_ENV) if profile is None else bool(profile)
+        )
         # Names of the methods the *previous* run's profiler wrapped (see
         # ``_reset``); only these are unwound, never unrelated overrides.
         self._profiled_wrapped: tuple[str, ...] = ()
@@ -740,16 +748,12 @@ class ServiceEngine:
         """Schedule one request's arrival at its ``request_time``.
 
         The arrival clock starts at 0: a negative ``request_time`` is
-        refused here (it would silently inflate every latency and
-        queue-delay statistic derived from it).  Validation of amplitudes
-        and duplicate ids happens when the arrival is processed — the one
-        path every request takes, trace or closed-loop.
+        refused here (:func:`~repro.engine.workload.check_request_time`,
+        the same check a streaming trace applies).  Validation of
+        amplitudes and duplicate ids happens when the arrival is processed
+        — the one path every request takes, trace or closed-loop.
         """
-        if request.request_time < 0:
-            raise ValueError(
-                f"request {request.query_id} has negative request_time "
-                f"{request.request_time}; arrivals must be at time >= 0"
-            )
+        check_request_time(request)
         self._traffic_events += 1
         self._heap.push(request.request_time, Arrival(request))
 

@@ -68,20 +68,32 @@ class WorkloadSource:
         )
 
 
+def check_request_time(request: QueryRequest) -> None:
+    """Refuse an arrival before the clock's origin (time 0): a negative
+    ``request_time`` would silently inflate every latency and queue-delay
+    statistic derived from it."""
+    if request.request_time < 0:
+        raise ValueError(
+            f"request {request.query_id} has negative request_time "
+            f"{request.request_time}; arrivals must be at time >= 0"
+        )
+
+
 class TraceSource(WorkloadSource):
     """Open-loop traffic: a fixed trace of requests with arrival times.
 
-    Requests are scheduled in ``(request_time, query_id)`` order — the
-    admission order of the legacy ``QRAMService.serve`` loop — so a trace
-    drained through the engine reproduces the historical reports exactly.
+    Requests are scheduled in ``(request_time, query_id)`` order, so any
+    ordering of the same trace produces the same report.  ``requests`` may
+    be any iterable — a list or a lazy ``iter_*`` generator, which is
+    materialized here.
     """
 
-    def __init__(self, requests: Sequence[QueryRequest]) -> None:
-        if not requests:
-            raise ValueError("at least one request is required")
+    def __init__(self, requests: Iterable[QueryRequest]) -> None:
         self.requests = sorted(
             requests, key=lambda r: (r.request_time, r.query_id)
         )
+        if not self.requests:
+            raise ValueError("at least one request is required")
 
     def start(self, engine: ServiceEngine) -> None:
         for request in self.requests:
@@ -121,10 +133,10 @@ class StreamingTraceSource(WorkloadSource):
         self._last_time = 0.0
         if self._pending is None:
             raise ValueError("at least one request is required")
-        self._schedule_pending(engine)
+        self._schedule(engine, self._pending)
 
-    def _schedule_pending(self, engine: ServiceEngine) -> None:
-        request = self._pending
+    def _schedule(self, engine: ServiceEngine, request: QueryRequest) -> None:
+        check_request_time(request)
         if request.request_time < self._last_time:
             raise ValueError(
                 "streaming traces must be sorted by request_time "
@@ -137,7 +149,7 @@ class StreamingTraceSource(WorkloadSource):
         request = self._pending
         self._pending = next(self._iterator, None)
         if self._pending is not None:
-            self._schedule_pending(self._engine)
+            self._schedule(self._engine, self._pending)
         return request
 
 

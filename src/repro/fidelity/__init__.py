@@ -1,7 +1,7 @@
 """Error robustness of Fat-Tree QRAM (Sec. 8).
 
 * :mod:`repro.fidelity.noise_resilience` — analytic query-fidelity bounds
-  (Sec. 8.1, Table 3) and a Monte-Carlo error-injection cross-check.
+  (Sec. 8.1, Table 3).
 * :mod:`repro.fidelity.distillation` — virtual distillation with parallel
   queries (Sec. 8.2, Table 4).
 * :mod:`repro.fidelity.qec` — QEC overhead analysis: encoded QRAM (Fig. 11)
@@ -12,7 +12,6 @@ from repro.fidelity.noise_resilience import (
     bb_query_infidelity,
     fat_tree_query_infidelity,
     generic_circuit_infidelity,
-    monte_carlo_query_fidelity,
     table3_rows,
 )
 from repro.fidelity.distillation import (
@@ -33,7 +32,6 @@ __all__ = [
     "fat_tree_query_infidelity",
     "bb_query_infidelity",
     "generic_circuit_infidelity",
-    "monte_carlo_query_fidelity",
     "table3_rows",
     "virtual_distillation_fidelity",
     "distilled_infidelity",

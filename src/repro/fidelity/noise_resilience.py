@@ -11,18 +11,12 @@ while BB QRAM (which has no intra-node SWAPs) obeys the same bound without
 ``eps2 = eps0 / 2`` (the ratio of the experimentally reported rates), giving
 infidelity ``5 eps0 log2(N)^2``: 0.045 / 0.08 / 0.125 / 0.18 for N = 8..64 at
 ``eps0 = 1e-3``.
-
-A Monte-Carlo error-injection estimate on the gate-level BB executor is
-provided as a cross-check of the *shape* of the bound (errors on off-path
-routers mostly do not reach the output — the "limited entanglement" argument).
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
-from repro.bucket_brigade.executor import BBExecutor
 from repro.bucket_brigade.tree import validate_capacity
 from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
 
@@ -81,46 +75,3 @@ def table3_rows(
             )
         rows.append(row)
     return rows
-
-
-def monte_carlo_query_fidelity(
-    capacity: int,
-    data: Sequence[int],
-    error_rate: float,
-    trials: int = 50,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of BB query fidelity under bit-flip gate errors.
-
-    Every STORE layer injects an X error on each router qubit of the stored
-    level with probability ``error_rate`` (a pessimistic discrete stand-in
-    for the generic channel); the fidelity of the output register against the
-    ideal query output is averaged over ``trials`` runs.  The estimate decays
-    polynomially in ``log N`` (not in ``N``), exhibiting the noise resilience
-    the analytic bound formalises.
-    """
-    n = validate_capacity(capacity)
-    rng = random.Random(seed)
-    amps = {i: 1.0 for i in range(capacity)}
-    total = 0.0
-    for _ in range(trials):
-        executor = BBExecutor(capacity, data)
-        state = executor.run_query(amps)
-        # Inject errors retroactively by flipping leaf qubits and re-reading:
-        # a simplified but conservative injection at the output boundary.
-        flips = 0
-        for level in range(n):
-            for index in range(2**level):
-                if rng.random() < error_rate:
-                    flips += 1
-        ideal = executor.expected_output(amps)
-        actual = executor.measured_output(state)
-        overlap = sum(
-            ideal[k].conjugate() * actual.get(k, 0.0) for k in ideal
-        )
-        fidelity = abs(overlap) ** 2
-        # Each injected fault on the active path degrades the branch it hits:
-        # at most one branch out of N per fault.
-        fidelity *= max(0.0, 1.0 - flips / capacity) ** 2
-        total += fidelity
-    return total / trials

@@ -12,12 +12,10 @@ from repro.perf.profiler import (
     PROFILE_ENV,
     HotPathProfiler,
     StageProfile,
-    env_profile,
 )
 
 __all__ = [
     "PROFILE_ENV",
     "HotPathProfiler",
     "StageProfile",
-    "env_profile",
 ]

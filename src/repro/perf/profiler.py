@@ -24,7 +24,6 @@ test suite exercises the full wiring deterministically.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
@@ -33,7 +32,6 @@ __all__ = [
     "PROFILE_ENV",
     "HotPathProfiler",
     "StageProfile",
-    "env_profile",
     "host_clock",
 ]
 
@@ -50,16 +48,6 @@ PROFILE_ENV = "REPRO_PROFILE"
 host_clock: Callable[[], float] | None = None
 
 _T = TypeVar("_T")
-
-
-def env_profile() -> bool:
-    """Default profiling setting from the ``REPRO_PROFILE`` variable."""
-    return os.environ.get(PROFILE_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 @dataclass(frozen=True)

@@ -771,8 +771,8 @@ class PolicySpec:
 class RunSpec:
     """Engine run knobs: observation, parallelism, checking, clock.
 
-    Attributes mirror :class:`repro.engine.ServiceEngine` (and
-    ``QRAMService.serve_workload``): retention mode, reservoir size/seed,
+    Attributes mirror the :class:`repro.engine.ServiceEngine` keyword
+    arguments and ``run``'s clock: retention mode, reservoir size/seed,
     telemetry cadence, virtual-distillation budget, worker count
     (``None`` defers to ``REPRO_WORKERS``), sanitizer (``None`` defers to
     ``REPRO_SANITIZE``), profiling (``None`` defers to ``REPRO_PROFILE``)

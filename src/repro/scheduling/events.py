@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.workloads.arrivals import burst_times, exponential_times, periodic_times
+from repro.workloads.arrivals import (
+    iter_burst_times,
+    iter_exponential_times,
+    periodic_times,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -73,7 +77,7 @@ def random_arrivals(
     num_qpus: int = 1,
 ) -> list[QueryArrival]:
     """Online workload: exponential interarrival times (Sec. 5.2)."""
-    times = exponential_times(num_queries, mean_interarrival, seed)
+    times = iter_exponential_times(num_queries, mean_interarrival, seed)
     return [
         QueryArrival(t, int(i % num_qpus), int(i)) for i, t in enumerate(times)
     ]
@@ -87,7 +91,7 @@ def burst_arrivals(
 ) -> list[QueryArrival]:
     """Bursty workload: ``burst_size`` simultaneous requests every
     ``burst_spacing`` layers."""
-    times = burst_times(num_bursts, burst_size, burst_spacing)
+    times = iter_burst_times(num_bursts, burst_size, burst_spacing)
     return [
         QueryArrival(t, (i % burst_size) % num_qpus, i)
         for i, t in enumerate(times)

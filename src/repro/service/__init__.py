@@ -3,14 +3,15 @@
 * :mod:`repro.service.sharding` — placement maps: address-interleaved
   sharding of the global address space, or full replication for
   shortest-queue placement.
-* :mod:`repro.service.service` — :class:`QRAMService`, a thin front-end
-  over the discrete-event engine (:mod:`repro.engine`): open-loop traces
-  via :meth:`~QRAMService.serve`, closed-loop clients / SLO-bounded queues
-  / elastic fleets via :meth:`~QRAMService.serve_workload`, pluggable
-  admission policy (:mod:`repro.scheduling.policy`), per-tenant /
-  per-shard / per-backend statistics.  Each shard is any registered
-  architecture (Fat-Tree, BB, Virtual, D-Fat-Tree, D-BB) behind the
-  :class:`repro.backends.QRAMBackend` protocol.
+* :mod:`repro.service.service` — :class:`QRAMService` builds the fleet:
+  placement map, one backend per shard, pluggable admission policy
+  (:mod:`repro.scheduling.policy`) and window sizes.  Each shard is any
+  registered architecture (Fat-Tree, BB, Virtual, D-Fat-Tree, D-BB)
+  behind the :class:`repro.backends.QRAMBackend` protocol.
+
+A fleet is served by the discrete-event engine (:mod:`repro.engine`):
+``ServiceEngine(service, **knobs).run(source)`` for any open-loop trace,
+closed-loop clients, SLO-bounded queues or elastic fleet.
 """
 
 from repro.service.service import PLACEMENTS, QRAMService, ServiceReport

@@ -1,13 +1,14 @@
 """Traffic-facing QRAM serving layer (multi-backend, sharded, policy-driven).
 
-A :class:`QRAMService` owns a fleet of execution backends — one per shard,
-each an arbitrary registered architecture (Fat-Tree, BB, Virtual,
+A :class:`QRAMService` builds a fleet of execution backends — one per
+shard, each an arbitrary registered architecture (Fat-Tree, BB, Virtual,
 D-Fat-Tree, D-BB) built through
-:func:`repro.baselines.registry.build_backend` — and serves traffic through
-the discrete-event engine in :mod:`repro.engine`: every run is a heap of
-typed events on one virtual clock, whether the workload is an open-loop
-trace (:meth:`QRAMService.serve`) or closed-loop clients, SLO-bounded
-queues and elastic fleets (:meth:`QRAMService.serve_workload`).
+:func:`repro.baselines.registry.build_backend`.  Traffic is served by the
+discrete-event engine in :mod:`repro.engine`, one heap of typed events on
+one virtual clock, whether the workload is an open-loop trace, closed-loop
+clients, SLO-bounded queues or an elastic fleet::
+
+    report = ServiceEngine(service).run(TraceSource(requests))
 
 Placement is pluggable: address-interleaved sharding
 (:class:`repro.service.sharding.InterleavedShardMap`; a query's address
@@ -34,9 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.baselines.registry import build_backend
-from repro.core.query import QueryRequest
-from repro.engine.core import AutoscalerConfig, ServiceEngine, ServiceReport
-from repro.engine.workload import TraceSource, WorkloadSource
+from repro.engine.core import ServiceReport
 from repro.scheduling.policy import AdmissionPolicy, as_policy
 from repro.schedule_cache import default_registry
 from repro.service.sharding import (
@@ -174,100 +173,3 @@ class QRAMService:
         local = self.shard_map.local_address(address)
         for shard in self.shard_map.owners(address):
             self.shards[shard].write_memory(local, value)
-
-    # ---------------------------------------------------------------- serving
-    def serve(
-        self, requests: Sequence[QueryRequest], clops: float = 1.0e6
-    ) -> ServiceReport:
-        """Drain an open-loop trace of query requests (compatibility surface).
-
-        A thin wrapper over the discrete-event engine: the trace becomes a
-        :class:`repro.engine.TraceSource` and the engine advances one
-        virtual clock over arrival / window / drain events — reproducing
-        the historical batch-window loop exactly (same admission times,
-        same reports).
-
-        Args:
-            requests: query requests; each must carry an address
-                superposition (shard-aligned under interleaved placement)
-                and an arrival ``request_time`` in raw layers.
-            clops: hardware clock used for the queries-per-second numbers.
-        """
-        return ServiceEngine(self).run(TraceSource(requests), clops=clops)
-
-    def serve_workload(
-        self,
-        source: WorkloadSource,
-        *,
-        clops: float = 1.0e6,
-        max_queue_depth: int | None = None,
-        shed_expired: bool = False,
-        autoscaler: AutoscalerConfig | None = None,
-        max_distillation_copies: int = 1,
-        retention: str = "full",
-        sample_size: int = 1024,
-        sample_seed: int = 0,
-        telemetry_interval: float | None = None,
-        sink=None,
-        workers: int | None = None,
-        profile: bool | None = None,
-    ) -> ServiceReport:
-        """Serve any workload source with the full engine surface.
-
-        Args:
-            source: open-loop trace (:class:`repro.engine.TraceSource`,
-                lazily via :class:`repro.engine.StreamingTraceSource`) or
-                closed-loop clients (:class:`repro.engine.ClosedLoopSource`).
-            clops: hardware clock used for the queries-per-second numbers.
-            max_queue_depth: bounded per-shard queues — arrivals that find
-                their queue full are rejected and accounted in
-                ``stats.rejected_queries``.
-            shed_expired: shed queued requests whose deadline has passed
-                (accounted in ``stats.shed_queries``).
-            autoscaler: queue-depth-watermark elastic scaling (requires
-                ``placement="shortest-queue"``).
-            max_distillation_copies: parallel-copy budget per query for the
-                virtual-distillation fidelity retry (1 disables it); see
-                :class:`repro.engine.ServiceEngine`.
-            retention: per-request record policy — ``"full"`` (keep every
-                record; the historical batch statistics, byte for byte),
-                ``"sampled"`` (a fixed-size reservoir per record stream)
-                or ``"none"`` (records dropped, streaming statistics only:
-                memory independent of request count).
-            sample_size: reservoir capacity under ``retention="sampled"``.
-            sample_seed: RNG seed of the reservoir sampler.
-            telemetry_interval: emit one time-windowed
-                :class:`~repro.metrics.streaming.IntervalStats` every this
-                many raw layers (the report's ``telemetry`` series).
-            sink: optional extra :class:`~repro.metrics.sinks.RecordSink`
-                (e.g. a :class:`~repro.metrics.sinks.JsonlSink`) that
-                receives every record regardless of retention.
-            workers: partitioned parallel serving — ``N >= 1`` serves the
-                shards in up to ``N`` forked worker processes and merges
-                the events back deterministically (bit-identical to
-                ``workers=1``); unpartitionable configurations fall back
-                to the single-process engine with the reason on
-                ``report.parallel``.  ``0`` forces single-process;
-                ``None`` defers to the ``REPRO_WORKERS`` environment
-                variable.  See :class:`repro.engine.ServiceEngine`.
-            profile: hot-path stage profiling — the run lands a
-                :class:`~repro.perf.profiler.StageProfile` table on the
-                report's ``profile`` field (observational; the report is
-                otherwise identical).  ``None`` defers to the
-                ``REPRO_PROFILE`` environment variable.
-        """
-        engine = ServiceEngine(
-            self,
-            max_queue_depth=max_queue_depth,
-            shed_expired=shed_expired,
-            autoscaler=autoscaler,
-            max_distillation_copies=max_distillation_copies,
-            retention=retention,
-            sample_size=sample_size,
-            sample_seed=sample_seed,
-            telemetry_interval=telemetry_interval,
-            sink=sink,
-            workers=workers,
-            profile=profile,
-        )
-        return engine.run(source, clops=clops)

@@ -10,7 +10,7 @@ counts latency.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.sim.gates import GATES
@@ -71,10 +71,6 @@ class Circuit:
         op = Operation(gate, tuple(qubits), theta=theta, condition=condition, tag=tag)
         self.operations.append(op)
         return op
-
-    def extend(self, operations: Iterable[Operation]) -> None:
-        """Append many operations."""
-        self.operations.extend(operations)
 
     def __len__(self) -> int:
         return len(self.operations)
@@ -144,6 +140,3 @@ class Circuit:
                 )
             inverted.operations.append(op)
         return inverted
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        return Circuit(self.operations + other.operations)

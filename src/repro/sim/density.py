@@ -63,21 +63,6 @@ class DensityMatrixSimulator:
         """Copy of the current density matrix."""
         return self._rho.copy()
 
-    def set_density_matrix(self, rho: np.ndarray) -> None:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != self._rho.shape:
-            raise ValueError("density matrix has the wrong dimension")
-        if not np.isclose(np.trace(rho).real, 1.0, atol=1e-8):
-            raise ValueError("density matrix must have unit trace")
-        self._rho = rho.copy()
-
-    def set_statevector(self, vector: np.ndarray) -> None:
-        """Initialise from a pure statevector."""
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
-        if vector.shape[0] != self._rho.shape[0]:
-            raise ValueError("statevector has the wrong dimension")
-        self._rho = np.outer(vector, vector.conj())
-
     # ------------------------------------------------------------------ gates
     def apply_gate(
         self, gate: str, qubits: Sequence[Qubit], theta: float | None = None

@@ -108,10 +108,6 @@ class Gate:
     is_parametric: bool = False
     _aliases: tuple[str, ...] = field(default=())
 
-    def unitary(self, theta: float | None = None) -> np.ndarray:
-        """Dense unitary matrix of this gate."""
-        return gate_unitary(self.name, theta)
-
     def permute_bits(self, bits: tuple[int, ...]) -> tuple[int, ...]:
         """Apply the gate to classical bits (permutation gates only).
 

@@ -76,10 +76,6 @@ class SparseState:
             if q not in self._index:
                 self.add_qubit(q)
 
-    def amplitudes(self) -> dict[Basis, complex]:
-        """Copy of the amplitude map."""
-        return dict(self._amplitudes)
-
     def items(self) -> Iterable[tuple[Basis, complex]]:
         return self._amplitudes.items()
 
@@ -327,10 +323,6 @@ class SparseState:
                         "register is entangled with the rest of the state"
                     )
         return column
-
-    def expectation_of_assignment(self, qubit: Qubit) -> float:
-        """<Z-basis value> of a single qubit (probability of measuring 1)."""
-        return self.probability({qubit: 1})
 
     def qubit_values(self) -> dict[Qubit, int] | None:
         """If every qubit has a definite value, return the assignment, else None."""

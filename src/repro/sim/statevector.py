@@ -46,16 +46,6 @@ class StatevectorSimulator:
         """The statevector (copy)."""
         return self._state.copy()
 
-    def set_state(self, vector: np.ndarray) -> None:
-        """Set the statevector directly (must be normalised and right-sized)."""
-        vector = np.asarray(vector, dtype=complex)
-        if vector.shape != self._state.shape:
-            raise ValueError("statevector has the wrong dimension")
-        norm = np.linalg.norm(vector)
-        if not np.isclose(norm, 1.0, atol=1e-9):
-            raise ValueError("statevector must be normalised")
-        self._state = vector.copy()
-
     def set_register(self, qubits: Sequence[Qubit], value: int) -> None:
         """Prepare the whole system in |0..0> with ``qubits`` set to ``value``."""
         if not np.isclose(abs(self._state[0]), 1.0):
@@ -129,8 +119,3 @@ class StatevectorSimulator:
                 value = (value << 1) | ((index >> s) & 1)
             dist[value] = dist.get(value, 0.0) + float(p)
         return dist
-
-    def fidelity_with(self, other: np.ndarray) -> float:
-        """|<self|other>|^2 against a raw statevector in the same ordering."""
-        other = np.asarray(other, dtype=complex)
-        return float(abs(np.vdot(self._state, other)) ** 2)

@@ -9,10 +9,6 @@
 """
 
 from repro.workloads.arrivals import (
-    burst_times,
-    diurnal_times,
-    exponential_times,
-    flash_crowd_times,
     iter_burst_times,
     iter_diurnal_times,
     iter_exponential_times,
@@ -20,17 +16,12 @@ from repro.workloads.arrivals import (
     periodic_times,
 )
 from repro.workloads.generators import (
-    bursty_trace,
     closed_loop_source,
-    diurnal_trace,
-    flash_crowd_trace,
     iter_bursty_trace,
     iter_diurnal_trace,
     iter_flash_crowd_trace,
     iter_periodic_trace,
     iter_poisson_trace,
-    periodic_trace,
-    poisson_trace,
     query_trace,
     random_address_superposition,
     random_data,
@@ -46,24 +37,15 @@ __all__ = [
     "random_address_superposition",
     "shard_aligned_superposition",
     "query_trace",
-    "poisson_trace",
     "iter_poisson_trace",
-    "bursty_trace",
     "iter_bursty_trace",
-    "diurnal_trace",
     "iter_diurnal_trace",
-    "flash_crowd_trace",
     "iter_flash_crowd_trace",
-    "periodic_trace",
     "iter_periodic_trace",
     "closed_loop_source",
-    "exponential_times",
     "iter_exponential_times",
-    "burst_times",
     "iter_burst_times",
-    "diurnal_times",
     "iter_diurnal_times",
-    "flash_crowd_times",
     "iter_flash_crowd_times",
     "periodic_times",
 ]

@@ -4,7 +4,7 @@ Historically :mod:`repro.scheduling.events` (``QueryArrival`` streams for
 the scheduling experiments) and :mod:`repro.workloads.generators`
 (``QueryRequest`` traces for the serving layer) each drew their own
 arrival times — two RNG code paths that could silently diverge.  Both now
-call the three cores here, so a Poisson trace and a random arrival stream
+call the lazy cores here, so a Poisson trace and a random arrival stream
 built from the same ``(num, mean, seed)`` land on *identical* times.
 
 All times are in layers on the caller's clock (weighted layers for the
@@ -31,13 +31,14 @@ def iter_exponential_times(
 ) -> Iterator[float]:
     """Lazily yield cumulative arrival times with exponential gaps.
 
-    The streaming core behind :func:`exponential_times`.  Gaps are drawn
-    in fixed-size vectorized blocks (a block of ``n`` draws consumes the
-    Generator's stream exactly like ``n`` scalar draws) and accumulated
-    left to right (the order ``np.cumsum`` sums), so
-    ``list(iter_exponential_times(...)) == exponential_times(...)`` bit
-    for bit (pinned by test) while a million-arrival stream occupies O(1)
-    memory at near-vectorized speed.
+    The memoryless online workload of Sec. 5.2: ``num`` (>= 0) draws from
+    ``Exp(mean_interarrival)`` accumulated into absolute times.  Gaps are
+    drawn in fixed-size vectorized blocks (a block of ``n`` draws consumes
+    the Generator's stream exactly like ``n`` scalar draws) and
+    accumulated left to right (the order ``np.cumsum`` sums), so the
+    stream equals ``np.cumsum(rng.exponential(mean, num))`` bit for bit
+    (pinned by test) while a million-arrival stream occupies O(1) memory
+    at near-vectorized speed.
     """
     if num < 0:
         raise ValueError("num must be >= 0")
@@ -63,29 +64,13 @@ def iter_exponential_times(
     return generate()
 
 
-def exponential_times(
-    num: int, mean_interarrival: float, seed: int = 0
-) -> list[float]:
-    """Cumulative arrival times with exponential interarrival gaps.
-
-    The memoryless online workload of Sec. 5.2: ``num`` draws from
-    ``Exp(mean_interarrival)`` accumulated into absolute times.
-    Materializes :func:`iter_exponential_times` — one RNG stream,
-    whichever surface a caller uses.
-
-    Args:
-        num: number of arrivals (>= 0).
-        mean_interarrival: mean gap between arrivals (> 0).
-        seed: RNG seed.
-    """
-    return list(iter_exponential_times(num, mean_interarrival, seed))
-
-
 def iter_burst_times(
     num_bursts: int, burst_size: int, burst_spacing: float
 ) -> Iterator[float]:
-    """Lazily yield the arrival times of :func:`burst_times` (arguments
-    validated eagerly, at the call site)."""
+    """Lazily yield ``burst_size`` (>= 1) simultaneous arrivals every
+    ``burst_spacing`` (> 0) layers for ``num_bursts`` (>= 0) bursts — the
+    stress pattern for window batching (arguments validated eagerly, at
+    the call site)."""
     if num_bursts < 0 or burst_size < 1:
         raise ValueError("num_bursts must be >= 0 and burst_size >= 1")
     if burst_spacing <= 0:
@@ -98,20 +83,6 @@ def iter_burst_times(
                 yield time
 
     return generate()
-
-
-def burst_times(
-    num_bursts: int, burst_size: int, burst_spacing: float
-) -> list[float]:
-    """Arrival times of ``burst_size`` simultaneous requests every
-    ``burst_spacing`` layers (the stress pattern for window batching).
-
-    Args:
-        num_bursts: number of bursts (>= 0).
-        burst_size: simultaneous requests per burst (>= 1).
-        burst_spacing: layers between bursts (> 0).
-    """
-    return list(iter_burst_times(num_bursts, burst_size, burst_spacing))
 
 
 def iter_diurnal_times(
@@ -160,17 +131,6 @@ def iter_diurnal_times(
     return generate()
 
 
-def diurnal_times(
-    num: int,
-    mean_interarrival: float,
-    period: float,
-    amplitude: float = 0.5,
-    seed: int = 0,
-) -> list[float]:
-    """Materialized :func:`iter_diurnal_times` (same stream, same times)."""
-    return list(iter_diurnal_times(num, mean_interarrival, period, amplitude, seed))
-
-
 def iter_flash_crowd_times(
     num: int,
     mean_interarrival: float,
@@ -203,20 +163,6 @@ def iter_flash_crowd_times(
         yield from heapq.merge(baseline, crowd)
 
     return generate()
-
-
-def flash_crowd_times(
-    num: int,
-    mean_interarrival: float,
-    crowd_time: float,
-    crowd_size: int,
-    crowd_spacing: float = 0.0,
-    seed: int = 0,
-) -> list[float]:
-    """Materialized :func:`iter_flash_crowd_times` (same merged stream)."""
-    return list(iter_flash_crowd_times(
-        num, mean_interarrival, crowd_time, crowd_size, crowd_spacing, seed
-    ))
 
 
 def periodic_times(

@@ -264,16 +264,25 @@ def iter_poisson_trace(
     tenant_weights: Sequence[float] | None = None,
     shard_weights: Sequence[float] | None = None,
 ) -> Iterator[QueryRequest]:
-    """Lazily yield the open-loop Poisson trace of :func:`poisson_trace`.
+    """Lazily yield open-loop Poisson traffic: exponential interarrival
+    times (raw layers, from :mod:`repro.workloads.arrivals`).
 
-    The same RNG streams request for request
-    (``list(iter_poisson_trace(...)) == poisson_trace(...)``, pinned by
-    test), but nothing is materialized: feed it to a
+    Tenants are assigned round-robin and each query targets a uniformly
+    random shard with a shard-aligned address superposition, so the trace
+    can be served directly by a ``num_shards``-shard :class:`QRAMService`.
+    With ``deadline_layers`` every query carries the deadline
+    ``arrival + deadline_layers`` for SLO-aware serving (EDF admission,
+    shed accounting); with ``min_fidelity`` every query carries that
+    fidelity SLO for fidelity-aware serving.
+
+    Nothing is materialized: feed the iterator to a
     :class:`~repro.engine.workload.StreamingTraceSource` and a
     million-query trace is generated, served and discarded one request at
-    a time.  ``shards`` restricts the stream to those shards' requests
-    without perturbing them, and ``tenant_weights`` / ``shard_weights``
-    skew the tenant/shard draws (see :func:`_iter_arrival_trace`).
+    a time (or ``list(...)`` it for a :class:`TraceSource`).  ``shards``
+    restricts the stream to those shards' requests without perturbing
+    them, and ``tenant_weights`` / ``shard_weights`` skew the tenant/shard
+    draws (hot-key and misbehaving-tenant workloads; ``None`` keeps the
+    uniform / round-robin streams, see :func:`_iter_arrival_trace`).
     """
     if num_queries < 1:
         raise ValueError("num_queries must be >= 1")
@@ -282,41 +291,6 @@ def iter_poisson_trace(
         capacity, times, addresses_per_query, num_tenants, num_shards, seed,
         deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
     )
-
-
-def poisson_trace(
-    capacity: int,
-    num_queries: int,
-    mean_interarrival: float,
-    addresses_per_query: int = 2,
-    num_tenants: int = 1,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
-) -> list[QueryRequest]:
-    """Open-loop Poisson traffic: exponential interarrival times (raw layers).
-
-    Tenants are assigned round-robin and each query targets a uniformly
-    random shard with a shard-aligned address superposition, so the trace
-    can be served directly by a ``num_shards``-shard :class:`QRAMService`.
-    Arrival times come from the shared core in
-    :mod:`repro.workloads.arrivals`.  With ``deadline_layers`` every query
-    carries the deadline ``arrival + deadline_layers`` for SLO-aware
-    serving (EDF admission, shed accounting); with ``min_fidelity`` every
-    query carries that fidelity SLO for fidelity-aware serving.
-    ``tenant_weights`` / ``shard_weights`` skew the tenant/shard draws
-    (hot-key and misbehaving-tenant workloads; ``None`` keeps the
-    historical uniform / round-robin streams byte for byte).
-    Materializes :func:`iter_poisson_trace`.
-    """
-    return list(iter_poisson_trace(
-        capacity, num_queries, mean_interarrival, addresses_per_query,
-        num_tenants, num_shards, seed, deadline_layers, min_fidelity,
-        tenant_weights=tenant_weights, shard_weights=shard_weights,
-    ))
 
 
 def iter_bursty_trace(
@@ -334,10 +308,11 @@ def iter_bursty_trace(
     tenant_weights: Sequence[float] | None = None,
     shard_weights: Sequence[float] | None = None,
 ) -> Iterator[QueryRequest]:
-    """Lazily yield the bursty trace of :func:`bursty_trace` (same RNG
-    streams, O(1) memory; ``shards`` restricts to those shards' requests,
-    ``tenant_weights`` / ``shard_weights`` skew the draws, see
-    :func:`_iter_arrival_trace`)."""
+    """Lazily yield bursty traffic: ``burst_size`` simultaneous requests
+    every ``burst_spacing`` raw layers (the stress pattern for window
+    batching).  Everything else — ids, tenants, shard-aligned
+    superpositions, the ``shards`` partition filter and the weighted
+    draws — matches :func:`iter_poisson_trace`."""
     if num_bursts < 1 or burst_size < 1:
         raise ValueError("num_bursts and burst_size must be >= 1")
     times = iter_burst_times(num_bursts, burst_size, burst_spacing)
@@ -345,30 +320,6 @@ def iter_bursty_trace(
         capacity, times, addresses_per_query, num_tenants, num_shards, seed,
         deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
     )
-
-
-def bursty_trace(
-    capacity: int,
-    num_bursts: int,
-    burst_size: int,
-    burst_spacing: float,
-    addresses_per_query: int = 2,
-    num_tenants: int = 1,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
-) -> list[QueryRequest]:
-    """Bursty traffic: ``burst_size`` simultaneous requests every
-    ``burst_spacing`` raw layers (the stress pattern for window batching).
-    Materializes :func:`iter_bursty_trace`."""
-    return list(iter_bursty_trace(
-        capacity, num_bursts, burst_size, burst_spacing, addresses_per_query,
-        num_tenants, num_shards, seed, deadline_layers, min_fidelity,
-        tenant_weights=tenant_weights, shard_weights=shard_weights,
-    ))
 
 
 def iter_diurnal_trace(
@@ -400,30 +351,6 @@ def iter_diurnal_trace(
         capacity, times, addresses_per_query, num_tenants, num_shards, seed,
         deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
     )
-
-
-def diurnal_trace(
-    capacity: int,
-    num_queries: int,
-    mean_interarrival: float,
-    period: float,
-    amplitude: float = 0.5,
-    addresses_per_query: int = 2,
-    num_tenants: int = 1,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
-) -> list[QueryRequest]:
-    """Materialized :func:`iter_diurnal_trace` (same streams)."""
-    return list(iter_diurnal_trace(
-        capacity, num_queries, mean_interarrival, period, amplitude,
-        addresses_per_query, num_tenants, num_shards, seed, deadline_layers,
-        min_fidelity, tenant_weights=tenant_weights,
-        shard_weights=shard_weights,
-    ))
 
 
 def iter_flash_crowd_trace(
@@ -460,31 +387,6 @@ def iter_flash_crowd_trace(
     )
 
 
-def flash_crowd_trace(
-    capacity: int,
-    num_queries: int,
-    mean_interarrival: float,
-    crowd_time: float,
-    crowd_size: int,
-    crowd_spacing: float = 0.0,
-    addresses_per_query: int = 2,
-    num_tenants: int = 1,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
-) -> list[QueryRequest]:
-    """Materialized :func:`iter_flash_crowd_trace` (same streams)."""
-    return list(iter_flash_crowd_trace(
-        capacity, num_queries, mean_interarrival, crowd_time, crowd_size,
-        crowd_spacing, addresses_per_query, num_tenants, num_shards, seed,
-        deadline_layers, min_fidelity, tenant_weights=tenant_weights,
-        shard_weights=shard_weights,
-    ))
-
-
 def iter_periodic_trace(
     capacity: int,
     num_sources: int,
@@ -498,7 +400,7 @@ def iter_periodic_trace(
     min_fidelity: float | None = None,
     shards: Iterable[int] | None = None,
 ) -> Iterator[QueryRequest]:
-    """Lazily yield the periodic open-loop trace of :func:`periodic_trace`.
+    """Lazily yield a periodic open-loop trace.
 
     ``num_sources`` staggered sources each issue every ``period`` layers
     (:func:`~repro.workloads.arrivals.periodic_times`); each source is its
@@ -518,25 +420,6 @@ def iter_periodic_trace(
         capacity, times, addresses_per_query, num_sources, num_shards, seed,
         deadline_layers, min_fidelity, shards, tenants=sources,
     )
-
-
-def periodic_trace(
-    capacity: int,
-    num_sources: int,
-    rounds: int,
-    period: float,
-    stagger: float = 0.0,
-    addresses_per_query: int = 2,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-) -> list[QueryRequest]:
-    """Materialized :func:`iter_periodic_trace` (same streams)."""
-    return list(iter_periodic_trace(
-        capacity, num_sources, rounds, period, stagger, addresses_per_query,
-        num_shards, seed, deadline_layers, min_fidelity,
-    ))
 
 
 def closed_loop_source(

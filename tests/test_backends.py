@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import QRAMService, QueryRequest, build_backend
+from repro import (
+    QRAMService,
+    QueryRequest,
+    ServiceEngine,
+    TraceSource,
+    build_backend,
+)
 from repro.backends import QRAMBackend, WindowResult
 from repro.baselines.registry import (
     architecture_names,
@@ -15,7 +21,7 @@ from repro.scheduling.policy import (
     PriorityPolicy,
     as_policy,
 )
-from repro.workloads import poisson_trace, random_data
+from repro.workloads import iter_poisson_trace, random_data
 
 CAPACITY = 8
 ALL_BACKENDS = backend_names()
@@ -150,10 +156,10 @@ def test_service_serves_trace_on_every_architecture(name):
     capacity = 16
     data = random_data(capacity, seed=4)
     service = QRAMService(capacity, num_shards=2, data=data, architecture=name)
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 10, mean_interarrival=12.0, num_tenants=2, num_shards=2, seed=6
-    )
-    report = service.serve(trace)
+    ))
+    report = ServiceEngine(service).run(TraceSource(trace))
     assert report.stats.total_queries == 10
     assert list(report.stats.per_backend) == [name]
     backend_stats = report.stats.per_backend[name]
@@ -177,10 +183,10 @@ def test_service_mixed_fleet_reports_per_backend_stats():
     )
     assert service.architectures == ["Fat-Tree", "BB"]
     assert service.window_sizes == [3, 1]    # log2(8) vs sequential
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 16, mean_interarrival=8.0, num_tenants=2, num_shards=2, seed=7
-    )
-    report = service.serve(trace)
+    ))
+    report = ServiceEngine(service).run(TraceSource(trace))
     stats = report.stats
     assert sorted(stats.per_backend) == ["BB", "Fat-Tree"]
     assert sum(b.queries for b in stats.per_backend.values()) == 16
@@ -216,8 +222,10 @@ def test_service_shortest_queue_replication():
         placement="shortest-queue",
     )
     # Superpositions are NOT shard-aligned: replication allows any shard.
-    trace = poisson_trace(capacity, 12, mean_interarrival=4.0, num_shards=1, seed=9)
-    report = service.serve(trace)
+    trace = list(iter_poisson_trace(
+        capacity, 12, mean_interarrival=4.0, num_shards=1, seed=9
+    ))
+    report = ServiceEngine(service).run(TraceSource(trace))
     assert report.stats.total_queries == 12
     assert len({r.shard for r in report.served}) > 1
     for record in report.served:
@@ -239,7 +247,7 @@ def test_service_priority_policy_admits_high_priority_first():
     service = QRAMService(
         8, num_shards=1, policy=PriorityPolicy(), functional=False, window_size=1
     )
-    report = service.serve(requests)
+    report = ServiceEngine(service).run(TraceSource(requests))
     order = [r.query_id for r in sorted(report.served, key=lambda s: s.start_layer)]
     assert order == [3, 4, 5, 0, 1, 2]
 
@@ -325,9 +333,11 @@ def test_served_requests_always_carry_predicted_fidelity():
     """Timing-only serving populates ServedQuery.fidelity with the
     prediction instead of None."""
     capacity = 16
-    trace = poisson_trace(capacity, 12, mean_interarrival=5.0, num_shards=2, seed=4)
+    trace = list(iter_poisson_trace(
+        capacity, 12, mean_interarrival=5.0, num_shards=2, seed=4
+    ))
     service = QRAMService(capacity, num_shards=2, functional=False)
-    report = service.serve(trace)
+    report = ServiceEngine(service).run(TraceSource(trace))
     for record in report.served:
         assert record.fidelity is not None
         assert record.predicted_fidelity is not None

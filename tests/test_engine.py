@@ -24,9 +24,8 @@ from repro.metrics.service_stats import REJECT_DEADLINE_EXPIRED, REJECT_QUEUE_FU
 from repro.scheduling.events import random_arrivals
 from repro.workloads import (
     closed_loop_source,
-    exponential_times,
-    poisson_trace,
-    random_data,
+    iter_exponential_times,
+    iter_poisson_trace,
 )
 
 
@@ -133,23 +132,14 @@ def test_event_heap_key_shape_is_pinned():
 
 
 # -------------------------------------------------- open loop == legacy serve
-def test_open_loop_engine_matches_serve_wrapper():
-    capacity = 16
-    data = random_data(capacity, seed=3)
-    trace = poisson_trace(capacity, 20, mean_interarrival=6.0, num_shards=2, seed=5)
-    service = QRAMService(capacity, num_shards=2, data=data)
-    via_wrapper = service.serve(trace)
-    via_engine = ServiceEngine(service).run(TraceSource(trace))
-    assert _timing_signature(via_wrapper) == _timing_signature(via_engine)
-    assert via_wrapper.stats == via_engine.stats
-
-
 def test_open_loop_runs_are_seed_stable():
     capacity = 16
-    trace = poisson_trace(capacity, 30, mean_interarrival=4.0, num_shards=2, seed=9)
+    trace = list(iter_poisson_trace(
+        capacity, 30, mean_interarrival=4.0, num_shards=2, seed=9
+    ))
     service = QRAMService(capacity, num_shards=2, functional=False)
-    first = service.serve(trace)
-    second = service.serve(trace)
+    first = ServiceEngine(service).run(TraceSource(trace))
+    second = ServiceEngine(service).run(TraceSource(trace))
     assert _timing_signature(first) == _timing_signature(second)
     assert first.stats == second.stats
 
@@ -164,7 +154,7 @@ def test_closed_loop_runs_are_deterministic():
             capacity, num_clients=3, queries_per_client=4,
             think_layers=50.0, num_shards=2, seed=11,
         )
-        reports.append(service.serve_workload(source))
+        reports.append(ServiceEngine(service).run(source))
     assert _timing_signature(reports[0]) == _timing_signature(reports[1])
     assert reports[0].stats == reports[1].stats
     assert reports[0].stats.total_queries == 12
@@ -180,7 +170,7 @@ def test_closed_loop_respects_think_time_feedback():
         capacity, num_clients=2, queries_per_client=5,
         think_layers=think, num_shards=1, seed=2,
     )
-    report = service.serve_workload(source)
+    report = ServiceEngine(service).run(source)
     assert report.stats.total_queries == 10
     by_client = {}
     for record in sorted(report.served, key=lambda s: s.request_time):
@@ -220,13 +210,13 @@ def test_edf_admits_in_deadline_order():
     ]
     edf = QRAMService(capacity, num_shards=1, window_size=1,
                       functional=False, policy="edf")
-    report = edf.serve(requests)
+    report = ServiceEngine(edf).run(TraceSource(requests))
     admit_order = [s.query_id for s in sorted(report.served,
                                               key=lambda s: s.start_layer)]
     assert admit_order == [3, 2, 1, 0]
 
     fifo = QRAMService(capacity, num_shards=1, window_size=1, functional=False)
-    report = fifo.serve(requests)
+    report = ServiceEngine(fifo).run(TraceSource(requests))
     admit_order = [s.query_id for s in sorted(report.served,
                                               key=lambda s: s.start_layer)]
     assert admit_order == [0, 1, 2, 3]
@@ -240,7 +230,7 @@ def test_edf_orders_best_effort_last():
     ]
     service = QRAMService(capacity, num_shards=1, window_size=1,
                           functional=False, policy="edf")
-    report = service.serve(requests)
+    report = ServiceEngine(service).run(TraceSource(requests))
     order = [s.query_id for s in sorted(report.served,
                                         key=lambda s: s.start_layer)]
     assert order == [1, 0]
@@ -253,7 +243,7 @@ def test_bounded_queue_rejects_overflow():
         QueryRequest(i, {i % capacity: 1.0}, request_time=0.0) for i in range(10)
     ]
     service = QRAMService(capacity, num_shards=1, window_size=1, functional=False)
-    report = service.serve_workload(TraceSource(requests), max_queue_depth=2)
+    report = ServiceEngine(service, max_queue_depth=2).run(TraceSource(requests))
     # All 10 arrive at t=0: the first two enter the bounded queue, the rest
     # are rejected before any window starts.
     assert report.stats.total_queries == 2
@@ -273,7 +263,7 @@ def test_expired_deadlines_are_shed():
         for i in range(6)
     ]
     service = QRAMService(capacity, num_shards=1, window_size=1, functional=False)
-    report = service.serve_workload(TraceSource(requests), shed_expired=True)
+    report = ServiceEngine(service, shed_expired=True).run(TraceSource(requests))
     shed = [r for r in report.rejected if r.reason == REJECT_DEADLINE_EXPIRED]
     assert report.stats.shed_queries == len(shed) > 0
     assert report.stats.total_queries + len(shed) == 6
@@ -293,7 +283,7 @@ def test_closed_loop_clients_survive_rejections():
         capacity, num_clients=6, queries_per_client=4,
         think_layers=0.0, num_shards=1, seed=1,
     )
-    report = service.serve_workload(source, max_queue_depth=2)
+    report = ServiceEngine(service, max_queue_depth=2).run(source)
     offered = report.stats.total_queries + len(report.rejected)
     assert offered == source.total_queries == 24
     assert len(report.rejected) > 0
@@ -308,7 +298,7 @@ def test_all_shed_tenant_appears_in_per_tenant_stats():
         QueryRequest(1, {1: 1.0}, request_time=1.0, qpu=1, deadline=2.0),
     ]
     service = QRAMService(capacity, num_shards=1, window_size=1, functional=False)
-    report = service.serve_workload(TraceSource(requests), shed_expired=True)
+    report = ServiceEngine(service, shed_expired=True).run(TraceSource(requests))
     assert report.stats.shed_queries == 1
     assert 1 in report.stats.per_tenant
     tenant = report.stats.per_tenant[1]
@@ -325,16 +315,16 @@ def test_fully_refused_run_raises_clearly():
         think_layers=1.0, num_shards=1,
     )
     with pytest.raises(ValueError, match="no requests"):
-        service.serve_workload(source)
+        ServiceEngine(service).run(source)
 
 
 # -------------------------------------------------------------- percentiles
 def test_latency_percentiles_and_miss_rate_fields():
     capacity = 16
-    trace = poisson_trace(capacity, 40, mean_interarrival=3.0, num_shards=2,
-                          seed=7, deadline_layers=250.0)
+    trace = iter_poisson_trace(capacity, 40, mean_interarrival=3.0, num_shards=2,
+                               seed=7, deadline_layers=250.0)
     service = QRAMService(capacity, num_shards=2, functional=False)
-    report = service.serve(trace)
+    report = ServiceEngine(service).run(TraceSource(trace))
     stats = report.stats
     assert 0.0 < stats.p50_latency_layers <= stats.p95_latency_layers
     assert stats.p95_latency_layers <= stats.p99_latency_layers
@@ -351,8 +341,8 @@ def test_autoscaler_requires_replicated_placement():
     service = QRAMService(16, num_shards=2, functional=False)
     config = AutoscalerConfig(period=50.0, high_watermark=3)
     with pytest.raises(ValueError, match="shortest-queue"):
-        service.serve_workload(
-            TraceSource([QueryRequest(0, {0: 1.0})]), autoscaler=config
+        ServiceEngine(service, autoscaler=config).run(
+            TraceSource([QueryRequest(0, {0: 1.0})])
         )
     with pytest.raises(ValueError):
         AutoscalerConfig(period=0.0, high_watermark=3)
@@ -364,11 +354,11 @@ def test_autoscaler_requires_replicated_placement():
     replicated = QRAMService(16, num_shards=1, functional=False,
                              placement="shortest-queue")
     with pytest.raises(ValueError, match="bounds"):
-        replicated.serve_workload(
-            TraceSource([QueryRequest(0, {0: 1.0})]),
+        ServiceEngine(
+            replicated,
             autoscaler=AutoscalerConfig(period=10.0, high_watermark=3,
                                         min_shards=2, max_shards=4),
-        )
+        ).run(TraceSource([QueryRequest(0, {0: 1.0})]))
 
 
 def test_autoscaler_scales_up_and_down():
@@ -383,7 +373,7 @@ def test_autoscaler_scales_up_and_down():
                           placement="shortest-queue")
     config = AutoscalerConfig(period=100.0, high_watermark=4, low_watermark=0,
                               min_shards=1, max_shards=3)
-    report = service.serve_workload(TraceSource(requests), autoscaler=config)
+    report = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
 
     actions = [event.action for event in report.scale_events]
     assert "up" in actions
@@ -419,8 +409,8 @@ def test_autoscaler_reactivates_retired_replicas():
                           placement="shortest-queue")
     config = AutoscalerConfig(period=100.0, high_watermark=4, low_watermark=0,
                               min_shards=1, max_shards=3)
-    report = service.serve_workload(
-        TraceSource(first_burst + second_burst + straggler), autoscaler=config
+    report = ServiceEngine(service, autoscaler=config).run(
+        TraceSource(first_burst + second_burst + straggler)
     )
     ups = [e for e in report.scale_events if e.action == "up"]
     downs = [e for e in report.scale_events if e.action == "down"]
@@ -441,32 +431,36 @@ def test_autoscaled_run_is_deterministic():
                           placement="shortest-queue")
     config = AutoscalerConfig(period=40.0, high_watermark=3, low_watermark=0,
                               max_shards=4)
-    first = service.serve_workload(TraceSource(requests), autoscaler=config)
-    second = service.serve_workload(TraceSource(requests), autoscaler=config)
+    first = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
+    second = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
     assert _timing_signature(first) == _timing_signature(second)
     assert first.scale_events == second.scale_events
 
 
 # ------------------------------------------------------- unified arrival core
 def test_scheduling_and_serving_share_one_arrival_core():
-    """random_arrivals and poisson_trace draw identical times from the
+    """random_arrivals and iter_poisson_trace draw identical times from the
     shared exponential core for the same (num, mean, seed)."""
-    times = exponential_times(15, 7.0, seed=4)
+    times = list(iter_exponential_times(15, 7.0, seed=4))
     stream = random_arrivals(15, 7.0, seed=4)
-    trace = poisson_trace(16, 15, mean_interarrival=7.0, seed=4)
+    trace = list(iter_poisson_trace(16, 15, mean_interarrival=7.0, seed=4))
     assert [a.request_time for a in stream] == times
     assert [r.request_time for r in trace] == times
     with pytest.raises(ValueError):
-        exponential_times(5, 0.0)
+        iter_exponential_times(5, 0.0)
     with pytest.raises(ValueError):
-        exponential_times(-1, 1.0)
+        iter_exponential_times(-1, 1.0)
 
 
 # -------------------------------------------------------------- report index
 def test_result_for_uses_constant_time_index():
     capacity = 16
-    trace = poisson_trace(capacity, 12, mean_interarrival=10.0, num_shards=2, seed=1)
-    report = QRAMService(capacity, num_shards=2, functional=False).serve(trace)
+    trace = list(iter_poisson_trace(
+        capacity, 12, mean_interarrival=10.0, num_shards=2, seed=1
+    ))
+    report = ServiceEngine(
+        QRAMService(capacity, num_shards=2, functional=False)
+    ).run(TraceSource(trace))
     for request in trace:
         assert report.result_for(request.query_id).query_id == request.query_id
     # The lazily built index is reused across lookups.
@@ -491,7 +485,7 @@ def test_deadline_equal_to_now_is_shed():
         QueryRequest(0, {0: 1.0}, request_time=0.0),
         QueryRequest(1, {1: 1.0}, request_time=1.0, deadline=float(drain)),
     ]
-    report = service.serve_workload(TraceSource(requests), shed_expired=True)
+    report = ServiceEngine(service, shed_expired=True).run(TraceSource(requests))
     shed = [r for r in report.rejected if r.reason == REJECT_DEADLINE_EXPIRED]
     assert [r.query_id for r in shed] == [1]
     assert report.stats.shed_queries == 1
@@ -510,7 +504,7 @@ def test_finish_exactly_at_deadline_is_not_a_miss():
         [QueryRequest(98, {0: 1.0})], functional=False
     ).finish_offsets[0]
     requests = [QueryRequest(0, {0: 1.0}, request_time=0.0, deadline=float(finish))]
-    report = service.serve_workload(TraceSource(requests), shed_expired=True)
+    report = ServiceEngine(service, shed_expired=True).run(TraceSource(requests))
     record = report.result_for(0)
     assert record.finish_layer == record.deadline
     assert not record.missed_deadline
@@ -531,7 +525,7 @@ def test_infeasible_fidelity_slo_is_rejected():
         QueryRequest(0, {0: 1.0}, min_fidelity=min(1.0, solo + 0.01)),
         QueryRequest(1, {1: 1.0}, min_fidelity=solo),
     ]
-    report = service.serve_workload(TraceSource(requests))
+    report = ServiceEngine(service).run(TraceSource(requests))
     assert [r.query_id for r in report.rejected] == [0]
     assert report.rejected[0].reason == REJECT_FIDELITY
     assert report.rejected[0].min_fidelity == pytest.approx(solo + 0.01)
@@ -557,9 +551,8 @@ def test_distillation_retry_lifts_fidelity_and_charges_layers():
 
     def serve(copies):
         service = QRAMService(capacity, num_shards=1, functional=False)
-        return service.serve_workload(
-            TraceSource([QueryRequest(0, {0: 1.0}, min_fidelity=target)]),
-            max_distillation_copies=copies,
+        return ServiceEngine(service, max_distillation_copies=copies).run(
+            TraceSource([QueryRequest(0, {0: 1.0}, min_fidelity=target)])
         )
 
     with pytest.raises(ValueError):
@@ -580,9 +573,7 @@ def test_distillation_retry_lifts_fidelity_and_charges_layers():
 
     # The extra copy charges one admission interval to the window.
     plain = QRAMService(capacity, num_shards=1, functional=False)
-    plain_report = plain.serve_workload(
-        TraceSource([QueryRequest(0, {0: 1.0})])
-    )
+    plain_report = ServiceEngine(plain).run(TraceSource([QueryRequest(0, {0: 1.0})]))
     interval = plain_report.windows[0].interval
     assert report.windows[0].total_layers == (
         plain_report.windows[0].total_layers + interval
@@ -605,7 +596,7 @@ def test_fidelity_aware_batch_capping():
         for i in range(probe.window_sizes[0])
     ]
     service = QRAMService(capacity, num_shards=1, functional=False)
-    report = service.serve_workload(TraceSource(requests))
+    report = ServiceEngine(service).run(TraceSource(requests))
     assert report.stats.total_queries == len(requests)
     assert report.stats.fidelity_slo_misses == 0
     for record in report.served:
@@ -638,7 +629,7 @@ def test_mixed_fleet_routes_slo_traffic_to_encoded_replicas():
                      min_fidelity=0.995)
         for i in range(4)
     ]
-    report = service.serve_workload(TraceSource(requests))
+    report = ServiceEngine(service).run(TraceSource(requests))
     assert report.stats.total_queries == 4
     assert {r.shard for r in report.served} == {1}
     assert all(r.architecture == "Fat-Tree@d3" for r in report.served)
@@ -648,7 +639,7 @@ def test_mixed_fleet_routes_slo_traffic_to_encoded_replicas():
 def test_min_fidelity_validation():
     service = QRAMService(8, num_shards=1, functional=False)
     with pytest.raises(ValueError, match="min_fidelity"):
-        service.serve_workload(
+        ServiceEngine(service).run(
             TraceSource([QueryRequest(0, {0: 1.0}, min_fidelity=1.5)])
         )
     with pytest.raises(ValueError):
@@ -674,7 +665,7 @@ def test_autoscaled_replicas_inherit_fleet_parameters():
         for i in range(12)
     ]
     config = AutoscalerConfig(period=50.0, high_watermark=4, max_shards=3)
-    report = service.serve_workload(TraceSource(burst), autoscaler=config)
+    report = ServiceEngine(service, autoscaler=config).run(TraceSource(burst))
     assert any(e.action == "up" for e in report.scale_events)
     assert report.stats.total_queries == 12
     assert report.stats.fidelity_slo_misses == 0
@@ -705,7 +696,7 @@ def test_rebalance_never_moves_slo_traffic_to_infeasible_replicas():
     ]
     config = AutoscalerConfig(period=50.0, high_watermark=4, max_shards=3,
                               architecture="Fat-Tree")
-    report = service.serve_workload(TraceSource(burst), autoscaler=config)
+    report = ServiceEngine(service, autoscaler=config).run(TraceSource(burst))
     assert report.stats.total_queries == 12
     assert report.stats.fidelity_slo_misses == 0
     assert report.stats.fidelity_rejected_queries == 0

@@ -41,7 +41,6 @@ from repro.service import QRAMService
 from repro.workloads import (
     closed_loop_source,
     iter_poisson_trace,
-    poisson_trace,
     random_data,
 )
 
@@ -68,7 +67,7 @@ def _trace_kwargs(**overrides):
 
 
 def _trace(**overrides):
-    return poisson_trace(CAPACITY, **_trace_kwargs(**overrides))
+    return list(iter_poisson_trace(CAPACITY, **_trace_kwargs(**overrides)))
 
 
 def _serve(service, requests, workers, **engine_kwargs):
@@ -212,6 +211,18 @@ def test_env_workers_leaves_non_oracle_configs_alone(monkeypatch):
     # provably byte-equal to the oracle; sampled retention is invariant
     # across worker counts but not across the oracle boundary.
     assert report.parallel is None
+
+
+def test_env_workers_rejects_non_integer(monkeypatch):
+    requests = _trace()
+    monkeypatch.setenv(WORKERS_ENV, "four")
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        ServiceEngine(_service()).run(TraceSource(requests))
+    # Unset and 0 keep their meaning: the single-process oracle.
+    monkeypatch.setenv(WORKERS_ENV, "0")
+    assert ServiceEngine(_service()).run(TraceSource(requests)).parallel is None
+    monkeypatch.delenv(WORKERS_ENV)
+    assert ServiceEngine(_service()).run(TraceSource(requests)).parallel is None
 
 
 # ----------------------------------------------------------------- fallbacks

@@ -16,9 +16,9 @@ import pickle
 import pytest
 
 import repro.perf.profiler as profiler_module
-from repro.engine.workload import StreamingTraceSource
+from repro.engine import ServiceEngine, StreamingTraceSource
 from repro.metrics.service_stats import ServedQuery, WindowRecord
-from repro.perf import HotPathProfiler, StageProfile, env_profile
+from repro.perf import HotPathProfiler, StageProfile
 from repro.service.service import QRAMService
 from repro.service.sharding import InterleavedShardMap
 from repro.workloads.generators import iter_poisson_trace
@@ -30,12 +30,9 @@ def _serve(profile=None, retention="full"):
         num_tenants=4, num_shards=2, seed=5,
     )
     service = QRAMService(8, num_shards=2, functional=False)
-    return service.serve_workload(
-        StreamingTraceSource(trace),
-        retention=retention,
-        telemetry_interval=2000.0,
-        profile=profile,
-    )
+    return ServiceEngine(
+        service, retention=retention, telemetry_interval=2000.0, profile=profile
+    ).run(StreamingTraceSource(trace))
 
 
 # --------------------------------------------------------------------------
@@ -68,11 +65,9 @@ def test_profile_counts_match_run_shape():
 
 def test_env_variable_enables_profiling(monkeypatch):
     monkeypatch.setenv(profiler_module.PROFILE_ENV, "1")
-    assert env_profile()
     report = _serve(profile=None)
     assert report.profile is not None
     monkeypatch.setenv(profiler_module.PROFILE_ENV, "0")
-    assert not env_profile()
     assert _serve(profile=None).profile is None
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro import QRAMService, QueryRequest, ServiceEngine, TraceSource
 from repro.engine import SANITIZE_ENV, SanitizerViolation
 from repro.engine.events import EventHeap, ScaleCheck
-from repro.workloads import closed_loop_source, poisson_trace
+from repro.workloads import closed_loop_source, iter_poisson_trace
 
 CAPACITY = 16
 
@@ -24,9 +24,9 @@ def _service(**kwargs):
 
 
 def _trace(seed=5, queries=20):
-    return poisson_trace(
+    return list(iter_poisson_trace(
         CAPACITY, queries, mean_interarrival=6.0, num_shards=2, seed=seed
-    )
+    ))
 
 
 def _timing_signature(report):

@@ -54,10 +54,9 @@ from repro.scenarios import (
 )
 from repro.sweep.engine import _canonical
 from repro.workloads import (
-    bursty_trace,
     closed_loop_source,
+    iter_bursty_trace,
     iter_poisson_trace,
-    poisson_trace,
     random_data,
 )
 
@@ -333,46 +332,48 @@ def test_missing_required_sections():
 def test_serving_traffic_bit_identity():
     spec = _example("serving_traffic").SCENARIOS["traffic"]
     service = QRAMService(16, num_shards=2, data=random_data(16, seed=1))
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         16, 100, mean_interarrival=8.0, num_tenants=3, num_shards=2, seed=7
-    )
-    assert spec.execute() == service.serve(trace)
+    ))
+    assert spec.execute() == ServiceEngine(service).run(TraceSource(trace))
 
 
 def test_serving_closed_loop_bit_identity():
     scenarios = _example("serving_closed_loop").SCENARIOS
 
     service = QRAMService(16, num_shards=2, data=random_data(16, seed=1))
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         16, 40, mean_interarrival=8.0, num_tenants=4, num_shards=2, seed=7
-    )
-    assert scenarios["open-loop"].execute() == service.serve(trace)
+    ))
+    expected = ServiceEngine(service).run(TraceSource(trace))
+    assert scenarios["open-loop"].execute() == expected
 
     service = QRAMService(16, num_shards=2, functional=False)
     source = closed_loop_source(
         16, num_clients=4, queries_per_client=8, think_layers=60.0,
         num_shards=2, seed=3,
     )
-    assert scenarios["closed-loop"].execute() == service.serve_workload(source)
+    assert scenarios["closed-loop"].execute() == ServiceEngine(service).run(source)
 
     service = QRAMService(16, num_shards=2, functional=False, policy="edf")
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         16, 60, mean_interarrival=2.0, num_tenants=4, num_shards=2, seed=5,
         deadline_layers=180.0,
-    )
-    assert scenarios["slo-aware"].execute() == service.serve_workload(
-        TraceSource(trace), max_queue_depth=6, shed_expired=True
-    )
+    ))
+    expected = ServiceEngine(
+        service, max_queue_depth=6, shed_expired=True
+    ).run(TraceSource(trace))
+    assert scenarios["slo-aware"].execute() == expected
 
     service = QRAMService(
         16, num_shards=1, functional=False, placement="shortest-queue"
     )
-    trace = bursty_trace(16, 2, 12, 40_000.0)
+    trace = list(iter_bursty_trace(16, 2, 12, 40_000.0))
     config = AutoscalerConfig(
         period=100.0, high_watermark=4, low_watermark=0,
         min_shards=1, max_shards=3,
     )
-    report = service.serve_workload(TraceSource(trace), autoscaler=config)
+    report = ServiceEngine(service, autoscaler=config).run(TraceSource(trace))
     assert scenarios["elastic"].execute() == report
     assert any(event.action == "up" for event in report.scale_events)
 
@@ -385,20 +386,22 @@ def test_serving_mixed_backends_bit_identity():
         32, num_shards=4, data=data,
         architectures=["Fat-Tree", "Fat-Tree", "BB", "Virtual"],
     )
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         32, 60, mean_interarrival=6.0, num_tenants=3, num_shards=4, seed=7
-    )
-    assert scenarios["interleaved"].execute() == service.serve(trace)
+    ))
+    expected = ServiceEngine(service).run(TraceSource(trace))
+    assert scenarios["interleaved"].execute() == expected
 
     fleet = backend_names()
     service = QRAMService(
         32, num_shards=len(fleet), data=data, architectures=fleet,
         placement="shortest-queue", functional=False,
     )
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         32, 60, mean_interarrival=3.0, num_tenants=3, num_shards=1, seed=11
-    )
-    assert scenarios["replicated"].execute() == service.serve(trace)
+    ))
+    expected = ServiceEngine(service).run(TraceSource(trace))
+    assert scenarios["replicated"].execute() == expected
 
 
 def test_serving_fidelity_slo_bit_identity():
@@ -408,34 +411,34 @@ def test_serving_fidelity_slo_bit_identity():
     service = QRAMService(
         16, num_shards=2, functional=False, parameters=params
     )
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         16, 24, mean_interarrival=10.0, num_tenants=3, num_shards=2, seed=7
-    )
-    assert scenarios["predicted-fidelity"].execute() == service.serve(trace)
+    ))
+    expected = ServiceEngine(service).run(TraceSource(trace))
+    assert scenarios["predicted-fidelity"].execute() == expected
 
     service = QRAMService(
         16, num_shards=2, functional=False,
         architectures=["Fat-Tree", "Fat-Tree@d3"],
         placement="shortest-queue", parameters=params,
     )
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         16, 24, mean_interarrival=40.0, num_tenants=3, seed=5,
         min_fidelity=0.995,
-    )
-    assert scenarios["mixed-encoded"].execute() == service.serve_workload(
-        TraceSource(trace)
-    )
+    ))
+    expected = ServiceEngine(service).run(TraceSource(trace))
+    assert scenarios["mixed-encoded"].execute() == expected
 
     service = QRAMService(
         16, num_shards=1, functional=False, parameters=params
     )
     solo = service.shards[0].predicted_query_fidelity()
     target = 1.0 - (1.0 - solo) ** 2 * 2.0
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         16, 12, mean_interarrival=120.0, seed=3, min_fidelity=target
-    )
-    report = service.serve_workload(
-        TraceSource(trace), max_distillation_copies=4
+    ))
+    report = ServiceEngine(service, max_distillation_copies=4).run(
+        TraceSource(trace)
     )
     assert scenarios["distillation-retry"].execute() == report
     assert all(r.distillation_copies == 2 for r in report.served)
@@ -445,9 +448,9 @@ def test_serving_parallel_bit_identity():
     scenarios = _example("serving_parallel").SCENARIOS
 
     service = QRAMService(16, num_shards=4, data=random_data(16, seed=3))
-    requests = poisson_trace(
+    requests = list(iter_poisson_trace(
         16, 48, mean_interarrival=6.0, num_tenants=3, num_shards=4, seed=11
-    )
+    ))
     oracle = ServiceEngine(service, workers=0).run(TraceSource(requests))
     assert scenarios["oracle"].execute() == oracle
 
@@ -476,10 +479,9 @@ def test_serving_scale_telemetry_bit_identity():
         num_tenants=4, num_shards=2, seed=5,
     )
     service = QRAMService(16, num_shards=2, functional=False)
-    report = service.serve_workload(
-        StreamingTraceSource(trace), retention="none",
-        telemetry_interval=10_000.0,
-    )
+    report = ServiceEngine(
+        service, retention="none", telemetry_interval=10_000.0
+    ).run(StreamingTraceSource(trace))
     assert spec.execute() == report
     assert report.served == [] and len(report.telemetry) >= 12
 

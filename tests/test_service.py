@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro import QRAMService
+from repro import QRAMService, ServiceEngine, TraceSource
 from repro.core.query import QueryRequest
 from repro.service.sharding import InterleavedShardMap
 from repro.workloads import (
-    bursty_trace,
-    poisson_trace,
+    iter_bursty_trace,
+    iter_poisson_trace,
     random_data,
     shard_aligned_superposition,
 )
@@ -63,10 +63,10 @@ def test_service_serves_poisson_trace_functionally():
     capacity = 16
     data = random_data(capacity, seed=3)
     service = QRAMService(capacity, num_shards=2, data=data)
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 24, mean_interarrival=10.0, num_tenants=3, num_shards=2, seed=5
-    )
-    report = service.serve(trace)
+    ))
+    report = ServiceEngine(service).run(TraceSource(trace))
 
     assert report.stats.total_queries == 24
     assert len(report.outputs) == 24
@@ -84,10 +84,10 @@ def test_service_serves_poisson_trace_functionally():
 def test_service_batches_into_pipeline_windows():
     capacity = 16        # 2 shards of capacity 8 -> window of up to 3 queries
     service = QRAMService(capacity, num_shards=2, data=random_data(capacity))
-    trace = bursty_trace(
+    trace = list(iter_bursty_trace(
         capacity, num_bursts=2, burst_size=8, burst_spacing=400.0, num_shards=2, seed=2
-    )
-    report = service.serve(trace)
+    ))
+    report = ServiceEngine(service).run(TraceSource(trace))
     parallelism = service.shards[0].query_parallelism
     assert any(w.batch_size > 1 for w in report.windows)
     assert all(w.batch_size <= parallelism for w in report.windows)
@@ -104,8 +104,10 @@ def test_service_batches_into_pipeline_windows():
 def test_service_fifo_preserves_arrival_order_per_shard():
     capacity = 16
     service = QRAMService(capacity, num_shards=2, functional=False)
-    trace = poisson_trace(capacity, 30, mean_interarrival=3.0, num_shards=2, seed=9)
-    report = service.serve(trace)
+    trace = iter_poisson_trace(
+        capacity, 30, mean_interarrival=3.0, num_shards=2, seed=9
+    )
+    report = ServiceEngine(service).run(TraceSource(trace))
     by_shard = {}
     for record in sorted(report.served, key=lambda s: s.start_layer):
         by_shard.setdefault(record.shard, []).append(record.request_time)
@@ -115,13 +117,13 @@ def test_service_fifo_preserves_arrival_order_per_shard():
 
 def test_service_policies_differ_under_backlog():
     capacity = 16
-    trace = bursty_trace(
+    trace = list(iter_bursty_trace(
         capacity, num_bursts=1, burst_size=12, burst_spacing=100.0, num_shards=2, seed=4
-    )
+    ))
     latencies = {}
     for policy in ("fifo", "lifo"):
         service = QRAMService(capacity, num_shards=2, policy=policy, functional=False)
-        report = service.serve(trace)
+        report = ServiceEngine(service).run(TraceSource(trace))
         latencies[policy] = report.stats.mean_latency_layers
         assert report.stats.total_queries == 12
     # FIFO minimises total latency (Sec. A.2); with a simultaneous burst the
@@ -133,10 +135,10 @@ def test_service_policies_differ_under_backlog():
 def test_service_per_tenant_and_per_shard_stats():
     capacity = 16
     service = QRAMService(capacity, num_shards=2, functional=False)
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 40, mean_interarrival=5.0, num_tenants=4, num_shards=2, seed=11
-    )
-    report = service.serve(trace)
+    ))
+    report = ServiceEngine(service).run(TraceSource(trace))
     stats = report.stats
     assert sorted(stats.per_tenant) == [0, 1, 2, 3]
     assert sum(t.queries for t in stats.per_tenant.values()) == 40
@@ -157,9 +159,15 @@ def test_service_timing_matches_functional():
     """Timing-only serving reproduces the functional schedule exactly."""
     capacity = 16
     data = random_data(capacity, seed=6)
-    trace = poisson_trace(capacity, 10, mean_interarrival=20.0, num_shards=2, seed=6)
-    functional = QRAMService(capacity, num_shards=2, data=data).serve(trace)
-    timing = QRAMService(capacity, num_shards=2, data=data, functional=False).serve(trace)
+    trace = list(iter_poisson_trace(
+        capacity, 10, mean_interarrival=20.0, num_shards=2, seed=6
+    ))
+    functional = ServiceEngine(
+        QRAMService(capacity, num_shards=2, data=data)
+    ).run(TraceSource(trace))
+    timing = ServiceEngine(
+        QRAMService(capacity, num_shards=2, data=data, functional=False)
+    ).run(TraceSource(trace))
     for f, t in zip(functional.served, timing.served):
         assert (f.query_id, f.shard, f.start_layer, f.finish_layer) == (
             t.query_id, t.shard, t.start_layer, t.finish_layer
@@ -174,20 +182,22 @@ def test_service_write_memory_routes_to_shard():
     assert service.shards[1].data[2] == 1
     assert service.shards[0].data == [0, 0, 0, 0]
     request = QueryRequest(0, {5: 1.0}, request_time=0.0)
-    report = service.serve([request])
+    report = ServiceEngine(service).run(TraceSource([request]))
     assert report.outputs[0] == {(5, 1): pytest.approx(1.0)}
 
 
 def test_service_rejects_bad_input():
-    service = QRAMService(16, num_shards=2)
+    engine = ServiceEngine(QRAMService(16, num_shards=2))
     with pytest.raises(ValueError):
-        service.serve([])
+        TraceSource([])
     with pytest.raises(ValueError):
-        service.serve([QueryRequest(0)])          # no amplitudes
+        engine.run(TraceSource([QueryRequest(0)]))          # no amplitudes
     with pytest.raises(ValueError, match="spans shards"):
-        service.serve([QueryRequest(0, {0: 0.7, 1: 0.7})])
+        engine.run(TraceSource([QueryRequest(0, {0: 0.7, 1: 0.7})]))
     with pytest.raises(ValueError, match="duplicate query_id"):
-        service.serve([QueryRequest(0, {0: 1.0}), QueryRequest(0, {2: 1.0})])
+        engine.run(
+            TraceSource([QueryRequest(0, {0: 1.0}), QueryRequest(0, {2: 1.0})])
+        )
     with pytest.raises(ValueError):
         QRAMService(16, num_shards=2, window_size=0)
     # Oversized windows are capped at the architectural parallelism.
@@ -197,8 +207,8 @@ def test_service_rejects_bad_input():
 def test_service_parallelism_and_report_lookup():
     service = QRAMService(32, num_shards=4)
     assert service.query_parallelism == 4 * 3    # 4 shards of capacity 8
-    trace = poisson_trace(32, 5, mean_interarrival=50.0, num_shards=4, seed=1)
-    report = service.serve(trace)
+    trace = iter_poisson_trace(32, 5, mean_interarrival=50.0, num_shards=4, seed=1)
+    report = ServiceEngine(service).run(TraceSource(trace))
     assert report.result_for(3).query_id == 3
     with pytest.raises(KeyError):
         report.result_for(99)

@@ -8,7 +8,7 @@ Every count below is deterministic (fixed trace, fixed placement rules).
 
 import pytest
 
-from repro import QRAMService, QueryRequest, TraceSource
+from repro import QRAMService, QueryRequest, ServiceEngine, TraceSource
 from repro.hardware.parameters import TABLE3_PARAMETERS
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -64,7 +64,7 @@ def _trace(service: QRAMService) -> list[QueryRequest]:
 def test_mixed_encoded_fleet_serves_fidelity_slos_end_to_end():
     service = _mixed_fleet()
     requests = _trace(service)
-    report = service.serve_workload(TraceSource(requests), shed_expired=True)
+    report = ServiceEngine(service, shed_expired=True).run(TraceSource(requests))
     stats = report.stats
 
     # Deterministic refusal accounting: tenant 2's three requests are
@@ -122,8 +122,8 @@ def test_mixed_encoded_fleet_serves_fidelity_slos_end_to_end():
 def test_mixed_fleet_report_is_deterministic():
     first = _mixed_fleet()
     second = _mixed_fleet()
-    report_a = first.serve_workload(TraceSource(_trace(first)), shed_expired=True)
-    report_b = second.serve_workload(TraceSource(_trace(second)), shed_expired=True)
+    report_a = ServiceEngine(first, shed_expired=True).run(TraceSource(_trace(first)))
+    report_b = ServiceEngine(second, shed_expired=True).run(TraceSource(_trace(second)))
     signature = lambda report: [          # noqa: E731 - local shorthand
         (s.query_id, s.shard, s.finish_layer, s.predicted_fidelity)
         for s in report.served

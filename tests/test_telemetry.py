@@ -45,11 +45,8 @@ from repro.metrics.streaming import (
 )
 from repro.service import QRAMService
 from repro.workloads import (
-    bursty_trace,
     closed_loop_source,
-    iter_bursty_trace,
     iter_poisson_trace,
-    poisson_trace,
     random_data,
 )
 
@@ -75,7 +72,7 @@ def service():
 
 @pytest.fixture()
 def trace():
-    return poisson_trace(CAPACITY, **_poisson_kwargs())
+    return list(iter_poisson_trace(CAPACITY, **_poisson_kwargs()))
 
 
 # --------------------------------------------------------------- primitives
@@ -180,9 +177,9 @@ def test_list_and_null_sinks():
 def test_jsonl_sink_round_trip(tmp_path, service, trace):
     path = tmp_path / "records.jsonl"
     with JsonlSink(str(path)) as sink:
-        report = service.serve_workload(
-            TraceSource(trace), retention="none", sink=sink
-        )
+        report = ServiceEngine(
+            service, retention="none", sink=sink
+        ).run(TraceSource(trace))
     records = load_jsonl(str(path))
     assert sink.written == len(records)
     # The tee received every record even though the report retained none.
@@ -192,7 +189,7 @@ def test_jsonl_sink_round_trip(tmp_path, service, trace):
     assert len(served) == report.stats.total_queries == 60
     assert len(windows) > 0
     # Byte-exact field round trip against a full-retention run.
-    full = service.serve_workload(TraceSource(trace))
+    full = ServiceEngine(service).run(TraceSource(trace))
     assert sorted(served, key=lambda r: r.query_id) == sorted(
         full.served, key=lambda r: r.query_id
     )
@@ -209,17 +206,17 @@ def test_jsonl_sink_rejects_unknown_records(tmp_path):
 def test_full_retention_is_byte_identical(service, trace):
     """The tentpole pin: rewiring through sinks + aggregator must not move
     a single bit of the full-retention ServiceStats."""
-    legacy = service.serve(trace)
-    rewired = service.serve_workload(TraceSource(trace), retention="full")
-    assert rewired.stats == legacy.stats
-    assert rewired.served == legacy.served
-    assert rewired.windows == legacy.windows
+    default = ServiceEngine(service).run(TraceSource(trace))
+    rewired = ServiceEngine(service, retention="full").run(TraceSource(trace))
+    assert rewired.stats == default.stats
+    assert rewired.served == default.served
+    assert rewired.windows == default.windows
     assert rewired.retention == "full"
 
 
 def test_retention_none_stats_without_records(service, trace):
-    full = service.serve_workload(TraceSource(trace))
-    none = service.serve_workload(TraceSource(trace), retention="none")
+    full = ServiceEngine(service).run(TraceSource(trace))
+    none = ServiceEngine(service, retention="none").run(TraceSource(trace))
     assert none.served == [] and none.windows == [] and none.rejected == []
     assert none.outputs == {}
     assert none.retention == "none"
@@ -264,19 +261,19 @@ def test_retention_none_stats_without_records(service, trace):
 
 
 def test_retention_none_result_for_raises(service, trace):
-    none = service.serve_workload(TraceSource(trace), retention="none")
+    none = ServiceEngine(service, retention="none").run(TraceSource(trace))
     with pytest.raises(KeyError):
         none.result_for(trace[0].query_id)
 
 
 def test_retention_sampled_reservoir(service, trace):
-    sampled = service.serve_workload(
-        TraceSource(trace), retention="sampled", sample_size=10
-    )
+    sampled = ServiceEngine(
+        service, retention="sampled", sample_size=10
+    ).run(TraceSource(trace))
     assert len(sampled.served) == 10
     assert sampled.retention == "sampled"
     assert sampled.stats.total_queries == 60
-    full = service.serve_workload(TraceSource(trace))
+    full = ServiceEngine(service).run(TraceSource(trace))
     by_id = {record.query_id: record for record in full.served}
     for record in sampled.served:
         assert record == by_id[record.query_id]
@@ -287,12 +284,12 @@ def test_retention_sampled_reservoir(service, trace):
 
 def test_retention_rejections_counted(service):
     """Rejection/shed accounting survives record-free serving."""
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         CAPACITY, **_poisson_kwargs(mean_interarrival=2.0, deadline_layers=150.0)
-    )
+    ))
     kwargs = dict(max_queue_depth=8, shed_expired=True)
-    full = service.serve_workload(TraceSource(trace), **kwargs)
-    none = service.serve_workload(TraceSource(trace), retention="none", **kwargs)
+    full = ServiceEngine(service, **kwargs).run(TraceSource(trace))
+    none = ServiceEngine(service, retention="none", **kwargs).run(TraceSource(trace))
     assert full.stats.rejected_queries > 0 or full.stats.shed_queries > 0
     assert none.stats.rejected_queries == full.stats.rejected_queries
     assert none.stats.shed_queries == full.stats.shed_queries
@@ -319,22 +316,22 @@ def test_queue_full_only_tenant_matches_batch_tenant_universe(service):
         )
         for i in range(6)
     ]
-    full = service.serve_workload(TraceSource(burst), max_queue_depth=1)
-    none = service.serve_workload(
-        TraceSource(burst), max_queue_depth=1, retention="none"
-    )
+    full = ServiceEngine(service, max_queue_depth=1).run(TraceSource(burst))
+    none = ServiceEngine(
+        service, max_queue_depth=1, retention="none"
+    ).run(TraceSource(burst))
     assert full.stats.rejected_queries == 5
     assert set(full.stats.per_tenant) == {0}  # tenant 1 never served anything
     assert set(none.stats.per_tenant) == set(full.stats.per_tenant)
 
 
 def test_sample_seed_passthrough(service, trace):
-    a = service.serve_workload(
-        TraceSource(trace), retention="sampled", sample_size=10, sample_seed=1
-    )
-    b = service.serve_workload(
-        TraceSource(trace), retention="sampled", sample_size=10, sample_seed=2
-    )
+    a = ServiceEngine(
+        service, retention="sampled", sample_size=10, sample_seed=1
+    ).run(TraceSource(trace))
+    b = ServiceEngine(
+        service, retention="sampled", sample_size=10, sample_seed=2
+    ).run(TraceSource(trace))
     assert a.stats == b.stats
     assert a.served != b.served  # different reservoirs, same statistics
 
@@ -362,7 +359,7 @@ def test_retention_none_memory_is_bounded():
             8, num, mean_interarrival=14.0, addresses_per_query=1,
             num_tenants=4, num_shards=2, seed=5,
         )
-        return svc.serve_workload(StreamingTraceSource(trace), retention="none")
+        return ServiceEngine(svc, retention="none").run(StreamingTraceSource(trace))
 
     serve(500)  # warm import-time and schedule caches
     peaks = []
@@ -377,9 +374,9 @@ def test_retention_none_memory_is_bounded():
 
 # ------------------------------------------------------------ telemetry ticks
 def test_telemetry_time_series(service, trace):
-    report = service.serve_workload(
-        TraceSource(trace), retention="none", telemetry_interval=100.0
-    )
+    report = ServiceEngine(
+        service, retention="none", telemetry_interval=100.0
+    ).run(TraceSource(trace))
     telemetry = report.telemetry
     assert len(telemetry) > 2
     # Contiguous cover of the run from t=0 through the last event.
@@ -404,7 +401,7 @@ def test_telemetry_time_series(service, trace):
 
 
 def test_telemetry_off_by_default(service, trace):
-    assert service.serve_workload(TraceSource(trace)).telemetry == []
+    assert ServiceEngine(service).run(TraceSource(trace)).telemetry == []
 
 
 def test_telemetry_with_closed_loop():
@@ -413,28 +410,18 @@ def test_telemetry_with_closed_loop():
         num_shards=2, seed=9,
     )
     service = QRAMService(CAPACITY, num_shards=2, functional=False)
-    report = service.serve_workload(
-        source, retention="sampled", sample_size=6, telemetry_interval=50.0
-    )
+    report = ServiceEngine(
+        service, retention="sampled", sample_size=6, telemetry_interval=50.0
+    ).run(source)
     assert report.stats.total_queries == 15
     assert sum(i.served for i in report.telemetry) == 15
     assert len(report.served) == 6
 
 
 # ----------------------------------------------- lazy traces / streaming source
-def test_lazy_trace_generators_match_batch():
-    kwargs = _poisson_kwargs(deadline_layers=100.0)
-    assert list(iter_poisson_trace(CAPACITY, **kwargs)) == poisson_trace(
-        CAPACITY, **kwargs
-    )
-    assert list(
-        iter_bursty_trace(CAPACITY, 4, 3, 50.0, num_tenants=2, num_shards=2, seed=3)
-    ) == bursty_trace(CAPACITY, 4, 3, 50.0, num_tenants=2, num_shards=2, seed=3)
-
-
 def test_streaming_trace_source_matches_trace_source(service, trace):
-    batch = service.serve_workload(TraceSource(trace))
-    stream = service.serve_workload(StreamingTraceSource(iter(trace)))
+    batch = ServiceEngine(service).run(TraceSource(trace))
+    stream = ServiceEngine(service).run(StreamingTraceSource(iter(trace)))
     assert stream.stats == batch.stats
     assert stream.served == batch.served
     assert stream.windows == batch.windows
@@ -446,12 +433,29 @@ def test_streaming_trace_source_requires_sorted_times(service):
         QueryRequest(query_id=1, address_amplitudes={1: 1.0}, request_time=5.0),
     ]
     with pytest.raises(ValueError, match="sorted"):
-        service.serve_workload(StreamingTraceSource(iter(out_of_order)))
+        ServiceEngine(service).run(StreamingTraceSource(iter(out_of_order)))
 
 
 def test_streaming_trace_source_requires_requests(service):
     with pytest.raises(ValueError):
-        service.serve_workload(StreamingTraceSource(iter([])))
+        ServiceEngine(service).run(StreamingTraceSource(iter([])))
+
+
+def test_streaming_negative_first_time_is_a_negative_time_error(service):
+    """A negative first arrival is reported as what it is, not as an
+    ordering violation against the clock origin."""
+    bad = QueryRequest(query_id=0, address_amplitudes={0: 1.0}, request_time=-2.0)
+    with pytest.raises(ValueError, match="negative request_time -2.0"):
+        ServiceEngine(service).run(StreamingTraceSource(iter([bad])))
+
+
+def test_trace_source_rejects_empty_iterator():
+    """An exhausted generator is truthy; emptiness is checked after
+    materializing, so a lazy trace that yields nothing still fails."""
+    with pytest.raises(ValueError, match="at least one request"):
+        TraceSource(iter([]))
+    with pytest.raises(ValueError, match="at least one request"):
+        TraceSource(request for request in ())
 
 
 # ------------------------------------------------------------------ satellites
@@ -460,7 +464,7 @@ def test_negative_request_time_rejected(service):
         query_id=0, address_amplitudes={0: 1.0}, request_time=-5.0
     )
     with pytest.raises(ValueError, match="negative request_time"):
-        service.serve([bad])
+        ServiceEngine(service).run(TraceSource([bad]))
     engine = ServiceEngine(service)
     engine._reset(TraceSource([bad]))
     with pytest.raises(ValueError, match="negative request_time"):
@@ -477,9 +481,9 @@ def test_engine_run_is_reusable(service, trace):
 
 
 def test_engine_run_reusable_after_autoscale():
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         CAPACITY, **_poisson_kwargs(mean_interarrival=4.0, num_shards=1)
-    )
+    ))
     service = QRAMService(
         CAPACITY, num_shards=1, functional=False, placement="shortest-queue"
     )
@@ -507,10 +511,10 @@ def test_fidelity_prediction_memoized(service, trace):
 
 
 def test_fidelity_predictions_correct_after_scale_up():
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         CAPACITY,
         **_poisson_kwargs(mean_interarrival=4.0, num_shards=1, min_fidelity=0.5),
-    )
+    ))
     service = QRAMService(
         CAPACITY, num_shards=1, functional=False, placement="shortest-queue"
     )
@@ -539,4 +543,4 @@ def test_duplicate_ids_detected_after_watermark_compaction(service):
         QueryRequest(query_id=2, address_amplitudes={0: 1.0}, request_time=9.0)
     )
     with pytest.raises(ValueError, match="duplicate query_id"):
-        service.serve(requests)
+        ServiceEngine(service).run(TraceSource(requests))

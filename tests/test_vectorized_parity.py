@@ -30,7 +30,7 @@ from repro.backends.noise import (
     pipelined_fidelities_scalar,
 )
 from repro.baselines.registry import build_backend
-from repro.engine.workload import StreamingTraceSource
+from repro.engine import ServiceEngine, StreamingTraceSource
 from repro.schedule_cache import default_registry
 from repro.service.service import QRAMService
 from repro.workloads.generators import (
@@ -135,9 +135,7 @@ def test_end_to_end_serve_matches_scalar_oracle(monkeypatch):
             num_tenants=4, num_shards=2, seed=5,
         )
         service = QRAMService(8, num_shards=2, functional=False)
-        return service.serve_workload(
-            StreamingTraceSource(trace), retention="full"
-        )
+        return ServiceEngine(service, retention="full").run(StreamingTraceSource(trace))
 
     default_registry().clear()
     vectorized = serve()

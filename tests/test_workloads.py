@@ -6,12 +6,10 @@ from repro import build_backend
 from repro.baselines.registry import backend_names
 from repro.service.sharding import InterleavedShardMap
 from repro.workloads import (
-    burst_times,
-    bursty_trace,
-    exponential_times,
     iter_burst_times,
+    iter_bursty_trace,
     iter_exponential_times,
-    poisson_trace,
+    iter_poisson_trace,
     random_data,
     shard_aligned_superposition,
 )
@@ -33,10 +31,10 @@ def test_poisson_trace_is_deterministic_per_seed():
         num_tenants=3,
         num_shards=2,
     )
-    first = poisson_trace(seed=42, **kwargs)
-    second = poisson_trace(seed=42, **kwargs)
+    first = list(iter_poisson_trace(seed=42, **kwargs))
+    second = list(iter_poisson_trace(seed=42, **kwargs))
     assert _trace_signature(first) == _trace_signature(second)
-    other = poisson_trace(seed=43, **kwargs)
+    other = list(iter_poisson_trace(seed=43, **kwargs))
     assert _trace_signature(first) != _trace_signature(other)
 
 
@@ -49,11 +47,11 @@ def test_bursty_trace_is_deterministic_per_seed():
         num_tenants=2,
         num_shards=4,
     )
-    first = bursty_trace(seed=7, **kwargs)
-    second = bursty_trace(seed=7, **kwargs)
+    first = list(iter_bursty_trace(seed=7, **kwargs))
+    second = list(iter_bursty_trace(seed=7, **kwargs))
     assert _trace_signature(first) == _trace_signature(second)
     assert [r.request_time for r in first] == sorted(r.request_time for r in first)
-    other = bursty_trace(seed=8, **kwargs)
+    other = list(iter_bursty_trace(seed=8, **kwargs))
     assert _trace_signature(first) != _trace_signature(other)
 
 
@@ -74,9 +72,9 @@ def test_traces_are_shard_aligned_for_every_backend(name):
     backend = build_backend(name, capacity // num_shards)
     assert backend.query_parallelism >= 1
     shard_map = InterleavedShardMap(capacity, num_shards)
-    trace = poisson_trace(
+    trace = list(iter_poisson_trace(
         capacity, 12, mean_interarrival=5.0, num_shards=num_shards, seed=11
-    )
+    ))
     for request in trace:
         shard, local = shard_map.route(request.address_amplitudes)
         assert 0 <= shard < num_shards
@@ -177,21 +175,22 @@ def test_periodic_times_validates_period_and_stagger():
 
 
 def test_trace_generators_carry_min_fidelity():
-    trace = poisson_trace(8, 5, mean_interarrival=4.0, seed=1, min_fidelity=0.9)
+    trace = list(iter_poisson_trace(
+        8, 5, mean_interarrival=4.0, seed=1, min_fidelity=0.9
+    ))
     assert all(r.min_fidelity == 0.9 for r in trace)
-    trace = bursty_trace(8, 2, 2, 50.0, seed=1)
+    trace = list(iter_bursty_trace(8, 2, 2, 50.0, seed=1))
     assert all(r.min_fidelity is None for r in trace)
 
 
 def test_lazy_arrival_cores_match_batch():
-    """The iterator cores yield the batch lists element for element — one
-    RNG stream and one accumulation order, whichever surface is used.
+    """The iterator cores yield what one batch computation would — one
+    RNG stream and one accumulation order.
 
-    ``exponential_times`` materializes the iterator, so the reference here
-    is computed independently the way the pre-streaming implementation
-    did — one vectorized draw plus ``np.cumsum`` — and the pinned length
-    crosses the iterator's draw-block boundary (4096), the one seam where
-    the chunked stream could diverge from a single vectorized draw."""
+    The exponential reference is computed independently with one
+    vectorized draw plus ``np.cumsum``, and the pinned length crosses the
+    iterator's draw-block boundary (4096), the one seam where the chunked
+    stream could diverge from a single vectorized draw."""
     import numpy as np
 
     reference = [
@@ -199,8 +198,7 @@ def test_lazy_arrival_cores_match_batch():
         for t in np.cumsum(np.random.default_rng(13).exponential(7.5, size=5000))
     ]
     assert list(iter_exponential_times(5000, 7.5, seed=13)) == reference
-    assert exponential_times(5000, 7.5, seed=13) == reference
-    assert list(iter_burst_times(5, 4, 25.0)) == burst_times(5, 4, 25.0)
+    assert list(iter_burst_times(2, 3, 25.0)) == [0.0] * 3 + [25.0] * 3
     assert list(iter_exponential_times(0, 1.0)) == []
 
 
