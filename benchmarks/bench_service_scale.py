@@ -54,7 +54,6 @@ import sys
 import time
 import tracemalloc
 
-import repro.engine.parallel
 import repro.perf.profiler
 from repro.engine import (
     PartitionedTraceSource,
@@ -89,9 +88,9 @@ MIN_RPS = float(os.environ.get("QRAM_SCALE_MIN_RPS", "0"))
 MIN_SPEEDUP = float(os.environ.get("QRAM_SCALE_MIN_SPEEDUP", "5.0"))
 
 # Simulation code never reads host wall time; measurement harnesses opt in
-# so ParallelRunInfo.worker_seconds reports real per-worker elapsed times
-# and (under REPRO_PROFILE=1) the stage profiler attributes real seconds.
-repro.engine.parallel.host_clock = time.perf_counter
+# through the one injection point, so ParallelRunInfo.worker_seconds
+# reports real per-worker elapsed times and (under REPRO_PROFILE=1) the
+# stage profiler attributes real seconds.
 repro.perf.profiler.host_clock = time.perf_counter
 
 def _serve(num_requests: int, telemetry_interval: float | None = None):

@@ -40,7 +40,7 @@ from repro.engine.events import (
     TelemetryTick,
     WindowDrain,
     WindowStart,
-    merge_sorted_records,
+    check_nondecreasing,
 )
 from repro.engine.partition import (
     ParallelRunInfo,
@@ -81,5 +81,5 @@ __all__ = [
     "PartitionedTraceSource",
     "partition_shards",
     "partition_unsupported_reason",
-    "merge_sorted_records",
+    "check_nondecreasing",
 ]

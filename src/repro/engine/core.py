@@ -55,8 +55,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Any
+from functools import reduce
+from itertools import chain
+from typing import Any, NamedTuple
 
 from repro.baselines.registry import build_backend
 from repro.core.query import ANY_SHARD, QueryRequest
@@ -69,6 +72,7 @@ from repro.engine.events import (
     TelemetryTick,
     WindowDrain,
     WindowStart,
+    check_nondecreasing,
 )
 from repro.engine.partition import ParallelRunInfo, partition_unsupported_reason
 from repro.engine.workload import WorkloadSource, check_request_time
@@ -85,8 +89,17 @@ from repro.metrics.service_stats import (
     summarize_service,
 )
 from repro.metrics.sinks import ListSink, NullSink, RecordSink, SamplingSink
-from repro.metrics.streaming import IntervalStats, StreamingServiceAggregator
-from repro.perf.profiler import PROFILE_ENV, HotPathProfiler, StageProfile
+from repro.metrics.streaming import (
+    IntervalStats,
+    StreamingServiceAggregator,
+    merge_service_aggregators,
+)
+from repro.perf.profiler import (
+    PROFILE_ENV,
+    UNATTRIBUTED,
+    HotPathProfiler,
+    StageProfile,
+)
 from repro.schedule_cache import CacheStats, default_registry
 
 #: Retention modes for the engine's per-request records.
@@ -97,9 +110,9 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Environment default for partitioned parallel serving.  Applied only to
 #: runs whose parallel output is provably identical to the single-process
-#: oracle (full retention, no telemetry interval, no external sink, and a
-#: partitionable fleet/source); everything else falls back silently.  An
-#: explicit ``ServiceEngine(workers=...)`` always wins over the variable.
+#: oracle (full retention, no external sink, and a partitionable
+#: fleet/source); everything else falls back silently.  An explicit
+#: ``ServiceEngine(workers=...)`` always wins over the variable.
 WORKERS_ENV = "REPRO_WORKERS"
 
 
@@ -131,8 +144,8 @@ def _env_workers() -> int | None:
 
 
 #: (stage name, engine method) pairs wrapped when profiling.  ``run_window``
-#: and ``heap_pop`` / ``heap_push`` are attributed separately inside
-#: ``_execute_window`` / ``_run_events``.
+#: and ``heap_push`` / ``heap_pop`` are attributed separately inside
+#: ``_execute_window``, ``_reset`` and ``_drain``.
 _PROFILED_STAGES: tuple[tuple[str, str], ...] = (
     ("admission", "_on_arrival"),
     ("placement", "_shortest_queue"),
@@ -231,24 +244,122 @@ class AutoscalerConfig:
             raise ValueError("need 1 <= min_shards <= max_shards")
 
 
+class RawInterval(NamedTuple):
+    """One telemetry interval's raw totals, as a drain records them (unlike
+    :class:`IntervalStats`, whose mean fidelity lost its count, raw totals
+    of several shards recombine exactly)."""
+
+    start: float
+    end: float
+    arrivals: int
+    served: int
+    rejected: int
+    shed: int
+    windows: int
+    depth_total: int
+    depth_max: int
+    fidelity_total: float
+    fidelity_count: int
+
+
+def _interval_stats(rows: Iterable[RawInterval]) -> list[IntervalStats]:
+    """The telemetry time series of one run's raw interval rows.
+
+    Every drain flushes on the same ``i * interval`` grid (plus one final
+    partial interval), so rows group exactly by ``start``: one row per
+    interval from the oracle, one per shard from a partitioned run.
+    Counters sum, the deepest queue is the max, and rates derive from the
+    sums; fidelity partials combine with an exactly-rounded ``fsum``, so
+    both paths give byte-equal intervals.
+    """
+    groups: dict[float, list[RawInterval]] = {}
+    for row in rows:
+        groups.setdefault(row.start, []).append(row)
+    intervals = []
+    for start in sorted(groups):
+        group = groups[start]
+        end = max(row.end for row in group)
+        span = end - start
+        served = sum(row.served for row in group)
+        rejected = sum(row.rejected for row in group)
+        fidelity_count = sum(row.fidelity_count for row in group)
+        intervals.append(
+            IntervalStats(
+                start_layer=start,
+                end_layer=end,
+                arrivals=sum(row.arrivals for row in group),
+                served=served,
+                rejected=rejected,
+                shed=sum(row.shed for row in group),
+                windows=sum(row.windows for row in group),
+                throughput_queries_per_layer=served / span if span > 0 else 0.0,
+                queue_depth_total=sum(row.depth_total for row in group),
+                queue_depth_max=max(row.depth_max for row in group),
+                # Rate over the interval's *dispositions* (completions +
+                # refusals), which are all counted at the instant they
+                # happen — dividing by arrivals would be incoherent when a
+                # request sheds intervals after it arrived (rates over 1,
+                # or 0.0 despite sheds).
+                rejection_rate=(
+                    rejected / (served + rejected) if served + rejected else 0.0
+                ),
+                mean_fidelity=(
+                    math.fsum(row.fidelity_total for row in group)
+                    / fidelity_count
+                    if fidelity_count
+                    else None
+                ),
+            )
+        )
+    return intervals
+
+
+@dataclass
+class RunOutcome:
+    """What one drained engine observed, for :meth:`ServiceEngine._finalize`.
+
+    The single-process oracle yields one outcome spanning every shard; a
+    partitioned run yields one per served shard, shipped back from its
+    worker.  Record lists are the retained ones, in event order (empty
+    under ``retention="none"``); ``offered`` counts validated arrivals,
+    ``max_depth`` the deepest queue per shard.
+    """
+
+    offered: int
+    served: list[ServedQuery]
+    windows: list[WindowRecord]
+    rejected: list[RejectedQuery]
+    scale_events: list[ScaleEvent]
+    outputs: dict[int, dict[tuple[int, int], complex]]
+    max_depth: dict[int, int]
+    aggregator: StreamingServiceAggregator
+    telemetry: list[RawInterval]
+    profile: StageProfile | None
+
+
 @dataclass
 class ServiceReport:
     """Everything the engine observed while serving one workload.
 
+    Built in one place, :meth:`ServiceEngine._finalize`, from the oracle's
+    single :class:`RunOutcome` or a partitioned run's per-shard ones.
+
     Attributes:
-        served: completed-query records, in completion order — every one
-            under ``retention="full"``, a uniform reservoir sample under
+        served: completed-query records, in completion order (by
+            ``(finish_layer, query_id)``) — every one under
+            ``retention="full"``, a uniform reservoir sample under
             ``"sampled"``, empty under ``"none"`` (``stats`` always covers
             the whole run).
-        windows: executed pipeline windows (retained per the same mode).
+        windows: executed pipeline windows, by ``(admit_layer, shard)``
+            (retained per the same mode).
         stats: aggregated per-tenant / per-shard / per-backend statistics —
             the retained records' summary (exact percentiles) under full
             retention, the streaming aggregates (exact counts and means,
             sketched percentiles) otherwise.
         outputs: per-query output amplitudes over global ``(address, bus)``
             pairs (populated only on functional runs under full retention).
-        rejected: requests refused by backpressure or shed past deadline
-            (retained per the retention mode).
+        rejected: requests refused by backpressure or shed past deadline,
+            by ``(time, query_id)`` (retained per the retention mode).
         scale_events: elastic-fleet transitions taken by the autoscaler
             (retained per the retention mode, like every record stream).
         telemetry: time-windowed interval samples, one per
@@ -262,10 +373,10 @@ class ServiceReport:
             worker counts.
         profile: the hot-path stage-time table
             (:class:`~repro.perf.profiler.StageProfile`) when the engine
-            ran with ``profile=True`` / ``REPRO_PROFILE=1``; ``None``
-            otherwise.  Excluded from equality like ``parallel`` —
-            profiling is observational and must never make two otherwise
-            identical reports differ.
+            ran with ``profile=True`` / ``REPRO_PROFILE=1`` (summed over
+            a partitioned run's workers); ``None`` otherwise.  Excluded
+            from equality like ``parallel`` — profiling is observational
+            and must never make two otherwise identical reports differ.
         cache_stats: snapshot of the process-wide
             :class:`~repro.schedule_cache.ScheduleCacheRegistry` counters
             taken when the report was built, so per-run cache hit-rates
@@ -362,7 +473,8 @@ class ServiceEngine:
             ``report.parallel``.  ``0`` forces the single-process oracle;
             ``None`` (default) reads the ``REPRO_WORKERS`` environment
             variable (a non-integer value is an error), which only ever
-            parallelizes provably oracle-identical configurations.
+            parallelizes provably oracle-identical configurations (full
+            retention, no external sink).
         sanitize: runtime invariant checking.  When True every run asserts
             clock monotonicity, nondecreasing heap-key order, that windows
             only start on idle shards, and the conservation invariant
@@ -373,11 +485,12 @@ class ServiceEngine:
             variable, which is how CI runs the whole test suite
             sanitized.
         profile: hot-path stage profiling.  When True the run attributes
-            per-stage invocation counts (and wall seconds, when a host
-            clock is injected into :mod:`repro.perf.profiler`) to the
-            named engine stages and lands the table on the report's
-            ``profile`` field.  Profiling is observational: the report is
-            otherwise identical to an unprofiled run.  ``None`` (the
+            per-stage invocation counts (and self wall seconds, when a
+            host clock is injected into :mod:`repro.perf.profiler`) to the
+            named engine stages, plus an ``(unattributed)`` residual, and
+            lands the table on the report's ``profile`` field.  Profiling
+            is observational: the report is otherwise identical to an
+            unprofiled run.  ``None`` (the
             default) reads the ``REPRO_PROFILE`` environment variable.
 
     Engines are reusable: ``run`` resets all per-run state (queues, seen
@@ -515,16 +628,9 @@ class ServiceEngine:
         # TelemetryTick) use to decide whether to reschedule without
         # keeping each other alive forever.
         self._traffic_events = 0
-        # Telemetry interval accumulators.  The raw tuples mirror the
-        # emitted IntervalStats counters (start, end, arrivals, served,
-        # rejected, shed, windows, depth_total, depth_max, fidelity_total,
-        # fidelity_count): the parallel merge recombines partitions'
-        # intervals from these totals, which plain IntervalStats cannot
-        # provide (mean_fidelity loses its count).
-        self._telemetry: list[IntervalStats] = []
-        self._telemetry_raw: list[
-            tuple[float, float, int, int, int, int, int, int, int, float, int]
-        ] = []
+        # Telemetry is recorded as raw interval totals only; the report
+        # builder turns them into IntervalStats (see RawInterval).
+        self._telemetry: list[RawInterval] = []
         self._tick_start = 0.0
         self._tick_arrivals = 0
         self._tick_served = 0
@@ -581,12 +687,7 @@ class ServiceEngine:
         requested = self.workers
         if requested is None:
             env = _env_workers()
-            if (
-                env is not None
-                and self.retention == "full"
-                and self.telemetry_interval is None
-                and self.sink is None
-            ):
+            if env is not None and self.retention == "full" and self.sink is None:
                 requested = env
         parallel_info: ParallelRunInfo | None = None
         if requested is not None and requested >= 1:
@@ -605,7 +706,7 @@ class ServiceEngine:
                 worker_seconds=(),
             )
         self._run_events(source)
-        return self._finalize(clops, parallel_info)
+        return self._finalize([self._outcome()], clops, parallel_info)
 
     def _run_events(self, source: WorkloadSource) -> None:
         """Drain one workload's event heap to empty (the oracle loop).
@@ -613,9 +714,18 @@ class ServiceEngine:
         Resets all per-run state, runs every event, flushes trailing
         telemetry and performs the end-of-run sanitizer checks — but does
         not build the report: parallel workers run exactly this on their
-        partition and ship the raw state back for the deterministic merge.
+        partition and ship :meth:`_outcome` back.  A profiled drain is the
+        profiler's root stage, whose self time (all no named stage
+        claimed, trace generation included) is the ``(unattributed)`` row.
         """
         self._reset(source)
+        if self._profiler is None:
+            self._drain(source)
+        else:
+            self._profiler.call(UNATTRIBUTED, self._drain, source)
+
+    def _drain(self, source: WorkloadSource) -> None:
+        """The body of :meth:`_run_events` after the per-run reset."""
         source.start(self)
         if self.autoscaler is not None:
             self._heap.push(self.autoscaler.period, ScaleCheck())
@@ -683,63 +793,135 @@ class ServiceEngine:
                 )
             self._check_conservation(self._now)
 
-    def _finalize(
-        self, clops: float, parallel_info: ParallelRunInfo | None = None
-    ) -> ServiceReport:
-        """Build the report from the drained engine state.
+    def _outcome(self) -> RunOutcome:
+        """The drained per-run state, packaged for :meth:`_finalize`."""
+        retained = self.retention != "none"
+        return RunOutcome(
+            offered=self._offered,
+            served=self._served_sink.records if retained else [],
+            windows=self._window_sink.records if retained else [],
+            rejected=self._rejected_sink.records if retained else [],
+            scale_events=self._scale_sink.records if retained else [],
+            outputs=self._outputs,
+            max_depth=self._max_depth,
+            aggregator=self._aggregator,
+            telemetry=self._telemetry,
+            profile=(
+                self._profiler.snapshot() if self._profiler is not None else None
+            ),
+        )
 
-        Record lists are put in canonical order — served by
-        ``(finish_layer, query_id)``, windows by ``(admit_layer, shard)``,
-        rejections by ``(time, query_id)`` — the same order the parallel
-        merge reconstructs, so a partitioned report can be compared to the
-        oracle field by field.
+    def _finalize(
+        self,
+        outcomes: list[RunOutcome],
+        clops: float,
+        parallel_info: ParallelRunInfo | None = None,
+    ) -> ServiceReport:
+        """Build the report from drained outcomes — the one report builder.
+
+        The oracle passes its single outcome; a partitioned run passes one
+        per served shard, in shard order.  In sanitizer mode each outcome
+        and their sum must conserve requests (``offered == served +
+        rejected``, queues drained), and under full retention each window
+        and rejection stream must be nondecreasing in time.  Records are
+        sorted under unique keys — served by ``(finish_layer, query_id)``,
+        windows by ``(admit_layer, shard)``, rejections by ``(time,
+        query_id)`` — so every partitioning yields the oracle's lists.
         """
-        served_count = self._aggregator.served_count
+        offered = sum(outcome.offered for outcome in outcomes)
+        served_count = sum(outcome.aggregator.served_count for outcome in outcomes)
+        rejected_count = sum(
+            outcome.aggregator.rejected_count for outcome in outcomes
+        )
+        if self.sanitize:
+            for index, outcome in enumerate(outcomes):
+                part_served = outcome.aggregator.served_count
+                part_rejected = outcome.aggregator.rejected_count
+                if outcome.offered != part_served + part_rejected:
+                    raise SanitizerViolation(
+                        f"conservation broken in run outcome {index}: "
+                        f"offered={outcome.offered} != served={part_served} + "
+                        f"rejected={part_rejected} (queues drain by end of run)"
+                    )
+            if offered != served_count + rejected_count:
+                raise SanitizerViolation(
+                    "global conservation broken across run outcomes: "
+                    f"offered={offered} != served={served_count} + "
+                    f"rejected={rejected_count}"
+                )
+            if self.retention == "full":
+                check_nondecreasing(
+                    [outcome.windows for outcome in outcomes],
+                    key=lambda record: record.admit_layer,
+                    description="window",
+                )
+                check_nondecreasing(
+                    [outcome.rejected for outcome in outcomes],
+                    key=lambda record: record.time,
+                    description="rejection",
+                )
         if not served_count:
-            offered = self._aggregator.rejected_count
-            if offered:
+            if rejected_count:
                 raise ValueError(
-                    f"no queries were served: all {offered} offered requests "
-                    "were rejected or shed (loosen max_queue_depth / deadlines)"
+                    f"no queries were served: all {rejected_count} offered "
+                    "requests were rejected or shed (loosen max_queue_depth "
+                    "/ deadlines)"
                 )
             raise ValueError("the workload source produced no requests")
 
-        served = list(self._served_sink.records) if self.retention != "none" else []
-        served.sort(key=lambda s: (s.finish_layer, s.query_id))
-        windows = list(self._window_sink.records) if self.retention != "none" else []
-        windows.sort(key=lambda w: (w.admit_layer, w.shard))
-        rejected = (
-            list(self._rejected_sink.records) if self.retention != "none" else []
+        served = sorted(
+            chain.from_iterable(outcome.served for outcome in outcomes),
+            key=lambda record: (record.finish_layer, record.query_id),
         )
-        rejected.sort(key=lambda r: (r.time, r.query_id))
-        scale_events = (
-            list(self._scale_sink.records) if self.retention != "none" else []
+        windows = sorted(
+            chain.from_iterable(outcome.windows for outcome in outcomes),
+            key=lambda record: (record.admit_layer, record.shard),
         )
+        rejected = sorted(
+            chain.from_iterable(outcome.rejected for outcome in outcomes),
+            key=lambda record: (record.time, record.query_id),
+        )
+        outputs: dict[int, dict[tuple[int, int], complex]] = {}
+        max_depth: dict[int, int] = {}
+        for outcome in outcomes:
+            outputs.update(outcome.outputs)
+            for shard, depth in outcome.max_depth.items():
+                max_depth[shard] = max(depth, max_depth.get(shard, 0))
         if self.retention == "full":
-            # The historical batch path, byte for byte: aggregate the
-            # complete record lists exactly as the legacy engine did.
+            # Exact percentiles over the complete record lists.
             stats = summarize_service(
-                served,
-                windows,
-                self._max_depth,
-                clops=clops,
-                rejected=rejected,
+                served, windows, max_depth, clops=clops, rejected=rejected
             )
         else:
-            stats = self._aggregator.to_stats(self._max_depth, clops=clops)
+            aggregator = (
+                outcomes[0].aggregator
+                if len(outcomes) == 1
+                else merge_service_aggregators(
+                    [outcome.aggregator for outcome in outcomes]
+                )
+            )
+            stats = aggregator.to_stats(max_depth, clops=clops)
+        profiles = [
+            outcome.profile for outcome in outcomes if outcome.profile is not None
+        ]
         return ServiceReport(
             served=served,
             windows=windows,
             stats=stats,
-            outputs=self._outputs,
+            outputs=outputs,
             rejected=rejected,
-            scale_events=scale_events,
-            telemetry=self._telemetry,
+            scale_events=list(
+                chain.from_iterable(outcome.scale_events for outcome in outcomes)
+            ),
+            telemetry=_interval_stats(
+                chain.from_iterable(outcome.telemetry for outcome in outcomes)
+            ),
             retention=self.retention,
             parallel=parallel_info,
-            profile=(
-                self._profiler.snapshot() if self._profiler is not None else None
-            ),
+            profile=reduce(StageProfile.merged, profiles) if profiles else None,
+            # This process's registry: forked workers' serve-time lookups
+            # land in their own copy-on-write registries, so a partitioned
+            # run reports the shared table the workers inherited.
             cache_stats=default_registry().stats(),
         )
 
@@ -1188,59 +1370,24 @@ class ServiceEngine:
         )
 
     def _flush_interval(self, end: float) -> None:
-        """Emit one :class:`IntervalStats` covering ``(_tick_start, end]``."""
-        span = end - self._tick_start
-        active = self._active_shards()
-        depths = [len(self._queues[shard]) for shard in active]
-        fidelity_total = math.fsum(
-            self._tick_fidelity_totals[shard]
-            for shard in sorted(self._tick_fidelity_totals)
-        )
-        self._telemetry_raw.append(
-            (
-                self._tick_start,
-                end,
-                self._tick_arrivals,
-                self._tick_served,
-                self._tick_rejected,
-                self._tick_shed,
-                self._tick_windows,
-                sum(depths),
-                max(depths, default=0),
-                fidelity_total,
-                self._tick_fidelity_count,
-            )
-        )
+        """Record the raw totals of the interval ``(_tick_start, end]``."""
+        depths = [len(self._queues[shard]) for shard in self._active_shards()]
         self._telemetry.append(
-            IntervalStats(
-                start_layer=self._tick_start,
-                end_layer=end,
+            RawInterval(
+                start=self._tick_start,
+                end=end,
                 arrivals=self._tick_arrivals,
                 served=self._tick_served,
                 rejected=self._tick_rejected,
                 shed=self._tick_shed,
                 windows=self._tick_windows,
-                throughput_queries_per_layer=(
-                    self._tick_served / span if span > 0 else 0.0
+                depth_total=sum(depths),
+                depth_max=max(depths, default=0),
+                fidelity_total=math.fsum(
+                    self._tick_fidelity_totals[shard]
+                    for shard in sorted(self._tick_fidelity_totals)
                 ),
-                queue_depth_total=sum(depths),
-                queue_depth_max=max(depths, default=0),
-                # Rate over the interval's *dispositions* (completions +
-                # refusals), which are all counted at the instant they
-                # happen — dividing by arrivals would be incoherent when a
-                # request sheds intervals after it arrived (rates over 1,
-                # or 0.0 despite sheds).
-                rejection_rate=(
-                    self._tick_rejected
-                    / (self._tick_served + self._tick_rejected)
-                    if (self._tick_served + self._tick_rejected)
-                    else 0.0
-                ),
-                mean_fidelity=(
-                    fidelity_total / self._tick_fidelity_count
-                    if self._tick_fidelity_count
-                    else None
-                ),
+                fidelity_count=self._tick_fidelity_count,
             )
         )
         self._tick_start = end

@@ -97,42 +97,33 @@ class SanitizerViolation(AssertionError):
     """
 
 
-def merge_sorted_records(
+def check_nondecreasing(
     streams: Sequence[Sequence[Any]],
     key: Callable[[Any], Any],
-    *,
-    sanitize: bool = False,
     description: str = "record",
-) -> list[Any]:
-    """Deterministic k-way merge of per-partition record streams.
+) -> None:
+    """Sanitizer check that every record stream is nondecreasing under ``key``.
 
-    Parallel serving reassembles each shard's records into the global
-    order the single-process oracle would have produced; the merge is the
-    list analogue of the :class:`EventHeap` pop order, keyed the same way
-    (``heapq.merge`` is stable, so equal keys resolve in stream — i.e.
-    shard — order).  In sanitizer mode every input stream is first checked
-    to be nondecreasing under ``key``: a worker whose records come back
-    out of order would silently corrupt the merged timeline, which is
-    exactly the class of bug the sanitizer exists to catch at the
-    worker boundary.
+    A run's retained window and rejection streams are recorded in event
+    order, so their timestamps never decrease; the report builder checks
+    each stream it is handed — the oracle's one, or every partition's as
+    it comes back across the worker boundary — before sorting them into
+    canonical order, where an out-of-order stream would silently corrupt
+    the merged timeline.
 
     Raises:
-        SanitizerViolation: when ``sanitize`` and a stream's keys are not
-            nondecreasing.
+        SanitizerViolation: when a stream's keys are not nondecreasing.
     """
-    if sanitize:
-        for index, stream in enumerate(streams):
-            last: Any = None
-            for record in stream:
-                current = key(record)
-                if last is not None and current < last:
-                    raise SanitizerViolation(
-                        f"{description} stream {index} is not nondecreasing "
-                        f"across the worker boundary: key {current!r} after "
-                        f"{last!r}"
-                    )
-                last = current
-    return list(heapq.merge(*streams, key=key))
+    for index, stream in enumerate(streams):
+        last: Any = None
+        for record in stream:
+            current = key(record)
+            if last is not None and current < last:
+                raise SanitizerViolation(
+                    f"{description} stream {index} is not nondecreasing: "
+                    f"key {current!r} after {last!r}"
+                )
+            last = current
 
 
 class EventHeap:
@@ -144,8 +135,7 @@ class EventHeap:
     Args:
         sanitize: verify on every operation that timestamps are finite
             numbers and that popped keys come out in nondecreasing
-            ``(time, priority, sequence)`` order — the oracle ordering the
-            planned parallel event-merge must reproduce.
+            ``(time, priority, sequence)`` order.
     """
 
     def __init__(self, sanitize: bool = False) -> None:

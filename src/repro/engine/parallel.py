@@ -20,24 +20,27 @@ would have interleaved.  This module exploits that factorization:
    process-wide schedule-cache registry — copy-on-write.  The partition
    granularity is *always* one engine per shard, whatever the worker
    count, so the merged output cannot depend on how many workers ran.
-3. **Merge** — per-shard outcomes come back in shard order and are merged
-   deterministically under the same keys the oracle's
-   ``(time, PRIORITY, sequence)`` heap discipline induces on records:
-   served by ``(finish_layer, query_id)``, windows by
-   ``(admit_layer, shard)``, rejections by ``(time, query_id)``.  Under
-   sanitizer mode the merge additionally checks that every partition's
-   record streams are nondecreasing across the worker boundary and that
-   per-partition conservation (``offered == served + rejected``) sums to
-   the global invariant.
+3. **Merge** — each child engine packages what it observed as a
+   :class:`~repro.engine.core.RunOutcome`, and the parent hands the
+   outcomes, in shard order, to the same report builder
+   (:meth:`~repro.engine.core.ServiceEngine._finalize`) the oracle calls
+   with its single outcome.  The builder sorts records under the keys the
+   oracle's ``(time, PRIORITY, sequence)`` heap discipline induces —
+   served by ``(finish_layer, query_id)``, windows by ``(admit_layer,
+   shard)``, rejections by ``(time, query_id)`` — and rebuilds telemetry
+   from raw per-shard interval totals.  Under sanitizer mode it also
+   checks per-partition and global conservation (``offered == served +
+   rejected``) and that every partition's window and rejection streams
+   come back nondecreasing in time.
 
 Determinism contract: ``workers=N`` is bit-identical to ``workers=1`` for
 every partitionable configuration, and identical to the single-process
 oracle (``workers=0``) under full retention — including periodic
-telemetry, whose intervals are recombined per tick from raw per-shard
-totals (the oracle accumulates its interval fidelity sum per shard and
-both paths combine partials with an exactly-rounded ``fsum``, so the
-merged intervals are byte-equal to the oracle's).  Streaming-retention
-runs merge their per-shard aggregators with
+telemetry, whose intervals both paths derive from raw totals (the oracle
+accumulates its interval fidelity sum per shard and both combine partials
+with an exactly-rounded ``fsum``, so the merged intervals are byte-equal
+to the oracle's).  Streaming-retention runs merge their per-shard
+aggregators with
 :func:`repro.metrics.streaming.merge_service_aggregators`: the log-bucket
 latency sketches merge by adding bucket counts, so every count and
 latency percentile equals the oracle's exactly, while the merged means,
@@ -50,14 +53,13 @@ deterministic across worker counts too.
 
 from __future__ import annotations
 
-import math
+import inspect
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.query import QueryRequest
-from repro.engine.events import SanitizerViolation, merge_sorted_records
+from repro.engine.core import RunOutcome, ServiceEngine, ServiceReport
 from repro.engine.partition import (
     ParallelRunInfo,
     PartitionedTraceSource,
@@ -65,53 +67,44 @@ from repro.engine.partition import (
 )
 from repro.engine.pool import ForkWorkerPool, fork_available
 from repro.engine.workload import StreamingTraceSource, TraceSource, WorkloadSource
-from repro.metrics.service_stats import (
-    RejectedQuery,
-    ServedQuery,
-    WindowRecord,
-    summarize_service,
+from repro.perf import profiler
+
+__all__ = ["run_partitioned"]
+
+#: Every ``ServiceEngine.__init__`` knob, each stored under its own name:
+#: :func:`_child_engine` copies them all, then overrides a few.
+_KNOBS = tuple(
+    name
+    for name, parameter in inspect.signature(
+        ServiceEngine.__init__
+    ).parameters.items()
+    if parameter.kind is parameter.KEYWORD_ONLY
 )
-from repro.metrics.streaming import (
-    IntervalStats,
-    StreamingServiceAggregator,
-    merge_service_aggregators,
-)
-from repro.perf.profiler import StageProfile
-from repro.schedule_cache import default_registry
-
-if TYPE_CHECKING:
-    from repro.engine.core import ServiceEngine, ServiceReport
-
-__all__ = ["host_clock", "run_partitioned"]
-
-#: Host-side monotone clock used to time worker processes, or ``None``.
-#: Simulation code never reads host wall time (the determinism discipline
-#: simlint SIM001 enforces tree-wide), so per-worker timings are strictly
-#: opt-in: a measurement harness installs a clock explicitly —
-#: ``repro.engine.parallel.host_clock = time.perf_counter`` — and
-#: ``ParallelRunInfo.worker_seconds`` reports zeros otherwise.  Forked
-#: workers inherit the installed clock copy-on-write, so per-worker
-#: elapsed times are measured inside each worker.
-host_clock: Callable[[], float] | None = None
-
-#: One interval's raw telemetry totals (see ``ServiceEngine._telemetry_raw``).
-_RawInterval = tuple[float, float, int, int, int, int, int, int, int, float, int]
 
 
-@dataclass
-class _ShardOutcome:
-    """Everything one shard's child engine observed, shipped to the parent."""
+def _child_engine(engine: ServiceEngine, shard: int) -> ServiceEngine:
+    """The engine serving one shard's partition, with its parent's knobs.
 
-    shard: int
-    offered: int
-    served: list[ServedQuery]
-    windows: list[WindowRecord]
-    rejected: list[RejectedQuery]
-    outputs: dict[int, dict[tuple[int, int], complex]]
-    max_depth: int
-    aggregator: StreamingServiceAggregator
-    telemetry_raw: list[_RawInterval]
-    profile: StageProfile | None = None
+    The child drives the *full* fleet object (inherited copy-on-write
+    under fork): only its single-shard source routes work to it, so every
+    record carries the global shard id.  Duplicate-id detection is off —
+    one shard sees a sparse subsequence of the global id stream, which the
+    parent (or the partitioned factory's strictly-increasing-id contract)
+    already validates densely.
+    """
+    knobs = {name: getattr(engine, name) for name in _KNOBS}
+    knobs.update(
+        autoscaler=None,
+        sink=None,
+        workers=0,
+        # Disjoint per-shard reservoir seeds (each engine uses 4 streams),
+        # fixed by shard — never by worker — so sampled retention is
+        # worker-count invariant too.
+        sample_seed=engine.sample_seed + 4 * shard,
+    )
+    child = ServiceEngine(engine.fleet, **knobs)
+    child._dedupe = False
+    return child
 
 
 def _run_shard(
@@ -119,17 +112,8 @@ def _run_shard(
     shard: int,
     bucket: list[QueryRequest] | None,
     partitioned: PartitionedTraceSource | None,
-) -> _ShardOutcome | None:
-    """Serve one shard's partition on a child engine; ``None`` when empty.
-
-    The child drives the *full* fleet object (inherited copy-on-write
-    under fork, shared in-process otherwise): only its single-shard source
-    ever routes work to it, so every record naturally carries the global
-    shard id and no remapping is needed anywhere.  Duplicate-id detection
-    is disabled in the child — a single shard sees a sparse subsequence of
-    the global id stream, which the parent (or the partitioned factory's
-    strictly-increasing-id contract) already validates densely.
-    """
+) -> RunOutcome | None:
+    """Serve one shard's partition on a child engine; ``None`` when empty."""
     source: WorkloadSource
     if partitioned is not None:
         stream = partitioned.shard_requests((shard,))
@@ -140,43 +124,9 @@ def _run_shard(
     else:
         assert bucket is not None
         source = TraceSource(bucket)
-    from repro.engine.core import ServiceEngine as Engine
-
-    child = Engine(
-        engine.fleet,
-        max_queue_depth=engine.max_queue_depth,
-        shed_expired=engine.shed_expired,
-        autoscaler=None,
-        max_distillation_copies=engine.max_distillation_copies,
-        retention=engine.retention,
-        sample_size=engine.sample_size,
-        # Disjoint per-shard reservoir seeds (each engine uses 4 streams),
-        # fixed by shard — never by worker — so sampled retention is
-        # worker-count invariant too.
-        sample_seed=engine.sample_seed + 4 * shard,
-        telemetry_interval=engine.telemetry_interval,
-        sink=None,
-        sanitize=engine.sanitize,
-        workers=0,
-        profile=engine.profile,
-    )
-    child._dedupe = False
+    child = _child_engine(engine, shard)
     child._run_events(source)
-    retained = engine.retention != "none"
-    return _ShardOutcome(
-        shard=shard,
-        offered=child._offered,
-        served=list(child._served_sink.records) if retained else [],
-        windows=list(child._window_sink.records) if retained else [],
-        rejected=list(child._rejected_sink.records) if retained else [],
-        outputs=dict(child._outputs),
-        max_depth=child._max_depth.get(shard, 0),
-        aggregator=child._aggregator,
-        telemetry_raw=list(child._telemetry_raw),
-        profile=(
-            child._profiler.snapshot() if child._profiler is not None else None
-        ),
-    )
+    return child._outcome()
 
 
 class _ShardError(Exception):
@@ -200,43 +150,21 @@ class _ShardError(Exception):
 
 
 def _run_forked(
-    engine: ServiceEngine,
     groups: list[list[int]],
-    buckets: list[list[QueryRequest]] | None,
-    partitioned: PartitionedTraceSource | None,
-) -> tuple[list[_ShardOutcome], tuple[float, ...]]:
+    serve: Callable[[list[int]], tuple[list[tuple[int, RunOutcome]], float]],
+) -> tuple[list[tuple[int, RunOutcome]], tuple[float, ...]]:
     """Run shard groups in forked pool workers; collect outcomes and timings.
 
     One :class:`~repro.engine.pool.ForkWorkerPool` worker per group, one
     task per worker: the pool provides the fork-start plumbing (payload
-    pipes, recv-before-join discipline, died-worker detection) this
-    module used to hand-roll, and the sweep engine reuses the same pool
-    for its persistent cross-run workers.
+    pipes, recv-before-join discipline, died-worker detection), and the
+    sweep engine reuses the same pool for its persistent cross-run
+    workers.
     """
-    clock = host_clock
-
-    def handler(group: list[int]) -> tuple[list[_ShardOutcome], float]:
-        started = clock() if clock is not None else 0.0
-        outcomes: list[_ShardOutcome] = []
-        for shard in group:
-            try:
-                outcome = _run_shard(
-                    engine,
-                    shard,
-                    buckets[shard] if buckets is not None else None,
-                    partitioned,
-                )
-            except BaseException as exc:
-                raise _ShardError(shard, exc) from None
-            if outcome is not None:
-                outcomes.append(outcome)
-        elapsed = clock() - started if clock is not None else 0.0
-        return outcomes, elapsed
-
-    outcomes: list[_ShardOutcome] = []
+    outcomes: list[tuple[int, RunOutcome]] = []
     seconds: list[float] = []
     errors: list[tuple[int, BaseException]] = []
-    with ForkWorkerPool(handler, workers=len(groups)) as pool:
+    with ForkWorkerPool(serve, workers=len(groups)) as pool:
         results = pool.run(
             (index, group, index) for index, group in enumerate(groups)
         )
@@ -262,59 +190,6 @@ def _run_forked(
     return outcomes, tuple(seconds)
 
 
-def _merge_telemetry(outcomes: list[_ShardOutcome]) -> list[IntervalStats]:
-    """Recombine per-shard telemetry intervals on the shared tick grid.
-
-    Every child flushes on the same ``i * interval`` grid (plus one final
-    partial interval), so intervals group exactly by ``start_layer``;
-    counters sum in shard order, rates and the fidelity mean are recomputed
-    from the raw totals (fidelity partials via ``fsum``, matching the
-    oracle's own per-shard accumulation byte-for-byte).  Queue depths are
-    per-shard snapshots: the total sums over shards, the max is the
-    deepest single shard — identical to the oracle's instantaneous global
-    snapshot because partitioned shards never interact.
-    """
-    groups: dict[float, list[_RawInterval]] = {}
-    for outcome in outcomes:
-        for raw in outcome.telemetry_raw:
-            groups.setdefault(raw[0], []).append(raw)
-    intervals: list[IntervalStats] = []
-    for start in sorted(groups):
-        rows = groups[start]
-        end = max(row[1] for row in rows)
-        span = end - start
-        served = sum(row[3] for row in rows)
-        rejected = sum(row[4] for row in rows)
-        # fsum is exactly rounded, so summing per-shard partials here gives
-        # byte-for-byte the total the oracle's own fsum over its per-shard
-        # accumulators produces, whatever order the rows arrived in.
-        fidelity_total = math.fsum(row[9] for row in rows)
-        fidelity_count = sum(row[10] for row in rows)
-        intervals.append(
-            IntervalStats(
-                start_layer=start,
-                end_layer=end,
-                arrivals=sum(row[2] for row in rows),
-                served=served,
-                rejected=rejected,
-                shed=sum(row[5] for row in rows),
-                windows=sum(row[6] for row in rows),
-                throughput_queries_per_layer=(
-                    served / span if span > 0 else 0.0
-                ),
-                queue_depth_total=sum(row[7] for row in rows),
-                queue_depth_max=max(row[8] for row in rows),
-                rejection_rate=(
-                    rejected / (served + rejected) if (served + rejected) else 0.0
-                ),
-                mean_fidelity=(
-                    fidelity_total / fidelity_count if fidelity_count else None
-                ),
-            )
-        )
-    return intervals
-
-
 def run_partitioned(
     engine: ServiceEngine,
     source: WorkloadSource,
@@ -327,10 +202,7 @@ def run_partitioned(
     :func:`~repro.engine.partition.partition_unsupported_reason` returned
     ``None``; see the module docstring for the determinism contract.
     """
-    from repro.engine.core import ServiceReport as Report
-
-    fleet = engine.fleet
-    num_shards = len(fleet.shards)
+    num_shards = len(engine.fleet.shards)
     partitioned: PartitionedTraceSource | None
     buckets: list[list[QueryRequest]] | None
     if isinstance(source, PartitionedTraceSource):
@@ -340,7 +212,7 @@ def run_partitioned(
     else:
         assert isinstance(source, TraceSource)
         partitioned = None
-        buckets = split_trace(source.requests, fleet.shard_map)
+        buckets = split_trace(source.requests, engine.fleet.shard_map)
         jobs = [shard for shard in range(num_shards) if buckets[shard]]
 
     worker_count = max(1, min(int(workers), max(1, len(jobs))))
@@ -348,132 +220,46 @@ def run_partitioned(
         # No fork on this platform: degrade gracefully to the in-process
         # partitioned path (same partitions, same merge, same report).
         worker_count = 1
+    clock = profiler.host_clock
+
+    def serve(group: list[int]) -> tuple[list[tuple[int, RunOutcome]], float]:
+        """Serve one worker's shards in ascending order: the non-empty
+        partitions' ``(shard, outcome)`` pairs and the host seconds taken
+        (0.0 without an injected clock).  A failure is wrapped in
+        :class:`_ShardError` naming its shard."""
+        started = clock() if clock is not None else 0.0
+        outcomes = []
+        for shard in group:
+            try:
+                outcome = _run_shard(
+                    engine,
+                    shard,
+                    buckets[shard] if buckets is not None else None,
+                    partitioned,
+                )
+            except BaseException as exc:
+                raise _ShardError(shard, exc) from None
+            if outcome is not None:
+                outcomes.append((shard, outcome))
+        return outcomes, clock() - started if clock is not None else 0.0
 
     if worker_count == 1:
-        clock = host_clock
-        started = clock() if clock is not None else 0.0
-        maybe = [
-            _run_shard(
-                engine,
-                shard,
-                buckets[shard] if buckets is not None else None,
-                partitioned,
-            )
-            for shard in jobs
-        ]
-        outcomes = [outcome for outcome in maybe if outcome is not None]
-        worker_seconds = (clock() - started if clock is not None else 0.0,)
+        try:
+            outcomes, elapsed = serve(jobs)
+        except _ShardError as error:
+            raise error.original from None
+        worker_seconds: tuple[float, ...] = (elapsed,)
     else:
         groups = [jobs[worker::worker_count] for worker in range(worker_count)]
-        outcomes, worker_seconds = _run_forked(engine, groups, buckets, partitioned)
-
-    outcomes.sort(key=lambda outcome: outcome.shard)
-    offered_total = sum(outcome.offered for outcome in outcomes)
-    served_total = sum(outcome.aggregator.served_count for outcome in outcomes)
-    rejected_total = sum(outcome.aggregator.rejected_count for outcome in outcomes)
-    if engine.sanitize:
-        for outcome in outcomes:
-            part_served = outcome.aggregator.served_count
-            part_rejected = outcome.aggregator.rejected_count
-            if outcome.offered != part_served + part_rejected:
-                raise SanitizerViolation(
-                    f"partition conservation broken on shard {outcome.shard}: "
-                    f"offered={outcome.offered} != served={part_served} + "
-                    f"rejected={part_rejected} (queues drain by end of run)"
-                )
-        if offered_total != served_total + rejected_total:
-            raise SanitizerViolation(
-                "global conservation broken across partitions: "
-                f"offered={offered_total} != served={served_total} + "
-                f"rejected={rejected_total}"
-            )
-    if not served_total:
-        if rejected_total:
-            raise ValueError(
-                f"no queries were served: all {rejected_total} offered requests "
-                "were rejected or shed (loosen max_queue_depth / deadlines)"
-            )
-        raise ValueError("the workload source produced no requests")
-
-    retained = engine.retention != "none"
-    served: list[ServedQuery] = []
-    windows: list[WindowRecord] = []
-    rejected: list[RejectedQuery] = []
-    if retained:
-        served = sorted(
-            (record for outcome in outcomes for record in outcome.served),
-            key=lambda record: (record.finish_layer, record.query_id),
-        )
-        # Under full retention each partition's window / rejection stream
-        # is in event order, so the k-way merge both reassembles the
-        # canonical order and (in sanitizer mode) checks the streams stay
-        # nondecreasing across the worker boundary.  Sampled retention
-        # keeps reservoirs, whose records carry no order — plain canonical
-        # sorts apply.
-        checked = engine.retention == "full"
-        windows = merge_sorted_records(
-            [outcome.windows for outcome in outcomes],
-            key=lambda record: (record.admit_layer, record.shard),
-            sanitize=engine.sanitize and checked,
-            description="window",
-        )
-        if not checked:
-            windows.sort(key=lambda record: (record.admit_layer, record.shard))
-        rejected = merge_sorted_records(
-            [outcome.rejected for outcome in outcomes],
-            key=lambda record: record.time,
-            sanitize=engine.sanitize and checked,
-            description="rejection",
-        )
-        rejected.sort(key=lambda record: (record.time, record.query_id))
-
-    outputs: dict[int, dict[tuple[int, int], complex]] = {}
-    for outcome in outcomes:
-        outputs.update(outcome.outputs)
-    max_depth = {shard: 0 for shard in range(num_shards)}
-    for outcome in outcomes:
-        max_depth[outcome.shard] = outcome.max_depth
-
-    if engine.retention == "full":
-        stats = summarize_service(
-            served, windows, max_depth, clops=clops, rejected=rejected
-        )
-    else:
-        merged = merge_service_aggregators(
-            [outcome.aggregator for outcome in outcomes]
-        )
-        stats = merged.to_stats(max_depth, clops=clops)
-
-    telemetry = (
-        _merge_telemetry(outcomes)
-        if engine.telemetry_interval is not None
-        else []
-    )
-    profile: StageProfile | None = None
-    if engine.profile:
-        profile = StageProfile()
-        for outcome in outcomes:
-            if outcome.profile is not None:
-                profile = profile.merged(outcome.profile)
-    return Report(
-        served=served,
-        windows=windows,
-        stats=stats,
-        outputs=outputs,
-        rejected=rejected,
-        scale_events=[],
-        telemetry=telemetry,
-        retention=engine.retention,
-        parallel=ParallelRunInfo(
+        outcomes, worker_seconds = _run_forked(groups, serve)
+    outcomes.sort(key=lambda pair: pair[0])
+    return engine._finalize(
+        [outcome for _, outcome in outcomes],
+        clops,
+        ParallelRunInfo(
             workers=worker_count,
             partitions=len(outcomes),
             fallback_reason=None,
             worker_seconds=worker_seconds,
         ),
-        profile=profile,
-        # The parent's registry snapshot: forked workers' serve-time
-        # lookups land in their own copy-on-write registries, so this
-        # reflects the shared table the workers inherited (fleet-build
-        # prewarms included), not per-worker hit traffic.
-        cache_stats=default_registry().stats(),
     )

@@ -8,18 +8,26 @@ the cheapest possible instrumentation: a wrapped stage costs one closure
 call and one dict increment per invocation, and wall time is only read
 when a harness has injected a :data:`host_clock`.
 
+Stages nest (window execution wraps ``run_window`` and the record
+updates), so each is charged its *self* time, nested stages excluded.
+The engine runs its whole drain as the root stage :data:`UNATTRIBUTED`,
+whose self time is what no named stage claimed: a run's self times sum
+to its wall time, and the table's shares to 100%.
+
 Profiling is *observational by contract*: a profiled run must produce a
 report identical to an unprofiled one (pinned in
 ``tests/test_perf_profile.py``).  The engine guarantees that by wrapping
 methods without changing them; this module guarantees it by never
 touching simulation state.
 
-Wall-clock discipline: like :data:`repro.engine.parallel.host_clock`,
-the clock is **injected** by harnesses (benchmarks, CLI tools) rather
-than read from the wall here — ``import time`` in simulation code is
-what simlint's SIM001 exists to prevent.  Without an injected clock the
-profiler still counts stage invocations, so `REPRO_PROFILE=1` under the
-test suite exercises the full wiring deterministically.
+Wall-clock discipline: the clock is **injected** by harnesses
+(benchmarks, CLI tools) rather than read from the wall here — ``import
+time`` in simulation code is what simlint's SIM001 exists to prevent.
+:data:`host_clock` is the one injection point: the partitioned parallel
+path reads it too, for ``ParallelRunInfo.worker_seconds``.  Without an
+injected clock the profiler still counts stage invocations, so
+``REPRO_PROFILE=1`` under the test suite exercises the full wiring
+deterministically.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from typing import Any, TypeVar
 
 __all__ = [
     "PROFILE_ENV",
+    "UNATTRIBUTED",
     "HotPathProfiler",
     "StageProfile",
     "host_clock",
@@ -39,13 +48,19 @@ __all__ = [
 #: reads it, mirroring ``REPRO_SANITIZE`` / ``REPRO_WORKERS``).
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Host wall clock used to time stages, e.g. ``time.perf_counter``.
-#: ``None`` (the default) keeps simulation runs wall-clock-free: stages
-#: are counted but not timed.  Benchmarks inject a real clock::
+#: Host wall clock used to time stages and parallel workers, e.g.
+#: ``time.perf_counter``.  ``None`` (the default) keeps simulation runs
+#: wall-clock-free: stages are counted but not timed, and
+#: ``ParallelRunInfo.worker_seconds`` reports zeros.  Benchmarks inject a
+#: real clock::
 #:
 #:     import repro.perf.profiler
 #:     repro.perf.profiler.host_clock = time.perf_counter
 host_clock: Callable[[], float] | None = None
+
+#: The root stage of a profiled run: its self time is the run's wall time
+#: not attributed to any named stage.
+UNATTRIBUTED = "(unattributed)"
 
 _T = TypeVar("_T")
 
@@ -56,8 +71,9 @@ class StageProfile:
 
     Attributes:
         counts: stage name -> number of invocations.
-        seconds: stage name -> attributed wall seconds; all zero unless a
-            :data:`host_clock` was injected for the run.
+        seconds: stage name -> self wall seconds (nested stages' time
+            excluded, so the values sum to the profiled wall time); empty
+            unless a :data:`host_clock` was injected for the run.
         timed: whether a host clock was available (i.e. whether
             ``seconds`` is meaningful).
     """
@@ -111,10 +127,11 @@ class HotPathProfiler:
     ``_reset`` and snapshots it into the report.  ``timed`` wraps a
     callable so every invocation is attributed to a stage; ``call``
     attributes a single invocation (for stages inside a larger wrapped
-    one, like the backend ``run_window`` inside window execution).
+    one, like the backend ``run_window`` inside window execution, and for
+    the run's :data:`UNATTRIBUTED` root).
     """
 
-    __slots__ = ("_counts", "_seconds", "_clock")
+    __slots__ = ("_counts", "_seconds", "_clock", "_nested")
 
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
@@ -122,13 +139,15 @@ class HotPathProfiler:
         # Snapshot the module global once so a run is consistently timed
         # or consistently count-only.
         self._clock = host_clock
+        # One entry per open timed stage: wall seconds its nested stages
+        # have spent so far.
+        self._nested: list[float] = []
 
     def timed(self, stage: str, fn: Callable[..., _T]) -> Callable[..., _T]:
         """``fn`` wrapped to attribute every invocation to ``stage``."""
         counts = self._counts
         counts.setdefault(stage, 0)
-        clock = self._clock
-        if clock is None:
+        if self._clock is None:
 
             def counted(*args: Any, **kwargs: Any) -> _T:
                 counts[stage] += 1
@@ -136,16 +155,8 @@ class HotPathProfiler:
 
             return counted
 
-        seconds = self._seconds
-        seconds.setdefault(stage, 0.0)
-
         def walled(*args: Any, **kwargs: Any) -> _T:
-            counts[stage] += 1
-            begin = clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                seconds[stage] += clock() - begin
+            return self.call(stage, fn, *args, **kwargs)
 
         return walled
 
@@ -157,13 +168,18 @@ class HotPathProfiler:
         clock = self._clock
         if clock is None:
             return fn(*args, **kwargs)
+        nested = self._nested
+        nested.append(0.0)
         begin = clock()
         try:
             return fn(*args, **kwargs)
         finally:
-            self._seconds[stage] = self._seconds.get(stage, 0.0) + (
-                clock() - begin
+            elapsed = clock() - begin
+            self._seconds[stage] = (
+                self._seconds.get(stage, 0.0) + elapsed - nested.pop()
             )
+            if nested:
+                nested[-1] += elapsed
 
     def snapshot(self) -> StageProfile:
         """The accumulated stage table (dicts copied, safe to pickle)."""

@@ -18,8 +18,12 @@ windows, same rejections, same stats, byte for byte.  Around that core:
 
 from __future__ import annotations
 
+import inspect
+import itertools
+
 import pytest
 
+import repro.perf.profiler as profiler_module
 from repro.core.query import QueryRequest
 from repro.engine import (
     AutoscalerConfig,
@@ -30,11 +34,12 @@ from repro.engine import (
     StreamingTraceSource,
     TraceSource,
     WORKERS_ENV,
-    merge_sorted_records,
+    check_nondecreasing,
     partition_shards,
     partition_unsupported_reason,
 )
 from repro.engine.events import SanitizerViolation
+from repro.engine.parallel import _child_engine
 from repro.metrics.sinks import ListSink
 from repro.schedule_cache import default_registry
 from repro.service import QRAMService
@@ -96,6 +101,44 @@ def test_workers_bit_identical_with_backpressure_and_deadlines():
     for workers in (1, 3):
         report = _serve(_service(), requests, workers=workers, **kwargs)
         assert report == oracle
+
+
+@pytest.mark.parametrize("interval", [50.0, 137.0, 500.0])
+@pytest.mark.parametrize("backpressure", [False, True], ids=["open", "bounded"])
+def test_telemetry_bit_identical_to_oracle(monkeypatch, interval, backpressure):
+    """Both paths derive intervals from raw per-shard totals, so the full
+    report — telemetry included — matches the oracle at any tick grid, and
+    ``REPRO_WORKERS`` parallelizes telemetry runs."""
+    if backpressure:
+        requests = _trace(
+            num_queries=400, mean_interarrival=2.0, deadline_layers=600.0
+        )
+        kwargs = dict(max_queue_depth=2, shed_expired=True)
+    else:
+        requests = _trace(num_queries=160)
+        kwargs = {}
+    oracle = _serve(
+        _service(), requests, workers=0, telemetry_interval=interval, **kwargs
+    )
+    assert len(oracle.telemetry) > 1
+    if backpressure:
+        assert any(interval.rejected for interval in oracle.telemetry)
+    for workers in (1, 2, 4):
+        report = _serve(
+            _service(),
+            requests,
+            workers=workers,
+            telemetry_interval=interval,
+            **kwargs,
+        )
+        assert report == oracle, f"workers={workers} diverged from oracle"
+        assert report.parallel.fallback_reason is None
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    report = _serve(
+        _service(), requests, workers=None, telemetry_interval=interval, **kwargs
+    )
+    assert report == oracle
+    assert report.parallel is not None and report.parallel.workers == 2
 
 
 def test_streaming_retention_worker_count_invariant():
@@ -180,6 +223,46 @@ def test_error_messages_identical_across_worker_counts():
         messages.append(str(excinfo.value))
     assert len(set(messages)) == 1
     assert "duplicate query_id" in messages[0]
+
+
+def test_child_engine_inherits_parent_knobs():
+    """Every __init__ knob reaches the per-shard child engine unchanged,
+    except the ones partitioning must override."""
+    parent = ServiceEngine(
+        _service(),
+        max_queue_depth=3,
+        shed_expired=True,
+        max_distillation_copies=2,
+        retention="sampled",
+        sample_size=7,
+        sample_seed=9,
+        telemetry_interval=50.0,
+        sink=ListSink(),
+        sanitize=True,
+        workers=3,
+        profile=True,
+    )
+    child = _child_engine(parent, shard=2)
+    overrides = dict(autoscaler=None, sink=None, workers=0, sample_seed=9 + 4 * 2)
+    parameters = list(inspect.signature(ServiceEngine.__init__).parameters)[2:]
+    assert set(overrides) <= set(parameters)
+    for name in parameters:
+        expected = overrides.get(name, getattr(parent, name))
+        assert getattr(child, name) == expected, name
+    assert child.fleet is parent.fleet
+    assert parent._dedupe and not child._dedupe
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_seconds_come_from_the_injected_host_clock(monkeypatch, workers):
+    requests = _trace()
+    report = _serve(_service(), requests, workers=workers)
+    assert report.parallel.worker_seconds == (0.0,) * workers
+    ticks = itertools.count()
+    monkeypatch.setattr(profiler_module, "host_clock", lambda: float(next(ticks)))
+    report = _serve(_service(), requests, workers=workers)
+    assert len(report.parallel.worker_seconds) == workers
+    assert all(seconds > 0 for seconds in report.parallel.worker_seconds)
 
 
 # ------------------------------------------------------------ env / explicit
@@ -339,6 +422,28 @@ def test_partitioned_source_requires_increasing_ids():
         list(source.shard_requests((0,)))
 
 
+def test_worker_failure_reraises_the_original_error():
+    """A failing partition surfaces the oracle's exception, in-process
+    (workers=1) and from a forked worker alike."""
+
+    def factory(shards):
+        if shards is None or 0 in shards:
+            for query_id, address in ((5, 0), (3, 4)):  # both on shard 0
+                yield QueryRequest(
+                    query_id=query_id,
+                    address_amplitudes={address: 1.0},
+                    request_time=float(query_id),
+                )
+
+    messages = set()
+    for workers in (0, 1, 2):
+        engine = ServiceEngine(_service(), workers=workers)
+        with pytest.raises(ValueError, match="strictly increasing") as excinfo:
+            engine.run(PartitionedTraceSource(factory))
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1
+
+
 def test_partition_shards_round_robin_drops_empty_groups():
     assert partition_shards(5, 2) == [[0, 2, 4], [1, 3]]
     assert partition_shards(2, 8) == [[0], [1]]
@@ -414,13 +519,10 @@ def test_sanitizer_clean_across_worker_boundary():
         assert report == oracle
 
 
-def test_merge_sorted_records_flags_out_of_order_stream():
-    with pytest.raises(SanitizerViolation, match="not nondecreasing"):
-        merge_sorted_records(
-            [[1, 2, 3], [5, 4]], key=lambda item: item, sanitize=True
-        )
-    merged = merge_sorted_records([[1, 3], [2, 4]], key=lambda item: item)
-    assert merged == [1, 2, 3, 4]
+def test_check_nondecreasing_flags_out_of_order_stream():
+    with pytest.raises(SanitizerViolation, match="stream 1 is not nondecreasing"):
+        check_nondecreasing([[1, 2, 3], [5, 4]], key=lambda item: item)
+    check_nondecreasing([[1, 3], [2, 2, 4]], key=lambda item: item)
 
 
 # ----------------------------------------------------------- aggregator merge

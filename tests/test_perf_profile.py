@@ -11,14 +11,16 @@ construction, the interleaved route fast path).
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
 
 import repro.perf.profiler as profiler_module
-from repro.engine import ServiceEngine, StreamingTraceSource
+from repro.engine import ServiceEngine, StreamingTraceSource, TraceSource
 from repro.metrics.service_stats import ServedQuery, WindowRecord
 from repro.perf import HotPathProfiler, StageProfile
+from repro.perf.profiler import UNATTRIBUTED
 from repro.service.service import QRAMService
 from repro.service.sharding import InterleavedShardMap
 from repro.workloads.generators import iter_poisson_trace
@@ -114,6 +116,57 @@ def test_profiler_times_with_injected_clock(monkeypatch):
     assert snapshot.counts == {"once": 1, "wrapped": 1}
     assert snapshot.seconds["once"] == 1.0
     assert snapshot.seconds["wrapped"] == 1.0
+
+
+def test_profiler_charges_nested_stages_self_time(monkeypatch):
+    ticks = iter(range(100))
+    monkeypatch.setattr(profiler_module, "host_clock", lambda: float(next(ticks)))
+    profiler = HotPathProfiler()
+    inner = profiler.timed("inner", lambda: None)
+
+    def outer():
+        inner()
+        inner()
+
+    profiler.call("outer", outer)
+    # outer spans ticks 0..5, each inner call one tick of it.
+    assert profiler.snapshot().seconds == {"inner": 2.0, "outer": 3.0}
+
+
+def test_self_times_sum_to_the_run_wall_time(monkeypatch):
+    """Every tick of a profiled run lands in exactly one stage row."""
+    seen = []
+
+    def clock():
+        seen.append(float(len(seen)))
+        return seen[-1]
+
+    monkeypatch.setattr(profiler_module, "host_clock", clock)
+    profile = _serve(profile=True).profile
+    assert profile.timed and profile.counts[UNATTRIBUTED] == 1
+    assert profile.seconds[UNATTRIBUTED] > 0
+    assert sum(profile.seconds.values()) == seen[-1] - seen[0]
+    shares = [
+        float(line.split()[-1].rstrip("%"))
+        for line in profile.table().splitlines()[1:]
+    ]
+    assert sum(shares) == pytest.approx(100.0, abs=0.05 * len(shares))
+
+
+def test_partitioned_profile_sums_workers(monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(profiler_module, "host_clock", lambda: float(next(ticks)))
+    trace = iter_poisson_trace(
+        8, 300, mean_interarrival=14.0, addresses_per_query=1,
+        num_tenants=4, num_shards=2, seed=5,
+    )
+    service = QRAMService(8, num_shards=2, functional=False)
+    report = ServiceEngine(service, profile=True, workers=2).run(
+        TraceSource(list(trace))
+    )
+    assert report.parallel.partitions == 2
+    assert report.profile.counts[UNATTRIBUTED] == 2
+    assert report.profile.counts["admission"] == 300
 
 
 def test_stage_profile_merge_and_table():
