@@ -60,6 +60,7 @@ from repro.engine import (
     ServiceEngine,
     StreamingTraceSource,
 )
+from repro.schedule_cache import default_registry
 from repro.service import QRAMService
 from repro.workloads import iter_poisson_trace
 from trajectory import SCALE
@@ -216,9 +217,11 @@ def run_scale(num_requests: int) -> dict:
     peak_small, peak_large = check_bounded_memory(small, large)
 
     telemetry_interval = MEAN_INTERARRIVAL * num_requests / 100.0
+    cache_before = default_registry().stats()
     start = time.perf_counter()
     report = _serve(num_requests, telemetry_interval=telemetry_interval)
     wall_seconds = time.perf_counter() - start
+    cache_delta = default_registry().stats().delta(cache_before)
     stats = report.stats
     assert stats.total_queries == num_requests
     assert report.served == [] and report.windows == []
@@ -226,8 +229,7 @@ def run_scale(num_requests: int) -> dict:
     if report.profile is not None:
         print("stage profile (headline run):")
         print(report.profile.table())
-        if report.cache_stats is not None:
-            print(report.cache_stats.summary())
+        print(cache_delta.summary())
 
     # ru_maxrss is KiB on Linux but bytes on macOS.
     rss_raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

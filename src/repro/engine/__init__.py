@@ -1,12 +1,13 @@
 """Discrete-event serving engine: the one place virtual time advances.
 
-* :mod:`repro.engine.events` — typed events (:class:`Arrival`,
-  :class:`WindowStart`, :class:`WindowDrain`, :class:`ClientThink`,
-  :class:`ScaleCheck`) and the virtual-time :class:`EventHeap`.
+* :mod:`repro.engine.events` — typed events (:class:`ClientThink`,
+  :class:`WindowStart`, :class:`WindowDrain`, :class:`ScaleCheck`,
+  :class:`TelemetryTick`) and the virtual-time :class:`EventHeap`.
 * :mod:`repro.engine.workload` — the :class:`WorkloadSource` interface
-  unifying open-loop traces (:class:`TraceSource`, lazily via
-  :class:`StreamingTraceSource`) and closed-loop think-time clients
-  (:class:`ClosedLoopSource`).
+  unifying open-loop traces (:class:`StreamingTraceSource`, and the
+  materialized :class:`TraceSource` it streams) and closed-loop
+  think-time clients (:class:`ClosedLoopSource`); every arrival enters
+  the engine as a :class:`ClientThink`.
 * :mod:`repro.engine.core` — :class:`ServiceEngine` (SLO-aware admission,
   backpressure, elastic fleets, record retention modes and periodic
   telemetry) and the :class:`ServiceReport` it returns.
@@ -31,7 +32,6 @@ from repro.engine.core import (
     ServiceReport,
 )
 from repro.engine.events import (
-    Arrival,
     ClientThink,
     Event,
     EventHeap,
@@ -68,7 +68,6 @@ __all__ = [
     "ClosedLoopSource",
     "EventHeap",
     "Event",
-    "Arrival",
     "ClientThink",
     "WindowStart",
     "WindowDrain",

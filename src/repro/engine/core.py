@@ -15,10 +15,11 @@ shared memory under live contention needs:
 
 * **closed-loop clients** — a :class:`~repro.engine.workload.ClosedLoopSource`
   issues each client's next request only after its previous completion
-  (think-time feedback), while :class:`~repro.engine.workload.TraceSource`
-  replays a materialized open-loop trace and
-  :class:`~repro.engine.workload.StreamingTraceSource` pulls a lazy trace
-  one arrival at a time;
+  (think-time feedback), while
+  :class:`~repro.engine.workload.StreamingTraceSource` pulls a lazy
+  open-loop trace one arrival at a time (a
+  :class:`~repro.engine.workload.TraceSource` sorts a materialized trace,
+  then streams it the same way);
 * **SLO-aware admission** — per-request deadlines (EDF ordering via
   ``policy="edf"``), bounded per-shard queues that reject on overflow, and
   optional shedding of queued requests whose deadline already expired, all
@@ -64,7 +65,6 @@ from typing import Any, NamedTuple
 from repro.baselines.registry import build_backend
 from repro.core.query import ANY_SHARD, QueryRequest
 from repro.engine.events import (
-    Arrival,
     ClientThink,
     EventHeap,
     SanitizerViolation,
@@ -75,7 +75,7 @@ from repro.engine.events import (
     check_nondecreasing,
 )
 from repro.engine.partition import ParallelRunInfo, partition_unsupported_reason
-from repro.engine.workload import WorkloadSource, check_request_time
+from repro.engine.workload import WorkloadSource
 from repro.fidelity.distillation import distilled_infidelity
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -100,7 +100,7 @@ from repro.perf.profiler import (
     HotPathProfiler,
     StageProfile,
 )
-from repro.schedule_cache import CacheStats, default_registry
+from repro.schedule_cache import default_registry
 
 #: Retention modes for the engine's per-request records.
 RETENTIONS = ("full", "sampled", "none")
@@ -141,20 +141,6 @@ def _env_workers() -> int | None:
             f"{WORKERS_ENV} must be an integer worker count, got {raw!r}"
         ) from None
     return value if value >= 1 else None
-
-
-#: (stage name, engine method) pairs wrapped when profiling.  ``run_window``
-#: and ``heap_push`` / ``heap_pop`` are attributed separately inside
-#: ``_execute_window``, ``_reset`` and ``_drain``.
-_PROFILED_STAGES: tuple[tuple[str, str], ...] = (
-    ("admission", "_on_arrival"),
-    ("placement", "_shortest_queue"),
-    ("fidelity_prediction", "_predicted_fidelities"),
-    ("window_execute", "_execute_window"),
-    ("sketch_update", "_record_served"),
-    ("sketch_update_window", "_record_window"),
-    ("sketch_update_rejected", "_record_rejected"),
-)
 
 
 def _distilled(fidelity: float, copies: int) -> float:
@@ -377,15 +363,6 @@ class ServiceReport:
             a partitioned run's workers); ``None`` otherwise.  Excluded
             from equality like ``parallel`` — profiling is observational
             and must never make two otherwise identical reports differ.
-        cache_stats: snapshot of the process-wide
-            :class:`~repro.schedule_cache.ScheduleCacheRegistry` counters
-            taken when the report was built, so per-run cache hit-rates
-            are observable outside benchmarks (printed next to the
-            ``REPRO_PROFILE=1`` stage table).  Counters are process-wide
-            and monotone — compare two snapshots with
-            :meth:`~repro.schedule_cache.CacheStats.delta`.  Excluded
-            from equality like ``parallel``: cache warmth affects speed,
-            never results.
     """
 
     served: list[ServedQuery]
@@ -400,9 +377,6 @@ class ServiceReport:
         default=None, repr=False, compare=False
     )
     profile: StageProfile | None = field(default=None, repr=False, compare=False)
-    cache_stats: CacheStats | None = field(
-        default=None, repr=False, compare=False
-    )
     _result_index: dict[int, ServedQuery] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -562,9 +536,6 @@ class ServiceEngine:
         self.profile = (
             _env_flag(PROFILE_ENV) if profile is None else bool(profile)
         )
-        # Names of the methods the *previous* run's profiler wrapped (see
-        # ``_reset``); only these are unwound, never unrelated overrides.
-        self._profiled_wrapped: tuple[str, ...] = ()
         # Child engines in parallel workers see a single shard's sparse id
         # stream, which would blow the contiguous-prefix watermark of
         # _SeenIds into a set; the parent validates the full dense stream
@@ -591,7 +562,10 @@ class ServiceEngine:
         """
         fleet = self.fleet
         self._source = source
-        self._heap = EventHeap(sanitize=self.sanitize)
+        # The heap spans its own pushes and pops (``heap_push`` /
+        # ``heap_pop``); every other stage is spanned here.
+        self._profiler = HotPathProfiler() if self.profile else None
+        self._heap = EventHeap(sanitize=self.sanitize, profiler=self._profiler)
         self._offered = 0
         self._backends = list(fleet.shards)
         self._window_sizes = list(fleet.window_sizes)
@@ -647,27 +621,6 @@ class ServiceEngine:
         self._tick_fidelity_totals: dict[int, float] = {}
         self._tick_fidelity_count = 0
         self._now = 0.0
-        # Profiling wraps bound methods in per-stage counters.  The
-        # wrappers live in the instance __dict__, so exactly the ones a
-        # previous run installed are dropped first — engines are reusable
-        # and a second profiled run must not double-wrap the first run's
-        # wrappers (and an unrelated instance-level override, e.g. a test
-        # stub, must survive untouched).
-        for name in self._profiled_wrapped:
-            self.__dict__.pop(name, None)
-        self._profiled_wrapped = ()
-        self._profiler: HotPathProfiler | None = None
-        if self.profile:
-            profiler = HotPathProfiler()
-            self._profiler = profiler
-            for stage, name in _PROFILED_STAGES:
-                setattr(self, name, profiler.timed(stage, getattr(self, name)))
-            self._profiled_wrapped = tuple(
-                name for _, name in _PROFILED_STAGES
-            )
-            self._heap.push = profiler.timed(  # type: ignore[method-assign]
-                "heap_push", self._heap.push
-            )
 
     def run(self, source: WorkloadSource, clops: float = 1.0e6) -> ServiceReport:
         """Serve one workload to completion and report what happened.
@@ -715,18 +668,17 @@ class ServiceEngine:
         telemetry and performs the end-of-run sanitizer checks — but does
         not build the report: parallel workers run exactly this on their
         partition and ship :meth:`_outcome` back.  A profiled drain is the
-        profiler's root stage, whose self time (all no named stage
-        claimed, trace generation included) is the ``(unattributed)`` row.
+        profiler's root span, whose self time (all no named stage
+        claimed) is the ``(unattributed)`` row.
         """
         self._reset(source)
-        if self._profiler is None:
-            self._drain(source)
-        else:
-            self._profiler.call(UNATTRIBUTED, self._drain, source)
-
-    def _drain(self, source: WorkloadSource) -> None:
-        """The body of :meth:`_run_events` after the per-run reset."""
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter(UNATTRIBUTED)
+            profiler.enter("workload_source")
         source.start(self)
+        if profiler is not None:
+            profiler.exit()
         if self.autoscaler is not None:
             self._heap.push(self.autoscaler.period, ScaleCheck())
         if self.telemetry_interval is not None:
@@ -738,8 +690,6 @@ class ServiceEngine:
         # the sanitizer check behind one cached flag.
         heap = self._heap
         pop = heap.pop
-        if self._profiler is not None:
-            pop = self._profiler.timed("heap_pop", pop)
         sanitize = self.sanitize
         while heap:
             now, event = pop()
@@ -755,12 +705,17 @@ class ServiceEngine:
             self._now = now
             if cls is ClientThink:
                 self._traffic_events -= 1
-                request = source.next_request(event.client_id, now)
+                if profiler is not None:
+                    profiler.enter("workload_source")
+                request = source.next_request(self, event.client_id, now)
+                if profiler is not None:
+                    profiler.exit()
                 if request is not None:
+                    if profiler is not None:
+                        profiler.enter("admission")
                     self._on_arrival(now, request)
-            elif cls is Arrival:
-                self._traffic_events -= 1
-                self._on_arrival(now, event.request)
+                    if profiler is not None:
+                        profiler.exit()
             elif cls is WindowDrain:
                 self._traffic_events -= 1
                 self._maybe_start(event.shard, now)
@@ -792,6 +747,8 @@ class ServiceEngine:
                     f"run ended with {queued} request(s) still queued"
                 )
             self._check_conservation(self._now)
+        if profiler is not None:
+            profiler.exit()
 
     def _outcome(self) -> RunOutcome:
         """The drained per-run state, packaged for :meth:`_finalize`."""
@@ -919,28 +876,14 @@ class ServiceEngine:
             retention=self.retention,
             parallel=parallel_info,
             profile=reduce(StageProfile.merged, profiles) if profiles else None,
-            # This process's registry: forked workers' serve-time lookups
-            # land in their own copy-on-write registries, so a partitioned
-            # run reports the shared table the workers inherited.
-            cache_stats=default_registry().stats(),
         )
 
     # ----------------------------------------------- source-facing scheduling
-    def submit(self, request: QueryRequest) -> None:
-        """Schedule one request's arrival at its ``request_time``.
-
-        The arrival clock starts at 0: a negative ``request_time`` is
-        refused here (:func:`~repro.engine.workload.check_request_time`,
-        the same check a streaming trace applies).  Validation of
-        amplitudes and duplicate ids happens when the arrival is processed
-        — the one path every request takes, trace or closed-loop.
-        """
-        check_request_time(request)
-        self._traffic_events += 1
-        self._heap.push(request.request_time, Arrival(request))
-
     def schedule_think(self, client_id: int, time: float) -> None:
-        """Schedule a closed-loop client's next issue instant."""
+        """Schedule a client's next issue instant: a closed-loop client's,
+        or an open-loop trace's next arrival.  Validation of amplitudes and
+        duplicate ids happens when the arrival is processed — the one path
+        every request takes, trace or closed-loop."""
         self._traffic_events += 1
         event = self._think_events.get(client_id)
         if event is None:
@@ -949,6 +892,9 @@ class ServiceEngine:
 
     # ------------------------------------------------------------ recording
     def _record_served(self, record: ServedQuery) -> None:
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("sketch_update")
         self._served_sink.append(record)
         self._aggregator.observe_served(record)
         if self.sink is not None:
@@ -958,15 +904,25 @@ class ServiceEngine:
             totals = self._tick_fidelity_totals
             totals[record.shard] = totals.get(record.shard, 0.0) + record.fidelity
             self._tick_fidelity_count += 1
+        if profiler is not None:
+            profiler.exit()
 
     def _record_window(self, record: WindowRecord) -> None:
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("sketch_update_window")
         self._window_sink.append(record)
         self._aggregator.observe_window(record)
         if self.sink is not None:
             self.sink.append(record)
         self._tick_windows += 1
+        if profiler is not None:
+            profiler.exit()
 
     def _record_rejected(self, record: RejectedQuery) -> None:
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("sketch_update_rejected")
         self._rejected_sink.append(record)
         self._aggregator.observe_rejected(record)
         if self.sink is not None:
@@ -974,6 +930,8 @@ class ServiceEngine:
         self._tick_rejected += 1
         if record.reason == REJECT_DEADLINE_EXPIRED:
             self._tick_shed += 1
+        if profiler is not None:
+            profiler.exit()
 
     def _record_scale(self, record: ScaleEvent) -> None:
         # Scale events follow the retention mode like every other record
@@ -1050,7 +1008,13 @@ class ServiceEngine:
         and an engine-level cache (with its fleet-change invalidation
         hazard) has nothing left to add.
         """
-        return self._backends[shard].predicted_window_fidelities(occupancy)
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("fidelity_prediction")
+        predictions = self._backends[shard].predicted_window_fidelities(occupancy)
+        if profiler is not None:
+            profiler.exit()
+        return predictions
 
     def _feasible_copies(self, shard: int, request: QueryRequest) -> int | None:
         """Fewest parallel copies that lift the shard's predicted fidelity
@@ -1204,6 +1168,9 @@ class ServiceEngine:
         its schedule and lowering caches are shared across every window of
         the run.
         """
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("window_execute")
         if self.sanitize and self._busy_until[shard] > admit:
             raise SanitizerViolation(
                 f"window admitted on busy shard {shard}: busy until "
@@ -1228,14 +1195,11 @@ class ServiceEngine:
             # adapter serves them from its memoized timing window), so the
             # shard-local renumbered copies would be pure allocation.
             local_requests = batch
-        profiler = self._profiler
-        if profiler is None:
-            result = backend.run_window(local_requests, functional=functional)
-        else:
-            result = profiler.call(
-                "run_window", backend.run_window, local_requests,
-                functional=functional,
-            )
+        if profiler is not None:
+            profiler.enter("run_window")
+        result = backend.run_window(local_requests, functional=functional)
+        if profiler is not None:
+            profiler.exit()
         copies_map = self._copies
         if copies_map:
             predictions = self._batch_predictions(shard, batch)
@@ -1313,6 +1277,8 @@ class ServiceEngine:
         self._busy_until[shard] = busy
         self._traffic_events += 1
         self._heap.push(busy, self._drain_events[shard])
+        if profiler is not None:
+            profiler.exit()
 
     # -------------------------------------------------------------- sanitizer
     def _check_conservation(self, now: float) -> None:
@@ -1345,7 +1311,10 @@ class ServiceEngine:
     def _shortest_queue(self, now: float, shards: list[int] | None = None) -> int:
         """Least-loaded shard among ``shards`` (default: all active):
         fewest queued, then earliest free."""
-        return min(
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("placement")
+        chosen = min(
             self._active_shards() if shards is None else shards,
             key=lambda shard: (
                 len(self._queues[shard]),
@@ -1353,6 +1322,9 @@ class ServiceEngine:
                 shard,
             ),
         )
+        if profiler is not None:
+            profiler.exit()
+        return chosen
 
     # ------------------------------------------------------------- telemetry
     def _work_remains(self, now: float) -> bool:

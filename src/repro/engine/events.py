@@ -5,13 +5,13 @@ typed events.  Events at the same timestamp are ordered by a per-type
 priority so that one instant unfolds deterministically and exactly like the
 legacy batch-window loop did:
 
-1. :class:`Arrival` then :class:`ClientThink` — every request that arrives
-   at time ``t`` is enqueued before any window admits at ``t`` (a think
-   event *is* an arrival: the client issues its next request the moment its
-   think time elapses; a run uses one or the other, never both, so the
-   relative order between them is moot — but each event type still holds a
-   *unique* priority so the registry stays totally ordered, as simlint's
-   SIM004 enforces);
+1. :class:`ClientThink` — every request that arrives at time ``t`` is
+   enqueued before any window admits at ``t``.  A think event *is* an
+   arrival: a closed-loop client issues its next request the moment its
+   think time elapses, and an open-loop trace is paced the same way, one
+   pending request at a time.  (Priority 0 belonged to a retired
+   per-request arrival event; the others keep their numbers, which stay
+   unique as simlint's SIM004 enforces.)
 2. :class:`WindowDrain` — shards that finish at ``t`` free up before new
    windows are considered;
 3. :class:`ScaleCheck` — the autoscaler observes the post-drain queue
@@ -32,17 +32,10 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, ClassVar, Union
+from typing import TYPE_CHECKING, Any, ClassVar, Union
 
-from repro.core.query import QueryRequest
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """A request arrives at the service at its ``request_time``."""
-
-    request: QueryRequest
-    PRIORITY: ClassVar[int] = 0
+if TYPE_CHECKING:
+    from repro.perf.profiler import HotPathProfiler
 
 
 @dataclass(frozen=True)
@@ -83,9 +76,7 @@ class TelemetryTick:
     PRIORITY: ClassVar[int] = 5
 
 
-Event = Union[
-    Arrival, ClientThink, WindowDrain, ScaleCheck, WindowStart, TelemetryTick
-]
+Event = Union[ClientThink, WindowDrain, ScaleCheck, WindowStart, TelemetryTick]
 
 
 class SanitizerViolation(AssertionError):
@@ -136,25 +127,38 @@ class EventHeap:
         sanitize: verify on every operation that timestamps are finite
             numbers and that popped keys come out in nondecreasing
             ``(time, priority, sequence)`` order.
+        profiler: the run's profiler, if it is profiled: every push and
+            pop is one ``heap_push`` / ``heap_pop`` span.
     """
 
-    def __init__(self, sanitize: bool = False) -> None:
+    def __init__(
+        self, sanitize: bool = False, profiler: HotPathProfiler | None = None
+    ) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._sanitize = sanitize
+        self._profiler = profiler
         self._last_key: tuple[float, int, int] | None = None
 
     def push(self, time: float, event: Event) -> None:
         """Schedule an event at an absolute virtual time (raw layers)."""
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("heap_push")
         if self._sanitize and not time == time:  # NaN defeats heap ordering
             raise SanitizerViolation(
                 f"event {type(event).__name__} scheduled at NaN"
             )
         heapq.heappush(self._heap, (time, event.PRIORITY, self._sequence, event))
         self._sequence += 1
+        if profiler is not None:
+            profiler.exit()
 
     def pop(self) -> tuple[float, Event]:
         """Remove and return the next ``(time, event)`` pair."""
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.enter("heap_pop")
         time, priority, sequence, event = heapq.heappop(self._heap)
         if self._sanitize:
             key = (time, priority, sequence)
@@ -164,6 +168,8 @@ class EventHeap:
                     "event order is not nondecreasing"
                 )
             self._last_key = key
+        if profiler is not None:
+            profiler.exit()
         return time, event
 
     def __len__(self) -> int:

@@ -41,6 +41,7 @@ from repro.engine.workload import (
     StreamingTraceSource,
     TraceSource,
     WorkloadSource,
+    check_request_time,
 )
 
 if TYPE_CHECKING:
@@ -111,10 +112,10 @@ class PartitionedTraceSource(StreamingTraceSource):
     Wraps a :data:`TraceFactory`.  Served single-process it behaves
     exactly like ``StreamingTraceSource(factory(None))`` — one pending
     arrival, O(1) memory — but it is also *restartable* (each run
-    re-invokes the factory) and *partitionable*: the parallel engine calls
-    :meth:`for_shards` in each worker so every partition's requests are
-    generated inside the worker that serves them, and the parent never
-    materializes anything.
+    re-invokes the factory) and *partitionable*: each partitioned worker
+    serves :meth:`shard_requests` of its own shard, so every partition's
+    requests are generated inside the worker that serves them, and the
+    parent never materializes anything.
 
     The factory must yield requests in nondecreasing ``request_time``
     order with strictly increasing ``query_id`` (checked lazily as the
@@ -132,12 +133,6 @@ class PartitionedTraceSource(StreamingTraceSource):
     def shard_requests(self, shards: Sequence[int]) -> Iterator[QueryRequest]:
         """The checked request stream of the given shards' partition."""
         return iter(_FactoryStream(self.factory, tuple(int(s) for s in shards)))
-
-    def for_shards(self, shards: Sequence[int]) -> StreamingTraceSource:
-        """A streaming source over just the given shards' requests."""
-        return StreamingTraceSource(
-            _FactoryStream(self.factory, tuple(int(s) for s in shards))
-        )
 
 
 def partition_shards(num_shards: int, workers: int) -> list[list[int]]:
@@ -158,9 +153,10 @@ def split_trace(
     """Partition a time-sorted trace by owning shard, validating like the oracle.
 
     Replays exactly the per-request checks the single-process engine
-    performs, in exactly its order — negative arrival times for the whole
-    trace first (``submit`` refuses them all before any arrival is
-    processed), then per arrival in time order: duplicate ids, missing
+    performs, in exactly its order — a negative arrival time first (the
+    sorted trace streams its most negative arrival first, so the engine
+    refuses it before any arrival is processed), then per arrival in time
+    order: duplicate ids, missing
     amplitudes, fidelity-SLO range, and the shard map's own
     shard-spanning-superposition refusal.  A trace that raises on the
     oracle path raises the identical error here, before any worker is
@@ -174,12 +170,8 @@ def split_trace(
     Returns:
         One bucket per shard, each preserving the trace order.
     """
-    for request in requests:
-        if request.request_time < 0:
-            raise ValueError(
-                f"request {request.query_id} has negative request_time "
-                f"{request.request_time}; arrivals must be at time >= 0"
-            )
+    if requests:
+        check_request_time(requests[0])
     buckets: list[list[QueryRequest]] = [
         [] for _ in range(shard_map.num_shards)
     ]

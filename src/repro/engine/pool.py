@@ -25,8 +25,8 @@ Design points:
   only *where* a task runs, never its result.
 * **No submit/collect deadlocks.**  :meth:`map_unordered` interleaves
   submission with collection and bounds the number of in-flight tasks per
-  worker, so a worker blocked sending a large result never faces a parent
-  blocked sending it another task.
+  worker (:data:`MAX_INFLIGHT`), so a worker blocked sending a large
+  result never faces a parent blocked sending it another task.
 * **Worker recycling.**  ``recycle_after=k`` retires each worker after
   ``k`` tasks and forks a fresh one for the next — ``recycle_after=1`` is
   exactly the fork-per-run execution model the persistent pool replaces,
@@ -53,6 +53,11 @@ from multiprocessing.connection import Connection, wait
 from typing import Any
 
 __all__ = ["ForkWorkerPool", "PoolTaskError", "TaskOutcome", "fork_available"]
+
+#: Most unfinished tasks outstanding per worker before
+#: :meth:`ForkWorkerPool.map_unordered` waits for results; bounds pipe
+#: buffering in both directions.
+MAX_INFLIGHT = 4
 
 
 def fork_available() -> bool:
@@ -140,9 +145,6 @@ class ForkWorkerPool:
             a replacement (``None`` = workers live for the pool's whole
             life).  ``recycle_after=1`` reproduces fork-per-task
             execution — every task pays a cold start.
-        max_inflight: most unfinished tasks outstanding per worker before
-            :meth:`map_unordered` waits for results; bounds pipe
-            buffering on both directions.
 
     Use as a context manager (``with ForkWorkerPool(...) as pool``) or
     call :meth:`close` explicitly.
@@ -154,14 +156,11 @@ class ForkWorkerPool:
         workers: int,
         *,
         recycle_after: int | None = None,
-        max_inflight: int = 4,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if recycle_after is not None and recycle_after < 1:
             raise ValueError("recycle_after must be None or >= 1")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if not fork_available():
             raise RuntimeError(
                 "ForkWorkerPool requires the 'fork' start method; gate on "
@@ -170,7 +169,6 @@ class ForkWorkerPool:
         self._ctx = multiprocessing.get_context("fork")
         self._handler = handler
         self._recycle_after = recycle_after
-        self._max_inflight = max_inflight
         self._rr_next = 0
         self._closed = False
         self._workers: list[_Worker] = [self._spawn() for _ in range(workers)]
@@ -326,7 +324,7 @@ class ForkWorkerPool:
                 )
                 while (
                     queue
-                    and len(self._workers[slot].inflight) < self._max_inflight
+                    and len(self._workers[slot].inflight) < MAX_INFLIGHT
                     and not recycling
                 ):
                     task_id, payload = queue.popleft()

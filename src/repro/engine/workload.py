@@ -3,14 +3,15 @@
 The engine pulls its traffic from a :class:`WorkloadSource`.  Two families
 are provided:
 
-* :class:`TraceSource` — open loop: a pre-materialized list of
-  :class:`repro.core.query.QueryRequest` whose arrival times never react to
-  service latency (the Poisson / bursty traces of
-  :mod:`repro.workloads.generators`).  :class:`StreamingTraceSource` is the
-  bounded-memory variant: it pulls a *time-ordered iterator* of requests
-  one arrival at a time, so million-query traces (the lazy
-  ``iter_poisson_trace`` / ``iter_bursty_trace`` generators) are never
-  materialized and the event heap holds at most one future arrival.
+* :class:`StreamingTraceSource` — open loop: a *time-ordered iterator* of
+  :class:`repro.core.query.QueryRequest` whose arrival times never react
+  to service latency (the Poisson / bursty traces of
+  :mod:`repro.workloads.generators`), pulled one arrival at a time, so
+  million-query traces (the lazy ``iter_poisson_trace`` /
+  ``iter_bursty_trace`` generators) are never materialized and the event
+  heap holds at most one future arrival.  :class:`TraceSource` is the
+  materialized variant: it sorts a finite trace first, then streams it
+  the same way.
 * :class:`ClosedLoopSource` — closed loop: ``N`` clients that alternate one
   outstanding query with ``think_layers`` of local processing, the QPU
   query/process loop of Fig. 7 (the same behaviour
@@ -19,10 +20,14 @@ are provided:
   depends on its previous completion, so throughput and latency feed back
   into the offered load.
 
-Sources interact with the engine through three hooks: ``start`` schedules
-the initial events, ``on_completion`` observes every served query, and
-``next_request`` materializes a client's next request when its think time
-elapses.
+Both families enter the engine the same way: ``start`` schedules one
+:class:`~repro.engine.events.ClientThink` per client (an open-loop trace
+is paced on one pseudo client), and when a think event fires the engine
+asks ``next_request`` for that client's request.  ``on_completion`` and
+``on_rejection`` observe every served and refused query.  Every hook
+takes the engine as its first argument, so a source never stores it: a
+source and its engine form no reference cycle, and a finished engine is
+freed as soon as the caller drops it.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ class WorkloadSource:
         rejections.
         """
 
-    def next_request(self, client_id: int, now: float) -> QueryRequest | None:
+    def next_request(
+        self, engine: ServiceEngine, client_id: int, now: float
+    ) -> QueryRequest | None:
         """The next request of one client, issued at ``now`` (or ``None``)."""
         raise NotImplementedError(
             f"{type(self).__name__} has no closed-loop clients"
@@ -79,27 +86,6 @@ def check_request_time(request: QueryRequest) -> None:
         )
 
 
-class TraceSource(WorkloadSource):
-    """Open-loop traffic: a fixed trace of requests with arrival times.
-
-    Requests are scheduled in ``(request_time, query_id)`` order, so any
-    ordering of the same trace produces the same report.  ``requests`` may
-    be any iterable — a list or a lazy ``iter_*`` generator, which is
-    materialized here.
-    """
-
-    def __init__(self, requests: Iterable[QueryRequest]) -> None:
-        self.requests = sorted(
-            requests, key=lambda r: (r.request_time, r.query_id)
-        )
-        if not self.requests:
-            raise ValueError("at least one request is required")
-
-    def start(self, engine: ServiceEngine) -> None:
-        for request in self.requests:
-            engine.submit(request)
-
-
 #: Pseudo client id a :class:`StreamingTraceSource` paces its arrivals on.
 _STREAM_CLIENT = -1
 
@@ -107,17 +93,16 @@ _STREAM_CLIENT = -1
 class StreamingTraceSource(WorkloadSource):
     """Open-loop traffic pulled lazily from a time-ordered request iterator.
 
-    Where :class:`TraceSource` schedules every arrival up front (heap and
-    trace both O(requests)), this source holds exactly one pending request:
-    each arrival, once delivered, pulls the next from the iterator and
-    schedules it.  Peak memory is independent of trace length — the
-    serving mode of the million-query scale benchmark.
+    The source holds exactly one pending request: each arrival, once
+    delivered, pulls the next from the iterator and schedules it.  Peak
+    memory is independent of trace length — the serving mode of the
+    million-query scale benchmark.
 
     Requests must arrive from the iterator in nondecreasing
     ``request_time`` order with nonnegative times (the order
-    :class:`TraceSource` would sort them into; lazily generated traces are
+    :class:`TraceSource` sorts them into; lazily generated traces are
     produced that way).  For a time-sorted trace the event sequence — and
-    therefore every report — is identical to draining the materialized
+    therefore every report — is identical to serving the materialized
     trace through :class:`TraceSource`, which is pinned by test.
     """
 
@@ -127,7 +112,6 @@ class StreamingTraceSource(WorkloadSource):
         self._last_time = 0.0
 
     def start(self, engine: ServiceEngine) -> None:
-        self._engine = engine
         self._iterator = iter(self._requests)
         self._pending = next(self._iterator, None)
         self._last_time = 0.0
@@ -145,12 +129,35 @@ class StreamingTraceSource(WorkloadSource):
         self._last_time = request.request_time
         engine.schedule_think(_STREAM_CLIENT, request.request_time)
 
-    def next_request(self, client_id: int, now: float) -> QueryRequest | None:
+    def next_request(
+        self, engine: ServiceEngine, client_id: int, now: float
+    ) -> QueryRequest | None:
         request = self._pending
         self._pending = next(self._iterator, None)
         if self._pending is not None:
-            self._schedule(self._engine, self._pending)
+            self._schedule(engine, self._pending)
         return request
+
+
+class TraceSource(StreamingTraceSource):
+    """Open-loop traffic: a finite trace of requests with arrival times.
+
+    The trace is sorted into ``(request_time, query_id)`` order and then
+    streamed like any :class:`StreamingTraceSource`, so any ordering of
+    the same trace produces the same report, and a negative
+    ``request_time`` — which sorts first — is refused before any arrival
+    is processed.  ``requests`` may be any iterable — a list or a lazy
+    ``iter_*`` generator, which is materialized here; the sorted list is
+    kept as ``requests`` for the partitioned parallel path to split.
+    """
+
+    def __init__(self, requests: Iterable[QueryRequest]) -> None:
+        self.requests = sorted(
+            requests, key=lambda r: (r.request_time, r.query_id)
+        )
+        if not self.requests:
+            raise ValueError("at least one request is required")
+        super().__init__(self.requests)
 
 
 @dataclass
@@ -228,7 +235,9 @@ class ClosedLoopSource(WorkloadSource):
             if client.queries > 0:
                 engine.schedule_think(client_id, client.start_time)
 
-    def next_request(self, client_id: int, now: float) -> QueryRequest | None:
+    def next_request(
+        self, engine: ServiceEngine, client_id: int, now: float
+    ) -> QueryRequest | None:
         client = self.clients[client_id]
         index = self._issued[client_id]
         if index >= client.queries:

@@ -1,24 +1,28 @@
 """A lightweight hot-path stage profiler for the serving engine.
 
 The engine's per-event cost is spread over a handful of named stages —
-admission, placement, ``run_window``, fidelity prediction, sketch/record
-updates, heap operations — and optimizing one blind is how the others
-regress.  :class:`HotPathProfiler` attributes work to those stages with
-the cheapest possible instrumentation: a wrapped stage costs one closure
-call and one dict increment per invocation, and wall time is only read
-when a harness has injected a :data:`host_clock`.
+the workload source, admission, placement, ``run_window``, fidelity
+prediction, sketch/record updates, heap operations — and optimizing one
+blind is how the others regress.  :class:`HotPathProfiler` attributes
+work to those stages through explicit spans: the engine (and its event
+heap) calls :meth:`~HotPathProfiler.enter` and
+:meth:`~HotPathProfiler.exit` at each stage boundary, behind one ``is not
+None`` test, so an unprofiled run pays nothing but that test.  A span
+costs one dict increment, and wall time is only read when a harness has
+injected a :data:`host_clock`.
 
-Stages nest (window execution wraps ``run_window`` and the record
-updates), so each is charged its *self* time, nested stages excluded.
-The engine runs its whole drain as the root stage :data:`UNATTRIBUTED`,
-whose self time is what no named stage claimed: a run's self times sum
-to its wall time, and the table's shares to 100%.
+Spans nest (window execution encloses ``run_window`` and the record
+updates), so each stage is charged its *self* time, nested spans
+excluded.  The engine runs its whole drain as the root span
+:data:`UNATTRIBUTED`, whose self time is what no named stage claimed: a
+run's self times sum to its wall time, and the table's shares to 100%.
+Spans are not closed in ``finally`` blocks: an exception aborts the run,
+and the run's profiler is discarded with it.
 
 Profiling is *observational by contract*: a profiled run must produce a
 report identical to an unprofiled one (pinned in
-``tests/test_perf_profile.py``).  The engine guarantees that by wrapping
-methods without changing them; this module guarantees it by never
-touching simulation state.
+``tests/test_perf_profile.py``).  Spans only count and time; they never
+touch simulation state.
 
 Wall-clock discipline: the clock is **injected** by harnesses
 (benchmarks, CLI tools) rather than read from the wall here — ``import
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, TypeVar
 
 __all__ = [
     "PROFILE_ENV",
@@ -61,8 +64,6 @@ host_clock: Callable[[], float] | None = None
 #: The root stage of a profiled run: its self time is the run's wall time
 #: not attributed to any named stage.
 UNATTRIBUTED = "(unattributed)"
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -124,14 +125,11 @@ class HotPathProfiler:
     """Counts (and optionally wall-times) named engine stages.
 
     One profiler instance covers one engine run; the engine creates it in
-    ``_reset`` and snapshots it into the report.  ``timed`` wraps a
-    callable so every invocation is attributed to a stage; ``call``
-    attributes a single invocation (for stages inside a larger wrapped
-    one, like the backend ``run_window`` inside window execution, and for
-    the run's :data:`UNATTRIBUTED` root).
+    ``_reset`` and snapshots it into the report.  Every stage boundary is
+    an :meth:`enter` / :meth:`exit` pair; pairs nest like calls.
     """
 
-    __slots__ = ("_counts", "_seconds", "_clock", "_nested")
+    __slots__ = ("_counts", "_seconds", "_clock", "_open", "_nested")
 
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
@@ -139,47 +137,30 @@ class HotPathProfiler:
         # Snapshot the module global once so a run is consistently timed
         # or consistently count-only.
         self._clock = host_clock
-        # One entry per open timed stage: wall seconds its nested stages
-        # have spent so far.
+        # One entry per open timed span: its stage and start time, and
+        # the wall seconds its nested spans have spent so far.
+        self._open: list[tuple[str, float]] = []
         self._nested: list[float] = []
 
-    def timed(self, stage: str, fn: Callable[..., _T]) -> Callable[..., _T]:
-        """``fn`` wrapped to attribute every invocation to ``stage``."""
-        counts = self._counts
-        counts.setdefault(stage, 0)
-        if self._clock is None:
-
-            def counted(*args: Any, **kwargs: Any) -> _T:
-                counts[stage] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        def walled(*args: Any, **kwargs: Any) -> _T:
-            return self.call(stage, fn, *args, **kwargs)
-
-        return walled
-
-    def call(
-        self, stage: str, fn: Callable[..., _T], *args: Any, **kwargs: Any
-    ) -> _T:
-        """Run ``fn(*args, **kwargs)`` attributed to ``stage`` once."""
+    def enter(self, stage: str) -> None:
+        """Open one span of ``stage``; the matching :meth:`exit` closes it."""
         self._counts[stage] = self._counts.get(stage, 0) + 1
         clock = self._clock
+        if clock is not None:
+            self._nested.append(0.0)
+            self._open.append((stage, clock()))
+
+    def exit(self) -> None:
+        """Close the innermost open span, charging its self time."""
+        clock = self._clock
         if clock is None:
-            return fn(*args, **kwargs)
+            return
+        stage, begin = self._open.pop()
+        elapsed = clock() - begin
         nested = self._nested
-        nested.append(0.0)
-        begin = clock()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            elapsed = clock() - begin
-            self._seconds[stage] = (
-                self._seconds.get(stage, 0.0) + elapsed - nested.pop()
-            )
-            if nested:
-                nested[-1] += elapsed
+        self._seconds[stage] = self._seconds.get(stage, 0.0) + elapsed - nested.pop()
+        if nested:
+            nested[-1] += elapsed
 
     def snapshot(self) -> StageProfile:
         """The accumulated stage table (dicts copied, safe to pickle)."""

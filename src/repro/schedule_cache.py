@@ -71,6 +71,13 @@ _Key = tuple[str, int, tuple[int, ...], int]
 #: One fidelity-vector key: (arch, capacity, occupancy, distance, profile).
 _FidelityKey = tuple[str, int, int, int, Hashable]
 
+#: Most executors a registry keeps.
+MAX_ENTRIES = 64
+
+#: Most fidelity vectors a registry keeps.  They are tiny tuples, so their
+#: table is bounded far looser than the executor table.
+MAX_FIDELITY_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -110,19 +117,19 @@ class CacheStats:
     def delta(self, baseline: "CacheStats") -> "CacheStats":
         """The counter movement since ``baseline`` (an earlier snapshot).
 
-        Monotone counters subtract; the table-size gauges (``entries``,
-        ``fidelity_entries``) keep this snapshot's values — a delta still
-        describes the table as it stands now.
+        Every field subtracts, the table-size gauges (``entries``,
+        ``fidelity_entries``) included: they become the table's net
+        growth, so the deltas of consecutive executions add up.
         """
         return CacheStats(
             hits=self.hits - baseline.hits,
             misses=self.misses - baseline.misses,
             prewarms=self.prewarms - baseline.prewarms,
             invalidations=self.invalidations - baseline.invalidations,
-            entries=self.entries,
+            entries=self.entries - baseline.entries,
             fidelity_hits=self.fidelity_hits - baseline.fidelity_hits,
             fidelity_misses=self.fidelity_misses - baseline.fidelity_misses,
-            fidelity_entries=self.fidelity_entries,
+            fidelity_entries=self.fidelity_entries - baseline.fidelity_entries,
         )
 
     def summary(self) -> str:
@@ -139,24 +146,14 @@ class CacheStats:
 class ScheduleCacheRegistry:
     """Bounded LRU table of shared, content-addressed schedule executors.
 
-    Args:
-        max_entries: most executors kept; the least recently used entry is
-            evicted beyond that (stale memory images after writes age out
-            here).
+    Holds at most :data:`MAX_ENTRIES` executors and
+    :data:`MAX_FIDELITY_ENTRIES` fidelity vectors; the least recently used
+    entry is evicted beyond that (stale memory images after writes age
+    out here).
     """
 
-    def __init__(
-        self, max_entries: int = 64, max_fidelity_entries: int = 4096
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if max_fidelity_entries < 1:
-            raise ValueError("max_fidelity_entries must be >= 1")
-        self.max_entries = max_entries
-        self.max_fidelity_entries = max_fidelity_entries
+    def __init__(self) -> None:
         self._entries: OrderedDict[_Key, Any] = OrderedDict()
-        # Fidelity vectors are tiny tuples, so their table is bounded far
-        # looser than the executor table.
         self._fidelity_vectors: OrderedDict[
             _FidelityKey, tuple[float, ...]
         ] = OrderedDict()
@@ -204,7 +201,7 @@ class ScheduleCacheRegistry:
             # both callers hold functionally identical executors.
             self._entries[key] = built
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > MAX_ENTRIES:
                 self._entries.popitem(last=False)
         return built
 
@@ -240,7 +237,7 @@ class ScheduleCacheRegistry:
             # both callers hold equal vectors (the key determines them).
             self._fidelity_vectors[key] = built
             self._fidelity_vectors.move_to_end(key)
-            while len(self._fidelity_vectors) > self.max_fidelity_entries:
+            while len(self._fidelity_vectors) > MAX_FIDELITY_ENTRIES:
                 self._fidelity_vectors.popitem(last=False)
         return built
 

@@ -16,8 +16,8 @@ cold copy of everything.  This engine amortizes all of it:
   *fleet* fingerprint — scenarios sharing a fleet land on the worker
   that already holds their compiled schedules.
 * **Reuse is proven, not assumed.**  Each execution carries the
-  worker's :class:`~repro.schedule_cache.CacheStats` snapshot; the sweep
-  aggregates the final snapshot per worker, so ``hits`` climbing while
+  :class:`~repro.schedule_cache.CacheStats` delta of its own build and
+  run; the sweep sums them, so ``hits`` climbing while
   ``prewarms`` stays flat at (unique fleet configurations) is an
   assertable property (CI's sweep-smoke job does).
 
@@ -40,7 +40,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -113,10 +112,10 @@ def report_digest(report: ServiceReport) -> str:
 
     Covers everything two equal runs must agree on — stats, retained
     records, outputs, telemetry — and excludes the observational fields
-    (``parallel``, ``profile``, ``cache_stats``) exactly as report
-    equality does.  Two reports share a digest iff they compare equal,
-    which is how sweep rows pin per-point bit-identity across pool sizes
-    without shipping whole reports around.
+    (``parallel``, ``profile``) exactly as report equality does.  Two
+    reports share a digest iff they compare equal, which is how sweep rows
+    pin per-point bit-identity across pool sizes without shipping whole
+    reports around.
     """
     payload = {
         "served": [dataclasses.asdict(r) for r in report.served],
@@ -148,9 +147,11 @@ def _execute(spec: ScenarioSpec, keep_report: bool) -> dict[str, Any]:
 
     The fragment splits into row content (``status`` / ``error`` /
     ``metrics`` / ``report_digest`` — pure functions of the spec) and
-    side-channel observability (``pid``, ``cache_stats`` — worker-local,
-    stripped before rows are built so rows stay pool-size-independent).
+    side-channel observability (``cache_stats`` — the registry counters'
+    movement over this execution's build and run, stripped before rows
+    are built so rows stay pool-size-independent).
     """
+    before = default_registry().stats()
     fragment: dict[str, Any]
     try:
         built = spec.build()
@@ -176,17 +177,16 @@ def _execute(spec: ScenarioSpec, keep_report: bool) -> dict[str, Any]:
             "report_digest": report_digest(report),
             "report": report if keep_report else None,
         }
-    fragment["pid"] = os.getpid()
-    fragment["cache_stats"] = default_registry().stats()
+    fragment["cache_stats"] = default_registry().stats().delta(before)
     return fragment
 
 
-def _sum_stats(snapshots: Iterable[CacheStats]) -> CacheStats:
-    """Aggregate per-worker registry snapshots by summing every counter."""
+def _sum_stats(deltas: Iterable[CacheStats]) -> CacheStats:
+    """Aggregate per-execution registry deltas by summing every field."""
     totals = {f.name: 0 for f in dataclasses.fields(CacheStats)}
-    for snapshot in snapshots:
+    for delta in deltas:
         for name in totals:
-            totals[name] += getattr(snapshot, name)
+            totals[name] += getattr(delta, name)
     return CacheStats(**totals)
 
 
@@ -203,8 +203,10 @@ class SweepResult:
         reports: per-point :class:`ServiceReport` objects when the sweep
             ran with ``keep_reports=True`` (``None`` otherwise; campaign
             -scale sweeps should not hold every report in memory).
-        cache_stats: final registry snapshots of every worker that
-            executed points, summed — the cross-run reuse evidence.
+        cache_stats: the registry counters' movement over each unique
+            execution's build and run, summed — the cross-run reuse
+            evidence.  Counters a worker inherited from the parent at
+            fork, or that moved before the sweep, are not counted.
         pool_size: worker processes actually used (0 = inline in this
             process, also the fork-unavailable fallback).
         executions: unique specs executed after dedup (<= len(rows)).
@@ -222,7 +224,6 @@ def run_sweep(
     *,
     pool_size: int = 0,
     recycle_after: int | None = None,
-    max_inflight: int = 4,
     keep_reports: bool = False,
     jsonl_path: str | None = None,
 ) -> SweepResult:
@@ -237,7 +238,6 @@ def run_sweep(
         recycle_after: retire each worker after this many executions
             (``1`` reproduces fork-per-run execution, the cold model the
             persistent pool replaces — kept for honest benchmarking).
-        max_inflight: per-worker outstanding-task bound (pipe backpressure).
         keep_reports: ship every unique execution's full
             :class:`ServiceReport` back and attach one per point
             (memory-heavy; meant for tests and small sweeps).
@@ -285,7 +285,6 @@ def run_sweep(
             handler,
             workers=effective_pool,
             recycle_after=recycle_after,
-            max_inflight=max_inflight,
         ) as pool:
             outcomes = pool.run(tasks)
         for outcome in outcomes:
@@ -296,15 +295,9 @@ def run_sweep(
                 raise outcome.error
             fragments[order[outcome.task_id]] = outcome.result
 
-    # Workers run their tasks serially, so the fragment of a worker's
-    # highest task id carries that worker's final registry snapshot;
-    # summing the latest snapshot per pid aggregates the whole pool
-    # (inline execution contributes this process's snapshot).
-    latest_by_pid: dict[int, CacheStats] = {}
-    for fingerprint in order:
-        fragment = fragments[fingerprint]
-        latest_by_pid[fragment["pid"]] = fragment["cache_stats"]
-    cache_stats = _sum_stats(latest_by_pid.values())
+    cache_stats = _sum_stats(
+        fragments[fingerprint]["cache_stats"] for fingerprint in order
+    )
 
     rows: list[dict[str, Any]] = []
     reports: dict[int, ServiceReport] | None = {} if keep_reports else None

@@ -12,7 +12,6 @@ from repro import (
     TraceSource,
 )
 from repro.engine.events import (
-    Arrival,
     ClientThink,
     EventHeap,
     ScaleCheck,
@@ -41,19 +40,18 @@ def _timing_signature(report):
 def test_event_heap_orders_by_time_then_priority():
     heap = EventHeap()
     heap.push(5.0, WindowStart(0))
-    heap.push(5.0, Arrival(QueryRequest(0, {0: 1.0})))
+    heap.push(5.0, ClientThink(0))
     heap.push(5.0, WindowDrain(1))
     heap.push(1.0, WindowStart(2))
     kinds = [type(heap.pop()[1]) for _ in range(4)]
     # Earlier time first; at equal times arrivals < drains < starts.
-    assert kinds == [WindowStart, Arrival, WindowDrain, WindowStart]
+    assert kinds == [WindowStart, ClientThink, WindowDrain, WindowStart]
 
 
 def test_event_priorities_are_unique_and_pinned():
     # The registry is part of the determinism contract (simlint SIM004):
     # renumbering silently changes every same-instant resolution order.
     priorities = {
-        Arrival: 0,
         ClientThink: 1,
         WindowDrain: 2,
         ScaleCheck: 3,
@@ -67,16 +65,13 @@ def test_event_priorities_are_unique_and_pinned():
 
 def test_same_timestamp_events_pop_across_all_priority_levels():
     heap = EventHeap()
-    q0, q1 = QueryRequest(0, {0: 1.0}), QueryRequest(1, {0: 1.0})
     scrambled = [
         WindowStart(0),
-        Arrival(q0),
         TelemetryTick(),
         WindowDrain(0),
         ClientThink(1),
         ScaleCheck(),
         WindowStart(1),
-        Arrival(q1),
         WindowDrain(1),
         ClientThink(2),
         ScaleCheck(),
@@ -87,8 +82,6 @@ def test_same_timestamp_events_pop_across_all_priority_levels():
     popped = [heap.pop()[1] for _ in range(len(scrambled))]
     # Priority levels resolve in order; within a level, insertion order.
     assert popped == [
-        Arrival(q0),
-        Arrival(q1),
         ClientThink(1),
         ClientThink(2),
         WindowDrain(0),
@@ -104,7 +97,7 @@ def test_same_timestamp_events_pop_across_all_priority_levels():
 
 def test_event_heap_ties_resolve_in_insertion_order_interleaved():
     heap = EventHeap()
-    a, b, c, d = (Arrival(QueryRequest(i, {0: 1.0})) for i in range(4))
+    a, b, c, d = (ClientThink(i) for i in range(4))
     heap.push(2.0, a)
     heap.push(2.0, b)
     assert heap.pop() == (2.0, a)

@@ -3,7 +3,7 @@ allocation trims it guided.
 
 ``REPRO_PROFILE=1`` (or ``ServiceEngine(profile=True)``) must land a
 stage-time table on the report without perturbing a single simulated
-value — the engine wraps its stage methods but never changes them.  These
+value — the engine's stage spans only count and time.  These
 tests pin that contract, the profiler/StageProfile mechanics, and the
 bit-exactness of the allocation trims the profile motivated (fast record
 construction, the interleaved route fast path).
@@ -57,6 +57,8 @@ def test_profile_counts_match_run_shape():
     report = _serve(profile=True)
     counts = report.profile.counts
     assert counts["admission"] == 300
+    # One span for the source's start, one per arrival it delivers.
+    assert counts["workload_source"] == 301
     assert counts["sketch_update"] == len(report.served) == 300
     assert counts["window_execute"] == len(report.windows)
     assert counts["run_window"] == len(report.windows)
@@ -97,8 +99,9 @@ def test_engine_reusable_after_profiled_run():
 # --------------------------------------------------------------------------
 def test_profiler_counts_without_clock():
     profiler = HotPathProfiler()
-    work = profiler.timed("stage", lambda x: x + 1)
-    assert work(1) == 2 and work(2) == 3
+    for _ in range(2):
+        profiler.enter("stage")
+        profiler.exit()
     snapshot = profiler.snapshot()
     assert snapshot.counts == {"stage": 2}
     assert not snapshot.timed
@@ -108,9 +111,10 @@ def test_profiler_times_with_injected_clock(monkeypatch):
     ticks = iter(range(100))
     monkeypatch.setattr(profiler_module, "host_clock", lambda: float(next(ticks)))
     profiler = HotPathProfiler()
-    assert profiler.call("once", lambda: "done") == "done"
-    wrapped = profiler.timed("wrapped", lambda: None)
-    wrapped()
+    profiler.enter("once")
+    profiler.exit()
+    profiler.enter("wrapped")
+    profiler.exit()
     snapshot = profiler.snapshot()
     assert snapshot.timed
     assert snapshot.counts == {"once": 1, "wrapped": 1}
@@ -122,14 +126,12 @@ def test_profiler_charges_nested_stages_self_time(monkeypatch):
     ticks = iter(range(100))
     monkeypatch.setattr(profiler_module, "host_clock", lambda: float(next(ticks)))
     profiler = HotPathProfiler()
-    inner = profiler.timed("inner", lambda: None)
-
-    def outer():
-        inner()
-        inner()
-
-    profiler.call("outer", outer)
-    # outer spans ticks 0..5, each inner call one tick of it.
+    profiler.enter("outer")
+    for _ in range(2):
+        profiler.enter("inner")
+        profiler.exit()
+    profiler.exit()
+    # outer spans ticks 0..5, each inner span one tick of it.
     assert profiler.snapshot().seconds == {"inner": 2.0, "outer": 3.0}
 
 

@@ -90,7 +90,7 @@ def test_corrupted_heap_ordering_detected():
 class _LIFOStubHeap:
     """Drop-in EventHeap that pops newest-first: time runs backwards."""
 
-    def __init__(self, sanitize=False):
+    def __init__(self, sanitize=False, profiler=None):
         self._items = []
 
     def push(self, time, event):

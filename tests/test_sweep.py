@@ -346,19 +346,29 @@ def test_cache_reuse_hits_climb_prewarms_stay_flat():
     assert stats.fidelity_hits > stats.fidelity_misses
 
 
-def test_per_run_cache_stats_surface_on_report():
+def test_sweep_cache_stats_count_only_the_sweep():
+    """Forked workers inherit the parent's counters; the sweep's totals
+    must still count only its own executions, whatever the pool size."""
     registry = default_registry()
     registry.clear()
-    before = registry.stats()
-    report = small_base().execute()
-    assert report.cache_stats is not None
-    delta = report.cache_stats.delta(before)
-    assert delta.misses >= 1  # this run compiled its fleet
-    # The snapshot never affects report identity.
-    again = small_base().execute()
-    assert again == report
-    assert again.cache_stats is not None
-    assert again.cache_stats.hits > report.cache_stats.hits
+    for _ in range(5):
+        small_base(seed=99).execute()
+    sweep = SweepSpec(
+        base=small_base(),
+        axes=(
+            ("fleet.qec_distance", (1, 3, 5)),
+            ("workload.mean_interarrival", (2.0, 4.0)),
+        ),
+    )
+    # Inline execution (pool 0) warms this process, so it runs last: every
+    # pool size then starts from the same parent registry.
+    totals = [run_sweep(sweep, pool_size=size).cache_stats for size in (1, 2, 0)]
+    assert totals[0] == totals[1] == totals[2]
+    # The warm parent already compiled both architectures: the sweep
+    # compiles nothing and only hits.
+    stats = totals[0]
+    assert stats.misses == 0 and stats.prewarms == 0 and stats.entries == 0
+    assert stats.hits == 12
 
 
 # ----------------------------------------------------------------- pareto

@@ -17,8 +17,10 @@ Covers the observation-path refactor end to end:
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -465,10 +467,34 @@ def test_negative_request_time_rejected(service):
     )
     with pytest.raises(ValueError, match="negative request_time"):
         ServiceEngine(service).run(TraceSource([bad]))
+    # The refusal happens when the source starts, before it schedules
+    # anything: a trace streams its most negative arrival first.
     engine = ServiceEngine(service)
-    engine._reset(TraceSource([bad]))
+    source = TraceSource([bad])
+    engine._reset(source)
     with pytest.raises(ValueError, match="negative request_time"):
-        engine.submit(bad)
+        source.start(engine)
+    assert not engine._heap
+
+
+@pytest.mark.parametrize("source_type", [StreamingTraceSource, TraceSource])
+def test_finished_engine_is_freed_without_cyclic_gc(service, source_type):
+    """Sources receive the engine on every hook and never store it, so a
+    finished engine (and every record it retains) is freed by reference
+    counting alone as soon as the caller drops it."""
+    trace = iter_poisson_trace(CAPACITY, **_poisson_kwargs(num_queries=50))
+    gc.collect()
+    gc.disable()
+    try:
+        source = source_type(trace)
+        engine = ServiceEngine(service, workers=0)
+        report = engine.run(source)
+        assert report.stats.total_queries == 50
+        alive = weakref.ref(engine)
+        del engine, source, report
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_engine_run_is_reusable(service, trace):
