@@ -1,18 +1,23 @@
 """Backend-agnostic execution engine for the QRAM serving layer.
 
 Every architecture of the paper's evaluation is served through the same
-:class:`~repro.backends.protocol.QRAMBackend` protocol:
+:class:`~repro.backends.protocol.QRAMBackend` protocol, and every adapter
+is a subclass of one base, :class:`~repro.backends.noise.ModelBackend`,
+which owns the structural delegation, the prediction memos and the single
+``run_window``:
 
 * :mod:`repro.backends.protocol` — the protocol, the per-window result
   record and the ideal-output / fidelity helpers.
+* :mod:`repro.backends.noise` — the shared base, the one window-timing
+  formula (:func:`~repro.backends.noise.window_offsets`) and predicted
+  per-slot fidelity from the Sec. 8.1 bounds, including pipelining-depth
+  degradation.
 * :mod:`repro.backends.fat_tree` — Fat-Tree: pipelined windows on the
   memoized gate-level executor.
 * :mod:`repro.backends.bucket_brigade` — BB: sequential windows on the
-  (newly memoized) BB executor.
+  memoized BB executor.
 * :mod:`repro.backends.analytic` — Virtual / D-Fat-Tree / D-BB: model-based
   timing with exact functional queries.
-* :mod:`repro.backends.noise` — predicted per-slot fidelity from the
-  Sec. 8.1 bounds, including pipelining-depth degradation.
 * :mod:`repro.backends.encoded` — QEC-encoded replica wrapper
   (``"<architecture>@d<k>"`` names, Table-5 resource model, logical
   error rates).

@@ -25,104 +25,53 @@ Timing models (per window of ``k`` queries, all in raw layers):
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+import itertools
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.backends.noise import (
-    PredictedFidelityMixin,
+    ModelBackend,
     bb_bounds,
     fat_tree_bounds,
     pipelined_fidelities,
     virtual_bounds,
+    window_offsets,
 )
-from repro.backends.protocol import WindowResult, ideal_output, output_fidelity
+from repro.backends.protocol import ideal_output, output_fidelity
 from repro.baselines.distributed import DistributedBBQRAM, DistributedFatTreeQRAM
 from repro.baselines.virtual_qram import VirtualQRAM
 from repro.core.query import QueryRequest
-from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
+from repro.hardware.parameters import HardwareParameters
 
 
-class _ModelBackend(PredictedFidelityMixin):
-    """Shared delegation for backends that wrap one architecture model."""
-
-    def __init__(
-        self, model: Any, parameters: HardwareParameters = DEFAULT_PARAMETERS
-    ) -> None:
-        # The model is duck-typed: Virtual and distributed QRAMs share the
-        # capacity/address_width/latency surface but no common base class.
-        self.model = model
-        self.parameters = parameters
-
-    @property
-    def capacity(self) -> int:
-        return self.model.capacity
-
-    @property
-    def address_width(self) -> int:
-        return self.model.address_width
-
-    @property
-    def query_parallelism(self) -> int:
-        return self.model.query_parallelism
-
-    @property
-    def qubit_count(self) -> int:
-        return self.model.qubit_count
-
-    @property
-    def data(self) -> list[int]:
-        return self.model.data
-
-    def write_memory(self, address: int, value: int) -> None:
-        self.model.write_memory(address, value)
-        self.invalidate_predictions()
-
-    def single_query_latency(self) -> float:
-        return self.model.single_query_latency()
-
-    def amortized_query_latency(self, num_queries: int | None = None) -> float:
-        return self.model.amortized_query_latency(num_queries)
-
-    @staticmethod
-    def _functional_slot(
-        model_query: Callable[..., Any],
-        request: QueryRequest,
-        data: Sequence[int],
-    ) -> tuple[Any, float]:
-        """Run one request through a model's ``query`` and score its fidelity."""
+def _query_slots(
+    queries: Iterable[Callable[..., Any]],
+    requests: Sequence[QueryRequest],
+    data: Sequence[int],
+) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+    """Run each request through its model's ``query`` and score its fidelity."""
+    outputs = []
+    fidelities = []
+    for query, request in zip(queries, requests):
         if request.address_amplitudes is None:
             raise ValueError("functional execution requires address amplitudes")
-        actual = model_query(
-            request.address_amplitudes, initial_bus=request.initial_bus
-        )
-        return actual, output_fidelity(ideal_output(data, request), actual)
+        actual = query(request.address_amplitudes, initial_bus=request.initial_bus)
+        outputs.append(actual)
+        fidelities.append(output_fidelity(ideal_output(data, request), actual))
+    return tuple(outputs), tuple(fidelities)
 
 
-class VirtualBackend(_ModelBackend):
+class VirtualBackend(ModelBackend):
     """Serves traffic through one Virtual QRAM (Sec. 6.1).
 
     Args:
         capacity: memory size ``N``.
         data: optional classical memory contents.
-        qram: adopt an existing :class:`VirtualQRAM`.
         parameters: noise model used for the predicted slot fidelities.
     """
 
     name = "Virtual"
-
-    def __init__(
-        self,
-        capacity: int,
-        data: Sequence[int] | None = None,
-        qram: VirtualQRAM | None = None,
-        parameters: HardwareParameters = DEFAULT_PARAMETERS,
-    ) -> None:
-        super().__init__(
-            qram if qram is not None else VirtualQRAM(capacity, data),
-            parameters=parameters,
-        )
+    model_class = VirtualQRAM
 
     def minimum_feasible_interval(self, num_queries: int = 2) -> int:
         """Outstanding queries are admitted concurrently (page-multiplexed)."""
@@ -133,30 +82,19 @@ class VirtualBackend(_ModelBackend):
 
         Pages are BB QRAMs over page-local memory slices; each resolves its
         executor through the process-wide registry, so replicas of the same
-        Virtual configuration share all page executors.  The shared
-        fidelity vectors and timing windows of every admissible occupancy
-        are pre-derived alongside.
+        Virtual configuration share all page executors.
         """
         for page in self.model.page_qrams():
             page.cached_executor()
-        for occupancy in range(1, max(2, self.query_parallelism) + 1):
-            self.timing_window(occupancy)
+        super().warm_schedule_caches()
 
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
+        # Queries beyond the parallelism run in later full rounds.
         lifetime = self.model.raw_query_layers
-        parallelism = max(1, self.query_parallelism)
-        # Queries beyond the parallelism run in later full rounds.  One
-        # array expression per window: round * lifetime + 1 is exact
-        # integer arithmetic in float64, and the finish expression keeps
-        # the scalar's association `(start + lifetime) - 1`.
-        rounds = np.arange(batch_size, dtype=np.int64) // parallelism
-        starts_arr = rounds.astype(np.float64) * lifetime + 1.0
-        finishes_arr = starts_arr + float(lifetime) - 1.0
-        starts = tuple(starts_arr.tolist())
-        finishes = tuple(finishes_arr.tolist())
-        total = float(((batch_size - 1) // parallelism + 1) * lifetime)
+        lanes = max(1, self.query_parallelism)
+        total, starts, finishes = window_offsets(batch_size, lifetime, lifetime, lanes)
         return 0, total, starts, finishes
 
     def _infidelity_bounds(
@@ -174,37 +112,15 @@ class VirtualBackend(_ModelBackend):
             (self.model.num_pages, self.model.page_size, self.parameters),
         )
 
-    def run_window(
-        self, requests: Sequence[QueryRequest], functional: bool = True
-    ) -> WindowResult:
-        if not requests:
-            raise ValueError("a window requires at least one request")
-        if not functional:
-            # Timing-only windows are pure schedule evaluations: one
-            # memoized WindowResult per occupancy (the serving hot path).
-            return self.timing_window(len(requests))
-        interval, total, starts, finishes = self._window_offsets(len(requests))
-        predicted = self.predicted_window_fidelities(len(requests))
-
-        data = self.model.data
-        outputs = []
-        fidelities = []
-        for request in requests:
-            actual, fidelity = self._functional_slot(self.model.query, request, data)
-            outputs.append(actual)
-            fidelities.append(fidelity)
-        return WindowResult(
-            interval=interval,
-            total_layers=total,
-            start_offsets=starts,
-            finish_offsets=finishes,
-            outputs=tuple(outputs),
-            fidelities=tuple(fidelities),
-            predicted_fidelities=predicted,
+    def _functional_slots(
+        self, requests: Sequence[QueryRequest], interval: int
+    ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+        return _query_slots(
+            itertools.repeat(self.model.query), requests, self.model.data
         )
 
 
-class _DistributedBackend(_ModelBackend):
+class _DistributedBackend(ModelBackend):
     """Shared window logic for the replicated baselines.
 
     Slot ``s`` of a window runs on copy ``s mod C`` as that copy's
@@ -228,29 +144,18 @@ class _DistributedBackend(_ModelBackend):
         All copies hold the same memory image, so the registry resolves
         every ``cached_executor`` call to one shared entry — warming is a
         single derivation no matter how many copies the model replicates.
-        The shared fidelity vectors and timing windows of every admissible
-        occupancy are pre-derived alongside.
         """
         for copy in self.model.copies:
             copy.cached_executor()
-        self._copy_timing()
-        for occupancy in range(1, max(2, self.query_parallelism) + 1):
-            self.timing_window(occupancy)
+        super().warm_schedule_caches()
 
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
         interval, lifetime = self._copy_timing()
-        copies = self.model.num_copies
-        # One array expression per window: local * interval + 1 is exact
-        # integer arithmetic in float64, and the finish expression keeps
-        # the scalar's association `(start + lifetime) - 1`.
-        local_slots = np.arange(batch_size, dtype=np.int64) // copies
-        starts_arr = local_slots.astype(np.float64) * interval + 1.0
-        finishes_arr = starts_arr + float(lifetime) - 1.0
-        starts = tuple(starts_arr.tolist())
-        finishes = tuple(finishes_arr.tolist())
-        total = float(((batch_size - 1) // copies) * interval + lifetime)
+        total, starts, finishes = window_offsets(
+            batch_size, interval, lifetime, self.model.num_copies
+        )
         return interval, total, starts, finishes
 
     def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
@@ -279,13 +184,9 @@ class _DistributedBackend(_ModelBackend):
         for size in sorted(set(per_copy)):
             if size == 0:
                 continue
-            starts_arr = np.arange(size, dtype=np.float64) * interval + 1.0
-            finishes_arr = starts_arr + float(lifetime) - 1.0
+            _, starts, finishes = window_offsets(size, interval, lifetime)
             sub_batches[size] = pipelined_fidelities(
-                base,
-                crosstalk,
-                tuple(starts_arr.tolist()),
-                tuple(finishes_arr.tolist()),
+                base, crosstalk, starts, finishes
             )
         # Interleave the per-copy vectors back to window slot order with
         # strided slice assignment (slot s lives on copy s mod C).
@@ -295,35 +196,13 @@ class _DistributedBackend(_ModelBackend):
                 fidelities[copy::copies] = sub_batches[per_copy[copy]]
         return tuple(fidelities)
 
-    def run_window(
-        self, requests: Sequence[QueryRequest], functional: bool = True
-    ) -> WindowResult:
-        if not requests:
-            raise ValueError("a window requires at least one request")
-        if not functional:
-            # Timing-only windows are pure schedule evaluations: one
-            # memoized WindowResult per occupancy (the serving hot path).
-            return self.timing_window(len(requests))
-        interval, total, starts, finishes = self._window_offsets(len(requests))
-        predicted = self.predicted_window_fidelities(len(requests))
-
-        data = self.model.data
-        copies = self.model.num_copies
-        outputs = []
-        fidelities = []
-        for slot, request in enumerate(requests):
-            copy = self.model.copies[slot % copies]
-            actual, fidelity = self._functional_slot(copy.query, request, data)
-            outputs.append(actual)
-            fidelities.append(fidelity)
-        return WindowResult(
-            interval=interval,
-            total_layers=total,
-            start_offsets=starts,
-            finish_offsets=finishes,
-            outputs=tuple(outputs),
-            fidelities=tuple(fidelities),
-            predicted_fidelities=predicted,
+    def _functional_slots(
+        self, requests: Sequence[QueryRequest], interval: int
+    ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+        return _query_slots(
+            itertools.cycle([copy.query for copy in self.model.copies]),
+            requests,
+            self.model.data,
         )
 
 
@@ -331,18 +210,7 @@ class DistributedFatTreeBackend(_DistributedBackend):
     """Serves traffic through ``log N`` independent Fat-Tree QRAMs."""
 
     name = "D-Fat-Tree"
-
-    def __init__(
-        self,
-        capacity: int,
-        data: Sequence[int] | None = None,
-        qram: DistributedFatTreeQRAM | None = None,
-        parameters: HardwareParameters = DEFAULT_PARAMETERS,
-    ) -> None:
-        super().__init__(
-            qram if qram is not None else DistributedFatTreeQRAM(capacity, data),
-            parameters=parameters,
-        )
+    model_class = DistributedFatTreeQRAM
 
     def _copy_timing(self) -> tuple[int, int]:
         executor = self.model.copies[0].cached_executor()
@@ -358,18 +226,7 @@ class DistributedBBBackend(_DistributedBackend):
     """Serves traffic through ``log N`` independent BB QRAMs."""
 
     name = "D-BB"
-
-    def __init__(
-        self,
-        capacity: int,
-        data: Sequence[int] | None = None,
-        qram: DistributedBBQRAM | None = None,
-        parameters: HardwareParameters = DEFAULT_PARAMETERS,
-    ) -> None:
-        super().__init__(
-            qram if qram is not None else DistributedBBQRAM(capacity, data),
-            parameters=parameters,
-        )
+    model_class = DistributedBBQRAM
 
     def _copy_timing(self) -> tuple[int, int]:
         lifetime = self.model.copies[0].raw_query_layers

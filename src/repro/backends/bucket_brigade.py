@@ -13,68 +13,27 @@ no pipelining degradation applies.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
+from typing import Any
 
-import numpy as np
-
-from repro.backends.noise import PredictedFidelityMixin, bb_bounds
-from repro.backends.protocol import WindowResult, ideal_output, output_fidelity
-from repro.bucket_brigade.executor import BBExecutor
+from repro.backends.noise import ModelBackend, bb_bounds, window_offsets
+from repro.backends.protocol import ideal_output, output_fidelity
 from repro.bucket_brigade.qram import BucketBrigadeQRAM
 from repro.core.query import QueryRequest
-from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
+from repro.hardware.parameters import HardwareParameters
 
 
-class BBBackend(PredictedFidelityMixin):
+class BBBackend(ModelBackend):
     """Serves traffic through one Bucket-Brigade QRAM.
 
     Args:
         capacity: memory size ``N`` (power of two >= 2).
         data: optional classical memory contents.
-        qram: adopt an existing :class:`BucketBrigadeQRAM`.
         parameters: noise model used for the predicted slot fidelities.
     """
 
     name = "BB"
-
-    def __init__(
-        self,
-        capacity: int,
-        data: Sequence[int] | None = None,
-        qram: BucketBrigadeQRAM | None = None,
-        parameters: HardwareParameters = DEFAULT_PARAMETERS,
-    ) -> None:
-        self.qram = qram if qram is not None else BucketBrigadeQRAM(capacity, data)
-        self.parameters = parameters
-
-    # -------------------------------------------------------------- structure
-    @property
-    def capacity(self) -> int:
-        return self.qram.capacity
-
-    @property
-    def address_width(self) -> int:
-        return self.qram.address_width
-
-    @property
-    def query_parallelism(self) -> int:
-        return self.qram.query_parallelism
-
-    @property
-    def qubit_count(self) -> int:
-        return self.qram.qubit_count
-
-    @property
-    def data(self) -> list[int]:
-        return self.qram.data
-
-    def write_memory(self, address: int, value: int) -> None:
-        self.qram.write_memory(address, value)
-        self.invalidate_predictions()
-
-    def cached_executor(self) -> BBExecutor:
-        """The underlying memoized gate-level executor."""
-        return self.qram.cached_executor()
+    model_class = BucketBrigadeQRAM
 
     def warm_schedule_caches(self) -> None:
         """Resolve the shared executor through the process-wide registry.
@@ -85,56 +44,30 @@ class BBBackend(PredictedFidelityMixin):
         timing window of the one-query window (all BB admits) are
         pre-derived alongside.
         """
-        self.qram.cached_executor()
+        self.model.cached_executor()
         self.timing_window(1)
 
-    # ----------------------------------------------------------------- timing
     def minimum_feasible_interval(self, num_queries: int = 2) -> int:
         """Sequential service: admissions are one full query apart."""
-        return self.qram.raw_query_layers
-
-    def single_query_latency(self) -> float:
-        return self.qram.single_query_latency()
-
-    def amortized_query_latency(self, num_queries: int | None = None) -> float:
-        return self.qram.amortized_query_latency(num_queries)
+        return self.model.raw_query_layers
 
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
-        lifetime = self.qram.raw_query_layers
-        # One array expression per window; exact integer arithmetic in
-        # float64, association matching the scalar `(start + lifetime) - 1`.
-        starts_arr = np.arange(batch_size, dtype=np.float64) * lifetime + 1.0
-        finishes_arr = starts_arr + float(lifetime) - 1.0
-        starts = tuple(starts_arr.tolist())
-        finishes = tuple(finishes_arr.tolist())
-        return lifetime, float(batch_size * lifetime), starts, finishes
+        lifetime = self.model.raw_query_layers
+        total, starts, finishes = window_offsets(batch_size, lifetime, lifetime)
+        return lifetime, total, starts, finishes
 
-    # --------------------------------------------------------------- fidelity
     def _infidelity_bounds(
         self, parameters: HardwareParameters
     ) -> tuple[float, float]:
         return bb_bounds(self.capacity, parameters)
 
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        return self.name, self.capacity, 0, self.parameters
-
-    # -------------------------------------------------------------- execution
-    def run_window(
-        self, requests: Sequence[QueryRequest], functional: bool = True
-    ) -> WindowResult:
+    def _functional_slots(
+        self, requests: Sequence[QueryRequest], interval: int
+    ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
         """Run one batch of queries back to back on the cached executor."""
-        if not requests:
-            raise ValueError("a window requires at least one request")
-        if not functional:
-            # Timing-only windows are pure schedule evaluations: one
-            # memoized WindowResult per occupancy.
-            return self.timing_window(len(requests))
-        interval, total, starts, finishes = self._window_offsets(len(requests))
-        predicted = self.predicted_window_fidelities(len(requests))
-
-        executor = self.qram.cached_executor()
+        executor = self.model.cached_executor()
         outputs = []
         fidelities = []
         for slot, request in enumerate(requests):
@@ -150,12 +83,4 @@ class BBBackend(PredictedFidelityMixin):
             fidelities.append(
                 output_fidelity(ideal_output(executor.data, request), actual)
             )
-        return WindowResult(
-            interval=interval,
-            total_layers=total,
-            start_offsets=starts,
-            finish_offsets=finishes,
-            outputs=tuple(outputs),
-            fidelities=tuple(fidelities),
-            predicted_fidelities=predicted,
-        )
+        return tuple(outputs), tuple(fidelities)

@@ -31,8 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backends.noise import PredictedFidelityMixin
-from repro.backends.protocol import WindowResult
+from repro.backends.noise import ModelBackend
 from repro.core.query import QueryRequest
 from repro.fidelity.qec import DEFAULT_THRESHOLD, QECCode, encoded_parameters
 from repro.hardware.parameters import HardwareParameters
@@ -72,71 +71,44 @@ def parse_encoded_name(name: str) -> tuple[str, int]:
     return base, distance
 
 
-class EncodedBackend(PredictedFidelityMixin):
+class EncodedBackend(ModelBackend):
     """A QEC-encoded replica of any serving backend.
 
+    The wrapped bare backend is this adapter's ``model``: capacity, memory
+    and writes delegate to it, while parallelism, qubits, latencies, window
+    timing and the prediction identity are rescaled by the assumed
+    ``[[d^2, 1, d]]`` surface-code-like code at the family's
+    :data:`~repro.fidelity.qec.DEFAULT_THRESHOLD`.
+
     Args:
-        backend: the bare backend to encode (any
-            :class:`~repro.backends.protocol.QRAMBackend`).
+        backend: the bare backend to encode.
         distance: code distance ``d`` (>= 2; use the bare backend for
             ``d = 1``).
-        code: override the assumed ``[[d^2, 1, d]]`` surface-code-like
-            code (controls ``m`` and the syndrome depth ``D``).
-        threshold: threshold error rate of the code family.
     """
 
-    def __init__(
-        self,
-        backend: Any,
-        distance: int,
-        code: QECCode | None = None,
-        threshold: float = DEFAULT_THRESHOLD,
-    ) -> None:
+    def __init__(self, backend: ModelBackend, distance: int) -> None:
         if distance < 2:
             raise ValueError(
                 "EncodedBackend needs distance >= 2; distance 1 is the bare backend"
             )
-        self.backend = backend
+        self.model = backend
         self.distance = distance
-        self.code = (
-            code
-            if code is not None
-            else QECCode(physical_qubits=distance * distance, distance=distance)
-        )
-        if self.code.distance != distance:
-            raise ValueError("code distance must match the requested distance")
-        self.threshold = threshold
+        self.code = QECCode(physical_qubits=distance * distance, distance=distance)
         self.name = encoded_backend_name(backend.name, distance)
         self.parameters = encoded_parameters(
-            backend.parameters, distance, threshold
+            backend.parameters, distance, DEFAULT_THRESHOLD
         )
 
     # -------------------------------------------------------------- structure
     @property
-    def capacity(self) -> int:
-        return self.backend.capacity
-
-    @property
-    def address_width(self) -> int:
-        return self.backend.address_width
-
-    @property
     def query_parallelism(self) -> int:
         """Logical parallelism: ``m`` pipelined physical queries make one
         logical query (Table 5), never below 1."""
-        return max(1, self.backend.query_parallelism // self.code.physical_qubits)
+        return max(1, self.model.query_parallelism // self.code.physical_qubits)
 
     @property
     def qubit_count(self) -> int:
-        return self.code.physical_qubits * self.backend.qubit_count
-
-    @property
-    def data(self) -> list[int]:
-        return self.backend.data
-
-    def write_memory(self, address: int, value: int) -> None:
-        self.backend.write_memory(address, value)
-        self.invalidate_predictions()
+        return self.code.physical_qubits * self.model.qubit_count
 
     def warm_schedule_caches(self) -> None:
         """Warm the bare inner backend's shared schedule caches.
@@ -146,27 +118,24 @@ class EncodedBackend(PredictedFidelityMixin):
         cache footprint of an encoded replica; the wrapper's own shared
         fidelity vectors and timing windows are pre-derived alongside.
         """
-        hook = getattr(self.backend, "warm_schedule_caches", None)
-        if hook is not None:
-            hook()
-        for occupancy in range(1, max(2, self.query_parallelism) + 1):
-            self.timing_window(occupancy)
+        self.model.warm_schedule_caches()
+        super().warm_schedule_caches()
 
     # ----------------------------------------------------------------- timing
     def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        return self.code.syndrome_depth * self.backend.minimum_feasible_interval(
+        return self.code.syndrome_depth * self.model.minimum_feasible_interval(
             num_queries
         )
 
     def single_query_latency(self) -> float:
         return (
-            self.code.syndrome_depth * self.backend.single_query_latency()
+            self.code.syndrome_depth * self.model.single_query_latency()
             + self.code.physical_qubits
         )
 
     def amortized_query_latency(self, num_queries: int | None = None) -> float:
         return (
-            self.code.syndrome_depth * self.backend.amortized_query_latency(num_queries)
+            self.code.syndrome_depth * self.model.amortized_query_latency(num_queries)
             + self.code.physical_qubits
         )
 
@@ -175,7 +144,7 @@ class EncodedBackend(PredictedFidelityMixin):
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
         depth = self.code.syndrome_depth
         trailer = self.code.physical_qubits
-        interval, total, starts, finishes = self.backend._window_offsets(batch_size)
+        interval, total, starts, finishes = self.model._window_offsets(batch_size)
         # One array expression per window: `depth * x` is a single IEEE
         # multiply either way, and the finish expression keeps the
         # scalar's association `(depth * finish) + trailer`.
@@ -196,20 +165,15 @@ class EncodedBackend(PredictedFidelityMixin):
     ) -> tuple[float, float]:
         """The bare architecture's bounds, evaluated at the logical error
         rates this wrapper derived at construction."""
-        return self.backend._infidelity_bounds(parameters)
+        return self.model._infidelity_bounds(parameters)
 
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable] | None:
+    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
         """Compose the inner backend's registry identity with the code.
 
         The inner profile's ``extra`` rides along so everything the bare
-        offsets depend on stays in the key; an inner backend without a
-        registry identity keeps the encoded wrapper instance-local too.
+        offsets depend on stays in the key.
         """
-        inner = getattr(self.backend, "_prediction_profile", None)
-        profile = inner() if inner is not None else None
-        if profile is None:
-            return None
-        arch, capacity, _, extra = profile
+        arch, capacity, _, extra = self.model._prediction_profile()
         return (
             arch,
             capacity,
@@ -223,24 +187,10 @@ class EncodedBackend(PredictedFidelityMixin):
         )
 
     # -------------------------------------------------------------- execution
-    def run_window(
-        self, requests: Sequence[QueryRequest], functional: bool = True
-    ) -> WindowResult:
-        if not requests:
-            raise ValueError("a window requires at least one request")
-        if not functional:
-            # Timing-only windows are pure schedule evaluations: one
-            # memoized WindowResult per occupancy (the serving hot path).
-            return self.timing_window(len(requests))
-        interval, total, starts, finishes = self._window_offsets(len(requests))
-        predicted = self.predicted_window_fidelities(len(requests))
-        outputs = self.backend.run_window(requests, functional=True).outputs
-        return WindowResult(
-            interval=interval,
-            total_layers=total,
-            start_offsets=starts,
-            finish_offsets=finishes,
-            outputs=outputs,
-            fidelities=predicted,
-            predicted_fidelities=predicted,
-        )
+    def _functional_slots(
+        self, requests: Sequence[QueryRequest], interval: int
+    ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+        """The bare backend's outputs with the encoded prediction as the
+        slot fidelity (the gate-level run simulates the bare circuit)."""
+        outputs = self.model.run_window(requests, functional=True).outputs
+        return outputs, self.predicted_window_fidelities(len(requests))

@@ -12,139 +12,55 @@ slot's pipelining overlap (:mod:`repro.backends.noise`).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
+from typing import Any
 
-import numpy as np
-
-from repro.backends.noise import PredictedFidelityMixin, fat_tree_bounds
-from repro.backends.protocol import WindowResult
-from repro.core.executor import FatTreeExecutor
+from repro.backends.noise import ModelBackend, fat_tree_bounds, window_offsets
 from repro.core.qram import FatTreeQRAM
 from repro.core.query import QueryRequest
-from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
+from repro.hardware.parameters import HardwareParameters
 
 
-class FatTreeBackend(PredictedFidelityMixin):
+class FatTreeBackend(ModelBackend):
     """Serves traffic through one Fat-Tree QRAM.
 
     Args:
         capacity: memory size ``N`` (power of two >= 2).
         data: optional classical memory contents.
-        qram: adopt an existing :class:`FatTreeQRAM` instead of building one.
         parameters: noise model used for the predicted slot fidelities.
     """
 
     name = "Fat-Tree"
+    model_class = FatTreeQRAM
 
-    def __init__(
-        self,
-        capacity: int,
-        data: Sequence[int] | None = None,
-        qram: FatTreeQRAM | None = None,
-        parameters: HardwareParameters = DEFAULT_PARAMETERS,
-    ) -> None:
-        self.qram = qram if qram is not None else FatTreeQRAM(capacity, data)
-        self.parameters = parameters
-
-    # -------------------------------------------------------------- structure
-    @property
-    def capacity(self) -> int:
-        return self.qram.capacity
-
-    @property
-    def address_width(self) -> int:
-        return self.qram.address_width
-
-    @property
-    def query_parallelism(self) -> int:
-        return self.qram.query_parallelism
-
-    @property
-    def qubit_count(self) -> int:
-        return self.qram.qubit_count
-
-    @property
-    def data(self) -> list[int]:
-        return self.qram.data
-
-    def write_memory(self, address: int, value: int) -> None:
-        self.qram.write_memory(address, value)
-        self.invalidate_predictions()
-
-    def cached_executor(self) -> FatTreeExecutor:
-        """The underlying memoized gate-level executor."""
-        return self.qram.cached_executor()
-
-    def warm_schedule_caches(self) -> None:
-        """Eagerly derive the shared schedule artefacts of this configuration.
-
-        Resolves the executor through the process-wide
-        :class:`~repro.schedule_cache.ScheduleCacheRegistry` and pre-derives
-        the minimum feasible interval, the shared fidelity vector and the
-        memoized timing window for every occupancy this backend can admit,
-        so later replicas (autoscaled or forked) start from a warm cache.
-        """
-        executor = self.qram.cached_executor()
-        for occupancy in range(1, max(2, self.query_parallelism) + 1):
-            executor.minimum_feasible_interval(occupancy)
-            self.timing_window(occupancy)
-
-    # ----------------------------------------------------------------- timing
     def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        return self.qram.cached_executor().minimum_feasible_interval(num_queries)
-
-    def single_query_latency(self) -> float:
-        return self.qram.single_query_latency()
-
-    def amortized_query_latency(self, num_queries: int | None = None) -> float:
-        return self.qram.amortized_query_latency(num_queries)
+        return self.model.cached_executor().minimum_feasible_interval(num_queries)
 
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
-        executor = self.qram.cached_executor()
+        executor = self.model.cached_executor()
         interval = executor.minimum_feasible_interval(batch_size)
-        lifetime = executor.relative_raw_latency()
-        # All slots in one array expression (slot * interval + 1 is exact
-        # integer arithmetic in float64, so this matches the scalar form
-        # bitwise; the finish expression keeps the scalar's left-to-right
-        # association `(start + lifetime) - 1`).
-        starts_arr = np.arange(batch_size, dtype=np.float64) * interval + 1.0
-        finishes_arr = starts_arr + float(lifetime) - 1.0
-        starts = tuple(starts_arr.tolist())
-        finishes = tuple(finishes_arr.tolist())
-        total = float((batch_size - 1) * interval + lifetime)
+        total, starts, finishes = window_offsets(
+            batch_size, interval, executor.relative_raw_latency()
+        )
         return interval, total, starts, finishes
 
-    # --------------------------------------------------------------- fidelity
     def _infidelity_bounds(
         self, parameters: HardwareParameters
     ) -> tuple[float, float]:
         return fat_tree_bounds(self.capacity, parameters)
 
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        return self.name, self.capacity, 0, self.parameters
-
-    # -------------------------------------------------------------- execution
-    def run_window(
-        self, requests: Sequence[QueryRequest], functional: bool = True
-    ) -> WindowResult:
+    def _functional_slots(
+        self, requests: Sequence[QueryRequest], interval: int
+    ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
         """Pipeline one batch of queries through the cached executor.
 
         Requests are renumbered to window slots ``0..k-1`` before execution
         so the executor's schedule and lowering caches are shared across
         every window of a trace.
         """
-        if not requests:
-            raise ValueError("a window requires at least one request")
-        if not functional:
-            # Timing-only windows are pure schedule evaluations: one
-            # memoized WindowResult per occupancy (the serving hot path).
-            return self.timing_window(len(requests))
-        interval, total, starts, finishes = self._window_offsets(len(requests))
-        predicted = self.predicted_window_fidelities(len(requests))
-
-        executor = self.qram.cached_executor()
+        executor = self.model.cached_executor()
         local = [
             QueryRequest(
                 query_id=slot,
@@ -155,16 +71,11 @@ class FatTreeBackend(PredictedFidelityMixin):
             )
             for slot, request in enumerate(requests)
         ]
-        summary, outputs = executor.run_pipelined_queries(local, interval=interval)
-        return WindowResult(
-            interval=interval,
-            total_layers=float(summary.total_layers),
-            start_offsets=starts,
-            finish_offsets=finishes,
-            outputs=tuple(outputs[slot] for slot in range(len(requests))),
-            fidelities=tuple(
-                executor.query_fidelity(local[slot], outputs[slot])
-                for slot in range(len(requests))
+        _, outputs = executor.run_pipelined_queries(local, interval=interval)
+        return (
+            tuple(outputs[request.query_id] for request in local),
+            tuple(
+                executor.query_fidelity(request, outputs[request.query_id])
+                for request in local
             ),
-            predicted_fidelities=predicted,
         )

@@ -1,4 +1,4 @@
-"""Predicted query fidelity for serving backends (Sec. 8.1 bounds, pipelined).
+"""Predicted query fidelity (Sec. 8.1 bounds, pipelined) and the shared backend base.
 
 Gate-level execution only reports a *measured* fidelity when a window runs
 functionally; timing-only serving used to report ``None`` and the serving
@@ -48,16 +48,30 @@ by construction, not by accident:
 
 The parity is pinned across all five architectures and their encoded
 ``@d<k>`` variants in ``tests/test_vectorized_parity.py``.
+
+One window-timing formula
+-------------------------
+
+Every architecture's window timing is :func:`window_offsets`: slot ``s``
+starts at ``(s // lanes) * step + 1``, finishes ``lifetime - 1`` layers
+later, and the window drains at ``((k - 1) // lanes) * step + lifetime``.
+Fat-Tree pipelines one lane at its feasible interval, BB and Virtual step
+a full lifetime (Virtual over ``parallelism`` lanes), and the distributed
+baselines run one lane per copy.  :class:`ModelBackend` is the one base
+every serving adapter shares: structural delegation, memory writes, the
+prediction memos and the single ``run_window``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.backends.protocol import WindowResult
 from repro.bucket_brigade.tree import validate_capacity
+from repro.core.query import QueryRequest
 from repro.fidelity.noise_resilience import (
     bb_query_infidelity,
     fat_tree_query_infidelity,
@@ -66,12 +80,14 @@ from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
 from repro.schedule_cache import default_registry
 
 __all__ = [
+    "ModelBackend",
     "PredictedFidelityMixin",
     "bb_bounds",
     "fat_tree_bounds",
     "pipelined_fidelities",
     "pipelined_fidelities_scalar",
     "virtual_bounds",
+    "window_offsets",
 ]
 
 
@@ -116,6 +132,24 @@ def virtual_bounds(
         1.0, num_pages * 2.0 * m * m * parameters.inter_node_swap_error
     )
     return base, crosstalk
+
+
+def window_offsets(
+    batch_size: int, step: int, lifetime: int, lanes: int = 1
+) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """``(total_layers, start_offsets, finish_offsets)`` of one window.
+
+    ``lanes`` slots start together every ``step`` layers: slot ``s``
+    starts at ``(s // lanes) * step + 1`` and finishes ``lifetime - 1``
+    layers later, and the window drains at
+    ``((batch_size - 1) // lanes) * step + lifetime``.  All slots are one
+    array expression; every value is exact integer arithmetic in float64,
+    and the finish keeps the scalar association ``(start + lifetime) - 1``.
+    """
+    starts = (np.arange(batch_size) // lanes) * float(step) + 1.0
+    finishes = starts + float(lifetime) - 1.0
+    total = float(((batch_size - 1) // lanes) * step + lifetime)
+    return total, tuple(starts.tolist()), tuple(finishes.tolist())
 
 
 def pipelined_fidelities(
@@ -196,10 +230,10 @@ class PredictedFidelityMixin:
 
     Concrete backends provide ``_window_offsets(batch_size)`` — the same
     timing model ``run_window`` uses, as ``(interval, total_layers,
-    start_offsets, finish_offsets)`` — and ``_infidelity_bounds(parameters)``
+    start_offsets, finish_offsets)`` — ``_infidelity_bounds(parameters)``
     returning the ``(base, crosstalk)`` pair of their architecture under a
     given noise model (encoded variants pass logical error rates through
-    the same hook).
+    the same hook), and ``_prediction_profile()``, their registry identity.
 
     Predictions are memoized at two levels.  The instance memo
     (``_predicted_fidelity_cache``) keeps hot-path lookups a dict hit; the
@@ -208,9 +242,7 @@ class PredictedFidelityMixin:
     same configuration — keyed ``(arch, capacity, occupancy, distance)``
     plus the backend's :meth:`_prediction_profile` — so autoscaled
     replicas and forked workers inherit warm predictions instead of
-    re-deriving them.  Backends whose profile is ``None`` (duck-typed
-    stand-ins without a registry identity) fall back to the instance memo
-    alone.
+    re-deriving them.
     """
 
     #: Noise model the predictions are evaluated at (set by subclasses).
@@ -226,11 +258,9 @@ class PredictedFidelityMixin:
     ) -> tuple[float, float]:
         raise NotImplementedError
 
-    def _prediction_profile(
-        self,
-    ) -> tuple[str, int, int, Hashable] | None:
+    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
         """Registry identity ``(arch, capacity, distance, extra)`` of this
-        backend's predictions, or ``None`` to keep them instance-local.
+        backend's predictions.
 
         Together with the window occupancy the profile must *uniquely
         determine* the prediction: ``extra`` carries everything beyond the
@@ -241,10 +271,11 @@ class PredictedFidelityMixin:
         only needs to drop the per-instance memos
         (:meth:`invalidate_predictions`).
         """
-        return None
+        raise NotImplementedError
 
     def _compute_window_fidelities(self, batch_size: int) -> tuple[float, ...]:
-        """Derive one window's per-slot predictions (uncached)."""
+        """Derive one window's per-slot predictions (uncached; the registry
+        factory called on a miss)."""
         _, _, starts, finishes = self._window_offsets(batch_size)
         base, crosstalk = self._infidelity_bounds(self.parameters)
         return pipelined_fidelities(base, crosstalk, starts, finishes)
@@ -256,25 +287,17 @@ class PredictedFidelityMixin:
         cache = self.__dict__.setdefault("_predicted_fidelity_cache", {})
         fidelities = cache.get(batch_size)
         if fidelities is None:
-            profile = self._prediction_profile()
-            if profile is None:
-                fidelities = self._compute_window_fidelities(batch_size)
-            else:
-                arch, capacity, distance, extra = profile
-                fidelities = default_registry().fidelity_vector(
-                    arch,
-                    capacity,
-                    batch_size,
-                    self._make_window_fidelities,
-                    distance=distance,
-                    extra=extra,
-                )
+            arch, capacity, distance, extra = self._prediction_profile()
+            fidelities = default_registry().fidelity_vector(
+                arch,
+                capacity,
+                batch_size,
+                self._compute_window_fidelities,
+                distance=distance,
+                extra=extra,
+            )
             cache[batch_size] = fidelities
         return fidelities
-
-    def _make_window_fidelities(self, batch_size: int) -> tuple[float, ...]:
-        """Registry factory hook (bound method, called on a cache miss)."""
-        return self._compute_window_fidelities(batch_size)
 
     def timing_window(self, batch_size: int) -> WindowResult:
         """Memoized timing-only :class:`WindowResult` for one occupancy.
@@ -316,3 +339,119 @@ class PredictedFidelityMixin:
         """
         self.__dict__.pop("_predicted_fidelity_cache", None)
         self.__dict__.pop("_timing_window_cache", None)
+
+
+class ModelBackend(PredictedFidelityMixin):
+    """The one serving adapter: a backend wrapping one architecture model.
+
+    Subclasses name the architecture (``name``) and the model they wrap
+    (``model_class``, built as ``model_class(capacity, data)``), and
+    provide its admission spacing (``minimum_feasible_interval``), window
+    timing (``_window_offsets``, normally one :func:`window_offsets`
+    call), noise bounds (``_infidelity_bounds``) and functional execution
+    (``_functional_slots``).  Everything else — the structural surface,
+    memory writes with prediction invalidation, the latencies, schedule
+    warming and the single :meth:`run_window` — is shared here.
+
+    Args:
+        capacity: memory size ``N`` (power of two >= 2).
+        data: optional classical memory contents.
+        parameters: noise model used for the predicted slot fidelities.
+    """
+
+    name: str
+    #: Architecture model class, built as ``model_class(capacity, data)``.
+    model_class: Callable[..., Any]
+
+    def __init__(
+        self,
+        capacity: int,
+        data: Sequence[int] | None = None,
+        parameters: HardwareParameters = DEFAULT_PARAMETERS,
+    ) -> None:
+        # The model is duck-typed: the architecture models share the
+        # capacity/address_width/latency surface but no common base class.
+        self.model: Any = self.model_class(capacity, data)
+        self.parameters = parameters
+
+    # -------------------------------------------------------------- structure
+    @property
+    def capacity(self) -> int:
+        return self.model.capacity
+
+    @property
+    def address_width(self) -> int:
+        return self.model.address_width
+
+    @property
+    def query_parallelism(self) -> int:
+        return self.model.query_parallelism
+
+    @property
+    def qubit_count(self) -> int:
+        return self.model.qubit_count
+
+    @property
+    def data(self) -> list[int]:
+        return self.model.data
+
+    def write_memory(self, address: int, value: int) -> None:
+        self.model.write_memory(address, value)
+        self.invalidate_predictions()
+
+    def warm_schedule_caches(self) -> None:
+        """Pre-derive the shared fidelity vector and memoized timing window
+        of every occupancy this backend can admit.
+
+        Later replicas (autoscaled or forked) then start from a warm
+        :class:`~repro.schedule_cache.ScheduleCacheRegistry`.  Adapters
+        whose model holds executors the timing model never touches resolve
+        those first.
+        """
+        for occupancy in range(1, max(2, self.query_parallelism) + 1):
+            self.timing_window(occupancy)
+
+    # ----------------------------------------------------------------- timing
+    def single_query_latency(self) -> float:
+        return self.model.single_query_latency()
+
+    def amortized_query_latency(self, num_queries: int | None = None) -> float:
+        return self.model.amortized_query_latency(num_queries)
+
+    # --------------------------------------------------------------- fidelity
+    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
+        return self.name, self.capacity, 0, self.parameters
+
+    # -------------------------------------------------------------- execution
+    def _functional_slots(
+        self, requests: Sequence[QueryRequest], interval: int
+    ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+        """Execute one window gate-level: ``(outputs, fidelities)`` per slot."""
+        raise NotImplementedError
+
+    def run_window(
+        self, requests: Sequence[QueryRequest], functional: bool = True
+    ) -> WindowResult:
+        """Execute one batch of (backend-local) queries.
+
+        Timing-only windows are pure schedule evaluations: one memoized
+        :class:`WindowResult` per occupancy (the serving hot path).
+        Functional windows share the same offsets and predictions and run
+        the queries through :meth:`_functional_slots`.
+        """
+        if not requests:
+            raise ValueError("a window requires at least one request")
+        if not functional:
+            return self.timing_window(len(requests))
+        interval, total, starts, finishes = self._window_offsets(len(requests))
+        predicted = self.predicted_window_fidelities(len(requests))
+        outputs, fidelities = self._functional_slots(requests, interval)
+        return WindowResult(
+            interval=interval,
+            total_layers=total,
+            start_offsets=starts,
+            finish_offsets=finishes,
+            outputs=outputs,
+            fidelities=fidelities,
+            predicted_fidelities=predicted,
+        )

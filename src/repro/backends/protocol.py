@@ -86,10 +86,13 @@ class WindowResult:
 class QRAMBackend(Protocol):
     """What the serving layer requires of an executable QRAM architecture.
 
-    Implementations wrap one architecture model (and, for the gate-level
-    architectures, its cached executor) behind a uniform surface; see
-    :mod:`repro.backends.fat_tree`, :mod:`repro.backends.bucket_brigade`
-    and :mod:`repro.backends.analytic`.
+    Every implementation subclasses :class:`repro.backends.noise.ModelBackend`,
+    which wraps one architecture model (and, for the gate-level
+    architectures, its cached executor) behind this surface; the
+    architectures differ only in timing parameters, noise bounds and
+    functional execution (:mod:`repro.backends.fat_tree`,
+    :mod:`repro.backends.bucket_brigade`, :mod:`repro.backends.analytic`,
+    :mod:`repro.backends.encoded`).
     """
 
     @property

@@ -75,7 +75,7 @@ from repro.engine.events import (
     check_nondecreasing,
 )
 from repro.engine.partition import ParallelRunInfo, partition_unsupported_reason
-from repro.engine.workload import WorkloadSource
+from repro.engine.workload import WorkloadSource, check_arrival
 from repro.fidelity.distillation import distilled_infidelity
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -129,18 +129,19 @@ def _env_flag(name: str) -> bool:
 
 def _env_workers() -> int | None:
     """Default worker count from the ``REPRO_WORKERS`` variable: unset,
-    empty or ``0`` means single-process; anything but an integer is an
-    error, never a silent fallback."""
+    empty or ``0`` means single-process; anything but a non-negative
+    integer is an error, never a silent fallback."""
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return None
+    error = ValueError(f"{WORKERS_ENV} must be a worker count >= 0, got {raw!r}")
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{WORKERS_ENV} must be an integer worker count, got {raw!r}"
-        ) from None
-    return value if value >= 1 else None
+        raise error from None
+    if value < 0:
+        raise error
+    return value or None
 
 
 def _distilled(fidelity: float, copies: int) -> float:
@@ -949,10 +950,7 @@ class ServiceEngine:
                 f"duplicate query_id {request.query_id} in trace; "
                 "query ids key the per-request results and must be unique"
             )
-        if request.address_amplitudes is None:
-            raise ValueError("service requests require address amplitudes")
-        if request.min_fidelity is not None and not 0.0 < request.min_fidelity <= 1.0:
-            raise ValueError("min_fidelity must be in (0, 1]")
+        check_arrival(request)
         # Every validated arrival is "offered" — it must end up served,
         # rejected, or still queued (the conservation invariant the
         # sanitizer checks at every drain).

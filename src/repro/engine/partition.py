@@ -41,6 +41,7 @@ from repro.engine.workload import (
     StreamingTraceSource,
     TraceSource,
     WorkloadSource,
+    check_arrival,
     check_request_time,
 )
 
@@ -183,10 +184,7 @@ def split_trace(
                 "query ids key the per-request results and must be unique"
             )
         seen.add(request.query_id)
-        if request.address_amplitudes is None:
-            raise ValueError("service requests require address amplitudes")
-        if request.min_fidelity is not None and not 0.0 < request.min_fidelity <= 1.0:
-            raise ValueError("min_fidelity must be in (0, 1]")
+        check_arrival(request)
         shard, _ = shard_map.route(request.address_amplitudes)
         buckets[shard].append(request)
     return buckets

@@ -86,6 +86,15 @@ def check_request_time(request: QueryRequest) -> None:
         )
 
 
+def check_arrival(request: QueryRequest) -> None:
+    """Refuse an arrival the fleet cannot serve: one without address
+    amplitudes, or with a fidelity SLO outside ``(0, 1]``."""
+    if request.address_amplitudes is None:
+        raise ValueError("service requests require address amplitudes")
+    if request.min_fidelity is not None and not 0.0 < request.min_fidelity <= 1.0:
+        raise ValueError("min_fidelity must be in (0, 1]")
+
+
 #: Pseudo client id a :class:`StreamingTraceSource` paces its arrivals on.
 _STREAM_CLIENT = -1
 

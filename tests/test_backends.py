@@ -102,18 +102,24 @@ def test_backend_window_functional_outputs(name):
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
 def test_backend_window_timing_only(name):
+    """Functional and timing-only windows share one timing model at every
+    occupancy the backend admits."""
     backend = build_backend(name, CAPACITY)
-    requests = [QueryRequest(i, {0: 1.0}) for i in range(2)]
-    functional = backend.run_window(requests, functional=True)
-    timing = backend.run_window(requests, functional=False)
-    assert timing.outputs == (None, None)
-    # Timing-only windows report the analytic *predicted* fidelity in place
-    # of the measured one — the serving stack is never blind to quality.
-    assert timing.fidelities == timing.predicted_fidelities
-    assert all(0.0 <= f < 1.0 for f in timing.fidelities)
-    assert timing.predicted_fidelities == functional.predicted_fidelities
-    assert timing.start_offsets == functional.start_offsets
-    assert timing.finish_offsets == functional.finish_offsets
+    for occupancy in range(1, min(backend.query_parallelism, 8) + 1):
+        requests = [QueryRequest(i, {0: 1.0}) for i in range(occupancy)]
+        functional = backend.run_window(requests, functional=True)
+        timing = backend.run_window(requests, functional=False)
+        assert timing.outputs == (None,) * occupancy
+        # Timing-only windows report the analytic *predicted* fidelity in
+        # place of the measured one — the serving stack is never blind to
+        # quality.
+        assert timing.fidelities == timing.predicted_fidelities
+        assert all(0.0 <= f < 1.0 for f in timing.fidelities)
+        assert timing.predicted_fidelities == functional.predicted_fidelities
+        assert timing.start_offsets == functional.start_offsets
+        assert timing.finish_offsets == functional.finish_offsets
+        assert timing.interval == functional.interval
+        assert timing.total_layers == functional.total_layers
     with pytest.raises(ValueError):
         backend.run_window([])
 
@@ -121,7 +127,7 @@ def test_backend_window_timing_only(name):
 def test_bb_backend_is_sequential():
     backend = build_backend("BB", CAPACITY)
     assert backend.query_parallelism == 1
-    lifetime = backend.qram.raw_query_layers
+    lifetime = backend.model.raw_query_layers
     result = backend.run_window(
         [QueryRequest(i, {0: 1.0}) for i in range(3)], functional=False
     )
@@ -143,10 +149,10 @@ def test_backend_write_invalidates_caches():
 
 def test_bb_cached_executor_reused_until_write():
     backend = build_backend("BB", CAPACITY)
-    first = backend.cached_executor()
-    assert backend.cached_executor() is first
+    first = backend.model.cached_executor()
+    assert backend.model.cached_executor() is first
     backend.write_memory(0, 1)
-    assert backend.cached_executor() is not first
+    assert backend.model.cached_executor() is not first
 
 
 # ---------------------------------------------------------------- integration

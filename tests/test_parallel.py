@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -213,16 +214,30 @@ def test_partitioned_trace_source_matches_materialized_trace():
         assert report.parallel.fallback_reason is None
 
 
-def test_error_messages_identical_across_worker_counts():
-    requests = _trace(num_queries=12)
-    duplicated = requests + [requests[-1]]
+@pytest.mark.parametrize(
+    ("corrupt", "expected"),
+    [
+        (lambda r: r + [r[-1]], "duplicate query_id"),
+        (
+            lambda r: r[:-1] + [replace(r[-1], address_amplitudes=None)],
+            "require address amplitudes",
+        ),
+        (
+            lambda r: r[:-1] + [replace(r[-1], min_fidelity=1.5)],
+            "min_fidelity must be in",
+        ),
+    ],
+    ids=["duplicate-id", "no-amplitudes", "min-fidelity"],
+)
+def test_error_messages_identical_across_worker_counts(corrupt, expected):
+    requests = corrupt(_trace(num_queries=12))
     messages = []
     for workers in (0, 1, 4):
         with pytest.raises(ValueError) as excinfo:
-            _serve(_service(), duplicated, workers=workers)
+            _serve(_service(), requests, workers=workers)
         messages.append(str(excinfo.value))
     assert len(set(messages)) == 1
-    assert "duplicate query_id" in messages[0]
+    assert expected in messages[0]
 
 
 def test_child_engine_inherits_parent_knobs():
@@ -296,9 +311,10 @@ def test_env_workers_leaves_non_oracle_configs_alone(monkeypatch):
     assert report.parallel is None
 
 
-def test_env_workers_rejects_non_integer(monkeypatch):
+@pytest.mark.parametrize("raw", ["four", "-3"])
+def test_env_workers_rejects_non_integer(monkeypatch, raw):
     requests = _trace()
-    monkeypatch.setenv(WORKERS_ENV, "four")
+    monkeypatch.setenv(WORKERS_ENV, raw)
     with pytest.raises(ValueError, match=WORKERS_ENV):
         ServiceEngine(_service()).run(TraceSource(requests))
     # Unset and 0 keep their meaning: the single-process oracle.

@@ -92,7 +92,7 @@ def test_service_batches_into_pipeline_windows():
     assert any(w.batch_size > 1 for w in report.windows)
     assert all(w.batch_size <= parallelism for w in report.windows)
     # Inside a window, admissions are spaced by the shard's cached interval.
-    interval = service.shards[0].cached_executor().minimum_feasible_interval()
+    interval = service.shards[0].model.cached_executor().minimum_feasible_interval()
     for window in report.windows:
         assert window.interval == interval
         batch = [s for s in report.served
