@@ -21,6 +21,7 @@ Two levels of fidelity to the paper:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -42,6 +43,12 @@ from repro.core.query import (
     output_fidelity,
 )
 from repro.sim.sparse import SparseState
+
+#: Largest sparse state a functional window may build.  Each query
+#: multiplies the branch count by its address branches and by 2 for its bus
+#: in the |+>/|-> basis; past this bound a window would run for minutes, so
+#: :meth:`FatTreeExecutor.run_pipelined_queries` refuses it up front.
+MAX_WINDOW_TERMS = 2**16
 
 
 @dataclass
@@ -399,6 +406,7 @@ class FatTreeExecutor:
         """
         if not requests:
             raise ValueError("at least one query request is required")
+        _check_window_terms(requests)
         if interval is None:
             interval = self.minimum_feasible_interval(len(requests))
 
@@ -407,8 +415,6 @@ class FatTreeExecutor:
 
         # Prepare external registers and the phase-kickback basis change.
         for request in requests:
-            if request.address_amplitudes is None:
-                raise ValueError("functional execution requires address amplitudes")
             address_qubits = [
                 self.namer.address_qubit(request.query_id, bit)
                 for bit in range(self._n)
@@ -561,6 +567,30 @@ class FatTreeExecutor:
                 if qubit in tree_qubits and value != 0:
                     return False
         return True
+
+
+def _check_window_terms(requests: Sequence[QueryRequest]) -> None:
+    """Refuse a window whose sparse state could exceed MAX_WINDOW_TERMS.
+
+    The bound is the product over queries of twice the query's nonzero
+    address branches.
+    """
+    branches = []
+    for request in requests:
+        if request.address_amplitudes is None:
+            raise ValueError("functional execution requires address amplitudes")
+        branches.append(
+            sum(1 for amp in request.address_amplitudes.values() if amp != 0)
+        )
+    bound = math.prod(2 * count for count in branches)
+    if bound > MAX_WINDOW_TERMS:
+        ids = [request.query_id for request in requests]
+        raise ValueError(
+            f"functional window of {len(requests)} queries {ids} with "
+            f"{branches} address branches could reach {bound} sparse terms, "
+            f"above MAX_WINDOW_TERMS={MAX_WINDOW_TERMS}; serve fewer or "
+            f"narrower superpositions per window"
+        )
 
 
 def _compatible_shared_swap(a: Instruction, b: Instruction) -> bool:

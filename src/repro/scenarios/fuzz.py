@@ -14,6 +14,7 @@ checked against the engine's cross-cutting invariants:
   (replay determinism: one seed, one report).
 * **streaming-parity** — a materialized trace and its lazy streaming
   delivery produce equal full-retention reports.
+* **crash** — the engine raises anything but its all-rejected refusal.
 * **parallel-identity** — ``workers=2`` equals the single-process oracle
   under full retention (exact where :mod:`repro.engine.partition` proves
   partitionability, trivially via fallback elsewhere).  Under
@@ -207,15 +208,29 @@ def check_spec(
 
     Returns the first :class:`Violation`, or ``None`` when all pass (a
     run the engine refuses because every request was rejected counts as a
-    vacuous pass).  With ``mutate`` the base report is transformed before
+    vacuous pass; any other exception is a ``crash`` violation).  With ``mutate`` the base report is transformed before
     the report-level checks (conservation, slo-admission) and the
     multi-run invariants are skipped — the mutation-testing mode proving
     the harness catches an injected bug.
     """
-    report = _execute(spec)
-    if report is None:
-        return None
-    return _check_with_report(spec, report, mutate)
+    return _check(spec, mutate)[1]
+
+
+def _check(
+    spec: ScenarioSpec, mutate: Mutator | None = None
+) -> tuple[bool, Violation | None]:
+    """``(vacuous, first violation)`` of one spec.
+
+    Any exception other than the vacuous refusal is itself a violation
+    (``crash``), so it is shrunk and dumped like a failed invariant.
+    """
+    try:
+        report = _execute(spec)
+        if report is None:
+            return True, None
+        return False, _check_with_report(spec, report, mutate)
+    except Exception as exc:  # every crash is a finding
+        return False, Violation("crash", f"{type(exc).__name__}: {exc}", spec)
 
 
 def _check_with_report(
@@ -596,11 +611,8 @@ def run_fuzz(
     vacuous = 0
     for index in range(draws):
         spec = draw_spec(rng)
-        report = _execute(spec)
-        if report is None:
-            vacuous += 1
-            continue
-        violation = _check_with_report(spec, report, mutate)
+        is_vacuous, violation = _check(spec, mutate)
+        vacuous += is_vacuous
         if violation is None:
             continue
         violation = Violation(

@@ -1,47 +1,78 @@
 """Sparse basis-state simulator.
 
-The state is a dictionary mapping computational basis assignments (tuples of
-bits over a fixed qubit ordering) to complex amplitudes.  Permutation gates
-(X, CX, CCX, SWAP, CSWAP, ...) never increase the number of terms;
-superposition-creating gates (H, RY) at most double it.  A QRAM query over an
-address register in an ``m``-branch superposition therefore stays at ``m``
-terms throughout the routing circuit, no matter how many router qubits exist —
-this is exactly the "limited entanglement among different paths" property the
-paper relies on for noise resilience, reused here for exact simulation.
+A state is a list of *branches*: computational basis assignments over a
+fixed qubit ordering, each carrying one complex amplitude.  Permutation
+gates (X, CX, CCX, SWAP, CSWAP, ANTI_CSWAP) and diagonal gates (Z, S, T, RZ,
+CZ) map every branch to one branch, so they never change the number of
+branches; superposition-creating gates (H, Y, RY) at most double it.  A QRAM
+query over an address register in an ``m``-branch superposition therefore
+stays at ``m`` branches throughout the routing circuit, no matter how many
+router qubits exist — this is exactly the "limited entanglement among
+different paths" property the paper relies on for noise resilience, reused
+here for exact simulation.
+
+:class:`SparseState` stores the branches as arrays and moves all of them
+with one array operation per gate:
+
+* a ``branches x columns`` ``uint8`` bit matrix, one row per branch;
+* a qubit-to-column list, so SWAP exchanges two list entries and moves no
+  data;
+* a ``complex128`` amplitude vector.
+
+The other permutations are column XORs, the diagonal gates one elementwise
+product, and H/Y/RY duplicate the rows, merge equal rows and prune.
+Products are evaluated as explicit real/imaginary float expressions and
+merged rows are summed in first-occurrence order, so every amplitude is
+bit-identical to the scalar dictionary implementation kept as
+:class:`SparseStateScalar` (the reference the tests compare against).
+
+Both classes answer every inspection (``items``, ``probability``,
+``register_amplitudes``, ...) from one ``{basis tuple: amplitude}`` view,
+written once in :class:`_SparseView`; :class:`SparseState` builds that view
+on demand and caches it until the next mutation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.sim.circuit import Circuit, Operation
-from repro.sim.gates import GATES
+from repro.sim.gates import GATES, Gate
 
 Qubit = Hashable
 Basis = tuple[int, ...]
 
 _ATOL = 1e-12
 
+__all__ = ["SparseState", "SparseStateScalar"]
 
-class SparseState:
-    """A pure state stored as a sparse map from basis states to amplitudes.
 
-    Args:
-        qubits: ordered list of qubit labels.  Additional qubits can be added
-            later with :meth:`add_qubit`, initialised to |0>.
+class _SparseView:
+    """Qubit bookkeeping, circuits and inspection shared by both storages.
+
+    Subclasses keep ``_qubits``/``_index`` (labels in index order and their
+    positions) and provide :meth:`_terms`, the state as a
+    ``{basis tuple: amplitude}`` dict in branch order.
     """
 
-    def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
-        self._qubits: list[Qubit] = []
-        self._index: dict[Qubit, int] = {}
-        self._amplitudes: dict[Basis, complex] = {(): 1.0 + 0.0j}
-        self.classical: dict[str, int] = {}
-        for q in qubits:
-            self.add_qubit(q)
+    _qubits: list[Qubit]
+    _index: dict[Qubit, int]
+    classical: dict[str, int]
+
+    def _terms(self) -> dict[Basis, complex]:
+        raise NotImplementedError
+
+    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
+        raise NotImplementedError
+
+    def apply_gate(
+        self, gate: str, qubits: Sequence[Qubit], theta: float | None = None
+    ) -> None:
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ state
     @property
@@ -53,22 +84,13 @@ class SparseState:
     def num_qubits(self) -> int:
         return len(self._qubits)
 
-    @property
-    def num_terms(self) -> int:
-        """Number of nonzero basis states (sparsity)."""
-        return len(self._amplitudes)
-
-    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
-        """Add a new qubit initialised to ``|value>``."""
+    def _add_label(self, qubit: Qubit, value: int) -> None:
         if qubit in self._index:
             raise ValueError(f"qubit {qubit!r} already exists")
         if value not in (0, 1):
             raise ValueError("qubit value must be 0 or 1")
         self._index[qubit] = len(self._qubits)
         self._qubits.append(qubit)
-        self._amplitudes = {
-            basis + (value,): amp for basis, amp in self._amplitudes.items()
-        }
 
     def ensure_qubits(self, qubits: Iterable[Qubit]) -> None:
         """Add any of ``qubits`` that do not exist yet (initialised to |0>)."""
@@ -76,17 +98,35 @@ class SparseState:
             if q not in self._index:
                 self.add_qubit(q)
 
+    def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> tuple[str, list[int]]:
+        """Validate a gate call; return its canonical name and qubit indices.
+
+        Unknown qubits are added in |0>.  Repeated qubits are rejected:
+        applied to a basis branch they would not be a unitary.
+        """
+        key = gate.upper()
+        spec = GATES.get(key)
+        if spec is None:
+            raise ValueError(f"unknown gate {gate!r}")
+        if len(qubits) != spec.n_qubits:
+            raise ValueError(
+                f"gate {key} expects {spec.n_qubits} qubits, got {len(qubits)}"
+            )
+        if spec.n_qubits > 1 and len(set(qubits)) != spec.n_qubits:
+            raise ValueError(f"duplicate qubits in gate {key}: {tuple(qubits)}")
+        index = self._index
+        try:
+            return key, [index[q] for q in qubits]
+        except KeyError:
+            self.ensure_qubits(qubits)
+            return key, [index[q] for q in qubits]
+
     def items(self) -> Iterable[tuple[Basis, complex]]:
-        return self._amplitudes.items()
+        return self._terms().items()
 
     def norm(self) -> float:
         """2-norm of the state (should always be ~1)."""
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amplitudes.values()))
-
-    def _prune(self) -> None:
-        self._amplitudes = {
-            b: a for b, a in self._amplitudes.items() if abs(a) > _ATOL
-        }
+        return math.sqrt(sum(abs(a) ** 2 for a in self._terms().values()))
 
     # ------------------------------------------------------------ preparation
     def set_register(self, qubits: Sequence[Qubit], value: int) -> None:
@@ -99,139 +139,6 @@ class SparseState:
         for q, bit in zip(qubits, bits):
             if bit:
                 self.apply_gate("X", (q,))
-
-    def prepare_superposition(
-        self, qubits: Sequence[Qubit], amplitudes: Mapping[int, complex]
-    ) -> None:
-        """Prepare an arbitrary superposition over a register of fresh qubits.
-
-        The register must be in |0...0> and unentangled with the rest of the
-        state (true at preparation time in all uses here).
-
-        Args:
-            qubits: register labels, most significant bit first.
-            amplitudes: map from integer basis value to amplitude.  Normalised
-                automatically.
-        """
-        self.ensure_qubits(qubits)
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
-        if norm < _ATOL:
-            raise ValueError("cannot prepare the zero vector")
-        idx = [self._index[q] for q in qubits]
-        for basis in self._amplitudes:
-            for i in idx:
-                if basis[i] != 0:
-                    raise ValueError("register must be |0...0> before preparation")
-        new_amps: dict[Basis, complex] = {}
-        width = len(qubits)
-        for basis, amp in self._amplitudes.items():
-            for value, a in amplitudes.items():
-                if abs(a) < _ATOL:
-                    continue
-                bits = _int_to_bits(value, width)
-                new_basis = list(basis)
-                for i, bit in zip(idx, bits):
-                    new_basis[i] = bit
-                new_amps[tuple(new_basis)] = amp * (a / norm)
-        self._amplitudes = new_amps
-
-    # -------------------------------------------------------------- gate application
-    def apply_gate(
-        self,
-        gate: str,
-        qubits: Sequence[Qubit],
-        theta: float | None = None,
-    ) -> None:
-        """Apply a gate by name to the given qubits."""
-        key = gate.upper()
-        if key not in GATES:
-            raise ValueError(f"unknown gate {gate!r}")
-        spec = GATES[key]
-        if len(qubits) != spec.n_qubits:
-            raise ValueError(
-                f"gate {key} expects {spec.n_qubits} qubits, got {len(qubits)}"
-            )
-        self.ensure_qubits(qubits)
-        idx = [self._index[q] for q in qubits]
-
-        if spec.is_permutation:
-            self._apply_permutation(spec, idx)
-        elif key == "H":
-            self._apply_single_qubit_matrix(_H_MATRIX, idx[0])
-        elif key == "Z":
-            self._apply_phase(idx[0], on_one=-1.0 + 0j)
-        elif key == "S":
-            self._apply_phase(idx[0], on_one=1j)
-        elif key == "T":
-            self._apply_phase(idx[0], on_one=cmath.exp(1j * math.pi / 4))
-        elif key == "Y":
-            self._apply_single_qubit_matrix(
-                np.array([[0, -1j], [1j, 0]], dtype=complex), idx[0]
-            )
-        elif key == "RY":
-            if theta is None:
-                raise ValueError("RY requires theta")
-            c, s = math.cos(theta / 2), math.sin(theta / 2)
-            self._apply_single_qubit_matrix(
-                np.array([[c, -s], [s, c]], dtype=complex), idx[0]
-            )
-        elif key == "RZ":
-            if theta is None:
-                raise ValueError("RZ requires theta")
-            self._apply_diag(
-                idx[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2)
-            )
-        elif key == "CZ":
-            self._apply_cz(idx[0], idx[1])
-        else:  # pragma: no cover - defensive, all gates covered above
-            raise ValueError(f"gate {key} not supported by SparseState")
-
-    def _apply_permutation(self, spec, idx: list[int]) -> None:
-        new_amps: dict[Basis, complex] = {}
-        for basis, amp in self._amplitudes.items():
-            bits = tuple(basis[i] for i in idx)
-            new_bits = spec.permute_bits(bits)
-            if new_bits == bits:
-                new_amps[basis] = new_amps.get(basis, 0.0) + amp
-                continue
-            new_basis = list(basis)
-            for i, bit in zip(idx, new_bits):
-                new_basis[i] = bit
-            key = tuple(new_basis)
-            new_amps[key] = new_amps.get(key, 0.0) + amp
-        self._amplitudes = new_amps
-        self._prune()
-
-    def _apply_single_qubit_matrix(self, matrix: np.ndarray, index: int) -> None:
-        new_amps: dict[Basis, complex] = {}
-        for basis, amp in self._amplitudes.items():
-            bit = basis[index]
-            for new_bit in (0, 1):
-                coeff = matrix[new_bit, bit]
-                if abs(coeff) < _ATOL:
-                    continue
-                new_basis = list(basis)
-                new_basis[index] = new_bit
-                key = tuple(new_basis)
-                new_amps[key] = new_amps.get(key, 0.0) + coeff * amp
-        self._amplitudes = new_amps
-        self._prune()
-
-    def _apply_phase(self, index: int, on_one: complex) -> None:
-        self._apply_diag(index, 1.0 + 0j, on_one)
-
-    def _apply_diag(self, index: int, on_zero: complex, on_one: complex) -> None:
-        self._amplitudes = {
-            basis: amp * (on_one if basis[index] else on_zero)
-            for basis, amp in self._amplitudes.items()
-        }
-        self._prune()
-
-    def _apply_cz(self, control: int, target: int) -> None:
-        self._amplitudes = {
-            basis: (-amp if basis[control] and basis[target] else amp)
-            for basis, amp in self._amplitudes.items()
-        }
 
     # ---------------------------------------------------------------- circuits
     def run(self, circuit: Circuit) -> None:
@@ -252,7 +159,7 @@ class SparseState:
         """Total probability of all basis states consistent with ``assignment``."""
         idx = [(self._index[q], v) for q, v in assignment.items()]
         total = 0.0
-        for basis, amp in self._amplitudes.items():
+        for basis, amp in self._terms().items():
             if all(basis[i] == v for i, v in idx):
                 total += abs(amp) ** 2
         return total
@@ -263,7 +170,7 @@ class SparseState:
         """Probability distribution over a register (MSB first)."""
         idx = [self._index[q] for q in qubits]
         dist: dict[int, float] = {}
-        for basis, amp in self._amplitudes.items():
+        for basis, amp in self._terms().items():
             value = _bits_to_int(tuple(basis[i] for i in idx))
             dist[value] = dist.get(value, 0.0) + abs(amp) ** 2
         return dist
@@ -287,7 +194,7 @@ class SparseState:
         matrix: dict[tuple[int, Basis], complex] = {}
         register_values: set[int] = set()
         rest_values: set[Basis] = set()
-        for basis, amp in self._amplitudes.items():
+        for basis, amp in self._terms().items():
             reg = _bits_to_int(tuple(basis[i] for i in idx))
             rest = tuple(basis[i] for i in others)
             matrix[(reg, rest)] = matrix.get((reg, rest), 0.0) + amp
@@ -326,19 +233,20 @@ class SparseState:
 
     def qubit_values(self) -> dict[Qubit, int] | None:
         """If every qubit has a definite value, return the assignment, else None."""
-        if len(self._amplitudes) != 1:
+        terms = self._terms()
+        if len(terms) != 1:
             # Qubits may still be definite across branches.
             values: dict[Qubit, int] = {}
             for i, q in enumerate(self._qubits):
-                vals = {b[i] for b in self._amplitudes}
+                vals = {b[i] for b in terms}
                 if len(vals) != 1:
                     return None
                 values[q] = vals.pop()
             return values
-        basis = next(iter(self._amplitudes))
+        basis = next(iter(terms))
         return {q: basis[i] for i, q in enumerate(self._qubits)}
 
-    def fidelity_with(self, other: "SparseState") -> float:
+    def fidelity_with(self, other: _SparseView) -> float:
         """|<self|other>|^2 over the union of qubit labels (missing = |0>)."""
         labels = list(dict.fromkeys(self._qubits + other._qubits))
         a = self._expand_to(labels)
@@ -351,7 +259,7 @@ class SparseState:
     def _expand_to(self, labels: Sequence[Qubit]) -> dict[Basis, complex]:
         positions = {q: i for i, q in enumerate(labels)}
         out: dict[Basis, complex] = {}
-        for basis, amp in self._amplitudes.items():
+        for basis, amp in self._terms().items():
             new_basis = [0] * len(labels)
             for q, bit in zip(self._qubits, basis):
                 new_basis[positions[q]] = bit
@@ -370,10 +278,424 @@ class SparseState:
         n = len(order)
         vec = np.zeros(2**n, dtype=complex)
         positions = [self._index[q] for q in order]
-        for basis, amp in self._amplitudes.items():
+        for basis, amp in self._terms().items():
             bits = tuple(basis[i] for i in positions)
             vec[_bits_to_int(bits)] = amp
         return vec
+
+
+class SparseState(_SparseView):
+    """A pure state stored as a branch bit matrix and an amplitude vector.
+
+    Args:
+        qubits: ordered list of qubit labels.  Additional qubits can be added
+            later with :meth:`add_qubit`, initialised to |0>.
+    """
+
+    def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
+        self._qubits: list[Qubit] = []
+        self._index: dict[Qubit, int] = {}
+        self.classical: dict[str, int] = {}
+        # Row r is branch r; qubit i's bit lives in column _cols[i].
+        self._bits = np.zeros((1, 0), dtype=np.uint8)
+        self._cols: list[int] = []
+        self._amps = np.ones(1, dtype=np.complex128)
+        # Cached {basis: amplitude} view, dropped by every mutation.
+        self._view: dict[Basis, complex] | None = None
+        # The dict storage rebuilds every amplitude as ``0.0 + amp`` on a
+        # permutation (a -0.0 part becomes +0.0) and then prunes.  That work
+        # is pending only after a preparation (which may leave |amp| <=
+        # _ATOL branches) or a diagonal gate (which may leave -0.0 parts).
+        self._pending = False
+        for q in qubits:
+            self.add_qubit(q)
+
+    @property
+    def num_terms(self) -> int:
+        """Number of nonzero basis states (sparsity)."""
+        return len(self._amps)
+
+    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
+        """Add a new qubit initialised to ``|value>``."""
+        self._add_label(qubit, value)
+        self._append_columns(1, value)
+
+    def ensure_qubits(self, qubits: Iterable[Qubit]) -> None:
+        """Add any of ``qubits`` that do not exist yet (initialised to |0>)."""
+        new = [q for q in dict.fromkeys(qubits) if q not in self._index]
+        for q in new:
+            self._add_label(q, 0)
+        if new:
+            self._append_columns(len(new), 0)
+
+    def _append_columns(self, count: int, value: int) -> None:
+        width = self._bits.shape[1]
+        self._cols.extend(range(width, width + count))
+        block = np.full((len(self._amps), count), value, dtype=np.uint8)
+        self._bits = np.concatenate((self._bits, block), axis=1)
+        self._view = None
+
+    def _terms(self) -> dict[Basis, complex]:
+        if self._view is None:
+            rows = self._bits[:, self._cols].tolist()
+            # list(), not tolist(): the view yields np.complex128 scalars,
+            # whose division differs from Python complex division.
+            self._view = dict(zip(map(tuple, rows), list(self._amps)))
+        return self._view
+
+    def _prune(self) -> None:
+        magnitude = np.abs(self._amps)
+        if len(magnitude) and not magnitude.min() > _ATOL:
+            keep = magnitude > _ATOL
+            self._bits = self._bits[keep]
+            self._amps = self._amps[keep]
+
+    # ------------------------------------------------------------ preparation
+    def prepare_superposition(
+        self, qubits: Sequence[Qubit], amplitudes: Mapping[int, complex]
+    ) -> None:
+        """Prepare an arbitrary superposition over a register of fresh qubits.
+
+        The register must be in |0...0> and unentangled with the rest of the
+        state (true at preparation time in all uses here).
+
+        Args:
+            qubits: register labels, most significant bit first.
+            amplitudes: map from integer basis value to amplitude.  Normalised
+                automatically.
+        """
+        self.ensure_qubits(qubits)
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
+        if norm < _ATOL:
+            raise ValueError("cannot prepare the zero vector")
+        cols = [self._cols[self._index[q]] for q in qubits]
+        if self._bits[:, cols].any():
+            raise ValueError("register must be |0...0> before preparation")
+        width = len(qubits)
+        values = [v for v, a in amplitudes.items() if abs(a) >= _ATOL]
+        register = np.array(
+            [_int_to_bits(v, width) for v in values], dtype=np.uint8
+        ).reshape(len(values), width)
+        factors = np.array(
+            [amplitudes[v] / norm for v in values], dtype=np.complex128
+        )
+        # Branch-major, value-minor: the dict storage's insertion order.
+        terms = len(self._amps)
+        bits = np.repeat(self._bits, len(values), axis=0)
+        bits[:, cols] = np.tile(register, (terms, 1))
+        amps = np.repeat(self._amps, len(values))
+        tiled = np.tile(factors, terms)
+        self._bits = bits
+        self._amps = _multiply(amps, tiled.real, tiled.imag)
+        self._pending = True
+        self._view = None
+
+    # -------------------------------------------------------------- gate application
+    def apply_gate(
+        self,
+        gate: str,
+        qubits: Sequence[Qubit],
+        theta: float | None = None,
+    ) -> None:
+        """Apply a gate by name to the given qubits."""
+        key, idx = self._resolve(gate, qubits)
+        _HANDLERS[key](self, idx, theta)
+        self._view = None
+
+    # Gate handlers take (qubit indices, theta).  Column views are written
+    # in place: ``column ^= mask`` XORs every branch at once.
+    def _settle(self) -> None:
+        """A permutation's share of the dict storage's work (see __init__)."""
+        if self._pending:
+            self._amps = self._amps + 0.0
+            self._prune()
+            self._pending = False
+
+    def _swap(self, q: list[int], theta: float | None) -> None:
+        cols = self._cols
+        cols[q[0]], cols[q[1]] = cols[q[1]], cols[q[0]]
+        self._settle()
+
+    def _cswap(self, q: list[int], theta: float | None) -> None:
+        bits, cols = self._bits, self._cols
+        a, b = bits[:, cols[q[1]]], bits[:, cols[q[2]]]
+        diff = a ^ b
+        diff &= bits[:, cols[q[0]]]
+        a ^= diff
+        b ^= diff
+        self._settle()
+
+    def _anti_cswap(self, q: list[int], theta: float | None) -> None:
+        bits, cols = self._bits, self._cols
+        a, b = bits[:, cols[q[1]]], bits[:, cols[q[2]]]
+        diff = (a ^ b) > bits[:, cols[q[0]]]  # differ and control is 0
+        a ^= diff
+        b ^= diff
+        self._settle()
+
+    def _x(self, q: list[int], theta: float | None) -> None:
+        target = self._bits[:, self._cols[q[0]]]
+        target ^= 1
+        self._settle()
+
+    def _cx(self, q: list[int], theta: float | None) -> None:
+        bits, cols = self._bits, self._cols
+        target = bits[:, cols[q[1]]]
+        target ^= bits[:, cols[q[0]]]
+        self._settle()
+
+    def _ccx(self, q: list[int], theta: float | None) -> None:
+        bits, cols = self._bits, self._cols
+        target = bits[:, cols[q[2]]]
+        target ^= bits[:, cols[q[0]]] & bits[:, cols[q[1]]]
+        self._settle()
+
+    def _diag(self, index: int, on_zero: complex, on_one: complex) -> None:
+        bit = self._bits[:, self._cols[index]]
+        re = np.array((on_zero.real, on_one.real))[bit]
+        im = np.array((on_zero.imag, on_one.imag))[bit]
+        self._amps = _multiply(self._amps, re, im)
+        self._prune()
+        self._pending = True
+
+    def _cz(self, q: list[int], theta: float | None) -> None:
+        bits, cols = self._bits, self._cols
+        both = (bits[:, cols[q[0]]] & bits[:, cols[q[1]]]).view(bool)
+        np.negative(self._amps, out=self._amps, where=both)
+        self._pending = True
+
+    def _single_qubit_matrix(self, matrix: np.ndarray, index: int) -> None:
+        """Apply a 2x2 matrix: split every branch in two, merge equal rows."""
+        col = self._cols[index]
+        terms = len(self._amps)
+        # Candidate row 2t + b is branch t with the qubit set to b.
+        source = np.repeat(np.arange(terms), 2)
+        new_bit = np.tile(np.array([0, 1], dtype=np.uint8), terms)
+        old_bit = self._bits[source, col]
+        keep = np.abs(matrix)[new_bit, old_bit] >= _ATOL
+        if not keep.all():
+            source, new_bit, old_bit = source[keep], new_bit[keep], old_bit[keep]
+        bits = self._bits[source]
+        bits[:, col] = new_bit
+        amps = _multiply(
+            self._amps[source],
+            matrix.real[new_bit, old_bit],
+            matrix.imag[new_bit, old_bit],
+        )
+        # Merge equal rows: groups in first-occurrence order, each summed
+        # in row order from 0.0 (the dict storage's accumulation).
+        keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        group = rank[inverse]
+        merged = np.empty(len(order), dtype=np.complex128)
+        merged.real = np.bincount(group, weights=amps.real, minlength=len(order))
+        merged.imag = np.bincount(group, weights=amps.imag, minlength=len(order))
+        self._bits = bits[first[order]]
+        self._amps = merged
+        self._prune()
+
+
+def _multiply(amps: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``amps * (re + i im)`` elementwise, bit-identical to scalar complex
+    multiplication (numpy's vectorized complex multiply may contract to FMA
+    and round differently)."""
+    ar, ai = amps.real, amps.imag
+    out = np.empty(len(amps), dtype=np.complex128)
+    out.real = ar * re - ai * im
+    out.imag = ar * im + ai * re
+    return out
+
+
+def _require_theta(key: str, theta: float | None) -> float:
+    if theta is None:
+        raise ValueError(f"{key} requires theta")
+    return theta
+
+
+def _ry_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _rz(state: SparseState, q: list[int], theta: float | None) -> None:
+    theta = _require_theta("RZ", theta)
+    state._diag(q[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2))
+
+
+_Handler = Callable[[SparseState, list[int], float | None], None]
+
+#: One handler per gate of :data:`GATES`: ``(state, qubit indices, theta)``.
+_HANDLERS: dict[str, _Handler] = {
+    "I": lambda s, q, t: s._settle(),
+    "X": SparseState._x,
+    "CX": SparseState._cx,
+    "CCX": SparseState._ccx,
+    "SWAP": SparseState._swap,
+    "CSWAP": SparseState._cswap,
+    "ANTI_CSWAP": SparseState._anti_cswap,
+    "H": lambda s, q, t: s._single_qubit_matrix(_H_MATRIX, q[0]),
+    "Y": lambda s, q, t: s._single_qubit_matrix(_Y_MATRIX, q[0]),
+    "RY": lambda s, q, t: s._single_qubit_matrix(
+        _ry_matrix(_require_theta("RY", t)), q[0]
+    ),
+    "Z": lambda s, q, t: s._diag(q[0], 1.0 + 0j, -1.0 + 0j),
+    "S": lambda s, q, t: s._diag(q[0], 1.0 + 0j, 1j),
+    "T": lambda s, q, t: s._diag(q[0], 1.0 + 0j, _T_PHASE),
+    "RZ": _rz,
+    "CZ": SparseState._cz,
+}
+
+
+class SparseStateScalar(_SparseView):
+    """Reference storage: a dict from basis tuples to amplitudes.
+
+    One Python loop per gate over every branch.  :class:`SparseState`
+    reproduces it bit for bit; tests compare the two.
+
+    Args:
+        qubits: ordered list of qubit labels.  Additional qubits can be added
+            later with :meth:`add_qubit`, initialised to |0>.
+    """
+
+    def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
+        self._qubits: list[Qubit] = []
+        self._index: dict[Qubit, int] = {}
+        self._amplitudes: dict[Basis, complex] = {(): 1.0 + 0.0j}
+        self.classical: dict[str, int] = {}
+        for q in qubits:
+            self.add_qubit(q)
+
+    @property
+    def num_terms(self) -> int:
+        """Number of nonzero basis states (sparsity)."""
+        return len(self._amplitudes)
+
+    def _terms(self) -> dict[Basis, complex]:
+        return self._amplitudes
+
+    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
+        """Add a new qubit initialised to ``|value>``."""
+        self._add_label(qubit, value)
+        self._amplitudes = {
+            basis + (value,): amp for basis, amp in self._amplitudes.items()
+        }
+
+    def _prune(self) -> None:
+        self._amplitudes = {
+            b: a for b, a in self._amplitudes.items() if abs(a) > _ATOL
+        }
+
+    # ------------------------------------------------------------ preparation
+    def prepare_superposition(
+        self, qubits: Sequence[Qubit], amplitudes: Mapping[int, complex]
+    ) -> None:
+        """Prepare an arbitrary superposition over a register of fresh qubits
+        (see :meth:`SparseState.prepare_superposition`)."""
+        self.ensure_qubits(qubits)
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
+        if norm < _ATOL:
+            raise ValueError("cannot prepare the zero vector")
+        idx = [self._index[q] for q in qubits]
+        for basis in self._amplitudes:
+            for i in idx:
+                if basis[i] != 0:
+                    raise ValueError("register must be |0...0> before preparation")
+        new_amps: dict[Basis, complex] = {}
+        width = len(qubits)
+        for basis, amp in self._amplitudes.items():
+            for value, a in amplitudes.items():
+                if abs(a) < _ATOL:
+                    continue
+                bits = _int_to_bits(value, width)
+                new_basis = list(basis)
+                for i, bit in zip(idx, bits):
+                    new_basis[i] = bit
+                new_amps[tuple(new_basis)] = amp * (a / norm)
+        self._amplitudes = new_amps
+
+    # -------------------------------------------------------------- gate application
+    def apply_gate(
+        self,
+        gate: str,
+        qubits: Sequence[Qubit],
+        theta: float | None = None,
+    ) -> None:
+        """Apply a gate by name to the given qubits."""
+        key, idx = self._resolve(gate, qubits)
+        spec = GATES[key]
+
+        if spec.is_permutation:
+            self._apply_permutation(spec, idx)
+        elif key == "H":
+            self._apply_single_qubit_matrix(_H_MATRIX, idx[0])
+        elif key == "Z":
+            self._apply_diag(idx[0], 1.0 + 0j, -1.0 + 0j)
+        elif key == "S":
+            self._apply_diag(idx[0], 1.0 + 0j, 1j)
+        elif key == "T":
+            self._apply_diag(idx[0], 1.0 + 0j, _T_PHASE)
+        elif key == "Y":
+            self._apply_single_qubit_matrix(_Y_MATRIX, idx[0])
+        elif key == "RY":
+            self._apply_single_qubit_matrix(
+                _ry_matrix(_require_theta(key, theta)), idx[0]
+            )
+        elif key == "RZ":
+            theta = _require_theta(key, theta)
+            self._apply_diag(
+                idx[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2)
+            )
+        elif key == "CZ":
+            self._apply_cz(idx[0], idx[1])
+        else:  # pragma: no cover - defensive, all gates covered above
+            raise ValueError(f"gate {key} not supported by SparseState")
+
+    def _apply_permutation(self, spec: Gate, idx: list[int]) -> None:
+        new_amps: dict[Basis, complex] = {}
+        for basis, amp in self._amplitudes.items():
+            bits = tuple(basis[i] for i in idx)
+            new_bits = spec.permute_bits(bits)
+            if new_bits == bits:
+                new_amps[basis] = new_amps.get(basis, 0.0) + amp
+                continue
+            new_basis = list(basis)
+            for i, bit in zip(idx, new_bits):
+                new_basis[i] = bit
+            key = tuple(new_basis)
+            new_amps[key] = new_amps.get(key, 0.0) + amp
+        self._amplitudes = new_amps
+        self._prune()
+
+    def _apply_single_qubit_matrix(self, matrix: np.ndarray, index: int) -> None:
+        new_amps: dict[Basis, complex] = {}
+        for basis, amp in self._amplitudes.items():
+            bit = basis[index]
+            for new_bit in (0, 1):
+                coeff = matrix[new_bit, bit]
+                if abs(coeff) < _ATOL:
+                    continue
+                new_basis = list(basis)
+                new_basis[index] = new_bit
+                key = tuple(new_basis)
+                new_amps[key] = new_amps.get(key, 0.0) + coeff * amp
+        self._amplitudes = new_amps
+        self._prune()
+
+    def _apply_diag(self, index: int, on_zero: complex, on_one: complex) -> None:
+        self._amplitudes = {
+            basis: amp * (on_one if basis[index] else on_zero)
+            for basis, amp in self._amplitudes.items()
+        }
+        self._prune()
+
+    def _apply_cz(self, control: int, target: int) -> None:
+        self._amplitudes = {
+            basis: (-amp if basis[control] and basis[target] else amp)
+            for basis, amp in self._amplitudes.items()
+        }
 
 
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
@@ -390,3 +712,5 @@ def _bits_to_int(bits: Sequence[int]) -> int:
 
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+_Y_MATRIX = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_T_PHASE = cmath.exp(1j * math.pi / 4)

@@ -1,9 +1,11 @@
 """Gate-level Fat-Tree executor: functional correctness of pipelined queries."""
 
+import time
+
 import pytest
 
 from repro.core import FatTreeQRAM, QueryRequest
-from repro.core.executor import FatTreeExecutor
+from repro.core.executor import MAX_WINDOW_TERMS, FatTreeExecutor
 from repro.core.pipeline import PIPELINE_INTERVAL
 from repro.bucket_brigade.instructions import InstructionKind
 from repro.workloads import structured_data
@@ -111,6 +113,26 @@ def test_requests_require_amplitudes():
         executor.run_pipelined_queries([QueryRequest(0)])
     with pytest.raises(ValueError):
         executor.run_pipelined_queries([])
+
+
+def test_window_term_blowup_fails_fast_with_cause():
+    """A full window of full superpositions would need (2 * 32)**5 sparse
+    terms; it is refused before the first gate, naming the cause."""
+    executor = FatTreeExecutor(32, [0] * 32)
+    uniform = {address: 1.0 for address in range(32)}
+    requests = [
+        QueryRequest(query_id=q, address_amplitudes=uniform)
+        for q in range(executor.address_width)
+    ]
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as excinfo:
+        executor.run_pipelined_queries(requests)
+    assert time.perf_counter() - start < 1.0
+    message = str(excinfo.value)
+    assert "5 queries [0, 1, 2, 3, 4]" in message
+    assert "[32, 32, 32, 32, 32] address branches" in message
+    assert f"{64**5} sparse terms" in message
+    assert f"MAX_WINDOW_TERMS={MAX_WINDOW_TERMS}" in message
 
 
 def test_repeated_queries_reuse_cached_schedule():

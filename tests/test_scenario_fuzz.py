@@ -102,6 +102,26 @@ def test_mutation_is_caught_and_shrunk(tmp_path):
     assert ScenarioSpec.from_dict(payload["shrunk_spec"]) == shrunk
 
 
+def test_crash_is_reported_shrunk_and_dumped(tmp_path, monkeypatch):
+    """An exception escaping the engine is a ``crash`` violation: shrunk
+    and written out like any failed invariant, not raised past the CLI."""
+
+    def explode(spec):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(ScenarioSpec, "execute", explode)
+    reproducer = tmp_path / "fuzz_reproducer.json"
+    report = run_fuzz(draws=5, seed=0, reproducer_path=str(reproducer))
+    assert report.violation is not None
+    assert report.violation.invariant == "crash"
+    assert report.violation.detail == "RuntimeError: engine exploded"
+    assert report.checked == 1
+    assert check_spec(report.shrunk).invariant == "crash"
+    payload = json.loads(reproducer.read_text())
+    assert payload["invariant"] == "crash"
+    assert ScenarioSpec.from_dict(payload["shrunk_spec"]) == report.shrunk
+
+
 def test_clean_run_writes_no_reproducer(tmp_path):
     reproducer = tmp_path / "fuzz_reproducer.json"
     report = run_fuzz(draws=5, seed=1, reproducer_path=str(reproducer))

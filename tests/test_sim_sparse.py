@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.circuit import Circuit
-from repro.sim.sparse import SparseState
+from repro.sim.sparse import SparseState, SparseStateScalar
 from repro.sim.statevector import StatevectorSimulator
 
 
@@ -130,3 +130,25 @@ def test_set_register_roundtrip(value):
     qubits = [f"r{i}" for i in range(4)]
     state.set_register(qubits, value)
     assert state.marginal_distribution(qubits) == {value: pytest.approx(1.0)}
+
+
+@pytest.mark.parametrize("storage", [SparseState, SparseStateScalar])
+@pytest.mark.parametrize(
+    "gate, qubits",
+    [
+        ("CX", ["a", "a"]),
+        ("CCX", ["a", "b", "a"]),
+        ("SWAP", ["b", "b"]),
+        ("CSWAP", ["a", "b", "b"]),
+    ],
+)
+def test_repeated_qubits_are_rejected(storage, gate, qubits):
+    """A gate on a repeated qubit is not unitary on basis branches (a CX on
+    (a, a) after H left norm sqrt(2)); both storages refuse it unchanged."""
+    state = storage(["a", "b"])
+    state.apply_gate("H", ["a"])
+    before = list(state.items())
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        state.apply_gate(gate, qubits)
+    assert list(state.items()) == before
+    assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)

@@ -15,7 +15,11 @@ contract:
 * an end-to-end serve with the scalar oracle substituted for the
   vectorized kernel — full retention, every record compared;
 * the trace generators' scalar fast path (single-address draws) and
-  block shard draws against the historical per-request draws.
+  block shard draws against the historical per-request draws;
+* the array-backed :class:`~repro.sim.sparse.SparseState` against the
+  dict-backed :class:`~repro.sim.sparse.SparseStateScalar` — random
+  circuits, every Fat-Tree window occupancy, BB queries and a whole
+  functional serve.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.backends.noise import (
     pipelined_fidelities,
@@ -40,6 +45,14 @@ from repro.workloads.generators import (
 )
 from repro.workloads.arrivals import iter_exponential_times
 from repro.core.query import QueryRequest
+from repro.bucket_brigade.executor import BBExecutor
+from repro.core.executor import FatTreeExecutor
+from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
+from repro.sim.gates import GATES
+from repro.sim.sparse import SparseState, SparseStateScalar
+from repro.sweep.engine import report_digest
+import repro.bucket_brigade.executor as bb_executor_module
+import repro.core.executor as fat_tree_executor_module
 
 #: Every registered architecture plus encoded variants at two distances —
 #: the full set of `_window_offsets` / `_infidelity_bounds` combinations
@@ -276,3 +289,162 @@ def test_write_memory_invalidates_instance_memos():
     after = backend.run_window(requests, functional=False)
     assert after is not before
     assert after.fidelities == before.fidelities
+
+
+# --------------------------------------------------------------------------
+# Sparse simulator: array storage == dict storage
+# --------------------------------------------------------------------------
+def _branches(state):
+    return [
+        (basis, amp.real.hex(), amp.imag.hex()) for basis, amp in state.items()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_state_matches_scalar_on_random_circuits(data):
+    """Random circuits over every gate, with fresh qubits added in |1> and
+    fresh registers prepared in superposition between the gates.
+
+    After every step both storages hold the same basis tuples in the same
+    order with bit-identical amplitudes, signed zeros included.  The
+    inspections derived from the amplitudes (norm, marginals, register
+    amplitudes) are compared within 1e-12 instead: the array view always
+    yields ``np.complex128`` scalars, while the dict holds Python complex
+    values until its first H/Y/RY, and the two types round a complex
+    division differently.
+    """
+    labels = ["q0", "q1", "q2", "q3"]
+    array, scalar = SparseState(labels[:2]), SparseStateScalar(labels[:2])
+    amplitude = st.complex_numbers(
+        max_magnitude=4.0, allow_nan=False, allow_infinity=False
+    )
+    for step in range(data.draw(st.integers(1, 25), label="steps")):
+        action = data.draw(
+            st.sampled_from(sorted(GATES) + ["add_qubit", "prepare"])
+        )
+        if action == "add_qubit":
+            labels.append(f"a{step}")
+            for state in (array, scalar):
+                state.add_qubit(labels[-1], value=1)
+        elif action == "prepare":
+            register = [f"p{step}.0", f"p{step}.1"]
+            amplitudes = data.draw(
+                st.dictionaries(st.integers(0, 3), amplitude, min_size=1)
+            )
+            assume(math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values())) > 1e-6)
+            labels.extend(register)
+            for state in (array, scalar):
+                state.prepare_superposition(register, amplitudes)
+        else:
+            gate = GATES[action]
+            qubits = data.draw(st.permutations(labels))[: gate.n_qubits]
+            theta = (
+                data.draw(st.floats(-7.0, 7.0)) if gate.is_parametric else None
+            )
+            for state in (array, scalar):
+                state.apply_gate(action, qubits, theta=theta)
+        assert array.num_terms == scalar.num_terms
+        assert _branches(array) == _branches(scalar)
+        assert math.isclose(array.norm(), scalar.norm(), abs_tol=1e-12)
+    assert array.qubits == scalar.qubits
+    register = array.qubits[:3]
+    marginal = array.marginal_distribution(register)
+    for value, probability in scalar.marginal_distribution(register).items():
+        assert math.isclose(marginal[value], probability, abs_tol=1e-12)
+    product = {0: 0.6, 3: 0.8j}
+    for state in (array, scalar):
+        state.prepare_superposition(["r0", "r1"], product)
+    expected = scalar.register_amplitudes(["r0", "r1"])
+    actual = array.register_amplitudes(["r0", "r1"])
+    assert actual.keys() == expected.keys()
+    for value, amp in expected.items():
+        assert abs(actual[value] - amp) <= 1e-12
+
+
+def _run_both(monkeypatch, module, run):
+    """``run()`` on the array storage, then with ``module``'s SparseState
+    swapped for the dict storage."""
+    array = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "SparseState", SparseStateScalar)
+        scalar = run()
+    return array, scalar
+
+
+@pytest.mark.parametrize("capacity", [4, 8, 16])
+def test_fat_tree_windows_match_scalar_storage(monkeypatch, capacity):
+    """Every window occupancy up to the query parallelism: outputs and
+    fidelities equal bit for bit, and the tree ends clean."""
+    data = [int(b) for b in np.random.default_rng(capacity).integers(2, size=capacity)]
+    for occupancy in range(1, int(math.log2(capacity)) + 1):
+        requests = [
+            QueryRequest(
+                query_id=q,
+                address_amplitudes=random_address_superposition(
+                    capacity, 2, seed=100 * capacity + 10 * occupancy + q
+                ),
+            )
+            for q in range(occupancy)
+        ]
+
+        def run():
+            executor = FatTreeExecutor(capacity, data)
+            _, outputs = executor.run_pipelined_queries(requests)
+            assert executor.tree_is_clean()
+            fidelities = [
+                executor.query_fidelity(r, outputs[r.query_id]) for r in requests
+            ]
+            return outputs, fidelities
+
+        array, scalar = _run_both(monkeypatch, fat_tree_executor_module, run)
+        assert array == scalar, (capacity, occupancy)
+        assert all(math.isclose(f, 1.0, abs_tol=1e-9) for f in array[1])
+
+
+@pytest.mark.parametrize("capacity", [4, 8, 16])
+def test_bb_queries_match_scalar_storage(monkeypatch, capacity):
+    data = [int(b) for b in np.random.default_rng(capacity).integers(2, size=capacity)]
+    amplitudes = random_address_superposition(capacity, 3, seed=capacity)
+
+    def run():
+        executor = BBExecutor(capacity, data)
+        state = executor.run_query(amplitudes, initial_bus=1)
+        assert executor.tree_is_clean(state)
+        output = executor.measured_output(state)
+        return output, executor.query_fidelity(amplitudes, initial_bus=1)
+
+    array, scalar = _run_both(monkeypatch, bb_executor_module, run)
+    assert array == scalar
+
+
+def test_functional_serve_matches_scalar_storage(monkeypatch):
+    """The benchmark's functional-gate scenario (seed 1) served with the
+    dict storage in both executors has the same report digest."""
+    spec = ScenarioSpec(
+        name="functional-gate",
+        fleet=FleetSpec(
+            capacity=16,
+            shards=("Fat-Tree", "Fat-Tree"),
+            functional=True,
+            data="random",
+            data_seed=3,
+        ),
+        workload=WorkloadSpec(
+            kind="poisson",
+            num_queries=200,
+            mean_interarrival=4.0,
+            addresses_per_query=2,
+            seed=1,
+        ),
+        run=RunSpec(retention="full", workers=0, sanitize=False, profile=False),
+    )
+
+    def serve():
+        default_registry().clear()
+        return report_digest(spec.execute())
+
+    monkeypatch.setattr(bb_executor_module, "SparseState", SparseStateScalar)
+    array, scalar = _run_both(monkeypatch, fat_tree_executor_module, serve)
+    default_registry().clear()
+    assert array == scalar
