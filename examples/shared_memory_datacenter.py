@@ -12,11 +12,8 @@ Run with ``python examples/shared_memory_datacenter.py``.
 from __future__ import annotations
 
 from repro import build_architecture
-from repro.scheduling import (
-    AlgorithmWorkload,
-    QRAMServiceModel,
-    SharedQRAMSimulation,
-)
+from repro.engine import ClosedLoopClient
+from repro.scheduling import QRAMServiceModel, serve_closed_loop
 
 CAPACITY = 1024
 NUM_QPUS = 12
@@ -27,15 +24,15 @@ PROCESSING_RATIO = 0.5        # d / t1 of the synthetic workload
 def run(architecture: str) -> None:
     qram = build_architecture(architecture, CAPACITY)
     model = QRAMServiceModel.from_architecture(qram)
-    workloads = [
-        AlgorithmWorkload(
+    clients = [
+        ClosedLoopClient(
             qpu,
-            rounds=ROUNDS,
-            processing_layers=PROCESSING_RATIO * model.weighted_query_latency,
+            queries=ROUNDS,
+            think_layers=PROCESSING_RATIO * model.weighted_query_latency,
         )
         for qpu in range(NUM_QPUS)
     ]
-    report = SharedQRAMSimulation(model).run(workloads)
+    report = serve_closed_loop(model, clients)
     print(f"\n{architecture} QRAM (N = {CAPACITY}, {NUM_QPUS} QPUs, "
           f"{ROUNDS} query/process rounds each)")
     print(f"  query latency          : {model.weighted_query_latency:.3f} layers")

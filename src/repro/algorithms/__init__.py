@@ -3,9 +3,9 @@
 Each algorithm model describes how many parallel query streams it issues, how
 many queries each stream makes, and how much QPU processing separates
 consecutive queries.  :mod:`repro.algorithms.depth_model` maps those query
-streams onto a QRAM architecture (via the contention simulator) to obtain the
-overall circuit depth of Fig. 9; :mod:`repro.algorithms.synthetic` generates
-the parameterised workloads of Fig. 10.
+streams onto a QRAM architecture (one closed-loop serving-engine run) to
+obtain the overall circuit depth of Fig. 9; :mod:`repro.algorithms.synthetic`
+generates the parameterised workloads of Fig. 10.
 """
 
 from repro.algorithms.profile import AlgorithmProfile

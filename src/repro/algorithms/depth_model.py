@@ -1,9 +1,11 @@
 """Overall circuit depth of parallel algorithms on shared QRAMs (Fig. 9).
 
 An algorithm profile (``p`` parallel streams, ``Q`` queries per stream,
-processing ``d`` between queries) is mapped onto a QRAM architecture with the
-contention simulator: every stream is a QPU workload, the QRAM's service
-model determines how its queries serialise or pipeline.  The reported
+processing ``d`` between queries) is mapped onto a QRAM architecture by one
+closed-loop :class:`repro.engine.ServiceEngine` run: every stream is a
+client on its own QPU, and the QRAM's
+:class:`~repro.scheduling.contention.QRAMServiceModel` determines how its
+queries serialise or pipeline.  The reported
 *overall circuit depth* is the completion time of the slowest stream in
 weighted circuit layers — exactly the quantity compared in Fig. 9.
 """
@@ -19,26 +21,22 @@ from repro.algorithms.profile import AlgorithmProfile
 from repro.algorithms.qsp import parallel_qsp_profile
 from repro.baselines.registry import architecture_names, build_architecture
 from repro.bucket_brigade.tree import validate_capacity
-from repro.scheduling.contention import (
-    AlgorithmWorkload,
-    QRAMServiceModel,
-    SharedQRAMSimulation,
-)
+from repro.engine import ClosedLoopClient
+from repro.scheduling.contention import QRAMServiceModel, serve_closed_loop
 
 
 def algorithm_depth(profile: AlgorithmProfile, qram) -> float:
     """Overall circuit depth of one algorithm on one QRAM architecture."""
     model = QRAMServiceModel.from_architecture(qram)
-    workloads = [
-        AlgorithmWorkload(
+    clients = [
+        ClosedLoopClient(
             stream,
-            rounds=profile.queries_per_stream,
-            processing_layers=profile.processing_layers,
+            queries=profile.queries_per_stream,
+            think_layers=profile.processing_layers,
         )
         for stream in range(profile.parallel_streams)
     ]
-    report = SharedQRAMSimulation(model).run(workloads)
-    return report.overall_depth
+    return serve_closed_loop(model, clients).overall_depth
 
 
 def default_profiles(capacity: int, qsp_degree: int = 30) -> list[AlgorithmProfile]:

@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.scheduling.contention import (
-    AlgorithmWorkload,
-    QRAMServiceModel,
-    SharedQRAMSimulation,
-)
+from repro.engine import ClosedLoopClient
+from repro.scheduling.contention import QRAMServiceModel, serve_closed_loop
 
 
 @dataclass(frozen=True)
@@ -31,11 +28,11 @@ class SyntheticAlgorithm:
     rounds: int = 10
     processing_ratio: float = 0.5
 
-    def workloads(self, count: int, weighted_query_latency: float) -> list[AlgorithmWorkload]:
+    def clients(self, count: int, weighted_query_latency: float) -> list[ClosedLoopClient]:
         """Materialise ``count`` concurrent copies of this algorithm."""
         d = self.processing_ratio * weighted_query_latency
         return [
-            AlgorithmWorkload(i, rounds=self.rounds, processing_layers=d)
+            ClosedLoopClient(i, queries=self.rounds, think_layers=d)
             for i in range(count)
         ]
 
@@ -66,16 +63,15 @@ def synthetic_sweep(
         rounds: query/processing repetitions per algorithm.
     """
     model = QRAMServiceModel.from_architecture(qram)
-    simulator = SharedQRAMSimulation(model)
     points: list[SweepPoint] = []
     for ratio in processing_ratios:
         for count in parallel_counts:
             if count < 1:
                 continue
-            workloads = SyntheticAlgorithm(rounds, ratio).workloads(
+            clients = SyntheticAlgorithm(rounds, ratio).clients(
                 count, model.weighted_query_latency
             )
-            report = simulator.run(workloads)
+            report = serve_closed_loop(model, clients)
             points.append(
                 SweepPoint(
                     architecture=model.name,

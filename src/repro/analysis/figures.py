@@ -12,13 +12,10 @@ from repro.algorithms.synthetic import sweep_to_grids, synthetic_sweep
 from repro.baselines.registry import build_architecture
 from repro.bucket_brigade.schedule import BBQuerySchedule
 from repro.core.pipeline import FatTreePipeline
+from repro.engine import ClosedLoopClient
 from repro.fidelity.qec import fig11_series
 from repro.metrics.bandwidth import bandwidth_scaling
-from repro.scheduling.contention import (
-    AlgorithmWorkload,
-    QRAMServiceModel,
-    SharedQRAMSimulation,
-)
+from repro.scheduling.contention import QRAMServiceModel, serve_closed_loop
 
 
 def generate_fig2_milestones(capacity: int = 8) -> dict[str, int]:
@@ -50,11 +47,11 @@ def generate_fig7_schedule(
     """Fig. 7: algorithms alternating queries and processing on a Fat-Tree."""
     qram = build_architecture("Fat-Tree", capacity)
     model = QRAMServiceModel.from_architecture(qram)
-    workloads = [
-        AlgorithmWorkload(i, rounds=rounds, processing_layers=processing_layers)
+    clients = [
+        ClosedLoopClient(i, queries=rounds, think_layers=processing_layers)
         for i in range(num_algorithms)
     ]
-    report = SharedQRAMSimulation(model).run(workloads)
+    report = serve_closed_loop(model, clients)
     return {
         "total_time": report.overall_depth,
         "average_utilization": report.average_utilization,

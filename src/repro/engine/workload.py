@@ -18,7 +18,9 @@ are provided:
   :func:`repro.scheduling.events.periodic_algorithm_arrivals` approximates
   open-loop with a nominal query latency).  Each client's next arrival
   depends on its previous completion, so throughput and latency feed back
-  into the offered load.
+  into the offered load.  Figs. 7, 9 and 10 are closed-loop runs of this
+  source on the paper's timing model
+  (:func:`repro.scheduling.contention.serve_closed_loop`).
 
 Both families enter the engine the same way: ``start`` schedules one
 :class:`~repro.engine.events.ClientThink` per client (an open-loop trace

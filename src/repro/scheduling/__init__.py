@@ -7,8 +7,10 @@
   layer.
 * :mod:`repro.scheduling.fifo` — FIFO scheduling, plus the empirical check
   of the greedy-exchange optimality proof (Sec. A.2).
-* :mod:`repro.scheduling.contention` — discrete-event simulation of multiple
-  QPUs/algorithms sharing one QRAM (the engine behind Fig. 7 and Fig. 10).
+* :mod:`repro.scheduling.contention` — the paper's shared-QRAM timing model
+  (one admission per pipeline interval, bounded in-flight queries) as a
+  :class:`repro.engine.ServiceEngine` backend; QPUs/algorithms sharing one
+  QRAM (Figs. 7, 9 and 10) are one closed-loop engine run on it.
 * :mod:`repro.scheduling.utilization` — utilization accounting.
 """
 
@@ -34,10 +36,10 @@ from repro.scheduling.policy import (
     policy_names,
 )
 from repro.scheduling.contention import (
-    AlgorithmWorkload,
+    ClosedLoopSummary,
     QRAMServiceModel,
-    SharedQRAMSimulation,
-    SimulationReport,
+    serve_closed_loop,
+    serve_model,
 )
 from repro.scheduling.utilization import utilization_from_busy_intervals
 
@@ -57,9 +59,9 @@ __all__ = [
     "schedule_queries",
     "total_latency",
     "verify_fifo_optimality",
-    "AlgorithmWorkload",
+    "ClosedLoopSummary",
     "QRAMServiceModel",
-    "SharedQRAMSimulation",
-    "SimulationReport",
+    "serve_closed_loop",
+    "serve_model",
     "utilization_from_busy_intervals",
 ]

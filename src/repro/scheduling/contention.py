@@ -1,32 +1,64 @@
-"""Discrete-event simulation of algorithms sharing one QRAM.
+"""The paper's shared-QRAM timing model, served by the discrete-event engine.
 
-This is the engine behind Fig. 7 (scheduling diagram / utilization) and
-Fig. 10 (synthetic-algorithm heat maps).  Each *algorithm* (running on its
-own QPU) alternates a QRAM query and ``d`` layers of local processing, for a
-fixed number of rounds.  The shared QRAM is described by a
-:class:`QRAMServiceModel` — its query latency, admission interval (pipeline
-interval) and query parallelism — so the same simulator covers BB, Fat-Tree,
-Virtual and the distributed baselines.
+Figs. 7, 9 and 10 and the Sec. A.2 scheduling check all rest on one model
+of a shared QRAM: it admits one query per pipeline interval and holds at
+most ``parallelism`` queries in flight.  :class:`QRAMServiceModel` is that
+model as an engine backend, so every one of those results is one
+:class:`repro.engine.ServiceEngine` run on a one-shard fleet — the same
+event loop, admission policies and sanitizer checks as every serving
+scenario:
 
-All times are in weighted circuit layers (fast layers = 1/8).
+* :func:`serve_model` — any workload source under any admission policy
+  (:func:`repro.scheduling.fifo.schedule_queries` serves a trace);
+* :func:`serve_closed_loop` — algorithms (one
+  :class:`~repro.engine.ClosedLoopClient` each, on its own QPU) that
+  alternate a query with ``think_layers`` of local processing (Sec. 6.3).
+
+All times are in weighted circuit layers (fast layers = 1/8), unlike the
+serving backends, whose windows are in raw layers.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
+
+from repro.backends.protocol import WindowResult
+from repro.core.query import QueryRequest
+from repro.scheduling.policy import AdmissionPolicy, as_policy
+from repro.scheduling.utilization import utilization_from_busy_intervals
+from repro.service.sharding import ReplicatedShardMap
+
+if TYPE_CHECKING:
+    from repro.engine import ClosedLoopClient, ServiceReport, WorkloadSource
+
+#: The model is address-blind: every request reads address 0 of a
+#: capacity-2 replica, the smallest valid memory.
+_CAPACITY = 2
 
 
 @dataclass(frozen=True)
 class QRAMServiceModel:
-    """Timing description of a shared QRAM as seen by the scheduler.
+    """Timing description of a shared QRAM, and its one-query engine backend.
+
+    Each window holds one query: it starts at offset 0, finishes at
+    ``weighted_query_latency``, and keeps the shard busy for
+    ``admission_interval``, so the next admission may follow one interval
+    later while earlier queries are still in flight (continuous admission).
+    At most ``ceil(weighted_query_latency / admission_interval)`` queries
+    then overlap, which the constructor requires to be within
+    ``parallelism``.  The model carries no noise model: it reports ``None``
+    fidelities.
 
     Attributes:
         name: architecture name (for reports).
-        weighted_query_latency: weighted layers from admission to completion of one
-            query.
+        weighted_query_latency: weighted layers from admission to completion
+            of one query.
         admission_interval: minimum weighted layers between admissions
-            (equals ``weighted_query_latency`` for non-pipelined architectures).
+            (equals ``weighted_query_latency`` for non-pipelined
+            architectures).
         parallelism: maximum queries in flight.
     """
 
@@ -40,6 +72,13 @@ class QRAMServiceModel:
             raise ValueError("latencies must be positive")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.parallelism * self.admission_interval < self.weighted_query_latency:
+            raise ValueError(
+                f"{self.name}: parallelism {self.parallelism} x admission_interval "
+                f"{self.admission_interval} is below weighted_query_latency "
+                f"{self.weighted_query_latency}, so one admission per interval "
+                "would exceed the in-flight cap"
+            )
 
     @classmethod
     def from_architecture(cls, qram) -> "QRAMServiceModel":
@@ -57,164 +96,95 @@ class QRAMServiceModel:
             parallelism=parallelism,
         )
 
+    def run_window(
+        self, requests: Sequence[QueryRequest], functional: bool = False
+    ) -> WindowResult:
+        """Time one query (the model has no functional path)."""
+        if len(requests) != 1 or functional:
+            raise ValueError(
+                "the timing model serves timing-only windows of one query"
+            )
+        return WindowResult(
+            interval=0,
+            total_layers=self.admission_interval,
+            start_offsets=(0.0,),
+            finish_offsets=(self.weighted_query_latency,),
+            outputs=(None,),
+            fidelities=(None,),
+        )
 
-@dataclass
-class AlgorithmWorkload:
-    """One algorithm alternating queries and processing (Sec. 6.3).
+    def predicted_window_fidelities(self, batch_size: int = 1) -> tuple[None, ...]:
+        return (None,) * batch_size
+
+
+def serve_model(
+    model: QRAMServiceModel,
+    source: "WorkloadSource",
+    policy: AdmissionPolicy | str = "fifo",
+    seed: int = 0,
+) -> "ServiceReport":
+    """One timing-only engine run of ``source`` on a one-shard fleet of
+    ``model`` (full retention, single process)."""
+    # Imported here: repro.engine imports repro.scheduling.
+    from repro.engine import ServiceEngine
+
+    fleet = SimpleNamespace(
+        shards=[model],
+        shard_map=ReplicatedShardMap(_CAPACITY, 1),
+        policy=as_policy(policy, seed=seed),
+        window_sizes=[1],
+        functional=False,
+        placement="shortest-queue",
+    )
+    return ServiceEngine(fleet, retention="full", workers=0).run(source)
+
+
+class ClosedLoopSummary(NamedTuple):
+    """What the figures read from one closed-loop run.
 
     Attributes:
-        algorithm_id: identifier.
-        rounds: number of (query, processing) repetitions.
-        processing_layers: QPU processing time ``d`` between queries.
-        start_time: when the algorithm starts.
-    """
-
-    algorithm_id: int
-    rounds: int
-    processing_layers: float
-    start_time: float = 0.0
-
-
-@dataclass
-class SimulationReport:
-    """Results of a shared-QRAM contention simulation.
-
-    Attributes:
-        model: the QRAM service model simulated.
-        overall_depth: completion time of the last algorithm (overall
-            algorithm depth, the quantity plotted in Fig. 10 a1/a2).
-        per_algorithm_finish: completion time of each algorithm.
-        qram_busy_layers: total layers during which at least one query was in
-            flight.
-        qram_query_layers: sum over queries of their service time (used for
-            utilization normalised by parallelism).
-        average_utilization: mean in-flight queries / parallelism over the
-            busy-or-waiting makespan (Fig. 10 b1/b2).
+        overall_depth: completion time of the last algorithm, its final
+            processing included (Fig. 9 and Fig. 10 a1/a2).
+        average_utilization: mean in-flight queries / parallelism over
+            ``[0, overall_depth]`` (Fig. 10 b1/b2).
         total_queries: number of queries served.
-        total_queue_delay_layers: total layers queries spent waiting for admission.
+        total_queue_delay_layers: total layers queries waited for admission.
     """
 
-    model: QRAMServiceModel
     overall_depth: float
-    per_algorithm_finish: dict[int, float]
-    qram_busy_layers: float
-    qram_query_layers: float
     average_utilization: float
     total_queries: int
     total_queue_delay_layers: float
 
 
-class SharedQRAMSimulation:
-    """Simulates algorithms contending for a shared QRAM."""
+def serve_closed_loop(
+    model: QRAMServiceModel, clients: Sequence["ClosedLoopClient"]
+) -> ClosedLoopSummary:
+    """Run algorithms that alternate one query with local processing.
 
-    def __init__(self, model: QRAMServiceModel) -> None:
-        self.model = model
+    Raises:
+        ValueError: when the clients issue no queries at all.
+    """
+    from repro.engine import ClosedLoopSource
 
-    def run(self, workloads: list[AlgorithmWorkload]) -> SimulationReport:
-        """Run all workloads to completion and report depth / utilization."""
-        if not workloads:
-            raise ValueError("at least one workload is required")
-        model = self.model
-
-        # Event queue of (time, sequence, kind, algorithm_id).
-        events: list[tuple[float, int, str, int]] = []
-        sequence = 0
-        remaining = {w.algorithm_id: w.rounds for w in workloads}
-        processing = {w.algorithm_id: w.processing_layers for w in workloads}
-        finish_times: dict[int, float] = {}
-        for w in workloads:
-            if w.rounds < 1:
-                finish_times[w.algorithm_id] = w.start_time
-                continue
-            heapq.heappush(events, (w.start_time, sequence, "request", w.algorithm_id))
-            sequence += 1
-
-        waiting: list[tuple[float, int, int]] = []  # (request_time, seq, algorithm)
-        in_flight: list[float] = []
-        next_admission = 0.0
-        busy_intervals: list[tuple[float, float]] = []
-        query_intervals: list[tuple[float, float]] = []
-        total_queue_delay_layers = 0.0
-        total_queries = 0
-
-        def try_admit(now: float) -> None:
-            nonlocal next_admission, sequence, total_queue_delay_layers, total_queries
-            while waiting:
-                in_flight[:] = [f for f in in_flight if f > now]
-                if len(in_flight) >= model.parallelism or now < next_admission:
-                    break
-                request_time, _, algorithm = heapq.heappop(waiting)
-                start = now
-                finish = start + model.weighted_query_latency
-                in_flight.append(finish)
-                next_admission = start + model.admission_interval
-                busy_intervals.append((start, finish))
-                query_intervals.append((start, finish))
-                total_queue_delay_layers += start - request_time
-                total_queries += 1
-                heapq.heappush(events, (finish, sequence, "complete", algorithm))
-                sequence += 1
-
-        def schedule_retry(now: float) -> None:
-            nonlocal sequence
-            if not waiting:
-                return
-            in_flight_active = [f for f in in_flight if f > now]
-            candidates = [next_admission]
-            if len(in_flight_active) >= model.parallelism and in_flight_active:
-                candidates.append(min(in_flight_active))
-            retry = max(now, min(candidates)) if candidates else now
-            if retry > now:
-                heapq.heappush(events, (retry, sequence, "retry", -1))
-                sequence += 1
-
-        while events:
-            now, _, kind, algorithm = heapq.heappop(events)
-            if kind == "request":
-                heapq.heappush(waiting, (now, sequence, algorithm))
-                sequence += 1
-            elif kind == "complete":
-                remaining[algorithm] -= 1
-                if remaining[algorithm] > 0:
-                    next_request = now + processing[algorithm]
-                    heapq.heappush(events, (next_request, sequence, "request", algorithm))
-                    sequence += 1
-                else:
-                    finish_times[algorithm] = now + processing[algorithm]
-            # retry events only trigger admission below
-            try_admit(now)
-            schedule_retry(now)
-
-        overall_depth = max(finish_times.values()) if finish_times else 0.0
-        busy = _merge_intervals(busy_intervals)
-        busy_layers = sum(end - start for start, end in busy)
-        query_layers = sum(end - start for start, end in query_intervals)
-        makespan = overall_depth if overall_depth > 0 else 1.0
-        average_utilization = min(
-            1.0, query_layers / (model.parallelism * makespan)
-        )
-        return SimulationReport(
-            model=model,
-            overall_depth=overall_depth,
-            per_algorithm_finish=finish_times,
-            qram_busy_layers=busy_layers,
-            qram_query_layers=query_layers,
-            average_utilization=average_utilization,
-            total_queries=total_queries,
-            total_queue_delay_layers=total_queue_delay_layers,
-        )
-
-
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge overlapping (start, end) intervals."""
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    merged = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged
+    source = ClosedLoopSource(clients, lambda client, index: {0: 1.0})
+    served = serve_model(model, source).served
+    last_finish = {record.tenant: record.finish_layer for record in served}
+    depth = max(
+        last_finish[client.client_id] + client.think_layers
+        if client.client_id in last_finish
+        else client.start_time
+        for client in clients
+    )
+    return ClosedLoopSummary(
+        overall_depth=depth,
+        average_utilization=utilization_from_busy_intervals(
+            [(record.start_layer, record.finish_layer) for record in served],
+            depth,
+            model.parallelism,
+        ),
+        total_queries=len(served),
+        total_queue_delay_layers=sum(
+            record.start_layer - record.request_time for record in served
+        ),
+    )

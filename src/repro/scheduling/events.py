@@ -44,10 +44,11 @@ def periodic_algorithm_arrivals(
     Each algorithm issues a query, waits for it to complete (``weighted_query_latency``
     layers), processes for ``processing_layers`` layers, and repeats.  The
     *requests* generated here assume no queueing (they are the earliest times
-    each query could be issued); the contention simulator recomputes actual
-    issue times when the QRAM is busy — and the discrete-event engine's
+    each query could be issued).  The discrete-event engine's
     :class:`repro.engine.ClosedLoopSource` models the same loop with real
-    completion feedback instead of a nominal latency.
+    completion feedback instead of a nominal latency, which is how
+    :func:`repro.scheduling.contention.serve_closed_loop` runs Figs. 7, 9
+    and 10.
 
     Args:
         num_algorithms: number of concurrent algorithms (QPUs).

@@ -3,9 +3,10 @@
 The paper proves with a greedy exchange argument that FIFO scheduling
 minimises total query latency for both offline and online workloads on a
 Fat-Tree QRAM (admissions are separated by a fixed pipeline interval and
-every query has the same service time).  This module implements FIFO and a
-few alternative policies and provides an empirical verification of the
-exchange argument used by the test-suite.
+every query has the same service time).  This module serves an arrival
+trace through the discrete-event engine under FIFO or an alternative
+admission policy, and verifies the exchange argument empirically against
+an exhaustive fixed-order reference.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from repro.core.query import QueryRequest
+from repro.scheduling.contention import QRAMServiceModel, serve_model
 from repro.scheduling.events import QueryArrival
 
 
@@ -51,7 +54,10 @@ def schedule_queries(
     The QRAM admits at most one query per ``admission_interval`` and holds at
     most ``parallelism`` queries in flight; every query occupies the pipeline
     for ``service_time`` layers.  (For BB QRAM set ``parallelism = 1`` and
-    ``admission_interval = service_time``.)
+    ``admission_interval = service_time``.)  The trace is served by the
+    discrete-event engine on a
+    :class:`~repro.scheduling.contention.QRAMServiceModel`, which refuses
+    ``parallelism * admission_interval < service_time``.
 
     Args:
         arrivals: query requests.
@@ -66,65 +72,25 @@ def schedule_queries(
     Returns:
         One :class:`ScheduledQuery` per request, in admission order.
     """
-    from repro.scheduling.policy import as_policy
+    model = QRAMServiceModel(
+        "schedule", service_time, admission_interval, parallelism
+    )
+    if not arrivals:
+        return []
+    # Imported here: repro.engine imports repro.scheduling.
+    from repro.engine import TraceSource
 
-    if service_time <= 0 or admission_interval <= 0:
-        raise ValueError("service_time and admission_interval must be positive")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    admission = as_policy(policy, seed=seed)
-    pending = sorted(arrivals, key=lambda a: (a.request_time, a.query_id))
-    scheduled: list[ScheduledQuery] = []
-    in_flight: list[float] = []  # finish times
-    next_admission_slot = 0.0
-    queue: list[QueryArrival] = []
-    index = 0
-    current_time = 0.0
-
-    while index < len(pending) or queue:
-        # Move newly arrived requests into the queue.
-        while index < len(pending) and pending[index].request_time <= current_time:
-            queue.append(pending[index])
-            index += 1
-        in_flight = [f for f in in_flight if f > current_time]
-
-        can_admit = (
-            queue
-            and len(in_flight) < parallelism
-            and current_time >= next_admission_slot
-        )
-        if can_admit:
-            chosen = admission.select(queue, 1, current_time)[0]
-            finish = current_time + service_time
-            scheduled.append(
-                ScheduledQuery(
-                    chosen.query_id, chosen.request_time, current_time, finish
-                )
-            )
-            in_flight.append(finish)
-            next_admission_slot = current_time + admission_interval
-            continue
-
-        # Advance time to the next event.
-        candidates = []
-        if index < len(pending):
-            candidates.append(pending[index].request_time)
-        if queue:
-            candidates.append(next_admission_slot)
-            if len(in_flight) >= parallelism:
-                candidates.append(min(in_flight))
-        if not candidates:
-            break
-        next_time = min(t for t in candidates if t > current_time) if any(
-            t > current_time for t in candidates
-        ) else current_time
-        if next_time <= current_time:
-            # All remaining events are at the current time; avoid stalling.
-            current_time += min(admission_interval, service_time)
-        else:
-            current_time = next_time
-
-    return scheduled
+    requests = [
+        QueryRequest(a.query_id, {0: 1.0}, a.request_time, a.qpu)
+        for a in arrivals
+    ]
+    report = serve_model(model, TraceSource(requests), policy, seed)
+    # Every query takes the same service time, so completion order is
+    # admission order.
+    return [
+        ScheduledQuery(r.query_id, r.request_time, r.start_layer, r.finish_layer)
+        for r in report.served
+    ]
 
 
 def total_latency(schedule: list[ScheduledQuery]) -> float:
@@ -137,28 +103,23 @@ def verify_fifo_optimality(
     service_time: float,
     admission_interval: float,
     parallelism: int,
-    max_permutations: int = 120,
 ) -> bool:
     """Empirically check that FIFO minimises total latency.
 
-    Enumerates admission orders (up to ``max_permutations`` permutations for
-    small workloads) and verifies no order beats FIFO, mirroring the greedy
-    exchange proof of Sec. A.2.
+    Enumerates every admission order of at most 6 queries (720 orders) and
+    verifies no order beats FIFO, mirroring the greedy exchange proof of
+    Sec. A.2.
     """
+    if len(arrivals) > 6:
+        raise ValueError("exhaustive verification is limited to 6 queries")
     fifo = total_latency(
         schedule_queries(
             arrivals, service_time, admission_interval, parallelism, "fifo",
         )
     )
     ids = [a.query_id for a in sorted(arrivals, key=lambda a: a.request_time)]
-    if len(ids) > 6:
-        raise ValueError("exhaustive verification is limited to 6 queries")
     by_id = {a.query_id: a for a in arrivals}
-    count = 0
     for permutation in itertools.permutations(ids):
-        count += 1
-        if count > max_permutations:
-            break
         latency = _latency_of_fixed_order(
             [by_id[q] for q in permutation],
             service_time,

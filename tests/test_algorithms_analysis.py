@@ -98,8 +98,9 @@ def test_synthetic_sweep_grids():
     assert ratios == [0.0, 1.0] and counts == [1, 5]
     assert depth[0][1] >= depth[0][0]          # more algorithms, more depth
     assert all(0 <= u <= 1 for row in utilization for u in row)
-    workloads = SyntheticAlgorithm(rounds=3, processing_ratio=1.0).workloads(2, 10.0)
-    assert len(workloads) == 2 and workloads[0].processing_layers == pytest.approx(10.0)
+    clients = SyntheticAlgorithm(rounds=3, processing_ratio=1.0).clients(2, 10.0)
+    assert len(clients) == 2 and clients[0].think_layers == pytest.approx(10.0)
+    assert clients[0].queries == 3
 
 
 def test_fig10_bb_hits_bandwidth_bound_faster_than_fat_tree():

@@ -13,7 +13,8 @@ import pytest
 from repro import BucketBrigadeQRAM, FatTreeQRAM, VirtualQRAM, build_architecture
 from repro.core.query import QueryRequest
 from repro.metrics import bandwidth_qubits_per_second
-from repro.scheduling import AlgorithmWorkload, QRAMServiceModel, SharedQRAMSimulation
+from repro.engine import ClosedLoopClient
+from repro.scheduling import QRAMServiceModel, serve_closed_loop
 from repro.workloads import random_data, random_address_superposition
 
 
@@ -67,11 +68,11 @@ def test_architecture_orderings_hold_end_to_end():
 
 def test_shared_memory_system_throughput_improves_with_fat_tree():
     """Three QPUs running query/process loops finish much sooner on Fat-Tree."""
-    workloads = [AlgorithmWorkload(i, rounds=4, processing_layers=10.0) for i in range(3)]
+    clients = [ClosedLoopClient(i, queries=4, think_layers=10.0) for i in range(3)]
     reports = {}
     for name in ("Fat-Tree", "BB"):
         model = QRAMServiceModel.from_architecture(build_architecture(name, 256))
-        reports[name] = SharedQRAMSimulation(model).run(workloads)
+        reports[name] = serve_closed_loop(model, clients)
     assert reports["Fat-Tree"].overall_depth < reports["BB"].overall_depth
     assert reports["Fat-Tree"].total_queue_delay_layers <= reports["BB"].total_queue_delay_layers
 
