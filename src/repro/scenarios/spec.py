@@ -615,15 +615,19 @@ class WorkloadSpec:
         """Reconstruct requests from a recorded JSONL run.
 
         Served and rejected records both become requests again (a
-        rejection's ``time`` stands in for its arrival).  The recorded
-        shard re-seeds a shard-aligned superposition (mapped modulo the
-        replaying fleet's shard count, so traces recorded on one fleet
-        shape replay on another), keyed by ``seed + query_id`` exactly
-        like the generators.
+        rejection's ``time`` stands in for its arrival).  Each request
+        re-reads row ``query_id`` of the keyed superposition stream of
+        ``seed`` on its recorded shard (mapped modulo the replaying
+        fleet's shard count, so traces recorded on one fleet shape replay
+        on another), exactly like the generators: replaying on the
+        recording fleet re-offers the recorded superpositions.
         """
-        from repro.workloads.generators import shard_aligned_superposition
+        from repro.workloads.generators import KeyedSuperpositions
 
         num_shards = self._trace_num_shards(fleet)
+        superpositions = KeyedSuperpositions(
+            fleet.capacity, num_shards, self.addresses_per_query, self.seed
+        )
         requests: list[QueryRequest] = []
         for record in load_jsonl(self.path):
             if isinstance(record, ServedQuery):
@@ -634,11 +638,8 @@ class WorkloadSpec:
                 continue
             requests.append(QueryRequest(
                 query_id=record.query_id,
-                address_amplitudes=shard_aligned_superposition(
-                    fleet.capacity, num_shards,
-                    shard % num_shards if shard >= 0 else 0,
-                    self.addresses_per_query,
-                    seed=self.seed + record.query_id,
+                address_amplitudes=superpositions.get(
+                    record.query_id, shard % num_shards if shard >= 0 else 0
                 ),
                 request_time=float(arrival),
                 qpu=record.tenant,

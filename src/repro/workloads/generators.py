@@ -20,9 +20,28 @@ from repro.workloads.arrivals import (
 )
 
 #: Shard draws per RNG call in :func:`_iter_arrival_trace` — block draws
-#: consume the Generator's stream exactly like scalar draws, so the block
-#: size is a pure speed knob (mirrors ``arrivals._DRAW_BLOCK``).
+#: consume the trace's sequential ``default_rng(seed)`` stream exactly like
+#: scalar draws, so the block size is a pure speed knob (mirrors
+#: ``arrivals._DRAW_BLOCK``).  Superpositions are not drawn from this
+#: stream: they come from the keyed blocks of :func:`_superposition_block`.
 _SHARD_DRAW_BLOCK = 4096
+
+#: Rows per keyed superposition block.  Unlike ``_SHARD_DRAW_BLOCK`` this
+#: is part of the stream's definition (row ``i`` of a trace is row
+#: ``i % rows`` of block ``i // rows``), and it bounds the memory a lazy
+#: trace holds: one block at a time.
+_SUPERPOSITION_BLOCK = 1024
+
+#: Closed-loop rows per keyed block; small, because every active client
+#: caches its own block.
+_CLOSED_LOOP_BLOCK = 64
+
+#: Stream tags in the ``default_rng`` keys, so the superposition and
+#: closed-loop streams never coincide with each other or with the
+#: ``default_rng(seed)`` / ``default_rng([seed, 7919])`` streams that draw
+#: arrival times, shards and weighted tenants.
+_SUPERPOSITION_STREAM = 104729
+_CLOSED_LOOP_STREAM = 1299709
 
 
 def random_data(capacity: int, seed: int = 0, density: float = 0.5) -> list[int]:
@@ -68,18 +87,6 @@ def random_address_superposition(
     if not 1 <= num_addresses <= capacity:
         raise ValueError("num_addresses out of range")
     rng = np.random.default_rng(seed)
-    if num_addresses == 1:
-        # Scalar fast path for the single-address draw that dominates
-        # trace generation.  Bit-identical to the array path below —
-        # ``choice(n, size=1, replace=False)`` consumes the stream exactly
-        # like one bounded ``integers`` draw, ``normal()`` like
-        # ``normal(size=1)``, and the norm/division are evaluated with the
-        # same operand types — pinned in tests/test_vectorized_parity.py.
-        address = int(rng.integers(capacity))
-        re = rng.normal()
-        im = rng.normal()
-        norm = math.sqrt(re * re + im * im)
-        return {address: complex(np.complex128(complex(re, im)) / np.float64(norm))}
     addresses = rng.choice(capacity, size=num_addresses, replace=False)
     raw = rng.normal(size=num_addresses) + 1j * rng.normal(size=num_addresses)
     norm = np.linalg.norm(raw)
@@ -92,14 +99,15 @@ def query_trace(
     addresses_per_query: int = 2,
     seed: int = 0,
 ) -> list[QueryRequest]:
-    """A trace of query requests with random address superpositions."""
+    """A trace of query requests with random address superpositions.
+
+    Query ``i`` carries row ``i`` of the keyed superposition stream (see
+    :func:`_superposition_block`), the same superposition a one-shard
+    ``iter_*_trace`` with this seed gives its query ``i``.
+    """
+    superpositions = KeyedSuperpositions(capacity, 1, addresses_per_query, seed)
     return [
-        QueryRequest(
-            query_id=i,
-            address_amplitudes=random_address_superposition(
-                capacity, addresses_per_query, seed=seed + i
-            ),
-        )
+        QueryRequest(query_id=i, address_amplitudes=superpositions.get(i, 0))
         for i in range(num_queries)
     ]
 
@@ -119,11 +127,124 @@ def shard_aligned_superposition(
     """
     if not 0 <= shard < num_shards:
         raise ValueError("shard out of range")
-    if capacity % num_shards != 0:
-        raise ValueError("num_shards must divide the capacity")
-    shard_capacity = capacity // num_shards
+    shard_capacity = _local_capacity(capacity, num_shards, num_addresses)
     local = random_address_superposition(shard_capacity, num_addresses, seed=seed)
     return {a * num_shards + shard: amp for a, amp in local.items()}
+
+
+def _superposition_block(
+    seed: int, block: int, rows: int, local_capacity: int, k: int
+) -> tuple[list[int], list[complex]]:
+    """Block ``block`` of the keyed superposition stream of ``seed``.
+
+    ``rows`` superpositions, each of ``k`` distinct addresses below
+    ``local_capacity`` with complex-Gaussian amplitudes normalised per row,
+    returned as two flat row-major lists (row ``r`` is ``[r*k:(r+1)*k]``).
+    The block's generator is keyed by ``(seed, block)``, so any row is
+    reachable without drawing the rows before it, and adjacent seeds share
+    nothing.
+    """
+    rng = np.random.default_rng([seed, _SUPERPOSITION_STREAM, block])
+    return _draw_superpositions(rng, rows, local_capacity, k)
+
+
+def _draw_superpositions(
+    rng: np.random.Generator, rows: int, local_capacity: int, k: int
+) -> tuple[list[int], list[complex]]:
+    """``rows`` superpositions drawn from ``rng`` (see
+    :func:`_superposition_block` for the layout).
+
+    Addresses are drawn without replacement by Floyd's algorithm,
+    vectorised over rows: step ``j`` draws ``t`` uniform in
+    ``[0, top]`` with ``top = local_capacity - k + j`` and keeps it unless
+    an earlier step took it, in which case it takes ``top`` (which no
+    earlier step can hold).  Every ``k``-subset is equally likely, and the
+    ``k`` fixed-shape ``(rows,)`` steps cost nothing in ``local_capacity``.
+    For ``k == 1`` this is one ``integers(local_capacity, size=rows)``.
+    Then every real part and every imaginary part is drawn, and each row
+    is divided by its own norm.
+    """
+    addresses = np.empty((rows, k), dtype=np.int64)
+    for j in range(k):
+        top = local_capacity - k + j
+        drawn = rng.integers(top + 1, size=rows)
+        taken = (addresses[:, :j] == drawn[:, None]).any(axis=1)
+        addresses[:, j] = np.where(taken, top, drawn)
+    re = rng.normal(size=(rows, k))
+    im = rng.normal(size=(rows, k))
+    norm = np.sqrt((re * re + im * im).sum(axis=1, keepdims=True))
+    amplitudes = np.empty((rows, k), dtype=np.complex128)
+    amplitudes.real = re / norm
+    amplitudes.imag = im / norm
+    return addresses.ravel().tolist(), amplitudes.ravel().tolist()
+
+
+def _row_superposition(
+    addresses: list[int],
+    amplitudes: list[complex],
+    row: int,
+    k: int,
+    num_shards: int,
+    shard: int,
+) -> dict[int, complex]:
+    """Row ``row`` of a flat block, each local address ``a`` shifted onto
+    ``shard``'s interleaved global address ``a * num_shards + shard``."""
+    if k == 1:
+        return {addresses[row] * num_shards + shard: amplitudes[row]}
+    start = row * k
+    return {
+        a * num_shards + shard: amp
+        for a, amp in zip(
+            addresses[start:start + k], amplitudes[start:start + k]
+        )
+    }
+
+
+def _local_capacity(capacity: int, num_shards: int, k: int) -> int:
+    """Validate a shard-aligned draw; return the per-shard capacity."""
+    if capacity % num_shards != 0:
+        raise ValueError("num_shards must divide the capacity")
+    local_capacity = capacity // num_shards
+    validate_capacity(local_capacity)
+    if not 1 <= k <= local_capacity:
+        raise ValueError("num_addresses out of range")
+    return local_capacity
+
+
+class KeyedSuperpositions:
+    """Random access to the keyed superposition stream of one trace.
+
+    :meth:`get` returns position ``i``'s superposition — row
+    ``i % _SUPERPOSITION_BLOCK`` of block ``i // _SUPERPOSITION_BLOCK`` —
+    on a shard.  One block is cached at a time and dropped before the
+    next is drawn, so sequential reads cost one block draw per
+    ``_SUPERPOSITION_BLOCK`` positions in bounded memory.
+    """
+
+    def __init__(
+        self, capacity: int, num_shards: int, k: int, seed: int
+    ) -> None:
+        self._local_capacity = _local_capacity(capacity, num_shards, k)
+        self._num_shards = num_shards
+        self._k = k
+        self._seed = seed
+        self._block = -1
+        self._addresses: list[int] = []
+        self._amplitudes: list[complex] = []
+
+    def get(self, position: int, shard: int) -> dict[int, complex]:
+        block, row = divmod(position, _SUPERPOSITION_BLOCK)
+        if block != self._block:
+            self._addresses = self._amplitudes = []
+            self._addresses, self._amplitudes = _superposition_block(
+                self._seed, block, _SUPERPOSITION_BLOCK,
+                self._local_capacity, self._k,
+            )
+            self._block = block
+        return _row_superposition(
+            self._addresses, self._amplitudes, row, self._k,
+            self._num_shards, shard,
+        )
 
 
 def _cumulative_weights(
@@ -167,13 +288,18 @@ def _iter_arrival_trace(
     stream and a :class:`~repro.engine.workload.StreamingTraceSource`,
     a trace of any length occupies O(1) memory.
 
+    Query ``i``'s superposition is row ``i`` of the keyed stream of
+    :func:`_superposition_block` (read through
+    :class:`KeyedSuperpositions`), shifted onto its shard; arrival times,
+    shard draws and tenant draws come from their own sequential streams.
+
     With ``shards`` the stream is restricted to the requests owned by
     those shards — the same requests, byte for byte, that the unrestricted
-    stream yields for them (every query's ids, times, tenants and draws
-    are keyed by its global position ``i``, and the cheap sequential
-    shard draw advances for skipped queries too), but the expensive
-    superposition draw is skipped for everything else.  This is what lets
-    a parallel serving worker regenerate only its partition of a trace.
+    stream yields for them (every query's id, time, tenant and
+    superposition is a function of its global position ``i``, and the
+    sequential shard and tenant draws advance for skipped queries too);
+    only the skipped requests are never built.  This is what lets a
+    parallel serving worker regenerate only its partition of a trace.
 
     ``shard_weights`` / ``tenant_weights`` skew the shard draw and the
     tenant assignment (hot-key and misbehaving-tenant workloads).  Both
@@ -184,6 +310,9 @@ def _iter_arrival_trace(
     sources of a periodic workload) overrides both.
     """
     owned = None if shards is None else frozenset(int(s) for s in shards)
+    superpositions = KeyedSuperpositions(
+        capacity, num_shards, addresses_per_query, seed
+    )
     rng = np.random.default_rng(seed)
     shard_cdf = (
         None
@@ -240,9 +369,7 @@ def _iter_arrival_trace(
             continue
         yield QueryRequest(
             query_id=i,
-            address_amplitudes=shard_aligned_superposition(
-                capacity, num_shards, shard, addresses_per_query, seed=seed + i
-            ),
+            address_amplitudes=superpositions.get(i, shard),
             request_time=float(t),
             qpu=tenant,
             deadline=None if deadline_layers is None else float(t) + deadline_layers,
@@ -450,7 +577,10 @@ def closed_loop_source(
         think_layers: processing time between completion and next request.
         addresses_per_query: superposition size per query.
         num_shards: interleaved shard count the superpositions align to.
-        seed: base RNG seed; every (client, round) pair derives its own.
+        seed: base RNG seed.  Client ``c`` draws its shards and
+            superpositions in blocks from its own stream keyed by
+            ``(seed, c, block)``, so clients and adjacent seeds share
+            nothing.
         deadline_layers: per-request relative deadline (``None`` = best
             effort).
         stagger: offset between successive clients' start times.
@@ -470,11 +600,33 @@ def closed_loop_source(
         for client_id in range(num_clients)
     ]
 
+    local_capacity = _local_capacity(capacity, num_shards, addresses_per_query)
+    # client_id -> (block index, shards, flat addresses, flat amplitudes);
+    # one block per client, since clients interleave their queries.
+    blocks: dict[int, tuple[int, list[int], list[int], list[complex]]] = {}
+
     def address_factory(client: ClosedLoopClient, index: int) -> dict[int, complex]:
-        draw_seed = seed + client.client_id * 100003 + index
-        shard = int(np.random.default_rng(draw_seed).integers(num_shards))
-        return shard_aligned_superposition(
-            capacity, num_shards, shard, addresses_per_query, seed=draw_seed
+        block, row = divmod(index, _CLOSED_LOOP_BLOCK)
+        cached = blocks.get(client.client_id)
+        if cached is None or cached[0] != block:
+            blocks.pop(client.client_id, None)
+            rng = np.random.default_rng(
+                [seed, _CLOSED_LOOP_STREAM, client.client_id, block]
+            )
+            shard_draws = rng.integers(
+                num_shards, size=_CLOSED_LOOP_BLOCK
+            ).tolist()
+            addresses, amplitudes = _draw_superpositions(
+                rng, _CLOSED_LOOP_BLOCK, local_capacity, addresses_per_query
+            )
+            cached = (block, shard_draws, addresses, amplitudes)
+            blocks[client.client_id] = cached
+        _, shard_draws, addresses, amplitudes = cached
+        if index == client.queries - 1:
+            del blocks[client.client_id]
+        return _row_superposition(
+            addresses, amplitudes, row, addresses_per_query, num_shards,
+            shard_draws[row],
         )
 
     return ClosedLoopSource(clients, address_factory)

@@ -590,6 +590,40 @@ def test_jsonl_replay_round_trip(tmp_path):
     assert replay.execute() == report
 
 
+def test_replay_reoffers_the_recorded_superpositions(tmp_path):
+    """Replay reads each query's row of the keyed superposition stream, so
+    a functional flash-crowd run recorded to JSONL replays with the same
+    per-query ``address_amplitudes`` the generator produced, and the
+    adjacent seed's replay shares none of them."""
+    base = library_scenario("flash-crowd")
+    base = dataclasses.replace(
+        base, fleet=dataclasses.replace(base.fleet, functional=True)
+    )
+    path = tmp_path / "functional.jsonl"
+    with JsonlSink(str(path)) as sink:
+        recorded = base.execute(sink=sink)
+    assert recorded.stats.rejected_queries > 0
+
+    def superpositions(workload):
+        return {
+            request.query_id: request.address_amplitudes
+            for request in workload.build(base.fleet).requests
+        }
+
+    generated = superpositions(base.workload)
+    replayed = superpositions(
+        WorkloadSpec(kind="replay", path=str(path), seed=5)
+    )
+    assert set(replayed) == set(generated)
+    for query_id, amplitudes in replayed.items():
+        assert amplitudes == generated[query_id]
+
+    shifted = superpositions(WorkloadSpec(kind="replay", path=str(path), seed=6))
+    assert not {tuple(sorted(a.items())) for a in replayed.values()} & {
+        tuple(sorted(a.items())) for a in shifted.values()
+    }
+
+
 def test_replay_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -14,8 +14,10 @@ contract:
 * a property-style sweep over randomized window shapes;
 * an end-to-end serve with the scalar oracle substituted for the
   vectorized kernel — full retention, every record compared;
-* the trace generators' scalar fast path (single-address draws) and
-  block shard draws against the historical per-request draws;
+* single-address draws against the historical array draw, block shard
+  draws against scalar draws, and a Poisson trace's times, tenants and
+  shards against the historical per-request loop (its superpositions
+  against a restatement of the keyed block stream);
 * the array-backed :class:`~repro.sim.sparse.SparseState` against the
   dict-backed :class:`~repro.sim.sparse.SparseStateScalar` — random
   circuits, every Fat-Tree window occupancy, BB queries and a whole
@@ -41,7 +43,6 @@ from repro.service.service import QRAMService
 from repro.workloads.generators import (
     iter_poisson_trace,
     random_address_superposition,
-    shard_aligned_superposition,
 )
 from repro.workloads.arrivals import iter_exponential_times
 from repro.core.query import QueryRequest
@@ -216,11 +217,29 @@ def test_block_shard_draws_match_scalar_draws():
             )
 
 
+def _keyed_single_address_reference(seed, position, local_capacity):
+    """Position ``position`` of the keyed superposition stream of ``seed``
+    for one address per query, restated from its definition: block ``b``
+    holds 1024 rows drawn from ``default_rng([seed, 104729, b])`` — the
+    local addresses, then every real part, then every imaginary part —
+    and each row is divided by its own norm."""
+    block, row = divmod(position, 1024)
+    rng = np.random.default_rng([seed, 104729, block])
+    address = int(rng.integers(local_capacity, size=1024)[row])
+    re = float(rng.normal(size=1024)[row])
+    im = float(rng.normal(size=1024)[row])
+    norm = math.sqrt(re * re + im * im)
+    return address, complex(re / norm, im / norm)
+
+
 def _trace_reference(
     capacity, num_queries, mean_interarrival, addresses_per_query,
     num_tenants, num_shards, seed, shards=None,
 ):
-    """The historical per-request arrival loop, verbatim (pinned oracle)."""
+    """The historical per-request arrival loop (pinned oracle for times,
+    tenants and shards), with each superposition taken from the keyed
+    block stream instead of the historical ``seed + i`` draw."""
+    assert addresses_per_query == 1
     owned = None if shards is None else frozenset(int(s) for s in shards)
     rng = np.random.default_rng(seed)
     times = iter_exponential_times(num_queries, mean_interarrival, seed)
@@ -228,11 +247,12 @@ def _trace_reference(
         shard = int(rng.integers(num_shards))
         if owned is not None and shard not in owned:
             continue
+        address, amplitude = _keyed_single_address_reference(
+            seed, i, capacity // num_shards
+        )
         yield QueryRequest(
             query_id=i,
-            address_amplitudes=shard_aligned_superposition(
-                capacity, num_shards, shard, addresses_per_query, seed=seed + i
-            ),
+            address_amplitudes={address * num_shards + shard: amplitude},
             request_time=float(t),
             qpu=i % num_tenants,
             deadline=None,
@@ -242,10 +262,12 @@ def _trace_reference(
 
 @pytest.mark.parametrize("shards", [None, (0,), (1, 3)])
 def test_poisson_trace_bitwise_parity_with_reference(shards):
-    """Block shard draws leave every request byte-identical, restricted
-    streams included (a parallel worker regenerates the same partition)."""
+    """Block shard draws leave every request's id, time, tenant and shard
+    byte-identical to the historical loop, restricted streams included (a
+    parallel worker regenerates the same partition), and every
+    superposition is the keyed stream's row for its position."""
     kwargs = dict(
-        capacity=16, num_queries=600, mean_interarrival=9.0,
+        capacity=16, num_queries=2500, mean_interarrival=9.0,
         addresses_per_query=1, num_tenants=3, num_shards=4, seed=7,
     )
     generated = list(iter_poisson_trace(**kwargs, shards=shards))
@@ -255,6 +277,9 @@ def test_poisson_trace_bitwise_parity_with_reference(shards):
         assert produced.query_id == expected.query_id
         assert produced.request_time.hex() == expected.request_time.hex()
         assert produced.qpu == expected.qpu
+        assert {a % 4 for a in produced.address_amplitudes} == {
+            a % 4 for a in expected.address_amplitudes
+        }
         assert _amplitude_bits(produced.address_amplitudes) == (
             _amplitude_bits(expected.address_amplitudes)
         )

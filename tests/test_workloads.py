@@ -1,5 +1,9 @@
 """Trace-generator determinism and shard-map properties."""
 
+import itertools
+import math
+import tracemalloc
+
 import pytest
 
 from repro import build_backend
@@ -9,10 +13,13 @@ from repro.workloads import (
     iter_burst_times,
     iter_bursty_trace,
     iter_exponential_times,
+    closed_loop_source,
     iter_poisson_trace,
+    query_trace,
     random_data,
     shard_aligned_superposition,
 )
+from repro.workloads.generators import _superposition_block
 
 
 def _trace_signature(trace):
@@ -212,3 +219,153 @@ def test_lazy_arrival_cores_validate_eagerly():
         iter_burst_times(2, 0, 10.0)
     with pytest.raises(ValueError):
         iter_burst_times(2, 2, 0.0)
+
+
+# ------------------------------------------------ keyed superposition stream
+def _superposition_key(amplitudes):
+    """A superposition's exact content: addresses and amplitude bits."""
+    return tuple(
+        (address, value.real.hex(), value.imag.hex())
+        for address, value in sorted(amplitudes.items())
+    )
+
+
+def _closed_loop_superpositions(seed, **kwargs):
+    """Every (client, index) superposition a closed-loop fleet issues."""
+    source = closed_loop_source(seed=seed, **kwargs)
+    return [
+        _superposition_key(source.address_factory(client, index))
+        for client in source.clients.values()
+        for index in range(client.queries)
+    ]
+
+
+def test_adjacent_trace_seeds_share_no_superposition():
+    """Seed ``s+1`` is not seed ``s`` shifted by one position (keying each
+    query's draw by ``seed + i`` made seeds 10 and 11 share every
+    superposition), while a rerun of one seed is bit-identical."""
+    kwargs = dict(capacity=16, num_queries=2000, mean_interarrival=4.0)
+    for addresses_per_query in (1, 2):
+        traces = [
+            [
+                _superposition_key(request.address_amplitudes)
+                for request in iter_poisson_trace(
+                    seed=seed, addresses_per_query=addresses_per_query,
+                    **kwargs,
+                )
+            ]
+            for seed in (10, 10, 11)
+        ]
+        assert traces[0] == traces[1]
+        assert not set(traces[0]) & set(traces[2])
+
+
+def test_adjacent_closed_loop_seeds_share_no_superposition():
+    kwargs = dict(
+        capacity=32, num_clients=4, queries_per_client=150,
+        think_layers=5.0, num_shards=2,
+    )
+    first = _closed_loop_superpositions(0, **kwargs)
+    assert first == _closed_loop_superpositions(0, **kwargs)
+    assert not set(first) & set(_closed_loop_superpositions(1, **kwargs))
+    # Clients draw from their own streams: no two share a superposition.
+    assert len(set(first)) == len(first)
+
+
+def test_closed_loop_draws_are_independent_of_interleaving():
+    """Each client caches its own block, so the order in which clients
+    issue their queries cannot change what any client draws."""
+    kwargs = dict(
+        capacity=16, num_clients=3, queries_per_client=140,
+        think_layers=5.0, num_shards=4, seed=2,
+    )
+    sequential = closed_loop_source(**kwargs)
+    interleaved = closed_loop_source(**kwargs)
+    clients = list(sequential.clients.values())
+    by_client = {
+        (client.client_id, index): _superposition_key(
+            sequential.address_factory(client, index)
+        )
+        for client in clients
+        for index in range(client.queries)
+    }
+    for index in range(140):
+        for client in clients:
+            key = _superposition_key(
+                interleaved.address_factory(client, index)
+            )
+            assert key == by_client[client.client_id, index]
+            assert all(a % 4 == key[0][0] % 4 for a, _, _ in key)
+
+
+def test_shard_filter_yields_the_unrestricted_requests():
+    """For every subset of shards, the restricted stream is exactly the
+    unrestricted stream's requests on those shards (across superposition
+    blocks, with weighted shard and tenant draws)."""
+    kwargs = dict(
+        capacity=32, num_queries=2500, mean_interarrival=2.0,
+        addresses_per_query=2, num_tenants=3, num_shards=4, seed=4,
+        shard_weights=(0.4, 0.3, 0.2, 0.1),
+        tenant_weights=(0.5, 0.25, 0.25),
+    )
+
+    def signature(request):
+        return (
+            request.query_id, request.request_time.hex(), request.qpu,
+            _superposition_key(request.address_amplitudes),
+        )
+
+    full = list(iter_poisson_trace(**kwargs))
+    for size in range(5):
+        for subset in itertools.combinations(range(4), size):
+            restricted = iter_poisson_trace(shards=subset, **kwargs)
+            expected = [
+                signature(r) for r in full
+                if next(iter(r.address_amplitudes)) % 4 in subset
+            ]
+            assert [signature(r) for r in restricted] == expected
+
+
+def test_query_trace_matches_one_shard_stream():
+    trace = query_trace(16, 1500, addresses_per_query=2, seed=3)
+    stream = iter_poisson_trace(
+        16, 1500, mean_interarrival=1.0, addresses_per_query=2, seed=3
+    )
+    assert [_superposition_key(r.address_amplitudes) for r in trace] == [
+        _superposition_key(r.address_amplitudes) for r in stream
+    ]
+
+
+#: Chi-square critical values at p = 0.001 for C(8, 2) - 1 = 27 and
+#: C(8, 3) - 1 = 55 degrees of freedom.
+_CHI_SQUARE_CRITICAL = {2: 55.476, 3: 93.168}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_floyd_draws_are_uniform_over_subsets(k):
+    """At local capacity 8 every k-subset is equally likely."""
+    subsets = list(itertools.combinations(range(8), k))
+    rows = 1000 * len(subsets)
+    addresses, amplitudes = _superposition_block(12345, 0, rows, 8, k)
+    counts = dict.fromkeys(subsets, 0)
+    for row in range(rows):
+        drawn = addresses[row * k:(row + 1) * k]
+        assert len(set(drawn)) == k and all(0 <= a < 8 for a in drawn)
+        counts[tuple(sorted(drawn))] += 1
+        norm = sum(abs(x) ** 2 for x in amplitudes[row * k:(row + 1) * k])
+        assert math.isclose(norm, 1.0, rel_tol=1e-12)
+    expected = rows / len(subsets)
+    statistic = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert statistic < _CHI_SQUARE_CRITICAL[k]
+
+
+def test_multi_address_block_memory_is_independent_of_capacity():
+    """A k = 2 block at local capacity 2**20 allocates nothing of size
+    O(capacity) (an 8 MiB index array would)."""
+    _superposition_block(0, 0, 64, 2**20, 2)  # warm numpy's caches
+    tracemalloc.start()
+    addresses, _ = _superposition_block(0, 1, 64, 2**20, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert max(addresses) < 2**20
