@@ -586,46 +586,3 @@ def test_autoscaled_replica_hits_warm_schedule_cache(benchmark):
         },
     )
 
-
-def test_fleet_build_precompiles_fidelity_vectors(benchmark):
-    """Serving never derives a fidelity vector: fleet build precompiled it.
-
-    Building the fleet derives each configuration's per-occupancy predicted
-    fidelity vector once into the shared registry; from then on every
-    window prediction is a memo lookup (instance first, registry on the
-    first touch).  Pinned: after serving a full trace, the registry's
-    fidelity-vector miss count is exactly what the build left — the serve
-    hot path performed zero derivations.
-    """
-    capacity = 8
-    num_queries = 500
-    registry = default_registry()
-    registry.clear()
-    service = QRAMService(capacity, num_shards=2, functional=False)
-    built = registry.stats()
-    assert built.fidelity_entries > 0, (
-        "fleet build must precompile fidelity vectors into the registry"
-    )
-
-    trace = iter_poisson_trace(
-        capacity, num_queries, mean_interarrival=14.0, addresses_per_query=1,
-        num_tenants=4, num_shards=2, seed=5,
-    )
-    report = ServiceEngine(service).run(StreamingTraceSource(trace))
-    benchmark(lambda: report)
-    served = registry.stats()
-
-    assert report.stats.total_queries == num_queries
-    assert served.fidelity_misses == built.fidelity_misses, (
-        "the serve hot path derived a fidelity vector instead of hitting "
-        "the fleet-build precompiled memo"
-    )
-    print_rows(
-        "Fleet-build fidelity precompilation — 500-query serve",
-        {
-            "fidelity_entries": served.fidelity_entries,
-            "build_misses": built.fidelity_misses,
-            "serve_misses": served.fidelity_misses - built.fidelity_misses,
-            "registry_hits": served.fidelity_hits,
-        },
-    )

@@ -5,8 +5,8 @@ The perf claim of the campaign layer, measured three ways over the same
 count × workload intensity over a capacity-64 timing-only fleet):
 
 * **serial-cold** — ``pool_size=1, recycle_after=1``: every point forks
-  a fresh worker that rebuilds fleet, schedules and fidelity vectors
-  from a cold :class:`~repro.schedule_cache.ScheduleCacheRegistry`.
+  a fresh worker that rebuilds fleet and schedules from a cold
+  :class:`~repro.schedule_cache.ScheduleCacheRegistry`.
   This *is* the fork-per-run execution model the persistent pool
   replaces, kept as the honest baseline.
 * **pool-1** — one persistent worker: zero parallelism, so any speedup
@@ -61,7 +61,7 @@ def headline_sweep(intensity_steps: int = INTENSITY_STEPS) -> SweepSpec:
 
     Timing-only windows (``functional=False``) keep per-point serving
     cheap, so the measured contrast is exactly what the pool amortizes:
-    fleet build, schedule compilation and fidelity-vector derivation.
+    schedule compilation on fleet build.
     """
     base = ScenarioSpec(
         fleet=FleetSpec(

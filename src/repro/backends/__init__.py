@@ -3,8 +3,8 @@
 Every architecture of the paper's evaluation is served through the same
 :class:`~repro.backends.protocol.QRAMBackend` protocol, and every adapter
 is a subclass of one base, :class:`~repro.backends.noise.ModelBackend`,
-which owns the structural delegation, the prediction memos and the single
-``run_window``:
+which owns the structural delegation, the per-occupancy window memo and
+the single ``run_window``:
 
 * :mod:`repro.backends.protocol` — the protocol, the per-window result
   record and the ideal-output / fidelity helpers.

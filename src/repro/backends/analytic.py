@@ -26,7 +26,7 @@ Timing models (per window of ``k`` queries, all in raw layers):
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from repro.backends.noise import (
@@ -104,14 +104,6 @@ class VirtualBackend(ModelBackend):
             self.capacity, self.model.num_pages, self.model.page_size, parameters
         )
 
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        return (
-            self.name,
-            self.capacity,
-            0,
-            (self.model.num_pages, self.model.page_size, self.parameters),
-        )
-
     def _functional_slots(
         self, requests: Sequence[QueryRequest], interval: int
     ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
@@ -157,14 +149,6 @@ class _DistributedBackend(ModelBackend):
             batch_size, interval, lifetime, self.model.num_copies
         )
         return interval, total, starts, finishes
-
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        return (
-            self.name,
-            self.capacity,
-            0,
-            (self.model.num_copies, self.parameters),
-        )
 
     def _compute_window_fidelities(self, batch_size: int) -> tuple[float, ...]:
         """Per-slot prediction with crosstalk restricted to same-copy slots.

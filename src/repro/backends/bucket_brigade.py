@@ -40,9 +40,8 @@ class BBBackend(ModelBackend):
 
         BB schedules are memoized per query slot inside the executor;
         warming the executor itself is what lets every replica of this
-        memory image share those memos.  The shared fidelity vector and
-        timing window of the one-query window (all BB admits) are
-        pre-derived alongside.
+        memory image share those memos.  The timing window of the
+        one-query window (all BB admits) is pre-derived alongside.
         """
         self.model.cached_executor()
         self.timing_window(1)

@@ -26,7 +26,7 @@ through so functional serving keeps returning amplitudes.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -76,7 +76,7 @@ class EncodedBackend(ModelBackend):
 
     The wrapped bare backend is this adapter's ``model``: capacity, memory
     and writes delegate to it, while parallelism, qubits, latencies, window
-    timing and the prediction identity are rescaled by the assumed
+    timing and predictions are rescaled by the assumed
     ``[[d^2, 1, d]]`` surface-code-like code at the family's
     :data:`~repro.fidelity.qec.DEFAULT_THRESHOLD`.
 
@@ -115,8 +115,8 @@ class EncodedBackend(ModelBackend):
 
         Encoding rescales timing and fidelity analytically on top of the
         bare schedule, so the inner backend's registry entry dominates the
-        cache footprint of an encoded replica; the wrapper's own shared
-        fidelity vectors and timing windows are pre-derived alongside.
+        cache footprint of an encoded replica; the wrapper's own timing
+        windows are pre-derived alongside.
         """
         self.model.warm_schedule_caches()
         super().warm_schedule_caches()
@@ -166,25 +166,6 @@ class EncodedBackend(ModelBackend):
         """The bare architecture's bounds, evaluated at the logical error
         rates this wrapper derived at construction."""
         return self.model._infidelity_bounds(parameters)
-
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        """Compose the inner backend's registry identity with the code.
-
-        The inner profile's ``extra`` rides along so everything the bare
-        offsets depend on stays in the key.
-        """
-        arch, capacity, _, extra = self.model._prediction_profile()
-        return (
-            arch,
-            capacity,
-            self.distance,
-            (
-                extra,
-                self.code.physical_qubits,
-                self.code.syndrome_depth,
-                self.parameters,
-            ),
-        )
 
     # -------------------------------------------------------------- execution
     def _functional_slots(

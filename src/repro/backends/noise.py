@@ -59,12 +59,13 @@ Fat-Tree pipelines one lane at its feasible interval, BB and Virtual step
 a full lifetime (Virtual over ``parallelism`` lanes), and the distributed
 baselines run one lane per copy.  :class:`ModelBackend` is the one base
 every serving adapter shares: structural delegation, memory writes, the
-prediction memos and the single ``run_window``.
+one per-occupancy window memo and the single ``run_window``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -77,7 +78,6 @@ from repro.fidelity.noise_resilience import (
     fat_tree_query_infidelity,
 )
 from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
-from repro.schedule_cache import default_registry
 
 __all__ = [
     "ModelBackend",
@@ -230,19 +230,16 @@ class PredictedFidelityMixin:
 
     Concrete backends provide ``_window_offsets(batch_size)`` — the same
     timing model ``run_window`` uses, as ``(interval, total_layers,
-    start_offsets, finish_offsets)`` — ``_infidelity_bounds(parameters)``
+    start_offsets, finish_offsets)`` — and ``_infidelity_bounds(parameters)``
     returning the ``(base, crosstalk)`` pair of their architecture under a
     given noise model (encoded variants pass logical error rates through
-    the same hook), and ``_prediction_profile()``, their registry identity.
+    the same hook).
 
-    Predictions are memoized at two levels.  The instance memo
-    (``_predicted_fidelity_cache``) keeps hot-path lookups a dict hit; the
-    process-wide :class:`~repro.schedule_cache.ScheduleCacheRegistry`
-    shares the derived per-occupancy vectors across every replica of the
-    same configuration — keyed ``(arch, capacity, occupancy, distance)``
-    plus the backend's :meth:`_prediction_profile` — so autoscaled
-    replicas and forked workers inherit warm predictions instead of
-    re-deriving them.
+    Offsets and predictions are a pure function of the backend's
+    configuration and the window occupancy, so each backend memoizes one
+    timing-only :class:`WindowResult` per occupancy in ``_window_cache``
+    and answers every prediction from it; fleet builds pre-derive every
+    admissible occupancy (``warm_schedule_caches``).
     """
 
     #: Noise model the predictions are evaluated at (set by subclasses).
@@ -258,61 +255,28 @@ class PredictedFidelityMixin:
     ) -> tuple[float, float]:
         raise NotImplementedError
 
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        """Registry identity ``(arch, capacity, distance, extra)`` of this
-        backend's predictions.
-
-        Together with the window occupancy the profile must *uniquely
-        determine* the prediction: ``extra`` carries everything beyond the
-        named dimensions the offsets and bounds are computed from (the
-        noise parameters, structural counts like pages or copies).
-        Predictions never depend on the classical memory contents, so a
-        ``write_memory`` cannot stale a shared vector — write-invalidation
-        only needs to drop the per-instance memos
-        (:meth:`invalidate_predictions`).
-        """
-        raise NotImplementedError
-
     def _compute_window_fidelities(self, batch_size: int) -> tuple[float, ...]:
-        """Derive one window's per-slot predictions (uncached; the registry
-        factory called on a miss)."""
+        """Derive one window's per-slot predictions (uncached; called on a
+        :meth:`timing_window` miss)."""
         _, _, starts, finishes = self._window_offsets(batch_size)
         base, crosstalk = self._infidelity_bounds(self.parameters)
         return pipelined_fidelities(base, crosstalk, starts, finishes)
 
-    def predicted_window_fidelities(self, batch_size: int = 1) -> tuple[float, ...]:
-        """Analytic per-slot fidelity of a window of ``batch_size`` queries."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        cache = self.__dict__.setdefault("_predicted_fidelity_cache", {})
-        fidelities = cache.get(batch_size)
-        if fidelities is None:
-            arch, capacity, distance, extra = self._prediction_profile()
-            fidelities = default_registry().fidelity_vector(
-                arch,
-                capacity,
-                batch_size,
-                self._compute_window_fidelities,
-                distance=distance,
-                extra=extra,
-            )
-            cache[batch_size] = fidelities
-        return fidelities
-
     def timing_window(self, batch_size: int) -> WindowResult:
         """Memoized timing-only :class:`WindowResult` for one occupancy.
 
-        Non-functional windows are pure schedule evaluations — offsets and
-        predicted fidelities depend only on the occupancy — so the serving
-        hot path's ``run_window(..., functional=False)`` collapses to one
-        dict hit per window.  Invalidated together with the prediction
-        memos (:meth:`invalidate_predictions`).
+        Non-functional windows are pure schedule evaluations, so the
+        serving hot path's ``run_window(..., functional=False)`` collapses
+        to one dict hit per window.  Dropped by
+        :meth:`invalidate_predictions`.
         """
-        cache = self.__dict__.setdefault("_timing_window_cache", {})
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        cache = self.__dict__.setdefault("_window_cache", {})
         result = cache.get(batch_size)
         if result is None:
-            predicted = self.predicted_window_fidelities(batch_size)
             interval, total, starts, finishes = self._window_offsets(batch_size)
+            predicted = self._compute_window_fidelities(batch_size)
             result = WindowResult(
                 interval=interval,
                 total_layers=total,
@@ -325,20 +289,23 @@ class PredictedFidelityMixin:
             cache[batch_size] = result
         return result
 
+    def predicted_window_fidelities(self, batch_size: int = 1) -> tuple[float, ...]:
+        """Analytic per-slot fidelity of a window of ``batch_size`` queries."""
+        return self.timing_window(batch_size).predicted_fidelities
+
     def predicted_query_fidelity(self) -> float:
         """Analytic fidelity of a lone query (the Sec. 8.1 / Table 3 bound)."""
         return self.predicted_window_fidelities(1)[0]
 
     def invalidate_predictions(self) -> None:
-        """Drop memoized fidelity predictions and timing windows.
+        """Drop the memoized timing windows (and with them the predictions).
 
         Must be called by any mutation of the state predictions are
         computed from (the underlying memory image / timing model), so a
         stale window shape is never served — the pairing simlint's SIM003
         enforces.
         """
-        self.__dict__.pop("_predicted_fidelity_cache", None)
-        self.__dict__.pop("_timing_window_cache", None)
+        self.__dict__.pop("_window_cache", None)
 
 
 class ModelBackend(PredictedFidelityMixin):
@@ -400,13 +367,14 @@ class ModelBackend(PredictedFidelityMixin):
         self.invalidate_predictions()
 
     def warm_schedule_caches(self) -> None:
-        """Pre-derive the shared fidelity vector and memoized timing window
-        of every occupancy this backend can admit.
+        """Pre-derive the memoized timing window of every occupancy this
+        backend can admit.
 
-        Later replicas (autoscaled or forked) then start from a warm
-        :class:`~repro.schedule_cache.ScheduleCacheRegistry`.  Adapters
-        whose model holds executors the timing model never touches resolve
-        those first.
+        Deriving the offsets resolves the model's executor through the
+        :class:`~repro.schedule_cache.ScheduleCacheRegistry`, so later
+        replicas of this configuration share it.  Adapters whose model
+        holds executors the timing model never touches resolve those
+        first.
         """
         for occupancy in range(1, max(2, self.query_parallelism) + 1):
             self.timing_window(occupancy)
@@ -417,10 +385,6 @@ class ModelBackend(PredictedFidelityMixin):
 
     def amortized_query_latency(self, num_queries: int | None = None) -> float:
         return self.model.amortized_query_latency(num_queries)
-
-    # --------------------------------------------------------------- fidelity
-    def _prediction_profile(self) -> tuple[str, int, int, Hashable]:
-        return self.name, self.capacity, 0, self.parameters
 
     # -------------------------------------------------------------- execution
     def _functional_slots(
@@ -441,17 +405,8 @@ class ModelBackend(PredictedFidelityMixin):
         """
         if not requests:
             raise ValueError("a window requires at least one request")
+        window = self.timing_window(len(requests))
         if not functional:
-            return self.timing_window(len(requests))
-        interval, total, starts, finishes = self._window_offsets(len(requests))
-        predicted = self.predicted_window_fidelities(len(requests))
-        outputs, fidelities = self._functional_slots(requests, interval)
-        return WindowResult(
-            interval=interval,
-            total_layers=total,
-            start_offsets=starts,
-            finish_offsets=finishes,
-            outputs=outputs,
-            fidelities=fidelities,
-            predicted_fidelities=predicted,
-        )
+            return window
+        outputs, fidelities = self._functional_slots(requests, window.interval)
+        return replace(window, outputs=outputs, fidelities=fidelities)

@@ -136,7 +136,12 @@ class QRAMBackend(Protocol):
     def run_window(
         self, requests: Sequence[QueryRequest], functional: bool = True
     ) -> WindowResult:
-        """Execute one batch of (backend-local) queries."""
+        """Execute one batch of (backend-local) queries.
+
+        The result's ``predicted_fidelities`` equals
+        ``predicted_window_fidelities(len(requests))``: the engine reads a
+        window's predictions from the result it ran.
+        """
         ...
 
     def write_memory(self, address: int, value: int) -> None:

@@ -151,7 +151,6 @@ def build_backend(
     capacity: int,
     data: Sequence[int] | None = None,
     parameters=None,
-    distance: int | None = None,
 ):
     """Instantiate an execution backend by architecture name.
 
@@ -159,11 +158,11 @@ def build_backend(
     :class:`repro.backends.protocol.QRAMBackend` and is what
     :class:`repro.service.QRAMService` shards are made of.
 
-    QEC-encoded variants are built from the same factory: either suffix
-    the architecture name with ``@d<k>`` (``"Fat-Tree@d3"``, any registered
-    backend works) or pass ``distance`` explicitly — both wrap the bare
-    adapter in :class:`repro.backends.encoded.EncodedBackend`, which maps
-    the fidelity through the logical error rates of
+    QEC-encoded variants are built from the same factory: suffix the
+    architecture name with ``@d<k>`` (``"Fat-Tree@d3"``, any registered
+    backend works) to wrap the bare adapter in
+    :class:`repro.backends.encoded.EncodedBackend`, which maps the
+    fidelity through the logical error rates of
     :func:`repro.fidelity.qec.encoded_parameters` and the resources/timing
     through the Table-5 pipelined-logical-query model.  An elastic fleet
     can therefore mix bare and encoded replicas by name alone.
@@ -177,8 +176,6 @@ def build_backend(
             :class:`~repro.hardware.parameters.HardwareParameters` noise
             model for the adapter's predicted fidelities (defaults to the
             paper's parameter set).
-        distance: optional code distance; overrides any ``@d<k>`` suffix.
-            ``1`` (or a bare name) builds the unencoded backend.
 
     Raises:
         KeyError: for unknown architecture names, or for a registered
@@ -187,16 +184,13 @@ def build_backend(
     """
     from repro.backends.encoded import EncodedBackend, parse_encoded_name
 
-    base_name, suffix_distance = parse_encoded_name(name)
-    effective_distance = suffix_distance if distance is None else distance
-    if effective_distance < 1:
-        raise ValueError(f"code distance must be >= 1, got {effective_distance}")
+    base_name, distance = parse_encoded_name(name)
     factory = resolve_architecture(base_name).backend_factory()
     backend = (
         factory(capacity, data)
         if parameters is None
         else factory(capacity, data, parameters=parameters)
     )
-    if effective_distance == 1:
+    if distance == 1:
         return backend
-    return EncodedBackend(backend, effective_distance)
+    return EncodedBackend(backend, distance)

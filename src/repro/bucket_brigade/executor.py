@@ -62,7 +62,7 @@ class BBExecutor:
                 f"data must have {capacity} entries, got {len(data)}"
             )
         self.data = [int(x) & 1 for x in data]
-        self.namer = QubitNamer(prefix="bb", multiplexed=False)
+        self.namer: QubitNamer = self.tree.namer
         self._schedule_cache: dict[int, BBQuerySchedule] = {}
         self._lowered_cache: dict[
             tuple[InstructionKind, int, int, int, int], list

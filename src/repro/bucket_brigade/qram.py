@@ -18,7 +18,7 @@ from repro.bucket_brigade.schedule import (
     bb_weighted_query_latency,
 )
 from repro.bucket_brigade.tree import BBTree, validate_capacity
-from repro.schedule_cache import default_registry, shared_executor
+from repro.schedule_cache import default_registry
 
 # Physical qubits per quantum router in the superconducting implementation
 # (input + router + two output cavities, transmon ancilla and coupler
@@ -144,7 +144,7 @@ class BucketBrigadeQRAM:
         :meth:`repro.core.qram.FatTreeQRAM.cached_executor`.
         """
         if self._executor is None:
-            self._executor = shared_executor(
+            self._executor = default_registry().executor(
                 "BB",
                 self._capacity,
                 self._data,

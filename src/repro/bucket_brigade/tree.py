@@ -6,7 +6,8 @@ A capacity-``N`` QRAM has ``n = log2(N)`` levels of quantum routers; level
 ``(i+1, 2j+1)``; the outputs of level ``n-1`` routers are the *leaf cells*
 coupled to the classical memory.
 
-Qubit naming convention (used by the executors):
+Qubit naming convention (one :class:`QubitNamer` per tree, ``BBTree.namer``,
+which the executor reuses):
 
 * ``("bb", "in", i, j)`` — input qubit of router ``(i, j)``
 * ``("bb", "r", i, j)`` — router (control) qubit
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+from repro.bucket_brigade.instructions import QubitNamer
 
 
 @dataclass(frozen=True, order=True)
@@ -82,6 +85,7 @@ class BBTree:
     def __init__(self, capacity: int) -> None:
         self._n = validate_capacity(capacity)
         self._capacity = capacity
+        self.namer = QubitNamer(prefix="bb", multiplexed=False)
 
     @property
     def capacity(self) -> int:
@@ -135,17 +139,17 @@ class BBTree:
     # ----------------------------------------------------------- qubit naming
     def input_qubit(self, router: RouterId) -> tuple:
         """Label of the input qubit of ``router``."""
-        return ("bb", "in", router.level, router.index)
+        return self.namer.input_qubit(router.level, router.index)
 
     def router_qubit(self, router: RouterId) -> tuple:
         """Label of the router (control) qubit of ``router``."""
-        return ("bb", "r", router.level, router.index)
+        return self.namer.router_qubit(router.level, router.index)
 
     def output_qubit(self, router: RouterId, direction: int) -> tuple:
         """Label of an output qubit of ``router`` (0 = left, 1 = right)."""
         if direction not in (0, 1):
             raise ValueError("direction must be 0 or 1")
-        return ("bb", "out", router.level, router.index, direction)
+        return self.namer.output_qubit(router.level, router.index, direction)
 
     def leaf_qubit(self, address: int) -> tuple:
         """Label of the leaf cell qubit for classical address ``address``."""

@@ -22,7 +22,7 @@ from repro.core.pipeline import (
     fat_tree_single_query_latency,
 )
 from repro.core.query import QueryRequest
-from repro.schedule_cache import default_registry, shared_executor
+from repro.schedule_cache import default_registry
 
 
 class FatTreeQRAM:
@@ -154,7 +154,7 @@ class FatTreeQRAM:
         instead of once per replica.
         """
         if self._executor is None:
-            self._executor = shared_executor(
+            self._executor = default_registry().executor(
                 self.name,
                 self._capacity,
                 self._data,

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -998,13 +998,10 @@ class ServiceEngine:
     def _predicted_fidelities(self, shard: int, occupancy: int) -> tuple[float, ...]:
         """``backend.predicted_window_fidelities(occupancy)`` for one shard.
 
-        Memoization lives with the backend now, not the engine: every
-        backend keeps an instance memo and shares the derived vectors
-        through the process-wide
-        :class:`~repro.schedule_cache.ScheduleCacheRegistry`, so
-        autoscaled replicas and forked workers inherit warm predictions
-        and an engine-level cache (with its fleet-change invalidation
-        hazard) has nothing left to add.
+        Memoization lives with the backend, not the engine: each backend
+        keeps one memoized window per occupancy, pre-derived at fleet
+        build and scale-up, so an engine-level cache (with its
+        fleet-change invalidation hazard) has nothing to add.
         """
         profiler = self._profiler
         if profiler is not None:
@@ -1199,13 +1196,14 @@ class ServiceEngine:
         if profiler is not None:
             profiler.exit()
         copies_map = self._copies
+        predictions: Sequence[float | None]
         if copies_map:
             predictions = self._batch_predictions(shard, batch)
         else:
             # No in-flight distillation: the window's predictions are the
-            # backend's occupancy vector verbatim (one copy per slot, and
-            # distillation at one copy is the identity).
-            predictions = self._predicted_fidelities(shard, len(batch))
+            # ones it just ran with (one copy per slot, and distillation at
+            # one copy is the identity).
+            predictions = result.predicted_fidelities
 
         keep_outputs = functional and self.retention == "full"
         for slot, request in enumerate(batch):

@@ -8,8 +8,8 @@ cold copy of everything.  This engine amortizes all of it:
 * **Persistent workers.**  Points execute on a long-lived
   :class:`~repro.engine.pool.ForkWorkerPool`; each worker's process-wide
   :class:`~repro.schedule_cache.ScheduleCacheRegistry` accumulates warm
-  compiled schedules, interval tables and fidelity vectors *across runs*
-  instead of being rebuilt by a fresh fork every time.
+  compiled schedules and interval tables *across runs* instead of
+  rebuilding them in a fresh fork every time.
 * **Dedup + cache affinity.**  Points are grouped by full-spec
   fingerprint (equal specs execute once; every point still gets its own
   result row), and each unique spec routes to the worker picked by its

@@ -6,6 +6,7 @@ from repro import (
     QRAMService,
     QueryRequest,
     ServiceEngine,
+    StreamingTraceSource,
     TraceSource,
     build_backend,
 )
@@ -374,21 +375,17 @@ def test_encoded_backend_registry_names():
 
 
 def test_build_backend_distance_knob():
-    """The @d suffix and the explicit distance kwarg build the same thing;
-    distance 1 is the bare adapter."""
+    """The ``@d<k>`` suffix is the one distance knob: a bare name and
+    ``@d1`` build the bare adapter, ``@d<k>`` (k >= 2) the encoded one."""
     from repro.backends import EncodedBackend
 
     bare = build_backend("Fat-Tree", CAPACITY)
-    via_suffix = build_backend("Fat-Tree@d3", CAPACITY)
-    via_kwarg = build_backend("Fat-Tree", CAPACITY, distance=3)
-    assert isinstance(via_suffix, EncodedBackend)
-    assert via_suffix.name == via_kwarg.name == "Fat-Tree@d3"
-    assert not isinstance(build_backend("Fat-Tree", CAPACITY, distance=1),
-                          EncodedBackend)
-    # The kwarg wins over the suffix (explicit beats embedded).
-    assert build_backend("Fat-Tree@d3", CAPACITY, distance=5).name == "Fat-Tree@d5"
-    assert isinstance(via_suffix, type(via_kwarg))
-    assert bare.capacity == via_suffix.capacity
+    encoded = build_backend("Fat-Tree@d3", CAPACITY)
+    assert isinstance(encoded, EncodedBackend)
+    assert encoded.name == "Fat-Tree@d3" and encoded.distance == 3
+    assert not isinstance(build_backend("Fat-Tree@d1", CAPACITY), EncodedBackend)
+    assert build_backend("Fat-Tree@d5", CAPACITY).name == "Fat-Tree@d5"
+    assert bare.capacity == encoded.capacity
 
 
 def test_encoded_backend_table5_resources_and_timing():
@@ -448,11 +445,69 @@ def test_write_memory_invalidates_prediction_cache(name):
     """
     backend = build_backend(name, 16, random_data(16, seed=2))
     before = backend.predicted_window_fidelities(2)
-    assert "_predicted_fidelity_cache" in backend.__dict__
+    assert 2 in backend.__dict__["_window_cache"]
     backend.write_memory(3, 1)
-    assert "_predicted_fidelity_cache" not in backend.__dict__
+    assert "_window_cache" not in backend.__dict__
     # Predictions rebuild cleanly after the drop.
     assert backend.predicted_window_fidelities(2) == before
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS + ["Fat-Tree@d3"])
+@pytest.mark.parametrize("functional", [False, True])
+def test_window_predictions_equal_predicted_window_fidelities(name, functional):
+    """A window carries exactly the occupancy's predictions, so the engine
+    can read them off the result instead of looking them up again."""
+    backend = build_backend(name, CAPACITY, random_data(CAPACITY, seed=4))
+    fresh = build_backend(name, CAPACITY, random_data(CAPACITY, seed=4))
+    for occupancy in range(1, max(2, backend.query_parallelism) + 1):
+        requests = [
+            QueryRequest(i, {i % CAPACITY: 1.0}) for i in range(occupancy)
+        ]
+        result = backend.run_window(requests, functional=functional)
+        assert result.predicted_fidelities == (
+            backend.predicted_window_fidelities(occupancy)
+        )
+        assert result.predicted_fidelities == (
+            fresh.predicted_window_fidelities(occupancy)
+        )
+
+
+def test_serving_never_derives_window_predictions(monkeypatch):
+    """Fleet build derives every admissible occupancy's window; a
+    timing-only serve afterwards only reads the per-backend memo."""
+    from repro.backends.analytic import _DistributedBackend
+    from repro.backends.noise import PredictedFidelityMixin
+
+    calls = []
+
+    def spy(cls):
+        original = vars(cls)["_compute_window_fidelities"]
+
+        def counted(self, batch_size):
+            calls.append((self.name, batch_size))
+            return original(self, batch_size)
+
+        monkeypatch.setattr(cls, "_compute_window_fidelities", counted)
+
+    for cls in (PredictedFidelityMixin, _DistributedBackend):
+        spy(cls)
+    capacity = 16
+    service = QRAMService(
+        capacity,
+        num_shards=3,
+        architectures=["Fat-Tree", "D-Fat-Tree", "Fat-Tree@d3"],
+        placement="shortest-queue",
+        functional=False,
+    )
+    assert {name for name, _ in calls} == set(service.architectures)
+    calls.clear()
+    trace = iter_poisson_trace(
+        capacity, 500, mean_interarrival=2.0, num_shards=1, seed=5
+    )
+    report = ServiceEngine(service, workers=0).run(StreamingTraceSource(trace))
+    assert report.stats.total_queries == 500
+    assert len({record.shard for record in report.served}) == 3
+    assert calls == []
 
 
 def test_distributed_subbatch_sizes_iterate_deterministically():

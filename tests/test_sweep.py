@@ -343,7 +343,6 @@ def test_cache_reuse_hits_climb_prewarms_stay_flat():
     # lookups): reuse dominates.
     assert stats.hits >= 14
     assert stats.hit_rate > 0.8
-    assert stats.fidelity_hits > stats.fidelity_misses
 
 
 def test_sweep_cache_stats_count_only_the_sweep():

@@ -527,8 +527,8 @@ def test_engine_run_reusable_after_autoscale():
 def test_fidelity_prediction_memoized(service, trace):
     # workers=0: the engine hot path under test runs on this instance,
     # which a REPRO_WORKERS-partitioned run would never drive directly.
-    # The memo itself lives on the backend (instance memo + the shared
-    # registry vectors), so repeated engine lookups return the one tuple.
+    # The memo itself lives on the backend (one memoized window per
+    # occupancy), so repeated engine lookups return the one tuple.
     engine = ServiceEngine(service, workers=0)
     engine.run(TraceSource(trace))
     first = engine._predicted_fidelities(0, 2)
@@ -551,8 +551,8 @@ def test_fidelity_predictions_correct_after_scale_up():
     report = engine.run(TraceSource(trace))
     assert any(event.action == "up" for event in report.scale_events)
     # Engine lookups delegate to the live backends, so every shard added
-    # by the autoscaler answers with its own (correct, registry-shared)
-    # vectors — there is no engine-level cache left to go stale.
+    # by the autoscaler answers from its own window memo — there is no
+    # engine-level cache left to go stale.
     for shard in range(len(engine._backends)):
         for occupancy in (1, 2):
             assert engine._predicted_fidelities(shard, occupancy) == (

@@ -100,9 +100,9 @@ def test_pipelined_fidelities_bitwise_parity(architecture, capacity):
 def test_predicted_fidelities_identical_across_replicas(architecture):
     """Two replicas of one configuration predict identical vectors.
 
-    The registry shares one derived per-occupancy vector across replicas;
-    a replica that bypassed the registry must still compute the same
-    values (the factory is deterministic), so the tuples agree exactly.
+    Each replica derives its own per-occupancy windows; the derivation is
+    deterministic, so a memoized prediction and a fresh derivation on a
+    twin agree exactly.
     """
     capacity = 8
     first = build_backend(architecture, capacity, [0] * capacity)
@@ -303,14 +303,14 @@ def test_timing_window_is_memoized_and_consistent():
 
 
 def test_write_memory_invalidates_instance_memos():
-    """The SIM003 pairing: mutating memory drops the per-instance memos
-    (registry vectors are memory-independent and stay shared)."""
+    """The SIM003 pairing: mutating memory drops the per-occupancy window
+    memo."""
     backend = build_backend("Fat-Tree", 8, [0] * 8)
     requests = [QueryRequest(0, {0: 1.0}, request_time=0.0)]
     before = backend.run_window(requests, functional=False)
-    backend.predicted_window_fidelities(1)
+    assert backend.__dict__["_window_cache"][1] is before
     backend.write_memory(0, 1)
-    assert "_timing_window_cache" not in backend.__dict__
+    assert "_window_cache" not in backend.__dict__
     after = backend.run_window(requests, functional=False)
     assert after is not before
     assert after.fidelities == before.fidelities
