@@ -150,13 +150,20 @@ class _DistributedBackend(ModelBackend):
         )
         return interval, total, starts, finishes
 
-    def _compute_window_fidelities(self, batch_size: int) -> tuple[float, ...]:
+    def _compute_window_fidelities(
+        self,
+        batch_size: int,
+        starts: tuple[float, ...],
+        finishes: tuple[float, ...],
+    ) -> tuple[float, ...]:
         """Per-slot prediction with crosstalk restricted to same-copy slots.
 
         The generic offset-overlap model would couple slots on *different*
         copies (their residencies coincide in time but run on independent
-        hardware); predicting each copy's sub-batch separately and
-        interleaving the results keeps the degradation physical.
+        hardware); predicting each copy's sub-batch separately, from
+        per-copy local offsets, and interleaving the results keeps the
+        degradation physical.  The window-wide ``starts`` / ``finishes``
+        are therefore unused.
         """
         interval, lifetime = self._copy_timing()
         base, crosstalk = self._infidelity_bounds(self.parameters)

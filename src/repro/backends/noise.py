@@ -255,10 +255,15 @@ class PredictedFidelityMixin:
     ) -> tuple[float, float]:
         raise NotImplementedError
 
-    def _compute_window_fidelities(self, batch_size: int) -> tuple[float, ...]:
-        """Derive one window's per-slot predictions (uncached; called on a
-        :meth:`timing_window` miss)."""
-        _, _, starts, finishes = self._window_offsets(batch_size)
+    def _compute_window_fidelities(
+        self,
+        batch_size: int,
+        starts: tuple[float, ...],
+        finishes: tuple[float, ...],
+    ) -> tuple[float, ...]:
+        """Derive one window's per-slot predictions from its offsets
+        (uncached; called on a :meth:`timing_window` miss with the offsets
+        it has just evaluated)."""
         base, crosstalk = self._infidelity_bounds(self.parameters)
         return pipelined_fidelities(base, crosstalk, starts, finishes)
 
@@ -276,7 +281,9 @@ class PredictedFidelityMixin:
         result = cache.get(batch_size)
         if result is None:
             interval, total, starts, finishes = self._window_offsets(batch_size)
-            predicted = self._compute_window_fidelities(batch_size)
+            predicted = self._compute_window_fidelities(
+                batch_size, starts, finishes
+            )
             result = WindowResult(
                 interval=interval,
                 total_layers=total,

@@ -40,7 +40,10 @@ import dataclasses
 import functools
 import hashlib
 import json
-from collections.abc import Iterable, Sequence
+import operator
+import types
+import typing
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -86,13 +89,19 @@ METRIC_FIELDS = (
 def _canonical(value: Any) -> Any:
     """JSON-serializable canonical form of report content.
 
-    Dataclasses flatten via ``asdict`` upstream; here tuples become
-    lists, complex amplitudes become ``[real, imag]`` pairs, and dicts
-    with non-string keys (per-tenant/per-shard tables, output
-    amplitudes) become key-sorted pair lists so the canonical JSON is
-    unique.  Floats rely on JSON's exact ``repr`` round-trip: equal
-    reports canonicalize to equal bytes.
+    Dataclass instances become field-name dicts (what ``asdict`` would
+    give, without its deep copy), tuples become lists, complex
+    amplitudes become ``[real, imag]`` pairs, and dicts with non-string
+    keys (per-tenant/per-shard tables, output amplitudes) become
+    key-sorted pair lists so the canonical JSON is unique.  Floats rely
+    on JSON's exact ``repr`` round-trip: equal reports canonicalize to
+    equal bytes.
     """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            field.name: _canonical(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
     if isinstance(value, dict):
         if all(isinstance(key, str) for key in value):
             return {key: _canonical(item) for key, item in value.items()}
@@ -107,6 +116,71 @@ def _canonical(value: Any) -> Any:
     return value
 
 
+#: Field annotations a record class may use for the direct encoding: the
+#: C encoder writes these values exactly as ``_canonical`` would pass
+#: them through.
+_SCALAR_TYPES = frozenset({int, float, str, bool, type(None)})
+
+#: Canonical JSON writers (C encoder, compact separators).  Record dicts
+#: are built in sorted-key order, so they skip the per-dict key sort.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_encode_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@functools.cache
+def _record_layout(
+    cls: type,
+) -> tuple[tuple[str, ...], Callable[[Any], tuple[Any, ...]]] | None:
+    """Sorted field names and a getter returning their values, for a
+    record dataclass whose every field is annotated with scalars only.
+
+    ``None`` when any annotation admits something else (a container
+    could hold non-``str``-keyed dicts, which ``json`` would stringify
+    where ``_canonical`` writes pair lists), or names a type that does
+    not resolve at run time; such classes take the generic walk.
+    Decided once per class.
+    """
+    names = tuple(sorted(field.name for field in dataclasses.fields(cls)))
+    try:
+        hints = typing.get_type_hints(cls)
+    except NameError:
+        return None
+    for name in names:
+        hint = hints.get(name)
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            members = typing.get_args(hint)
+        else:
+            members = (hint,)
+        if not all(member in _SCALAR_TYPES for member in members):
+            return None
+    if len(names) == 1:
+        (only,) = names
+        return names, lambda record: (getattr(record, only),)
+    return names, operator.attrgetter(*names)
+
+
+def _encode_stream(name: str, records: Sequence[Any]) -> str:
+    """Canonical JSON of one record stream, ``asdict``-free.
+
+    Raises:
+        TypeError: if the stream's records are not all of one class.
+    """
+    if not records:
+        return "[]"
+    classes = set(map(type, records))
+    if len(classes) != 1:
+        kinds = ", ".join(sorted(cls.__qualname__ for cls in classes))
+        raise TypeError(
+            f"report stream {name!r} mixes record classes ({kinds})"
+        )
+    (cls,) = classes
+    layout = _record_layout(cls)
+    if layout is None:
+        return _encode_sorted(_canonical(records))
+    names, values = layout
+    return _encode([dict(zip(names, row)) for row in map(values, records)])
+
+
 def report_digest(report: ServiceReport) -> str:
     """SHA-256 over the canonical JSON of a report's *result* content.
 
@@ -116,20 +190,28 @@ def report_digest(report: ServiceReport) -> str:
     reports share a digest iff they compare equal, which is how sweep rows
     pin per-point bit-identity across pool sizes without shipping whole
     reports around.
+
+    The hashed text is byte-identical to
+    ``json.dumps(_canonical(payload), sort_keys=True, separators=(",",
+    ":"))`` over the ``asdict`` of every record, where ``payload`` maps
+    the eight keys below to the report's fields; digests recorded by
+    earlier versions stay valid.  The record streams are written
+    straight from their fields (in sorted-name order, through one C
+    encoder); ``stats`` and ``outputs`` — one each, with non-``str``
+    keys and complex values — take the generic :func:`_canonical` walk.
+    The top-level object is assembled from its keys in sorted order.
     """
-    payload = {
-        "served": [dataclasses.asdict(r) for r in report.served],
-        "windows": [dataclasses.asdict(r) for r in report.windows],
-        "stats": dataclasses.asdict(report.stats),
-        "outputs": report.outputs,
-        "rejected": [dataclasses.asdict(r) for r in report.rejected],
-        "scale_events": [dataclasses.asdict(r) for r in report.scale_events],
-        "telemetry": [dataclasses.asdict(r) for r in report.telemetry],
-        "retention": report.retention,
-    }
-    text = json.dumps(
-        _canonical(payload), sort_keys=True, separators=(",", ":")
-    )
+    text = "".join((
+        '{"outputs":', _encode_sorted(_canonical(report.outputs)),
+        ',"rejected":', _encode_stream("rejected", report.rejected),
+        ',"retention":', _encode(report.retention),
+        ',"scale_events":', _encode_stream("scale_events", report.scale_events),
+        ',"served":', _encode_stream("served", report.served),
+        ',"stats":', _encode_sorted(_canonical(report.stats)),
+        ',"telemetry":', _encode_stream("telemetry", report.telemetry),
+        ',"windows":', _encode_stream("windows", report.windows),
+        "}",
+    ))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

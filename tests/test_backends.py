@@ -483,9 +483,9 @@ def test_serving_never_derives_window_predictions(monkeypatch):
     def spy(cls):
         original = vars(cls)["_compute_window_fidelities"]
 
-        def counted(self, batch_size):
+        def counted(self, batch_size, starts, finishes):
             calls.append((self.name, batch_size))
-            return original(self, batch_size)
+            return original(self, batch_size, starts, finishes)
 
         monkeypatch.setattr(cls, "_compute_window_fidelities", counted)
 
@@ -508,6 +508,28 @@ def test_serving_never_derives_window_predictions(monkeypatch):
     assert report.stats.total_queries == 500
     assert len({record.shard for record in report.served}) == 3
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["Fat-Tree", "BB", "D-Fat-Tree", "Fat-Tree@d3"])
+def test_timing_window_miss_evaluates_offsets_once(name, monkeypatch):
+    """A memo miss evaluates the window's offsets once and hands them to
+    the prediction hook; a hit evaluates nothing."""
+    backend = build_backend(name, 16, random_data(16, seed=3))
+    backend.invalidate_predictions()
+    cls = type(backend)
+    original = cls._window_offsets
+    calls = []
+
+    def counted(self, batch_size):
+        calls.append(batch_size)
+        return original(self, batch_size)
+
+    monkeypatch.setattr(cls, "_window_offsets", counted)
+    occupancies = range(1, max(2, backend.query_parallelism) + 1)
+    for occupancy in occupancies:
+        backend.timing_window(occupancy)
+        backend.timing_window(occupancy)
+    assert calls == list(occupancies)
 
 
 def test_distributed_subbatch_sizes_iterate_deterministically():

@@ -108,8 +108,9 @@ def test_predicted_fidelities_identical_across_replicas(architecture):
     first = build_backend(architecture, capacity, [0] * capacity)
     second = build_backend(architecture, capacity, [0] * capacity)
     for occupancy in range(1, min(first.query_parallelism, 8) + 1):
+        _, _, starts, finishes = second._window_offsets(occupancy)
         assert first.predicted_window_fidelities(occupancy) == (
-            second._compute_window_fidelities(occupancy)
+            second._compute_window_fidelities(occupancy, starts, finishes)
         )
 
 
