@@ -14,16 +14,24 @@ Two levels of fidelity to the paper:
   routed through, migrations move only input/router qubits, queries exchange
   sub-QRAMs at shared swap layers;
 * the steady-state admission interval is found by a static conflict search
-  and is a small constant larger than the abstract model's 10 raw layers
-  (see EXPERIMENTS.md); the abstract model in :mod:`repro.core.pipeline`
+  and is ``10 * ceil(n / 2) + 2`` raw layers (22 at ``N = 16``, 52 at
+  ``N = 1024``) rather than the abstract model's constant 10 (see
+  EXPERIMENTS.md); the abstract model in :mod:`repro.core.pipeline`
   carries the paper's exact latency accounting.
+
+A window of ``k`` queries at one interval always runs the same gates on the
+same qubits: registers are named by window slot, not by query id.  The
+executor therefore compiles each ``(occupancy, interval)`` once into a
+:class:`WindowProgram` — the merged, deduplicated and lowered gate list
+plus the qubit layout — and replays it for every later window.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.bucket_brigade.instructions import (
     Instruction,
@@ -42,7 +50,7 @@ from repro.core.query import (
     ideal_query_output,
     output_fidelity,
 )
-from repro.sim.sparse import SparseState
+from repro.sim.sparse import Qubit, QubitLayout, SparseState
 
 #: Largest sparse state a functional window may build.  Each query
 #: multiplies the branch count by its address branches and by 2 for its bus
@@ -71,6 +79,30 @@ class PipelinedExecutionResult:
     max_concurrent: int = 0
 
 
+@dataclass(frozen=True)
+class WindowProgram:
+    """The gates of one functional window, compiled once and replayed.
+
+    Attributes:
+        interval: admission interval (raw layers) between slots.
+        total_layers: raw layers until the last slot finishes.
+        layout: qubit order of the window's state: the tree, then each
+            slot's register; it owns the gate-resolution memo every replay
+            shares.
+        registers: per slot, its address qubits (most significant first)
+            and then its bus qubit.
+        gates: ``(gate, qubits, theta)`` in execution order: every slot's
+            schedule shifted by ``slot * interval``, sorted by raw layer,
+            with one shared swap per ``(label, level)`` per layer.
+    """
+
+    interval: int
+    total_layers: int
+    layout: QubitLayout
+    registers: tuple[tuple[Qubit, ...], ...]
+    gates: tuple[tuple[str, tuple[Qubit, ...], float | None], ...]
+
+
 class FatTreeExecutor:
     """Gate-level executor for a capacity-``N`` Fat-Tree QRAM.
 
@@ -87,21 +119,19 @@ class FatTreeExecutor:
         self.data = [int(x) & 1 for x in data]
         self.structure = FatTreeStructure(capacity)
         self.namer: QubitNamer = self.structure.namer
-        # Memoization of the static schedule artefacts: the relative schedule
-        # only depends on (capacity, query id), the lowered gate sequence of
-        # an instruction only on its (kind, query, item, level, label)
-        # identity, and the minimum feasible interval only on the capacity —
-        # none of them need to be re-derived on every run_pipelined_queries
-        # call.
-        self._schedule_cache: dict[int, list[Instruction]] = {}
+        # Memoization of the static schedule artefacts, none of which needs
+        # re-deriving per window: the relative schedule depends only on the
+        # capacity, the lowered gates of an instruction only on its (kind,
+        # slot, item, level, label) identity, the minimum feasible interval
+        # only on the capacity, and a window program only on (occupancy,
+        # interval).
+        self._schedule_cache: list[Instruction] | None = None
         self._lowered_cache: dict[
             tuple[InstructionKind, int, int, int, int], list
         ] = {}
         self._min_interval_cache: int | None = None
         self._locations_cache: dict[Instruction, frozenset] = {}
-
-    #: Distinct query ids whose schedules are kept memoized at once.
-    _CACHE_LIMIT = 128
+        self._program_cache: dict[tuple[int, int], WindowProgram] = {}
 
     @property
     def capacity(self) -> int:
@@ -119,34 +149,15 @@ class FatTreeExecutor:
         migrations are inserted just in time (right before the first gate
         that needs the larger sub-QRAM) and mirrored during unloading.
 
-        The schedule is memoized: repeated calls (and repeated pipelined
-        runs) return the same cached instruction list.  Schedules of
-        different query ids share their structure and differ only in the
-        ``query`` field, so they are derived from the query-0 schedule
-        instead of being rebuilt.
+        The query-0 schedule is memoized (repeated calls return the same
+        list); other ids differ only in the ``query`` field and are built
+        on demand, which only window compilation does.
         """
-        cached = self._schedule_cache.get(query)
-        if cached is not None:
-            return cached
-        if len(self._schedule_cache) >= self._CACHE_LIMIT:
-            # Callers that keep minting fresh query ids (e.g. a long trace
-            # driven through parallel_queries directly) must not grow the
-            # per-id caches without bound; keep the structural query-0 entry
-            # and evict the rest.
-            base = self._schedule_cache.get(0)
-            self._schedule_cache = {} if base is None else {0: base}
-            self._lowered_cache = {
-                key: ops for key, ops in self._lowered_cache.items() if key[1] == -1
-            }
         if query != 0:
-            schedule = [
-                replace(instr, query=query) for instr in self.relative_schedule(0)
-            ]
-            self._schedule_cache[query] = schedule
-            return schedule
-        schedule = self._build_relative_schedule(query)
-        self._schedule_cache[query] = schedule
-        return schedule
+            return self._build_relative_schedule(query)
+        if self._schedule_cache is None:
+            self._schedule_cache = self._build_relative_schedule(0)
+        return self._schedule_cache
 
     def _build_relative_schedule(self, query: int) -> list[Instruction]:
         n = self._n
@@ -388,6 +399,59 @@ class FatTreeExecutor:
         return True
 
     # ------------------------------------------------------------- execution
+    def window_program(self, occupancy: int, interval: int) -> WindowProgram:
+        """The compiled program of a window of ``occupancy`` queries
+        admitted ``interval`` raw layers apart (built on first use)."""
+        key = (occupancy, interval)
+        program = self._program_cache.get(key)
+        if program is None:
+            program = self._compile_window(occupancy, interval)
+            self._program_cache[key] = program
+        return program
+
+    def _compile_window(self, occupancy: int, interval: int) -> WindowProgram:
+        namer = self.namer
+        registers = tuple(
+            tuple(namer.address_qubit(slot, bit) for bit in range(self._n))
+            + (namer.bus_qubit(slot),)
+            for slot in range(occupancy)
+        )
+        layout = QubitLayout(
+            [*self.structure.all_qubits(), *(q for reg in registers for q in reg)]
+        )
+        # Slot-major, then a stable sort by absolute raw layer.
+        merged = sorted(
+            (
+                (instr.raw_layer + slot * interval, instr)
+                for slot in range(occupancy)
+                for instr in self.relative_schedule(slot)
+            ),
+            key=itemgetter(0),
+        )
+        gates: list[tuple[str, tuple[Qubit, ...], float | None]] = []
+        layer, swapped = 0, set()
+        for at, instr in merged:
+            if at != layer:
+                layer, swapped = at, set()
+            if instr.kind is InstructionKind.SWAP_MIGRATE:
+                # Migrations of one label pair in one layer are one shared
+                # sub-QRAM exchange.
+                shared = (instr.label, instr.level)
+                if shared in swapped:
+                    continue
+                swapped.add(shared)
+            gates.extend(
+                (op.gate, op.qubits, op.theta)
+                for op in self._lowered_operations(instr)
+            )
+        return WindowProgram(
+            interval=interval,
+            total_layers=merged[-1][0],
+            layout=layout,
+            registers=registers,
+            gates=tuple(gates),
+        )
+
     def run_pipelined_queries(
         self,
         requests: Sequence[QueryRequest],
@@ -395,84 +459,52 @@ class FatTreeExecutor:
     ) -> tuple[PipelinedExecutionResult, dict[int, dict[tuple[int, int], complex]]]:
         """Execute several queries concurrently and return their outputs.
 
+        Request ``s`` runs in window slot ``s``; the window's compiled
+        program is replayed on a fresh state.
+
         Args:
-            requests: query requests; each must carry address amplitudes.
+            requests: query requests with distinct ids; each must carry
+                address amplitudes.
             interval: admission interval in raw layers; defaults to the
                 smallest feasible interval for this capacity.
 
         Returns:
             A pair of (execution summary, per-query output amplitudes over
-            ``(address, bus)``).
+            ``(address, bus)``, keyed by query id).
         """
         if not requests:
             raise ValueError("at least one query request is required")
+        _check_distinct_ids(requests)
         _check_window_terms(requests)
         if interval is None:
             interval = self.minimum_feasible_interval(len(requests))
+        program = self.window_program(len(requests), interval)
 
-        state = SparseState()
-        state.ensure_qubits(self.structure.all_qubits())
-
-        # Prepare external registers and the phase-kickback basis change.
-        for request in requests:
-            address_qubits = [
-                self.namer.address_qubit(request.query_id, bit)
-                for bit in range(self._n)
-            ]
+        state = SparseState.from_layout(program.layout)
+        # Prepare each slot's |address>|bus> register, then the bus's
+        # phase-kickback basis change.
+        for register, request in zip(program.registers, requests):
+            bus = request.initial_bus
             state.prepare_superposition(
-                address_qubits, dict(request.address_amplitudes)
+                register,
+                {
+                    2 * address + bus: amp
+                    for address, amp in request.address_amplitudes.items()
+                },
             )
-            bus = self.namer.bus_qubit(request.query_id)
-            state.add_qubit(bus, request.initial_bus)
-            state.apply_gate("H", (bus,))
+            state.apply_gate("H", register[-1:])
 
-        # Build the merged absolute schedule.
-        merged: list[Instruction] = []
-        for slot, request in enumerate(requests):
-            start = slot * interval
-            for instr in self.relative_schedule(request.query_id):
-                merged.append(
-                    Instruction(
-                        instr.kind,
-                        query=instr.query,
-                        item=instr.item,
-                        level=instr.level,
-                        label=instr.label,
-                        raw_layer=instr.raw_layer + start,
-                        gate_layer=instr.gate_layer,
-                    )
-                )
-        merged.sort(key=lambda i: i.raw_layer)
-
-        # Execute layer by layer, de-duplicating shared migrations.
-        total_layers = max(i.raw_layer for i in merged)
-        by_layer: dict[int, list[Instruction]] = {}
-        for instr in merged:
-            by_layer.setdefault(instr.raw_layer, []).append(instr)
-        for layer in sorted(by_layer):
-            executed_swaps: set[tuple[int, int]] = set()
-            for instr in by_layer[layer]:
-                if instr.kind is InstructionKind.SWAP_MIGRATE:
-                    key = (instr.label, instr.level)
-                    if key in executed_swaps:
-                        continue
-                    executed_swaps.add(key)
-                for op in self._lowered_operations(instr):
-                    state.apply_operation(op)
+        apply_gate = state.apply_gate
+        for gate, qubits, theta in program.gates:
+            apply_gate(gate, qubits, theta)
 
         # Undo the bus basis change and collect outputs.
         outputs: dict[int, dict[tuple[int, int], complex]] = {}
         results: list[QueryResult] = []
         lifetime = self.relative_raw_latency()
-        for slot, request in enumerate(requests):
-            bus = self.namer.bus_qubit(request.query_id)
-            state.apply_gate("H", (bus,))
-            qubits = [
-                self.namer.address_qubit(request.query_id, bit)
-                for bit in range(self._n)
-            ]
-            qubits.append(bus)
-            joint = state.register_amplitudes(qubits)
+        for slot, (register, request) in enumerate(zip(program.registers, requests)):
+            state.apply_gate("H", register[-1:])
+            joint = state.register_amplitudes(register)
             outputs[request.query_id] = {
                 divmod(value, 2): amp for value, amp in joint.items()
             }
@@ -493,7 +525,7 @@ class FatTreeExecutor:
 
         summary = PipelinedExecutionResult(
             interval=interval,
-            total_layers=total_layers,
+            total_layers=program.total_layers,
             per_query_raw_layers=lifetime,
             results=results,
             max_concurrent=self._max_concurrent(len(requests), interval, lifetime),
@@ -501,9 +533,9 @@ class FatTreeExecutor:
         self._final_state = state
         return summary, outputs
 
-    #: Instruction kinds whose lowering names per-query external qubits
+    #: Instruction kinds whose lowering names per-slot external qubits
     #: (address / bus registers); everything else acts on tree qubits only
-    #: and lowers identically for every query.
+    #: and lowers identically for every slot.
     _QUERY_SENSITIVE_KINDS = frozenset(
         {InstructionKind.LOAD, InstructionKind.UNLOAD}
     )
@@ -513,12 +545,9 @@ class FatTreeExecutor:
 
         Lowering depends on (kind, item, level, label) and on the classical
         data — which is fixed for the executor's lifetime — never on the
-        absolute raw layer, so merged absolute schedules reuse the lowered
-        operations of the relative schedule across runs.  The query id only
-        matters for LOAD/UNLOAD (which touch the query's external address /
-        bus qubits), so all other kinds share one cache entry across
-        queries, keeping the cache bounded by the schedule size rather than
-        by the number of distinct query ids ever served.
+        absolute raw layer.  The slot only matters for LOAD/UNLOAD (which
+        touch the slot's external address / bus qubits), so all other kinds
+        share one cache entry across slots.
         """
         query_key = instr.query if instr.kind in self._QUERY_SENSITIVE_KINDS else -1
         key = (instr.kind, query_key, instr.item, instr.level, instr.label)
@@ -567,6 +596,18 @@ class FatTreeExecutor:
                 if qubit in tree_qubits and value != 0:
                     return False
         return True
+
+
+def _check_distinct_ids(requests: Sequence[QueryRequest]) -> None:
+    """Refuse a window that names one query id twice (its outputs, keyed by
+    id, would overwrite each other)."""
+    ids = [request.query_id for request in requests]
+    if len(set(ids)) != len(ids):
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValueError(
+            f"functional window of {len(ids)} queries {ids} repeats query "
+            f"ids {repeated}; every query in a window needs its own id"
+        )
 
 
 def _check_window_terms(requests: Sequence[QueryRequest]) -> None:

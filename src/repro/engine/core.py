@@ -1159,9 +1159,9 @@ class ServiceEngine:
         """Run one pipeline window on one backend, at absolute layer ``admit``.
 
         The backend receives shard-local requests (translated address
-        superpositions) and renumbers them to window slots internally, so
-        its schedule and lowering caches are shared across every window of
-        the run.
+        superpositions) and runs them by window slot, so its schedule
+        caches and compiled window programs are shared across every window
+        of the run.
         """
         profiler = self._profiler
         if profiler is not None:
@@ -1188,7 +1188,7 @@ class ServiceEngine:
         else:
             # Timing-only windows never read per-request state (every
             # adapter serves them from its memoized timing window), so the
-            # shard-local renumbered copies would be pure allocation.
+            # shard-local translated copies would be pure allocation.
             local_requests = batch
         if profiler is not None:
             profiler.enter("run_window")

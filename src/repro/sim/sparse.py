@@ -29,7 +29,13 @@ bit-identical to the scalar dictionary implementation kept as
 Both classes answer every inspection (``items``, ``probability``,
 ``register_amplitudes``, ...) from one ``{basis tuple: amplitude}`` view,
 written once in :class:`_SparseView`; :class:`SparseState` builds that view
-on demand and caches it until the next mutation.
+on demand and caches it until the next mutation, and reads register
+amplitudes straight from its bit matrix instead.
+
+Every state memoizes how it resolved a gate call (``(gate, qubits)`` to
+canonical name and qubit indices).  States built from one
+:class:`QubitLayout` share that memo: circuits replayed on many states of
+the same qubit order validate and look up each distinct gate call once.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Self
 
 import numpy as np
 
@@ -48,7 +55,28 @@ Basis = tuple[int, ...]
 
 _ATOL = 1e-12
 
-__all__ = ["SparseState", "SparseStateScalar"]
+__all__ = ["QubitLayout", "SparseState", "SparseStateScalar"]
+
+#: A resolved gate call: canonical gate name and qubit indices.
+_Resolved = tuple[str, tuple[int, ...]]
+
+
+class QubitLayout:
+    """A fixed qubit order that many states start from, all in |0>.
+
+    States built with :meth:`_SparseView.from_layout` share
+    ``resolved``, the layout's ``(gate, qubits)`` resolution memo,
+    until one of them adds a qubit (and with it leaves the layout).
+
+    Args:
+        qubits: qubit labels in index order (no repeats).
+    """
+
+    def __init__(self, qubits: Iterable[Qubit]) -> None:
+        self.qubits: tuple[Qubit, ...] = tuple(qubits)
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError("a layout names every qubit once")
+        self.resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved] = {}
 
 
 class _SparseView:
@@ -62,6 +90,17 @@ class _SparseView:
     _qubits: list[Qubit]
     _index: dict[Qubit, int]
     classical: dict[str, int]
+    # (gate, qubits) -> resolved call, valid while the qubit order is.
+    _resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved]
+
+    @classmethod
+    def from_layout(cls, layout: QubitLayout) -> Self:
+        """A state over ``layout``'s qubits, all |0>, that resolves gates
+        through the layout's shared memo."""
+        state = cls()
+        state.ensure_qubits(layout.qubits)
+        state._resolved = layout.resolved
+        return state
 
     def _terms(self) -> dict[Basis, complex]:
         raise NotImplementedError
@@ -91,6 +130,8 @@ class _SparseView:
             raise ValueError("qubit value must be 0 or 1")
         self._index[qubit] = len(self._qubits)
         self._qubits.append(qubit)
+        # A new qubit leaves any shared layout: resolve into a private memo.
+        self._resolved = {}
 
     def ensure_qubits(self, qubits: Iterable[Qubit]) -> None:
         """Add any of ``qubits`` that do not exist yet (initialised to |0>)."""
@@ -98,12 +139,17 @@ class _SparseView:
             if q not in self._index:
                 self.add_qubit(q)
 
-    def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> tuple[str, list[int]]:
+    def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> _Resolved:
         """Validate a gate call; return its canonical name and qubit indices.
 
         Unknown qubits are added in |0>.  Repeated qubits are rejected:
-        applied to a basis branch they would not be a unitary.
+        applied to a basis branch they would not be a unitary.  Each
+        distinct call is validated once; repeats hit the memo.
         """
+        call = (gate, tuple(qubits))
+        resolved = self._resolved.get(call)
+        if resolved is not None:
+            return resolved
         key = gate.upper()
         spec = GATES.get(key)
         if spec is None:
@@ -114,12 +160,11 @@ class _SparseView:
             )
         if spec.n_qubits > 1 and len(set(qubits)) != spec.n_qubits:
             raise ValueError(f"duplicate qubits in gate {key}: {tuple(qubits)}")
+        self.ensure_qubits(qubits)
         index = self._index
-        try:
-            return key, [index[q] for q in qubits]
-        except KeyError:
-            self.ensure_qubits(qubits)
-            return key, [index[q] for q in qubits]
+        resolved = key, tuple(index[q] for q in qubits)
+        self._resolved[call] = resolved
+        return resolved
 
     def items(self) -> Iterable[tuple[Basis, complex]]:
         return self._terms().items()
@@ -189,47 +234,12 @@ class _SparseView:
         """
         idx = [self._index[q] for q in qubits]
         others = [i for i in range(len(self._qubits)) if i not in idx]
-
-        # Group amplitudes into a (register value, rest value) matrix.
-        matrix: dict[tuple[int, Basis], complex] = {}
-        register_values: set[int] = set()
-        rest_values: set[Basis] = set()
-        for basis, amp in self._terms().items():
-            reg = _bits_to_int(tuple(basis[i] for i in idx))
-            rest = tuple(basis[i] for i in others)
-            matrix[(reg, rest)] = matrix.get((reg, rest), 0.0) + amp
-            register_values.add(reg)
-            rest_values.add(rest)
-
-        # Reference rest branch: the one with the largest total weight.
-        reference = max(
-            rest_values,
-            key=lambda rest: sum(
-                abs(matrix.get((reg, rest), 0.0)) ** 2 for reg in register_values
-            ),
+        terms = self._terms()
+        return _factor_register(
+            [_bits_to_int(tuple(basis[i] for i in idx)) for basis in terms],
+            [tuple(basis[i] for i in others) for basis in terms],
+            terms.values(),
         )
-        column = {
-            reg: matrix.get((reg, reference), 0.0) for reg in register_values
-        }
-        norm = math.sqrt(sum(abs(a) ** 2 for a in column.values()))
-        if norm < _ATOL:
-            raise ValueError("register has no support on the reference branch")
-        column = {reg: amp / norm for reg, amp in column.items() if abs(amp) > _ATOL}
-
-        # Rank-1 (product) check including phases: for every entry,
-        # amp(reg, rest) * amp(reg0, ref) == amp(reg, ref) * amp(reg0, rest).
-        reg0 = max(column, key=lambda reg: abs(column[reg]))
-        pivot = matrix.get((reg0, reference), 0.0)
-        for rest in rest_values:
-            scale = matrix.get((reg0, rest), 0.0)
-            for reg in register_values:
-                lhs = matrix.get((reg, rest), 0.0) * pivot
-                rhs = matrix.get((reg, reference), 0.0) * scale
-                if abs(lhs - rhs) > 1e-8:
-                    raise ValueError(
-                        "register is entangled with the rest of the state"
-                    )
-        return column
 
     def qubit_values(self) -> dict[Qubit, int] | None:
         """If every qubit has a definite value, return the assignment, else None."""
@@ -295,6 +305,7 @@ class SparseState(_SparseView):
     def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
         self._qubits: list[Qubit] = []
         self._index: dict[Qubit, int] = {}
+        self._resolved = {}
         self.classical: dict[str, int] = {}
         # Row r is branch r; qubit i's bit lives in column _cols[i].
         self._bits = np.zeros((1, 0), dtype=np.uint8)
@@ -342,6 +353,21 @@ class SparseState(_SparseView):
             # whose division differs from Python complex division.
             self._view = dict(zip(map(tuple, rows), list(self._amps)))
         return self._view
+
+    def register_amplitudes(self, qubits: Sequence[Qubit]) -> dict[int, complex]:
+        """Register amplitudes read from the bit matrix (see
+        :meth:`_SparseView.register_amplitudes`): the same branches in the
+        same order, without building the full basis view."""
+        cols = self._cols
+        chosen = [cols[self._index[q]] for q in qubits]
+        taken = set(chosen)
+        rest = [col for col in cols if col not in taken]
+        return _factor_register(
+            map(_bits_to_int, self._bits[:, chosen].tolist()),
+            map(tuple, self._bits[:, rest].tolist()),
+            # list(), not tolist(): the view's np.complex128 scalars.
+            list(self._amps),
+        )
 
     def _prune(self) -> None:
         magnitude = np.abs(self._amps)
@@ -411,12 +437,12 @@ class SparseState(_SparseView):
             self._prune()
             self._pending = False
 
-    def _swap(self, q: list[int], theta: float | None) -> None:
+    def _swap(self, q: tuple[int, ...], theta: float | None) -> None:
         cols = self._cols
         cols[q[0]], cols[q[1]] = cols[q[1]], cols[q[0]]
         self._settle()
 
-    def _cswap(self, q: list[int], theta: float | None) -> None:
+    def _cswap(self, q: tuple[int, ...], theta: float | None) -> None:
         bits, cols = self._bits, self._cols
         a, b = bits[:, cols[q[1]]], bits[:, cols[q[2]]]
         diff = a ^ b
@@ -425,7 +451,7 @@ class SparseState(_SparseView):
         b ^= diff
         self._settle()
 
-    def _anti_cswap(self, q: list[int], theta: float | None) -> None:
+    def _anti_cswap(self, q: tuple[int, ...], theta: float | None) -> None:
         bits, cols = self._bits, self._cols
         a, b = bits[:, cols[q[1]]], bits[:, cols[q[2]]]
         diff = (a ^ b) > bits[:, cols[q[0]]]  # differ and control is 0
@@ -433,18 +459,18 @@ class SparseState(_SparseView):
         b ^= diff
         self._settle()
 
-    def _x(self, q: list[int], theta: float | None) -> None:
+    def _x(self, q: tuple[int, ...], theta: float | None) -> None:
         target = self._bits[:, self._cols[q[0]]]
         target ^= 1
         self._settle()
 
-    def _cx(self, q: list[int], theta: float | None) -> None:
+    def _cx(self, q: tuple[int, ...], theta: float | None) -> None:
         bits, cols = self._bits, self._cols
         target = bits[:, cols[q[1]]]
         target ^= bits[:, cols[q[0]]]
         self._settle()
 
-    def _ccx(self, q: list[int], theta: float | None) -> None:
+    def _ccx(self, q: tuple[int, ...], theta: float | None) -> None:
         bits, cols = self._bits, self._cols
         target = bits[:, cols[q[2]]]
         target ^= bits[:, cols[q[0]]] & bits[:, cols[q[1]]]
@@ -458,7 +484,7 @@ class SparseState(_SparseView):
         self._prune()
         self._pending = True
 
-    def _cz(self, q: list[int], theta: float | None) -> None:
+    def _cz(self, q: tuple[int, ...], theta: float | None) -> None:
         bits, cols = self._bits, self._cols
         both = (bits[:, cols[q[0]]] & bits[:, cols[q[1]]]).view(bool)
         np.negative(self._amps, out=self._amps, where=both)
@@ -468,6 +494,8 @@ class SparseState(_SparseView):
         """Apply a 2x2 matrix: split every branch in two, merge equal rows."""
         col = self._cols[index]
         terms = len(self._amps)
+        column = self._bits[:, col]
+        constant = not column.any() or bool(column.all())
         # Candidate row 2t + b is branch t with the qubit set to b.
         source = np.repeat(np.arange(terms), 2)
         new_bit = np.tile(np.array([0, 1], dtype=np.uint8), terms)
@@ -482,6 +510,14 @@ class SparseState(_SparseView):
             matrix.real[new_bit, old_bit],
             matrix.imag[new_bit, old_bit],
         )
+        if constant:
+            # Distinct branches agreeing on the qubit differ elsewhere, so
+            # no two candidates are equal: every group is one row, summed
+            # from 0.0.
+            self._bits = bits
+            self._amps = amps + 0.0
+            self._prune()
+            return
         # Merge equal rows: groups in first-occurrence order, each summed
         # in row order from 0.0 (the dict storage's accumulation).
         keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
@@ -520,12 +556,12 @@ def _ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _rz(state: SparseState, q: list[int], theta: float | None) -> None:
+def _rz(state: SparseState, q: tuple[int, ...], theta: float | None) -> None:
     theta = _require_theta("RZ", theta)
     state._diag(q[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2))
 
 
-_Handler = Callable[[SparseState, list[int], float | None], None]
+_Handler = Callable[[SparseState, tuple[int, ...], float | None], None]
 
 #: One handler per gate of :data:`GATES`: ``(state, qubit indices, theta)``.
 _HANDLERS: dict[str, _Handler] = {
@@ -563,6 +599,7 @@ class SparseStateScalar(_SparseView):
     def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
         self._qubits: list[Qubit] = []
         self._index: dict[Qubit, int] = {}
+        self._resolved = {}
         self._amplitudes: dict[Basis, complex] = {(): 1.0 + 0.0j}
         self.classical: dict[str, int] = {}
         for q in qubits:
@@ -653,7 +690,7 @@ class SparseStateScalar(_SparseView):
         else:  # pragma: no cover - defensive, all gates covered above
             raise ValueError(f"gate {key} not supported by SparseState")
 
-    def _apply_permutation(self, spec: Gate, idx: list[int]) -> None:
+    def _apply_permutation(self, spec: Gate, idx: tuple[int, ...]) -> None:
         new_amps: dict[Basis, complex] = {}
         for basis, amp in self._amplitudes.items():
             bits = tuple(basis[i] for i in idx)
@@ -696,6 +733,60 @@ class SparseStateScalar(_SparseView):
             basis: (-amp if basis[control] and basis[target] else amp)
             for basis, amp in self._amplitudes.items()
         }
+
+
+def _factor_register(
+    registers: Iterable[int], rests: Iterable[Basis], amps: Iterable[complex]
+) -> dict[int, complex]:
+    """The register column of :meth:`_SparseView.register_amplitudes`.
+
+    One (register value, rest bits, amplitude) triple per branch, in branch
+    order.
+    """
+    # Group amplitudes into a (register value, rest branch) matrix.  Rest
+    # branches are numbered in first-occurrence order, so the long rest
+    # tuples are hashed once per branch, not once per matrix lookup.
+    matrix: dict[tuple[int, int], complex] = {}
+    register_values: set[int] = set()
+    rest_values: set[Basis] = set()
+    rest_ids: dict[Basis, int] = {}
+    for reg, rest, amp in zip(registers, rests, amps):
+        branch = rest_ids.setdefault(rest, len(rest_ids))
+        matrix[(reg, branch)] = matrix.get((reg, branch), 0.0) + amp
+        register_values.add(reg)
+        rest_values.add(rest)
+    # The rest branches in set order, which breaks ties in max() below.
+    branches = [rest_ids[rest] for rest in rest_values]
+
+    # Reference rest branch: the one with the largest total weight.
+    reference = max(
+        branches,
+        key=lambda branch: sum(
+            abs(matrix.get((reg, branch), 0.0)) ** 2 for reg in register_values
+        ),
+    )
+    column = {
+        reg: matrix.get((reg, reference), 0.0) for reg in register_values
+    }
+    norm = math.sqrt(sum(abs(a) ** 2 for a in column.values()))
+    if norm < _ATOL:
+        raise ValueError("register has no support on the reference branch")
+    column = {reg: amp / norm for reg, amp in column.items() if abs(amp) > _ATOL}
+
+    # Rank-1 (product) check including phases: for every entry,
+    # amp(reg, rest) * amp(reg0, ref) == amp(reg, ref) * amp(reg0, rest).
+    reg0 = max(column, key=lambda reg: abs(column[reg]))
+    pivot = matrix.get((reg0, reference), 0.0)
+    for branch in branches:
+        scale = matrix.get((reg0, branch), 0.0)
+        for reg in register_values:
+            lhs = matrix.get((reg, branch), 0.0) * pivot
+            rhs = matrix.get((reg, reference), 0.0) * scale
+            if abs(lhs - rhs) > 1e-8:
+                raise ValueError(
+                    "register is entangled with the rest of the state"
+                )
+    return column
 
 
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:

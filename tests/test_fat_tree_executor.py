@@ -7,7 +7,7 @@ import pytest
 from repro.core import FatTreeQRAM, QueryRequest
 from repro.core.executor import MAX_WINDOW_TERMS, FatTreeExecutor
 from repro.core.pipeline import PIPELINE_INTERVAL
-from repro.bucket_brigade.instructions import InstructionKind
+from repro.bucket_brigade.instructions import InstructionKind, lower_instruction
 from repro.workloads import structured_data
 
 DATA8 = [1, 0, 1, 1, 0, 0, 1, 0]
@@ -167,22 +167,143 @@ def test_schedules_of_different_queries_share_structure():
 
 def test_executor_caches_stay_bounded_over_fresh_query_ids():
     """A long-lived executor serving ever-fresh query ids must not grow its
-    memoized schedules without bound."""
+    memoized artefacts: registers are named by window slot, so fresh ids
+    reuse one compiled program per (occupancy, interval)."""
     executor = FatTreeExecutor(8, DATA8)
-    limit = FatTreeExecutor._CACHE_LIMIT
-    for query in range(3 * limit):
-        executor.relative_schedule(query)
-    assert len(executor._schedule_cache) <= limit
-    # Evictions must not change results: a re-derived schedule is identical.
-    again = executor.relative_schedule(1)
-    assert [i.raw_layer for i in again] == [
-        i.raw_layer for i in executor.relative_schedule(0)
-    ]
-    # Correctness after heavy cache churn.
-    requests = [QueryRequest(500, {1: 1.0}), QueryRequest(501, {2: 1.0})]
+    for first in range(0, 600, 2):
+        requests = [
+            QueryRequest(first, {first % 8: 1.0}),
+            QueryRequest(first + 1, {(first + 3) % 8: 1.0, 5: 1.0j}),
+        ]
+        _, outputs = executor.run_pipelined_queries(requests, interval=22)
+    assert len(executor._program_cache) == 1
+    lowered = len(executor._lowered_cache)
+    # Correctness after heavy churn, and no growth from more fresh ids.
+    requests = [QueryRequest(5000, {1: 1.0}), QueryRequest(5001, {2: 1.0})]
     _, outputs = executor.run_pipelined_queries(requests, interval=22)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
+    assert executor.tree_is_clean()
+    assert len(executor._program_cache) == 1
+    assert len(executor._lowered_cache) == lowered
+
+
+def test_duplicate_query_ids_in_one_window_fail_loudly():
+    """Outputs are keyed by query id, so a window naming one id twice is
+    refused up front, naming the repeated id."""
+    executor = FatTreeExecutor(8, DATA8)
+    requests = [
+        QueryRequest(4, {1: 1.0}),
+        QueryRequest(9, {2: 1.0}),
+        QueryRequest(4, {3: 1.0}),
+    ]
+    with pytest.raises(ValueError, match=r"repeats query ids \[4\]"):
+        executor.run_pipelined_queries(requests, interval=22)
+
+
+def _merged_window_gates(executor, occupancy, interval):
+    """The per-window merge the compiled program replaces: every slot's
+    schedule shifted by ``slot * interval``, sorted by raw layer, shared
+    swaps executed once per layer, each instruction lowered afresh."""
+    merged = []
+    for slot in range(occupancy):
+        for instr in executor.relative_schedule(slot):
+            merged.append((instr.raw_layer + slot * interval, instr))
+    merged.sort(key=lambda entry: entry[0])
+    by_layer = {}
+    for layer, instr in merged:
+        by_layer.setdefault(layer, []).append(instr)
+    gates = []
+    for layer in sorted(by_layer):
+        executed_swaps = set()
+        for instr in by_layer[layer]:
+            if instr.kind is InstructionKind.SWAP_MIGRATE:
+                key = (instr.label, instr.level)
+                if key in executed_swaps:
+                    continue
+                executed_swaps.add(key)
+            for op in lower_instruction(
+                instr,
+                executor.namer,
+                executor.address_width,
+                data=executor.data,
+                leaf_label=executor.address_width - 1,
+            ):
+                assert op.condition is None
+                gates.append((op.gate, op.qubits, op.theta))
+    return gates, max(by_layer)
+
+
+_PROGRAM_CASES = [
+    (capacity, occupancy, None)
+    for capacity in (4, 8, 16, 32)
+    for occupancy in range(1, capacity.bit_length())
+] + [(8, 2, 22), (8, 3, 22)]
+
+
+@pytest.mark.parametrize("capacity, occupancy, interval", _PROGRAM_CASES)
+def test_window_program_equals_the_merged_schedule(capacity, occupancy, interval):
+    """Every occupancy at the minimum feasible interval, plus interval 22
+    at N = 8 (the shared-swap case): the compiled program is exactly the
+    merged, sorted, deduplicated and lowered window."""
+    executor = FatTreeExecutor(capacity, structured_data(capacity, "parity"))
+    if interval is None:
+        interval = executor.minimum_feasible_interval(occupancy)
+    program = executor.window_program(occupancy, interval)
+    gates, total_layers = _merged_window_gates(executor, occupancy, interval)
+    assert list(program.gates) == gates
+    assert program.total_layers == total_layers
+    assert program.interval == interval
+    namer = executor.namer
+    registers = tuple(
+        tuple(namer.address_qubit(slot, bit) for bit in range(executor.address_width))
+        + (namer.bus_qubit(slot),)
+        for slot in range(occupancy)
+    )
+    assert program.registers == registers
+    assert program.layout.qubits == tuple(executor.structure.all_qubits()) + sum(
+        registers, ()
+    )
+    assert executor.window_program(occupancy, interval) is program
+
+
+def test_programs_compile_once_per_occupancy_over_a_functional_serve(monkeypatch):
+    """One functional serve compiles each (occupancy, interval) of each
+    shared executor once, however many windows replay it."""
+    from repro.schedule_cache import default_registry
+    from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
+
+    compiled = []
+    compile_window = FatTreeExecutor._compile_window
+
+    def counting(self, occupancy, interval):
+        compiled.append((id(self), occupancy, interval))
+        return compile_window(self, occupancy, interval)
+
+    monkeypatch.setattr(FatTreeExecutor, "_compile_window", counting)
+    spec = ScenarioSpec(
+        name="compile-once",
+        fleet=FleetSpec(
+            capacity=16, shards=("Fat-Tree", "Fat-Tree"), functional=True
+        ),
+        workload=WorkloadSpec(
+            kind="poisson",
+            num_queries=60,
+            mean_interarrival=4.0,
+            addresses_per_query=2,
+            seed=5,
+        ),
+        run=RunSpec(retention="full", workers=0, sanitize=False, profile=False),
+    )
+    default_registry().clear()
+    report = spec.execute()
+    default_registry().clear()
+    assert len(compiled) == len(set(compiled))
+    assert {occupancy for _, occupancy, _ in compiled} == {
+        window.batch_size for window in report.windows
+    }
+    assert len(report.windows) > len(compiled)
+    assert all(f == pytest.approx(1.0) for f in (r.fidelity for r in report.served))
 
 
 def test_tree_is_clean_raises_before_any_run():

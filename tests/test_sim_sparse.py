@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.circuit import Circuit
-from repro.sim.sparse import SparseState, SparseStateScalar
+from repro.sim.sparse import QubitLayout, SparseState, SparseStateScalar
 from repro.sim.statevector import StatevectorSimulator
 
 
@@ -152,3 +152,37 @@ def test_repeated_qubits_are_rejected(storage, gate, qubits):
         state.apply_gate(gate, qubits)
     assert list(state.items()) == before
     assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("storage", [SparseState, SparseStateScalar])
+def test_states_from_one_layout_share_its_resolution_memo(storage):
+    """States built from one layout resolve each distinct gate call once;
+    a state that adds a qubit leaves the shared memo for a private one."""
+    layout = QubitLayout(["a", "b", "c"])
+    first = storage.from_layout(layout)
+    assert first.qubits == ["a", "b", "c"]
+    assert list(first.items()) == [((0, 0, 0), 1.0 + 0.0j)]
+    first.apply_gate("H", ("a",))
+    first.apply_gate("CX", ("a", "c"))
+    assert layout.resolved == {("H", ("a",)): ("H", (0,)), ("CX", ("a", "c")): ("CX", (0, 2))}
+    second = storage.from_layout(layout)
+    second.apply_gate("H", ("a",))
+    second.apply_gate("CX", ("a", "c"))
+    assert list(second.items()) == list(first.items())
+    assert len(layout.resolved) == 2
+    second.add_qubit("d")
+    second.apply_gate("CX", ("d", "b"))
+    second.apply_gate("swap", ["a", "d"])
+    assert len(layout.resolved) == 2
+    first.apply_gate("CCX", ("a", "b", "c"))
+    assert ("CCX", ("a", "b", "c")) in layout.resolved
+    # A memo hit skips validation, so a bad call is never memoized.
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        first.apply_gate("CX", ("a", "a"))
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        first.apply_gate("CX", ("a", "a"))
+
+
+def test_layout_names_every_qubit_once():
+    with pytest.raises(ValueError, match="once"):
+        QubitLayout(["a", "b", "a"])

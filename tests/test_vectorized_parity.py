@@ -21,7 +21,9 @@ contract:
 * the array-backed :class:`~repro.sim.sparse.SparseState` against the
   dict-backed :class:`~repro.sim.sparse.SparseStateScalar` — random
   circuits, every Fat-Tree window occupancy, BB queries and a whole
-  functional serve.
+  functional serve; H on a column that is constant across rows (no merge)
+  and register amplitudes read from the bit matrix, against the generic
+  view.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.bucket_brigade.executor import BBExecutor
 from repro.core.executor import FatTreeExecutor
 from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
 from repro.sim.gates import GATES
-from repro.sim.sparse import SparseState, SparseStateScalar
+from repro.sim.sparse import SparseState, SparseStateScalar, _SparseView
 from repro.sweep.engine import report_digest
 import repro.bucket_brigade.executor as bb_executor_module
 import repro.core.executor as fat_tree_executor_module
@@ -386,6 +388,116 @@ def test_array_state_matches_scalar_on_random_circuits(data):
     assert actual.keys() == expected.keys()
     for value, amp in expected.items():
         assert abs(actual[value] - amp) <= 1e-12
+
+
+def _prepare_negative_zero(state):
+    """Amplitudes with -0.0 parts: Z on |1> after a -1 amplitude."""
+    state.prepare_superposition(["a", "c"], {0: 0.6, 1: -0.8, 3: -0.5j})
+    state.apply_gate("Z", ["c"])
+
+
+_CONSTANT_COLUMN_CASES = {
+    "fresh-0": lambda s: (
+        s.prepare_superposition(["r0", "r1", "r2"], {0: 1, 3: 1j, 5: -1, 6: 0.5}),
+        s.add_qubit("b"),
+    ),
+    "fresh-1": lambda s: (
+        s.prepare_superposition(["r0", "r1", "r2"], {0: 1, 3: 1j, 5: -1, 6: 0.5}),
+        s.add_qubit("b", value=1),
+    ),
+    "constant-1-many-rows": lambda s: (
+        s.prepare_superposition(
+            [f"r{i}" for i in range(6)],
+            {v: complex(math.cos(v), -math.sin(3 * v)) for v in range(0, 64, 3)},
+        ),
+        s.add_qubit("b"),
+        s.apply_gate("X", ["b"]),
+    ),
+    "negative-zero-fresh-0": lambda s: (_prepare_negative_zero(s), s.add_qubit("b")),
+    "negative-zero-fresh-1": lambda s: (
+        _prepare_negative_zero(s),
+        s.add_qubit("b", value=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTANT_COLUMN_CASES))
+@pytest.mark.parametrize("gate", ["H", "Y", "RY"])
+def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
+    """A superposing gate on a qubit that is constant across rows merges
+    no rows; its amplitudes still equal the dict storage's ``0.0 + amp``
+    accumulation, signed zeros included."""
+    array, scalar = SparseState(), SparseStateScalar()
+    for state in (array, scalar):
+        _CONSTANT_COLUMN_CASES[case](state)
+    assert _branches(array) == _branches(scalar)
+    theta = 1.1 if gate == "RY" else None
+    for state in (array, scalar):
+        state.apply_gate(gate, ["b"], theta=theta)
+    assert array.num_terms == scalar.num_terms
+    assert _branches(array) == _branches(scalar)
+    # Back through the merging path, then the constant one once more.
+    for state in (array, scalar):
+        state.apply_gate(gate, ["b"], theta=theta)
+        state.add_qubit("d")
+        state.apply_gate(gate, ["d"], theta=theta)
+    assert _branches(array) == _branches(scalar)
+
+
+def _register_columns(state, register):
+    """Both ``register_amplitudes`` paths of the array storage, exactly:
+    items in order, with the amplitudes' bits and types."""
+    paths = []
+    for read in (state.register_amplitudes, lambda r: _SparseView.register_amplitudes(state, r)):
+        try:
+            column = read(register)
+        except ValueError as error:
+            paths.append(str(error))
+            continue
+        paths.append(
+            [
+                (value, type(amp), amp.real.hex(), amp.imag.hex())
+                for value, amp in column.items()
+            ]
+        )
+    return paths
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_array_register_amplitudes_equal_the_view_path(seed):
+    """The bit-matrix readout builds the same (register, rest) rows in the
+    same order as the generic view, so the returned dict, its order, its
+    bits and the entanglement verdicts are identical."""
+    rng = np.random.default_rng(seed)
+    state = SparseState([f"q{i}" for i in range(5)])
+    state.prepare_superposition(
+        ["a0", "a1", "a2"],
+        {int(v): complex(*rng.normal(size=2)) for v in rng.choice(8, 4, replace=False)},
+    )
+    for _ in range(12):
+        gate = str(rng.choice(["H", "CX", "CSWAP", "T", "X", "RY"]))
+        labels = list(rng.permutation(state.qubits))[: GATES[gate].n_qubits]
+        state.apply_gate(gate, labels, theta=0.7 if gate == "RY" else None)
+    for width in (1, 2, 3):
+        for start in range(0, state.num_qubits - width + 1, 2):
+            register = state.qubits[start : start + width]
+            array, view = _register_columns(state, register)
+            assert array == view, register
+
+
+def test_array_register_amplitudes_tie_break_like_the_view():
+    """All eight rest branches tie on weight: the reference branch, and
+    with it the phase convention, is the one the view path picks, pinned
+    at its historical value (the first tied branch in set order)."""
+    state = SparseState(["r", "s0", "s1", "s2"])
+    for gate, qubit in [("H", "r"), ("H", "s0"), ("H", "s1"), ("H", "s2")]:
+        state.apply_gate(gate, [qubit])
+    state.apply_gate("S", ["s1"])
+    state.apply_gate("T", ["s2"])
+    array, view = _register_columns(state, ["r"])
+    assert array == view
+    half = ("0x1.0000000000001p-1", "0x1.0000000000000p-1")
+    assert [entry[:1] + entry[2:] for entry in array] == [(0, *half), (1, *half)]
 
 
 def _run_both(monkeypatch, module, run):
