@@ -138,6 +138,8 @@ class QRAMBackend(Protocol):
     ) -> WindowResult:
         """Execute one batch of (backend-local) queries.
 
+        The requests must carry distinct ``query_id`` values: a window's
+        outputs are keyed by id, and backends may refuse a repeated one.
         The result's ``predicted_fidelities`` equals
         ``predicted_window_fidelities(len(requests))``: the engine reads a
         window's predictions from the result it ran.

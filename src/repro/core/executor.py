@@ -84,7 +84,6 @@ class WindowProgram:
     """The gates of one functional window, compiled once and replayed.
 
     Attributes:
-        interval: admission interval (raw layers) between slots.
         total_layers: raw layers until the last slot finishes.
         layout: qubit order of the window's state: the tree, then each
             slot's register; it owns the gate-resolution memo every replay
@@ -96,7 +95,6 @@ class WindowProgram:
             with one shared swap per ``(label, level)`` per layer.
     """
 
-    interval: int
     total_layers: int
     layout: QubitLayout
     registers: tuple[tuple[Qubit, ...], ...]
@@ -445,7 +443,6 @@ class FatTreeExecutor:
                 for op in self._lowered_operations(instr)
             )
         return WindowProgram(
-            interval=interval,
             total_layers=merged[-1][0],
             layout=layout,
             registers=registers,

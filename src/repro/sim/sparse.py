@@ -43,12 +43,15 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
-from typing import Self
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.sim.circuit import Circuit, Operation
 from repro.sim.gates import GATES, Gate
+
+if TYPE_CHECKING:  # typing.Self is Python 3.11+; annotations here are lazy.
+    from typing import Self
 
 Qubit = Hashable
 Basis = tuple[int, ...]
@@ -494,8 +497,6 @@ class SparseState(_SparseView):
         """Apply a 2x2 matrix: split every branch in two, merge equal rows."""
         col = self._cols[index]
         terms = len(self._amps)
-        column = self._bits[:, col]
-        constant = not column.any() or bool(column.all())
         # Candidate row 2t + b is branch t with the qubit set to b.
         source = np.repeat(np.arange(terms), 2)
         new_bit = np.tile(np.array([0, 1], dtype=np.uint8), terms)
@@ -510,14 +511,6 @@ class SparseState(_SparseView):
             matrix.real[new_bit, old_bit],
             matrix.imag[new_bit, old_bit],
         )
-        if constant:
-            # Distinct branches agreeing on the qubit differ elsewhere, so
-            # no two candidates are equal: every group is one row, summed
-            # from 0.0.
-            self._bits = bits
-            self._amps = amps + 0.0
-            self._prune()
-            return
         # Merge equal rows: groups in first-occurrence order, each summed
         # in row order from 0.0 (the dict storage's accumulation).
         keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()

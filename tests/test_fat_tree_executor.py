@@ -253,7 +253,6 @@ def test_window_program_equals_the_merged_schedule(capacity, occupancy, interval
     gates, total_layers = _merged_window_gates(executor, occupancy, interval)
     assert list(program.gates) == gates
     assert program.total_layers == total_layers
-    assert program.interval == interval
     namer = executor.namer
     registers = tuple(
         tuple(namer.address_qubit(slot, bit) for bit in range(executor.address_width))

@@ -21,9 +21,9 @@ contract:
 * the array-backed :class:`~repro.sim.sparse.SparseState` against the
   dict-backed :class:`~repro.sim.sparse.SparseStateScalar` — random
   circuits, every Fat-Tree window occupancy, BB queries and a whole
-  functional serve; H on a column that is constant across rows (no merge)
-  and register amplitudes read from the bit matrix, against the generic
-  view.
+  functional serve; H on a column that is constant across rows, signed
+  zeros included, and register amplitudes read from the bit matrix,
+  against the generic view.
 """
 
 from __future__ import annotations
@@ -424,9 +424,10 @@ _CONSTANT_COLUMN_CASES = {
 @pytest.mark.parametrize("case", sorted(_CONSTANT_COLUMN_CASES))
 @pytest.mark.parametrize("gate", ["H", "Y", "RY"])
 def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
-    """A superposing gate on a qubit that is constant across rows merges
-    no rows; its amplitudes still equal the dict storage's ``0.0 + amp``
-    accumulation, signed zeros included."""
+    """A superposing gate on a qubit that is constant across rows (such
+    as the bus basis change of a fresh query) merges no rows; its
+    amplitudes equal the dict storage's ``0.0 + amp`` accumulation, signed
+    zeros included."""
     array, scalar = SparseState(), SparseStateScalar()
     for state in (array, scalar):
         _CONSTANT_COLUMN_CASES[case](state)
@@ -436,7 +437,7 @@ def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
         state.apply_gate(gate, ["b"], theta=theta)
     assert array.num_terms == scalar.num_terms
     assert _branches(array) == _branches(scalar)
-    # Back through the merging path, then the constant one once more.
+    # Once more on the now-mixed column, then on a fresh constant one.
     for state in (array, scalar):
         state.apply_gate(gate, ["b"], theta=theta)
         state.add_qubit("d")
