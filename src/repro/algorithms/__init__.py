@@ -17,11 +17,7 @@ from repro.algorithms.hamiltonian import (
 )
 from repro.algorithms.qsp import parallel_qsp_profile, qsp_query_count
 from repro.algorithms.synthetic import SyntheticAlgorithm, synthetic_sweep
-from repro.algorithms.depth_model import (
-    algorithm_depth,
-    fig9_depths,
-    asymptotic_depth_reduction,
-)
+from repro.algorithms.depth_model import algorithm_depth, fig9_depths
 
 __all__ = [
     "AlgorithmProfile",
@@ -37,5 +33,4 @@ __all__ = [
     "synthetic_sweep",
     "algorithm_depth",
     "fig9_depths",
-    "asymptotic_depth_reduction",
 ]

@@ -71,10 +71,3 @@ def fig9_depths(
         results[profile.name] = row
     return results
 
-
-def asymptotic_depth_reduction(capacity: int = 1024) -> dict[str, float]:
-    """Depth reduction factor of Fat-Tree over BB per benchmark (<= ~10x)."""
-    depths = fig9_depths(capacity, architectures=("Fat-Tree", "BB"))
-    return {
-        algorithm: row["BB"] / row["Fat-Tree"] for algorithm, row in depths.items()
-    }

@@ -31,6 +31,3 @@ class AlgorithmProfile:
         if self.processing_layers < 0:
             raise ValueError("processing_layers must be non-negative")
 
-    @property
-    def total_queries(self) -> int:
-        return self.parallel_streams * self.queries_per_stream

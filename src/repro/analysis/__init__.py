@@ -1,12 +1,10 @@
-"""Regeneration of every table and figure of the paper's evaluation."""
+"""Regeneration of the paper's evaluation figures and Table 5.
 
-from repro.analysis.tables import (
-    generate_table1,
-    generate_table2,
-    generate_table3,
-    generate_table4,
-    generate_table5,
-)
+Tables 1-4 are the ``table*_rows`` / ``table4_comparison`` functions of
+:mod:`repro.metrics` and :mod:`repro.fidelity`.
+"""
+
+from repro.analysis.tables import generate_table5
 from repro.analysis.figures import (
     generate_fig2_milestones,
     generate_fig6_pipeline,
@@ -15,13 +13,8 @@ from repro.analysis.figures import (
     generate_fig10_synthetic,
     generate_fig11_qec,
 )
-from repro.analysis.report import format_table, full_report
 
 __all__ = [
-    "generate_table1",
-    "generate_table2",
-    "generate_table3",
-    "generate_table4",
     "generate_table5",
     "generate_fig2_milestones",
     "generate_fig6_pipeline",
@@ -29,6 +22,4 @@ __all__ = [
     "generate_fig8_bandwidth",
     "generate_fig10_synthetic",
     "generate_fig11_qec",
-    "format_table",
-    "full_report",
 ]

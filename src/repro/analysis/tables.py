@@ -1,36 +1,13 @@
-"""Regenerate Tables 1-5 of the paper."""
+"""Regenerate Table 5 of the paper.
+
+Tables 1-4 come straight from their modules: ``metrics.resources.table1_rows``,
+``metrics.spacetime.table2_rows``, ``fidelity.noise_resilience.table3_rows``
+and ``fidelity.distillation.table4_comparison``.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.fidelity.distillation import table4_comparison
-from repro.fidelity.noise_resilience import table3_rows
 from repro.fidelity.qec import QECCode, table5_rows
-from repro.metrics.resources import table1_rows
-from repro.metrics.spacetime import table2_rows
-
-
-def generate_table1(capacity: int = 1024) -> list[dict[str, object]]:
-    """Table 1: qubits, parallelism and latencies of every architecture."""
-    return table1_rows(capacity)
-
-
-def generate_table2(capacity: int = 1024) -> list[dict[str, object]]:
-    """Table 2: bandwidth, space-time volume and memory-swap budget."""
-    return table2_rows(capacity)
-
-
-def generate_table3(
-    capacities: Sequence[int] = (8, 16, 32, 64),
-) -> list[dict[str, float | int]]:
-    """Table 3: query infidelity vs capacity for three base error rates."""
-    return table3_rows(capacities)
-
-
-def generate_table4(capacity: int = 16) -> dict[str, dict[str, float]]:
-    """Table 4: virtual distillation, Fat-Tree vs two BB QRAMs."""
-    return table4_comparison(capacity)
 
 
 def generate_table5(

@@ -76,11 +76,6 @@ class WindowResult:
         if not self.start_offsets:
             raise ValueError("a window must contain at least one query")
 
-    @property
-    def batch_size(self) -> int:
-        """Number of queries executed in the window."""
-        return len(self.start_offsets)
-
 
 @runtime_checkable
 class QRAMBackend(Protocol):

@@ -9,7 +9,7 @@ Tables 1-2.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.bucket_brigade.qram import BucketBrigadeQRAM
 from repro.bucket_brigade.tree import validate_capacity
@@ -79,28 +79,6 @@ class _DistributedQRAM:
     def amortized_query_latency(self, num_queries: int | None = None) -> float:
         count = self._n if num_queries is None else num_queries
         return self.parallel_query_latency(count) / count
-
-    @property
-    def raw_query_layers(self) -> int:
-        return self.copies[0].raw_query_layers
-
-    def bandwidth(self, clops: float = 1.0e6) -> float:
-        """All copies deliver bus qubits concurrently."""
-        return self.num_copies * self.copies[0].bandwidth(clops) if hasattr(
-            self.copies[0], "bandwidth"
-        ) else self.num_copies * clops / self.copies[0].amortized_query_latency()
-
-    # -------------------------------------------------------------- functional
-    def query(
-        self,
-        address_amplitudes: Mapping[int, complex],
-        initial_bus: int = 0,
-        copy_index: int = 0,
-    ) -> dict[tuple[int, int], complex]:
-        """Run one query on a chosen hardware copy."""
-        return self.copies[copy_index % self.num_copies].query(
-            address_amplitudes, initial_bus=initial_bus
-        )
 
 
 class DistributedBBQRAM(_DistributedQRAM):

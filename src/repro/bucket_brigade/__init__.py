@@ -4,7 +4,6 @@ This package implements the baseline architecture the paper builds on:
 
 * :mod:`repro.bucket_brigade.tree` — the binary router tree, router/qubit
   naming, and leaf addressing.
-* :mod:`repro.bucket_brigade.router` — the three-state quantum router model.
 * :mod:`repro.bucket_brigade.instructions` — the elementary QRAM instruction
   set (LOAD / TRANSPORT / ROUTE / STORE / CLASSICAL-GATES and inverses) and
   its lowering to gates.
@@ -16,7 +15,6 @@ This package implements the baseline architecture the paper builds on:
 """
 
 from repro.bucket_brigade.tree import BBTree, RouterId
-from repro.bucket_brigade.router import QuantumRouter, RouterState
 from repro.bucket_brigade.instructions import Instruction, InstructionKind
 from repro.bucket_brigade.schedule import BBQuerySchedule
 from repro.bucket_brigade.executor import BBExecutor
@@ -25,8 +23,6 @@ from repro.bucket_brigade.qram import BucketBrigadeQRAM
 __all__ = [
     "BBTree",
     "RouterId",
-    "QuantumRouter",
-    "RouterState",
     "Instruction",
     "InstructionKind",
     "BBQuerySchedule",

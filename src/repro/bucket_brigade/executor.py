@@ -24,7 +24,7 @@ from repro.bucket_brigade.instructions import (
     QubitNamer,
     lower_instruction,
 )
-from repro.bucket_brigade.schedule import BBQuerySchedule, bb_raw_query_layers
+from repro.bucket_brigade.schedule import BBQuerySchedule
 from repro.bucket_brigade.tree import BBTree
 from repro.sim.sparse import SparseState
 
@@ -33,20 +33,20 @@ class BBExecutor:
     """Executes BB QRAM queries gate by gate on a sparse state.
 
     Schedule artefacts are memoized the same way as in the Fat-Tree
-    executor: the instruction schedule of a query id and the lowered gate
-    sequence of every instruction are derived once per memory image and hit
-    their cached values on every subsequent query — the fast path
+    executor: the query-0 instruction schedule and the lowered gate
+    sequence of every instruction it runs are derived once per memory image
+    and hit their cached values on every subsequent query — the fast path
     ``BucketBrigadeQRAM.cached_executor()`` exposes to the serving layer
-    (and that classical memory writes invalidate wholesale).
+    (and that classical memory writes invalidate wholesale).  Serving names
+    registers by window slot and a BB window holds one query, so it only
+    ever runs query 0; other ids are built on demand and never cached,
+    which bounds the memo by the tree size.
 
     Args:
         capacity: memory size ``N`` (power of two).
         data: classical memory contents, one bit per address (values are
             reduced mod 2).
     """
-
-    #: Distinct query ids whose schedules are kept memoized at once.
-    _CACHE_LIMIT = 128
 
     #: Instruction kinds whose lowering names per-query external qubits
     #: (address / bus registers); everything else acts on tree qubits only
@@ -63,10 +63,8 @@ class BBExecutor:
             )
         self.data = [int(x) & 1 for x in data]
         self.namer: QubitNamer = self.tree.namer
-        self._schedule_cache: dict[int, BBQuerySchedule] = {}
-        self._lowered_cache: dict[
-            tuple[InstructionKind, int, int, int, int], list
-        ] = {}
+        self._schedule_cache: BBQuerySchedule | None = None
+        self._lowered_cache: dict[tuple[InstructionKind, int, int, int], list] = {}
 
     @property
     def capacity(self) -> int:
@@ -78,30 +76,12 @@ class BBExecutor:
 
     # -------------------------------------------------------------- scheduling
     def schedule(self, query: int = 0) -> BBQuerySchedule:
-        """The memoized instruction schedule of one query id."""
-        cached = self._schedule_cache.get(query)
-        if cached is not None:
-            return cached
-        if len(self._schedule_cache) >= self._CACHE_LIMIT:
-            # Callers that keep minting fresh query ids must not grow the
-            # per-id caches without bound; keep the query-0 entry and the
-            # query-insensitive lowered sequences, evict the rest.
-            base = self._schedule_cache.get(0)
-            self._schedule_cache = {} if base is None else {0: base}
-            self._lowered_cache = {
-                key: ops for key, ops in self._lowered_cache.items() if key[1] == -1
-            }
-        schedule = BBQuerySchedule(self.capacity, query=query)
-        self._schedule_cache[query] = schedule
-        return schedule
-
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        """BB QRAM admits strictly sequentially: one query per lifetime."""
-        return bb_raw_query_layers(self.capacity)
-
-    def relative_raw_latency(self) -> int:
-        """Raw layers of one query: ``8 n + 1``."""
-        return bb_raw_query_layers(self.capacity)
+        """The instruction schedule of one query id (query 0 memoized)."""
+        if query != 0:
+            return BBQuerySchedule(self.capacity, query=query)
+        if self._schedule_cache is None:
+            self._schedule_cache = BBQuerySchedule(self.capacity, query=0)
+        return self._schedule_cache
 
     # ------------------------------------------------------------------ query
     def run_query(
@@ -154,12 +134,14 @@ class BBExecutor:
         Lowering depends on (kind, item, level, label) and on the classical
         data — fixed for the executor's lifetime — never on the raw layer.
         The query id only matters for LOAD/UNLOAD (which touch the query's
-        external address / bus qubits), so all other kinds share one cache
-        entry across queries.
+        external address / bus qubits): those are cached for query 0 only,
+        and every other kind shares one cache entry across queries.
         """
-        query_key = instr.query if instr.kind in self._QUERY_SENSITIVE_KINDS else -1
-        key = (instr.kind, query_key, instr.item, instr.level, instr.label)
-        operations = self._lowered_cache.get(key)
+        cacheable = (
+            instr.query == 0 or instr.kind not in self._QUERY_SENSITIVE_KINDS
+        )
+        key = (instr.kind, instr.item, instr.level, instr.label)
+        operations = self._lowered_cache.get(key) if cacheable else None
         if operations is None:
             operations = lower_instruction(
                 instr,
@@ -167,7 +149,8 @@ class BBExecutor:
                 self.address_width,
                 data=self.data,
             )
-            self._lowered_cache[key] = operations
+            if cacheable:
+                self._lowered_cache[key] = operations
         return operations
 
     # ------------------------------------------------------------ inspection

@@ -84,12 +84,6 @@ class Instruction:
     gate_layer: int = 0
     payload: tuple = field(default=())
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"[layer {self.raw_layer:>3}] q{self.query} {self.kind.value:>3} "
-            f"item={self.item} level={self.level} k={self.label}"
-        )
-
 
 class QubitNamer:
     """Maps (level, index, label) router coordinates to qubit labels.

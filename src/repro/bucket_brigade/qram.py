@@ -13,7 +13,6 @@ from collections.abc import Mapping, Sequence
 
 from repro.bucket_brigade.executor import BBExecutor
 from repro.bucket_brigade.schedule import (
-    BBQuerySchedule,
     bb_raw_query_layers,
     bb_weighted_query_latency,
 )
@@ -107,10 +106,6 @@ class BucketBrigadeQRAM:
         latency for a sequential architecture)."""
         return self.single_query_latency()
 
-    def schedule(self, query: int = 0) -> BBQuerySchedule:
-        """The instruction schedule of a single query."""
-        return BBQuerySchedule(self._capacity, query=query)
-
     def bandwidth(self, clops: float = 1.0e6) -> float:
         """Bus qubits delivered per second (Table 2): ``clops / (8n + 0.125)``."""
         return clops / self.single_query_latency()
@@ -151,7 +146,3 @@ class BucketBrigadeQRAM:
                 lambda: BBExecutor(self._capacity, self._data),
             )
         return self._executor
-
-    def executor(self) -> BBExecutor:
-        """A fresh gate-level executor bound to the current memory contents."""
-        return BBExecutor(self._capacity, self._data)

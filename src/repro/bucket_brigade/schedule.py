@@ -78,11 +78,6 @@ class BBQuerySchedule:
         """Weighted latency with fast data retrieval (``8n + 0.125``)."""
         return bb_weighted_query_latency(self.capacity)
 
-    @property
-    def data_retrieval_layer(self) -> int:
-        """Raw layer of the CLASSICAL-GATES step: ``4n + 1``."""
-        return 4 * self.address_width + 1
-
     def milestone_layers(self) -> dict[str, int]:
         """Stage-completion layers analogous to the annotations of Fig. 2(a)."""
         n = self.address_width

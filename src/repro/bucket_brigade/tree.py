@@ -45,23 +45,11 @@ class RouterId:
                 f"router index {self.index} out of range for level {self.level}"
             )
 
-    @property
-    def parent(self) -> "RouterId | None":
-        """Parent router, or None for the root."""
-        if self.level == 0:
-            return None
-        return RouterId(self.level - 1, self.index // 2)
-
     def child(self, direction: int) -> "RouterId":
         """Child router in ``direction`` (0 = left, 1 = right)."""
         if direction not in (0, 1):
             raise ValueError("direction must be 0 or 1")
         return RouterId(self.level + 1, 2 * self.index + direction)
-
-    @property
-    def direction_from_parent(self) -> int:
-        """Which output of the parent leads here (0 = left, 1 = right)."""
-        return self.index % 2
 
 
 def validate_capacity(capacity: int) -> int:
@@ -101,11 +89,6 @@ class BBTree:
     def num_routers(self) -> int:
         """Total number of routers, ``N - 1``."""
         return self._capacity - 1
-
-    @property
-    def num_leaf_cells(self) -> int:
-        """Number of leaf cells (= capacity)."""
-        return self._capacity
 
     def routers(self) -> Iterator[RouterId]:
         """All routers in breadth-first (level, index) order."""

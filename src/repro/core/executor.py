@@ -132,10 +132,6 @@ class FatTreeExecutor:
         self._program_cache: dict[tuple[int, int], WindowProgram] = {}
 
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def address_width(self) -> int:
         return self._n
 

@@ -55,11 +55,6 @@ class FatTreeRouterId:
                 f"label {self.label} cannot be smaller than level {self.level}"
             )
 
-    @property
-    def slot(self) -> int:
-        """Physical slot of this router inside its node (0 = transient)."""
-        return self.label - self.level
-
 
 class FatTreeStructure:
     """Static structure of a capacity-``N`` Fat-Tree QRAM."""
@@ -70,18 +65,10 @@ class FatTreeStructure:
         self.namer = QubitNamer(prefix="ft", multiplexed=True)
 
     # ---------------------------------------------------------------- sizing
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     @property
     def address_width(self) -> int:
         return self._n
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of Fat-Tree nodes (same as BB routers): ``N - 1``."""
-        return self._capacity - 1
 
     @property
     def num_routers(self) -> int:
@@ -134,14 +121,6 @@ class FatTreeStructure:
             for index in range(2**level):
                 for label in range(level, self._n):
                     yield FatTreeRouterId(level, index, label)
-
-    def routers_with_label(self, label: int) -> Iterator[FatTreeRouterId]:
-        """All routers of sub-QRAM ``label`` (levels 0..label)."""
-        if not 0 <= label < self._n:
-            raise ValueError(f"label {label} out of range")
-        for level in range(label + 1):
-            for index in range(2**level):
-                yield FatTreeRouterId(level, index, label)
 
     # ----------------------------------------------------------- qubit naming
     def input_qubit(self, router: FatTreeRouterId) -> tuple:

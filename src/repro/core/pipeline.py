@@ -9,21 +9,24 @@ layer, ``n - 1`` downward SWAP steps); swap steps happen on the global
 pairs); a query occupies exactly one sub-component QRAM at any time and two
 consecutive queries exchange sub-QRAMs at shared swap layers.
 
-All latency / bandwidth / utilization numbers of Tables 1-2 and Figs. 6-8
+All latency / bandwidth numbers of Tables 1-2 and Figs. 6-8
 derive from this model; :meth:`FatTreePipeline.verify_no_conflicts` is the
 machine-checked version of Fig. 6's "no conflicting colors in the same
 layer".
 
-The gate-level realisation in :mod:`repro.core.executor` needs a slightly
-longer steady-state admission interval (see EXPERIMENTS.md); the discrepancy
-is constant (independent of ``N``) and does not affect any asymptotic or
-shape claim.
+The gate-level realisation in :mod:`repro.core.executor` needs a longer
+steady-state admission interval that grows with ``N``:
+``FatTreeExecutor.minimum_feasible_interval()`` is ``10·⌈n/2⌉ + 2`` raw
+layers from ``N = 4`` on (12, 22, 22, 32, 42, 52 at N = 4, 8, 16, 64, 256,
+1024), so the gate-level pipeline overlaps fewer than two queries at every
+capacity (EXPERIMENTS.md, "Abstract pipeline interval vs. gate-level
+feasible interval").  The figures and tables use this abstract model and are
+unaffected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.bucket_brigade.instructions import FAST_LAYER_COST, FULL_LAYER_COST
 from repro.bucket_brigade.tree import validate_capacity
@@ -82,10 +85,6 @@ class QueryTimeline:
     data_retrieval_layer: int
     finish_layer: int
 
-    @property
-    def raw_latency(self) -> int:
-        return self.finish_layer - self.start_layer + 1
-
 
 class FatTreePipeline:
     """Pipeline schedule of ``num_queries`` back-to-back queries (Fig. 6).
@@ -116,14 +115,6 @@ class FatTreePipeline:
 
     # -------------------------------------------------------------- timelines
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def address_width(self) -> int:
-        return self._n
-
-    @property
     def query_raw_latency(self) -> int:
         """Raw layers per query: ``10 n - 1``."""
         return fat_tree_raw_query_layers(self._capacity)
@@ -148,15 +139,6 @@ class FatTreePipeline:
         """Raw layers until the last query finishes (``20 n - 11`` for
         ``log N`` queries at the default interval)."""
         return self.timeline(self.num_queries - 1).finish_layer
-
-    def amortized_weighted_latency(self) -> float:
-        """Weighted steady-state amortized latency per query.
-
-        One query is admitted every ``start_interval`` raw layers, so the
-        amortized per-query cost is the weighted cost of one admission
-        interval (8.25 for the paper's default 10-layer interval).
-        """
-        return self.interval_weighted_cost()
 
     def interval_weighted_cost(self) -> float:
         """Weighted cost of one admission interval of ``start_interval`` raw
@@ -220,29 +202,6 @@ class FatTreePipeline:
         for layer in range(1, self.total_raw_layers + 1):
             self.occupied_labels(layer)
 
-    def active_queries(self, raw_layer: int) -> list[int]:
-        """Queries in flight at a raw layer."""
-        active = []
-        for q in range(self.num_queries):
-            t = self.timeline(q)
-            if t.start_layer <= raw_layer <= t.finish_layer:
-                active.append(q)
-        return active
-
-    def utilization_profile(self) -> list[float]:
-        """Per-layer utilization: active queries / query parallelism."""
-        total = self.total_raw_layers
-        parallelism = self._n
-        return [
-            len(self.active_queries(layer)) / parallelism
-            for layer in range(1, total + 1)
-        ]
-
-    def average_utilization(self) -> float:
-        """Mean utilization over the schedule."""
-        profile = self.utilization_profile()
-        return sum(profile) / len(profile) if profile else 0.0
-
     # -------------------------------------------------------------- swap steps
     def swap_layers(self) -> list[int]:
         """Absolute raw layers of the global swap cadence."""
@@ -271,7 +230,3 @@ class FatTreePipeline:
         """
         return clops / float(self.interval_weighted_cost())
 
-    def exact_amortized_latency(self) -> Fraction:
-        """Amortized latency as an exact fraction (33/4 weighted layers for
-        the default interval): ``s * (4 + 1/8) / 5 = 33 s / 40``."""
-        return Fraction(33 * self.start_interval, 40)

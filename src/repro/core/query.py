@@ -97,16 +97,6 @@ class QueryResult:
     amplitudes: dict[tuple[int, int], complex] = field(default_factory=dict)
     status: QueryStatus = QueryStatus.COMPLETED
 
-    @property
-    def service_layers(self) -> float:
-        """Raw layers spent inside the QRAM (excludes queueing)."""
-        return self.finish_layer - self.start_layer + 1
-
-    @property
-    def queue_delay_layers(self) -> float:
-        """Raw layers the request waited before being admitted."""
-        return self.start_layer - self.request_time
-
 
 def ideal_query_output(
     data, address_amplitudes: Mapping[int, complex], initial_bus: int = 0

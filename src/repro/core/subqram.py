@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.fat_tree import FatTreeRouterId, FatTreeStructure
+from repro.core.fat_tree import FatTreeStructure
 
 
 @dataclass(frozen=True)
@@ -30,23 +30,13 @@ class SubQRAM:
     def __post_init__(self) -> None:
         if not 0 <= self.label < self.structure.address_width:
             raise ValueError(
-                f"label {self.label} out of range for a capacity-"
-                f"{self.structure.capacity} Fat-Tree"
+                f"label {self.label} out of range for an address-width-"
+                f"{self.structure.address_width} Fat-Tree"
             )
 
     @property
     def address_width(self) -> int:
         """Address width of this sub-QRAM: ``label + 1``."""
-        return self.label + 1
-
-    @property
-    def capacity(self) -> int:
-        """Leaf span of this sub-QRAM: ``2 ** (label + 1)``."""
-        return 2 ** (self.label + 1)
-
-    @property
-    def depth(self) -> int:
-        """Number of router levels (same as the address width)."""
         return self.label + 1
 
     @property
@@ -58,10 +48,6 @@ class SubQRAM:
     def num_routers(self) -> int:
         """Routers in this sub-QRAM: ``2**(label+1) - 1``."""
         return 2 ** (self.label + 1) - 1
-
-    def routers(self) -> list[FatTreeRouterId]:
-        """All routers of the sub-QRAM."""
-        return list(self.structure.routers_with_label(self.label))
 
     def neighbour_above(self) -> "SubQRAM | None":
         """The next larger sub-QRAM, if any."""

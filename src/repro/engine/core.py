@@ -189,9 +189,6 @@ class _SeenIds:
             self._sparse.discard(self._watermark)
         return False
 
-    def __len__(self) -> int:
-        return (self._watermark + 1) + len(self._sparse)
-
 
 @dataclass(frozen=True)
 class AutoscalerConfig:

@@ -172,8 +172,5 @@ class EventHeap:
             profiler.exit()
         return time, event
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)

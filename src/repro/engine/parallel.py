@@ -63,6 +63,7 @@ from repro.engine.core import RunOutcome, ServiceEngine, ServiceReport
 from repro.engine.partition import (
     ParallelRunInfo,
     PartitionedTraceSource,
+    partition_shards,
     split_trace,
 )
 from repro.engine.pool import ForkWorkerPool, fork_available
@@ -250,7 +251,10 @@ def run_partitioned(
             raise error.original from None
         worker_seconds: tuple[float, ...] = (elapsed,)
     else:
-        groups = [jobs[worker::worker_count] for worker in range(worker_count)]
+        groups = [
+            [jobs[index] for index in group]
+            for group in partition_shards(len(jobs), worker_count)
+        ]
         outcomes, worker_seconds = _run_forked(groups, serve)
     outcomes.sort(key=lambda pair: pair[0])
     return engine._finalize(

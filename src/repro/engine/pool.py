@@ -218,10 +218,6 @@ class ForkWorkerPool:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    @property
-    def workers(self) -> int:
-        return len(self._workers)
-
     # ------------------------------------------------------------ execution
     def _slot(self, worker_hint: int | None) -> int:
         if worker_hint is not None:

@@ -14,9 +14,7 @@ are provided:
   the same way.
 * :class:`ClosedLoopSource` — closed loop: ``N`` clients that alternate one
   outstanding query with ``think_layers`` of local processing, the QPU
-  query/process loop of Fig. 7 (the same behaviour
-  :func:`repro.scheduling.events.periodic_algorithm_arrivals` approximates
-  open-loop with a nominal query latency).  Each client's next arrival
+  query/process loop of Fig. 7.  Each client's next arrival
   depends on its previous completion, so throughput and latency feed back
   into the offered load.  Figs. 7, 9 and 10 are closed-loop runs of this
   source on the paper's timing model
@@ -232,11 +230,6 @@ class ClosedLoopSource(WorkloadSource):
         self.address_factory = address_factory
         self._issued = {client.client_id: 0 for client in clients}
         self._next_query_id = 0
-
-    @property
-    def total_queries(self) -> int:
-        """Queries the fleet issues over a full run."""
-        return sum(client.queries for client in self.clients.values())
 
     def start(self, engine: ServiceEngine) -> None:
         self._issued = {client_id: 0 for client_id in self.clients}

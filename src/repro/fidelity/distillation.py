@@ -134,24 +134,3 @@ def density_matrix_distillation(
     power = np.linalg.matrix_power(rho, copies)
     return float(np.real(psi.conj() @ power @ psi / np.trace(power)))
 
-
-def parallelism_fidelity_tradeoff(
-    capacity: int,
-    parameters: HardwareParameters = DEFAULT_PARAMETERS,
-) -> list[dict[str, float]]:
-    """Grouping k copies per distilled query leaves ``log(N)/k`` parallel
-    queries (Sec. 8.2): the full trade-off curve."""
-    n = validate_capacity(capacity)
-    eps = fat_tree_query_infidelity(capacity, parameters)
-    rows = []
-    for k in range(1, n + 1):
-        if n % k:
-            continue
-        rows.append(
-            {
-                "copies_per_query": k,
-                "remaining_parallelism": n // k,
-                "fidelity_after": 1.0 - distilled_infidelity(eps, k),
-            }
-        )
-    return rows

@@ -54,11 +54,6 @@ class QECCode:
         if self.distance > self.physical_qubits:
             raise ValueError("distance cannot exceed the number of physical qubits")
 
-    @property
-    def correctable_errors(self) -> int:
-        """Number of correctable errors: ``(d - 1) // 2``."""
-        return (self.distance - 1) // 2
-
 
 def logical_error_rate(
     physical_error: float,

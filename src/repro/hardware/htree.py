@@ -65,10 +65,6 @@ class HTreeLayout:
                 horizontal=not horizontal,
             )
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def position(self, router: RouterId) -> tuple[float, float]:
         """Coordinates of a node."""
         return self._positions[router]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bucket_brigade.tree import validate_capacity
-from repro.hardware.components import FatTreeNodeHardware, node_bill_of_materials
 from repro.hardware.planarity import crossing_free_modular_wiring
 
 
@@ -51,11 +50,6 @@ class ModularNodeLayout:
     @property
     def num_routers(self) -> int:
         return self._n - self.level
-
-    @property
-    def hardware(self) -> FatTreeNodeHardware:
-        """Bill of materials of this module."""
-        return node_bill_of_materials(self.capacity, self.level)
 
     def top_ports(self) -> list[PortAssignment]:
         """Coupler ports on the top edge (towards the parent or the QPUs).

@@ -9,19 +9,8 @@ both layers planar (checked via :mod:`repro.hardware.planarity`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bucket_brigade.tree import validate_capacity
 from repro.hardware.planarity import two_plane_decomposition, is_planar
-
-
-@dataclass(frozen=True)
-class PlaneAssignment:
-    """Plane of one Fat-Tree node in the two-layer chip."""
-
-    level: int
-    index: int
-    plane: int
 
 
 class OnChipLayout:
@@ -40,12 +29,6 @@ class OnChipLayout:
     def plane_of(self, level: int, index: int) -> int:
         """Plane (0 or 1) hosting node ``(level, index)``."""
         return self._planes[(level, index)]
-
-    def assignments(self) -> list[PlaneAssignment]:
-        return [
-            PlaneAssignment(level, index, plane)
-            for (level, index), plane in sorted(self._planes.items())
-        ]
 
     def tsv_count(self) -> int:
         """Number of through-silicon-via wire groups (parent-child links that

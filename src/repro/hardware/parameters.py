@@ -50,27 +50,12 @@ class HardwareParameters:
         return 1.0e6 / self.cswap_time_us
 
     @property
-    def fast_layer_ratio(self) -> float:
-        """Ratio of intra-node SWAP time to CSWAP time (1/8 by default)."""
-        return self.intra_node_swap_time_us / self.cswap_time_us
-
-    @property
     def total_gate_error(self) -> float:
         """eps0 + eps1 + eps2, the combined per-level error of Sec. 8.1."""
         return (
             self.cswap_error
             + self.inter_node_swap_error
             + self.intra_node_swap_error
-        )
-
-    def scaled(self, error_scale: float) -> "HardwareParameters":
-        """A copy with all error rates multiplied by ``error_scale``."""
-        return HardwareParameters(
-            cswap_time_us=self.cswap_time_us,
-            intra_node_swap_time_us=self.intra_node_swap_time_us,
-            cswap_error=self.cswap_error * error_scale,
-            inter_node_swap_error=self.inter_node_swap_error * error_scale,
-            intra_node_swap_error=self.intra_node_swap_error * error_scale,
         )
 
 

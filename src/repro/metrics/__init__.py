@@ -2,8 +2,7 @@
 
 * :mod:`repro.metrics.resources` — qubit counts and router counts (Table 1).
 * :mod:`repro.metrics.latency` — closed-form query latencies (Table 1).
-* :mod:`repro.metrics.bandwidth` — QRAM bandwidth and memory access rate
-  (Table 2, Fig. 8).
+* :mod:`repro.metrics.bandwidth` — QRAM bandwidth (Table 2, Fig. 8).
 * :mod:`repro.metrics.spacetime` — space-time volume per query and the
   classical-memory-swap time budget (Table 2).
 * :mod:`repro.metrics.service_stats` — per-tenant / per-shard serving
@@ -17,11 +16,7 @@
 
 from repro.metrics.resources import ResourceEstimate, resource_estimate, table1_rows
 from repro.metrics.latency import latency_summary, LatencySummary
-from repro.metrics.bandwidth import (
-    bandwidth_qubits_per_second,
-    bandwidth_scaling,
-    memory_access_rate,
-)
+from repro.metrics.bandwidth import bandwidth_qubits_per_second, bandwidth_scaling
 from repro.metrics.spacetime import (
     classical_memory_swap_budget_us,
     spacetime_volume_per_query,
@@ -62,7 +57,6 @@ __all__ = [
     "latency_summary",
     "bandwidth_qubits_per_second",
     "bandwidth_scaling",
-    "memory_access_rate",
     "spacetime_volume_per_query",
     "classical_memory_swap_budget_us",
     "table2_rows",

@@ -1,4 +1,4 @@
-"""QRAM bandwidth and memory access rate (Table 2, Fig. 8).
+"""QRAM bandwidth (Table 2, Fig. 8).
 
 Bandwidth is the rate at which data qubits are written into bus qubits
 (qubits/second); it equals ``bus_width / amortized_query_latency`` at the
@@ -42,15 +42,3 @@ def bandwidth_scaling(
         for name in names
     }
 
-
-def memory_access_rate(
-    name: str,
-    capacity: int,
-    parameters: HardwareParameters = DEFAULT_PARAMETERS,
-) -> float:
-    """Rate at which classical memory cells are read (cells/second).
-
-    Every query reads all ``N`` cells in parallel during data retrieval, so
-    the duty rate is ``bandwidth * N`` (Sec. 7.2).
-    """
-    return bandwidth_qubits_per_second(name, capacity, parameters) * capacity

@@ -7,7 +7,6 @@ footnote).  Multiplying by the CSWAP time (1 us) converts to microseconds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.bucket_brigade.schedule import bb_weighted_query_latency
@@ -37,7 +36,11 @@ class LatencySummary:
 
 
 def closed_form_latency(name: str, capacity: int) -> LatencySummary:
-    """Table 1's closed-form latency expressions, evaluated exactly."""
+    """Table 1's closed-form latency expressions, evaluated exactly.
+
+    The Virtual QRAM's closed form is
+    :meth:`repro.baselines.virtual_qram.VirtualQRAM.paper_closed_form_latency`.
+    """
     n = validate_capacity(capacity)
     if name == "Fat-Tree":
         return LatencySummary(
@@ -55,9 +58,6 @@ def closed_form_latency(name: str, capacity: int) -> LatencySummary:
     if name == "D-BB":
         single = bb_weighted_query_latency(capacity)
         return LatencySummary(name, single, single, 8.0 + 0.125 / n)
-    if name == "Virtual":
-        single = 4.0 * n * n + 4.0625 * n - 4.0 * n * math.log2(n)
-        return LatencySummary(name, single, single, single / n)
     raise KeyError(name)
 
 
@@ -75,7 +75,3 @@ def latency_summary(name: str, capacity: int) -> LatencySummary:
         qram.amortized_query_latency(),
     )
 
-
-def latency_in_microseconds(weighted_layers: float, cswap_time_us: float = 1.0) -> float:
-    """Convert weighted circuit layers to wall-clock microseconds."""
-    return weighted_layers * cswap_time_us

@@ -85,32 +85,6 @@ class ServedQuery:
         """Request-to-finish latency (queueing + service), raw layers."""
         return self.finish_layer - self.request_time
 
-    @property
-    def queue_delay_layers(self) -> float:
-        """Raw layers the request waited before its window was admitted."""
-        return self.admit_layer - self.request_time
-
-    @property
-    def missed_deadline(self) -> bool:
-        """Whether the query finished after its deadline (False without one)."""
-        return self.deadline is not None and self.finish_layer > self.deadline
-
-    @property
-    def missed_fidelity_slo(self) -> bool:
-        """Whether the slot's predicted fidelity fell short of the SLO.
-
-        Falls back to the observed ``fidelity`` when no prediction was
-        recorded; False for best-effort requests.
-        """
-        if self.min_fidelity is None:
-            return False
-        achieved = (
-            self.predicted_fidelity
-            if self.predicted_fidelity is not None
-            else self.fidelity
-        )
-        return achieved is not None and achieved < self.min_fidelity
-
 
 #: Reason codes carried by :class:`RejectedQuery` records.
 REJECT_QUEUE_FULL = "queue-full"

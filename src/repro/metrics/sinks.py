@@ -71,18 +71,12 @@ class ListSink:
     def append(self, record) -> None:
         self.records.append(record)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 class NullSink:
     """Drop every record (streaming aggregates are the only survivors)."""
 
     def append(self, record) -> None:
         pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 class SamplingSink:
@@ -110,9 +104,6 @@ class SamplingSink:
         slot = self._rng.randrange(self.seen)
         if slot < self.capacity:
             self.records[slot] = record
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class JsonlSink:

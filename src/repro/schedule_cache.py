@@ -217,10 +217,6 @@ class ScheduleCacheRegistry:
                 entries=len(self._entries),
             )
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
 
 # The one registry of this process.  Assigned once at import; all mutation
 # happens inside the instance behind its lock, and forked serving workers

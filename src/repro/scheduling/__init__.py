@@ -1,7 +1,7 @@
 """Query scheduling for a shared QRAM (Sec. 5).
 
-* :mod:`repro.scheduling.events` — query arrival streams (periodic workloads
-  with processing gaps, online/random arrivals, bursts).
+* :mod:`repro.scheduling.events` — query arrival streams (online/random
+  arrivals, bursts).
 * :mod:`repro.scheduling.policy` — the pluggable admission-policy objects
   (FIFO / LIFO / random / priority) used by the scheduler and the serving
   layer.
@@ -17,7 +17,6 @@
 from repro.scheduling.events import (
     QueryArrival,
     burst_arrivals,
-    periodic_algorithm_arrivals,
     random_arrivals,
 )
 from repro.scheduling.fifo import (
@@ -45,7 +44,6 @@ from repro.scheduling.utilization import utilization_from_busy_intervals
 
 __all__ = [
     "QueryArrival",
-    "periodic_algorithm_arrivals",
     "random_arrivals",
     "burst_arrivals",
     "AdmissionPolicy",

@@ -1,5 +1,10 @@
 """Query arrival streams for shared-QRAM scheduling experiments.
 
+Online (exponential) and bursty arrival lists for :func:`schedule_queries`
+(Sec. 5.2).  The query/process loop of Fig. 7 is closed-loop and runs on
+:class:`repro.engine.ClosedLoopSource`
+(:func:`repro.scheduling.contention.serve_closed_loop`).
+
 Arrival *times* are drawn by the shared cores in
 :mod:`repro.workloads.arrivals` — the same RNG code path that produces the
 serving layer's traces — so scheduling streams and serving traces built
@@ -10,11 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.workloads.arrivals import (
-    iter_burst_times,
-    iter_exponential_times,
-    periodic_times,
-)
+from repro.workloads.arrivals import iter_burst_times, iter_exponential_times
 
 
 @dataclass(frozen=True, order=True)
@@ -30,45 +31,6 @@ class QueryArrival:
     request_time: float
     qpu: int
     query_id: int
-
-
-def periodic_algorithm_arrivals(
-    num_algorithms: int,
-    queries_per_algorithm: int,
-    processing_layers: float,
-    weighted_query_latency: float,
-    stagger: float = 0.0,
-) -> list[QueryArrival]:
-    """Arrivals of algorithms that alternate querying and processing (Fig. 7).
-
-    Each algorithm issues a query, waits for it to complete (``weighted_query_latency``
-    layers), processes for ``processing_layers`` layers, and repeats.  The
-    *requests* generated here assume no queueing (they are the earliest times
-    each query could be issued).  The discrete-event engine's
-    :class:`repro.engine.ClosedLoopSource` models the same loop with real
-    completion feedback instead of a nominal latency, which is how
-    :func:`repro.scheduling.contention.serve_closed_loop` runs Figs. 7, 9
-    and 10.
-
-    Args:
-        num_algorithms: number of concurrent algorithms (QPUs).
-        queries_per_algorithm: queries each algorithm issues.
-        processing_layers: QPU processing time between queries.
-        weighted_query_latency: nominal query service time used for spacing requests.
-        stagger: offset between the start times of successive algorithms.
-    """
-    pairs = periodic_times(
-        num_algorithms,
-        queries_per_algorithm,
-        weighted_query_latency + processing_layers,
-        stagger,
-    )
-    arrivals = [
-        QueryArrival(request_time, qpu, query_id)
-        for query_id, (request_time, qpu) in enumerate(pairs)
-    ]
-    arrivals.sort()
-    return arrivals
 
 
 def random_arrivals(

@@ -43,9 +43,6 @@ class AdmissionPolicy:
     ) -> list[QueryRequest]:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class FIFOPolicy(AdmissionPolicy):
     """Admit in arrival order (latency-optimal, Sec. A.2)."""

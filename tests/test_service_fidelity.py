@@ -92,7 +92,6 @@ def test_mixed_encoded_fleet_serves_fidelity_slos_end_to_end():
     tenant1 = [r for r in report.served if r.tenant == 1]
     assert len(tenant1) == 3
     assert all(r.shard == 1 and r.architecture == "Fat-Tree@d3" for r in tenant1)
-    assert all(not r.missed_fidelity_slo for r in tenant1)
     assert stats.per_tenant[1].fidelity_slo_misses == 0
     assert stats.per_tenant[1].fidelity_slo_miss_rate == 0.0
     assert stats.per_tenant[2].queries == 0

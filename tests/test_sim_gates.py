@@ -7,7 +7,6 @@ from repro.sim.gates import (
     GATES,
     controlled_swap_unitary,
     gate_unitary,
-    is_permutation_gate,
     ry_unitary,
     swap_unitary,
 )
@@ -89,7 +88,6 @@ def test_swap_unitary_swaps_basis_states():
 def test_unknown_gate_raises():
     with pytest.raises(KeyError):
         gate_unitary("FOO")
-    assert not is_permutation_gate("FOO")
 
 
 def test_parametric_gate_requires_theta():

@@ -97,20 +97,6 @@ def test_density_simulator_qubit_limit():
         DensityMatrixSimulator([f"q{i}" for i in range(13)])
 
 
-def test_circuit_layers_and_inverse():
-    circuit = Circuit()
-    circuit.append("H", ["a"])
-    circuit.append("CX", ["a", "b"])
-    circuit.append("X", ["c"])
-    # H and X commute onto the same layer; CX depends on H.
-    assert circuit.depth() == 2
-    inverse = circuit.inverse()
-    sim = StatevectorSimulator(["a", "b", "c"])
-    sim.run(circuit)
-    sim.run(inverse)
-    assert sim.probability({"a": 0, "b": 0, "c": 0}) == pytest.approx(1.0)
-
-
 def test_circuit_rejects_bad_operations():
     circuit = Circuit()
     with pytest.raises(ValueError):
@@ -120,8 +106,3 @@ def test_circuit_rejects_bad_operations():
     with pytest.raises(ValueError):
         circuit.append("NOPE", ["a"])
 
-
-def test_gate_counts():
-    circuit = bell_circuit()
-    assert circuit.gate_counts() == {"H": 1, "CX": 1}
-    assert circuit.num_qubits == 2

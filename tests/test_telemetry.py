@@ -172,8 +172,8 @@ def test_list_and_null_sinks():
     for i in range(3):
         keep.append(i)
         drop.append(i)
-    assert keep.records == [0, 1, 2] and len(keep) == 3
-    assert len(drop) == 0
+    assert keep.records == [0, 1, 2]
+    assert vars(drop) == {}
 
 
 def test_jsonl_sink_round_trip(tmp_path, service, trace):
