@@ -31,7 +31,7 @@ Measurements:
   worker regenerates only its own shards' requests;
 * the shared schedule-cache registry: an autoscaled replica added mid-run
   resolves its executor from the process-wide warm cache (a registry hit,
-  never a fresh derivation), and memory writes fan invalidations out;
+  never a fresh derivation);
 * the scenario axis: every named adversarial scenario of
   :mod:`repro.scenarios.library` (diurnal cycle, flash crowd, hot-key
   skew, misbehaving tenant, deadline-impossible) drained end to end from

@@ -73,10 +73,6 @@ class VirtualBackend(ModelBackend):
     name = "Virtual"
     model_class = VirtualQRAM
 
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        """Outstanding queries are admitted concurrently (page-multiplexed)."""
-        return 0
-
     def warm_schedule_caches(self) -> None:
         """Warm every page QRAM's shared executor and the window memos.
 
@@ -91,7 +87,8 @@ class VirtualBackend(ModelBackend):
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
-        # Queries beyond the parallelism run in later full rounds.
+        # Outstanding queries are admitted concurrently (page-multiplexed);
+        # queries beyond the parallelism run in later full rounds.
         lifetime = self.model.raw_query_layers
         lanes = max(1, self.query_parallelism)
         total, starts, finishes = window_offsets(batch_size, lifetime, lifetime, lanes)
@@ -126,9 +123,6 @@ class _DistributedBackend(ModelBackend):
     def _copy_timing(self) -> tuple[int, int]:  # pragma: no cover - abstract
         """(per-copy admission interval, per-query lifetime) in raw layers."""
         raise NotImplementedError
-
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        return self._copy_timing()[0]
 
     def warm_schedule_caches(self) -> None:
         """Warm the copies' shared executor and the window memos.

@@ -46,13 +46,10 @@ class BBBackend(ModelBackend):
         self.model.cached_executor()
         self.timing_window(1)
 
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        """Sequential service: admissions are one full query apart."""
-        return self.model.raw_query_layers
-
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:
+        # Sequential service: admissions are one full query apart.
         lifetime = self.model.raw_query_layers
         total, starts, finishes = window_offsets(batch_size, lifetime, lifetime)
         return lifetime, total, starts, finishes

@@ -74,9 +74,9 @@ def parse_encoded_name(name: str) -> tuple[str, int]:
 class EncodedBackend(ModelBackend):
     """A QEC-encoded replica of any serving backend.
 
-    The wrapped bare backend is this adapter's ``model``: capacity, memory
-    and writes delegate to it, while parallelism, qubits, latencies, window
-    timing and predictions are rescaled by the assumed
+    The wrapped bare backend is this adapter's ``model``: capacity and the
+    memory image delegate to it, while parallelism, qubits, window timing
+    and predictions are rescaled by the assumed
     ``[[d^2, 1, d]]`` surface-code-like code at the family's
     :data:`~repro.fidelity.qec.DEFAULT_THRESHOLD`.
 
@@ -122,23 +122,6 @@ class EncodedBackend(ModelBackend):
         super().warm_schedule_caches()
 
     # ----------------------------------------------------------------- timing
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        return self.code.syndrome_depth * self.model.minimum_feasible_interval(
-            num_queries
-        )
-
-    def single_query_latency(self) -> float:
-        return (
-            self.code.syndrome_depth * self.model.single_query_latency()
-            + self.code.physical_qubits
-        )
-
-    def amortized_query_latency(self, num_queries: int | None = None) -> float:
-        return (
-            self.code.syndrome_depth * self.model.amortized_query_latency(num_queries)
-            + self.code.physical_qubits
-        )
-
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:

@@ -33,9 +33,6 @@ class FatTreeBackend(ModelBackend):
     name = "Fat-Tree"
     model_class = FatTreeQRAM
 
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        return self.model.cached_executor().minimum_feasible_interval(num_queries)
-
     def _window_offsets(
         self, batch_size: int
     ) -> tuple[int, float, tuple[float, ...], tuple[float, ...]]:

@@ -58,8 +58,8 @@ later, and the window drains at ``((k - 1) // lanes) * step + lifetime``.
 Fat-Tree pipelines one lane at its feasible interval, BB and Virtual step
 a full lifetime (Virtual over ``parallelism`` lanes), and the distributed
 baselines run one lane per copy.  :class:`ModelBackend` is the one base
-every serving adapter shares: structural delegation, memory writes, the
-one per-occupancy window memo and the single ``run_window``.
+every serving adapter shares: structural delegation, the one
+per-occupancy window memo and the single ``run_window``.
 """
 
 from __future__ import annotations
@@ -236,10 +236,11 @@ class PredictedFidelityMixin:
     the same hook).
 
     Offsets and predictions are a pure function of the backend's
-    configuration and the window occupancy, so each backend memoizes one
-    timing-only :class:`WindowResult` per occupancy in ``_window_cache``
-    and answers every prediction from it; fleet builds pre-derive every
-    admissible occupancy (``warm_schedule_caches``).
+    configuration and the window occupancy (the memory image is fixed at
+    build), so each backend memoizes one timing-only :class:`WindowResult`
+    per occupancy in ``_window_cache`` and answers every prediction from
+    it; fleet builds pre-derive every admissible occupancy
+    (``warm_schedule_caches``).
     """
 
     #: Noise model the predictions are evaluated at (set by subclasses).
@@ -272,8 +273,7 @@ class PredictedFidelityMixin:
 
         Non-functional windows are pure schedule evaluations, so the
         serving hot path's ``run_window(..., functional=False)`` collapses
-        to one dict hit per window.  Dropped by
-        :meth:`invalidate_predictions`.
+        to one dict hit per window, valid for the backend's lifetime.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -304,32 +304,22 @@ class PredictedFidelityMixin:
         """Analytic fidelity of a lone query (the Sec. 8.1 / Table 3 bound)."""
         return self.predicted_window_fidelities(1)[0]
 
-    def invalidate_predictions(self) -> None:
-        """Drop the memoized timing windows (and with them the predictions).
-
-        Must be called by any mutation of the state predictions are
-        computed from (the underlying memory image / timing model), so a
-        stale window shape is never served — the pairing simlint's SIM003
-        enforces.
-        """
-        self.__dict__.pop("_window_cache", None)
-
 
 class ModelBackend(PredictedFidelityMixin):
     """The one serving adapter: a backend wrapping one architecture model.
 
     Subclasses name the architecture (``name``) and the model they wrap
     (``model_class``, built as ``model_class(capacity, data)``), and
-    provide its admission spacing (``minimum_feasible_interval``), window
-    timing (``_window_offsets``, normally one :func:`window_offsets`
-    call), noise bounds (``_infidelity_bounds``) and functional execution
-    (``_functional_slots``).  Everything else — the structural surface,
-    memory writes with prediction invalidation, the latencies, schedule
-    warming and the single :meth:`run_window` — is shared here.
+    provide its window timing (``_window_offsets``, normally one
+    :func:`window_offsets` call), noise bounds (``_infidelity_bounds``)
+    and functional execution (``_functional_slots``).  Everything else —
+    the structural surface, schedule warming and the single
+    :meth:`run_window` — is shared here.
 
     Args:
         capacity: memory size ``N`` (power of two >= 2).
-        data: optional classical memory contents.
+        data: optional classical memory contents, fixed for the backend's
+            lifetime.
         parameters: noise model used for the predicted slot fidelities.
     """
 
@@ -344,7 +334,7 @@ class ModelBackend(PredictedFidelityMixin):
         parameters: HardwareParameters = DEFAULT_PARAMETERS,
     ) -> None:
         # The model is duck-typed: the architecture models share the
-        # capacity/address_width/latency surface but no common base class.
+        # capacity/data/parallelism surface but no common base class.
         self.model: Any = self.model_class(capacity, data)
         self.parameters = parameters
 
@@ -352,10 +342,6 @@ class ModelBackend(PredictedFidelityMixin):
     @property
     def capacity(self) -> int:
         return self.model.capacity
-
-    @property
-    def address_width(self) -> int:
-        return self.model.address_width
 
     @property
     def query_parallelism(self) -> int:
@@ -369,10 +355,6 @@ class ModelBackend(PredictedFidelityMixin):
     def data(self) -> list[int]:
         return self.model.data
 
-    def write_memory(self, address: int, value: int) -> None:
-        self.model.write_memory(address, value)
-        self.invalidate_predictions()
-
     def warm_schedule_caches(self) -> None:
         """Pre-derive the memoized timing window of every occupancy this
         backend can admit.
@@ -385,13 +367,6 @@ class ModelBackend(PredictedFidelityMixin):
         """
         for occupancy in range(1, max(2, self.query_parallelism) + 1):
             self.timing_window(occupancy)
-
-    # ----------------------------------------------------------------- timing
-    def single_query_latency(self) -> float:
-        return self.model.single_query_latency()
-
-    def amortized_query_latency(self, num_queries: int | None = None) -> float:
-        return self.model.amortized_query_latency(num_queries)
 
     # -------------------------------------------------------------- execution
     def _functional_slots(

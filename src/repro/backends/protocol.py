@@ -1,11 +1,14 @@
 """The execution-backend protocol shared by every served QRAM architecture.
 
 The serving layer (:mod:`repro.service`) drives traffic through *backends*:
-objects that expose one architecture's capacity, query parallelism, admission
-interval and a ``run_window`` primitive that executes one batch of queries
-and reports per-slot timing, outputs and fidelities.  All five architectures
-of the paper's evaluation (Fat-Tree, BB, Virtual, D-Fat-Tree, D-BB) provide
-an adapter implementing this protocol, built through the single factory
+objects that expose one architecture's query parallelism, qubit count,
+memory image, fidelity predictions and a ``run_window`` primitive that
+executes one batch of queries and reports per-slot timing, outputs and
+fidelities.  A backend's classical memory is fixed when it is built: the
+paper's QRAM serves queries over data loaded once, so nothing on this
+surface writes memory.  All five architectures of the paper's evaluation
+(Fat-Tree, BB, Virtual, D-Fat-Tree, D-BB) provide an adapter implementing
+this protocol, built through the single factory
 :func:`repro.baselines.registry.build_backend` — the same registry that
 drives the Tables 1-2 reproduction.
 
@@ -96,16 +99,6 @@ class QRAMBackend(Protocol):
         ...
 
     @property
-    def capacity(self) -> int:
-        """Address-space size ``N`` served by this backend."""
-        ...
-
-    @property
-    def address_width(self) -> int:
-        """``log2(N)``."""
-        ...
-
-    @property
     def query_parallelism(self) -> int:
         """Concurrent queries one window may batch."""
         ...
@@ -115,8 +108,9 @@ class QRAMBackend(Protocol):
         """Physical qubits of the underlying hardware model."""
         ...
 
-    def minimum_feasible_interval(self, num_queries: int = 2) -> int:
-        """Smallest conflict-free admission spacing, in raw layers."""
+    @property
+    def data(self) -> list[int]:
+        """The classical memory image, fixed when the backend is built."""
         ...
 
     def predicted_query_fidelity(self) -> float:
@@ -139,18 +133,6 @@ class QRAMBackend(Protocol):
         ``predicted_window_fidelities(len(requests))``: the engine reads a
         window's predictions from the result it ran.
         """
-        ...
-
-    def write_memory(self, address: int, value: int) -> None:
-        """Update one classical memory cell (invalidates cached schedules)."""
-        ...
-
-    def single_query_latency(self) -> float:
-        """Weighted single-query latency (Table 1)."""
-        ...
-
-    def amortized_query_latency(self, num_queries: int | None = None) -> float:
-        """Weighted amortized per-query latency (Table 1)."""
         ...
 
 

@@ -44,18 +44,8 @@ class _DistributedQRAM:
         return self._capacity
 
     @property
-    def address_width(self) -> int:
-        return self._n
-
-    @property
     def data(self) -> list[int]:
         return list(self._data)
-
-    def write_memory(self, address: int, value: int) -> None:
-        """Classical writes must be mirrored into every hardware copy."""
-        self._data[address] = int(value) & 1
-        for copy in self.copies:
-            copy.write_memory(address, value)
 
     # --------------------------------------------------------------- resources
     @property

@@ -3,7 +3,7 @@
 Every shared-QRAM model in this repository exposes the same architecture-
 level surface (the attributes used by Tables 1-2 and the benchmark harness):
 
-* ``capacity``, ``address_width``
+* ``capacity``, ``data`` (the memory image, fixed at construction)
 * ``qubit_count``
 * ``query_parallelism``
 * ``single_query_latency()``, ``parallel_query_latency(k)``,

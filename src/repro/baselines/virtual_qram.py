@@ -30,7 +30,7 @@ class VirtualQRAM:
 
     Args:
         capacity: total address space ``N``.
-        data: optional classical memory contents.
+        data: optional classical memory contents, fixed at construction.
         num_pages: override the page count (defaults to ``max(1, log2(N)/2)``).
     """
 
@@ -66,19 +66,8 @@ class VirtualQRAM:
         return self._capacity
 
     @property
-    def address_width(self) -> int:
-        return self._n
-
-    @property
     def data(self) -> list[int]:
         return list(self._data)
-
-    def write_memory(self, address: int, value: int) -> None:
-        """Update one memory cell (write-through to the cached page QRAM)."""
-        self._data[address] = int(value) & 1
-        if self._page_qrams is not None:
-            page, local = divmod(address, self.page_size)
-            self._page_qrams[page].write_memory(local, value)
 
     @property
     def page_address_width(self) -> int:
@@ -188,8 +177,7 @@ class VirtualQRAM:
 
         Each page QRAM keeps its own cached executor, so repeated queries
         (the serving-layer pattern) reuse the page schedules and lowered
-        gate sequences instead of rebuilding them per call; classical
-        writes are written through by :meth:`write_memory`.
+        gate sequences instead of rebuilding them per call.
         """
         if self._page_qrams is None:
             self._page_qrams = [

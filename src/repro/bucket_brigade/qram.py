@@ -30,13 +30,14 @@ class BucketBrigadeQRAM:
 
     Args:
         capacity: memory size ``N`` (power of two >= 2).
-        data: optional initial classical memory contents (defaults to zeros).
+        data: classical memory contents, fixed at construction (defaults
+            to zeros).
     """
 
     name = "BB"
 
     def __init__(self, capacity: int, data: Sequence[int] | None = None) -> None:
-        self._n = validate_capacity(capacity)
+        validate_capacity(capacity)
         self._capacity = capacity
         self.tree = BBTree(capacity)
         self._data = [0] * capacity if data is None else [int(x) & 1 for x in data]
@@ -50,20 +51,9 @@ class BucketBrigadeQRAM:
         return self._capacity
 
     @property
-    def address_width(self) -> int:
-        return self._n
-
-    @property
     def data(self) -> list[int]:
-        """Current classical memory contents."""
+        """Classical memory contents (fixed at construction)."""
         return list(self._data)
-
-    def write_memory(self, address: int, value: int) -> None:
-        """Update one classical memory cell (invalidates the cached executor)."""
-        self._data[address] = int(value) & 1
-        if self._executor is not None:
-            self._executor = None
-            default_registry().note_invalidation()
 
     # --------------------------------------------------------------- resources
     @property
@@ -131,11 +121,11 @@ class BucketBrigadeQRAM:
         return executor.measured_output(state)
 
     def cached_executor(self) -> BBExecutor:
-        """The memoized gate-level executor for the current memory contents.
+        """The memoized gate-level executor of this QRAM's memory image.
 
         The executor (and with it every schedule and lowered gate sequence
-        it has memoized) is reused across queries and invalidated by
-        classical memory writes — the same contract as
+        it has memoized) is reused across every query of the QRAM's
+        lifetime and shared process-wide — the same contract as
         :meth:`repro.core.qram.FatTreeQRAM.cached_executor`.
         """
         if self._executor is None:

@@ -30,7 +30,8 @@ class FatTreeQRAM:
 
     Args:
         capacity: memory size ``N`` (power of two >= 2).
-        data: optional initial classical memory contents (defaults to zeros).
+        data: classical memory contents, fixed at construction (defaults
+            to zeros).
     """
 
     name = "Fat-Tree"
@@ -50,19 +51,8 @@ class FatTreeQRAM:
         return self._capacity
 
     @property
-    def address_width(self) -> int:
-        return self._n
-
-    @property
     def data(self) -> list[int]:
         return list(self._data)
-
-    def write_memory(self, address: int, value: int) -> None:
-        """Update one classical memory cell."""
-        self._data[address] = int(value) & 1
-        if self._executor is not None:
-            self._executor = None
-            default_registry().note_invalidation()
 
     # --------------------------------------------------------------- resources
     @property
@@ -142,10 +132,10 @@ class FatTreeQRAM:
         return self.cached_executor().run_pipelined_queries(requests, interval=interval)
 
     def cached_executor(self) -> FatTreeExecutor:
-        """The memoized gate-level executor for the current memory contents.
+        """The memoized gate-level executor of this QRAM's memory image.
 
         The executor (and with it every schedule artefact it has memoized) is
-        reused across queries and invalidated by classical memory writes.
+        reused across every query of the QRAM's lifetime.
         Executors are shared process-wide through the
         :class:`~repro.schedule_cache.ScheduleCacheRegistry`: every
         replica holding the same memory image — including autoscaled
@@ -163,5 +153,5 @@ class FatTreeQRAM:
         return self._executor
 
     def executor(self) -> FatTreeExecutor:
-        """A fresh gate-level executor bound to the current memory contents."""
+        """A fresh (unshared) gate-level executor over this QRAM's memory."""
         return FatTreeExecutor(self._capacity, self._data)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.baselines.registry import architecture_names, build_architecture
-from repro.bucket_brigade.tree import validate_capacity
 from repro.hardware.parameters import DEFAULT_PARAMETERS, HardwareParameters
 
 
@@ -23,11 +22,7 @@ def bandwidth_qubits_per_second(
 ) -> float:
     """Bandwidth of one architecture at one capacity (Table 2 / Fig. 8)."""
     qram = build_architecture(name, capacity)
-    validate_capacity(capacity)
-    if hasattr(qram, "bandwidth"):
-        return bus_width * qram.bandwidth(parameters.clops)
-    amortized = qram.amortized_query_latency()
-    return bus_width * parameters.clops / amortized
+    return bus_width * qram.bandwidth(parameters.clops)
 
 
 def bandwidth_scaling(

@@ -39,7 +39,8 @@ def closed_form_latency(name: str, capacity: int) -> LatencySummary:
     """Table 1's closed-form latency expressions, evaluated exactly.
 
     The Virtual QRAM's closed form is
-    :meth:`repro.baselines.virtual_qram.VirtualQRAM.paper_closed_form_latency`.
+    :meth:`repro.baselines.virtual_qram.VirtualQRAM.paper_closed_form_latency`;
+    D-Fat-Tree's latencies come from its model alone (``KeyError`` here).
     """
     n = validate_capacity(capacity)
     if name == "Fat-Tree":
@@ -49,9 +50,6 @@ def closed_form_latency(name: str, capacity: int) -> LatencySummary:
             fat_tree_parallel_query_latency(capacity, n),
             fat_tree_amortized_query_latency(capacity),
         )
-    if name == "D-Fat-Tree":
-        single = fat_tree_single_query_latency(capacity)
-        return LatencySummary(name, single, 16.5 - 8.375 / n, 8.25 / n)
     if name == "BB":
         single = bb_weighted_query_latency(capacity)
         return LatencySummary(name, single, n * single, single)

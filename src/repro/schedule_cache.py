@@ -12,12 +12,8 @@ table keyed by ``(kind, capacity, memory image)``:
   backends resolve their inner bare architecture's executor.
 * ``capacity`` / memory image — executors embed the classical memory, so
   the cache key is the *content* of the memory, not the replica holding
-  it.  That content-addressing is also the write-invalidation story: a
-  ``write_memory`` changes the image, the owning QRAM drops its local
-  executor pointer (see :meth:`ScheduleCacheRegistry.note_invalidation`),
-  and its next lookup misses into a fresh executor under the new key —
-  while replicas still holding the old image keep hitting the old entry,
-  which ages out of the bounded table by LRU once nobody re-keys it.
+  it.  A replica's memory is fixed when it is built, so an entry never
+  goes stale: every replica of one image shares it for its lifetime.
 
 Per-window occupancy does not appear in the key: each executor already
 memoizes its schedule / lowering / interval caches per occupancy
@@ -68,14 +64,12 @@ class CacheStats:
             across a sweep of scenarios sharing fleets this counter
             stays flat at (unique configurations) while ``hits`` climbs
             — the cross-run reuse proof.
-        invalidations: backend-local executor pointers dropped by writes.
         entries: executors currently in the table.
     """
 
     hits: int = 0
     misses: int = 0
     prewarms: int = 0
-    invalidations: int = 0
     entries: int = 0
 
     @property
@@ -95,7 +89,6 @@ class CacheStats:
             hits=self.hits - baseline.hits,
             misses=self.misses - baseline.misses,
             prewarms=self.prewarms - baseline.prewarms,
-            invalidations=self.invalidations - baseline.invalidations,
             entries=self.entries - baseline.entries,
         )
 
@@ -104,7 +97,7 @@ class CacheStats:
         return (
             f"schedule cache: hits={self.hits} misses={self.misses} "
             f"hit_rate={self.hit_rate:.3f} prewarms={self.prewarms} "
-            f"entries={self.entries} invalidations={self.invalidations}"
+            f"entries={self.entries}"
         )
 
 
@@ -112,8 +105,8 @@ class ScheduleCacheRegistry:
     """Bounded LRU table of shared, content-addressed schedule executors.
 
     Holds at most :data:`MAX_ENTRIES` executors; the least recently used
-    entry is evicted beyond that (stale memory images after writes age out
-    here).
+    entry is evicted beyond that, which bounds the distinct configurations
+    (architecture, capacity, memory image) a long sweep keeps resident.
     """
 
     def __init__(self) -> None:
@@ -124,7 +117,6 @@ class ScheduleCacheRegistry:
         self._hits = 0
         self._misses = 0
         self._prewarms = 0
-        self._invalidations = 0
 
     def executor(
         self,
@@ -136,8 +128,8 @@ class ScheduleCacheRegistry:
         """The shared executor of one configuration (built on first use).
 
         ``factory`` must build an executor that *copies* ``data`` (both
-        gate-level executors do), so later in-place writes to the caller's
-        memory list cannot corrupt the shared entry.
+        gate-level executors do), so the shared entry never aliases the
+        caller's memory list.
         """
         key = (kind, capacity, tuple(int(x) & 1 for x in data))
         with self._lock:
@@ -187,16 +179,6 @@ class ScheduleCacheRegistry:
             self._prewarms += self._misses - misses_before
         return warmed
 
-    def note_invalidation(self) -> None:
-        """Record one backend-local executor pointer dropped by a write.
-
-        Content-addressed keys make dropped pointers the whole fan-out: the
-        writing replica re-keys under its new memory image on the next
-        lookup, while untouched replicas keep their shared entry.
-        """
-        with self._lock:
-            self._invalidations += 1
-
     def clear(self) -> None:
         """Drop every entry and reset the counters (test isolation)."""
         with self._lock:
@@ -204,7 +186,6 @@ class ScheduleCacheRegistry:
             self._hits = 0
             self._misses = 0
             self._prewarms = 0
-            self._invalidations = 0
 
     def stats(self) -> CacheStats:
         """A consistent snapshot of the registry counters."""
@@ -213,7 +194,6 @@ class ScheduleCacheRegistry:
                 hits=self._hits,
                 misses=self._misses,
                 prewarms=self._prewarms,
-                invalidations=self._invalidations,
                 entries=len(self._entries),
             )
 

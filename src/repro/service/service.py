@@ -55,7 +55,8 @@ class QRAMService:
     Args:
         capacity: global address-space size ``N`` (power of two).
         num_shards: number of shards in the fleet.
-        data: global classical memory contents (defaults to zeros).
+        data: global classical memory contents (defaults to zeros),
+            loaded into the shards once at build.
         policy: admission order among queued requests per shard — an
             :class:`AdmissionPolicy` or a policy name ("fifo" / "lifo" /
             "random" / "priority" / "edf").
@@ -155,9 +156,3 @@ class QRAMService:
     def window_size(self) -> int:
         """Largest pipeline window any shard in the fleet batches."""
         return max(self.window_sizes)
-
-    def write_memory(self, address: int, value: int) -> None:
-        """Update one global memory cell (routed to every owning shard)."""
-        local = self.shard_map.local_address(address)
-        for shard in self.shard_map.owners(address):
-            self.shards[shard].write_memory(local, value)

@@ -14,11 +14,11 @@ Two placements are supported:
 * :class:`ReplicatedShardMap` — every shard holds the full capacity-``N``
   memory.  Any query can run on any shard (``route`` returns
   :data:`ANY_SHARD` and the service picks one, e.g. shortest-queue), at the
-  cost of ``K``-fold hardware and of mirroring every classical write.
+  cost of ``K``-fold hardware.
 
-Both maps expose the same surface: ``shard_capacity``, ``shard_data``,
-``route``, ``owners`` / ``local_address`` (for writes) and
-``to_global_outputs``.
+Both maps expose the same surface: ``shard_capacity``, ``shard_data``
+(each shard's memory image, loaded once when the fleet is built),
+``route`` and ``to_global_outputs``.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class InterleavedShardMap:
         """Shard owning a global address."""
         self._check(address)
         return address % self.num_shards
-
-    def owners(self, address: int) -> list[int]:
-        """Shards a classical write to this address must reach (exactly one)."""
-        return [self.shard_of(address)]
 
     def local_address(self, address: int) -> int:
         """Address of a global address within its shard."""
@@ -147,7 +143,7 @@ class ReplicatedShardMap:
 
     Queries are not pinned to a shard by their address — ``route`` returns
     :data:`ANY_SHARD` and the serving loop places the request (shortest
-    queue); classical writes are mirrored into every shard.
+    queue).
 
     Args:
         capacity: global address-space size ``N`` (power of two).
@@ -162,16 +158,6 @@ class ReplicatedShardMap:
         self.capacity = capacity
         self.num_shards = num_shards
         self.shard_capacity = capacity
-
-    def owners(self, address: int) -> list[int]:
-        """Writes must reach every replica."""
-        self._check(address)
-        return list(range(self.num_shards))
-
-    def local_address(self, address: int) -> int:
-        """Replicas use the global address space directly."""
-        self._check(address)
-        return address
 
     def shard_data(self, data: Sequence[int], shard: int) -> list[int]:
         """Every replica holds the full memory image."""

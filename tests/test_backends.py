@@ -31,16 +31,14 @@ ALL_BACKENDS = backend_names()
 # ----------------------------------------------------------------- protocol
 @pytest.mark.parametrize("name", ALL_BACKENDS)
 def test_backend_protocol_surface(name):
-    backend = build_backend(name, CAPACITY, random_data(CAPACITY, seed=1))
+    data = random_data(CAPACITY, seed=1)
+    backend = build_backend(name, CAPACITY, data)
     assert isinstance(backend, QRAMBackend)
     assert backend.name == name
     assert backend.capacity == CAPACITY
-    assert backend.address_width == 3
+    assert backend.data == list(data)
     assert backend.query_parallelism >= 1
     assert backend.qubit_count > 0
-    assert backend.minimum_feasible_interval() >= 0
-    assert backend.single_query_latency() > 0
-    assert backend.amortized_query_latency() > 0
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -51,7 +49,6 @@ def test_backend_matches_architecture_model(name):
     model = build_architecture(name, CAPACITY, data)
     assert backend.qubit_count == model.qubit_count
     assert backend.query_parallelism == model.query_parallelism
-    assert backend.single_query_latency() == model.single_query_latency()
 
 
 def test_registry_backend_views_stay_coherent():
@@ -137,23 +134,10 @@ def test_bb_backend_is_sequential():
     assert result.start_offsets == (1.0, lifetime + 1.0, 2 * lifetime + 1.0)
 
 
-def test_backend_write_invalidates_caches():
-    """Writes must reach the cached executors of every backend."""
-    for name in ALL_BACKENDS:
-        backend = build_backend(name, CAPACITY, [0] * CAPACITY)
-        before = backend.run_window([QueryRequest(0, {3: 1.0})]).outputs[0]
-        assert before == {(3, 0): pytest.approx(1.0)}
-        backend.write_memory(3, 1)
-        after = backend.run_window([QueryRequest(0, {3: 1.0})]).outputs[0]
-        assert after == {(3, 1): pytest.approx(1.0)}, name
-
-
-def test_bb_cached_executor_reused_until_write():
+def test_bb_cached_executor_reused():
     backend = build_backend("BB", CAPACITY)
     first = backend.model.cached_executor()
     assert backend.model.cached_executor() is first
-    backend.write_memory(0, 1)
-    assert backend.model.cached_executor() is not first
 
 
 # ---------------------------------------------------------------- integration
@@ -240,10 +224,6 @@ def test_service_shortest_queue_replication():
     for request in trace:
         for (address, bus), _amp in report.outputs[request.query_id].items():
             assert bus == data[address]
-    # Writes are mirrored into every replica.
-    service.write_memory(3, 1 - data[3])
-    for shard in service.shards:
-        assert shard.data[3] == 1 - data[3]
 
 
 def test_service_priority_policy_admits_high_priority_first():
@@ -382,6 +362,7 @@ def test_build_backend_distance_knob():
     bare = build_backend("Fat-Tree", CAPACITY)
     encoded = build_backend("Fat-Tree@d3", CAPACITY)
     assert isinstance(encoded, EncodedBackend)
+    assert isinstance(encoded, QRAMBackend)
     assert encoded.name == "Fat-Tree@d3" and encoded.distance == 3
     assert not isinstance(build_backend("Fat-Tree@d1", CAPACITY), EncodedBackend)
     assert build_backend("Fat-Tree@d5", CAPACITY).name == "Fat-Tree@d5"
@@ -400,7 +381,7 @@ def test_encoded_backend_table5_resources_and_timing():
     assert m == 9 and encoded.code.distance == 3
     assert encoded.qubit_count == m * bare.qubit_count
     assert encoded.query_parallelism == max(1, bare.query_parallelism // m)
-    assert encoded.minimum_feasible_interval() == depth * bare.minimum_feasible_interval()
+    assert encoded.timing_window(2).interval == depth * bare.timing_window(2).interval
     request = [QueryRequest(0, {1: 1.0})]
     bare_window = bare.run_window(request, functional=False)
     encoded_window = encoded.run_window(request, functional=False)
@@ -433,25 +414,7 @@ def test_encoded_backend_rejects_distance_one():
         EncodedBackend(build_backend("BB", CAPACITY), distance=1)
 
 
-# ------------------------------------------- prediction caches (simlint SIM003)
-@pytest.mark.parametrize("name", ALL_BACKENDS + ["Fat-Tree@d3"])
-def test_write_memory_invalidates_prediction_cache(name):
-    """Every backend pairs memory writes with prediction-cache invalidation.
-
-    Whitebox on purpose: today's predictions don't read the memory
-    *contents*, so only the cache attribute itself can witness that the
-    mutation/invalidation pairing (simlint SIM003) holds — it must keep
-    holding when a data-dependent noise term makes staleness observable.
-    """
-    backend = build_backend(name, 16, random_data(16, seed=2))
-    before = backend.predicted_window_fidelities(2)
-    assert 2 in backend.__dict__["_window_cache"]
-    backend.write_memory(3, 1)
-    assert "_window_cache" not in backend.__dict__
-    # Predictions rebuild cleanly after the drop.
-    assert backend.predicted_window_fidelities(2) == before
-
-
+# --------------------------------------------------------- prediction caches
 @pytest.mark.parametrize("name", ALL_BACKENDS + ["Fat-Tree@d3"])
 @pytest.mark.parametrize("functional", [False, True])
 def test_window_predictions_equal_predicted_window_fidelities(name, functional):
@@ -515,7 +478,7 @@ def test_timing_window_miss_evaluates_offsets_once(name, monkeypatch):
     """A memo miss evaluates the window's offsets once and hands them to
     the prediction hook; a hit evaluates nothing."""
     backend = build_backend(name, 16, random_data(16, seed=3))
-    backend.invalidate_predictions()
+    backend.__dict__.pop("_window_cache", None)
     cls = type(backend)
     original = cls._window_offsets
     calls = []

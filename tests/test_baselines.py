@@ -84,11 +84,12 @@ def test_virtual_rejects_bad_page_configuration():
         VirtualQRAM(4, num_pages=4)
 
 
-def test_distributed_copies_and_memory_mirroring():
-    dbb = DistributedBBQRAM(16)
+def test_distributed_copies_hold_the_memory_image():
+    data = [0] * 16
+    data[3] = 1
+    dbb = DistributedBBQRAM(16, data)
     assert dbb.num_copies == 4
-    dbb.write_memory(3, 1)
-    assert all(copy.data[3] == 1 for copy in dbb.copies)
+    assert all(copy.data == data for copy in dbb.copies)
 
 
 def test_distributed_latency_spreads_queries():

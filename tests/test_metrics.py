@@ -14,6 +14,7 @@ from repro.metrics import (
     table1_rows,
     table2_rows,
 )
+from repro.baselines.registry import architecture_names
 from repro.metrics.latency import closed_form_latency
 
 
@@ -30,14 +31,24 @@ def test_table1_rows_complete():
 
 
 def test_model_latencies_match_closed_forms():
-    """Table 1: the architecture models reproduce the closed-form latencies."""
-    for name in ("Fat-Tree", "BB", "D-BB"):
+    """Table 1: the architecture models reproduce the closed-form latencies.
+
+    Every registered architecture with a closed form is compared, so a new
+    ``closed_form_latency`` branch cannot go untested.
+    """
+    compared = set()
+    for name in architecture_names():
         for capacity in (64, 1024):
+            try:
+                closed = closed_form_latency(name, capacity)
+            except KeyError:
+                continue
+            compared.add(name)
             model = latency_summary(name, capacity)
-            closed = closed_form_latency(name, capacity)
             assert model.single_query == pytest.approx(closed.single_query)
             assert model.parallel_queries == pytest.approx(closed.parallel_queries)
             assert model.amortized == pytest.approx(closed.amortized)
+    assert compared == {"Fat-Tree", "BB", "D-BB"}
 
 
 def test_resource_estimates():

@@ -175,10 +175,11 @@ def test_service_timing_matches_functional():
     assert timing.outputs == {}
 
 
-def test_service_write_memory_routes_to_shard():
+def test_service_memory_image_routes_to_shard():
     capacity = 8
-    service = QRAMService(capacity, num_shards=2, data=[0] * capacity)
-    service.write_memory(5, 1)            # shard 1, local address 2
+    data = [0] * capacity
+    data[5] = 1                           # shard 1, local address 2
+    service = QRAMService(capacity, num_shards=2, data=data)
     assert service.shards[1].data[2] == 1
     assert service.shards[0].data == [0, 0, 0, 0]
     request = QueryRequest(0, {5: 1.0}, request_time=0.0)

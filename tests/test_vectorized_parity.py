@@ -305,20 +305,6 @@ def test_timing_window_is_memoized_and_consistent():
         assert first.outputs == (None,) * occupancy
 
 
-def test_write_memory_invalidates_instance_memos():
-    """The SIM003 pairing: mutating memory drops the per-occupancy window
-    memo."""
-    backend = build_backend("Fat-Tree", 8, [0] * 8)
-    requests = [QueryRequest(0, {0: 1.0}, request_time=0.0)]
-    before = backend.run_window(requests, functional=False)
-    assert backend.__dict__["_window_cache"][1] is before
-    backend.write_memory(0, 1)
-    assert "_window_cache" not in backend.__dict__
-    after = backend.run_window(requests, functional=False)
-    assert after is not before
-    assert after.fidelities == before.fidelities
-
-
 # --------------------------------------------------------------------------
 # Sparse simulator: array storage == dict storage
 # --------------------------------------------------------------------------

@@ -11,8 +11,7 @@ that model:
   prewarm benefit) and the parent never observes invalidations a worker
   performs.  Shared derived state must be routed through
   :class:`repro.schedule_cache.ScheduleCacheRegistry`, which is built to
-  be fork-aware: prewarmed before the fork, write-invalidated per
-  backend.
+  be fork-aware: prewarmed before the fork and keyed by memory image.
 * **fork-divergent RNG** — an RNG constructed without an explicit seed
   (``numpy.random.default_rng()``; the stdlib twin is SIM001's), or
   seeded from process identity or host wall time (``os.getpid()``,
