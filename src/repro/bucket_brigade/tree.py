@@ -96,29 +96,6 @@ class BBTree:
             for index in range(2**level):
                 yield RouterId(level, index)
 
-    def path_to_leaf(self, address: int) -> list[RouterId]:
-        """Root-to-leaf router path activated by ``address``."""
-        if not 0 <= address < self._capacity:
-            raise ValueError(f"address {address} out of range")
-        path = []
-        index = 0
-        for level in range(self._n):
-            path.append(RouterId(level, index))
-            bit = (address >> (self._n - 1 - level)) & 1
-            index = 2 * index + bit
-        return path
-
-    def leaf_position(self, address: int) -> tuple[RouterId, int]:
-        """The last-level router and output direction holding leaf ``address``."""
-        if not 0 <= address < self._capacity:
-            raise ValueError(f"address {address} out of range")
-        return RouterId(self._n - 1, address // 2), address % 2
-
-    def address_bit(self, address: int, level: int) -> int:
-        """Bit of ``address`` consumed by routers at ``level`` (MSB = level 0)."""
-        self._check_level(level)
-        return (address >> (self._n - 1 - level)) & 1
-
     # ----------------------------------------------------------- qubit naming
     def input_qubit(self, router: RouterId) -> tuple:
         """Label of the input qubit of ``router``."""
@@ -134,11 +111,6 @@ class BBTree:
             raise ValueError("direction must be 0 or 1")
         return self.namer.output_qubit(router.level, router.index, direction)
 
-    def leaf_qubit(self, address: int) -> tuple:
-        """Label of the leaf cell qubit for classical address ``address``."""
-        router, direction = self.leaf_position(address)
-        return self.output_qubit(router, direction)
-
     def all_qubits(self) -> list[tuple]:
         """All router-tree qubits (inputs, router qubits, outputs)."""
         qubits: list[tuple] = []
@@ -153,7 +125,3 @@ class BBTree:
     def num_tree_qubits(self) -> int:
         """Number of qubits in the router tree (4 per router)."""
         return 4 * self.num_routers
-
-    def _check_level(self, level: int) -> None:
-        if not 0 <= level < self._n:
-            raise ValueError(f"level {level} out of range [0, {self._n})")

@@ -88,7 +88,7 @@ from repro.metrics.service_stats import (
     WindowRecord,
     summarize_service,
 )
-from repro.metrics.sinks import ListSink, NullSink, RecordSink, SamplingSink
+from repro.metrics.sinks import ListSink, NullSink, RecordSink
 from repro.metrics.streaming import (
     IntervalStats,
     StreamingServiceAggregator,
@@ -103,7 +103,7 @@ from repro.perf.profiler import (
 from repro.schedule_cache import default_registry
 
 #: Retention modes for the engine's per-request records.
-RETENTIONS = ("full", "sampled", "none")
+RETENTIONS = ("full", "none")
 
 #: Environment switch for sanitizer mode (CI runs the whole suite with it).
 SANITIZE_ENV = "REPRO_SANITIZE"
@@ -331,9 +331,8 @@ class ServiceReport:
     Attributes:
         served: completed-query records, in completion order (by
             ``(finish_layer, query_id)``) — every one under
-            ``retention="full"``, a uniform reservoir sample under
-            ``"sampled"``, empty under ``"none"`` (``stats`` always covers
-            the whole run).
+            ``retention="full"``, empty under ``"none"`` (``stats`` always
+            covers the whole run).
         windows: executed pipeline windows, by ``(admit_layer, shard)``
             (retained per the same mode).
         stats: aggregated per-tenant / per-shard / per-backend statistics —
@@ -382,9 +381,9 @@ class ServiceReport:
     def result_for(self, query_id: int) -> ServedQuery:
         """The served record of one query id (O(1) after the first call).
 
-        Only retained records are indexed: under ``retention="sampled"`` /
-        ``"none"`` a completed query may raise ``KeyError`` here even
-        though it is counted in ``stats``.
+        Only retained records are indexed: under ``retention="none"`` a
+        completed query raises ``KeyError`` here even though it is counted
+        in ``stats``.
         """
         if self._result_index is None:
             self._result_index = {r.query_id: r for r in self.served}
@@ -418,13 +417,9 @@ class ServiceEngine:
             the retry.
         retention: what happens to the per-request records —
             ``"full"`` keeps every record and reproduces the historical
-            batch :class:`ServiceStats` byte for byte; ``"sampled"`` keeps
-            a fixed-size uniform reservoir (``sample_size`` per stream)
-            and reports the streaming aggregates; ``"none"`` keeps no
-            records at all, serving any request count in bounded memory.
-        sample_size: reservoir capacity per record stream under
-            ``retention="sampled"``.
-        sample_seed: RNG seed of the reservoir sampler.
+            batch :class:`ServiceStats` byte for byte; ``"none"`` keeps
+            no records at all and reports the streaming aggregates,
+            serving any request count in bounded memory.
         telemetry_interval: when set, emit one
             :class:`~repro.metrics.streaming.IntervalStats` every this
             many raw layers (the report's ``telemetry`` time series).
@@ -482,8 +477,6 @@ class ServiceEngine:
         autoscaler: AutoscalerConfig | None = None,
         max_distillation_copies: int = 1,
         retention: str = "full",
-        sample_size: int = 1024,
-        sample_seed: int = 0,
         telemetry_interval: float | None = None,
         sink: RecordSink | None = None,
         sanitize: bool | None = None,
@@ -500,8 +493,6 @@ class ServiceEngine:
             raise ValueError(
                 f"unknown retention {retention!r}; expected one of {RETENTIONS}"
             )
-        if sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
         if telemetry_interval is not None and telemetry_interval <= 0:
             raise ValueError("telemetry_interval must be positive")
         if autoscaler is not None:
@@ -523,8 +514,6 @@ class ServiceEngine:
         self.autoscaler = autoscaler
         self.max_distillation_copies = max_distillation_copies
         self.retention = retention
-        self.sample_size = sample_size
-        self.sample_seed = sample_seed
         self.telemetry_interval = telemetry_interval
         self.sink = sink
         self.sanitize = (
@@ -541,15 +530,9 @@ class ServiceEngine:
         self._dedupe = True
 
     # ------------------------------------------------------------------ run
-    def _make_sink(self, stream: int) -> RecordSink:
+    def _make_sink(self) -> RecordSink:
         """One per-run record sink for the engine's retention mode."""
-        if self.retention == "full":
-            return ListSink()
-        if self.retention == "sampled":
-            # Offset the seed per stream so the served / window / rejected
-            # reservoirs draw independent samples.
-            return SamplingSink(self.sample_size, seed=self.sample_seed + stream)
-        return NullSink()
+        return ListSink() if self.retention == "full" else NullSink()
 
     def _reset(self, source: WorkloadSource) -> None:
         """(Re)initialize every piece of per-run state.
@@ -590,10 +573,10 @@ class ServiceEngine:
         self._drain_events = [WindowDrain(shard) for shard in range(num_shards)]
         self._think_events: dict[int, ClientThink] = {}
         # The observation path: per-stream sinks + the online aggregates.
-        self._served_sink = self._make_sink(0)
-        self._window_sink = self._make_sink(1)
-        self._rejected_sink = self._make_sink(2)
-        self._scale_sink = self._make_sink(3)
+        self._served_sink = self._make_sink()
+        self._window_sink = self._make_sink()
+        self._rejected_sink = self._make_sink()
+        self._scale_sink = self._make_sink()
         self._aggregator = StreamingServiceAggregator()
         # Traffic events (arrivals / thinks / window starts / drains) still
         # in the heap — the liveness signal recurring ticks (ScaleCheck,
@@ -750,7 +733,7 @@ class ServiceEngine:
 
     def _outcome(self) -> RunOutcome:
         """The drained per-run state, packaged for :meth:`_finalize`."""
-        retained = self.retention != "none"
+        retained = self.retention == "full"
         return RunOutcome(
             offered=self._offered,
             served=self._served_sink.records if retained else [],
@@ -1206,7 +1189,7 @@ class ServiceEngine:
         for slot, request in enumerate(batch):
             # Functional outputs are per-request state the report keys by
             # query id — retaining them for every query is exactly the
-            # unbounded growth the sampled / none modes exist to avoid.
+            # unbounded growth retention="none" exists to avoid.
             if keep_outputs and result.outputs[slot] is not None:
                 self._outputs[request.query_id] = self.fleet.shard_map.to_global_outputs(
                     shard, result.outputs[slot]

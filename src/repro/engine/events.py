@@ -25,6 +25,19 @@ legacy batch-window loop did:
 
 Ties within a priority level resolve in scheduling order (a monotone
 sequence number), so every run is exactly reproducible.
+
+**Rounds.**  Handling an event can schedule another at the very instant
+being unfolded, with a lower priority than the event just popped: a
+:class:`WindowStart` that sheds an expired request hands its closed-loop
+client a :class:`ClientThink` at ``t``, after ``(t, 4)`` has already
+popped.  Such an event cannot go back to round 0 of the instant, which has
+moved past its priority; it opens the next *round* at ``t`` instead.  The
+heap key's second component is the rank ``priority + ROUND * round``, so a
+later round unfolds after everything left of the earlier one at ``t``, in
+the same priority order, and popped keys never decrease.  An event
+pushed for a later time, or at a priority round 0 of its instant has not
+yet passed, stays in round 0, so a run without such same-instant
+feedback keeps its historical order exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +91,9 @@ class TelemetryTick:
 
 Event = Union[ClientThink, WindowDrain, ScaleCheck, WindowStart, TelemetryTick]
 
+#: Rank stride of one round at an instant; above every event priority.
+ROUND = 8
+
 
 class SanitizerViolation(AssertionError):
     """A runtime simulation invariant was broken.
@@ -118,8 +134,10 @@ def check_nondecreasing(
 
 
 class EventHeap:
-    """A min-heap of events keyed on ``(time, type priority, sequence)``.
+    """A min-heap of events keyed on ``(time, rank, sequence)``.
 
+    The rank is the event type's priority, plus :data:`ROUND` for each
+    round the event opened at its instant (module docstring, "Rounds").
     The sequence number both breaks ties deterministically and keeps the
     heap from ever comparing event payloads.
 
@@ -139,6 +157,10 @@ class EventHeap:
         self._sanitize = sanitize
         self._profiler = profiler
         self._last_key: tuple[float, int, int] | None = None
+        # Time and rank of the last pop: the instant being unfolded and
+        # how far it has got.
+        self._now = 0.0
+        self._floor = 0
 
     def push(self, time: float, event: Event) -> None:
         """Schedule an event at an absolute virtual time (raw layers)."""
@@ -149,7 +171,16 @@ class EventHeap:
             raise SanitizerViolation(
                 f"event {type(event).__name__} scheduled at NaN"
             )
-        heapq.heappush(self._heap, (time, event.PRIORITY, self._sequence, event))
+        rank = event.PRIORITY
+        # The priority compare comes first: it settles the common case.
+        if rank < self._floor and time == self._now:
+            # Behind the instant's last pop: join the first round at this
+            # instant that has not passed the event's priority yet.
+            floor = self._floor
+            rank += floor - floor % ROUND
+            if rank < floor:
+                rank += ROUND
+        heapq.heappush(self._heap, (time, rank, self._sequence, event))
         self._sequence += 1
         if profiler is not None:
             profiler.exit()
@@ -159,9 +190,11 @@ class EventHeap:
         profiler = self._profiler
         if profiler is not None:
             profiler.enter("heap_pop")
-        time, priority, sequence, event = heapq.heappop(self._heap)
+        time, rank, sequence, event = heapq.heappop(self._heap)
+        self._now = time
+        self._floor = rank
         if self._sanitize:
-            key = (time, priority, sequence)
+            key = (time, rank, sequence)
             if self._last_key is not None and key < self._last_key:
                 raise SanitizerViolation(
                     f"heap popped key {key} after {self._last_key}: "

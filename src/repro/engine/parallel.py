@@ -25,7 +25,7 @@ would have interleaved.  This module exploits that factorization:
    outcomes, in shard order, to the same report builder
    (:meth:`~repro.engine.core.ServiceEngine._finalize`) the oracle calls
    with its single outcome.  The builder sorts records under the keys the
-   oracle's ``(time, PRIORITY, sequence)`` heap discipline induces —
+   oracle's ``(time, rank, sequence)`` heap discipline induces —
    served by ``(finish_layer, query_id)``, windows by ``(admit_layer,
    shard)``, rejections by ``(time, query_id)`` — and rebuilds telemetry
    from raw per-shard interval totals.  Under sanitizer mode it also
@@ -39,7 +39,7 @@ oracle (``workers=0``) under full retention — including periodic
 telemetry, whose intervals both paths derive from raw totals (the oracle
 accumulates its interval fidelity sum per shard and both combine partials
 with an exactly-rounded ``fsum``, so the merged intervals are byte-equal
-to the oracle's).  Streaming-retention runs merge their per-shard
+to the oracle's).  Runs under ``retention="none"`` merge their per-shard
 aggregators with
 :func:`repro.metrics.streaming.merge_service_aggregators`: the log-bucket
 latency sketches merge by adding bucket counts, so every count and
@@ -83,7 +83,7 @@ _KNOBS = tuple(
 )
 
 
-def _child_engine(engine: ServiceEngine, shard: int) -> ServiceEngine:
+def _child_engine(engine: ServiceEngine) -> ServiceEngine:
     """The engine serving one shard's partition, with its parent's knobs.
 
     The child drives the *full* fleet object (inherited copy-on-write
@@ -94,15 +94,7 @@ def _child_engine(engine: ServiceEngine, shard: int) -> ServiceEngine:
     already validates densely.
     """
     knobs = {name: getattr(engine, name) for name in _KNOBS}
-    knobs.update(
-        autoscaler=None,
-        sink=None,
-        workers=0,
-        # Disjoint per-shard reservoir seeds (each engine uses 4 streams),
-        # fixed by shard — never by worker — so sampled retention is
-        # worker-count invariant too.
-        sample_seed=engine.sample_seed + 4 * shard,
-    )
+    knobs.update(autoscaler=None, sink=None, workers=0)
     child = ServiceEngine(engine.fleet, **knobs)
     child._dedupe = False
     return child
@@ -125,7 +117,7 @@ def _run_shard(
     else:
         assert bucket is not None
         source = TraceSource(bucket)
-    child = _child_engine(engine, shard)
+    child = _child_engine(engine)
     child._run_events(source)
     return child._outcome()
 

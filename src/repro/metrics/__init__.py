@@ -10,8 +10,8 @@
 * :mod:`repro.metrics.streaming` — online (bounded-memory) aggregates and
   the mergeable log-bucket latency sketch behind every retention mode's
   statistics, plus the engine's periodic telemetry ticks.
-* :mod:`repro.metrics.sinks` — pluggable record destinations (keep / sample
-  / drop / JSON-lines tee) for the serving engine's observation path.
+* :mod:`repro.metrics.sinks` — pluggable record destinations (keep / drop /
+  JSON-lines tee) for the serving engine's observation path.
 """
 
 from repro.metrics.resources import ResourceEstimate, resource_estimate, table1_rows
@@ -39,7 +39,6 @@ from repro.metrics.sinks import (
     ListSink,
     NullSink,
     RecordSink,
-    SamplingSink,
     load_jsonl,
 )
 from repro.metrics.streaming import (
@@ -72,7 +71,6 @@ __all__ = [
     "summarize_service",
     "RecordSink",
     "ListSink",
-    "SamplingSink",
     "JsonlSink",
     "NullSink",
     "load_jsonl",

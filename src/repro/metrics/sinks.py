@@ -10,10 +10,6 @@ mode (with the online aggregates always maintained by
 
 * :class:`ListSink` — keep everything (``retention="full"``, the historical
   behaviour; exact batch summaries).
-* :class:`SamplingSink` — a fixed-size deterministic reservoir sample
-  (``retention="sampled"``): a bounded, uniformly drawn subset survives
-  for inspection while the streaming aggregates carry the statistics
-  (exact counts and means, sketched percentiles).
 * :class:`NullSink` — drop every record (``retention="none"``: stats only,
   bounded memory at any request count).
 * :class:`JsonlSink` — append every record to a JSON-lines file as it
@@ -25,7 +21,6 @@ mode (with the online aggregates always maintained by
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import asdict
 from typing import IO, Protocol, runtime_checkable
 
@@ -41,7 +36,6 @@ __all__ = [
     "ListSink",
     "NullSink",
     "RecordSink",
-    "SamplingSink",
     "load_jsonl",
 ]
 
@@ -77,33 +71,6 @@ class NullSink:
 
     def append(self, record) -> None:
         pass
-
-
-class SamplingSink:
-    """A fixed-size uniform reservoir sample of the record stream.
-
-    Algorithm R with a seeded RNG: after ``n`` appends the sink holds
-    ``min(n, capacity)`` records, each of the ``n`` with equal probability,
-    deterministically for a fixed seed.  ``seen`` counts every append, so
-    callers can tell a sample from a complete stream.
-    """
-
-    def __init__(self, capacity: int, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.records: list = []
-        self.seen = 0
-        self._rng = random.Random(seed)
-
-    def append(self, record) -> None:
-        self.seen += 1
-        if len(self.records) < self.capacity:
-            self.records.append(record)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.capacity:
-            self.records[slot] = record
 
 
 class JsonlSink:

@@ -2,7 +2,7 @@
 
 Every serving statistic is computed here.  The engine folds each record
 into constant-size accumulators the moment it is produced under
-``retention="sampled"`` / ``retention="none"``; under full retention
+``retention="none"``; under full retention
 :func:`repro.metrics.service_stats.summarize_service` folds the retained
 records through the same aggregator and swaps in exact percentiles.
 

@@ -18,7 +18,7 @@ checked against the engine's cross-cutting invariants:
 * **parallel-identity** — ``workers=2`` equals the single-process oracle
   under full retention (exact where :mod:`repro.engine.partition` proves
   partitionability, trivially via fallback elsewhere).  Under
-  sampled/none retention its counts and latency percentiles (log-bucket
+  ``retention="none"`` its counts and latency percentiles (log-bucket
   sketches merge exactly) must equal the oracle's, and the whole report —
   whose merged means differ from the oracle's in their last bits — must
   equal ``workers=1``.
@@ -30,9 +30,9 @@ JSON reproducer anyone can replay with
 ``ScenarioSpec.from_json(...).execute()`` (the checked-in corpus under
 ``tests/reproducers/`` is replayed by tier-1).
 
-``python -m repro.scenarios.fuzz --draws 200 --seed 0`` is the CI smoke
-entry point; ``mutate`` hooks let tests inject report corruptions and
-assert the harness catches and shrinks them.
+``python -m repro.scenarios --draws 500 --seed 0 --seed 1 --seed 2
+--seed 3`` is the CI campaign; ``mutate`` hooks let tests inject report
+corruptions and assert the harness catches and shrinks them.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ Mutator = Callable[[ServiceReport], ServiceReport]
 _EPS = 1e-9
 
 #: Open-loop generator kinds (streaming/partitioned deliveries exist).
-_OPEN_LOOP_KINDS = ("poisson", "bursty", "diurnal", "flash-crowd", "periodic")
+_OPEN_LOOP_KINDS = ("poisson", "bursty", "diurnal", "flash-crowd")
 
 #: Latency-percentile fields of the stats tables.
 _PERCENTILES = ("p50_latency_layers", "p95_latency_layers", "p99_latency_layers")
@@ -112,9 +112,8 @@ class FuzzReport:
         return self.violation is None
 
 
-def offered_requests(spec: ScenarioSpec) -> int | None:
-    """How many requests the spec's workload offers (``None`` = unknown,
-    e.g. a replay file not read yet)."""
+def offered_requests(spec: ScenarioSpec) -> int:
+    """How many requests the spec's workload offers."""
     workload = spec.workload
     if workload.kind in ("poisson", "diurnal"):
         return workload.num_queries
@@ -122,11 +121,7 @@ def offered_requests(spec: ScenarioSpec) -> int | None:
         return workload.num_queries + workload.crowd_size
     if workload.kind == "bursty":
         return workload.num_bursts * workload.burst_size
-    if workload.kind == "periodic":
-        return workload.num_sources * workload.rounds
-    if workload.kind == "closed-loop":
-        return workload.num_clients * workload.queries_per_client
-    return None
+    return workload.num_clients * workload.queries_per_client
 
 
 def _execute(spec: ScenarioSpec) -> ServiceReport | None:
@@ -153,7 +148,7 @@ def _check_conservation(
             f"+ shed {stats.shed_queries}"
         )
     expected = offered_requests(spec)
-    if expected is not None and stats.offered_queries != expected:
+    if stats.offered_queries != expected:
         return (
             f"workload offered {expected} requests but the report "
             f"accounts {stats.offered_queries}"
@@ -271,7 +266,7 @@ def _check_with_report(
 
     # The engine's determinism contract: under full retention workers=N is
     # bit-identical to the single-process oracle (workers=0).  Under
-    # sampled/none retention the merged means depend on the shard-order
+    # retention="none" the merged means depend on the shard-order
     # summation in their last bits, so the whole report is compared with
     # workers=1 (same merge path), and the counts and latency percentiles
     # — exact under the merge — with the oracle.
@@ -409,7 +404,7 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
                 amplitude=rng.choice([0.0, 0.5, 0.9]),
                 **open_loop,
             )
-        elif kind == "flash-crowd":
+        else:
             workload = WorkloadSpec(
                 kind="flash-crowd",
                 num_queries=rng.randrange(4, 17),
@@ -417,18 +412,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
                 crowd_time=rng.choice([0.0, 50.0, 200.0]),
                 crowd_size=rng.randrange(2, 11),
                 crowd_spacing=rng.choice([0.0, 1.0]),
-                **open_loop,
-            )
-        else:
-            open_loop.pop("num_tenants")
-            open_loop.pop("tenant_weights")
-            open_loop.pop("shard_weights")
-            workload = WorkloadSpec(
-                kind="periodic",
-                num_sources=rng.randrange(1, 5),
-                rounds=rng.randrange(1, 7),
-                period=rng.choice([30.0, 90.0]),
-                stagger=rng.choice([0.0, 15.0]),
                 **open_loop,
             )
 
@@ -451,9 +434,7 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
         autoscaler=autoscaler,
     )
     run = RunSpec(
-        retention=rng.choice(["full", "full", "full", "sampled", "none"]),
-        sample_size=rng.choice([4, 64]),
-        sample_seed=rng.randrange(8),
+        retention=rng.choice(["full", "full", "full", "none"]),
         telemetry_interval=rng.choice([None, None, 250.0]),
         max_distillation_copies=rng.choice([1, 1, 1, 2]),
         workers=0,
@@ -482,7 +463,7 @@ def _shrink_edits(spec: ScenarioSpec) -> Iterator[_Edit]:
     # Fewer requests first: halve, then floor at one.
     for name in (
         "num_queries", "num_bursts", "burst_size", "crowd_size",
-        "num_sources", "rounds", "num_clients", "queries_per_client",
+        "num_clients", "queries_per_client",
     ):
         value = getattr(workload, name)
         if value > 1:
@@ -539,7 +520,6 @@ def _shrink_edits(spec: ScenarioSpec) -> Iterator[_Edit]:
     for name, default in (
         ("retention", "full"), ("telemetry_interval", None),
         ("max_distillation_copies", 1), ("workers", 0),
-        ("sample_size", 1024), ("sample_seed", 0),
     ):
         if getattr(run, name) != default:
             yield {"run": {name: default}}

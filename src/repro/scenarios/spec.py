@@ -11,12 +11,12 @@ validated, JSON-round-trippable object instead:
 * :class:`FleetSpec` — shard architectures (``"<arch>@d<k>"`` names),
   placement, memory contents, noise parameters.
 * :class:`WorkloadSpec` — poisson / bursty / diurnal / flash-crowd /
-  periodic / closed-loop traffic or JSONL trace replay, with rates,
-  tenants, deadlines, fidelity SLOs and tenant/shard skew.
+  closed-loop traffic, with rates, tenants, deadlines, fidelity SLOs and
+  tenant/shard skew.
 * :class:`PolicySpec` — admission order, queue bounds, shedding,
   autoscaler watermarks.
-* :class:`RunSpec` — retention, sampling, telemetry, distillation budget,
-  workers, sanitizer, profiling, clock.
+* :class:`RunSpec` — retention, telemetry, distillation budget, workers,
+  sanitizer, profiling, clock.
 
 composing into a :class:`ScenarioSpec` whose :meth:`ScenarioSpec.build`
 yields exactly the ``QRAMService`` / ``ServiceEngine`` / workload-source
@@ -53,8 +53,6 @@ from repro.engine.workload import (
 )
 from repro.core.query import QueryRequest
 from repro.hardware.parameters import HardwareParameters
-from repro.metrics.service_stats import RejectedQuery, ServedQuery
-from repro.metrics.sinks import load_jsonl
 from repro.scheduling.policy import policy_names
 from repro.service.service import PLACEMENTS, QRAMService
 
@@ -85,8 +83,7 @@ DATA_PATTERNS = (
 
 #: Workload kinds a :class:`WorkloadSpec` can name.
 WORKLOAD_KINDS = (
-    "poisson", "bursty", "diurnal", "flash-crowd", "periodic",
-    "closed-loop", "replay",
+    "poisson", "bursty", "diurnal", "flash-crowd", "closed-loop",
 )
 
 #: How an open-loop trace reaches the engine.
@@ -95,7 +92,7 @@ DELIVERIES = ("trace", "streaming", "partitioned")
 #: Workload kinds whose generators accept a ``shards=`` partition filter
 #: (the contract ``delivery="partitioned"`` requires).
 _PARTITIONABLE_KINDS = frozenset(
-    {"poisson", "bursty", "diurnal", "flash-crowd", "periodic"}
+    {"poisson", "bursty", "diurnal", "flash-crowd"}
 )
 
 
@@ -155,10 +152,9 @@ class FleetSpec:
             backend's query parallelism).
         functional: functional (state-evolving) vs timing-only windows.
         data: memory contents — ``"zeros"``, ``"random"`` (seeded by
-            ``data_seed`` at ``data_density``) or a
+            ``data_seed``, each bit 1 with probability 1/2) or a
             :func:`repro.workloads.structured_data` pattern name.
         data_seed: RNG seed of ``data="random"``.
-        data_density: 1-bit density of ``data="random"``.
         parameters: optional hardware noise model shared by every shard.
     """
 
@@ -169,7 +165,6 @@ class FleetSpec:
     functional: bool = True
     data: str = "zeros"
     data_seed: int = 0
-    data_density: float = 0.5
     parameters: HardwareParameters | None = None
 
     def __post_init__(self) -> None:
@@ -221,11 +216,6 @@ class FleetSpec:
             self.data in DATA_PATTERNS,
             f"FleetSpec.data must be one of {DATA_PATTERNS} "
             f"(got {self.data!r})",
-        )
-        _require(
-            0.0 <= self.data_density <= 1.0,
-            f"FleetSpec.data_density must be in [0, 1] "
-            f"(got {self.data_density!r})",
         )
         if self.placement == "interleaved":
             _require(
@@ -293,7 +283,7 @@ class FleetSpec:
         if self.data == "zeros":
             return None
         if self.data == "random":
-            return random_data(self.capacity, self.data_seed, self.data_density)
+            return random_data(self.capacity, self.data_seed)
         return structured_data(self.capacity, self.data)
 
     def to_dict(self) -> dict[str, Any]:
@@ -305,7 +295,6 @@ class FleetSpec:
             "functional": self.functional,
             "data": self.data,
             "data_seed": self.data_seed,
-            "data_density": self.data_density,
             "parameters": (
                 None
                 if self.parameters is None
@@ -356,14 +345,10 @@ _KIND_FIELDS: dict[str, frozenset[str]] = {
         "crowd_spacing", "addresses_per_query", "num_tenants",
         "tenant_weights", "shard_weights",
     }),
-    "periodic": frozenset({
-        "num_sources", "rounds", "period", "stagger", "addresses_per_query",
-    }),
     "closed-loop": frozenset({
         "num_clients", "queries_per_client", "think_layers", "stagger",
         "addresses_per_query",
     }),
-    "replay": frozenset({"path", "addresses_per_query"}),
 }
 
 #: Fields meaningful for every kind.
@@ -382,10 +367,8 @@ class WorkloadSpec:
     silently-ignored knobs.
 
     Kinds (see :mod:`repro.workloads`): ``"poisson"``, ``"bursty"``,
-    ``"diurnal"`` (sinusoidal rate), ``"flash-crowd"`` (baseline + spike),
-    ``"periodic"`` (staggered fixed-period sources, one tenant each),
-    ``"closed-loop"`` (think-time clients) and ``"replay"`` (requests
-    reconstructed from a :class:`~repro.metrics.sinks.JsonlSink` file).
+    ``"diurnal"`` (sinusoidal rate), ``"flash-crowd"`` (baseline + spike)
+    and ``"closed-loop"`` (think-time clients).
 
     ``delivery`` picks the source type for open-loop kinds: ``"trace"``
     (materialized :class:`~repro.engine.TraceSource`), ``"streaming"``
@@ -403,23 +386,18 @@ class WorkloadSpec:
     num_bursts: int = 0
     burst_size: int = 0
     burst_spacing: float = 0.0
-    # diurnal / periodic
+    # diurnal
     period: float = 0.0
     amplitude: float = 0.5
     # flash-crowd
     crowd_time: float = 0.0
     crowd_size: int = 0
     crowd_spacing: float = 0.0
-    # periodic
-    num_sources: int = 0
-    rounds: int = 0
-    # closed-loop (stagger shared with periodic)
+    # closed-loop
     num_clients: int = 0
     queries_per_client: int = 0
     think_layers: float = 0.0
     stagger: float = 0.0
-    # replay
-    path: str = ""
     # shared knobs
     addresses_per_query: int = 2
     num_tenants: int = 1
@@ -465,7 +443,7 @@ class WorkloadSpec:
             f"WorkloadSpec.delivery must be one of {DELIVERIES} "
             f"(got {self.delivery!r})",
         )
-        if self.kind in ("closed-loop", "replay"):
+        if self.kind == "closed-loop":
             _require(
                 self.delivery == "trace",
                 f"WorkloadSpec.delivery {self.delivery!r} is not available "
@@ -519,14 +497,6 @@ class WorkloadSpec:
                 "WorkloadSpec.crowd_time and WorkloadSpec.crowd_spacing "
                 "must be >= 0",
             )
-        if self.kind == "periodic":
-            positives["num_sources"] = self.num_sources >= 1
-            positives["rounds"] = self.rounds >= 1
-            positives["period"] = self.period > 0
-            _require(
-                self.stagger >= 0,
-                f"WorkloadSpec.stagger must be >= 0 (got {self.stagger!r})",
-            )
         if self.kind == "closed-loop":
             positives["num_clients"] = self.num_clients >= 1
             positives["queries_per_client"] = self.queries_per_client >= 1
@@ -534,11 +504,6 @@ class WorkloadSpec:
                 self.think_layers >= 0 and self.stagger >= 0,
                 "WorkloadSpec.think_layers and WorkloadSpec.stagger must "
                 "be >= 0",
-            )
-        if self.kind == "replay":
-            _require(
-                bool(self.path),
-                "WorkloadSpec.path is required for kind 'replay'",
             )
         for name, ok in positives.items():
             _require(
@@ -603,63 +568,7 @@ class WorkloadSpec:
                 self.seed, self.deadline_layers, self.min_fidelity, shards,
                 self.tenant_weights, self.shard_weights,
             )
-        if self.kind == "periodic":
-            return gen.iter_periodic_trace(
-                fleet.capacity, self.num_sources, self.rounds, self.period,
-                self.stagger, self.addresses_per_query, num_shards,
-                self.seed, self.deadline_layers, self.min_fidelity, shards,
-            )
         raise SpecError(f"kind {self.kind!r} has no open-loop iterator")
-
-    def _replay_requests(self, fleet: FleetSpec) -> list[QueryRequest]:
-        """Reconstruct requests from a recorded JSONL run.
-
-        Served and rejected records both become requests again (a
-        rejection's ``time`` stands in for its arrival).  Each request
-        re-reads row ``query_id`` of the keyed superposition stream of
-        ``seed`` on its recorded shard (mapped modulo the replaying
-        fleet's shard count, so traces recorded on one fleet shape replay
-        on another), exactly like the generators: replaying on the
-        recording fleet re-offers the recorded superpositions.
-        """
-        from repro.workloads.generators import KeyedSuperpositions
-
-        num_shards = self._trace_num_shards(fleet)
-        superpositions = KeyedSuperpositions(
-            fleet.capacity, num_shards, self.addresses_per_query, self.seed
-        )
-        requests: list[QueryRequest] = []
-        for record in load_jsonl(self.path):
-            if isinstance(record, ServedQuery):
-                arrival, shard = record.request_time, record.shard
-            elif isinstance(record, RejectedQuery):
-                arrival, shard = record.time, record.shard
-            else:
-                continue
-            requests.append(QueryRequest(
-                query_id=record.query_id,
-                address_amplitudes=superpositions.get(
-                    record.query_id, shard % num_shards if shard >= 0 else 0
-                ),
-                request_time=float(arrival),
-                qpu=record.tenant,
-                deadline=(
-                    record.deadline
-                    if self.deadline_layers is None
-                    else float(arrival) + self.deadline_layers
-                ),
-                min_fidelity=(
-                    record.min_fidelity
-                    if self.min_fidelity is None
-                    else self.min_fidelity
-                ),
-            ))
-        if not requests:
-            raise SpecError(
-                f"WorkloadSpec.path {self.path!r} holds no replayable "
-                f"records"
-            )
-        return requests
 
     def build(self, fleet: FleetSpec) -> WorkloadSource:
         """The engine-ready workload source for the given fleet."""
@@ -672,8 +581,6 @@ class WorkloadSpec:
                 self._trace_num_shards(fleet), self.seed,
                 self.deadline_layers, self.stagger, self.min_fidelity,
             )
-        if self.kind == "replay":
-            return TraceSource(self._replay_requests(fleet))
         if self.delivery == "trace":
             return TraceSource(list(self._iterator(fleet, None)))
         if self.delivery == "streaming":
@@ -773,16 +680,14 @@ class RunSpec:
     """Engine run knobs: observation, parallelism, checking, clock.
 
     Attributes mirror the :class:`repro.engine.ServiceEngine` keyword
-    arguments and ``run``'s clock: retention mode, reservoir size/seed,
-    telemetry cadence, virtual-distillation budget, worker count
+    arguments and ``run``'s clock: retention mode (``"full"`` or
+    ``"none"``), telemetry cadence, virtual-distillation budget, worker count
     (``None`` defers to ``REPRO_WORKERS``), sanitizer (``None`` defers to
     ``REPRO_SANITIZE``), profiling (``None`` defers to ``REPRO_PROFILE``)
     and the CLOPS clock behind queries-per-second numbers.
     """
 
     retention: str = "full"
-    sample_size: int = 1024
-    sample_seed: int = 0
     telemetry_interval: float | None = None
     max_distillation_copies: int = 1
     workers: int | None = None
@@ -795,10 +700,6 @@ class RunSpec:
             self.retention in RETENTIONS,
             f"RunSpec.retention must be one of {RETENTIONS} "
             f"(got {self.retention!r})",
-        )
-        _require(
-            self.sample_size >= 1,
-            f"RunSpec.sample_size must be >= 1 (got {self.sample_size!r})",
         )
         _require(
             self.telemetry_interval is None or self.telemetry_interval > 0,
@@ -977,8 +878,6 @@ class ScenarioSpec:
             autoscaler=self.policy.autoscaler,
             max_distillation_copies=self.run.max_distillation_copies,
             retention=self.run.retention,
-            sample_size=self.run.sample_size,
-            sample_seed=self.run.sample_seed,
             telemetry_interval=self.run.telemetry_interval,
             sink=sink,
             sanitize=self.run.sanitize,

@@ -164,33 +164,3 @@ def iter_flash_crowd_times(
 
     return generate()
 
-
-def periodic_times(
-    num_sources: int, rounds: int, period: float, stagger: float = 0.0
-) -> list[tuple[float, int]]:
-    """Arrival ``(time, source)`` pairs of periodically issuing sources.
-
-    Source ``s`` starts at ``s * stagger`` and issues every ``period``
-    layers for ``rounds`` rounds — the open-loop approximation of a QPU
-    that alternates querying and processing (Fig. 7).  Pairs are returned
-    in source-major generation order so callers can assign stable ids
-    before sorting by time.
-
-    Args:
-        num_sources: number of issuing sources (>= 0).
-        rounds: arrivals per source (>= 0).
-        period: layers between one source's consecutive arrivals (> 0).
-        stagger: offset between the start times of successive sources
-            (>= 0).
-    """
-    if num_sources < 0 or rounds < 0:
-        raise ValueError("num_sources and rounds must be >= 0")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if stagger < 0:
-        raise ValueError("stagger must be >= 0")
-    return [
-        (source * stagger + round_index * period, source)
-        for source in range(num_sources)
-        for round_index in range(rounds)
-    ]

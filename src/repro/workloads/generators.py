@@ -16,7 +16,6 @@ from repro.workloads.arrivals import (
     iter_diurnal_times,
     iter_exponential_times,
     iter_flash_crowd_times,
-    periodic_times,
 )
 
 #: Shard draws per RNG call in :func:`_iter_arrival_trace` — block draws
@@ -279,7 +278,6 @@ def _iter_arrival_trace(
     shards: Iterable[int] | None = None,
     tenant_weights: Sequence[float] | None = None,
     shard_weights: Sequence[float] | None = None,
-    tenants: Iterable[int] | None = None,
 ) -> Iterator[QueryRequest]:
     """Lazily yield requests at the given arrival times, round-robin over
     tenants and random (shard-aligned) address superpositions.
@@ -306,8 +304,7 @@ def _iter_arrival_trace(
     default to ``None``, which preserves the historical uniform /
     round-robin streams byte for byte; when set, draws still advance one
     slot per global position, so the ``shards`` partition filter stays
-    exact.  ``tenants`` (an explicit per-position tenant stream, e.g. the
-    sources of a periodic workload) overrides both.
+    exact.
     """
     owned = None if shards is None else frozenset(int(s) for s in shards)
     superpositions = KeyedSuperpositions(
@@ -329,7 +326,6 @@ def _iter_arrival_trace(
     tenant_rng = (
         None if tenant_cdf is None else np.random.default_rng([seed, 7919])
     )
-    tenant_stream = None if tenants is None else iter(tenants)
     # Shard draws come in vectorized blocks: a block of n bounded draws
     # consumes the Generator's stream exactly like n scalar draws (pinned
     # in tests/test_vectorized_parity.py), so the trace is byte-identical
@@ -351,9 +347,7 @@ def _iter_arrival_trace(
             draw_index = 0
         shard = shard_draws[draw_index]
         draw_index += 1
-        if tenant_stream is not None:
-            tenant = int(next(tenant_stream))
-        elif tenant_cdf is not None and tenant_rng is not None:
+        if tenant_cdf is not None and tenant_rng is not None:
             if tenant_index == len(tenant_draws):
                 tenant_draws = np.searchsorted(
                     tenant_cdf,
@@ -511,41 +505,6 @@ def iter_flash_crowd_trace(
     return _iter_arrival_trace(
         capacity, times, addresses_per_query, num_tenants, num_shards, seed,
         deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
-    )
-
-
-def iter_periodic_trace(
-    capacity: int,
-    num_sources: int,
-    rounds: int,
-    period: float,
-    stagger: float = 0.0,
-    addresses_per_query: int = 2,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    shards: Iterable[int] | None = None,
-) -> Iterator[QueryRequest]:
-    """Lazily yield a periodic open-loop trace.
-
-    ``num_sources`` staggered sources each issue every ``period`` layers
-    (:func:`~repro.workloads.arrivals.periodic_times`); each source is its
-    own tenant, arrivals are sorted by ``(time, source)`` and ids assigned
-    in that order, and addresses/shard draws follow the shared trace core
-    (so the ``shards`` partition filter stays exact).
-    """
-    if num_sources < 1 or rounds < 1:
-        raise ValueError("num_sources and rounds must be >= 1")
-    pairs = sorted(
-        periodic_times(num_sources, rounds, period, stagger),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    times = [t for t, _ in pairs]
-    sources = [source for _, source in pairs]
-    return _iter_arrival_trace(
-        capacity, times, addresses_per_query, num_sources, num_shards, seed,
-        deadline_layers, min_fidelity, shards, tenants=sources,
     )
 
 

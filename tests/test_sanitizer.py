@@ -13,7 +13,13 @@ import pytest
 
 from repro import QRAMService, QueryRequest, ServiceEngine, TraceSource
 from repro.engine import SANITIZE_ENV, SanitizerViolation
-from repro.engine.events import EventHeap, ScaleCheck
+from repro.engine.events import (
+    ClientThink,
+    EventHeap,
+    ScaleCheck,
+    TelemetryTick,
+    WindowStart,
+)
 from repro.workloads import closed_loop_source, iter_poisson_trace
 
 CAPACITY = 16
@@ -84,6 +90,30 @@ def test_corrupted_heap_ordering_detected():
     heap.pop()
     with pytest.raises(SanitizerViolation, match="nondecreasing"):
         heap.pop()
+
+
+def test_same_instant_push_behind_the_last_pop_opens_a_round():
+    """A ClientThink pushed at t after a WindowStart at t has popped (the
+    zero-think client of a request the window shed) comes out after the
+    rest of round 0 at t; the events it triggers at t join its round."""
+    heap = EventHeap(sanitize=True)
+    heap.push(10.0, WindowStart(0))
+    heap.push(10.0, WindowStart(1))
+    heap.push(10.0, TelemetryTick())
+    heap.push(11.0, ClientThink(7))
+    assert heap.pop() == (10.0, WindowStart(0))
+    heap.push(10.0, ClientThink(3))
+    assert heap.pop() == (10.0, WindowStart(1))
+    assert heap.pop() == (10.0, TelemetryTick())
+    assert heap.pop() == (10.0, ClientThink(3))
+    heap.push(10.0, WindowStart(0))
+    heap.push(10.0, ClientThink(4))
+    assert [heap.pop() for _ in range(3)] == [
+        (10.0, ClientThink(4)),
+        (10.0, WindowStart(0)),
+        (11.0, ClientThink(7)),
+    ]
+    assert not heap
 
 
 # ------------------------------------------------------------ engine tripwires

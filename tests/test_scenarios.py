@@ -40,7 +40,6 @@ from repro import (
 )
 from repro.engine import PartitionedTraceSource
 from repro.hardware.parameters import TABLE3_PARAMETERS
-from repro.metrics.sinks import JsonlSink
 from repro.metrics import ServiceStats
 from repro.scenarios import (
     FleetSpec,
@@ -109,11 +108,9 @@ class TestFleetSpecValidation:
         with pytest.raises(SpecError, match="FleetSpec.placement"):
             FleetSpec(capacity=16, placement="round-robin")
 
-    def test_bad_data_pattern_and_density(self):
+    def test_bad_data_pattern(self):
         with pytest.raises(SpecError, match="FleetSpec.data "):
             FleetSpec(capacity=16, data="striped")
-        with pytest.raises(SpecError, match="FleetSpec.data_density"):
-            FleetSpec(capacity=16, data="random", data_density=1.5)
 
     def test_bad_window_size(self):
         with pytest.raises(SpecError, match="FleetSpec.window_size"):
@@ -161,10 +158,6 @@ class TestWorkloadSpecValidation:
                 kind="closed-loop", num_clients=2, queries_per_client=3,
                 delivery="streaming",
             )
-
-    def test_replay_requires_path(self):
-        with pytest.raises(SpecError, match="WorkloadSpec.path"):
-            WorkloadSpec(kind="replay")
 
     def test_tenant_weights_length(self):
         with pytest.raises(SpecError, match="WorkloadSpec.tenant_weights"):
@@ -247,7 +240,6 @@ def _scenario_corpus() -> dict[str, ScenarioSpec]:
             functional=False,
             data="random",
             data_seed=9,
-            data_density=0.25,
             parameters=TABLE3_PARAMETERS[1e-4],
         ),
         workload=WorkloadSpec(
@@ -273,9 +265,7 @@ def _scenario_corpus() -> dict[str, ScenarioSpec]:
             ),
         ),
         run=RunSpec(
-            retention="sampled",
-            sample_size=8,
-            sample_seed=3,
+            retention="none",
             telemetry_interval=250.0,
             max_distillation_copies=2,
             workers=0,
@@ -559,77 +549,3 @@ def test_library_signatures():
 
     with pytest.raises(KeyError, match="unknown library scenario"):
         library_scenario("unknown-name")
-
-
-# ------------------------------------------------------------------- replay
-def test_jsonl_replay_round_trip(tmp_path):
-    """A recorded run replays through WorkloadSpec(kind='replay')."""
-    base = library_scenario("flash-crowd")
-    path = tmp_path / "recorded.jsonl"
-    with JsonlSink(str(path)) as sink:
-        recorded = base.execute(sink=sink)
-
-    replay = ScenarioSpec(
-        name="replayed",
-        fleet=base.fleet,
-        workload=WorkloadSpec(
-            kind="replay", path=str(path), addresses_per_query=1, seed=0
-        ),
-        policy=base.policy,
-    )
-    report = replay.execute()
-    stats = report.stats
-    # Served + rejected arrivals of the original run are re-offered.
-    assert stats.offered_queries == (
-        recorded.stats.total_queries + recorded.stats.rejected_queries
-    )
-    assert stats.offered_queries == (
-        stats.total_queries + stats.rejected_queries + stats.shed_queries
-    )
-    # Replay is deterministic.
-    assert replay.execute() == report
-
-
-def test_replay_reoffers_the_recorded_superpositions(tmp_path):
-    """Replay reads each query's row of the keyed superposition stream, so
-    a functional flash-crowd run recorded to JSONL replays with the same
-    per-query ``address_amplitudes`` the generator produced, and the
-    adjacent seed's replay shares none of them."""
-    base = library_scenario("flash-crowd")
-    base = dataclasses.replace(
-        base, fleet=dataclasses.replace(base.fleet, functional=True)
-    )
-    path = tmp_path / "functional.jsonl"
-    with JsonlSink(str(path)) as sink:
-        recorded = base.execute(sink=sink)
-    assert recorded.stats.rejected_queries > 0
-
-    def superpositions(workload):
-        return {
-            request.query_id: request.address_amplitudes
-            for request in workload.build(base.fleet).requests
-        }
-
-    generated = superpositions(base.workload)
-    replayed = superpositions(
-        WorkloadSpec(kind="replay", path=str(path), seed=5)
-    )
-    assert set(replayed) == set(generated)
-    for query_id, amplitudes in replayed.items():
-        assert amplitudes == generated[query_id]
-
-    shifted = superpositions(WorkloadSpec(kind="replay", path=str(path), seed=6))
-    assert not {tuple(sorted(a.items())) for a in replayed.values()} & {
-        tuple(sorted(a.items())) for a in shifted.values()
-    }
-
-
-def test_replay_empty_file_rejected(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    spec = ScenarioSpec(
-        fleet=FleetSpec(capacity=16),
-        workload=WorkloadSpec(kind="replay", path=str(path)),
-    )
-    with pytest.raises(SpecError, match="no replayable records"):
-        spec.execute()

@@ -250,11 +250,36 @@ def test_sim004_pins_heap_key_shape():
     assert "pinned" in result.findings[0].message
 
 
+def test_sim004_pins_rank_key_shape():
+    """A priority bound to a name (the event heap's rank) is still
+    tracked into the key."""
+    source = (
+        "import heapq\n"
+        "def push(heap, time, event, seq):\n"
+        "    rank = event.PRIORITY\n"
+        "    heapq.heappush(heap, (time, seq, rank, event))\n"
+    )
+    result = lint_source(source, rules=["SIM004"])
+    assert codes(result) == ["SIM004"]
+    assert "pinned" in result.findings[0].message
+
+
+def test_sim004_flags_priority_outside_round():
+    source = _EVENTS_TEMPLATE.format(drain_priority=8) + "ROUND = 8\n"
+    result = lint_source(source, rules=["SIM004"])
+    assert codes(result) == ["SIM004"]
+    assert "ROUND=8" in result.findings[0].message
+
+
 def test_sim004_clean_registry_and_key():
     clean = _EVENTS_TEMPLATE.format(drain_priority=1) + (
         "import heapq\n"
         "def push(heap, time, event, sequence):\n"
         "    heapq.heappush(heap, (time, event.PRIORITY, sequence, event))\n"
+        "ROUND = 8\n"
+        "def push_ranked(heap, time, event, sequence):\n"
+        "    rank = event.PRIORITY\n"
+        "    heapq.heappush(heap, (time, rank, sequence, event))\n"
     )
     assert lint_source(clean, rules=["SIM004"]).ok
 

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.hardware.parameters import TABLE3_PARAMETERS
 from repro.scenarios.fuzz import draw_spec
 from repro.scenarios.spec import (
     FleetSpec,
@@ -248,13 +249,15 @@ def test_recycled_workers_match_persistent_pool():
 
 
 def test_error_rows_are_deterministic_data():
-    # A replay pointing at a missing file fails at build time; the
-    # failure must become a row, not an abort, and stay identical
-    # across pool sizes.
-    base = small_base()
+    # A fidelity SLO no noisy shard can meet rejects every request, so
+    # the engine refuses the run; the failure must become a row, not an
+    # abort, and stay identical across pool sizes.
+    base = small_base(min_fidelity=0.99999)
     bad = dataclasses.replace(
         base,
-        workload=WorkloadSpec(kind="replay", path="/nonexistent/rows.jsonl"),
+        fleet=dataclasses.replace(
+            base.fleet, parameters=TABLE3_PARAMETERS[1e-3]
+        ),
     )
     sweep = SweepSpec(
         base=bad, axes=(("policy.admission", ("fifo", "priority")),)
@@ -265,7 +268,7 @@ def test_error_rows_are_deterministic_data():
     for row in inline.rows:
         assert row["status"] == "error"
         assert row["metrics"] is None and row["report_digest"] is None
-        assert "FileNotFoundError" in row["error"]
+        assert row["error"].startswith("ValueError: no queries were served")
 
 
 def test_fuzz_drawn_sweep_reruns_identically():

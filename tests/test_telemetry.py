@@ -5,10 +5,10 @@ Covers the observation-path refactor end to end:
 * online aggregates (:class:`StreamingStat`, :class:`LogBucketSketch`)
   against exact batch computations, including the sketch's relative
   error bound and its exact merges;
-* record sinks — list / reservoir sample / JSONL round-trip / null;
+* record sinks — list / JSONL round-trip / null;
 * engine retention modes: ``"full"`` reproduces the historical batch
-  :class:`ServiceStats` byte for byte, ``"sampled"`` and ``"none"`` report
-  exact counts and means from the streaming aggregator in bounded memory;
+  :class:`ServiceStats` byte for byte, ``"none"`` reports exact counts
+  and means from the streaming aggregator in bounded memory;
 * the periodic :class:`TelemetryTick` time series;
 * lazy traces and the :class:`StreamingTraceSource` equivalence;
 * the satellite fixes: request-time validation, reusable engines, memoized
@@ -36,7 +36,6 @@ from repro.metrics.sinks import (
     JsonlSink,
     ListSink,
     NullSink,
-    SamplingSink,
     load_jsonl,
 )
 from repro.metrics.streaming import (
@@ -145,28 +144,6 @@ def test_sketch_counts_zero():
 
 
 # --------------------------------------------------------------------- sinks
-def test_sampling_sink_uniform_reservoir():
-    sink = SamplingSink(8, seed=4)
-    for i in range(200):
-        sink.append(i)
-    assert sink.seen == 200
-    assert len(sink.records) == 8
-    assert all(0 <= r < 200 for r in sink.records)
-    assert len(set(sink.records)) == 8
-    # Deterministic for a fixed seed.
-    again = SamplingSink(8, seed=4)
-    for i in range(200):
-        again.append(i)
-    assert again.records == sink.records
-    # Short streams are retained completely.
-    short = SamplingSink(8, seed=4)
-    for i in range(5):
-        short.append(i)
-    assert short.records == list(range(5))
-    with pytest.raises(ValueError):
-        SamplingSink(0)
-
-
 def test_list_and_null_sinks():
     keep, drop = ListSink(), NullSink()
     for i in range(3):
@@ -268,22 +245,6 @@ def test_retention_none_result_for_raises(service, trace):
         none.result_for(trace[0].query_id)
 
 
-def test_retention_sampled_reservoir(service, trace):
-    sampled = ServiceEngine(
-        service, retention="sampled", sample_size=10
-    ).run(TraceSource(trace))
-    assert len(sampled.served) == 10
-    assert sampled.retention == "sampled"
-    assert sampled.stats.total_queries == 60
-    full = ServiceEngine(service).run(TraceSource(trace))
-    by_id = {record.query_id: record for record in full.served}
-    for record in sampled.served:
-        assert record == by_id[record.query_id]
-    # Completion-ordered like the full list.
-    keys = [(r.finish_layer, r.query_id) for r in sampled.served]
-    assert keys == sorted(keys)
-
-
 def test_retention_rejections_counted(service):
     """Rejection/shed accounting survives record-free serving."""
     trace = list(iter_poisson_trace(
@@ -327,22 +288,9 @@ def test_queue_full_only_tenant_matches_batch_tenant_universe(service):
     assert set(none.stats.per_tenant) == set(full.stats.per_tenant)
 
 
-def test_sample_seed_passthrough(service, trace):
-    a = ServiceEngine(
-        service, retention="sampled", sample_size=10, sample_seed=1
-    ).run(TraceSource(trace))
-    b = ServiceEngine(
-        service, retention="sampled", sample_size=10, sample_seed=2
-    ).run(TraceSource(trace))
-    assert a.stats == b.stats
-    assert a.served != b.served  # different reservoirs, same statistics
-
-
 def test_invalid_retention_rejected(service):
     with pytest.raises(ValueError):
         ServiceEngine(service, retention="forever")
-    with pytest.raises(ValueError):
-        ServiceEngine(service, sample_size=0)
     with pytest.raises(ValueError):
         ServiceEngine(service, telemetry_interval=0.0)
 
@@ -413,11 +361,11 @@ def test_telemetry_with_closed_loop():
     )
     service = QRAMService(CAPACITY, num_shards=2, functional=False)
     report = ServiceEngine(
-        service, retention="sampled", sample_size=6, telemetry_interval=50.0
+        service, retention="none", telemetry_interval=50.0
     ).run(source)
     assert report.stats.total_queries == 15
     assert sum(i.served for i in report.telemetry) == 15
-    assert len(report.served) == 6
+    assert report.served == []
 
 
 # ----------------------------------------------- lazy traces / streaming source

@@ -162,24 +162,6 @@ def test_interleaved_rejects_out_of_range_coordinates():
         shard_map.shard_data([0] * 8, 0)  # wrong data length
 
 
-def test_periodic_times_validates_period_and_stagger():
-    """Regression: non-positive periods / negative staggers used to produce
-    negative, non-monotone arrival times silently."""
-    from repro.workloads.arrivals import periodic_times
-
-    with pytest.raises(ValueError):
-        periodic_times(2, 3, period=0.0)
-    with pytest.raises(ValueError):
-        periodic_times(2, 3, period=-5.0)
-    with pytest.raises(ValueError):
-        periodic_times(2, 3, period=10.0, stagger=-1.0)
-    with pytest.raises(ValueError):
-        periodic_times(-1, 3, period=10.0)
-    # A valid call stays monotone per source and starts at s * stagger.
-    pairs = periodic_times(2, 2, period=10.0, stagger=3.0)
-    assert pairs == [(0.0, 0), (10.0, 0), (3.0, 1), (13.0, 1)]
-
-
 def test_trace_generators_carry_min_fidelity():
     trace = list(iter_poisson_trace(
         8, 5, mean_interarrival=4.0, seed=1, min_fidelity=0.9

@@ -7,15 +7,21 @@ classes:
 
 * every ``PRIORITY`` must be a literal ``int`` and unique module-wide;
 * every member of the module's ``Event`` union must declare one;
-* any heap push whose key tuple contains ``.PRIORITY`` must use the pinned
-  shape ``(time, event.PRIORITY, sequence, event)`` — priority in slot 1,
-  a monotone sequence counter in slot 2 — so an accidental reordering of
-  the key is caught at lint time, not as a Heisenbug under load.
+* where the module declares a literal ``ROUND`` (the rank stride of one
+  same-instant round), every ``PRIORITY`` must lie in ``[0, ROUND)``, or
+  an event's round-0 rank would pass for a later round's;
+* any heap push whose key tuple carries the priority (``.PRIORITY``
+  itself, or a name the enclosing function binds to it, such as a rank)
+  must use the pinned shape ``(time, priority, sequence, event)``:
+  priority in slot 1, a monotone sequence counter in slot 2.  An
+  accidental reordering of the key is then caught at lint time, not as a
+  Heisenbug under load.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 
 from tools.simlint.astutil import const_int, dotted_name
 from tools.simlint.framework import Finding, ModuleInfo, Project, Rule, register
@@ -67,6 +73,51 @@ def _event_union_members(tree: ast.Module) -> tuple[ast.stmt | None, list[str]]:
     return None, []
 
 
+def _round_stride(tree: ast.Module) -> int | None:
+    """The literal of a module-level ``ROUND = <int>``, if declared."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and stmt.targets[0].id == "ROUND"
+        ):
+            return const_int(stmt.value)
+    return None
+
+
+def _is_priority(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "PRIORITY"
+
+
+def _priority_names(function: ast.AST) -> set[str]:
+    """Names ``function`` binds straight to a ``.PRIORITY`` attribute."""
+    return {
+        target.id
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign) and _is_priority(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _heap_pushes(
+    node: ast.AST, names: set[str]
+) -> Iterator[tuple[ast.Call, set[str]]]:
+    """Every ``heapq.heappush`` call under ``node``, with the priority
+    names bound by the functions enclosing it."""
+    for child in ast.iter_child_nodes(node):
+        scope = names
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = names | _priority_names(child)
+        if (
+            isinstance(child, ast.Call)
+            and dotted_name(child.func) == "heapq.heappush"
+        ):
+            yield child, scope
+        yield from _heap_pushes(child, scope)
+
+
 @register
 class EventPriorityRule(Rule):
     code = "SIM004"
@@ -80,6 +131,7 @@ class EventPriorityRule(Rule):
         findings: list[Finding] = []
         priorities: dict[int, str] = {}
         declared: set[str] = set()
+        stride = _round_stride(module.tree)
         for stmt in module.tree.body:
             if not isinstance(stmt, ast.ClassDef):
                 continue
@@ -99,6 +151,16 @@ class EventPriorityRule(Rule):
                     )
                 )
                 continue
+            if stride is not None and not 0 <= priority < stride:
+                findings.append(
+                    self.finding(
+                        module,
+                        node,
+                        f"`{stmt.name}.PRIORITY = {priority}` is outside "
+                        f"[0, ROUND={stride}) — its rank would collide with "
+                        "a later same-instant round's",
+                    )
+                )
             if priority in priorities:
                 findings.append(
                     self.finding(
@@ -128,18 +190,15 @@ class EventPriorityRule(Rule):
 
     def _check_key_shape(self, module: ModuleInfo) -> list[Finding]:
         findings = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if dotted_name(node.func) != "heapq.heappush" or len(node.args) < 2:
+        for node, names in _heap_pushes(module.tree, set()):
+            if len(node.args) < 2 or not isinstance(node.args[1], ast.Tuple):
                 continue
             key = node.args[1]
-            if not isinstance(key, ast.Tuple):
-                continue
             priority_slots = [
                 i
                 for i, elt in enumerate(key.elts)
-                if isinstance(elt, ast.Attribute) and elt.attr == "PRIORITY"
+                if _is_priority(elt)
+                or (isinstance(elt, ast.Name) and elt.id in names)
             ]
             if not priority_slots:
                 continue
