@@ -1,10 +1,14 @@
 """Online (single-pass, bounded-memory) serving statistics.
 
-Every serving statistic is computed here.  The engine folds each record
-into constant-size accumulators the moment it is produced under
-``retention="none"``; under full retention
-:func:`repro.metrics.service_stats.summarize_service` folds the retained
-records through the same aggregator and swaps in exact percentiles.
+Every serving statistic is computed here.  The engine hands each record
+to the aggregator as it is produced, under ``retention="none"``; under
+full retention :func:`repro.metrics.service_stats.summarize_service`
+feeds the retained records through the same aggregator and swaps in exact
+percentiles.  Served and window records are folded in 1024-row blocks:
+each observation appends the record's scalars to an open block, and a
+full block, like every read of the statistics, is folded in array
+operations whose results equal, bit for bit, adding the records one at a
+time in observe order.  Every read is therefore exact.
 
 * :class:`StreamingStat` — count / sum / mean / min / max of one series.
 * :class:`LogBucketSketch` — a log-bucket relative-error quantile sketch
@@ -21,16 +25,19 @@ records through the same aggregator and swaps in exact percentiles.
 
 Memory grows with the tenants, shards and backends and with the
 logarithmic spread of the latencies, never with the request count: a
-million-query run aggregates through the same few kilobytes as a
-hundred-query run.  Counts, sums and extrema are exact;
+million-query run aggregates through the same few kilobytes (plus one
+open block) as a hundred-query run.  Counts, sums and extrema are exact;
 only the latency percentiles are sketched.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import operator
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -58,6 +65,78 @@ RELATIVE_ACCURACY = 0.01
 _GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
 _LOG_GAMMA = math.log(_GAMMA)
 
+#: Records per observation block: observers append a record's scalars,
+#: and a full block (or any read) folds them in array operations.
+_BLOCK_ROWS = 1024
+
+#: A sketch key whose ``log(v) / log γ`` lies within this relative
+#: distance (absolute below 1) of an integer is recomputed with
+#: :func:`math.log`.  ``np.log`` may differ from it in the last bit, which
+#: moves the ``ceil`` only at a bucket boundary.
+_KEY_TOLERANCE = 1e-9
+
+#: The scalars a block keeps of one :class:`ServedQuery` / :class:`WindowRecord`.
+_SERVED_COLUMNS = operator.attrgetter(
+    "tenant",
+    "shard",
+    "architecture",
+    "request_time",
+    "admit_layer",
+    "finish_layer",
+    "fidelity",
+    "deadline",
+    "min_fidelity",
+    "predicted_fidelity",
+)
+_WINDOW_COLUMNS = operator.attrgetter(
+    "shard", "architecture", "batch_size", "total_layers"
+)
+
+
+def _sequential_sum(totals: list[float], values: np.ndarray) -> list[float]:
+    """Each running total plus its column's values in order.
+
+    Bit-identical to ``+=`` per value: ``add.accumulate`` adds down each
+    column one row at a time, never pairwise.
+    """
+    return np.add.accumulate(np.concatenate(([totals], values)))[-1].tolist()
+
+
+def _floats(column: tuple[float | None, ...]) -> np.ndarray:
+    """A column as float64, ``None`` read as NaN."""
+    return np.fromiter(column, dtype=float, count=len(column))
+
+
+def _codes(column: tuple[Hashable, ...]) -> tuple[list, np.ndarray]:
+    """The sorted distinct keys of a column, and each row's index into them."""
+    keys = sorted(set(column))
+    if len(keys) == 1:
+        return keys, np.zeros(len(column), dtype=np.intp)
+    index = dict(zip(keys, range(len(keys))))
+    codes = np.fromiter(
+        map(index.__getitem__, column), dtype=np.intp, count=len(column)
+    )
+    return keys, codes
+
+
+def _bucket_keys(latencies: np.ndarray) -> np.ndarray:
+    """:class:`LogBucketSketch` keys of positive values, equal to
+    ``math.ceil(math.log(v) / _LOG_GAMMA)`` for every value."""
+    ratios = np.log(latencies) / _LOG_GAMMA
+    keys = np.ceil(ratios).astype(np.int64)
+    near = np.flatnonzero(
+        np.abs(ratios - np.rint(ratios))
+        <= _KEY_TOLERANCE * np.maximum(1.0, np.abs(ratios))
+    )
+    # Only values next to a bucket boundary take the scalar logarithm:
+    # none of poisson-stream's 60,000 latencies at seed 1, 6 of which get
+    # a different last bit from ``np.log``.
+    exact = np.fromiter(
+        map(math.log, latencies[near].tolist()), dtype=float, count=len(near)
+    )
+    keys[near] = np.ceil(exact / _LOG_GAMMA)
+    return keys
+
 
 class StreamingStat:
     """Count / sum / mean / min / max of one series, in O(1) memory."""
@@ -71,12 +150,25 @@ class StreamingStat:
         self.maximum: float | None = None
 
     def add(self, value: float) -> None:
+        """Add one value (the per-record reference :meth:`fold` equals)."""
         self.count += 1
         self.total += value
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
+
+    def fold(self, count: int, total: float, low: float, high: float) -> None:
+        """Account for ``count`` more values with extrema ``low`` / ``high``;
+        ``total`` is this series' total after adding them one by one."""
+        if not count:
+            return
+        self.count += count
+        self.total = total
+        if self.minimum is None or low < self.minimum:
+            self.minimum = low
+        if self.maximum is None or high > self.maximum:
+            self.maximum = high
 
     @property
     def mean(self) -> float:
@@ -125,6 +217,7 @@ class LogBucketSketch:
         self.buckets: dict[int, int] = {}
 
     def add(self, value: float) -> None:
+        """Add one value (the per-record reference :meth:`fold` equals)."""
         self.count += 1
         if value > 0.0:
             key = math.ceil(math.log(value) / _LOG_GAMMA)
@@ -132,6 +225,20 @@ class LogBucketSketch:
             buckets[key] = buckets.get(key, 0) + 1
         else:
             self.zero_count += 1
+
+    def fold(self, keys: np.ndarray, zeros: int) -> None:
+        """Add a block: the bucket keys of its positive values (see
+        :func:`_bucket_keys`) and the count of its non-positive ones."""
+        self.count += len(keys) + zeros
+        self.zero_count += zeros
+        if not len(keys):
+            return
+        low = int(keys.min())
+        counts = np.bincount(keys - low)
+        present = np.flatnonzero(counts)
+        buckets = self.buckets
+        for key, count in zip((present + low).tolist(), counts[present].tolist()):
+            buckets[key] = buckets.get(key, 0) + count
 
     def merge(self, other: LogBucketSketch) -> None:
         """Add another sketch's counts into this one (exact)."""
@@ -224,42 +331,6 @@ class _GroupAggregate:
     shed: int = 0
     fidelity_rejected: int = 0
 
-    def _observe_values(
-        self,
-        latency_layers: float,
-        queue_delay_layers: float,
-        fidelity: float | None,
-        has_deadline: bool,
-        missed_deadline: bool,
-        has_slo: bool,
-        missed_slo: bool,
-    ) -> None:
-        """Fold one served query's derived values into the accumulators.
-
-        The aggregator computes the :class:`ServedQuery` property values
-        once per record and feeds the same scalars to every group view
-        (global / tenant / shard / backend) — four views per record make
-        the recomputation the hottest line of streaming retention.
-        """
-        self.queries += 1
-        self.latency.add(latency_layers)
-        self.queue_delay.add(queue_delay_layers)
-        if fidelity is not None:
-            self.fidelity.add(fidelity)
-        if has_deadline:
-            self.deadline_demand += 1
-            if missed_deadline:
-                self.deadline_misses += 1
-        if has_slo:
-            self.slo_demand += 1
-            if missed_slo:
-                self.slo_misses += 1
-
-    def observe_window(self, record: WindowRecord) -> None:
-        self.windows += 1
-        self.batch_total += record.batch_size
-        self.busy_layers += record.total_layers
-
     def merge(self, other: _GroupAggregate) -> None:
         """Fold another group's accumulators into this one (shard-order
         deterministic; see :func:`merge_service_aggregators`)."""
@@ -285,12 +356,66 @@ class _GroupAggregate:
         return self.batch_total / self.windows if self.windows else 0.0
 
 
+@dataclass(slots=True)
+class _ServedBlock:
+    """One block of served records as columns, one row per record.
+
+    ``values`` holds each record's latency, queue delay and fidelity (NaN
+    when it has none), and ``summands`` the same with 0.0 for NaN: adding
+    +0.0 leaves a running total unchanged, so a record without a fidelity
+    adds nothing to the fidelity total.  ``flags`` holds, as 0/1, whether
+    the record has a fidelity, has a deadline, missed it, has a fidelity
+    SLO, and missed that.
+    """
+
+    values: np.ndarray
+    summands: np.ndarray
+    flags: np.ndarray
+
+    def fold_into(self, groups: list[_GroupAggregate], codes: np.ndarray) -> None:
+        """Fold row ``r`` into ``groups[codes[r]]``, each group's rows in
+        order; every group owns at least one row."""
+        order = np.argsort(codes, kind="stable")
+        counts = np.bincount(codes, minlength=len(groups))
+        stops = np.cumsum(counts)
+        starts = stops - counts
+        values = self.values[order]
+        summands = self.summands[order]
+        lows = np.fmin.reduceat(values, starts).tolist()
+        highs = np.fmax.reduceat(values, starts).tolist()
+        tallies = np.add.reduceat(self.flags[order], starts)
+        for group, start, stop, low, high, tally in zip(
+            groups, starts.tolist(), stops.tolist(), lows, highs, tallies.tolist()
+        ):
+            fidelities, deadlines, deadline_misses, slos, slo_misses = tally
+            queries = stop - start
+            series = (group.latency, group.queue_delay, group.fidelity)
+            totals = _sequential_sum(
+                [stat.total for stat in series], summands[start:stop]
+            )
+            for stat, count, total, lo, hi in zip(
+                series, (queries, queries, fidelities), totals, low, high
+            ):
+                stat.fold(count, total, lo, hi)
+            group.queries += queries
+            group.deadline_demand += deadlines
+            group.deadline_misses += deadline_misses
+            group.slo_demand += slos
+            group.slo_misses += slo_misses
+
+
 class StreamingServiceAggregator:
-    """The full :class:`ServiceStats` surface, maintained one record at a time.
+    """The full :class:`ServiceStats` surface, maintained in 1024-row blocks.
 
     The engine feeds every :class:`ServedQuery`, :class:`WindowRecord` and
     :class:`RejectedQuery` through :meth:`observe_served` /
-    :meth:`observe_window` / :meth:`observe_rejected`;
+    :meth:`observe_window` / :meth:`observe_rejected`, one call per
+    record.  A served or window record appends its scalars (never the
+    record) to an open block; a full block, and every read (:meth:`to_stats`,
+    :func:`merge_service_aggregators`, pickling), folds the open blocks in
+    array operations, so every read is exact and equal, bit for bit, to
+    folding the records one at a time in observe order.  ``served_count``
+    and the rejection counters are current after every call.
     :meth:`to_stats` materializes a :class:`ServiceStats` whose counts,
     sums, means, extrema and rates are exact and whose latency percentiles
     come from log-bucket sketches (:class:`LogBucketSketch`, one for the
@@ -310,6 +435,8 @@ class StreamingServiceAggregator:
         self._tenant_sketches: dict[int, LogBucketSketch] = {}
         self._shards: dict[int, _GroupAggregate] = {}
         self._backends: dict[str, _GroupAggregate] = {}
+        self._served_rows: list[tuple] = []
+        self._window_rows: list[tuple] = []
 
     # ------------------------------------------------------------- observers
     def _tenant(self, tenant: int) -> _GroupAggregate:
@@ -320,70 +447,19 @@ class StreamingServiceAggregator:
         return group
 
     def observe_served(self, record: ServedQuery) -> None:
+        # The engine's `sketch_update` profile stage times this call: one
+        # row appended per record, the arithmetic once per block.
         self.served_count += 1
-        finish = record.finish_layer
-        if finish > self.makespan_layers:
-            self.makespan_layers = finish
-        # Derive the record's property values once and share them across
-        # the four group views — recomputing them per view was the hottest
-        # line of streaming retention (see the engine's `sketch_update`
-        # profile stage).
-        request_time = record.request_time
-        latency = finish - request_time
-        queue_delay = record.admit_layer - request_time
-        fidelity = record.fidelity
-        deadline = record.deadline
-        has_deadline = deadline is not None
-        missed_deadline = has_deadline and finish > deadline
-        min_fidelity = record.min_fidelity
-        has_slo = min_fidelity is not None
-        if has_slo:
-            achieved = record.predicted_fidelity
-            if achieved is None:
-                achieved = fidelity
-            missed_slo = achieved is not None and achieved < min_fidelity
-        else:
-            missed_slo = False
-        tenant = record.tenant
-        tenant_group = self._tenants.get(tenant)
-        if tenant_group is None:
-            tenant_group = self._tenant(tenant)
-        shard = self._shards.get(record.shard)
-        if shard is None:
-            shard = self._shards[record.shard] = _GroupAggregate()
-        if not shard.architecture:
-            shard.architecture = record.architecture
-        backend = self._backends.get(record.architecture)
-        if backend is None:
-            backend = self._backends[record.architecture] = _GroupAggregate()
-            backend.shard_ids.add(record.shard)
-        elif record.shard not in backend.shard_ids:
-            backend.shard_ids.add(record.shard)
-        for group in (self._global, tenant_group, shard, backend):
-            group._observe_values(
-                latency,
-                queue_delay,
-                fidelity,
-                has_deadline,
-                missed_deadline,
-                has_slo,
-                missed_slo,
-            )
-        self._latency_sketch.add(latency)
-        self._tenant_sketches[tenant].add(latency)
+        rows = self._served_rows
+        rows.append(_SERVED_COLUMNS(record))
+        if len(rows) == _BLOCK_ROWS:
+            self._fold_served()
 
     def observe_window(self, record: WindowRecord) -> None:
-        # `.get` instead of `.setdefault`: the default argument would
-        # construct (and usually discard) a fresh _GroupAggregate — three
-        # StreamingStats and a set — on every window.
-        shard = self._shards.get(record.shard)
-        if shard is None:
-            shard = self._shards[record.shard] = _GroupAggregate()
-        shard.observe_window(record)
-        backend = self._backends.get(record.architecture)
-        if backend is None:
-            backend = self._backends[record.architecture] = _GroupAggregate()
-        backend.observe_window(record)
+        rows = self._window_rows
+        rows.append(_WINDOW_COLUMNS(record))
+        if len(rows) == _BLOCK_ROWS:
+            self._fold_windows()
 
     def observe_rejected(self, record: RejectedQuery) -> None:
         # Shed and fidelity-infeasible refusals surface per tenant (they
@@ -420,7 +496,123 @@ class StreamingServiceAggregator:
             aggregator._observe_window(window)
         for refusal in rejected:
             aggregator._observe_rejected(refusal)
+        aggregator._fold()
         return aggregator
+
+    # --------------------------------------------------------------- folding
+    def _fold(self) -> None:
+        """Fold the open blocks; every read of the accumulators calls this."""
+        self._fold_served()
+        self._fold_windows()
+
+    def _fold_served(self) -> None:
+        if not self._served_rows:
+            return
+        (
+            tenants,
+            shards,
+            architectures,
+            request_time,
+            admit_layer,
+            finish_layer,
+            fidelity,
+            deadline,
+            min_fidelity,
+            predicted_fidelity,
+        ) = zip(*self._served_rows)
+        self._served_rows = []
+        request_time = _floats(request_time)
+        finish_layer = _floats(finish_layer)
+        fidelity = _floats(fidelity)
+        deadline = _floats(deadline)
+        min_fidelity = _floats(min_fidelity)
+        # The SLO is judged on the predicted fidelity, else the measured
+        # one; every comparison with NaN (``None``) is false.
+        achieved = _floats(predicted_fidelity)
+        np.copyto(achieved, fidelity, where=np.isnan(achieved))
+        latency = finish_layer - request_time
+        rows = len(latency)
+        values = np.empty((rows, 3))
+        values[:, 0] = latency
+        values[:, 1] = _floats(admit_layer) - request_time
+        values[:, 2] = fidelity
+        has_fidelity = ~np.isnan(fidelity)
+        summands = values.copy()
+        summands[:, 2] = np.where(has_fidelity, fidelity, 0.0)
+        flags = np.empty((rows, 5), dtype=np.int64)
+        flags[:, 0] = has_fidelity
+        flags[:, 1] = ~np.isnan(deadline)
+        flags[:, 2] = finish_layer > deadline
+        flags[:, 3] = ~np.isnan(min_fidelity)
+        flags[:, 4] = achieved < min_fidelity
+        block = _ServedBlock(values, summands, flags)
+        last = float(finish_layer.max())
+        if last > self.makespan_layers:
+            self.makespan_layers = last
+
+        tenant_keys, tenant_codes = _codes(tenants)
+        shard_keys, shard_codes = _codes(shards)
+        backend_keys, backend_codes = _codes(architectures)
+        tenant_groups = [self._tenant(tenant) for tenant in tenant_keys]
+        shard_groups = [
+            self._shards.setdefault(shard, _GroupAggregate()) for shard in shard_keys
+        ]
+        backend_groups = [
+            self._backends.setdefault(name, _GroupAggregate())
+            for name in backend_keys
+        ]
+        for shard, group in zip(shard_keys, shard_groups):
+            if not group.architecture:
+                # A shard reports the architecture of its first record.
+                group.architecture = architectures[shards.index(shard)]
+        pairs = np.bincount(shard_codes * len(backend_keys) + backend_codes)
+        for pair in np.flatnonzero(pairs).tolist():
+            shard_code, backend_code = divmod(pair, len(backend_keys))
+            backend_groups[backend_code].shard_ids.add(shard_keys[shard_code])
+
+        block.fold_into([self._global], np.zeros(rows, dtype=np.intp))
+        block.fold_into(tenant_groups, tenant_codes)
+        block.fold_into(shard_groups, shard_codes)
+        block.fold_into(backend_groups, backend_codes)
+
+        positive = latency > 0.0
+        keys = _bucket_keys(latency[positive])
+        self._latency_sketch.fold(keys, rows - len(keys))
+        key_codes = tenant_codes[positive]
+        zeros = np.bincount(
+            tenant_codes[~positive], minlength=len(tenant_keys)
+        ).tolist()
+        for code, tenant in enumerate(tenant_keys):
+            self._tenant_sketches[tenant].fold(
+                keys[key_codes == code], zeros[code]
+            )
+
+    def _fold_windows(self) -> None:
+        if not self._window_rows:
+            return
+        shards, architectures, batch_size, total_layers = zip(*self._window_rows)
+        self._window_rows = []
+        batch_size = np.array(batch_size, dtype=np.int64)
+        total_layers = _floats(total_layers)
+        for table, column in (
+            (self._shards, shards),
+            (self._backends, architectures),
+        ):
+            keys, codes = _codes(column)
+            windows = np.bincount(codes, minlength=len(keys)).tolist()
+            for code, key in enumerate(keys):
+                group = table.setdefault(key, _GroupAggregate())
+                rows = codes == code
+                group.windows += windows[code]
+                group.batch_total += int(batch_size[rows].sum())
+                (group.busy_layers,) = _sequential_sum(
+                    [group.busy_layers], total_layers[rows][:, None]
+                )
+
+    def __getstate__(self) -> dict:
+        # A worker's aggregator crosses the process boundary folded.
+        self._fold()
+        return self.__dict__
 
     # ----------------------------------------------------------- summarizing
     def to_stats(
@@ -436,6 +628,7 @@ class StreamingServiceAggregator:
         """
         if not self.served_count:
             raise ValueError("at least one served query is required")
+        self._fold()
         depths = max_queue_depth or {}
         makespan = self.makespan_layers
         seconds = makespan / clops if makespan > 0 else float("inf")
@@ -558,15 +751,16 @@ def merge_service_aggregators(
     Parallel serving aggregates each shard's records in its own worker;
     this merge reassembles the run-wide view.  Counts, extrema and latency
     percentiles come out identical to observing every record in one
-    aggregator.  ``parts`` must be passed in shard order — the
-    float-summation order of the means is then fixed by the partition
-    layout, making the merged statistics bit-identical across worker
-    counts.
+    aggregator.  Each part's open blocks are folded first.  ``parts``
+    must be passed in shard order — the float-summation order of the means
+    is then fixed by the partition layout, making the merged statistics
+    bit-identical across worker counts.
     """
     if not parts:
         raise ValueError("at least one partition aggregator is required")
     merged = StreamingServiceAggregator()
     for part in parts:
+        part._fold()
         merged.served_count += part.served_count
         merged.rejected_count += part.rejected_count
         merged.shed_count += part.shed_count

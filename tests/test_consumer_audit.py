@@ -41,6 +41,22 @@ def test_stale_or_unexplained_keep_entries_are_flagged():
     assert "gone names no src function" in problems[2]
 
 
+def test_keep_entries_a_consumer_reaches_are_flagged():
+    functions = src_functions()
+    kept = "repro.core.qram.FatTreeQRAM.query"
+    other = "repro.core.qram.FatTreeQRAM.bandwidth"
+    keep = {
+        name: {"rule": "claim", "reason": "asserted in tier-1"}
+        for name in (kept, other)
+    }
+    reached = functions[kept]
+    seen = {(str(reached.path.resolve()), reached.first_line)}
+    assert check_keep(keep, functions) == []
+    assert check_keep(keep, functions, seen) == [
+        f"keep entry {kept} names a function a consumer reaches"
+    ]
+
+
 def test_functions_are_named_like_qualname_and_start_at_decorators(tmp_path):
     package = tmp_path / "repro"
     package.mkdir()

@@ -489,6 +489,30 @@ def test_sim008_clean_non_slot_loops_and_vector_math():
     assert result.ok, [f.message for f in result.findings]
 
 
+_BLOCK_ROW_LOOP = (
+    "import numpy as np\n"
+    "def fold(stat, latencies):\n"
+    "    for latency in latencies:\n"
+    "        stat.add(latency)\n"
+    "def fold_rows(stat, latencies):\n"
+    "    for row in range(len(latencies)):\n"
+    "        stat.add(latencies[row])\n"
+    "def fold_block(stat, latencies):\n"
+    "    stat.total = np.add.accumulate(latencies)[-1]\n"
+)
+
+
+def test_sim008_flags_per_row_loops_in_the_streaming_aggregator():
+    result = lint_source(
+        _BLOCK_ROW_LOOP, filename="src/repro/metrics/streaming.py", rules=["SIM008"]
+    )
+    assert codes(result) == ["SIM008", "SIM008"]
+    assert [f.line for f in result.findings] == [3, 6]
+    # Only that metrics module is hot; a loop elsewhere stays legal.
+    for other in ("src/repro/metrics/service_stats.py", "streaming.py"):
+        assert lint_source(_BLOCK_ROW_LOOP, filename=other, rules=["SIM008"]).ok
+
+
 def test_sim008_suppressible_per_line():
     suppressed = (
         "def interleave(fidelities):\n"

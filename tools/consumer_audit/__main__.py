@@ -3,7 +3,8 @@
 Runs every consumer under the call recorder, prints each uncalled
 ``src/repro`` function with its keep rule, and exits 1 if an uncalled
 function is missing from ``keep.json`` or a table entry is stale (no such
-function, unknown rule, no reason); 2 if a consumer itself fails.
+function, a function some consumer reaches, unknown rule, no reason); 2 if
+a consumer itself fails.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def main() -> int:
         f"uncalled: {len(missing)} of {len(functions)} src functions, "
         f"{sum(function.lines for function in missing)} of {total_lines} lines"
     )
-    problems = check_keep(keep, functions)
+    problems = check_keep(keep, functions, seen)
     for function in missing:
         entry = keep.get(function.qualname)
         rule = entry["rule"] if entry else "NOT IN KEEP TABLE"

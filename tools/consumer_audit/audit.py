@@ -10,7 +10,8 @@ code that only its own tests call is what the audit looks for.
 Each ``def`` under ``src/repro`` is matched to the code objects the
 recorder saw by ``(file, first line)``.  A function no consumer entered is
 *uncalled*; it must sit in the keep table (``keep.json``) under one of
-:data:`KEEP_RULES`, and every table entry must still name a function.
+:data:`KEEP_RULES`, and every table entry must still name a function that
+no consumer reaches.
 """
 
 from __future__ import annotations
@@ -230,13 +231,21 @@ def load_keep(path: Path = KEEP) -> dict[str, dict[str, str]]:
 
 
 def check_keep(
-    keep: dict[str, dict[str, str]], functions: dict[str, Function]
+    keep: dict[str, dict[str, str]],
+    functions: dict[str, Function],
+    seen: set[tuple[str, int]] | None = None,
 ) -> list[str]:
-    """Problems with the table itself: stale names, unknown rules, no reason."""
+    """Problems with the table itself: stale names, unknown rules, no
+    reason, and (given the recorded calls ``seen``) entries whose function
+    a consumer now reaches."""
     problems = []
     for name, entry in sorted(keep.items()):
         if name not in functions:
             problems.append(f"keep entry {name} names no src function")
+        elif seen is not None and _reached(functions[name], seen):
+            problems.append(
+                f"keep entry {name} names a function a consumer reaches"
+            )
         if entry.get("rule") not in KEEP_RULES:
             problems.append(
                 f"keep entry {name} has rule {entry.get('rule')!r}, "
@@ -247,12 +256,14 @@ def check_keep(
     return problems
 
 
+def _reached(function: Function, seen: set[tuple[str, int]]) -> bool:
+    return (str(function.path.resolve()), function.first_line) in seen
+
+
 def uncalled(
     functions: dict[str, Function], seen: set[tuple[str, int]]
 ) -> list[Function]:
     """The functions whose code object no consumer entered."""
     return [
-        function
-        for function in functions.values()
-        if (str(function.path.resolve()), function.first_line) not in seen
+        function for function in functions.values() if not _reached(function, seen)
     ]

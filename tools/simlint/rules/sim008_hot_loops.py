@@ -1,18 +1,21 @@
-"""SIM008 — no per-slot Python loops in the window hot path.
+"""SIM008 — no per-slot or per-row Python loops in the hot paths.
 
 The serving hot path evaluates all of a window's slots in single array
 expressions (:func:`repro.backends.noise.pipelined_fidelities`, the
-adapters' vectorized ``_window_offsets``); a per-element Python loop over
-slot offsets or fidelities in one of those modules silently reverts the
-vectorization — the tests still pass (the scalar result is bit-identical
-by contract) but the throughput trajectory regresses.
+adapters' vectorized ``_window_offsets``), and the streaming aggregator
+folds each 1024-row observation block in array operations; a
+per-element Python loop over slot offsets, fidelities or latencies in one
+of those modules silently reverts the vectorization — the tests still
+pass (the scalar result is bit-identical by contract) but the throughput
+trajectory regresses.
 
 The rule watches the designated hot modules (``noise`` / ``fat_tree`` /
-``bucket_brigade`` / ``analytic`` / ``encoded`` under ``repro/backends``)
-and flags a ``for`` loop or comprehension that
+``bucket_brigade`` / ``analytic`` / ``encoded`` under ``repro/backends``,
+and ``repro/metrics/streaming.py``) and flags a ``for`` loop or
+comprehension that
 
-* iterates a slot-valued sequence directly (a name containing ``offset``
-  or ``fidelit``), bare or wrapped in ``zip`` / ``enumerate`` /
+* iterates a slot-valued sequence directly (a name containing ``offset``,
+  ``fidelit`` or ``latenc``), bare or wrapped in ``zip`` / ``enumerate`` /
   ``reversed`` / ``sorted``, or
 * indexes a slot-valued sequence element-by-element with its own loop
   variable (``start_offsets[s]`` inside ``for s in range(count)``).
@@ -43,8 +46,11 @@ _HOT_MODULE_NAMES = frozenset(
     }
 )
 
-#: Name fragments marking a slot-valued sequence.
-_SLOT_FRAGMENTS = ("offset", "fidelit")
+#: Hot modules outside ``repro/backends``, by path suffix.
+_HOT_MODULE_PATHS = ("repro/metrics/streaming.py",)
+
+#: Name fragments marking a slot-valued (or block-column) sequence.
+_SLOT_FRAGMENTS = ("offset", "fidelit", "latenc")
 
 #: Sequence-shaped wrappers whose arguments keep per-element iteration.
 _ITER_WRAPPERS = frozenset({"zip", "enumerate", "reversed", "sorted"})
@@ -107,13 +113,17 @@ class HotLoopRule(Rule):
     code = "SIM008"
     name = "hot-path-slot-loops"
     summary = (
-        "window-slot math in the designated hot modules stays vectorized: "
-        "no per-element Python loops over offsets/fidelities (scalar "
-        "oracles named *_scalar/*_reference are exempt)"
+        "window-slot math and observation-block folds in the designated "
+        "hot modules stay vectorized: no per-element Python loops over "
+        "offsets/fidelities/latencies (scalar oracles named "
+        "*_scalar/*_reference are exempt)"
     )
 
     def check(self, module: ModuleInfo, project: Project) -> list[Finding]:
-        if Path(module.rel).name not in _HOT_MODULE_NAMES:
+        path = Path(module.rel)
+        if path.name not in _HOT_MODULE_NAMES and not path.as_posix().endswith(
+            _HOT_MODULE_PATHS
+        ):
             return []
         findings: list[Finding] = []
         for fn, node in self._loops_by_function(module.tree):
