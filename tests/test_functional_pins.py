@@ -6,15 +6,28 @@ two-address Poisson queries, mean interarrival 4 layers, with full
 retention, so every slot's output amplitudes enter the digest.  Any change
 to the sparse simulator or the gate-level executors must leave these
 digests byte-identical.
+
+Two window-level pins ride along: the outputs of one 4,096-branch Fat-Tree
+window (far past one 64-bit word of branch bits), and the number of
+``SparseState.apply_gate`` calls one window makes, which the layered
+benchmark's ``sim.gates`` counter reads.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
+from repro.core.executor import FatTreeExecutor
+from repro.core.query import QueryRequest
 from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
 from repro.schedule_cache import default_registry
+from repro.sim.sparse import SparseState
 from repro.sweep.engine import report_digest
+from repro.workloads.generators import random_address_superposition
 
 PINS = [
     (
@@ -36,6 +49,16 @@ PINS = [
         ("BB",),
         1,
         "d71b02acae5abf8d5a18f9e7ba43ffacd54724a957c813eb560f194137d01e87",
+    ),
+    (
+        ("Virtual",),
+        1,
+        "46cf867b5e795d45b40e2b6d57e4e6e19a92b5cd7c2503dae5b27ec410707e7c",
+    ),
+    (
+        ("D-BB",),
+        1,
+        "a348f25ad57ffad9ee8fca56197cfb2e326597e026dd89b344b3571b072d1362",
     ),
 ]
 
@@ -72,3 +95,77 @@ def test_functional_report_digest_is_pinned(shards, seed, digest):
     default_registry().clear()
     assert len(report.outputs) == 200
     assert report_digest(report) == digest
+
+
+def _outputs_digest(outputs) -> str:
+    """sha256 over every output amplitude's bits, in output order."""
+    rows = [
+        (query_id, address, bus, amp.real.hex(), amp.imag.hex())
+        for query_id, column in outputs.items()
+        for (address, bus), amp in column.items()
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _counted_gates(monkeypatch) -> dict[str, int]:
+    """Count ``SparseState.apply_gate`` calls and the peak branch count
+    they leave, the way the layered benchmark's ledger wraps the method."""
+    seen = {"calls": 0, "peak_terms": 0}
+    apply_gate = SparseState.apply_gate
+
+    def counted(state, *args, **kwargs):
+        apply_gate(state, *args, **kwargs)
+        seen["calls"] += 1
+        seen["peak_terms"] = max(seen["peak_terms"], state.num_terms)
+
+    monkeypatch.setattr(SparseState, "apply_gate", counted)
+    return seen
+
+
+def _window_requests(capacity: int, occupancy: int) -> list[QueryRequest]:
+    return [
+        QueryRequest(
+            query_id=q,
+            address_amplitudes=random_address_superposition(
+                capacity, 2, seed=1000 * capacity + q
+            ),
+        )
+        for q in range(occupancy)
+    ]
+
+
+def _random_data(capacity: int) -> list[int]:
+    rng = np.random.default_rng(capacity)
+    return [int(b) for b in rng.integers(2, size=capacity)]
+
+
+def test_4096_branch_window_is_pinned(monkeypatch):
+    """Six two-address queries on a capacity-64 tree peak at 4**6 = 4,096
+    branches; the outputs are pinned bit for bit, every query reads its
+    ideal output and the tree ends clean."""
+    seen = _counted_gates(monkeypatch)
+    executor = FatTreeExecutor(64, _random_data(64))
+    requests = _window_requests(64, 6)
+    _, outputs = executor.run_pipelined_queries(requests)
+    assert seen["peak_terms"] == 4096
+    assert executor.tree_is_clean()
+    for request in requests:
+        fidelity = executor.query_fidelity(request, outputs[request.query_id])
+        assert math.isclose(fidelity, 1.0, abs_tol=1e-12)
+    assert _outputs_digest(outputs) == (
+        "a63d19752ad0b898ef6484e002353fbc2e80128c0eba6d3bac1a1bbd57a63d42"
+    )
+
+
+@pytest.mark.parametrize("occupancy", [1, 2, 3, 4])
+def test_window_makes_one_apply_gate_call_per_gate(monkeypatch, occupancy):
+    """One ``run_pipelined_queries`` call makes exactly one
+    ``apply_gate`` call per compiled gate plus two bus basis changes per
+    slot: the benchmark's ``sim.gates`` counts gates, so no gate may be
+    fused into another call or applied behind the method's back."""
+    seen = _counted_gates(monkeypatch)
+    executor = FatTreeExecutor(16, _random_data(16))
+    executor.run_pipelined_queries(_window_requests(16, occupancy))
+    interval = executor.minimum_feasible_interval(occupancy)
+    program = executor.window_program(occupancy, interval)
+    assert seen["calls"] == len(program.gates) + 2 * occupancy

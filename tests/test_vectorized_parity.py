@@ -573,3 +573,67 @@ def test_functional_serve_matches_scalar_storage(monkeypatch):
     array, scalar = _run_both(monkeypatch, fat_tree_executor_module, serve)
     default_registry().clear()
     assert array == scalar
+
+
+def _word_boundary_pair(terms):
+    """Both storages with exactly ``terms`` branches: a register of fresh
+    qubits prepared over ``terms`` values (every fourth amplitude a pure
+    +-1, so diagonal gates produce signed zeros), plus qubits added in |0>
+    and |1>."""
+    width = max(1, (terms - 1).bit_length())
+    register = [f"r{i}" for i in range(width)]
+    amplitudes = {v: complex(math.cos(v), -math.sin(3 * v)) for v in range(terms)}
+    amplitudes.update({v: (-1.0) ** (v // 4) for v in range(0, terms, 4)})
+    states = SparseState(), SparseStateScalar()
+    for state in states:
+        state.prepare_superposition(register, amplitudes)
+        state.add_qubit("a")
+        state.add_qubit("b", value=1)
+        state.add_qubit("c")
+    return states, register
+
+
+def _every_gate_sequence(register):
+    """Each gate of ``GATES`` once or more: permutations, then diagonal
+    gates, permutations again (the settle after a diagonal gate), the
+    superposing gates, and permutations on the merged rows."""
+    r = register
+    return [
+        ("X", ["a"], None),
+        ("CX", [r[-1], "b"], None),
+        ("CCX", [r[0], r[-1], "c"], None),
+        ("SWAP", [r[0], "a"], None),
+        ("CSWAP", [r[-1], r[0], "b"], None),
+        ("ANTI_CSWAP", [r[0], r[-1], "c"], None),
+        ("Z", [r[-1]], None),
+        ("S", ["b"], None),
+        ("T", [r[0]], None),
+        ("RZ", ["c"], 0.3),
+        ("CZ", [r[0], r[-1]], None),
+        ("I", ["a"], None),
+        ("CSWAP", ["a", r[-1], "c"], None),
+        ("H", ["c"], None),
+        ("Y", [r[0]], None),
+        ("RY", ["a"], 0.7),
+        ("ANTI_CSWAP", ["b", r[-1], "a"], None),
+        ("H", [r[-1]], None),
+        ("CX", ["c", r[0]], None),
+    ]
+
+
+@pytest.mark.parametrize("terms", [63, 64, 65, 128, 1024])
+def test_array_state_matches_scalar_across_the_word_boundary(terms):
+    """Branch counts on either side of 64 (one machine word of branch
+    bits) and well past it: every gate of ``GATES`` keeps the storages
+    bit-identical, signed zeros included, after every step."""
+    (array, scalar), register = _word_boundary_pair(terms)
+    assert array.num_terms == scalar.num_terms == terms
+    assert _branches(array) == _branches(scalar)
+    sequence = _every_gate_sequence(register)
+    assert {gate for gate, _, _ in sequence} == set(GATES)
+    for gate, qubits, theta in sequence:
+        for state in (array, scalar):
+            state.apply_gate(gate, qubits, theta=theta)
+        assert array.num_terms == scalar.num_terms, gate
+        assert _branches(array) == _branches(scalar), gate
+    assert array.num_terms > terms
