@@ -11,16 +11,25 @@ router qubits exist — this is exactly the "limited entanglement among
 different paths" property the paper relies on for noise resilience, reused
 here for exact simulation.
 
-:class:`SparseState` stores the branches as arrays and moves all of them
-with one array operation per gate:
+:class:`SparseState` stores the branches bit-sliced: qubit ``i``'s values
+across all branches are one Python ``int``, ``_columns[i]``, whose bit
+``t`` is branch ``t``'s value, so one bulk bitwise operation moves every
+branch at once.  Amplitudes are one ``complex128`` vector in branch order.
 
-* a ``branches x columns`` ``uint8`` bit matrix, one row per branch;
-* a qubit-to-column list, so SWAP exchanges two list entries and moves no
-  data;
-* a ``complex128`` amplitude vector.
+* SWAP exchanges two list entries; CSWAP, ANTI_CSWAP, CX, CCX and X are
+  two or three big-int XOR/AND operations, each linear in the branch
+  count (CPython works through 30 branch bits per digit) and no numpy
+  call;
+* the diagonal gates (Z, S, T, RZ, CZ) unpack the column into a branch
+  mask for one elementwise product;
+* H/Y/RY duplicate and merge rows, and preparation, pruning, register
+  readout and the basis view are row operations too: for those the bits
+  are held as a ``branches x qubits`` ``uint8`` matrix instead.
 
-The other permutations are column XORs, the diagonal gates one elementwise
-product, and H/Y/RY duplicate the rows, merge equal rows and prune.
+The bits live in one layout at a time and convert (``np.packbits`` /
+``np.unpackbits``) only when the next operation needs the other one, so a
+functional window converts about twice, not once per gate.
+
 Products are evaluated as explicit real/imaginary float expressions and
 merged rows are summed in first-occurrence order, so every amplitude is
 bit-identical to the scalar dictionary implementation kept as
@@ -30,7 +39,7 @@ Both classes answer every inspection (``items``, ``probability``,
 ``register_amplitudes``, ...) from one ``{basis tuple: amplitude}`` view,
 written once in :class:`_SparseView`; :class:`SparseState` builds that view
 on demand and caches it until the next mutation, and reads register
-amplitudes straight from its bit matrix instead.
+amplitudes straight from its branch matrix instead.
 
 Every state memoizes how it resolved a gate call (``(gate, qubits)`` to
 canonical name and qubit indices).  States built from one
@@ -298,7 +307,7 @@ class _SparseView:
 
 
 class SparseState(_SparseView):
-    """A pure state stored as a branch bit matrix and an amplitude vector.
+    """A pure state stored as bit-sliced qubit columns and an amplitude vector.
 
     Args:
         qubits: ordered list of qubit labels.  Additional qubits can be added
@@ -310,9 +319,11 @@ class SparseState(_SparseView):
         self._index: dict[Qubit, int] = {}
         self._resolved = {}
         self.classical: dict[str, int] = {}
-        # Row r is branch r; qubit i's bit lives in column _cols[i].
-        self._bits = np.zeros((1, 0), dtype=np.uint8)
-        self._cols: list[int] = []
+        # The branch bits, in exactly one of two layouts at a time (the
+        # other is None): _columns[i] is qubit i's column, whose bit t is
+        # branch t's value; _rows is a branches x qubits uint8 matrix.
+        self._columns: list[int] | None = []
+        self._rows: np.ndarray | None = None
         self._amps = np.ones(1, dtype=np.complex128)
         # Cached {basis: amplitude} view, dropped by every mutation.
         self._view: dict[Basis, complex] | None = None
@@ -343,31 +354,70 @@ class SparseState(_SparseView):
             self._append_columns(len(new), 0)
 
     def _append_columns(self, count: int, value: int) -> None:
-        width = self._bits.shape[1]
-        self._cols.extend(range(width, width + count))
-        block = np.full((len(self._amps), count), value, dtype=np.uint8)
-        self._bits = np.concatenate((self._bits, block), axis=1)
+        if self._columns is not None:
+            column = (1 << len(self._amps)) - 1 if value else 0
+            self._columns.extend([column] * count)
+        else:
+            block = np.full((len(self._amps), count), value, dtype=np.uint8)
+            self._rows = np.concatenate((self._rows, block), axis=1)
         self._view = None
 
+    # ---------------------------------------------------------------- layouts
+    def _as_columns(self) -> list[int]:
+        """The bits as qubit columns, converted from rows if need be."""
+        if self._columns is None:
+            # Column i's bytes, branch 0 in the low bit of byte 0.
+            packed = np.packbits(self._rows.T, axis=1, bitorder="little")
+            data, size = packed.tobytes(), packed.shape[1]
+            self._columns = [
+                int.from_bytes(data[i : i + size], "little")
+                for i in range(0, len(data), size)
+            ]
+            self._rows = None
+        return self._columns
+
+    def _as_rows(self) -> np.ndarray:
+        """The bits as a branch matrix, converted from columns if need be."""
+        if self._rows is None:
+            terms = len(self._amps)
+            size = (terms + 7) // 8
+            data = b"".join(c.to_bytes(size, "little") for c in self._columns)
+            packed = np.frombuffer(data, dtype=np.uint8).reshape(-1, size)
+            # Unpacking the bytes' transpose writes branch-major rows.
+            self._rows = np.unpackbits(
+                packed.T, axis=0, count=terms, bitorder="little"
+            )
+            self._columns = None
+        return self._rows
+
+    def _branch_mask(self, column: int) -> np.ndarray:
+        """A column int as one ``uint8`` bit per branch."""
+        terms = len(self._amps)
+        data = column.to_bytes((terms + 7) // 8, "little")
+        return np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8), count=terms, bitorder="little"
+        )
+
+    # ------------------------------------------------------------- inspection
     def _terms(self) -> dict[Basis, complex]:
         if self._view is None:
-            rows = self._bits[:, self._cols].tolist()
+            rows = self._as_rows().tolist()
             # list(), not tolist(): the view yields np.complex128 scalars,
             # whose division differs from Python complex division.
             self._view = dict(zip(map(tuple, rows), list(self._amps)))
         return self._view
 
     def register_amplitudes(self, qubits: Sequence[Qubit]) -> dict[int, complex]:
-        """Register amplitudes read from the bit matrix (see
+        """Register amplitudes read from the branch matrix (see
         :meth:`_SparseView.register_amplitudes`): the same branches in the
         same order, without building the full basis view."""
-        cols = self._cols
-        chosen = [cols[self._index[q]] for q in qubits]
+        rows = self._as_rows()
+        chosen = [self._index[q] for q in qubits]
         taken = set(chosen)
-        rest = [col for col in cols if col not in taken]
+        rest = [i for i in range(rows.shape[1]) if i not in taken]
         return _factor_register(
-            map(_bits_to_int, self._bits[:, chosen].tolist()),
-            map(tuple, self._bits[:, rest].tolist()),
+            map(_bits_to_int, rows[:, chosen].tolist()),
+            map(tuple, rows[:, rest].tolist()),
             # list(), not tolist(): the view's np.complex128 scalars.
             list(self._amps),
         )
@@ -376,7 +426,7 @@ class SparseState(_SparseView):
         magnitude = np.abs(self._amps)
         if len(magnitude) and not magnitude.min() > _ATOL:
             keep = magnitude > _ATOL
-            self._bits = self._bits[keep]
+            self._rows = self._as_rows()[keep]
             self._amps = self._amps[keep]
 
     # ------------------------------------------------------------ preparation
@@ -397,8 +447,9 @@ class SparseState(_SparseView):
         norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
         if norm < _ATOL:
             raise ValueError("cannot prepare the zero vector")
-        cols = [self._cols[self._index[q]] for q in qubits]
-        if self._bits[:, cols].any():
+        rows = self._as_rows()
+        idx = [self._index[q] for q in qubits]
+        if rows[:, idx].any():
             raise ValueError("register must be |0...0> before preparation")
         width = len(qubits)
         values = [v for v, a in amplitudes.items() if abs(a) >= _ATOL]
@@ -410,11 +461,11 @@ class SparseState(_SparseView):
         )
         # Branch-major, value-minor: the dict storage's insertion order.
         terms = len(self._amps)
-        bits = np.repeat(self._bits, len(values), axis=0)
-        bits[:, cols] = np.tile(register, (terms, 1))
+        bits = np.repeat(rows, len(values), axis=0)
+        bits[:, idx] = np.tile(register, (terms, 1))
         amps = np.repeat(self._amps, len(values))
         tiled = np.tile(factors, terms)
-        self._bits = bits
+        self._rows = bits
         self._amps = _multiply(amps, tiled.real, tiled.imag)
         self._pending = True
         self._view = None
@@ -431,8 +482,8 @@ class SparseState(_SparseView):
         _HANDLERS[key](self, idx, theta)
         self._view = None
 
-    # Gate handlers take (qubit indices, theta).  Column views are written
-    # in place: ``column ^= mask`` XORs every branch at once.
+    # Gate handlers take (qubit indices, theta).  Permutations and
+    # diagonal gates work on the columns, H/Y/RY on the rows.
     def _settle(self) -> None:
         """A permutation's share of the dict storage's work (see __init__)."""
         if self._pending:
@@ -441,70 +492,65 @@ class SparseState(_SparseView):
             self._pending = False
 
     def _swap(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._cols
+        cols = self._as_columns()
         cols[q[0]], cols[q[1]] = cols[q[1]], cols[q[0]]
         self._settle()
 
     def _cswap(self, q: tuple[int, ...], theta: float | None) -> None:
-        bits, cols = self._bits, self._cols
-        a, b = bits[:, cols[q[1]]], bits[:, cols[q[2]]]
-        diff = a ^ b
-        diff &= bits[:, cols[q[0]]]
-        a ^= diff
-        b ^= diff
+        cols = self._as_columns()
+        a, b = cols[q[1]], cols[q[2]]
+        diff = (a ^ b) & cols[q[0]]
+        cols[q[1]], cols[q[2]] = a ^ diff, b ^ diff
         self._settle()
 
     def _anti_cswap(self, q: tuple[int, ...], theta: float | None) -> None:
-        bits, cols = self._bits, self._cols
-        a, b = bits[:, cols[q[1]]], bits[:, cols[q[2]]]
-        diff = (a ^ b) > bits[:, cols[q[0]]]  # differ and control is 0
-        a ^= diff
-        b ^= diff
+        cols = self._as_columns()
+        a, b = cols[q[1]], cols[q[2]]
+        diff = (a ^ b) & ~cols[q[0]]  # differ and control is 0
+        cols[q[1]], cols[q[2]] = a ^ diff, b ^ diff
         self._settle()
 
     def _x(self, q: tuple[int, ...], theta: float | None) -> None:
-        target = self._bits[:, self._cols[q[0]]]
-        target ^= 1
+        cols = self._as_columns()
+        cols[q[0]] ^= (1 << len(self._amps)) - 1
         self._settle()
 
     def _cx(self, q: tuple[int, ...], theta: float | None) -> None:
-        bits, cols = self._bits, self._cols
-        target = bits[:, cols[q[1]]]
-        target ^= bits[:, cols[q[0]]]
+        cols = self._as_columns()
+        cols[q[1]] ^= cols[q[0]]
         self._settle()
 
     def _ccx(self, q: tuple[int, ...], theta: float | None) -> None:
-        bits, cols = self._bits, self._cols
-        target = bits[:, cols[q[2]]]
-        target ^= bits[:, cols[q[0]]] & bits[:, cols[q[1]]]
+        cols = self._as_columns()
+        cols[q[2]] ^= cols[q[0]] & cols[q[1]]
         self._settle()
 
-    def _diag(self, index: int, on_zero: complex, on_one: complex) -> None:
-        bit = self._bits[:, self._cols[index]]
-        re = np.array((on_zero.real, on_one.real))[bit]
-        im = np.array((on_zero.imag, on_one.imag))[bit]
-        self._amps = _multiply(self._amps, re, im)
+    def _diag(self, index: int, phases: tuple[np.ndarray, np.ndarray]) -> None:
+        """Multiply every amplitude by its branch's phase (see :func:`_phases`)."""
+        bit = self._branch_mask(self._as_columns()[index])
+        re, im = phases
+        self._amps = _multiply(self._amps, re.take(bit), im.take(bit))
         self._prune()
         self._pending = True
 
     def _cz(self, q: tuple[int, ...], theta: float | None) -> None:
-        bits, cols = self._bits, self._cols
-        both = (bits[:, cols[q[0]]] & bits[:, cols[q[1]]]).view(bool)
-        np.negative(self._amps, out=self._amps, where=both)
+        cols = self._as_columns()
+        both = self._branch_mask(cols[q[0]] & cols[q[1]])
+        np.negative(self._amps, out=self._amps, where=both.view(bool))
         self._pending = True
 
-    def _single_qubit_matrix(self, matrix: np.ndarray, index: int) -> None:
+    def _single_qubit_matrix(self, matrix: np.ndarray, col: int) -> None:
         """Apply a 2x2 matrix: split every branch in two, merge equal rows."""
-        col = self._cols[index]
+        rows = self._as_rows()
         terms = len(self._amps)
         # Candidate row 2t + b is branch t with the qubit set to b.
         source = np.repeat(np.arange(terms), 2)
         new_bit = np.tile(np.array([0, 1], dtype=np.uint8), terms)
-        old_bit = self._bits[source, col]
+        old_bit = rows[source, col]
         keep = np.abs(matrix)[new_bit, old_bit] >= _ATOL
         if not keep.all():
             source, new_bit, old_bit = source[keep], new_bit[keep], old_bit[keep]
-        bits = self._bits[source]
+        bits = rows[source]
         bits[:, col] = new_bit
         amps = _multiply(
             self._amps[source],
@@ -522,7 +568,7 @@ class SparseState(_SparseView):
         merged = np.empty(len(order), dtype=np.complex128)
         merged.real = np.bincount(group, weights=amps.real, minlength=len(order))
         merged.imag = np.bincount(group, weights=amps.imag, minlength=len(order))
-        self._bits = bits[first[order]]
+        self._rows = bits[first[order]]
         self._amps = merged
         self._prune()
 
@@ -549,9 +595,20 @@ def _ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _phases(on_zero: complex, on_one: complex) -> tuple[np.ndarray, np.ndarray]:
+    """A diagonal gate's phases as (real parts, imaginary parts), each
+    indexed by the qubit's value."""
+    return (
+        np.array((on_zero.real, on_one.real)),
+        np.array((on_zero.imag, on_one.imag)),
+    )
+
+
 def _rz(state: SparseState, q: tuple[int, ...], theta: float | None) -> None:
     theta = _require_theta("RZ", theta)
-    state._diag(q[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2))
+    state._diag(
+        q[0], _phases(cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2))
+    )
 
 
 _Handler = Callable[[SparseState, tuple[int, ...], float | None], None]
@@ -570,9 +627,9 @@ _HANDLERS: dict[str, _Handler] = {
     "RY": lambda s, q, t: s._single_qubit_matrix(
         _ry_matrix(_require_theta("RY", t)), q[0]
     ),
-    "Z": lambda s, q, t: s._diag(q[0], 1.0 + 0j, -1.0 + 0j),
-    "S": lambda s, q, t: s._diag(q[0], 1.0 + 0j, 1j),
-    "T": lambda s, q, t: s._diag(q[0], 1.0 + 0j, _T_PHASE),
+    "Z": lambda s, q, t: s._diag(q[0], _Z_PHASES),
+    "S": lambda s, q, t: s._diag(q[0], _S_PHASES),
+    "T": lambda s, q, t: s._diag(q[0], _T_PHASES),
     "RZ": _rz,
     "CZ": SparseState._cz,
 }
@@ -798,3 +855,6 @@ def _bits_to_int(bits: Sequence[int]) -> int:
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _Y_MATRIX = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _T_PHASE = cmath.exp(1j * math.pi / 4)
+_Z_PHASES = _phases(1.0 + 0j, -1.0 + 0j)
+_S_PHASES = _phases(1.0 + 0j, 1j)
+_T_PHASES = _phases(1.0 + 0j, _T_PHASE)

@@ -18,12 +18,13 @@ contract:
   draws against scalar draws, and a Poisson trace's times, tenants and
   shards against the historical per-request loop (its superpositions
   against a restatement of the keyed block stream);
-* the array-backed :class:`~repro.sim.sparse.SparseState` against the
+* the bit-sliced :class:`~repro.sim.sparse.SparseState` against the
   dict-backed :class:`~repro.sim.sparse.SparseStateScalar` — random
-  circuits, every Fat-Tree window occupancy, BB queries and a whole
-  functional serve; H on a column that is constant across rows, signed
-  zeros included, and register amplitudes read from the bit matrix,
-  against the generic view.
+  circuits, every gate on either side of the 64-branch word boundary,
+  every Fat-Tree window occupancy, BB queries and a whole functional
+  serve; H on a column that is constant across rows, signed zeros
+  included, and register amplitudes read from the branch matrix, against
+  the generic view.
 """
 
 from __future__ import annotations
