@@ -2,12 +2,15 @@
 
 * :mod:`repro.engine.events` — typed events (:class:`ClientThink`,
   :class:`WindowStart`, :class:`WindowDrain`, :class:`ScaleCheck`,
-  :class:`TelemetryTick`) and the virtual-time :class:`EventHeap`.
+  :class:`TelemetryTick`) and the virtual-time :class:`EventHeap`, which
+  also holds an open-loop trace's one pending arrival beside the heap
+  and lets a window start that would pop next be admitted at once.
 * :mod:`repro.engine.workload` — the :class:`WorkloadSource` interface
   unifying open-loop traces (:class:`StreamingTraceSource`, and the
   materialized :class:`TraceSource` it streams) and closed-loop
-  think-time clients (:class:`ClosedLoopSource`); every arrival enters
-  the engine as a :class:`ClientThink`.
+  think-time clients (:class:`ClosedLoopSource`); a closed-loop arrival
+  enters the engine as a :class:`ClientThink`, an open-loop one as the
+  held arrival, at the same place in the event order.
 * :mod:`repro.engine.core` — :class:`ServiceEngine` (SLO-aware admission,
   backpressure, elastic fleets, record retention modes and periodic
   telemetry) and the :class:`ServiceReport` it returns.

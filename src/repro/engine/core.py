@@ -544,7 +544,8 @@ class ServiceEngine:
         fleet = self.fleet
         self._source = source
         # The heap spans its own pushes and pops (``heap_push`` /
-        # ``heap_pop``); every other stage is spanned here.
+        # ``heap_pop``; held arrivals and claimed window starts are
+        # neither); every other stage is spanned here.
         self._profiler = HotPathProfiler() if self.profile else None
         self._heap = EventHeap(sanitize=self.sanitize, profiler=self._profiler)
         self._offered = 0
@@ -567,8 +568,8 @@ class ServiceEngine:
         # no-ops (and re-derivable from the queue) while this is False.
         self._slo_seen = False
         # Frozen per-shard events are reusable singletons: one WindowStart
-        # / WindowDrain per shard and one ClientThink per client serve the
-        # whole run instead of one allocation per event.
+        # / WindowDrain per shard and one ClientThink per closed-loop
+        # client serve the whole run instead of one allocation per event.
         self._start_events = [WindowStart(shard) for shard in range(num_shards)]
         self._drain_events = [WindowDrain(shard) for shard in range(num_shards)]
         self._think_events: dict[int, ClientThink] = {}
@@ -578,8 +579,8 @@ class ServiceEngine:
         self._rejected_sink = self._make_sink()
         self._scale_sink = self._make_sink()
         self._aggregator = StreamingServiceAggregator()
-        # Traffic events (arrivals / thinks / window starts / drains) still
-        # in the heap — the liveness signal recurring ticks (ScaleCheck,
+        # Traffic events (the held arrival, thinks, window starts, drains)
+        # still pending — the liveness signal recurring ticks (ScaleCheck,
         # TelemetryTick) use to decide whether to reschedule without
         # keeping each other alive forever.
         self._traffic_events = 0
@@ -666,29 +667,34 @@ class ServiceEngine:
             self._heap.push(self.telemetry_interval, TelemetryTick())
 
         # The drain loop is the innermost hot loop of every run: bind the
-        # heap and its pop once, branch on exact event classes (events are
-        # final dataclasses, ordered here by serving frequency), and keep
-        # the sanitizer check behind one cached flag.
-        heap = self._heap
-        pop = heap.pop
+        # heap's next_event once, branch on exact event classes (events
+        # are final dataclasses, ordered here by serving frequency; a
+        # ``None`` event is the held open-loop arrival), and keep the
+        # sanitizer check behind one cached flag.
+        next_event = self._heap.next_event
         sanitize = self.sanitize
-        while heap:
-            now, event = pop()
+        while (item := next_event()) is not None:
+            now, event = item
             cls = event.__class__
             if sanitize:
                 if now < self._now:
+                    name = "arrival" if event is None else cls.__name__
                     raise SanitizerViolation(
                         f"virtual clock moved backwards: popped "
-                        f"{cls.__name__} at {now} after {self._now}"
+                        f"{name} at {now} after {self._now}"
                     )
                 if cls is WindowDrain:
                     self._check_conservation(now)
             self._now = now
-            if cls is ClientThink:
+            if event is None or cls is ClientThink:
                 self._traffic_events -= 1
                 if profiler is not None:
                     profiler.enter("workload_source")
-                request = source.next_request(self, event.client_id, now)
+                request = (
+                    source.next_arrival(self, now)
+                    if event is None
+                    else source.next_request(self, event.client_id, now)
+                )
                 if profiler is not None:
                     profiler.exit()
                 if request is not None:
@@ -861,15 +867,22 @@ class ServiceEngine:
 
     # ----------------------------------------------- source-facing scheduling
     def schedule_think(self, client_id: int, time: float) -> None:
-        """Schedule a client's next issue instant: a closed-loop client's,
-        or an open-loop trace's next arrival.  Validation of amplitudes and
-        duplicate ids happens when the arrival is processed — the one path
-        every request takes, trace or closed-loop."""
+        """Schedule a closed-loop client's next issue instant.  Validation
+        of amplitudes and duplicate ids happens when the arrival is
+        processed — the one path every request takes, trace or
+        closed-loop."""
         self._traffic_events += 1
         event = self._think_events.get(client_id)
         if event is None:
             event = self._think_events[client_id] = ClientThink(client_id)
         self._heap.push(max(0.0, time), event)
+
+    def schedule_arrival(self, time: float) -> None:
+        """Schedule an open-loop trace's next arrival.  It is held beside
+        the event heap, not pushed: the source has exactly one pending,
+        and it leaves in the order a pushed :class:`ClientThink` would."""
+        self._traffic_events += 1
+        self._heap.hold_arrival(max(0.0, time))
 
     # ------------------------------------------------------------ recording
     def _record_served(self, record: ServedQuery) -> None:
@@ -1051,16 +1064,28 @@ class ServiceEngine:
         self._source.on_rejection(self, record)
 
     def _maybe_start(self, shard: int, now: float) -> None:
-        """Schedule a window admission on an idle shard with queued work."""
+        """Admit a window on an idle shard with queued work: at once when
+        its WindowStart would be the next event out, else by pushing it.
+
+        Admitting at once is admitting where the pushed start would have
+        popped: arrivals and drains return straight after this call, and
+        a rebalance only starts its other shards before it reschedules
+        its ScaleCheck — which it does either way, since the shard the
+        work came from is still busy or has its own start pending.
+        """
         if (
             self._active[shard]
             and self._queues[shard]
             and not self._window_pending[shard]
             and self._busy_until[shard] <= now
         ):
+            start = self._start_events[shard]
+            if self._heap.claim(now, start):
+                self._on_window_start(now, shard)
+                return
             self._window_pending[shard] = True
             self._traffic_events += 1
-            self._heap.push(now, self._start_events[shard])
+            self._heap.push(now, start)
 
     def _on_window_start(self, now: float, shard: int) -> None:
         self._window_pending[shard] = False

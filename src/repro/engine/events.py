@@ -8,16 +8,22 @@ legacy batch-window loop did:
 1. :class:`ClientThink` — every request that arrives at time ``t`` is
    enqueued before any window admits at ``t``.  A think event *is* an
    arrival: a closed-loop client issues its next request the moment its
-   think time elapses, and an open-loop trace is paced the same way, one
-   pending request at a time.  (Priority 0 belonged to a retired
-   per-request arrival event; the others keep their numbers, which stay
-   unique as simlint's SIM004 enforces.)
+   think time elapses.  An open-loop trace is paced at the same priority,
+   one pending request at a time, but its arrival never enters the heap:
+   :meth:`EventHeap.hold_arrival` keeps it beside the heap under the key
+   a pushed :class:`ClientThink` would have had, and
+   :meth:`EventHeap.next_event` hands it out when that key is the
+   smallest.  (Priority 0 belonged to a retired per-request arrival
+   event; the others keep their numbers, which stay unique as simlint's
+   SIM004 enforces.)
 2. :class:`WindowDrain` — shards that finish at ``t`` free up before new
    windows are considered;
 3. :class:`ScaleCheck` — the autoscaler observes the post-drain queue
    depths;
 4. :class:`WindowStart` — idle shards with queued work admit one pipeline
-   window each;
+   window each.  A start that would be the very next pop is never pushed:
+   :meth:`EventHeap.claim` consumes it where it is scheduled, and the
+   engine admits the window at once;
 5. :class:`TelemetryTick` — the periodic telemetry flush observes the
    instant last, after every admission at ``t`` has resolved, so its
    queue-depth snapshot never counts work a window at the same instant
@@ -37,7 +43,10 @@ later round unfolds after everything left of the earlier one at ``t``, in
 the same priority order, and popped keys never decrease.  An event
 pushed for a later time, or at a priority round 0 of its instant has not
 yet passed, stays in round 0, so a run without such same-instant
-feedback keeps its historical order exactly.
+feedback keeps its historical order exactly.  A held arrival and a
+claimed start take their keys by the same rule, and taking or claiming
+one moves the instant and its rank exactly as popping it would, so the
+unfolding order is that of pushing and popping them.
 """
 
 from __future__ import annotations
@@ -141,12 +150,19 @@ class EventHeap:
     The sequence number both breaks ties deterministically and keeps the
     heap from ever comparing event payloads.
 
+    Beside the heap it holds at most one open-loop arrival
+    (:meth:`hold_arrival`), keyed as a :class:`ClientThink` pushed at the
+    same moment.  A drain loop takes events with :meth:`next_event`,
+    which hands out the held arrival or pops the heap; :meth:`pop` sees
+    the heap alone.
+
     Args:
         sanitize: verify on every operation that timestamps are finite
-            numbers and that popped keys come out in nondecreasing
-            ``(time, priority, sequence)`` order.
+            numbers and that popped, taken and claimed keys come out in
+            nondecreasing ``(time, priority, sequence)`` order.
         profiler: the run's profiler, if it is profiled: every push and
-            pop is one ``heap_push`` / ``heap_pop`` span.
+            pop is one ``heap_push`` / ``heap_pop`` span (held arrivals
+            and claimed events are not heap operations and open none).
     """
 
     def __init__(
@@ -161,6 +177,28 @@ class EventHeap:
         # how far it has got.
         self._now = 0.0
         self._floor = 0
+        # Key of the held open-loop arrival, if any.
+        self._arrival: tuple[float, int, int] | None = None
+
+    def _next_round(self, rank: int) -> int:
+        """The rank of a priority pushed at the instant being unfolded,
+        behind its last pop: the first round at this instant that has not
+        passed the priority yet."""
+        floor = self._floor
+        rank += floor - floor % ROUND
+        if rank < floor:
+            rank += ROUND
+        return rank
+
+    def _check_order(self, key: tuple[float, int, int]) -> None:
+        """Sanitizer check that a key leaving the heap is not below the
+        last one that left."""
+        if self._last_key is not None and key < self._last_key:
+            raise SanitizerViolation(
+                f"heap popped key {key} after {self._last_key}: "
+                "event order is not nondecreasing"
+            )
+        self._last_key = key
 
     def push(self, time: float, event: Event) -> None:
         """Schedule an event at an absolute virtual time (raw layers)."""
@@ -174,19 +212,15 @@ class EventHeap:
         rank = event.PRIORITY
         # The priority compare comes first: it settles the common case.
         if rank < self._floor and time == self._now:
-            # Behind the instant's last pop: join the first round at this
-            # instant that has not passed the event's priority yet.
-            floor = self._floor
-            rank += floor - floor % ROUND
-            if rank < floor:
-                rank += ROUND
+            rank = self._next_round(rank)
         heapq.heappush(self._heap, (time, rank, self._sequence, event))
         self._sequence += 1
         if profiler is not None:
             profiler.exit()
 
     def pop(self) -> tuple[float, Event]:
-        """Remove and return the next ``(time, event)`` pair."""
+        """Remove and return the heap's next ``(time, event)`` pair (the
+        held arrival is :meth:`next_event`'s to hand out)."""
         profiler = self._profiler
         if profiler is not None:
             profiler.enter("heap_pop")
@@ -194,16 +228,54 @@ class EventHeap:
         self._now = time
         self._floor = rank
         if self._sanitize:
-            key = (time, rank, sequence)
-            if self._last_key is not None and key < self._last_key:
-                raise SanitizerViolation(
-                    f"heap popped key {key} after {self._last_key}: "
-                    "event order is not nondecreasing"
-                )
-            self._last_key = key
+            self._check_order((time, rank, sequence))
         if profiler is not None:
             profiler.exit()
         return time, event
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+    def hold_arrival(self, time: float) -> None:
+        """Hold the next open-loop arrival beside the heap, keyed as a
+        :class:`ClientThink` pushed at ``time`` now would be."""
+        if self._arrival is not None:
+            raise ValueError("an arrival is already held")
+        if self._sanitize and not time == time:
+            raise SanitizerViolation("arrival scheduled at NaN")
+        rank = ClientThink.PRIORITY
+        if rank < self._floor and time == self._now:
+            rank = self._next_round(rank)
+        self._arrival = (time, rank, self._sequence)
+        self._sequence += 1
+
+    def next_event(self) -> tuple[float, Event | None] | None:
+        """Remove and return the next ``(time, event)`` pair, the event
+        ``None`` for the held arrival; ``None`` once nothing is left."""
+        arrival = self._arrival
+        heap = self._heap
+        if arrival is None or (heap and heap[0] < arrival):
+            return self.pop() if heap else None
+        self._arrival = None
+        time, self._floor, _ = arrival
+        self._now = time
+        if self._sanitize:
+            self._check_order(arrival)
+        return time, None
+
+    def claim(self, time: float, event: Event) -> bool:
+        """Consume ``event`` where it is scheduled if, pushed at ``time``
+        now, it would be the next to leave (the held arrival counted):
+        advance as its pop would and return True.  Otherwise change
+        nothing and return False, for the caller to push it."""
+        rank = event.PRIORITY
+        if rank < self._floor and time == self._now:
+            rank = self._next_round(rank)
+        key = (time, rank, self._sequence)
+        if (self._heap and self._heap[0] < key) or (
+            self._arrival is not None and self._arrival < key
+        ):
+            return False
+        self._sequence += 1
+        self._now = time
+        self._floor = rank
+        if self._sanitize:
+            self._check_order(key)
+        return True

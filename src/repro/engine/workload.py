@@ -8,10 +8,10 @@ are provided:
   to service latency (the Poisson / bursty traces of
   :mod:`repro.workloads.generators`), pulled one arrival at a time, so
   million-query traces (the lazy ``iter_poisson_trace`` /
-  ``iter_bursty_trace`` generators) are never materialized and the event
-  heap holds at most one future arrival.  :class:`TraceSource` is the
-  materialized variant: it sorts a finite trace first, then streams it
-  the same way.
+  ``iter_bursty_trace`` generators) are never materialized and the engine
+  holds at most one future arrival, beside its event heap rather than in
+  it.  :class:`TraceSource` is the materialized variant: it sorts a
+  finite trace first, then streams it the same way.
 * :class:`ClosedLoopSource` — closed loop: ``N`` clients that alternate one
   outstanding query with ``think_layers`` of local processing, the QPU
   query/process loop of Fig. 7.  Each client's next arrival
@@ -20,10 +20,13 @@ are provided:
   source on the paper's timing model
   (:func:`repro.scheduling.contention.serve_closed_loop`).
 
-Both families enter the engine the same way: ``start`` schedules one
-:class:`~repro.engine.events.ClientThink` per client (an open-loop trace
-is paced on one pseudo client), and when a think event fires the engine
-asks ``next_request`` for that client's request.  ``on_completion`` and
+``start`` schedules each family's first arrivals.  A closed-loop source
+schedules one :class:`~repro.engine.events.ClientThink` per client, and
+when a think event fires the engine asks ``next_request`` for that
+client's request.  An open-loop source schedules its one pending arrival
+with ``ServiceEngine.schedule_arrival``, and when it is due the engine
+asks ``next_arrival`` for it; the arrival leaves at the same place in the
+event order as a pushed think would.  ``on_completion`` and
 ``on_rejection`` observe every served and refused query.  Every hook
 takes the engine as its first argument, so a source never stores it: a
 source and its engine form no reference cycle, and a finished engine is
@@ -74,6 +77,12 @@ class WorkloadSource:
             f"{type(self).__name__} has no closed-loop clients"
         )
 
+    def next_arrival(self, engine: ServiceEngine, now: float) -> QueryRequest | None:
+        """The open-loop arrival scheduled for ``now`` (or ``None``)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no open-loop arrivals"
+        )
+
 
 def check_request_time(request: QueryRequest) -> None:
     """Refuse an arrival before the clock's origin (time 0): a negative
@@ -95,17 +104,14 @@ def check_arrival(request: QueryRequest) -> None:
         raise ValueError("min_fidelity must be in (0, 1]")
 
 
-#: Pseudo client id a :class:`StreamingTraceSource` paces its arrivals on.
-_STREAM_CLIENT = -1
-
-
 class StreamingTraceSource(WorkloadSource):
     """Open-loop traffic pulled lazily from a time-ordered request iterator.
 
     The source holds exactly one pending request: each arrival, once
-    delivered, pulls the next from the iterator and schedules it.  Peak
-    memory is independent of trace length — the serving mode of the
-    million-query scale benchmark.
+    delivered, pulls the next from the iterator and schedules it with
+    ``ServiceEngine.schedule_arrival``, which holds it beside the event
+    heap.  Peak memory is independent of trace length — the serving mode
+    of the million-query scale benchmark.
 
     Requests must arrive from the iterator in nondecreasing
     ``request_time`` order with nonnegative times (the order
@@ -122,29 +128,28 @@ class StreamingTraceSource(WorkloadSource):
 
     def start(self, engine: ServiceEngine) -> None:
         self._iterator = iter(self._requests)
-        self._pending = next(self._iterator, None)
+        self._pending = None
         self._last_time = 0.0
+        # Pull and schedule the first request; nothing was pending yet.
+        self.next_arrival(engine, 0.0)
         if self._pending is None:
             raise ValueError("at least one request is required")
-        self._schedule(engine, self._pending)
 
-    def _schedule(self, engine: ServiceEngine, request: QueryRequest) -> None:
-        check_request_time(request)
-        if request.request_time < self._last_time:
-            raise ValueError(
-                "streaming traces must be sorted by request_time "
-                f"(saw {request.request_time} after {self._last_time})"
-            )
-        self._last_time = request.request_time
-        engine.schedule_think(_STREAM_CLIENT, request.request_time)
-
-    def next_request(
-        self, engine: ServiceEngine, client_id: int, now: float
-    ) -> QueryRequest | None:
+    def next_arrival(self, engine: ServiceEngine, now: float) -> QueryRequest | None:
         request = self._pending
-        self._pending = next(self._iterator, None)
-        if self._pending is not None:
-            self._schedule(engine, self._pending)
+        pending = self._pending = next(self._iterator, None)
+        if pending is not None:
+            time = pending.request_time
+            # The last time is never negative, so one compare guards both
+            # checks on the hot path.
+            if time < self._last_time:
+                check_request_time(pending)
+                raise ValueError(
+                    "streaming traces must be sorted by request_time "
+                    f"(saw {time} after {self._last_time})"
+                )
+            self._last_time = time
+            engine.schedule_arrival(time)
         return request
 
 

@@ -60,16 +60,6 @@ class InterleavedShardMap:
         self.num_shards = num_shards
         self.shard_capacity = capacity // num_shards
 
-    def shard_of(self, address: int) -> int:
-        """Shard owning a global address."""
-        self._check(address)
-        return address % self.num_shards
-
-    def local_address(self, address: int) -> int:
-        """Address of a global address within its shard."""
-        self._check(address)
-        return address // self.num_shards
-
     def global_address(self, shard: int, local: int) -> int:
         """Global address of a shard-local address."""
         if not 0 <= shard < self.num_shards:
@@ -111,17 +101,26 @@ class InterleavedShardMap:
             return address % num_shards, {
                 address // num_shards: address_amplitudes[address]
             }
-        shards = {self.shard_of(a) for a in address_amplitudes}
-        if len(shards) != 1:
+        capacity = self.capacity
+        num_shards = self.num_shards
+        shard = next(iter(address_amplitudes)) % num_shards
+        spans = False
+        # Every address is range-checked before a span is reported.
+        for address in address_amplitudes:
+            if not 0 <= address < capacity:
+                raise ValueError(f"address {address} out of range")
+            if address % num_shards != shard:
+                spans = True
+        if spans:
+            shards = sorted({a % num_shards for a in address_amplitudes})
             raise ValueError(
-                f"address superposition spans shards {sorted(shards)}; "
+                f"address superposition spans shards {shards}; "
                 "queries must target a single shard"
             )
-        shard = shards.pop()
-        local = {
-            self.local_address(a): amp for a, amp in address_amplitudes.items()
+        return shard, {
+            address // num_shards: amp
+            for address, amp in address_amplitudes.items()
         }
-        return shard, local
 
     def to_global_outputs(
         self, shard: int, outputs: Mapping[tuple[int, int], complex]

@@ -86,7 +86,9 @@ class QubitLayout:
 
     def __init__(self, qubits: Iterable[Qubit]) -> None:
         self.qubits: tuple[Qubit, ...] = tuple(qubits)
-        if len(set(self.qubits)) != len(self.qubits):
+        # Each label's position, copied into every state built from it.
+        self.index = {qubit: i for i, qubit in enumerate(self.qubits)}
+        if len(self.index) != len(self.qubits):
             raise ValueError("a layout names every qubit once")
         self.resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved] = {}
 
@@ -110,7 +112,10 @@ class _SparseView:
         """A state over ``layout``'s qubits, all |0>, that resolves gates
         through the layout's shared memo."""
         state = cls()
-        state.ensure_qubits(layout.qubits)
+        # Copies, not aliases: a state that adds a qubit leaves the layout.
+        state._qubits = list(layout.qubits)
+        state._index = dict(layout.index)
+        state._append_columns(len(layout.qubits), 0)
         state._resolved = layout.resolved
         return state
 
@@ -118,6 +123,11 @@ class _SparseView:
         raise NotImplementedError
 
     def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
+        raise NotImplementedError
+
+    def _append_columns(self, count: int, value: int) -> None:
+        """Extend every branch by ``count`` qubits in ``|value>`` (their
+        labels are already in ``_qubits``/``_index``)."""
         raise NotImplementedError
 
     def apply_gate(
@@ -666,8 +676,12 @@ class SparseStateScalar(_SparseView):
     def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
         """Add a new qubit initialised to ``|value>``."""
         self._add_label(qubit, value)
+        self._append_columns(1, value)
+
+    def _append_columns(self, count: int, value: int) -> None:
+        bits = (value,) * count
         self._amplitudes = {
-            basis + (value,): amp for basis, amp in self._amplitudes.items()
+            basis + bits: amp for basis, amp in self._amplitudes.items()
         }
 
     def _prune(self) -> None:

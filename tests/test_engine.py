@@ -9,6 +9,7 @@ from repro import (
     QRAMService,
     QueryRequest,
     ServiceEngine,
+    StreamingTraceSource,
     TraceSource,
 )
 from repro.engine.events import (
@@ -104,7 +105,25 @@ def test_event_heap_ties_resolve_in_insertion_order_interleaved():
     heap.push(2.0, c)  # arrives after a pop, still behind b at t=2.0
     heap.push(1.0, d)  # earlier time beats every same-priority tie
     assert [heap.pop()[1] for _ in range(3)] == [d, b, c]
-    assert not heap
+    assert heap.next_event() is None
+
+
+def test_held_arrival_and_claims_leave_in_pushed_order():
+    """A held arrival leaves where a pushed ClientThink would; a claim
+    succeeds only for the event that would pop next."""
+    heap = EventHeap(sanitize=True)
+    heap.push(5.0, WindowDrain(0))
+    heap.hold_arrival(5.0)
+    with pytest.raises(ValueError, match="already held"):
+        heap.hold_arrival(6.0)
+    assert heap.next_event() == (5.0, None)
+    assert not heap.claim(5.0, WindowStart(0))  # the drain at (5, 2) is ahead
+    assert heap.next_event() == (5.0, WindowDrain(0))
+    assert heap.claim(5.0, WindowStart(0))
+    heap.hold_arrival(7.0)
+    assert not heap.claim(7.0, WindowStart(1))  # behind the held arrival
+    assert heap.next_event() == (7.0, None)
+    assert heap.next_event() is None
 
 
 def test_event_heap_key_shape_is_pinned():
@@ -135,6 +154,85 @@ def test_open_loop_runs_are_seed_stable():
     second = ServiceEngine(service).run(TraceSource(trace))
     assert _timing_signature(first) == _timing_signature(second)
     assert first.stats == second.stats
+
+
+# ------------------------------------------- held arrivals, claimed starts
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_streaming_trace_pushes_no_client_think(monkeypatch, sanitize):
+    """An open-loop trace's pending arrival is held beside the heap."""
+    pushed = []
+    push = EventHeap.push
+
+    def spy(heap, time, event):
+        pushed.append(type(event))
+        push(heap, time, event)
+
+    monkeypatch.setattr(EventHeap, "push", spy)
+    trace = iter_poisson_trace(16, 300, mean_interarrival=4.0, num_shards=2, seed=9)
+    service = QRAMService(16, num_shards=2, functional=False)
+    report = ServiceEngine(service, sanitize=sanitize, workers=0).run(
+        StreamingTraceSource(trace)
+    )
+    assert report.stats.total_queries == 300
+    assert ClientThink not in pushed
+    assert pushed.count(WindowDrain) == len(report.windows)
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_arrivals_at_one_instant_share_one_window(sanitize):
+    """The first arrival's start waits behind the held second arrival."""
+    service = QRAMService(16, num_shards=1, functional=False)
+    requests = [QueryRequest(i, {2 * i: 1.0}, request_time=5.0) for i in range(2)]
+    report = ServiceEngine(service, sanitize=sanitize).run(TraceSource(requests))
+    assert [(w.admit_layer, w.batch_size) for w in report.windows] == [(5.0, 2)]
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_arrival_at_a_drain_is_queued_before_its_admission(sanitize):
+    """An arrival at the instant a shard drains is queued before the
+    drain admits the shard's next window."""
+    service = QRAMService(
+        16, num_shards=1, window_size=1, policy="priority", functional=False
+    )
+    drain = service.shards[0].run_window(
+        [QueryRequest(99, {0: 1.0})], functional=False
+    ).total_layers
+    requests = [
+        QueryRequest(0, {0: 1.0}, request_time=0.0),
+        QueryRequest(1, {1: 1.0}, request_time=0.0, priority=0),
+        QueryRequest(2, {2: 1.0}, request_time=float(drain), priority=5),
+    ]
+    report = ServiceEngine(service, sanitize=sanitize).run(TraceSource(requests))
+    # At the drain both queued requests compete: priority admits query 2
+    # first, which it can only do if query 2 was already queued.
+    assert [(r.query_id, r.admit_layer) for r in report.served] == [
+        (0, 0.0), (2, float(drain)), (1, 2.0 * drain),
+    ]
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_closed_loop_shed_reopens_its_instant(sanitize):
+    """A request shed at ``t`` by a window start lets its zero-think client
+    issue again at ``t``, in the instant's next round, and be served."""
+    service = QRAMService(16, num_shards=1, window_size=1, functional=False)
+    drain = service.shards[0].run_window(
+        [QueryRequest(99, {0: 1.0})], functional=False
+    ).total_layers
+    source = ClosedLoopSource(
+        [
+            ClosedLoopClient(0, queries=1, think_layers=0.0),
+            ClosedLoopClient(1, queries=2, think_layers=0.0,
+                             deadline_layers=drain / 2),
+        ],
+        lambda client, index: {client.client_id: 1.0},
+    )
+    report = ServiceEngine(
+        service, shed_expired=True, sanitize=sanitize
+    ).run(source)
+    assert [(r.tenant, r.time) for r in report.rejected] == [(1, drain)]
+    assert [(r.tenant, r.request_time, r.admit_layer) for r in report.served] == [
+        (0, 0.0, 0.0), (1, drain, drain),
+    ]
 
 
 # ------------------------------------------------------------- closed loop

@@ -113,21 +113,37 @@ def test_same_instant_push_behind_the_last_pop_opens_a_round():
         (10.0, WindowStart(0)),
         (11.0, ClientThink(7)),
     ]
-    assert not heap
+    assert heap.next_event() is None
 
 
 # ------------------------------------------------------------ engine tripwires
 class _LIFOStubHeap:
-    """Drop-in EventHeap that pops newest-first: time runs backwards."""
+    """Drop-in EventHeap that pops newest-first: time runs backwards.
+
+    It hands out every held arrival first and claims no event, so a
+    trace's arrivals all run before the window starts pop in reverse."""
 
     def __init__(self, sanitize=False, profiler=None):
         self._items = []
+        self._arrival = None
 
     def push(self, time, event):
         self._items.append((time, event))
 
     def pop(self):
         return self._items.pop()
+
+    def hold_arrival(self, time):
+        self._arrival = time
+
+    def next_event(self):
+        if self._arrival is not None:
+            time, self._arrival = self._arrival, None
+            return time, None
+        return self.pop() if self._items else None
+
+    def claim(self, time, event):
+        return False
 
     def __len__(self):
         return len(self._items)

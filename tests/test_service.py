@@ -18,11 +18,10 @@ def test_shard_map_round_trip():
     shard_map = InterleavedShardMap(32, 4)
     assert shard_map.shard_capacity == 8
     for address in range(32):
-        shard = shard_map.shard_of(address)
-        local = shard_map.local_address(address)
-        assert shard_map.global_address(shard, local) == address
+        shard, local = shard_map.route({address: 1.0})
+        assert [shard_map.global_address(shard, a) for a in local] == [address]
     # Interleaving: consecutive addresses land on consecutive shards.
-    assert [shard_map.shard_of(a) for a in range(4)] == [0, 1, 2, 3]
+    assert [shard_map.route({a: 1.0})[0] for a in range(4)] == [0, 1, 2, 3]
 
 
 def test_shard_map_routes_aligned_superpositions():
@@ -36,10 +35,19 @@ def test_shard_map_routes_aligned_superpositions():
 
 def test_shard_map_rejects_spanning_superpositions():
     shard_map = InterleavedShardMap(16, 2)
-    with pytest.raises(ValueError, match="spans shards"):
+    with pytest.raises(
+        ValueError,
+        match=r"^address superposition spans shards \[0, 1\]; "
+        "queries must target a single shard$",
+    ):
         shard_map.route({0: 0.7, 1: 0.7})
     with pytest.raises(ValueError):
         shard_map.route({})
+    # Every address is range-checked first, even where the superposition
+    # also spans shards.
+    for amps in ({0: 0.7, 16: 0.7}, {1: 0.7, 16: 0.7}, {16: 0.7, 1: 0.7}):
+        with pytest.raises(ValueError, match=r"^address 16 out of range$"):
+            shard_map.route(amps)
 
 
 def test_shard_map_validates_configuration():
@@ -48,7 +56,7 @@ def test_shard_map_validates_configuration():
     with pytest.raises(ValueError):
         InterleavedShardMap(8, 8)         # shards of capacity 1
     with pytest.raises(ValueError):
-        InterleavedShardMap(16, 2).shard_of(16)
+        InterleavedShardMap(16, 2).route({16: 1.0})
 
 
 def test_shard_data_slices_interleaved_memory():

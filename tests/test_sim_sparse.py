@@ -171,6 +171,12 @@ def test_states_from_one_layout_share_its_resolution_memo(storage):
     assert list(second.items()) == list(first.items())
     assert len(layout.resolved) == 2
     second.add_qubit("d")
+    # The states copy the layout's labels: one leaving it changes neither
+    # the layout nor its other states.
+    assert first.qubits == ["a", "b", "c"]
+    fresh = storage.from_layout(layout)
+    assert fresh.qubits == ["a", "b", "c"]
+    fresh.add_qubit("d")
     second.apply_gate("CX", ("d", "b"))
     second.apply_gate("swap", ["a", "d"])
     assert len(layout.resolved) == 2

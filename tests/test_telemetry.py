@@ -422,7 +422,7 @@ def test_negative_request_time_rejected(service):
     engine._reset(source)
     with pytest.raises(ValueError, match="negative request_time"):
         source.start(engine)
-    assert not engine._heap
+    assert engine._heap.next_event() is None
 
 
 @pytest.mark.parametrize("source_type", [StreamingTraceSource, TraceSource])

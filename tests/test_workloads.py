@@ -106,8 +106,8 @@ def test_interleaved_round_trip_across_shard_counts(capacity, num_shards):
     assert shard_map.shard_capacity * num_shards == capacity
     seen = set()
     for address in range(capacity):
-        shard = shard_map.shard_of(address)
-        local = shard_map.local_address(address)
+        shard, amplitudes = shard_map.route({address: 1.0})
+        (local,) = amplitudes
         assert 0 <= shard < num_shards
         assert 0 <= local < shard_map.shard_capacity
         assert shard_map.global_address(shard, local) == address
@@ -121,10 +121,8 @@ def test_interleaved_shard_data_partitions_memory(capacity, num_shards):
     shard_map = InterleavedShardMap(capacity, num_shards)
     data = list(range(capacity))
     slices = [shard_map.shard_data(data, s) for s in range(num_shards)]
-    rebuilt = [
-        slices[shard_map.shard_of(a)][shard_map.local_address(a)]
-        for a in range(capacity)
-    ]
+    routes = [shard_map.route({a: 1.0}) for a in range(capacity)]
+    rebuilt = [slices[shard][local] for shard, (local,) in routes]
     assert rebuilt == data
 
 
@@ -151,9 +149,9 @@ def test_interleaved_rejects_invalid_capacity():
 def test_interleaved_rejects_out_of_range_coordinates():
     shard_map = InterleavedShardMap(16, 2)
     with pytest.raises(ValueError):
-        shard_map.shard_of(-1)
+        shard_map.route({-1: 1.0})
     with pytest.raises(ValueError):
-        shard_map.local_address(16)
+        shard_map.route({16: 1.0})
     with pytest.raises(ValueError):
         shard_map.global_address(2, 0)
     with pytest.raises(ValueError):
