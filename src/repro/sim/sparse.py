@@ -20,11 +20,19 @@ branch at once.  Amplitudes are one ``complex128`` vector in branch order.
   two or three big-int XOR/AND operations, each linear in the branch
   count (CPython works through 30 branch bits per digit) and no numpy
   call;
-* the diagonal gates (Z, S, T, RZ, CZ) unpack the column into a branch
+* Z no longer unpacks its column per gate: it records the column int,
+  the next permutation XORs the recorded columns into one sign mask, and
+  the signs land on the amplitudes (one negation) only when something
+  next reads them.  Z gates after the last permutation are replayed one
+  by one instead, because two products by -1 are not the identity on
+  signed zeros;
+* the other diagonal gates (S, T, RZ, CZ) unpack the column into a branch
   mask for one elementwise product;
-* H/Y/RY duplicate and merge rows, and preparation, pruning, register
-  readout and the basis view are row operations too: for those the bits
-  are held as a ``branches x qubits`` ``uint8`` matrix instead.
+* H/Y/RY duplicate and merge rows (a column constant across rows, such
+  as a fresh bus, merges none, so its split skips the merge), and
+  preparation, pruning, register readout and the basis view are row
+  operations too: for those the bits are held as a ``branches x qubits``
+  ``uint8`` matrix instead.
 
 The bits live in one layout at a time and convert (``np.packbits`` /
 ``np.unpackbits``) only when the next operation needs the other one, so a
@@ -44,7 +52,9 @@ amplitudes straight from its branch matrix instead.
 Every state memoizes how it resolved a gate call (``(gate, qubits)`` to
 canonical name and qubit indices).  States built from one
 :class:`QubitLayout` share that memo: circuits replayed on many states of
-the same qubit order validate and look up each distinct gate call once.
+the same qubit order validate and look up each distinct gate call once,
+and :meth:`SparseState.apply_gate` reaches a gate's handler with one memo
+lookup.
 """
 
 from __future__ import annotations
@@ -249,7 +259,9 @@ class _SparseView:
         also be in superposition, as long as the overall state factorises as
         ``|register> (x) |rest>``.  The returned amplitudes are normalised and
         carry an overall phase convention fixed by the largest-amplitude
-        branch of the rest.
+        branch of the rest.  Among rest branches of equal weight, the first
+        in the set order of the rest bit tuples wins (the order a ``set``
+        of those tuples iterates in, built in branch order).
 
         Raises:
             ValueError: if the register is genuinely entangled with the rest.
@@ -257,9 +269,11 @@ class _SparseView:
         idx = [self._index[q] for q in qubits]
         others = [i for i in range(len(self._qubits)) if i not in idx]
         terms = self._terms()
+        rests = [tuple(basis[i] for i in others) for basis in terms]
         return _factor_register(
             [_bits_to_int(tuple(basis[i] for i in idx)) for basis in terms],
-            [tuple(basis[i] for i in others) for basis in terms],
+            rests,
+            lambda firsts: [rests[t] for t in firsts],
             terms.values(),
         )
 
@@ -339,9 +353,19 @@ class SparseState(_SparseView):
         self._view: dict[Basis, complex] | None = None
         # The dict storage rebuilds every amplitude as ``0.0 + amp`` on a
         # permutation (a -0.0 part becomes +0.0) and then prunes.  That work
-        # is pending only after a preparation (which may leave |amp| <=
-        # _ATOL branches) or a diagonal gate (which may leave -0.0 parts).
+        # is pending only after a preparation, which may also leave |amp| <=
+        # _ATOL branches (_unpruned), or a diagonal gate, which may leave
+        # -0.0 parts.
         self._pending = False
+        self._unpruned = False
+        # Work deferred while the bits are columns (see _z), applied by
+        # _flush: _signs, when not None, is what the permutations since
+        # the last read owe (negate the branches of the Z gates before
+        # them, the XOR of their columns, then add 0.0); _tail holds the
+        # columns of the Z gates since the last permutation, replayed
+        # exactly.
+        self._signs: int | None = None
+        self._tail: list[int] = []
         for q in qubits:
             self.add_qubit(q)
 
@@ -387,7 +411,9 @@ class SparseState(_SparseView):
         return self._columns
 
     def _as_rows(self) -> np.ndarray:
-        """The bits as a branch matrix, converted from columns if need be."""
+        """The bits as a branch matrix, converted from columns if need be
+        (every row operation reads the amplitudes: deferred Z gates land)."""
+        self._flush()
         if self._rows is None:
             terms = len(self._amps)
             size = (terms + 7) // 8
@@ -408,6 +434,21 @@ class SparseState(_SparseView):
             np.frombuffer(data, dtype=np.uint8), count=terms, bitorder="little"
         )
 
+    def _flush(self) -> None:
+        """Apply the deferred Z gates (see :meth:`_z`) to the amplitudes."""
+        if self._signs is not None:
+            if self._signs:
+                negate = self._branch_mask(self._signs).view(bool)
+                np.negative(self._amps, out=self._amps, where=negate)
+            self._amps = self._amps + 0.0
+            self._signs = None
+        if self._tail:
+            re, im = _Z_PHASES
+            for column in self._tail:
+                bit = self._branch_mask(column)
+                self._amps = _multiply(self._amps, re.take(bit), im.take(bit))
+            self._tail = []
+
     # ------------------------------------------------------------- inspection
     def _terms(self) -> dict[Basis, complex]:
         if self._view is None:
@@ -420,19 +461,35 @@ class SparseState(_SparseView):
     def register_amplitudes(self, qubits: Sequence[Qubit]) -> dict[int, complex]:
         """Register amplitudes read from the branch matrix (see
         :meth:`_SparseView.register_amplitudes`): the same branches in the
-        same order, without building the full basis view."""
+        same order, without building the full basis view.
+
+        Rest rows are keyed by their packed bytes, so only distinct rests
+        become tuples; the weights and the product check run on Python
+        ``complex`` and the returned amplitudes are ``np.complex128``, as
+        the view's are.
+        """
         rows = self._as_rows()
         chosen = [self._index[q] for q in qubits]
         taken = set(chosen)
         rest = [i for i in range(rows.shape[1]) if i not in taken]
+        rest_rows = rows[:, rest]
+        if rest:
+            packed = np.packbits(rest_rows, axis=1)
+            void = np.dtype((np.void, packed.shape[1]))
+            keys = np.frombuffer(packed.tobytes(), void).tolist()
+        else:
+            keys = [b""] * len(rows)
         return _factor_register(
             map(_bits_to_int, rows[:, chosen].tolist()),
-            map(tuple, rows[:, rest].tolist()),
-            # list(), not tolist(): the view's np.complex128 scalars.
-            list(self._amps),
+            keys,
+            lambda firsts: map(tuple, rest_rows[firsts].tolist()),
+            self._amps.tolist(),
+            exact=np.complex128,
         )
 
     def _prune(self) -> None:
+        self._flush()
+        self._unpruned = False
         magnitude = np.abs(self._amps)
         if len(magnitude) and not magnitude.min() > _ATOL:
             keep = magnitude > _ATOL
@@ -477,7 +534,7 @@ class SparseState(_SparseView):
         tiled = np.tile(factors, terms)
         self._rows = bits
         self._amps = _multiply(amps, tiled.real, tiled.imag)
-        self._pending = True
+        self._pending = self._unpruned = True
         self._view = None
 
     # -------------------------------------------------------------- gate application
@@ -488,55 +545,93 @@ class SparseState(_SparseView):
         theta: float | None = None,
     ) -> None:
         """Apply a gate by name to the given qubits."""
-        key, idx = self._resolve(gate, qubits)
+        try:
+            # A call seen before, with tuple qubits: one memo lookup.
+            key, idx = self._resolved[gate, qubits]
+        except (KeyError, TypeError):  # a new call, or list qubits
+            key, idx = self._resolve(gate, qubits)
         _HANDLERS[key](self, idx, theta)
         self._view = None
 
-    # Gate handlers take (qubit indices, theta).  Permutations and
-    # diagonal gates work on the columns, H/Y/RY on the rows.
+    # Gate handlers take (qubit indices, theta).  Permutations and Z work
+    # on the columns, H/Y/RY on the rows.
     def _settle(self) -> None:
-        """A permutation's share of the dict storage's work (see __init__)."""
-        if self._pending:
+        """A permutation's share of the dict storage's work (see __init__);
+        the hot handlers test ``_pending`` before calling it."""
+        if not self._pending:
+            return
+        if self._unpruned:
+            # Nothing is deferred while a preparation is unpruned (see _z).
             self._amps = self._amps + 0.0
             self._prune()
-            self._pending = False
+        else:
+            # Only the 0.0 + amp is owed: defer it with the Z signs.
+            signs = self._signs or 0
+            for column in self._tail:
+                signs ^= column
+            self._signs = signs
+            self._tail = []
+        self._pending = False
 
     def _swap(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._as_columns()
+        cols = self._columns or self._as_columns()
         cols[q[0]], cols[q[1]] = cols[q[1]], cols[q[0]]
-        self._settle()
+        if self._pending:
+            self._settle()
 
     def _cswap(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._as_columns()
+        cols = self._columns or self._as_columns()
         a, b = cols[q[1]], cols[q[2]]
         diff = (a ^ b) & cols[q[0]]
         cols[q[1]], cols[q[2]] = a ^ diff, b ^ diff
-        self._settle()
+        if self._pending:
+            self._settle()
 
     def _anti_cswap(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._as_columns()
+        cols = self._columns or self._as_columns()
         a, b = cols[q[1]], cols[q[2]]
         diff = (a ^ b) & ~cols[q[0]]  # differ and control is 0
         cols[q[1]], cols[q[2]] = a ^ diff, b ^ diff
-        self._settle()
+        if self._pending:
+            self._settle()
 
     def _x(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._as_columns()
+        cols = self._columns or self._as_columns()
         cols[q[0]] ^= (1 << len(self._amps)) - 1
-        self._settle()
+        if self._pending:
+            self._settle()
 
     def _cx(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._as_columns()
+        cols = self._columns or self._as_columns()
         cols[q[1]] ^= cols[q[0]]
-        self._settle()
+        if self._pending:
+            self._settle()
 
     def _ccx(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._as_columns()
+        cols = self._columns or self._as_columns()
         cols[q[2]] ^= cols[q[0]] & cols[q[1]]
-        self._settle()
+        if self._pending:
+            self._settle()
+
+    def _z(self, q: tuple[int, ...], theta: float | None) -> None:
+        """Z multiplies each amplitude by +-1, which moves no branch and
+        keeps every magnitude, so it only records the qubit's current
+        column (a branch keeps its index under later permutations, so the
+        column stays a valid branch mask); :meth:`_flush` applies it when
+        the amplitudes are read.
+
+        After a preparation the dict storage's prune may drop branches, so
+        Z is applied at once there.
+        """
+        if self._unpruned:
+            self._diag(q[0], _Z_PHASES)
+        else:
+            self._tail.append((self._columns or self._as_columns())[q[0]])
+            self._pending = True
 
     def _diag(self, index: int, phases: tuple[np.ndarray, np.ndarray]) -> None:
         """Multiply every amplitude by its branch's phase (see :func:`_phases`)."""
+        self._flush()
         bit = self._branch_mask(self._as_columns()[index])
         re, im = phases
         self._amps = _multiply(self._amps, re.take(bit), im.take(bit))
@@ -544,15 +639,36 @@ class SparseState(_SparseView):
         self._pending = True
 
     def _cz(self, q: tuple[int, ...], theta: float | None) -> None:
+        self._flush()
         cols = self._as_columns()
         both = self._branch_mask(cols[q[0]] & cols[q[1]])
         np.negative(self._amps, out=self._amps, where=both.view(bool))
         self._pending = True
 
+    def _h(self, q: tuple[int, ...], theta: float | None) -> None:
+        self._single_qubit_matrix(_H_MATRIX, q[0])
+
     def _single_qubit_matrix(self, matrix: np.ndarray, col: int) -> None:
-        """Apply a 2x2 matrix: split every branch in two, merge equal rows."""
+        """Apply a 2x2 matrix: split every branch in two, merge equal rows
+        (none on a column that is constant across rows)."""
         rows = self._as_rows()
         terms = len(self._amps)
+        column = rows[:, col]
+        if not (column != column[0]).any():
+            # A constant column (a fresh bus) merges nothing: each branch
+            # becomes its nonzero candidates, summed from 0.0 alone.
+            old = int(column[0])
+            new = [b for b in (0, 1) if abs(matrix[b, old]) >= _ATOL]
+            bits = np.repeat(rows, len(new), axis=0)
+            bits[:, col] = np.tile(np.array(new, dtype=np.uint8), terms)
+            coeffs = np.tile(matrix[new, old], terms)
+            amps = _multiply(
+                np.repeat(self._amps, len(new)), coeffs.real, coeffs.imag
+            )
+            self._rows = bits
+            self._amps = amps + 0.0
+            self._prune()
+            return
         # Candidate row 2t + b is branch t with the qubit set to b.
         source = np.repeat(np.arange(terms), 2)
         new_bit = np.tile(np.array([0, 1], dtype=np.uint8), terms)
@@ -632,12 +748,12 @@ _HANDLERS: dict[str, _Handler] = {
     "SWAP": SparseState._swap,
     "CSWAP": SparseState._cswap,
     "ANTI_CSWAP": SparseState._anti_cswap,
-    "H": lambda s, q, t: s._single_qubit_matrix(_H_MATRIX, q[0]),
+    "H": SparseState._h,
     "Y": lambda s, q, t: s._single_qubit_matrix(_Y_MATRIX, q[0]),
     "RY": lambda s, q, t: s._single_qubit_matrix(
         _ry_matrix(_require_theta("RY", t)), q[0]
     ),
-    "Z": lambda s, q, t: s._diag(q[0], _Z_PHASES),
+    "Z": SparseState._z,
     "S": lambda s, q, t: s._diag(q[0], _S_PHASES),
     "T": lambda s, q, t: s._diag(q[0], _T_PHASES),
     "RZ": _rz,
@@ -800,37 +916,59 @@ class SparseStateScalar(_SparseView):
 
 
 def _factor_register(
-    registers: Iterable[int], rests: Iterable[Basis], amps: Iterable[complex]
+    registers: Iterable[int],
+    rests: Iterable[Hashable],
+    rest_tuples: Callable[[list[int]], Iterable[Basis]],
+    amps: Iterable[complex],
+    exact: Callable[[complex], complex] | None = None,
 ) -> dict[int, complex]:
     """The register column of :meth:`_SparseView.register_amplitudes`.
 
-    One (register value, rest bits, amplitude) triple per branch, in branch
-    order.
+    Per branch, in branch order: its register value, a key that is equal
+    exactly when the rest bits are, and its amplitude.
+    ``rest_tuples(branches)`` gives the rest bits of the listed branches
+    (the first of each distinct rest) as tuples.  The weights and the
+    product check run on ``amps``; the returned amplitudes are computed
+    from ``exact(amp)`` (default: ``amp``).
     """
-    # Group amplitudes into a (register value, rest branch) matrix.  Rest
-    # branches are numbered in first-occurrence order, so the long rest
-    # tuples are hashed once per branch, not once per matrix lookup.
-    matrix: dict[tuple[int, int], complex] = {}
+    # Group amplitudes into a (rest branch, register value) matrix, one
+    # dict per rest branch; each pair is one basis state, so one branch.
+    # Rest branches are numbered in first-occurrence order, so each key is
+    # hashed once per branch.
+    matrix: list[dict[int, complex]] = []
     register_values: set[int] = set()
-    rest_values: set[Basis] = set()
-    rest_ids: dict[Basis, int] = {}
-    for reg, rest, amp in zip(registers, rests, amps):
-        branch = rest_ids.setdefault(rest, len(rest_ids))
-        matrix[(reg, branch)] = matrix.get((reg, branch), 0.0) + amp
+    rest_ids: dict[Hashable, int] = {}
+    firsts: list[int] = []
+    for t, (reg, rest, amp) in enumerate(zip(registers, rests, amps)):
+        branch = rest_ids.get(rest)
+        if branch is None:
+            branch = rest_ids[rest] = len(firsts)
+            firsts.append(t)
+            matrix.append({})
+        matrix[branch][reg] = amp
         register_values.add(reg)
+    # The rest tuples added in first-occurrence order, as one add per
+    # branch would leave them: their set order breaks ties in max() below.
+    # Each maps back to its branch by identity, so the set hashes it once.
+    rest_values: set[Basis] = set()
+    by_identity: dict[int, int] = {}
+    for branch, rest in enumerate(rest_tuples(firsts)):
         rest_values.add(rest)
-    # The rest branches in set order, which breaks ties in max() below.
-    branches = [rest_ids[rest] for rest in rest_values]
+        by_identity[id(rest)] = branch
+    rows = [matrix[by_identity[id(rest)]] for rest in rest_values]
 
     # Reference rest branch: the one with the largest total weight.
     reference = max(
-        branches,
-        key=lambda branch: sum(
-            abs(matrix.get((reg, branch), 0.0)) ** 2 for reg in register_values
+        rows,
+        key=lambda row: sum(
+            abs(row.get(reg, 0.0)) ** 2 for reg in register_values
         ),
     )
+    # The dict storage's accumulation, 0.0 + amp, on the exact amplitudes.
+    exact = exact or (lambda amp: amp)
     column = {
-        reg: matrix.get((reg, reference), 0.0) for reg in register_values
+        reg: 0.0 + exact(reference[reg]) if reg in reference else 0.0
+        for reg in register_values
     }
     norm = math.sqrt(sum(abs(a) ** 2 for a in column.values()))
     if norm < _ATOL:
@@ -840,12 +978,12 @@ def _factor_register(
     # Rank-1 (product) check including phases: for every entry,
     # amp(reg, rest) * amp(reg0, ref) == amp(reg, ref) * amp(reg0, rest).
     reg0 = max(column, key=lambda reg: abs(column[reg]))
-    pivot = matrix.get((reg0, reference), 0.0)
-    for branch in branches:
-        scale = matrix.get((reg0, branch), 0.0)
+    pivot = reference.get(reg0, 0.0)
+    for row in rows:
+        scale = row.get(reg0, 0.0)
         for reg in register_values:
-            lhs = matrix.get((reg, branch), 0.0) * pivot
-            rhs = matrix.get((reg, reference), 0.0) * scale
+            lhs = row.get(reg, 0.0) * pivot
+            rhs = reference.get(reg, 0.0) * scale
             if abs(lhs - rhs) > 1e-8:
                 raise ValueError(
                     "register is entangled with the rest of the state"

@@ -24,7 +24,12 @@ contract:
   every Fat-Tree window occupancy, BB queries and a whole functional
   serve; H on a column that is constant across rows, signed zeros
   included, and register amplitudes read from the branch matrix, against
-  the generic view.
+  the generic view;
+* deferred Z gates against the dict storage's immediate products: every
+  reader that lands them, Z gates since the last permutation replayed
+  rather than cancelled, a Z right after a preparation, a window-shaped
+  program around the 64-branch word, and gate dispatch after a state
+  leaves a shared layout memo.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from repro.bucket_brigade.executor import BBExecutor
 from repro.core.executor import FatTreeExecutor
 from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
 from repro.sim.gates import GATES
-from repro.sim.sparse import SparseState, SparseStateScalar, _SparseView
+from repro.sim.sparse import QubitLayout, SparseState, SparseStateScalar, _SparseView
 from repro.sweep.engine import report_digest
 import repro.bucket_brigade.executor as bb_executor_module
 import repro.core.executor as fat_tree_executor_module
@@ -638,3 +643,215 @@ def test_array_state_matches_scalar_across_the_word_boundary(terms):
         assert array.num_terms == scalar.num_terms, gate
         assert _branches(array) == _branches(scalar), gate
     assert array.num_terms > terms
+
+
+# --------------------------------------------------------------------------
+# Deferred Z signs: SparseState records a Z's column and applies it only
+# when the amplitudes are read; these pin every reader, signed zeros
+# included, against the dict storage, which multiplies at once.
+# --------------------------------------------------------------------------
+def _signed_zero_pair():
+    """Both storages over pure real and pure imaginary amplitudes (so -0.0
+    parts arise), left unsettled by an S: the state a deferred Z meets in
+    a window, except that the amplitudes are np.complex128 after an H."""
+    states = SparseState(), SparseStateScalar()
+    for state in states:
+        state.add_qubit("x")
+        state.apply_gate("H", ["x"])
+        state.prepare_superposition(
+            ["a", "b", "c"],
+            {0: 1, 1: -1j, 2: 1j, 3: -1, 5: 0.5 - 0.5j, 6: -0.25, 7: 0.75j},
+        )
+        state.apply_gate("S", ["b"])
+    return states
+
+
+#: Z patterns after :func:`_signed_zero_pair`: a tail only (no permutation
+#: since the Z gates), signs settled by a permutation, and both at once.
+_Z_PATTERNS = {
+    "tail": [("Z", ["c"]), ("Z", ["c"]), ("Z", ["a"])],
+    "settled": [("Z", ["c"]), ("Z", ["a"]), ("SWAP", ["a", "b"])],
+    "settled-then-tail": [
+        ("Z", ["c"]),
+        ("CSWAP", ["c", "a", "b"]),
+        ("Z", ["a"]),
+        ("ANTI_CSWAP", ["c", "a", "b"]),
+        ("Z", ["b"]),
+        ("Z", ["b"]),
+    ],
+}
+
+#: The first reader after the Z gates: each must see every deferred sign.
+_Z_READERS = {
+    "H": lambda s: s.apply_gate("H", ["c"]),
+    "prepare": lambda s: s.prepare_superposition(["p0", "p1"], {0: 0.6, 3: -0.8j}),
+    "CZ": lambda s: s.apply_gate("CZ", ["a", "c"]),
+    "S": lambda s: s.apply_gate("S", ["a"]),
+    "register": lambda s: s.register_amplitudes(["x"]),
+    "items": lambda s: list(s.items()),
+}
+
+
+def _hex_column(column):
+    return [(value, amp.real.hex(), amp.imag.hex()) for value, amp in column.items()]
+
+
+@pytest.mark.parametrize("reader", sorted(_Z_READERS))
+@pytest.mark.parametrize("pattern", sorted(_Z_PATTERNS))
+def test_deferred_z_matches_scalar_at_every_reader(pattern, reader):
+    """Z gates recorded and then read by H, a preparation, CZ, S, a
+    register readout or the basis view: the storages agree bit for bit,
+    signed zeros included, before and after the reader."""
+    array, scalar = _signed_zero_pair()
+    for gate, qubits in _Z_PATTERNS[pattern]:
+        for state in (array, scalar):
+            state.apply_gate(gate, qubits)
+    read_array = _Z_READERS[reader](array)
+    read_scalar = _Z_READERS[reader](scalar)
+    if reader == "register":
+        assert _hex_column(read_array) == _hex_column(read_scalar)
+        assert all(type(amp) is np.complex128 for amp in read_array.values())
+    assert _branches(array) == _branches(scalar)
+    # A permutation and one more readout settle whatever is left.
+    for state in (array, scalar):
+        state.apply_gate("CX", ["a", "b"])
+    assert _branches(array) == _branches(scalar)
+
+
+def test_two_z_gates_are_replayed_not_cancelled():
+    """Two Z gates on one column are not the identity on signed zeros:
+    (-0.0, s) comes out as (0.0, s) and (0.0, -s) as (-0.0, -s).  With
+    no permutation after them they are replayed one by one, not
+    cancelled."""
+    array, scalar = SparseState(), SparseStateScalar()
+    for state in (array, scalar):
+        state.add_qubit("x")
+        state.apply_gate("H", ["x"])
+        state.prepare_superposition(["a"], {1: -1j})
+        state.apply_gate("CZ", ["a", "x"])  # (0.0, -s) and (-0.0, s)
+        state.add_qubit("y")
+        state.apply_gate("Z", ["y"])  # prunes, multiplies by 1 + 0j
+    before = _branches(scalar)
+    assert [(re, im[0]) for _, re, im in before] == [("0x0.0p+0", "-"), ("-0x0.0p+0", "0")]
+    assert _branches(array) == before
+    for state in (array, scalar):
+        state.apply_gate("Z", ["a"])
+        state.apply_gate("Z", ["a"])
+    after = _branches(scalar)
+    assert [(re, im[0]) for _, re, im in after] == [("-0x0.0p+0", "-"), ("0x0.0p+0", "0")]
+    assert _branches(array) == after
+
+
+def test_z_right_after_a_preparation_prunes_like_the_scalar():
+    """A preparation can leave |amp| <= 1e-12 branches; a Z right after it
+    prunes them at once, as the dict storage's Z does."""
+    array, scalar = SparseState(), SparseStateScalar()
+    for state in (array, scalar):
+        state.prepare_superposition(["a"], {0: 1, 1: 9e-7})
+        state.prepare_superposition(["b"], {0: 1, 1: 9e-7})
+    assert array.num_terms == scalar.num_terms == 4
+    for state in (array, scalar):
+        state.apply_gate("Z", ["b"])
+    assert array.num_terms == scalar.num_terms == 3
+    assert _branches(array) == _branches(scalar)
+    for state in (array, scalar):
+        state.apply_gate("Z", ["a"])
+        state.apply_gate("SWAP", ["a", "b"])
+        state.apply_gate("Z", ["b"])
+    assert _branches(array) == _branches(scalar)
+
+
+def _window_sequence(register):
+    """A query-shaped program on :func:`_word_boundary_pair`'s qubits and a
+    fresh bus: the bus basis change, routing, Z gates both between
+    permutations and back to back, the routing undone, and the bus basis
+    change again, with nothing read in between."""
+    r = register
+    route = [
+        ("SWAP", [r[0], "a"]),
+        ("CSWAP", ["a", r[-1], "c"]),
+        ("ANTI_CSWAP", ["a", "b", "c"]),
+        ("CX", [r[-1], "b"]),
+        ("CCX", [r[0], r[-1], "a"]),
+    ]
+    middle = [
+        ("Z", ["c"]),
+        ("CSWAP", ["c", "bus", "b"]),
+        ("Z", ["b"]),
+        ("Z", ["a"]),
+        ("CSWAP", ["c", "bus", "b"]),
+        ("Z", ["bus"]),
+        ("Z", ["bus"]),
+        ("Z", ["c"]),
+    ]
+    tail = [("Z", [r[-1]]), ("Z", [r[0]]), ("Z", [r[0]])]
+    return [("H", ["bus"])] + route + middle + route[::-1] + tail + [("H", ["bus"])]
+
+
+@pytest.mark.parametrize("terms", [63, 64, 65, 1024])
+def test_deferred_z_window_matches_scalar_across_the_word_boundary(terms):
+    """A window-shaped gate sequence on either side of 64 branches and at
+    1,024: branches, amplitudes and the register readout are bit-identical
+    to the dict storage, signed zeros included."""
+    (array, scalar), register = _word_boundary_pair(terms)
+    *sequence, last = _window_sequence(register)
+    for state in (array, scalar):
+        state.add_qubit("bus", value=1)
+        for gate, qubits in sequence:
+            state.apply_gate(gate, qubits)
+    # Read before the last H merges rows (and with them signed zeros).
+    assert _branches(array) == _branches(scalar)
+    for state in (array, scalar):
+        state.apply_gate(*last)
+    assert _branches(array) == _branches(scalar)
+    assert array.num_terms == scalar.num_terms
+    query = [*register, "bus"]
+    column = array.register_amplitudes(query)
+    assert _hex_column(column) == _hex_column(scalar.register_amplitudes(query))
+    assert all(type(amp) is np.complex128 for amp in column.values())
+
+
+@pytest.mark.parametrize("gate", ["H", "Y", "RY"])
+@pytest.mark.parametrize("bus", [0, 1])
+def test_constant_column_gate_from_the_column_layout_matches_scalar(gate, bus):
+    """H/Y/RY on a constant column of a state held as columns, with Z
+    signs both settled and pending: the merge-free split equals the dict
+    storage's ``0.0 + coeff * amp``, signed zeros included."""
+    array, scalar = _signed_zero_pair()
+    theta = 1.1 if gate == "RY" else None
+    for state in (array, scalar):
+        state.add_qubit("bus", value=bus)
+        state.apply_gate("Z", ["a"])
+        state.apply_gate("SWAP", ["a", "b"])
+        state.apply_gate("Z", ["c"])
+        assert isinstance(state, SparseStateScalar) or state._columns is not None
+        state.apply_gate(gate, ["bus"], theta=theta)
+    assert array.num_terms == scalar.num_terms
+    assert _branches(array) == _branches(scalar)
+
+
+def test_gates_dispatch_alike_after_leaving_a_shared_layout():
+    """States that add qubits after sharing a layout's memo still dispatch
+    every gate of ``GATES`` correctly: with list and with tuple qubits,
+    both storages hold the same branches after every gate."""
+    layout = QubitLayout(["r0", "r1"])
+    states = {}
+    for storage in (SparseState, SparseStateScalar):
+        for kind in (list, tuple):
+            state = storage.from_layout(layout)
+            state.apply_gate("H", ("r0",))
+            state.apply_gate("CX", ["r0", "r1"])
+            states[storage, kind] = state
+    assert len(layout.resolved) == 2
+    for state in states.values():
+        for label, value in (("a", 0), ("b", 1), ("c", 0)):
+            state.add_qubit(label, value)
+    sequence = _every_gate_sequence(["r0", "r1"])
+    assert {gate for gate, _, _ in sequence} == set(GATES)
+    for gate, qubits, theta in sequence:
+        for (_, kind), state in states.items():
+            state.apply_gate(gate, kind(qubits), theta=theta)
+        first, *others = (_branches(state) for state in states.values())
+        assert all(branches == first for branches in others), gate
+    # The states that left the layout resolved into private memos.
+    assert len(layout.resolved) == 2
