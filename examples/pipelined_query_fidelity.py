@@ -45,7 +45,11 @@ def gate_level_pipelining() -> None:
         print(f"  query {request.query_id}: fidelity {fidelity:.6f}, "
               f"data read {answers} (memory: "
               f"{ {a: data[a] for a in answers} })")
-    print(f"  routers returned to |0...0>: {executor.tree_is_clean()}")
+    program = executor.window_program(len(requests), summary.interval)
+    _, state = program.replay(
+        [(request.address_amplitudes, request.initial_bus) for request in requests]
+    )
+    print(f"  routers returned to |0...0>: {program.tree_is_clean(state)}")
 
 
 def fidelity_analysis() -> None:

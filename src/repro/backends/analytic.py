@@ -26,7 +26,7 @@ Timing models (per window of ``k`` queries, all in raw layers):
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.backends.noise import (
@@ -34,31 +34,14 @@ from repro.backends.noise import (
     bb_bounds,
     fat_tree_bounds,
     pipelined_fidelities,
+    query_slots,
     virtual_bounds,
     window_offsets,
 )
-from repro.backends.protocol import ideal_output, output_fidelity
 from repro.baselines.distributed import DistributedBBQRAM, DistributedFatTreeQRAM
 from repro.baselines.virtual_qram import VirtualQRAM
 from repro.core.query import QueryRequest
 from repro.hardware.parameters import HardwareParameters
-
-
-def _query_slots(
-    queries: Iterable[Callable[..., Any]],
-    requests: Sequence[QueryRequest],
-    data: Sequence[int],
-) -> tuple[tuple[Any, ...], tuple[float, ...]]:
-    """Run each request through its model's ``query`` and score its fidelity."""
-    outputs = []
-    fidelities = []
-    for query, request in zip(queries, requests):
-        if request.address_amplitudes is None:
-            raise ValueError("functional execution requires address amplitudes")
-        actual = query(request.address_amplitudes, initial_bus=request.initial_bus)
-        outputs.append(actual)
-        fidelities.append(output_fidelity(ideal_output(data, request), actual))
-    return tuple(outputs), tuple(fidelities)
 
 
 class VirtualBackend(ModelBackend):
@@ -104,7 +87,7 @@ class VirtualBackend(ModelBackend):
     def _functional_slots(
         self, requests: Sequence[QueryRequest], interval: int
     ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
-        return _query_slots(
+        return query_slots(
             itertools.repeat(self.model.query), requests, self.model.data
         )
 
@@ -184,7 +167,7 @@ class _DistributedBackend(ModelBackend):
     def _functional_slots(
         self, requests: Sequence[QueryRequest], interval: int
     ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
-        return _query_slots(
+        return query_slots(
             itertools.cycle([copy.query for copy in self.model.copies]),
             requests,
             self.model.data,

@@ -3,21 +3,21 @@
 Wraps :class:`repro.bucket_brigade.qram.BucketBrigadeQRAM` behind the
 :class:`repro.backends.protocol.QRAMBackend` surface.  BB QRAM cannot
 overlap queries, so its query parallelism is 1 and a window of ``k``
-queries drains in ``k * (8n + 1)`` raw layers; the functional path runs on
-the QRAM's cached executor, whose memoized schedule and lowered gate
-sequences make repeated windows cheap (the BB analogue of the Fat-Tree
-schedule-cache fast path).  Predicted slot fidelities come from the BB
-bound of Sec. 8.1; with sequential admission the slots never overlap, so
-no pipelining degradation applies.
+queries drains in ``k * (8n + 1)`` raw layers; the functional path runs
+each query through the QRAM's cached executor, which replays one compiled
+one-slot program (the BB analogue of the Fat-Tree schedule-cache fast
+path).  Predicted slot fidelities come from the BB bound of Sec. 8.1;
+with sequential admission the slots never overlap, so no pipelining
+degradation applies.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from typing import Any
 
-from repro.backends.noise import ModelBackend, bb_bounds, window_offsets
-from repro.backends.protocol import ideal_output, output_fidelity
+from repro.backends.noise import ModelBackend, bb_bounds, query_slots, window_offsets
 from repro.bucket_brigade.qram import BucketBrigadeQRAM
 from repro.core.query import QueryRequest
 from repro.hardware.parameters import HardwareParameters
@@ -38,10 +38,10 @@ class BBBackend(ModelBackend):
     def warm_schedule_caches(self) -> None:
         """Resolve the shared executor through the process-wide registry.
 
-        BB schedules are memoized per query slot inside the executor;
-        warming the executor itself is what lets every replica of this
-        memory image share those memos.  The timing window of the
-        one-query window (all BB admits) is pre-derived alongside.
+        The executor memoizes the compiled one-slot program; warming the
+        executor itself is what lets every replica of this memory image
+        share it.  The timing window of the one-query window (all BB
+        admits) is pre-derived alongside.
         """
         self.model.cached_executor()
         self.timing_window(1)
@@ -63,20 +63,6 @@ class BBBackend(ModelBackend):
         self, requests: Sequence[QueryRequest], interval: int
     ) -> tuple[tuple[Any, ...], tuple[float, ...]]:
         """Run one batch of queries back to back on the cached executor."""
-        executor = self.model.cached_executor()
-        outputs = []
-        fidelities = []
-        for slot, request in enumerate(requests):
-            if request.address_amplitudes is None:
-                raise ValueError("functional execution requires address amplitudes")
-            state = executor.run_query(
-                request.address_amplitudes,
-                query=slot,
-                initial_bus=request.initial_bus,
-            )
-            actual = executor.measured_output(state, query=slot)
-            outputs.append(actual)
-            fidelities.append(
-                output_fidelity(ideal_output(executor.data, request), actual)
-            )
-        return tuple(outputs), tuple(fidelities)
+        return query_slots(
+            itertools.repeat(self.model.query), requests, self.model.data
+        )

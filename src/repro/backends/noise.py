@@ -64,13 +64,13 @@ per-occupancy window memo and the single ``run_window``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from repro.backends.protocol import WindowResult
+from repro.backends.protocol import WindowResult, ideal_output, output_fidelity
 from repro.bucket_brigade.tree import validate_capacity
 from repro.core.query import QueryRequest
 from repro.fidelity.noise_resilience import (
@@ -303,6 +303,23 @@ class PredictedFidelityMixin:
     def predicted_query_fidelity(self) -> float:
         """Analytic fidelity of a lone query (the Sec. 8.1 / Table 3 bound)."""
         return self.predicted_window_fidelities(1)[0]
+
+
+def query_slots(
+    queries: Iterable[Callable[..., Any]],
+    requests: Sequence[QueryRequest],
+    data: Sequence[int],
+) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+    """Run each request through its model's ``query`` and score its fidelity."""
+    outputs = []
+    fidelities = []
+    for query, request in zip(queries, requests):
+        if request.address_amplitudes is None:
+            raise ValueError("functional execution requires address amplitudes")
+        actual = query(request.address_amplitudes, initial_bus=request.initial_bus)
+        outputs.append(actual)
+        fidelities.append(output_fidelity(ideal_output(data, request), actual))
+    return tuple(outputs), tuple(fidelities)
 
 
 class ModelBackend(PredictedFidelityMixin):

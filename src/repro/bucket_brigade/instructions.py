@@ -3,25 +3,33 @@
 The paper (Appendix A.1) defines five elementary operations — LOAD,
 TRANSPORT, ROUTE, STORE, CLASSICAL-GATES — plus their inverses.  This module
 represents scheduled instances of those operations as :class:`Instruction`
-records (who, where, when) and lowers them to gate sequences on named qubits
-for the sparse simulator.
+records (who, where, when) and lowers them to ``(gate, qubits, theta)``
+triples on named qubits for the sparse simulator.
 
 The same instruction set is reused by the Fat-Tree executor, which adds the
 ``SWAP_MIGRATE`` instruction for the local swap steps (SWAP-I / SWAP-II).
+
+Both executors compile their lowered gates into a :class:`WindowProgram`
+and run every query through :meth:`WindowProgram.replay`: a BB program
+holds one slot, a Fat-Tree program one slot per pipelined query.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from repro.sim.circuit import Operation
+from repro.sim.sparse import Qubit, QubitLayout, SparseState
 
 # Layer-cost weights from Table 1: intra-node SWAPs and the classically
 # controlled data-retrieval gates take 1/8 of a standard CSWAP circuit layer.
 FULL_LAYER_COST = 1.0
 FAST_LAYER_COST = 0.125
+
+#: One gate application: gate name, target qubits (controls first) and the
+#: parameter of a parametric gate.
+GateCall = tuple[str, tuple[Qubit, ...], float | None]
 
 
 class InstructionKind(enum.Enum):
@@ -128,8 +136,8 @@ def lower_instruction(
     address_width: int,
     data: Sequence[int] | None = None,
     leaf_label: int | None = None,
-) -> list[Operation]:
-    """Lower a scheduled instruction to a list of gate operations.
+) -> list[GateCall]:
+    """Lower a scheduled instruction to a list of gate calls.
 
     Args:
         instruction: the scheduled elementary operation.
@@ -140,10 +148,10 @@ def lower_instruction(
             leaves (``n - 1`` for Fat-Tree, 0/None for BB).
 
     Returns:
-        Gate operations implementing the instruction.  Operations emitted for
-        one instruction conceptually execute within one circuit layer (the
-        pair of CSWAPs of a ROUTE counts as a single layer, following Sec.
-        A.1 of the paper).
+        ``(gate, qubits, theta)`` triples implementing the instruction.
+        Gates emitted for one instruction conceptually execute within one
+        circuit layer (the pair of CSWAPs of a ROUTE counts as a single
+        layer, following Sec. A.1 of the paper).
     """
     n = address_width
     kind = instruction.kind
@@ -151,8 +159,7 @@ def lower_instruction(
     item = instruction.item
     level = instruction.level
     label = instruction.label
-    ops: list[Operation] = []
-    tag = f"q{query}:{kind.value}"
+    gates: list[GateCall] = []
 
     if kind in (InstructionKind.LOAD, InstructionKind.UNLOAD):
         external = (
@@ -161,7 +168,7 @@ def lower_instruction(
             else namer.address_qubit(query, item - 1)
         )
         root_in = namer.input_qubit(0, 0, label)
-        ops.append(Operation("SWAP", (external, root_in), tag=tag))
+        gates.append(("SWAP", (external, root_in), None))
 
     elif kind in (InstructionKind.ROUTE, InstructionKind.UNROUTE):
         for index in range(2**level):
@@ -169,8 +176,8 @@ def lower_instruction(
             inp = namer.input_qubit(level, index, label)
             left = namer.output_qubit(level, index, 0, label)
             right = namer.output_qubit(level, index, 1, label)
-            ops.append(Operation("ANTI_CSWAP", (r, inp, left), tag=tag))
-            ops.append(Operation("CSWAP", (r, inp, right), tag=tag))
+            gates.append(("ANTI_CSWAP", (r, inp, left), None))
+            gates.append(("CSWAP", (r, inp, right), None))
 
     elif kind in (InstructionKind.TRANSPORT, InstructionKind.UNTRANSPORT):
         # Moves between level ``level`` outputs and level ``level + 1`` inputs.
@@ -178,13 +185,13 @@ def lower_instruction(
             for direction in (0, 1):
                 out = namer.output_qubit(level, index, direction, label)
                 child_in = namer.input_qubit(level + 1, 2 * index + direction, label)
-                ops.append(Operation("SWAP", (out, child_in), tag=tag))
+                gates.append(("SWAP", (out, child_in), None))
 
     elif kind in (InstructionKind.STORE, InstructionKind.UNSTORE):
         for index in range(2**level):
             inp = namer.input_qubit(level, index, label)
             r = namer.router_qubit(level, index, label)
-            ops.append(Operation("SWAP", (inp, r), tag=tag))
+            gates.append(("SWAP", (inp, r), None))
 
     elif kind is InstructionKind.CLASSICAL_GATES:
         if data is None:
@@ -196,37 +203,108 @@ def lower_instruction(
             if value & 1:
                 index, direction = address // 2, address % 2
                 leaf = namer.output_qubit(n - 1, index, direction, out_label)
-                ops.append(Operation("Z", (leaf,), tag=tag))
+                gates.append(("Z", (leaf,), None))
 
     elif kind is InstructionKind.SWAP_MIGRATE:
         low = label
         high = low + 1
         for lvl in range(min(low, n - 1) + 1):
             for index in range(2**lvl):
-                ops.append(
-                    Operation(
+                gates.append(
+                    (
                         "SWAP",
                         (
                             namer.input_qubit(lvl, index, low),
                             namer.input_qubit(lvl, index, high),
                         ),
-                        tag=tag,
+                        None,
                     )
                 )
-                ops.append(
-                    Operation(
+                gates.append(
+                    (
                         "SWAP",
                         (
                             namer.router_qubit(lvl, index, low),
                             namer.router_qubit(lvl, index, high),
                         ),
-                        tag=tag,
+                        None,
                     )
                 )
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unsupported instruction kind {kind}")
 
-    return ops
+    return gates
+
+
+@dataclass(frozen=True)
+class WindowProgram:
+    """The gates of one functional window, compiled once and replayed.
+
+    Attributes:
+        total_layers: raw layers until the last slot finishes.
+        layout: qubit order of the window's state: the tree, then each
+            slot's register; it owns the gate-resolution memo every replay
+            shares.
+        registers: per slot, its address qubits (most significant first)
+            and then its bus qubit.
+        gates: ``(gate, qubits, theta)`` in execution order.
+    """
+
+    total_layers: int
+    layout: QubitLayout
+    registers: tuple[tuple[Qubit, ...], ...]
+    gates: tuple[GateCall, ...]
+
+    def replay(
+        self, inputs: Sequence[tuple[Mapping[int, complex], int]]
+    ) -> tuple[list[dict[tuple[int, int], complex]], SparseState]:
+        """Run the window on a fresh state, one ``apply_gate`` per gate.
+
+        The bus is queried through phase kickback: it is placed in the X
+        basis (|+> / |->) before entering the tree, the classical-gates
+        step applies Z on every leaf cell whose bit is 1, and a final
+        Hadamard turns the acquired phase back into a bit flip.
+
+        Args:
+            inputs: per slot, its address amplitudes (normalised
+                automatically) and its initial bus bit.
+
+        Returns:
+            Per slot, the output amplitudes over ``(address, bus)``; and
+            the final state, whose tree :meth:`tree_is_clean` checks.
+        """
+        if len(inputs) != len(self.registers):
+            raise ValueError(
+                f"a {len(self.registers)}-slot program needs "
+                f"{len(self.registers)} inputs, got {len(inputs)}"
+            )
+        state = SparseState.from_layout(self.layout)
+        # Prepare each slot's |address>|bus> register, then the bus's
+        # phase-kickback basis change.
+        for register, (amplitudes, bus) in zip(self.registers, inputs):
+            state.prepare_superposition(
+                register,
+                {2 * address + bus: amp for address, amp in amplitudes.items()},
+            )
+            state.apply_gate("H", register[-1:])
+
+        apply_gate = state.apply_gate
+        for gate, qubits, theta in self.gates:
+            apply_gate(gate, qubits, theta)
+
+        # Undo the bus basis change and read each register.
+        outputs: list[dict[tuple[int, int], complex]] = []
+        for register in self.registers:
+            state.apply_gate("H", register[-1:])
+            joint = state.register_amplitudes(register)
+            outputs.append({divmod(value, 2): amp for value, amp in joint.items()})
+        return outputs, state
+
+    def tree_is_clean(self, state: SparseState) -> bool:
+        """True when every tree qubit of a replayed ``state`` is back in |0>
+        in every branch (the tree leads the layout)."""
+        tree = len(self.layout.qubits) - sum(map(len, self.registers))
+        return not any(any(basis[:tree]) for basis, _ in state.items())
 
 
 def weighted_latency(instructions: Sequence[Instruction]) -> float:

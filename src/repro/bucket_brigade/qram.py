@@ -106,7 +106,7 @@ class BucketBrigadeQRAM:
         address_amplitudes: Mapping[int, complex],
         initial_bus: int = 0,
     ) -> dict[tuple[int, int], complex]:
-        """Run one query on the gate-level executor.
+        """Run one query by replaying the executor's compiled program.
 
         Args:
             address_amplitudes: address superposition (normalised
@@ -116,16 +116,16 @@ class BucketBrigadeQRAM:
         Returns:
             Amplitudes over ``(address, bus)`` after the query.
         """
-        executor = self.cached_executor()
-        state = executor.run_query(address_amplitudes, initial_bus=initial_bus)
-        return executor.measured_output(state)
+        return self.cached_executor().run_query(
+            address_amplitudes, initial_bus=initial_bus
+        )
 
     def cached_executor(self) -> BBExecutor:
         """The memoized gate-level executor of this QRAM's memory image.
 
-        The executor (and with it every schedule and lowered gate sequence
-        it has memoized) is reused across every query of the QRAM's
-        lifetime and shared process-wide — the same contract as
+        The executor (and with it the compiled program it has memoized)
+        is reused across every query of the QRAM's lifetime and shared
+        process-wide — the same contract as
         :meth:`repro.core.qram.FatTreeQRAM.cached_executor`.
         """
         if self._executor is None:

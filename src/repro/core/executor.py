@@ -34,9 +34,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.bucket_brigade.instructions import (
+    GateCall,
     Instruction,
     InstructionKind,
     QubitNamer,
+    WindowProgram,
     lower_instruction,
 )
 from repro.bucket_brigade.schedule import _touched_locations
@@ -50,7 +52,7 @@ from repro.core.query import (
     ideal_query_output,
     output_fidelity,
 )
-from repro.sim.sparse import Qubit, QubitLayout, SparseState
+from repro.sim.sparse import QubitLayout
 
 #: Largest sparse state a functional window may build.  Each query
 #: multiplies the branch count by its address branches and by 2 for its bus
@@ -77,28 +79,6 @@ class PipelinedExecutionResult:
     per_query_raw_layers: int
     results: list[QueryResult] = field(default_factory=list)
     max_concurrent: int = 0
-
-
-@dataclass(frozen=True)
-class WindowProgram:
-    """The gates of one functional window, compiled once and replayed.
-
-    Attributes:
-        total_layers: raw layers until the last slot finishes.
-        layout: qubit order of the window's state: the tree, then each
-            slot's register; it owns the gate-resolution memo every replay
-            shares.
-        registers: per slot, its address qubits (most significant first)
-            and then its bus qubit.
-        gates: ``(gate, qubits, theta)`` in execution order: every slot's
-            schedule shifted by ``slot * interval``, sorted by raw layer,
-            with one shared swap per ``(label, level)`` per layer.
-    """
-
-    total_layers: int
-    layout: QubitLayout
-    registers: tuple[tuple[Qubit, ...], ...]
-    gates: tuple[tuple[str, tuple[Qubit, ...], float | None], ...]
 
 
 class FatTreeExecutor:
@@ -404,6 +384,8 @@ class FatTreeExecutor:
         return program
 
     def _compile_window(self, occupancy: int, interval: int) -> WindowProgram:
+        """Every slot's schedule shifted by ``slot * interval``, sorted by
+        raw layer, with one shared swap per ``(label, level)`` per layer."""
         namer = self.namer
         registers = tuple(
             tuple(namer.address_qubit(slot, bit) for bit in range(self._n))
@@ -422,7 +404,7 @@ class FatTreeExecutor:
             ),
             key=itemgetter(0),
         )
-        gates: list[tuple[str, tuple[Qubit, ...], float | None]] = []
+        gates: list[GateCall] = []
         layer, swapped = 0, set()
         for at, instr in merged:
             if at != layer:
@@ -434,10 +416,7 @@ class FatTreeExecutor:
                 if shared in swapped:
                     continue
                 swapped.add(shared)
-            gates.extend(
-                (op.gate, op.qubits, op.theta)
-                for op in self._lowered_operations(instr)
-            )
+            gates.extend(self._lowered_gates(instr))
         return WindowProgram(
             total_layers=merged[-1][0],
             layout=layout,
@@ -472,35 +451,15 @@ class FatTreeExecutor:
         if interval is None:
             interval = self.minimum_feasible_interval(len(requests))
         program = self.window_program(len(requests), interval)
+        slot_outputs, _ = program.replay(
+            [(request.address_amplitudes, request.initial_bus) for request in requests]
+        )
 
-        state = SparseState.from_layout(program.layout)
-        # Prepare each slot's |address>|bus> register, then the bus's
-        # phase-kickback basis change.
-        for register, request in zip(program.registers, requests):
-            bus = request.initial_bus
-            state.prepare_superposition(
-                register,
-                {
-                    2 * address + bus: amp
-                    for address, amp in request.address_amplitudes.items()
-                },
-            )
-            state.apply_gate("H", register[-1:])
-
-        apply_gate = state.apply_gate
-        for gate, qubits, theta in program.gates:
-            apply_gate(gate, qubits, theta)
-
-        # Undo the bus basis change and collect outputs.
         outputs: dict[int, dict[tuple[int, int], complex]] = {}
         results: list[QueryResult] = []
         lifetime = self.relative_raw_latency()
-        for slot, (register, request) in enumerate(zip(program.registers, requests)):
-            state.apply_gate("H", register[-1:])
-            joint = state.register_amplitudes(register)
-            outputs[request.query_id] = {
-                divmod(value, 2): amp for value, amp in joint.items()
-            }
+        for slot, (request, output) in enumerate(zip(requests, slot_outputs)):
+            outputs[request.query_id] = output
             start_layer = slot * interval + 1
             finish_layer = slot * interval + lifetime
             results.append(
@@ -511,7 +470,7 @@ class FatTreeExecutor:
                     latency_layers=finish_layer - start_layer + 1,
                     request_time=request.request_time,
                     request_to_finish=finish_layer - request.request_time,
-                    amplitudes=outputs[request.query_id],
+                    amplitudes=output,
                     status=QueryStatus.COMPLETED,
                 )
             )
@@ -523,7 +482,6 @@ class FatTreeExecutor:
             results=results,
             max_concurrent=self._max_concurrent(len(requests), interval, lifetime),
         )
-        self._final_state = state
         return summary, outputs
 
     #: Instruction kinds whose lowering names per-slot external qubits
@@ -533,7 +491,7 @@ class FatTreeExecutor:
         {InstructionKind.LOAD, InstructionKind.UNLOAD}
     )
 
-    def _lowered_operations(self, instr: Instruction):
+    def _lowered_gates(self, instr: Instruction) -> list[GateCall]:
         """Lowered gate sequence of an instruction, cached by identity.
 
         Lowering depends on (kind, item, level, label) and on the classical
@@ -544,17 +502,17 @@ class FatTreeExecutor:
         """
         query_key = instr.query if instr.kind in self._QUERY_SENSITIVE_KINDS else -1
         key = (instr.kind, query_key, instr.item, instr.level, instr.label)
-        operations = self._lowered_cache.get(key)
-        if operations is None:
-            operations = lower_instruction(
+        gates = self._lowered_cache.get(key)
+        if gates is None:
+            gates = lower_instruction(
                 instr,
                 self.namer,
                 self._n,
                 data=self.data,
                 leaf_label=self._n - 1,
             )
-            self._lowered_cache[key] = operations
-        return operations
+            self._lowered_cache[key] = gates
+        return gates
 
     @staticmethod
     def _max_concurrent(num_queries: int, interval: int, lifetime: int) -> int:
@@ -577,18 +535,6 @@ class FatTreeExecutor:
     ) -> float:
         """|<ideal|actual>|^2 for one query's output register."""
         return output_fidelity(self.expected_output(request), output)
-
-    def tree_is_clean(self) -> bool:
-        """After execution, every tree qubit must be |0> in every branch."""
-        state = getattr(self, "_final_state", None)
-        if state is None:
-            raise RuntimeError("no execution has been run yet")
-        tree_qubits = set(self.structure.all_qubits())
-        for basis, _amp in state.items():
-            for qubit, value in zip(state.qubits, basis):
-                if qubit in tree_qubits and value != 0:
-                    return False
-        return True
 
 
 def _check_distinct_ids(requests: Sequence[QueryRequest]) -> None:

@@ -4,8 +4,6 @@ This subpackage is a small, self-contained quantum circuit toolkit:
 
 * :mod:`repro.sim.gates` — gate definitions (unitaries and classical
   permutation semantics).
-* :mod:`repro.sim.circuit` — a circuit IR over *named* qubits, the input of
-  the simulators' ``run``.
 * :mod:`repro.sim.sparse` — a sparse basis-state simulator.  QRAM routing
   circuits are permutations of computational basis states, so a query on an
   address superposition of ``N`` branches never needs more than ``N`` terms.
@@ -15,7 +13,6 @@ This subpackage is a small, self-contained quantum circuit toolkit:
 * :mod:`repro.sim.noise` — Kraus channels (depolarizing, bit/phase flip ...).
 """
 
-from repro.sim.circuit import Circuit, Operation
 from repro.sim.gates import Gate, GATES, controlled_swap_unitary, gate_unitary
 from repro.sim.sparse import SparseState
 from repro.sim.statevector import StatevectorSimulator
@@ -29,8 +26,6 @@ from repro.sim.noise import (
 )
 
 __all__ = [
-    "Circuit",
-    "Operation",
     "Gate",
     "GATES",
     "gate_unitary",

@@ -12,7 +12,6 @@ from collections.abc import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.sim.circuit import Circuit, Operation
 from repro.sim.gates import gate_unitary
 from repro.sim.noise import NoiseChannel
 
@@ -48,7 +47,6 @@ class DensityMatrixSimulator:
         self._rho = np.zeros((dim, dim), dtype=complex)
         self._rho[0, 0] = 1.0
         self.gate_noise = gate_noise
-        self.classical: dict[str, int] = {}
 
     @property
     def qubits(self) -> list[Qubit]:
@@ -73,17 +71,6 @@ class DensityMatrixSimulator:
         if self.gate_noise is not None:
             for q in qubits:
                 self.apply_channel(self.gate_noise, q)
-
-    def apply_operation(self, op: Operation) -> None:
-        if op.condition is not None:
-            register, value = op.condition
-            if self.classical.get(register, 0) != value:
-                return
-        self.apply_gate(op.gate, op.qubits, theta=op.theta)
-
-    def run(self, circuit: Circuit) -> None:
-        for op in circuit:
-            self.apply_operation(op)
 
     def apply_channel(self, channel: NoiseChannel, qubit: Qubit) -> None:
         """Apply a single-qubit noise channel to ``qubit``."""

@@ -66,7 +66,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.circuit import Circuit, Operation
 from repro.sim.gates import GATES, Gate
 
 if TYPE_CHECKING:  # typing.Self is Python 3.11+; annotations here are lazy.
@@ -104,7 +103,7 @@ class QubitLayout:
 
 
 class _SparseView:
-    """Qubit bookkeeping, circuits and inspection shared by both storages.
+    """Qubit bookkeeping and inspection shared by both storages.
 
     Subclasses keep ``_qubits``/``_index`` (labels in index order and their
     positions) and provide :meth:`_terms`, the state as a
@@ -113,7 +112,6 @@ class _SparseView:
 
     _qubits: list[Qubit]
     _index: dict[Qubit, int]
-    classical: dict[str, int]
     # (gate, qubits) -> resolved call, valid while the qubit order is.
     _resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved]
 
@@ -216,20 +214,6 @@ class _SparseView:
         for q, bit in zip(qubits, bits):
             if bit:
                 self.apply_gate("X", (q,))
-
-    # ---------------------------------------------------------------- circuits
-    def run(self, circuit: Circuit) -> None:
-        """Run a :class:`Circuit`, honouring classical conditions."""
-        for op in circuit:
-            self.apply_operation(op)
-
-    def apply_operation(self, op: Operation) -> None:
-        """Apply a single circuit operation (with classical condition)."""
-        if op.condition is not None:
-            register, value = op.condition
-            if self.classical.get(register, 0) != value:
-                return
-        self.apply_gate(op.gate, op.qubits, theta=op.theta)
 
     # ------------------------------------------------------------- inspection
     def probability(self, assignment: Mapping[Qubit, int]) -> float:
@@ -342,7 +326,6 @@ class SparseState(_SparseView):
         self._qubits: list[Qubit] = []
         self._index: dict[Qubit, int] = {}
         self._resolved = {}
-        self.classical: dict[str, int] = {}
         # The branch bits, in exactly one of two layouts at a time (the
         # other is None): _columns[i] is qubit i's column, whose bit t is
         # branch t's value; _rows is a branches x qubits uint8 matrix.
@@ -777,7 +760,6 @@ class SparseStateScalar(_SparseView):
         self._index: dict[Qubit, int] = {}
         self._resolved = {}
         self._amplitudes: dict[Basis, complex] = {(): 1.0 + 0.0j}
-        self.classical: dict[str, int] = {}
         for q in qubits:
             self.add_qubit(q)
 

@@ -11,7 +11,6 @@ from collections.abc import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.sim.circuit import Circuit, Operation
 from repro.sim.gates import gate_unitary
 
 Qubit = Hashable
@@ -31,7 +30,6 @@ class StatevectorSimulator:
         self._index = {q: i for i, q in enumerate(self._qubits)}
         self._state = np.zeros(2 ** len(self._qubits), dtype=complex)
         self._state[0] = 1.0
-        self.classical: dict[str, int] = {}
 
     @property
     def qubits(self) -> list[Qubit]:
@@ -65,17 +63,6 @@ class StatevectorSimulator:
         """Apply a named gate to the given qubits."""
         matrix = gate_unitary(gate, theta)
         self._apply_matrix(matrix, [self._index[q] for q in qubits])
-
-    def apply_operation(self, op: Operation) -> None:
-        if op.condition is not None:
-            register, value = op.condition
-            if self.classical.get(register, 0) != value:
-                return
-        self.apply_gate(op.gate, op.qubits, theta=op.theta)
-
-    def run(self, circuit: Circuit) -> None:
-        for op in circuit:
-            self.apply_operation(op)
 
     def _apply_matrix(self, matrix: np.ndarray, targets: list[int]) -> None:
         n = self.num_qubits

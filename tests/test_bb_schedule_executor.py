@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bucket_brigade import BBExecutor, BBQuerySchedule, BucketBrigadeQRAM
 from repro.bucket_brigade.instructions import InstructionKind, weighted_latency
+from repro.core.query import ideal_query_output, output_fidelity
 from repro.workloads import structured_data, uniform_superposition
 
 
@@ -69,7 +70,10 @@ def test_superposition_query_matches_eq1():
     data = [1, 0, 1, 1, 0, 0, 1, 0]
     executor = BBExecutor(8, data)
     amplitudes = {0: 0.5, 3: 0.5j, 5: -0.5, 7: 0.5}
-    assert executor.query_fidelity(amplitudes) == pytest.approx(1.0)
+    fidelity = output_fidelity(
+        ideal_query_output(data, amplitudes), executor.run_query(amplitudes)
+    )
+    assert fidelity == pytest.approx(1.0)
 
 
 def test_query_leaves_tree_clean_and_unentangled():
@@ -77,11 +81,16 @@ def test_query_leaves_tree_clean_and_unentangled():
     address/bus."""
     data = structured_data(16, "threshold")
     executor = BBExecutor(16, data)
-    state = executor.run_query(uniform_superposition(16))
-    assert executor.tree_is_clean(state)
+    program = executor.window_program()
     # The address/bus register must be extractable as a product state.
-    output = executor.measured_output(state)
+    (output,), state = program.replay([(uniform_superposition(16), 0)])
+    assert program.tree_is_clean(state)
     assert len(output) == 16
+    assert executor.window_program() is program           # compiled once
+    state.apply_gate("X", program.layout.qubits[:1])      # dirty one tree qubit
+    assert not program.tree_is_clean(state)
+    with pytest.raises(ValueError, match="1-slot program needs 1 inputs"):
+        program.replay([])
 
 
 def test_initial_bus_value_is_xored():
@@ -124,21 +133,8 @@ def test_random_data_and_addresses_satisfy_query_unitary(seed, capacity_power):
     raw = rng.normal(size=len(addresses)) + 1j * rng.normal(size=len(addresses))
     amplitudes = {int(a): complex(x) for a, x in zip(addresses, raw)}
     executor = BBExecutor(capacity, data)
-    assert executor.query_fidelity(amplitudes) == pytest.approx(1.0, abs=1e-9)
+    fidelity = output_fidelity(
+        ideal_query_output(data, amplitudes), executor.run_query(amplitudes)
+    )
+    assert fidelity == pytest.approx(1.0, abs=1e-9)
 
-
-def test_fresh_query_ids_leave_the_memo_bounded():
-    """Only query 0 (the one serving slot) is memoized: 200 distinct query
-    ids each still satisfy Eq. (1) and grow neither the schedule nor the
-    lowered-gate cache past what query 0 put there."""
-    data = structured_data(8, "parity")
-    executor = BBExecutor(8, data)
-    amplitudes = {1: 0.6, 6: 0.8j}
-    assert executor.query_fidelity(amplitudes, query=0) == pytest.approx(1.0)
-    base_schedule = executor._schedule_cache
-    lowered = len(executor._lowered_cache)
-    for query in range(1, 201):
-        assert executor.query_fidelity(amplitudes, query=query) == pytest.approx(1.0)
-    assert executor._schedule_cache is base_schedule
-    assert len(executor._lowered_cache) == lowered
-    assert executor.schedule(0) is base_schedule

@@ -13,6 +13,18 @@ from repro.workloads import structured_data
 DATA8 = [1, 0, 1, 1, 0, 0, 1, 0]
 
 
+def _tree_ends_clean(executor, requests, interval=None):
+    """Replay the window of ``requests`` and check every tree qubit of the
+    final state is back in |0>."""
+    if interval is None:
+        interval = executor.minimum_feasible_interval(len(requests))
+    program = executor.window_program(len(requests), interval)
+    _, state = program.replay(
+        [(request.address_amplitudes, request.initial_bus) for request in requests]
+    )
+    return program.tree_is_clean(state)
+
+
 def test_relative_schedule_latency_is_10n_minus_1():
     for capacity in (2, 4, 8, 16):
         executor = FatTreeExecutor(capacity, [0] * capacity)
@@ -49,7 +61,7 @@ def test_single_query_fidelity_and_cleanliness():
     request = QueryRequest(0, {0: 1, 3: 1j, 6: -1})
     _, outputs = executor.run_pipelined_queries([request], interval=40)
     assert executor.query_fidelity(request, outputs[0]) == pytest.approx(1.0)
-    assert executor.tree_is_clean()
+    assert _tree_ends_clean(executor, [request], interval=40)
 
 
 def test_two_pipelined_queries_are_independent_and_correct():
@@ -61,7 +73,7 @@ def test_two_pipelined_queries_are_independent_and_correct():
     summary, outputs = executor.run_pipelined_queries(requests, interval=22)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
-    assert executor.tree_is_clean()
+    assert _tree_ends_clean(executor, requests, interval=22)
     assert summary.per_query_raw_layers == 29
     assert summary.max_concurrent == 2
 
@@ -94,7 +106,7 @@ def test_capacity4_pipelined_queries():
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
     assert summary.per_query_raw_layers == 19
-    assert executor.tree_is_clean()
+    assert _tree_ends_clean(executor, requests)
 
 
 def test_resident_label_trajectory():
@@ -179,7 +191,7 @@ def test_executor_caches_stay_bounded_over_fresh_query_ids():
     _, outputs = executor.run_pipelined_queries(requests, interval=22)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
-    assert executor.tree_is_clean()
+    assert _tree_ends_clean(executor, requests, interval=22)
     assert len(executor._program_cache) == 1
     assert len(executor._lowered_cache) == lowered
 
@@ -218,15 +230,15 @@ def _merged_window_gates(executor, occupancy, interval):
                 if key in executed_swaps:
                     continue
                 executed_swaps.add(key)
-            for op in lower_instruction(
-                instr,
-                executor.namer,
-                executor.address_width,
-                data=executor.data,
-                leaf_label=executor.address_width - 1,
-            ):
-                assert op.condition is None
-                gates.append((op.gate, op.qubits, op.theta))
+            gates.extend(
+                lower_instruction(
+                    instr,
+                    executor.namer,
+                    executor.address_width,
+                    data=executor.data,
+                    leaf_label=executor.address_width - 1,
+                )
+            )
     return gates, max(by_layer)
 
 
@@ -301,12 +313,6 @@ def test_programs_compile_once_per_occupancy_over_a_functional_serve(monkeypatch
     assert all(f == pytest.approx(1.0) for f in (r.fidelity for r in report.served))
 
 
-def test_tree_is_clean_raises_before_any_run():
-    executor = FatTreeExecutor(8, DATA8)
-    with pytest.raises(RuntimeError, match="no execution"):
-        executor.tree_is_clean()
-
-
 def test_shared_swap_dedup_under_custom_interval():
     """At interval 22 (capacity 8) the label-0 migrations of consecutive
     queries land on the same raw layer: they must execute as ONE shared
@@ -328,7 +334,7 @@ def test_shared_swap_dedup_under_custom_interval():
     _, outputs = executor.run_pipelined_queries(requests, interval=interval)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
-    assert executor.tree_is_clean()
+    assert _tree_ends_clean(executor, requests, interval=interval)
 
 
 def test_query_result_units_are_consistent():

@@ -9,8 +9,8 @@ digests byte-identical.
 
 Two window-level pins ride along: the outputs of one 4,096-branch Fat-Tree
 window (far past one 64-bit word of branch bits), and the number of
-``SparseState.apply_gate`` calls one window makes, which the layered
-benchmark's ``sim.gates`` counter reads.
+``SparseState.apply_gate`` calls one Fat-Tree window or BB query makes,
+which the layered benchmark's ``sim.gates`` counter reads.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.bucket_brigade.executor import BBExecutor
 from repro.core.executor import FatTreeExecutor
 from repro.core.query import QueryRequest
 from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
@@ -148,24 +149,43 @@ def test_4096_branch_window_is_pinned(monkeypatch):
     requests = _window_requests(64, 6)
     _, outputs = executor.run_pipelined_queries(requests)
     assert seen["peak_terms"] == 4096
-    assert executor.tree_is_clean()
     for request in requests:
         fidelity = executor.query_fidelity(request, outputs[request.query_id])
         assert math.isclose(fidelity, 1.0, abs_tol=1e-12)
     assert _outputs_digest(outputs) == (
         "a63d19752ad0b898ef6484e002353fbc2e80128c0eba6d3bac1a1bbd57a63d42"
     )
+    program = executor.window_program(6, executor.minimum_feasible_interval(6))
+    _, state = program.replay(
+        [(request.address_amplitudes, request.initial_bus) for request in requests]
+    )
+    assert program.tree_is_clean(state)
 
 
-@pytest.mark.parametrize("occupancy", [1, 2, 3, 4])
-def test_window_makes_one_apply_gate_call_per_gate(monkeypatch, occupancy):
-    """One ``run_pipelined_queries`` call makes exactly one
-    ``apply_gate`` call per compiled gate plus two bus basis changes per
-    slot: the benchmark's ``sim.gates`` counts gates, so no gate may be
-    fused into another call or applied behind the method's back."""
+_GATE_COUNT_CASES = [
+    *(pytest.param("Fat-Tree", k, id=str(k)) for k in (1, 2, 3, 4)),
+    pytest.param("BB", 1, id="BB"),
+]
+
+
+@pytest.mark.parametrize("architecture, occupancy", _GATE_COUNT_CASES)
+def test_window_makes_one_apply_gate_call_per_gate(
+    monkeypatch, architecture, occupancy
+):
+    """One Fat-Tree ``run_pipelined_queries`` call, or one BB
+    ``run_query``, makes exactly one ``apply_gate`` call per compiled gate
+    plus two bus basis changes per slot: the benchmark's ``sim.gates``
+    counts gates, so no gate may be fused into another call or applied
+    behind the method's back."""
     seen = _counted_gates(monkeypatch)
-    executor = FatTreeExecutor(16, _random_data(16))
-    executor.run_pipelined_queries(_window_requests(16, occupancy))
-    interval = executor.minimum_feasible_interval(occupancy)
-    program = executor.window_program(occupancy, interval)
+    requests = _window_requests(16, occupancy)
+    if architecture == "BB":
+        executor = BBExecutor(16, _random_data(16))
+        executor.run_query(requests[0].address_amplitudes)
+        program = executor.window_program()
+    else:
+        executor = FatTreeExecutor(16, _random_data(16))
+        executor.run_pipelined_queries(requests)
+        interval = executor.minimum_feasible_interval(occupancy)
+        program = executor.window_program(occupancy, interval)
     assert seen["calls"] == len(program.gates) + 2 * occupancy

@@ -34,16 +34,16 @@ def test_namer_plain_and_multiplexed():
 def test_route_lowering_routes_by_router_state():
     namer = QubitNamer("bb")
     instruction = Instruction(InstructionKind.ROUTE, 0, 2, 0, 0, raw_layer=1)
-    ops = lower_instruction(instruction, namer, address_width=2)
+    gates = lower_instruction(instruction, namer, address_width=2)
     # Level 0 has one router -> ANTI_CSWAP + CSWAP.
-    assert [op.gate for op in ops] == ["ANTI_CSWAP", "CSWAP"]
+    assert [gate for gate, _, _ in gates] == ["ANTI_CSWAP", "CSWAP"]
     state = SparseState()
     state.ensure_qubits([namer.router_qubit(0, 0), namer.input_qubit(0, 0),
                          namer.output_qubit(0, 0, 0), namer.output_qubit(0, 0, 1)])
     state.apply_gate("X", (namer.router_qubit(0, 0),))   # router holds |1>
     state.apply_gate("X", (namer.input_qubit(0, 0),))    # payload |1>
-    for op in ops:
-        state.apply_operation(op)
+    for gate, qubits, theta in gates:
+        state.apply_gate(gate, qubits, theta)
     assert state.probability({namer.output_qubit(0, 0, 1): 1}) == pytest.approx(1.0)
     assert state.probability({namer.input_qubit(0, 0): 1}) == pytest.approx(0.0)
 
@@ -51,10 +51,11 @@ def test_route_lowering_routes_by_router_state():
 def test_classical_gates_lowering_targets_only_set_bits():
     namer = QubitNamer("bb")
     instruction = Instruction(InstructionKind.CLASSICAL_GATES, 0, 0, 1, 0, raw_layer=1)
-    ops = lower_instruction(instruction, namer, address_width=2, data=[1, 0, 0, 1])
-    targets = {op.qubits[0] for op in ops}
-    assert targets == {namer.output_qubit(1, 0, 0), namer.output_qubit(1, 1, 1)}
-    assert all(op.gate == "Z" for op in ops)
+    gates = lower_instruction(instruction, namer, address_width=2, data=[1, 0, 0, 1])
+    assert sorted(gates) == sorted(
+        ("Z", (namer.output_qubit(1, index, direction),), None)
+        for index, direction in [(0, 0), (1, 1)]
+    )
     with pytest.raises(ValueError):
         lower_instruction(instruction, namer, address_width=2)
     with pytest.raises(ValueError):
@@ -66,19 +67,21 @@ def test_swap_migrate_lowering_covers_inputs_and_routers():
     instruction = Instruction(
         InstructionKind.SWAP_MIGRATE, 0, 0, level=1, label=1, raw_layer=5
     )
-    ops = lower_instruction(instruction, namer, address_width=3)
+    gates = lower_instruction(instruction, namer, address_width=3)
     # Levels 0..1 (= 3 routers), 2 swaps each (input + router qubit).
-    assert len(ops) == 2 * (1 + 2)
-    for op in ops:
-        assert op.gate == "SWAP"
-        assert op.qubits[0][4] == 1 and op.qubits[1][4] == 2   # labels 1 <-> 2
+    assert len(gates) == 2 * (1 + 2)
+    for gate, (low, high), theta in gates:
+        assert (gate, theta) == ("SWAP", None)
+        assert low[4] == 1 and high[4] == 2   # labels 1 <-> 2
 
 
 def test_load_lowering_uses_external_register():
     namer = QubitNamer("bb")
     load_bus = Instruction(InstructionKind.LOAD, 3, 3, -1, 0, raw_layer=1)
-    ops = lower_instruction(load_bus, namer, address_width=2)
-    assert ops[0].qubits == (("bus", 3), namer.input_qubit(0, 0, 0))
+    assert lower_instruction(load_bus, namer, address_width=2) == [
+        ("SWAP", (("bus", 3), namer.input_qubit(0, 0, 0)), None)
+    ]
     load_addr = Instruction(InstructionKind.LOAD, 3, 1, -1, 0, raw_layer=1)
-    ops = lower_instruction(load_addr, namer, address_width=2)
-    assert ops[0].qubits[0] == ("addr", 3, 0)
+    assert lower_instruction(load_addr, namer, address_width=2) == [
+        ("SWAP", (("addr", 3, 0), namer.input_qubit(0, 0, 0)), None)
+    ]

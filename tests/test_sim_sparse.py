@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.circuit import Circuit
 from repro.sim.sparse import QubitLayout, SparseState, SparseStateScalar
 from repro.sim.statevector import StatevectorSimulator
 
 
 def test_single_qubit_gates_match_statevector():
-    circuit = Circuit()
-    circuit.append("H", ["a"])
-    circuit.append("T", ["a"])
-    circuit.append("H", ["b"])
-    circuit.append("CX", ["a", "b"])
-    circuit.append("Z", ["b"])
+    gates = [
+        ("H", ("a",), None),
+        ("T", ("a",), None),
+        ("H", ("b",), None),
+        ("CX", ("a", "b"), None),
+        ("Z", ("b",), None),
+    ]
     sparse = SparseState(["a", "b"])
-    sparse.run(circuit)
     dense = StatevectorSimulator(["a", "b"])
-    dense.run(circuit)
+    for gate, qubits, theta in gates:
+        sparse.apply_gate(gate, qubits, theta)
+        dense.apply_gate(gate, qubits, theta)
     assert np.allclose(sparse.to_statevector(["a", "b"]), dense.state, atol=1e-12)
 
 
@@ -87,16 +88,15 @@ def test_fidelity_with_self_and_orthogonal():
     assert math.isclose(plus.fidelity_with(minus), 0.0, abs_tol=1e-12)
 
 
-def test_classical_condition_controls_operation():
-    circuit = Circuit()
-    circuit.append("X", ["q"], condition=("flag", 1))
-    state = SparseState(["q"])
-    state.classical["flag"] = 0
-    state.run(circuit)
-    assert state.probability({"q": 1}) == pytest.approx(0.0)
-    state.classical["flag"] = 1
-    state.run(circuit)
-    assert state.probability({"q": 1}) == pytest.approx(1.0)
+@pytest.mark.parametrize("storage", [SparseState, SparseStateScalar])
+def test_apply_gate_rejects_bad_calls(storage):
+    """An unknown gate name, the wrong number of qubits and a repeated
+    qubit are refused before the gate touches the state."""
+    state = storage(["a", "b"])
+    for gate, qubits in [("NOPE", ("a",)), ("CX", ("a",)), ("SWAP", ("a", "a"))]:
+        with pytest.raises(ValueError):
+            state.apply_gate(gate, qubits)
+    assert state.qubit_values() == {"a": 0, "b": 0}
 
 
 @settings(max_examples=25, deadline=None)

@@ -53,15 +53,14 @@ from repro.workloads.generators import (
     random_address_superposition,
 )
 from repro.workloads.arrivals import iter_exponential_times
-from repro.core.query import QueryRequest
+from repro.core.query import QueryRequest, ideal_query_output, output_fidelity
 from repro.bucket_brigade.executor import BBExecutor
 from repro.core.executor import FatTreeExecutor
 from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
 from repro.sim.gates import GATES
 from repro.sim.sparse import QubitLayout, SparseState, SparseStateScalar, _SparseView
 from repro.sweep.engine import report_digest
-import repro.bucket_brigade.executor as bb_executor_module
-import repro.core.executor as fat_tree_executor_module
+import repro.bucket_brigade.instructions as window_module
 
 #: Every registered architecture plus encoded variants at two distances —
 #: the full set of `_window_offsets` / `_infidelity_bounds` combinations
@@ -493,12 +492,12 @@ def test_array_register_amplitudes_tie_break_like_the_view():
     assert [entry[:1] + entry[2:] for entry in array] == [(0, *half), (1, *half)]
 
 
-def _run_both(monkeypatch, module, run):
-    """``run()`` on the array storage, then with ``module``'s SparseState
-    swapped for the dict storage."""
+def _run_both(monkeypatch, run):
+    """``run()`` on the array storage, then with the window replay's
+    SparseState swapped for the dict storage."""
     array = run()
     with monkeypatch.context() as patched:
-        patched.setattr(module, "SparseState", SparseStateScalar)
+        patched.setattr(window_module, "SparseState", SparseStateScalar)
         scalar = run()
     return array, scalar
 
@@ -522,13 +521,19 @@ def test_fat_tree_windows_match_scalar_storage(monkeypatch, capacity):
         def run():
             executor = FatTreeExecutor(capacity, data)
             _, outputs = executor.run_pipelined_queries(requests)
-            assert executor.tree_is_clean()
+            program = executor.window_program(
+                occupancy, executor.minimum_feasible_interval(occupancy)
+            )
+            _, state = program.replay(
+                [(r.address_amplitudes, r.initial_bus) for r in requests]
+            )
+            assert program.tree_is_clean(state)
             fidelities = [
                 executor.query_fidelity(r, outputs[r.query_id]) for r in requests
             ]
             return outputs, fidelities
 
-        array, scalar = _run_both(monkeypatch, fat_tree_executor_module, run)
+        array, scalar = _run_both(monkeypatch, run)
         assert array == scalar, (capacity, occupancy)
         assert all(math.isclose(f, 1.0, abs_tol=1e-9) for f in array[1])
 
@@ -540,12 +545,14 @@ def test_bb_queries_match_scalar_storage(monkeypatch, capacity):
 
     def run():
         executor = BBExecutor(capacity, data)
-        state = executor.run_query(amplitudes, initial_bus=1)
-        assert executor.tree_is_clean(state)
-        output = executor.measured_output(state)
-        return output, executor.query_fidelity(amplitudes, initial_bus=1)
+        program = executor.window_program()
+        (output,), state = program.replay([(amplitudes, 1)])
+        assert program.tree_is_clean(state)
+        assert executor.run_query(amplitudes, initial_bus=1) == output
+        ideal = ideal_query_output(data, amplitudes, initial_bus=1)
+        return output, output_fidelity(ideal, output)
 
-    array, scalar = _run_both(monkeypatch, bb_executor_module, run)
+    array, scalar = _run_both(monkeypatch, run)
     assert array == scalar
 
 
@@ -575,8 +582,7 @@ def test_functional_serve_matches_scalar_storage(monkeypatch):
         default_registry().clear()
         return report_digest(spec.execute())
 
-    monkeypatch.setattr(bb_executor_module, "SparseState", SparseStateScalar)
-    array, scalar = _run_both(monkeypatch, fat_tree_executor_module, serve)
+    array, scalar = _run_both(monkeypatch, serve)
     default_registry().clear()
     assert array == scalar
 
