@@ -29,9 +29,6 @@ Measurements:
   ``workers`` = 1 / 2 / 4 — the merged report must compare equal at every
   worker count (the parallel core's bit-identity contract) while each
   worker regenerates only its own shards' requests;
-* the shared schedule-cache registry: an autoscaled replica added mid-run
-  resolves its executor from the process-wide warm cache (a registry hit,
-  never a fresh derivation);
 * the scenario axis: every named adversarial scenario of
   :mod:`repro.scenarios.library` (diurnal cycle, flash crowd, hot-key
   skew, misbehaving tenant, deadline-impossible) drained end to end from
@@ -55,9 +52,7 @@ from repro.bucket_brigade.executor import BBExecutor
 from repro.bucket_brigade.qram import BucketBrigadeQRAM
 from repro.core.executor import FatTreeExecutor
 from repro.core.qram import FatTreeQRAM
-from repro.core.query import QueryRequest
 from repro.engine import (
-    AutoscalerConfig,
     PartitionedTraceSource,
     ServiceEngine,
     StreamingTraceSource,
@@ -72,7 +67,6 @@ from repro.scenarios import (
     library_names,
     library_scenario,
 )
-from repro.schedule_cache import default_registry
 from repro.service import QRAMService
 from repro.workloads import iter_poisson_trace, random_data
 
@@ -534,46 +528,3 @@ def test_service_scenario_axis(benchmark):
     hot = max(s.queries for s in skew.values())
     assert hot >= results["hot-key-skew"].total_queries // 2
     assert results["diurnal-cycle"].rejected_queries == 0
-
-
-def test_autoscaled_replica_hits_warm_schedule_cache(benchmark):
-    """A replica added mid-run must resolve from the warm shared cache."""
-    capacity = 8
-    registry = default_registry()
-    registry.clear()
-    service = QRAMService(capacity, num_shards=1, functional=False,
-                          placement="shortest-queue")
-    built = registry.stats()
-    assert built.entries > 0, "fleet build must prewarm the registry"
-
-    requests = [
-        QueryRequest(i, {i % capacity: 1.0}, request_time=0.0)
-        for i in range(12)
-    ]
-    requests.append(QueryRequest(99, {3: 1.0}, request_time=50_000.0))
-    config = AutoscalerConfig(period=100.0, high_watermark=4, low_watermark=0,
-                              min_shards=1, max_shards=3)
-    report = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
-    benchmark(lambda: report)
-    scaled = registry.stats()
-
-    assert any(event.action == "up" for event in report.scale_events)
-    # Every replica holds the same memory image: the scale-up's prewarm
-    # must hit the shared executor, never derive a fresh one.
-    assert scaled.misses == built.misses, (
-        "autoscaled replica missed the warm schedule cache"
-    )
-    assert scaled.hits > built.hits
-    print_rows(
-        "Shared schedule-cache registry under autoscaling",
-        {
-            "entries": scaled.entries,
-            "hits": scaled.hits,
-            "misses": scaled.misses,
-            "hit_rate": round(scaled.hit_rate, 3),
-            "scale_ups": sum(
-                1 for event in report.scale_events if event.action == "up"
-            ),
-        },
-    )
-

@@ -1,4 +1,4 @@
-"""Four serving scenarios on one discrete-event engine.
+"""Three serving scenarios on one discrete-event engine.
 
 The same 2-shard Fat-Tree fleet serves:
 
@@ -8,9 +8,7 @@ The same 2-shard Fat-Tree fleet serves:
    offered load reacts to latency;
 3. **SLO-aware** — deadline-carrying traffic under EDF admission with a
    bounded queue and expired-deadline shedding (saturation surfaces as
-   rejects / sheds / deadline misses, not unbounded queues);
-4. **elastic** — a replicated fleet that grows and shrinks replicas from
-   queue-depth watermarks while two query bursts pass through.
+   rejects / sheds / deadline misses, not unbounded queues).
 
 Every scenario is the same engine — a heap of typed events on one virtual
 clock — and every scenario is one declarative
@@ -25,7 +23,6 @@ Run with ``python examples/serving_closed_loop.py``.
 
 from __future__ import annotations
 
-from repro import AutoscalerConfig
 from repro.scenarios import FleetSpec, PolicySpec, ScenarioSpec, WorkloadSpec
 
 CAPACITY = 16
@@ -93,36 +90,11 @@ def slo_scenario() -> ScenarioSpec:
     )
 
 
-def elastic_scenario() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="elastic",
-        fleet=FleetSpec(
-            capacity=CAPACITY,
-            shards=("Fat-Tree",),
-            placement="shortest-queue",
-            functional=False,
-        ),
-        workload=WorkloadSpec(
-            kind="bursty",
-            num_bursts=2,
-            burst_size=12,
-            burst_spacing=40_000.0,
-        ),
-        policy=PolicySpec(
-            autoscaler=AutoscalerConfig(
-                period=100.0, high_watermark=4, low_watermark=0,
-                min_shards=1, max_shards=3,
-            ),
-        ),
-    )
-
-
 #: Every scenario this example serves, importable by tests and benchmarks.
 SCENARIOS: dict[str, ScenarioSpec] = {
     "open-loop": open_loop_scenario(),
     "closed-loop": closed_loop_scenario(),
     "slo-aware": slo_scenario(),
-    "elastic": elastic_scenario(),
 }
 
 
@@ -160,24 +132,12 @@ def slo_aware() -> None:
                  "queue bound 6)", report.stats)
 
 
-def elastic() -> None:
-    report = SCENARIOS["elastic"].execute()
-    _print_stats("elastic (two 12-query bursts on a replicated fleet)",
-                 report.stats)
-    for event in report.scale_events:
-        print(f"  t={event.time:8.0f}: scale {event.action:<4} -> "
-              f"{event.active_shards} replica(s) "
-              f"(queue depth {event.trigger_depth})")
-    print()
-
-
 def main() -> None:
-    print(f"one engine, four serving scenarios — capacity {CAPACITY}, "
+    print(f"one engine, three serving scenarios — capacity {CAPACITY}, "
           f"Fat-Tree shards\n")
     open_loop()
     closed_loop()
     slo_aware()
-    elastic()
 
 
 if __name__ == "__main__":

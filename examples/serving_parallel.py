@@ -15,8 +15,9 @@ shows the two supporting pieces:
    process-wide, prewarmed at fleet build and inherited copy-on-write by
    forked workers, so replicas of one memory image compile once;
 3. **observable fallbacks** — configurations the partitioner cannot prove
-   oracle-exact (here: an autoscaled fleet) fall back to the oracle with
-   ``report.parallel.fallback_reason`` set, never silently.
+   oracle-exact (here: a replicated shortest-queue fleet) fall back to
+   the oracle with ``report.parallel.fallback_reason`` set, never
+   silently.
 
 One :class:`repro.scenarios.ScenarioSpec` describes the whole experiment;
 the worker count is just ``RunSpec.workers``, so the sweep is
@@ -31,10 +32,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import AutoscalerConfig
 from repro.scenarios import (
     FleetSpec,
-    PolicySpec,
     RunSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -79,7 +78,10 @@ def lazy_partitioned_scenario() -> ScenarioSpec:
 
 
 def fallback_scenario() -> ScenarioSpec:
-    """An autoscaled fleet: unpartitionable, falls back to the oracle."""
+    """A replicated shortest-queue fleet: unpartitionable, so it falls back
+    to the oracle.  Every replica holds the whole memory and each arrival
+    goes to the least-loaded one, so one shard's queue decides where the
+    next query runs — the shards are coupled through placement."""
     return ScenarioSpec(
         name="parallel-fallback",
         fleet=FleetSpec(
@@ -94,12 +96,6 @@ def fallback_scenario() -> ScenarioSpec:
             num_queries=12,
             mean_interarrival=2.0,
             seed=7,
-        ),
-        policy=PolicySpec(
-            autoscaler=AutoscalerConfig(
-                period=100.0, high_watermark=4, low_watermark=0,
-                min_shards=1, max_shards=8,
-            ),
         ),
         run=RunSpec(workers=4),
     )

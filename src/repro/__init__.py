@@ -44,7 +44,6 @@ from repro.service import (
 )
 from repro.engine import (
     SANITIZE_ENV,
-    AutoscalerConfig,
     ClosedLoopClient,
     ClosedLoopSource,
     SanitizerViolation,
@@ -69,7 +68,6 @@ __all__ = [
     "ServiceEngine",
     "SanitizerViolation",
     "SANITIZE_ENV",
-    "AutoscalerConfig",
     "TraceSource",
     "StreamingTraceSource",
     "ClosedLoopClient",

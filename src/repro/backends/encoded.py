@@ -1,8 +1,8 @@
 """QEC-encoded backend variants: serve logical queries at a code distance.
 
 Wraps any :class:`repro.backends.protocol.QRAMBackend` in the spec-level
-resource and fidelity model of Sec. 8.3 so an elastic fleet can mix bare
-and encoded replicas:
+resource and fidelity model of Sec. 8.3 so a fleet can mix bare and
+encoded replicas:
 
 * **fidelity** — the wrapped architecture's Sec. 8.1 bound evaluated at
   the *logical* error rates of

@@ -2,11 +2,11 @@
 
 The serving layer (:mod:`repro.service`) drives traffic through *backends*:
 objects that expose one architecture's query parallelism, qubit count,
-memory image, fidelity predictions and a ``run_window`` primitive that
-executes one batch of queries and reports per-slot timing, outputs and
-fidelities.  A backend's classical memory is fixed when it is built: the
-paper's QRAM serves queries over data loaded once, so nothing on this
-surface writes memory.  All five architectures of the paper's evaluation
+fidelity predictions and a ``run_window`` primitive that executes one
+batch of queries and reports per-slot timing, outputs and fidelities.  A
+backend's classical memory is fixed when it is built: the paper's QRAM
+serves queries over data loaded once, so nothing on this surface reads or
+writes memory.  All five architectures of the paper's evaluation
 (Fat-Tree, BB, Virtual, D-Fat-Tree, D-BB) provide an adapter implementing
 this protocol, built through the single factory
 :func:`repro.baselines.registry.build_backend` — the same registry that
@@ -106,11 +106,6 @@ class QRAMBackend(Protocol):
     @property
     def qubit_count(self) -> int:
         """Physical qubits of the underlying hardware model."""
-        ...
-
-    @property
-    def data(self) -> list[int]:
-        """The classical memory image, fixed when the backend is built."""
         ...
 
     def predicted_query_fidelity(self) -> float:

@@ -164,8 +164,8 @@ def build_backend(
     :class:`repro.backends.encoded.EncodedBackend`, which maps the
     fidelity through the logical error rates of
     :func:`repro.fidelity.qec.encoded_parameters` and the resources/timing
-    through the Table-5 pipelined-logical-query model.  An elastic fleet
-    can therefore mix bare and encoded replicas by name alone.
+    through the Table-5 pipelined-logical-query model.  A fleet can
+    therefore mix bare and encoded replicas by name alone.
 
     Args:
         name: one of :func:`backend_names` (case-insensitive), optionally

@@ -138,8 +138,9 @@ class FatTreeQRAM:
         reused across every query of the QRAM's lifetime.
         Executors are shared process-wide through the
         :class:`~repro.schedule_cache.ScheduleCacheRegistry`: every
-        replica holding the same memory image — including autoscaled
-        replicas and forked serving workers — resolves to one executor, so
+        replica holding the same memory image — including replicas of a
+        later fleet build and forked serving workers — resolves to one
+        executor, so
         schedules and lowered gate sequences are derived once per image
         instead of once per replica.
         """

@@ -1,10 +1,10 @@
 """Discrete-event serving engine: the one place virtual time advances.
 
 * :mod:`repro.engine.events` — typed events (:class:`ClientThink`,
-  :class:`WindowStart`, :class:`WindowDrain`, :class:`ScaleCheck`,
-  :class:`TelemetryTick`) and the virtual-time :class:`EventHeap`, which
-  also holds an open-loop trace's one pending arrival beside the heap
-  and lets a window start that would pop next be admitted at once.
+  :class:`WindowStart`, :class:`WindowDrain`, :class:`TelemetryTick`)
+  and the virtual-time :class:`EventHeap`, which also holds an open-loop
+  trace's one pending arrival beside the heap and lets a window start
+  that would pop next be admitted at once.
 * :mod:`repro.engine.workload` — the :class:`WorkloadSource` interface
   unifying open-loop traces (:class:`StreamingTraceSource`, and the
   materialized :class:`TraceSource` it streams) and closed-loop
@@ -12,8 +12,8 @@
   enters the engine as a :class:`ClientThink`, an open-loop one as the
   held arrival, at the same place in the event order.
 * :mod:`repro.engine.core` — :class:`ServiceEngine` (SLO-aware admission,
-  backpressure, elastic fleets, record retention modes and periodic
-  telemetry) and the :class:`ServiceReport` it returns.
+  backpressure, record retention modes and periodic telemetry on one
+  fixed fleet) and the :class:`ServiceReport` it returns.
 * :mod:`repro.engine.partition` / :mod:`repro.engine.parallel` —
   partitioned parallel serving: ``ServiceEngine(workers=N)`` shards the
   fleet across forked worker processes and merges the events back
@@ -30,7 +30,6 @@ from repro.engine.core import (
     RETENTIONS,
     SANITIZE_ENV,
     WORKERS_ENV,
-    AutoscalerConfig,
     ServiceEngine,
     ServiceReport,
 )
@@ -39,7 +38,6 @@ from repro.engine.events import (
     Event,
     EventHeap,
     SanitizerViolation,
-    ScaleCheck,
     TelemetryTick,
     WindowDrain,
     WindowStart,
@@ -62,7 +60,6 @@ from repro.engine.workload import (
 __all__ = [
     "ServiceEngine",
     "ServiceReport",
-    "AutoscalerConfig",
     "RETENTIONS",
     "WorkloadSource",
     "TraceSource",
@@ -74,7 +71,6 @@ __all__ = [
     "ClientThink",
     "WindowStart",
     "WindowDrain",
-    "ScaleCheck",
     "TelemetryTick",
     "SanitizerViolation",
     "SANITIZE_ENV",

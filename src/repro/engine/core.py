@@ -4,9 +4,8 @@
 :class:`repro.service.QRAMService` surface — shards, shard map, admission
 policy, window sizes) through a heap of typed events
 (:mod:`repro.engine.events`).  Time advances only here: arrivals enqueue,
-idle shards admit pipeline windows, draining windows free their shard, and
-optional :class:`ScaleCheck` ticks grow or shrink a replicated fleet.  New
-serving scenarios are new event types or new
+idle shards admit pipeline windows, and draining windows free their shard,
+on one fixed fleet.  New serving scenarios are new event types or new
 :class:`~repro.engine.workload.WorkloadSource` implementations — never a
 new hand-rolled loop.
 
@@ -35,13 +34,8 @@ shared memory under live contention needs:
   pipelining-depth degradation never drags an admitted slot below its SLO
   (predictions are memoized per ``(shard, occupancy)`` — the hot path
   never re-derives them);
-* **elastic fleets** — an :class:`AutoscalerConfig` adds or retires
-  full-memory replicas (built through
-  :func:`repro.baselines.registry.build_backend`; encoded variants by
-  ``"<architecture>@d<k>"`` name) from queue-depth watermarks, rebalancing
-  queued work onto fresh replicas;
-* **streaming telemetry** — every served / rejected / window / scale
-  record flows through a :class:`~repro.metrics.sinks.RecordSink` chosen
+* **streaming telemetry** — every served / rejected / window record
+  flows through a :class:`~repro.metrics.sinks.RecordSink` chosen
   by the engine's ``retention`` mode *and* the online
   :class:`~repro.metrics.streaming.StreamingServiceAggregator`, so
   ``retention="none"`` serves million-query workloads in memory
@@ -62,13 +56,11 @@ from functools import reduce
 from itertools import chain
 from typing import Any, NamedTuple
 
-from repro.baselines.registry import build_backend
 from repro.core.query import ANY_SHARD, QueryRequest
 from repro.engine.events import (
     ClientThink,
     EventHeap,
     SanitizerViolation,
-    ScaleCheck,
     TelemetryTick,
     WindowDrain,
     WindowStart,
@@ -82,7 +74,6 @@ from repro.metrics.service_stats import (
     REJECT_FIDELITY,
     REJECT_QUEUE_FULL,
     RejectedQuery,
-    ScaleEvent,
     ServedQuery,
     ServiceStats,
     WindowRecord,
@@ -100,7 +91,6 @@ from repro.perf.profiler import (
     HotPathProfiler,
     StageProfile,
 )
-from repro.schedule_cache import default_registry
 
 #: Retention modes for the engine's per-request records.
 RETENTIONS = ("full", "none")
@@ -190,44 +180,6 @@ class _SeenIds:
         return False
 
 
-@dataclass(frozen=True)
-class AutoscalerConfig:
-    """Queue-depth-watermark autoscaling of a replicated fleet.
-
-    Every ``period`` layers the engine inspects the deepest active queue:
-    at or above ``high_watermark`` it adds one full-memory replica (up to
-    ``max_shards``) and rebalances queued requests onto it; at or below
-    ``low_watermark`` it retires one idle, empty replica (down to
-    ``min_shards``).  Only ``"shortest-queue"`` placement can scale — an
-    interleaved fleet partitions the address space and cannot change shard
-    count without resharding.
-
-    Attributes:
-        period: raw layers between scale checks.
-        high_watermark: per-shard queue depth that triggers scale-up.
-        low_watermark: per-shard queue depth that permits scale-down.
-        min_shards: floor on active replicas.
-        max_shards: ceiling on active replicas.
-        architecture: backend architecture for new replicas (defaults to
-            the fleet's first shard's architecture).
-    """
-
-    period: float
-    high_watermark: int
-    low_watermark: int = 0
-    min_shards: int = 1
-    max_shards: int = 8
-    architecture: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.low_watermark < 0 or self.high_watermark <= self.low_watermark:
-            raise ValueError("need high_watermark > low_watermark >= 0")
-        if not 1 <= self.min_shards <= self.max_shards:
-            raise ValueError("need 1 <= min_shards <= max_shards")
-
-
 class RawInterval(NamedTuple):
     """One telemetry interval's raw totals, as a drain records them (unlike
     :class:`IntervalStats`, whose mean fidelity lost its count, raw totals
@@ -313,7 +265,6 @@ class RunOutcome:
     served: list[ServedQuery]
     windows: list[WindowRecord]
     rejected: list[RejectedQuery]
-    scale_events: list[ScaleEvent]
     outputs: dict[int, dict[tuple[int, int], complex]]
     max_depth: dict[int, int]
     aggregator: StreamingServiceAggregator
@@ -343,8 +294,6 @@ class ServiceReport:
             pairs (populated only on functional runs under full retention).
         rejected: requests refused by backpressure or shed past deadline,
             by ``(time, query_id)`` (retained per the retention mode).
-        scale_events: elastic-fleet transitions taken by the autoscaler
-            (retained per the retention mode, like every record stream).
         telemetry: time-windowed interval samples, one per
             :class:`~repro.engine.events.TelemetryTick` (empty unless the
             engine was given a ``telemetry_interval``).
@@ -367,7 +316,6 @@ class ServiceReport:
     stats: ServiceStats
     outputs: dict[int, dict[tuple[int, int], complex]] = field(default_factory=dict)
     rejected: list[RejectedQuery] = field(default_factory=list)
-    scale_events: list[ScaleEvent] = field(default_factory=list)
     telemetry: list[IntervalStats] = field(default_factory=list)
     retention: str = "full"
     parallel: ParallelRunInfo | None = field(
@@ -396,6 +344,9 @@ class ServiceReport:
 class ServiceEngine:
     """Discrete-event simulation of a QRAM backend fleet serving traffic.
 
+    The fleet is fixed for the whole run, as in the paper: every shard
+    built with it serves from the first event to the last.
+
     Args:
         fleet: the fleet to drive — typically a
             :class:`repro.service.QRAMService`; any object exposing
@@ -408,8 +359,6 @@ class ServiceEngine:
             by their deadline (``deadline <= now`` — any execution takes at
             least one layer) are shed (never executed) at the next window
             admission on their shard.
-        autoscaler: elastic-fleet configuration; requires
-            ``placement="shortest-queue"``.
         max_distillation_copies: most parallel copies the engine may spend
             per query on virtual distillation (Sec. 8.2) to reach the
             query's ``min_fidelity``; each extra copy consumes one window
@@ -424,7 +373,7 @@ class ServiceEngine:
             :class:`~repro.metrics.streaming.IntervalStats` every this
             many raw layers (the report's ``telemetry`` time series).
         sink: optional extra :class:`~repro.metrics.sinks.RecordSink` that
-            receives *every* served / rejected / window / scale record
+            receives *every* served / rejected / window record
             regardless of retention — e.g. a
             :class:`~repro.metrics.sinks.JsonlSink` for durable full
             telemetry next to a bounded-memory run.
@@ -434,8 +383,8 @@ class ServiceEngine:
             — the report is bit-identical to ``workers=1``, and on the
             configurations :mod:`repro.engine.partition` can prove
             independent, identical to the single-process oracle.
-            Unpartitionable runs (replicated placement, autoscaling,
-            closed-loop sources, shared-RNG policies, external sinks)
+            Unpartitionable runs (replicated placement, closed-loop
+            sources, shared-RNG policies, external sinks)
             fall back to the oracle with the reason recorded on
             ``report.parallel``.  ``0`` forces the single-process oracle;
             ``None`` (default) reads the ``REPRO_WORKERS`` environment
@@ -474,7 +423,6 @@ class ServiceEngine:
         *,
         max_queue_depth: int | None = None,
         shed_expired: bool = False,
-        autoscaler: AutoscalerConfig | None = None,
         max_distillation_copies: int = 1,
         retention: str = "full",
         telemetry_interval: float | None = None,
@@ -495,23 +443,9 @@ class ServiceEngine:
             )
         if telemetry_interval is not None and telemetry_interval <= 0:
             raise ValueError("telemetry_interval must be positive")
-        if autoscaler is not None:
-            placement = getattr(fleet, "placement", None)
-            if placement != "shortest-queue":
-                raise ValueError(
-                    "autoscaling requires shortest-queue placement (replicated "
-                    f"shards); the fleet uses {placement!r}"
-                )
-            if not autoscaler.min_shards <= len(fleet.shards) <= autoscaler.max_shards:
-                raise ValueError(
-                    f"the fleet starts with {len(fleet.shards)} shard(s), "
-                    f"outside the autoscaler's [{autoscaler.min_shards}, "
-                    f"{autoscaler.max_shards}] bounds"
-                )
         self.fleet = fleet
         self.max_queue_depth = max_queue_depth
         self.shed_expired = shed_expired
-        self.autoscaler = autoscaler
         self.max_distillation_copies = max_distillation_copies
         self.retention = retention
         self.telemetry_interval = telemetry_interval
@@ -538,8 +472,8 @@ class ServiceEngine:
         """(Re)initialize every piece of per-run state.
 
         Called at the top of every ``run``, which makes engines reusable:
-        nothing from a previous run — seen ids, queues, busy times, scaled
-        replicas, caches, telemetry — leaks into the next.
+        nothing from a previous run — seen ids, queues, busy times, caches,
+        telemetry — leaks into the next.
         """
         fleet = self.fleet
         self._source = source
@@ -555,7 +489,6 @@ class ServiceEngine:
         self._queues: list[list[QueryRequest]] = [[] for _ in range(num_shards)]
         self._busy_until = [0.0] * num_shards
         self._window_pending = [False] * num_shards
-        self._active = [True] * num_shards
         self._max_depth = {shard: 0 for shard in range(num_shards)}
         self._seen_ids = _SeenIds()
         self._local_amps: dict[int, dict[int, complex]] = {}
@@ -564,8 +497,8 @@ class ServiceEngine:
         # Read once per run: the hot path branches on these every event.
         self._functional = bool(fleet.functional)
         # Whether any admitted request carried a fidelity SLO this run.
-        # Gates the per-window SLO re-validation and batch capping — both
-        # no-ops (and re-derivable from the queue) while this is False.
+        # Gates batch capping, a no-op (and re-derivable from the queue)
+        # while this is False.
         self._slo_seen = False
         # Frozen per-shard events are reusable singletons: one WindowStart
         # / WindowDrain per shard and one ClientThink per closed-loop
@@ -577,12 +510,10 @@ class ServiceEngine:
         self._served_sink = self._make_sink()
         self._window_sink = self._make_sink()
         self._rejected_sink = self._make_sink()
-        self._scale_sink = self._make_sink()
         self._aggregator = StreamingServiceAggregator()
         # Traffic events (the held arrival, thinks, window starts, drains)
-        # still pending — the liveness signal recurring ticks (ScaleCheck,
-        # TelemetryTick) use to decide whether to reschedule without
-        # keeping each other alive forever.
+        # still pending — the liveness signal the recurring TelemetryTick
+        # uses to decide whether to reschedule.
         self._traffic_events = 0
         # Telemetry is recorded as raw interval totals only; the report
         # builder turns them into IntervalStats (see RawInterval).
@@ -661,8 +592,6 @@ class ServiceEngine:
         source.start(self)
         if profiler is not None:
             profiler.exit()
-        if self.autoscaler is not None:
-            self._heap.push(self.autoscaler.period, ScaleCheck())
         if self.telemetry_interval is not None:
             self._heap.push(self.telemetry_interval, TelemetryTick())
 
@@ -709,8 +638,6 @@ class ServiceEngine:
             elif cls is WindowStart:
                 self._traffic_events -= 1
                 self._on_window_start(now, event.shard)
-            elif cls is ScaleCheck:
-                self._on_scale_check(now)
             elif cls is TelemetryTick:
                 self._on_telemetry_tick(now)
 
@@ -723,9 +650,7 @@ class ServiceEngine:
             # Safety net: a tick reschedules while work remains, so by
             # construction nothing countable happens after the final tick
             # — but if that invariant ever breaks, flush the activity
-            # rather than lose it.  Time alone (e.g. a trailing ScaleCheck
-            # popping after the last tick) does not warrant an extra
-            # all-zero interval off the tick grid.
+            # rather than lose it.
             self._flush_interval(max(self._now, self._tick_start))
         if self.sanitize:
             queued = sum(len(queue) for queue in self._queues)
@@ -745,7 +670,6 @@ class ServiceEngine:
             served=self._served_sink.records if retained else [],
             windows=self._window_sink.records if retained else [],
             rejected=self._rejected_sink.records if retained else [],
-            scale_events=self._scale_sink.records if retained else [],
             outputs=self._outputs,
             max_depth=self._max_depth,
             aggregator=self._aggregator,
@@ -854,9 +778,6 @@ class ServiceEngine:
             stats=stats,
             outputs=outputs,
             rejected=rejected,
-            scale_events=list(
-                chain.from_iterable(outcome.scale_events for outcome in outcomes)
-            ),
             telemetry=_interval_stats(
                 chain.from_iterable(outcome.telemetry for outcome in outcomes)
             ),
@@ -927,14 +848,6 @@ class ServiceEngine:
         if profiler is not None:
             profiler.exit()
 
-    def _record_scale(self, record: ScaleEvent) -> None:
-        # Scale events follow the retention mode like every other record
-        # stream: O(transitions) is not O(requests), but an oscillating
-        # autoscaler on a long-haul run would still grow without bound.
-        self._scale_sink.append(record)
-        if self.sink is not None:
-            self.sink.append(record)
-
     # ------------------------------------------------------------- handlers
     def _on_arrival(self, now: float, request: QueryRequest) -> None:
         self._tick_arrivals += 1
@@ -955,15 +868,17 @@ class ServiceEngine:
             # can meet the request's fidelity SLO (with distillation if
             # allowed) — in a mixed fleet that is how SLO-carrying traffic
             # lands on the encoded replicas.
-            candidates = self._active_shards()
+            candidates: list[int] | None = None
             if request.min_fidelity is not None:
                 candidates = [
-                    s for s in candidates
+                    s for s in range(len(self._backends))
                     if self._feasible_copies(s, request) is not None
                 ]
-            if not candidates:
-                self._reject(request, self._shortest_queue(now), now, REJECT_FIDELITY)
-                return
+                if not candidates:
+                    self._reject(
+                        request, self._shortest_queue(now), now, REJECT_FIDELITY
+                    )
+                    return
             shard = self._shortest_queue(now, candidates)
         copies = self._feasible_copies(shard, request)
         if copies is None:
@@ -993,8 +908,7 @@ class ServiceEngine:
 
         Memoization lives with the backend, not the engine: each backend
         keeps one memoized window per occupancy, pre-derived at fleet
-        build and scale-up, so an engine-level cache (with its
-        fleet-change invalidation hazard) has nothing to add.
+        build, so an engine-level cache has nothing to add.
         """
         profiler = self._profiler
         if profiler is not None:
@@ -1068,14 +982,10 @@ class ServiceEngine:
         its WindowStart would be the next event out, else by pushing it.
 
         Admitting at once is admitting where the pushed start would have
-        popped: arrivals and drains return straight after this call, and
-        a rebalance only starts its other shards before it reschedules
-        its ScaleCheck — which it does either way, since the shard the
-        work came from is still busy or has its own start pending.
+        popped: arrivals and drains return straight after this call.
         """
         if (
-            self._active[shard]
-            and self._queues[shard]
+            self._queues[shard]
             and not self._window_pending[shard]
             and self._busy_until[shard] <= now
         ):
@@ -1089,7 +999,7 @@ class ServiceEngine:
 
     def _on_window_start(self, now: float, shard: int) -> None:
         self._window_pending[shard] = False
-        if not self._active[shard] or self._busy_until[shard] > now:
+        if self._busy_until[shard] > now:
             return
         queue = self._queues[shard]
         if self.shed_expired and queue:
@@ -1102,25 +1012,6 @@ class ServiceEngine:
                 if request.deadline is not None and request.deadline <= now:
                     self._reject(request, shard, now, REJECT_DEADLINE_EXPIRED)
                 else:
-                    kept.append(request)
-            queue[:] = kept
-        if self._slo_seen and any(
-            request.min_fidelity is not None for request in queue
-        ):
-            # Re-validate fidelity SLOs against *this* shard: rebalancing
-            # may have migrated a request admitted elsewhere.  A request
-            # this shard cannot serve is refused rather than silently run
-            # below its target; feasible ones get their copy count pinned
-            # to this shard's prediction.  (``_slo_seen`` gates the queue
-            # scan itself: a run that never admitted an SLO has nothing to
-            # re-validate.)
-            kept = []
-            for request in queue:
-                copies = self._feasible_copies(shard, request)
-                if copies is None:
-                    self._reject(request, shard, now, REJECT_FIDELITY)
-                else:
-                    self._copies[request.query_id] = copies
                     kept.append(request)
             queue[:] = kept
         if not queue:
@@ -1306,17 +1197,14 @@ class ServiceEngine:
             )
 
     # ------------------------------------------------------------- placement
-    def _active_shards(self) -> list[int]:
-        return [i for i in range(len(self._backends)) if self._active[i]]
-
     def _shortest_queue(self, now: float, shards: list[int] | None = None) -> int:
-        """Least-loaded shard among ``shards`` (default: all active):
+        """Least-loaded shard among ``shards`` (default: all of them):
         fewest queued, then earliest free."""
         profiler = self._profiler
         if profiler is not None:
             profiler.enter("placement")
         chosen = min(
-            self._active_shards() if shards is None else shards,
+            range(len(self._backends)) if shards is None else shards,
             key=lambda shard: (
                 len(self._queues[shard]),
                 max(self._busy_until[shard], now),
@@ -1332,19 +1220,18 @@ class ServiceEngine:
         """Whether any serving activity is pending or possible.
 
         Counts queued requests, busy shards and *traffic* events still in
-        the heap — deliberately not other recurring ticks, so a
-        ScaleCheck and a TelemetryTick can coexist without keeping each
-        other (and the run) alive forever.
+        the heap — deliberately not the recurring tick itself, which would
+        keep the run alive forever.
         """
         return (
             self._traffic_events > 0
-            or any(self._queues[shard] for shard in self._active_shards())
+            or any(self._queues)
             or any(busy > now for busy in self._busy_until)
         )
 
     def _flush_interval(self, end: float) -> None:
         """Record the raw totals of the interval ``(_tick_start, end]``."""
-        depths = [len(self._queues[shard]) for shard in self._active_shards()]
+        depths = [len(queue) for queue in self._queues]
         self._telemetry.append(
             RawInterval(
                 start=self._tick_start,
@@ -1376,137 +1263,3 @@ class ServiceEngine:
         self._flush_interval(now)
         if self._work_remains(now):
             self._heap.push(now + self.telemetry_interval, TelemetryTick())
-
-    # ----------------------------------------------------------- autoscaling
-    def _on_scale_check(self, now: float) -> None:
-        config = self.autoscaler
-        active = self._active_shards()
-        depth = max(len(self._queues[shard]) for shard in active)
-        if depth >= config.high_watermark and len(active) < config.max_shards:
-            self._scale_up(now, depth)
-        elif depth <= config.low_watermark and len(active) > config.min_shards:
-            self._scale_down(now, depth)
-        if self._work_remains(now):
-            self._heap.push(now + config.period, ScaleCheck())
-
-    def _scale_up(self, now: float, depth: int) -> None:
-        """Add one full-memory replica and rebalance queued work onto it.
-
-        A previously retired replica (idle, empty, byte-identical memory —
-        writes never happen mid-run) is reactivated in preference to
-        building a new backend, so oscillating load does not pay repeated
-        QRAM construction or grow the fleet lists without bound.
-        """
-        config = self.autoscaler
-        inactive = [
-            shard
-            for shard in range(len(self._backends))
-            if not self._active[shard]
-        ]
-        if inactive:
-            shard = max(inactive)
-            self._active[shard] = True
-        else:
-            architecture = config.architecture or self._backends[0].name
-            backend = build_backend(
-                architecture,
-                self.fleet.shard_map.shard_capacity,
-                list(self._backends[0].data),
-                parameters=getattr(self.fleet, "parameters", None),
-            )
-            requested = getattr(self.fleet, "requested_window_size", None)
-            window_size = (
-                backend.query_parallelism
-                if requested is None
-                else max(1, min(requested, backend.query_parallelism))
-            )
-            # A replica of an existing memory image resolves to the warm
-            # shared entry in the process-wide schedule-cache registry, so
-            # scale-up never re-derives schedules the fleet already paid
-            # for.
-            default_registry().prewarm([backend])
-            shard = len(self._backends)
-            self._backends.append(backend)
-            self._window_sizes.append(window_size)
-            self._queues.append([])
-            self._busy_until.append(0.0)
-            self._window_pending.append(False)
-            self._active.append(True)
-            self._max_depth[shard] = 0
-            self._start_events.append(WindowStart(shard))
-            self._drain_events.append(WindowDrain(shard))
-        # No prediction cache to invalidate here: predictions are memoized
-        # on the backends themselves (shared through the schedule-cache
-        # registry), so a rebuilt or reactivated replica carries its own
-        # warm, correct vectors.
-        self._record_scale(
-            ScaleEvent(
-                time=now,
-                action="up",
-                shard=shard,
-                active_shards=len(self._active_shards()),
-                trigger_depth=depth,
-            )
-        )
-        self._rebalance(now)
-
-    def _rebalance(self, now: float) -> None:
-        """Even out queued (unadmitted) requests across active replicas.
-
-        Replicated shards all hold the full memory, so a queued request can
-        move to any replica *that can meet its fidelity SLO* (a bare
-        replica must not inherit strict traffic from an encoded one): the
-        newest such request of the deepest queue migrates until depths
-        differ by at most one or nothing movable remains.  Shards that
-        gained work start a window if idle.
-        """
-        active = self._active_shards()
-        while True:
-            deepest = max(active, key=lambda s: (len(self._queues[s]), -s))
-            shallowest = min(active, key=lambda s: (len(self._queues[s]), s))
-            if len(self._queues[deepest]) - len(self._queues[shallowest]) <= 1:
-                break
-            queue = self._queues[deepest]
-            movable = next(
-                (
-                    index
-                    for index in range(len(queue) - 1, -1, -1)
-                    if self._feasible_copies(shallowest, queue[index]) is not None
-                ),
-                None,
-            )
-            if movable is None:
-                break
-            request = queue.pop(movable)
-            if request.min_fidelity is not None:
-                self._copies[request.query_id] = self._feasible_copies(
-                    shallowest, request
-                )
-            self._queues[shallowest].append(request)
-            self._max_depth[shallowest] = max(
-                self._max_depth[shallowest], len(self._queues[shallowest])
-            )
-        for shard in active:
-            self._maybe_start(shard, now)
-
-    def _scale_down(self, now: float, depth: int) -> None:
-        """Retire the highest-indexed idle, empty replica."""
-        config = self.autoscaler
-        candidates = [
-            shard
-            for shard in self._active_shards()
-            if not self._queues[shard] and self._busy_until[shard] <= now
-        ]
-        if not candidates or len(self._active_shards()) <= config.min_shards:
-            return
-        shard = max(candidates)
-        self._active[shard] = False
-        self._record_scale(
-            ScaleEvent(
-                time=now,
-                action="down",
-                shard=shard,
-                active_shards=len(self._active_shards()),
-                trigger_depth=depth,
-            )
-        )

@@ -13,13 +13,11 @@ legacy batch-window loop did:
    :meth:`EventHeap.hold_arrival` keeps it beside the heap under the key
    a pushed :class:`ClientThink` would have had, and
    :meth:`EventHeap.next_event` hands it out when that key is the
-   smallest.  (Priority 0 belonged to a retired per-request arrival
-   event; the others keep their numbers, which stay unique as simlint's
-   SIM004 enforces.)
+   smallest.  (Priorities 0 and 3 belonged to retired event types; the
+   others keep their numbers, which stay unique as simlint's SIM004
+   enforces.)
 2. :class:`WindowDrain` — shards that finish at ``t`` free up before new
    windows are considered;
-3. :class:`ScaleCheck` — the autoscaler observes the post-drain queue
-   depths;
 4. :class:`WindowStart` — idle shards with queued work admit one pipeline
    window each.  A start that would be the very next pop is never pushed:
    :meth:`EventHeap.claim` consumes it where it is scheduled, and the
@@ -77,13 +75,6 @@ class WindowDrain:
 
 
 @dataclass(frozen=True)
-class ScaleCheck:
-    """Periodic autoscaler tick: compare queue depths against watermarks."""
-
-    PRIORITY: ClassVar[int] = 3
-
-
-@dataclass(frozen=True)
 class WindowStart:
     """An idle shard with queued work admits one pipeline window."""
 
@@ -98,7 +89,7 @@ class TelemetryTick:
     PRIORITY: ClassVar[int] = 5
 
 
-Event = Union[ClientThink, WindowDrain, ScaleCheck, WindowStart, TelemetryTick]
+Event = Union[ClientThink, WindowDrain, WindowStart, TelemetryTick]
 
 #: Rank stride of one round at an instant; above every event priority.
 ROUND = 8

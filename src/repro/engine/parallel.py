@@ -94,7 +94,7 @@ def _child_engine(engine: ServiceEngine) -> ServiceEngine:
     already validates densely.
     """
     knobs = {name: getattr(engine, name) for name in _KNOBS}
-    knobs.update(autoscaler=None, sink=None, workers=0)
+    knobs.update(sink=None, workers=0)
     child = ServiceEngine(engine.fleet, **knobs)
     child._dedupe = False
     return child

@@ -9,8 +9,8 @@ arrivals.  This module holds the machinery that decides and enforces
 exactness:
 
 * :func:`partition_unsupported_reason` — the single predicate gating the
-  parallel path.  Any coupling (replicated placement, autoscaling, a
-  random admission policy's shared RNG, closed-loop pacing, an external
+  parallel path.  Any coupling (replicated placement, a random admission
+  policy's shared RNG, closed-loop pacing, an external
   record sink) falls back to the single-process oracle, with the reason
   recorded on the report's :class:`ParallelRunInfo`.
 * :func:`split_trace` — partitions a materialized trace by owning shard,
@@ -220,8 +220,6 @@ def partition_unsupported_reason(
             f"placement {placement!r} lets a query run on any replica; only "
             "interleaved fleets pin every request to one shard"
         )
-    if engine.autoscaler is not None:
-        return "autoscaling mutates the fleet mid-run across shards"
     if engine.sink is not None:
         return (
             "an external record sink observes records in global completion "

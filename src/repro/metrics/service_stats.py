@@ -120,25 +120,6 @@ class RejectedQuery:
 
 
 @dataclass(frozen=True)
-class ScaleEvent:
-    """One elastic-fleet transition taken by the autoscaler.
-
-    Attributes:
-        time: raw layer of the scale check that triggered the transition.
-        action: ``"up"`` (replica added) or ``"down"`` (replica retired).
-        shard: index of the shard added or retired.
-        active_shards: replicas active *after* the transition.
-        trigger_depth: deepest active queue observed at the check.
-    """
-
-    time: float
-    action: str
-    shard: int
-    active_shards: int
-    trigger_depth: int
-
-
-@dataclass(frozen=True)
 class WindowRecord:
     """One executed pipeline window on one shard.
 

@@ -26,7 +26,6 @@ from typing import IO, Protocol, runtime_checkable
 
 from repro.metrics.service_stats import (
     RejectedQuery,
-    ScaleEvent,
     ServedQuery,
     WindowRecord,
 )
@@ -43,7 +42,7 @@ __all__ = [
 #: :func:`load_jsonl` can reconstruct, keyed by their type tag.
 RECORD_TYPES = {
     cls.__name__: cls
-    for cls in (ServedQuery, WindowRecord, RejectedQuery, ScaleEvent)
+    for cls in (ServedQuery, WindowRecord, RejectedQuery)
 }
 
 

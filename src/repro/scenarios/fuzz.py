@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from repro.engine.core import AutoscalerConfig, ServiceReport
+from repro.engine.core import ServiceReport
 from repro.metrics.service_stats import ServiceStats
 from repro.scenarios.spec import (
     FleetSpec,
@@ -415,15 +415,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
                 **open_loop,
             )
 
-    autoscaler = None
-    if placement == "shortest-queue" and rng.random() < 0.4:
-        autoscaler = AutoscalerConfig(
-            period=rng.choice([50.0, 200.0]),
-            high_watermark=rng.randrange(2, 5),
-            low_watermark=0,
-            min_shards=1,
-            max_shards=num_shards + rng.randrange(1, 3),
-        )
     policy = PolicySpec(
         admission=rng.choice(
             ["fifo", "fifo", "lifo", "random", "priority", "edf"]
@@ -431,7 +422,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
         admission_seed=rng.randrange(16),
         max_queue_depth=rng.choice([None, None, 2, 4, 8]),
         shed_expired=(deadline is not None and rng.random() < 0.6),
-        autoscaler=autoscaler,
     )
     run = RunSpec(
         retention=rng.choice(["full", "full", "full", "none"]),
@@ -512,7 +502,7 @@ def _shrink_edits(spec: ScenarioSpec) -> Iterator[_Edit]:
     policy = spec.policy
     for name, default in (
         ("max_queue_depth", None), ("shed_expired", False),
-        ("admission", "fifo"), ("autoscaler", None), ("admission_seed", 0),
+        ("admission", "fifo"), ("admission_seed", 0),
     ):
         if getattr(policy, name) != default:
             yield {"policy": {name: default}}

@@ -13,8 +13,7 @@ validated, JSON-round-trippable object instead:
 * :class:`WorkloadSpec` — poisson / bursty / diurnal / flash-crowd /
   closed-loop traffic, with rates, tenants, deadlines, fidelity SLOs and
   tenant/shard skew.
-* :class:`PolicySpec` — admission order, queue bounds, shedding,
-  autoscaler watermarks.
+* :class:`PolicySpec` — admission order, queue bounds, shedding.
 * :class:`RunSpec` — retention, telemetry, distillation budget, workers,
   sanitizer, profiling, clock.
 
@@ -41,7 +40,6 @@ from typing import Any
 
 from repro.engine.core import (
     RETENTIONS,
-    AutoscalerConfig,
     ServiceEngine,
     ServiceReport,
 )
@@ -610,7 +608,7 @@ class WorkloadSpec:
 # -------------------------------------------------------------------- policy
 @dataclass(frozen=True)
 class PolicySpec:
-    """Admission order, backpressure and elasticity.
+    """Admission order and backpressure.
 
     Attributes:
         admission: policy name from
@@ -618,15 +616,12 @@ class PolicySpec:
         admission_seed: RNG seed of the ``"random"`` policy.
         max_queue_depth: bounded per-shard queues (``None`` = unbounded).
         shed_expired: shed queued requests whose deadline passed.
-        autoscaler: queue-watermark elastic scaling (requires
-            ``placement="shortest-queue"``).
     """
 
     admission: str = "fifo"
     admission_seed: int = 0
     max_queue_depth: int | None = None
     shed_expired: bool = False
-    autoscaler: AutoscalerConfig | None = None
 
     def __post_init__(self) -> None:
         _require(
@@ -643,35 +638,12 @@ class PolicySpec:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "admission": self.admission,
-            "admission_seed": self.admission_seed,
-            "max_queue_depth": self.max_queue_depth,
-            "shed_expired": self.shed_expired,
-            "autoscaler": (
-                None
-                if self.autoscaler is None
-                else dataclasses.asdict(self.autoscaler)
-            ),
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "PolicySpec":
         _check_keys(dict(payload), _field_names(cls), "PolicySpec")
-        data = dict(payload)
-        if data.get("autoscaler") is not None:
-            config = data["autoscaler"]
-            if isinstance(config, dict):
-                _check_keys(
-                    config,
-                    _field_names(AutoscalerConfig),
-                    "PolicySpec.autoscaler",
-                )
-                try:
-                    data["autoscaler"] = AutoscalerConfig(**config)
-                except ValueError as exc:
-                    raise SpecError(f"PolicySpec.autoscaler: {exc}") from None
-        return cls(**data)
+        return cls(**payload)
 
 
 # ----------------------------------------------------------------------- run
@@ -765,12 +737,6 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.policy.autoscaler is not None:
-            _require(
-                self.fleet.placement == "shortest-queue",
-                "PolicySpec.autoscaler requires "
-                "FleetSpec.placement='shortest-queue'",
-            )
         if self.workload.kind in _PARTITIONABLE_KINDS and (
             self.workload.shard_weights is not None
         ):
@@ -810,9 +776,9 @@ class ScenarioSpec:
         * ``"fleet.qec_distance"`` → :meth:`FleetSpec.with_qec_distance`
         * ``"fleet.shard_count"`` → :meth:`FleetSpec.with_shard_count`
 
-        Dict values for the nested dataclass fields
-        (``policy.autoscaler``, ``fleet.parameters``) are converted, so
-        JSON-loaded sweep axes can carry them; list values become tuples.
+        A dict value for the nested ``fleet.parameters`` dataclass is
+        converted, so JSON-loaded sweep axes can carry it; list values
+        become tuples.
         """
         section_name, _, field_name = path.partition(".")
         sections = ("fleet", "workload", "policy", "run")
@@ -835,15 +801,10 @@ class ScenarioSpec:
             field_name in _field_names(type(section)),
             f"{type(section).__name__} has no field {field_name!r}",
         )
-        nested: dict[tuple[str, str], type] = {
-            ("fleet", "parameters"): HardwareParameters,
-            ("policy", "autoscaler"): AutoscalerConfig,
-        }
-        nested_type = nested.get((section_name, field_name))
-        if nested_type is not None and isinstance(value, dict):
-            _check_keys(value, _field_names(nested_type), path)
+        if path == "fleet.parameters" and isinstance(value, dict):
+            _check_keys(value, _field_names(HardwareParameters), path)
             try:
-                value = nested_type(**value)
+                value = HardwareParameters(**value)
             except ValueError as exc:
                 raise SpecError(f"{path}: {exc}") from None
         if isinstance(value, list):
@@ -875,7 +836,6 @@ class ScenarioSpec:
             service,
             max_queue_depth=self.policy.max_queue_depth,
             shed_expired=self.policy.shed_expired,
-            autoscaler=self.policy.autoscaler,
             max_distillation_copies=self.run.max_distillation_copies,
             retention=self.run.retention,
             telemetry_interval=self.run.telemetry_interval,

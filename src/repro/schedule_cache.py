@@ -24,9 +24,9 @@ predictions are not held here: each backend memoizes one
 executor.
 
 The registry is *per process*.  :class:`~repro.service.QRAMService`
-pre-warms it at fleet build (and the autoscaler for every replica it
-adds), so forked serving workers inherit the warm table by copy-on-write
-and no replica re-derives a schedule another already paid for.  Hit /
+pre-warms it at fleet build, so forked serving workers inherit the warm
+table by copy-on-write and no replica re-derives a schedule another
+already paid for.  Hit /
 miss / prewarm counters make the sharing observable.
 """
 
@@ -59,7 +59,7 @@ class CacheStats:
         hits: lookups served from the shared table.
         misses: lookups that built a fresh executor.
         prewarms: executors actually *built* by eager warming at fleet
-            build / scale-up.  A warm rebuild of a known
+            build.  A warm rebuild of a known
             configuration hits the shared table and does not count, so
             across a sweep of scenarios sharing fleets this counter
             stays flat at (unique configurations) while ``hits`` climbs
@@ -155,10 +155,9 @@ class ScheduleCacheRegistry:
         Calls each backend's ``warm_schedule_caches()`` hook (all five
         adapters and the encoded wrapper provide one); backends without the
         hook are skipped.  Returns the number of backends warmed.
-        :class:`~repro.service.QRAMService` runs it at fleet build and the
-        autoscaler for each replica it adds; forked serving workers start
-        after the fleet build, so they inherit the warm table
-        copy-on-write.
+        :class:`~repro.service.QRAMService` runs it at fleet build; forked
+        serving workers start after the fleet build, so they inherit the
+        warm table copy-on-write.
 
         The ``prewarms`` counter moves only by the number of executors the
         warming actually *built* (the misses its lookups took): warming a

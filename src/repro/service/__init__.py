@@ -11,7 +11,7 @@
 
 A fleet is served by the discrete-event engine (:mod:`repro.engine`):
 ``ServiceEngine(service, **knobs).run(source)`` for any open-loop trace,
-closed-loop clients, SLO-bounded queues or elastic fleet.
+closed-loop clients or SLO-bounded queues.
 """
 
 from repro.service.service import PLACEMENTS, QRAMService, ServiceReport

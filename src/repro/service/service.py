@@ -6,7 +6,7 @@ D-Fat-Tree, D-BB) built through
 :func:`repro.baselines.registry.build_backend`.  Traffic is served by the
 discrete-event engine in :mod:`repro.engine`, one heap of typed events on
 one virtual clock, whether the workload is an open-loop trace, closed-loop
-clients, SLO-bounded queues or an elastic fleet::
+clients or SLO-bounded queues::
 
     report = ServiceEngine(service).run(TraceSource(requests))
 
@@ -121,9 +121,6 @@ class QRAMService:
         memory = [0] * capacity if data is None else [int(x) & 1 for x in data]
         if len(memory) != capacity:
             raise ValueError("data length must equal capacity")
-        # Kept for replicas built later (autoscaling must not fall back to
-        # the default noise model when the fleet was configured otherwise).
-        self.parameters = parameters
         self.shards = [
             build_backend(
                 name,
@@ -141,7 +138,6 @@ class QRAMService:
         self.policy = as_policy(policy, seed=seed)
         if window_size is not None and window_size < 1:
             raise ValueError("window_size must be >= 1")
-        self.requested_window_size = window_size
         self.window_sizes = [
             backend.query_parallelism
             if window_size is None

@@ -194,8 +194,10 @@ def report_digest(report: ServiceReport) -> str:
     The hashed text is byte-identical to
     ``json.dumps(_canonical(payload), sort_keys=True, separators=(",",
     ":"))`` over the ``asdict`` of every record, where ``payload`` maps
-    the eight keys below to the report's fields; digests recorded by
-    earlier versions stay valid.  The record streams are written
+    the seven keys below (``outputs``, ``rejected``, ``retention``,
+    ``served``, ``stats``, ``telemetry``, ``windows``) to the report's
+    fields.  Older digests also hashed an eighth, always-empty record
+    stream, so they differ from these.  The record streams are written
     straight from their fields (in sorted-name order, through one C
     encoder); ``stats`` and ``outputs`` — one each, with non-``str``
     keys and complex values — take the generic :func:`_canonical` walk.
@@ -205,7 +207,6 @@ def report_digest(report: ServiceReport) -> str:
         '{"outputs":', _encode_sorted(_canonical(report.outputs)),
         ',"rejected":', _encode_stream("rejected", report.rejected),
         ',"retention":', _encode(report.retention),
-        ',"scale_events":', _encode_stream("scale_events", report.scale_events),
         ',"served":', _encode_stream("served", report.served),
         ',"stats":', _encode_sorted(_canonical(report.stats)),
         ',"telemetry":', _encode_stream("telemetry", report.telemetry),

@@ -1,9 +1,10 @@
-"""Discrete-event serving engine: determinism, closed loops, SLOs, scaling."""
+"""Discrete-event serving engine: determinism, closed loops, SLOs, placement."""
+
+from typing import get_args
 
 import pytest
 
 from repro import (
-    AutoscalerConfig,
     ClosedLoopClient,
     ClosedLoopSource,
     QRAMService,
@@ -14,8 +15,8 @@ from repro import (
 )
 from repro.engine.events import (
     ClientThink,
+    Event,
     EventHeap,
-    ScaleCheck,
     TelemetryTick,
     WindowDrain,
     WindowStart,
@@ -52,16 +53,16 @@ def test_event_heap_orders_by_time_then_priority():
 def test_event_priorities_are_unique_and_pinned():
     # The registry is part of the determinism contract (simlint SIM004):
     # renumbering silently changes every same-instant resolution order.
+    # Priorities 0 and 3 are retired; no event type may take them back.
     priorities = {
         ClientThink: 1,
         WindowDrain: 2,
-        ScaleCheck: 3,
         WindowStart: 4,
         TelemetryTick: 5,
     }
     for event_type, priority in priorities.items():
         assert event_type.PRIORITY == priority
-    assert len(set(priorities.values())) == len(priorities)
+    assert set(get_args(Event)) == set(priorities)
 
 
 def test_same_timestamp_events_pop_across_all_priority_levels():
@@ -71,11 +72,9 @@ def test_same_timestamp_events_pop_across_all_priority_levels():
         TelemetryTick(),
         WindowDrain(0),
         ClientThink(1),
-        ScaleCheck(),
         WindowStart(1),
         WindowDrain(1),
         ClientThink(2),
-        ScaleCheck(),
         TelemetryTick(),
     ]
     for event in scrambled:
@@ -87,8 +86,6 @@ def test_same_timestamp_events_pop_across_all_priority_levels():
         ClientThink(2),
         WindowDrain(0),
         WindowDrain(1),
-        ScaleCheck(),
-        ScaleCheck(),
         WindowStart(0),
         WindowStart(1),
         TelemetryTick(),
@@ -130,15 +127,15 @@ def test_event_heap_key_shape_is_pinned():
     # (time, PRIORITY, sequence, event) — the shape SIM004 enforces; the
     # monotone sequence both breaks ties and keeps payloads un-compared.
     heap = EventHeap()
-    heap.push(3.0, ScaleCheck())
-    heap.push(3.0, ScaleCheck())
+    heap.push(3.0, TelemetryTick())
+    heap.push(3.0, TelemetryTick())
     sequences = []
     for entry in heap._heap:
         assert len(entry) == 4
         time, priority, sequence, event = entry
         assert time == 3.0
-        assert priority == ScaleCheck.PRIORITY
-        assert isinstance(event, ScaleCheck)
+        assert priority == TelemetryTick.PRIORITY
+        assert isinstance(event, TelemetryTick)
         sequences.append(sequence)
     assert sequences == sorted(sequences) and len(set(sequences)) == 2
 
@@ -427,105 +424,18 @@ def test_latency_percentiles_and_miss_rate_fields():
         assert tenant_stats.p95_latency_layers > 0.0
 
 
-# ---------------------------------------------------------------- autoscaler
-def test_autoscaler_requires_replicated_placement():
-    service = QRAMService(16, num_shards=2, functional=False)
-    config = AutoscalerConfig(period=50.0, high_watermark=3)
-    with pytest.raises(ValueError, match="shortest-queue"):
-        ServiceEngine(service, autoscaler=config).run(
-            TraceSource([QueryRequest(0, {0: 1.0})])
-        )
-    with pytest.raises(ValueError):
-        AutoscalerConfig(period=0.0, high_watermark=3)
-    with pytest.raises(ValueError):
-        AutoscalerConfig(period=10.0, high_watermark=1, low_watermark=2)
-    with pytest.raises(ValueError):
-        AutoscalerConfig(period=10.0, high_watermark=3, min_shards=4, max_shards=2)
-    # The starting fleet must already lie inside the autoscaler's bounds.
-    replicated = QRAMService(16, num_shards=1, functional=False,
-                             placement="shortest-queue")
-    with pytest.raises(ValueError, match="bounds"):
-        ServiceEngine(
-            replicated,
-            autoscaler=AutoscalerConfig(period=10.0, high_watermark=3,
-                                        min_shards=2, max_shards=4),
-        ).run(TraceSource([QueryRequest(0, {0: 1.0})]))
-
-
-def test_autoscaler_scales_up_and_down():
-    capacity = 8
-    # A deep burst at t=0 overloads the single replica; one late straggler
-    # keeps the clock alive so the fleet can drain and scale back down.
-    requests = [
-        QueryRequest(i, {i % capacity: 1.0}, request_time=0.0) for i in range(12)
-    ]
-    requests.append(QueryRequest(99, {3: 1.0}, request_time=50_000.0))
-    service = QRAMService(capacity, num_shards=1, functional=False,
-                          placement="shortest-queue")
-    config = AutoscalerConfig(period=100.0, high_watermark=4, low_watermark=0,
-                              min_shards=1, max_shards=3)
-    report = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
-
-    actions = [event.action for event in report.scale_events]
-    assert "up" in actions
-    assert "down" in actions
-    # Replicas never exceed the ceiling and end back at the floor.
-    assert max(e.active_shards for e in report.scale_events) <= 3
-    assert report.scale_events[-1].active_shards == 1
-    # All queries served, and the added replicas actually absorbed load.
-    assert report.stats.total_queries == 13
-    assert len(report.stats.per_shard) >= 2
-    # Rebalanced queues are visible in the replica's depth accounting.
-    replica_shards = [s for s in report.stats.per_shard if s != 0]
-    assert any(
-        report.stats.per_shard[s].max_queue_depth > 0 for s in replica_shards
-    )
-    # Scaled-up replicas serve the same architecture.
-    assert all(s.architecture == "Fat-Tree" for s in report.served)
-
-
-def test_autoscaler_reactivates_retired_replicas():
-    """Oscillating load reuses the retired replica instead of building a
-    fresh backend (and a fresh shard index) on every up-transition."""
-    capacity = 8
-    first_burst = [
-        QueryRequest(i, {i % capacity: 1.0}, request_time=0.0) for i in range(10)
-    ]
-    second_burst = [
-        QueryRequest(100 + i, {i % capacity: 1.0}, request_time=20_000.0)
-        for i in range(10)
-    ]
-    straggler = [QueryRequest(999, {0: 1.0}, request_time=60_000.0)]
-    service = QRAMService(capacity, num_shards=1, functional=False,
-                          placement="shortest-queue")
-    config = AutoscalerConfig(period=100.0, high_watermark=4, low_watermark=0,
-                              min_shards=1, max_shards=3)
-    report = ServiceEngine(service, autoscaler=config).run(
-        TraceSource(first_burst + second_burst + straggler)
-    )
-    ups = [e for e in report.scale_events if e.action == "up"]
-    downs = [e for e in report.scale_events if e.action == "down"]
-    assert len(ups) >= 2 and len(downs) >= 2
-    # The second expansion reuses a shard index already seen, never minting
-    # more distinct replicas than the concurrent maximum.
-    assert set(e.shard for e in ups[1:]) <= set(e.shard for e in downs)
-    assert max(e.active_shards for e in report.scale_events) <= 3
-    assert report.stats.total_queries == 21
-
-
-def test_autoscaled_run_is_deterministic():
+# ------------------------------------------------------------ replicated fleet
+def test_replicated_run_is_deterministic():
     capacity = 8
     requests = [
         QueryRequest(i, {i % capacity: 1.0}, request_time=float(i)) for i in range(16)
     ]
-    service = QRAMService(capacity, num_shards=1, functional=False,
+    service = QRAMService(capacity, num_shards=2, functional=False,
                           placement="shortest-queue")
-    config = AutoscalerConfig(period=40.0, high_watermark=3, low_watermark=0,
-                              max_shards=4)
-    first = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
-    second = ServiceEngine(service, autoscaler=config).run(TraceSource(requests))
+    first = ServiceEngine(service).run(TraceSource(requests))
+    second = ServiceEngine(service).run(TraceSource(requests))
     assert _timing_signature(first) == _timing_signature(second)
-    assert first.scale_events == second.scale_events
+    assert {r.shard for r in first.served} == {0, 1}
 
 
 # ------------------------------------------------------- unified arrival core
@@ -734,15 +644,15 @@ def test_min_fidelity_validation():
         ServiceEngine(service, max_distillation_copies=0)
 
 
-def test_autoscaled_replicas_inherit_fleet_parameters():
-    """Regression: scale-up must build replicas under the fleet's noise
-    model — a default-parameters replica would predict far lower fidelity
-    and silently serve admitted SLO traffic below target."""
+def test_replicas_share_the_fleet_parameters():
+    """Every replica is built under the fleet's noise model: a
+    default-parameters replica would predict far lower fidelity and
+    silently serve admitted SLO traffic below target."""
     from repro.hardware.parameters import TABLE3_PARAMETERS
 
     capacity = 16
     service = QRAMService(
-        capacity, num_shards=1, functional=False,
+        capacity, num_shards=3, functional=False,
         placement="shortest-queue", parameters=TABLE3_PARAMETERS[1e-4],
     )
     solo = service.shards[0].predicted_query_fidelity()
@@ -752,9 +662,7 @@ def test_autoscaled_replicas_inherit_fleet_parameters():
                      min_fidelity=target)
         for i in range(12)
     ]
-    config = AutoscalerConfig(period=50.0, high_watermark=4, max_shards=3)
-    report = ServiceEngine(service, autoscaler=config).run(TraceSource(burst))
-    assert any(e.action == "up" for e in report.scale_events)
+    report = ServiceEngine(service).run(TraceSource(burst))
     assert report.stats.total_queries == 12
     assert report.stats.fidelity_slo_misses == 0
     assert {r.shard for r in report.served} != {0}    # replicas did serve
@@ -762,32 +670,26 @@ def test_autoscaled_replicas_inherit_fleet_parameters():
         assert record.predicted_fidelity >= target
 
 
-def test_rebalance_never_moves_slo_traffic_to_infeasible_replicas():
-    """Regression: queue rebalancing must not hand strict-SLO requests to a
-    replica that cannot meet them (and the window admission re-validates,
-    so nothing is ever silently served below target)."""
+def test_slo_burst_stays_on_the_encoded_replica():
+    """A strict-SLO burst queues on the one replica that can meet it, while
+    the bare replicas beside it stay idle: nothing is served below target
+    or refused."""
     from repro.hardware.parameters import TABLE3_PARAMETERS
 
     capacity = 16
-    params = TABLE3_PARAMETERS[1e-4]
-    # The fleet starts with one encoded replica; the autoscaler grows it
-    # with *bare* replicas that cannot meet the 0.995 target.
     service = QRAMService(
-        capacity, num_shards=1, functional=False,
-        architectures=["Fat-Tree@d3"], placement="shortest-queue",
-        parameters=params,
+        capacity, num_shards=3, functional=False,
+        architectures=["Fat-Tree@d3", "Fat-Tree", "Fat-Tree"],
+        placement="shortest-queue", parameters=TABLE3_PARAMETERS[1e-4],
     )
     burst = [
         QueryRequest(i, {i % capacity: 1.0}, request_time=0.0,
                      min_fidelity=0.995)
         for i in range(12)
     ]
-    config = AutoscalerConfig(period=50.0, high_watermark=4, max_shards=3,
-                              architecture="Fat-Tree")
-    report = ServiceEngine(service, autoscaler=config).run(TraceSource(burst))
+    report = ServiceEngine(service).run(TraceSource(burst))
     assert report.stats.total_queries == 12
     assert report.stats.fidelity_slo_misses == 0
     assert report.stats.fidelity_rejected_queries == 0
-    # Everything stayed on the encoded replica.
     assert {r.shard for r in report.served} == {0}
     assert all(r.architecture == "Fat-Tree@d3" for r in report.served)

@@ -34,32 +34,32 @@ PINS = [
     (
         ("Fat-Tree", "Fat-Tree"),
         1,
-        "90b0edb43f5381fbe4219132fea61929231426eac0ec91c6087ef0dbb2a1ba2c",
+        "3b450983aa472215b2d5d4409ab01f7189773f63866e52e9e25201b64f754c15",
     ),
     (
         ("Fat-Tree", "Fat-Tree"),
         2,
-        "6e517f127354661acc8cb0e1413a2ddae816a7ec11d67865bb357dc493ca9e40",
+        "0dfd95ba6707c08d1e6e031e0d2d1774e307d55edeccd76550759b5cf2303192",
     ),
     (
         ("D-Fat-Tree",),
         1,
-        "0997f8e08d8a7e62690250bad13787f2b7cd966b2e6d5e64b07ce55ddae846f0",
+        "aa7f5176afb2b1d08420344cc87ede897afe70b8d38e93a1fdcb598d704abf9c",
     ),
     (
         ("BB",),
         1,
-        "d71b02acae5abf8d5a18f9e7ba43ffacd54724a957c813eb560f194137d01e87",
+        "f2c2af88357471bed6946d2fe77047f6e5c8970e6b5156b61942d1cbf8771714",
     ),
     (
         ("Virtual",),
         1,
-        "46cf867b5e795d45b40e2b6d57e4e6e19a92b5cd7c2503dae5b27ec410707e7c",
+        "7bcdbbeaeda12b0684b8236e54b1e415a22c851f85c627c55746aa3ce0cc775e",
     ),
     (
         ("D-BB",),
         1,
-        "a348f25ad57ffad9ee8fca56197cfb2e326597e026dd89b344b3571b072d1362",
+        "b75fda3539e46d7546799792ae22adea5be388ef5a8c6dbd9ee807f8e2014143",
     ),
 ]
 

@@ -27,7 +27,6 @@ import pytest
 import repro.perf.profiler as profiler_module
 from repro.core.query import QueryRequest
 from repro.engine import (
-    AutoscalerConfig,
     ClosedLoopSource,
     ParallelRunInfo,
     PartitionedTraceSource,
@@ -241,7 +240,7 @@ def test_child_engine_inherits_parent_knobs():
         profile=True,
     )
     child = _child_engine(parent)
-    overrides = dict(autoscaler=None, sink=None, workers=0)
+    overrides = dict(sink=None, workers=0)
     parameters = list(inspect.signature(ServiceEngine.__init__).parameters)[2:]
     assert set(overrides) <= set(parameters)
     for name in parameters:
@@ -313,12 +312,7 @@ def test_env_workers_rejects_non_integer(monkeypatch, raw):
     [
         (
             lambda: (
-                ServiceEngine(
-                    _service(placement="shortest-queue"),
-                    autoscaler=AutoscalerConfig(
-                        period=500.0, high_watermark=3, max_shards=4
-                    ),
-                ),
+                ServiceEngine(_service(placement="shortest-queue")),
                 TraceSource(_trace()),
             ),
             "any replica",
@@ -373,7 +367,7 @@ def test_env_workers_rejects_non_integer(monkeypatch, raw):
         ),
     ],
     ids=[
-        "autoscaler",
+        "shortest-queue",
         "sink",
         "single-shard",
         "random-policy",
@@ -392,14 +386,8 @@ def test_unpartitionable_configs_fall_back_with_reason(build, fragment):
     )
 
 
-def test_autoscaled_run_still_serves_under_requested_workers():
-    engine = ServiceEngine(
-        _service(placement="shortest-queue"),
-        autoscaler=AutoscalerConfig(
-            period=200.0, high_watermark=2, max_shards=4
-        ),
-        workers=4,
-    )
+def test_replicated_run_still_serves_under_requested_workers():
+    engine = ServiceEngine(_service(placement="shortest-queue"), workers=4)
     report = engine.run(TraceSource(_trace(mean_interarrival=2.0)))
     assert report.stats.total_queries == 48
     assert report.parallel.workers == 0

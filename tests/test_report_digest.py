@@ -3,8 +3,8 @@
 ``report_digest`` writes a report's record streams straight to canonical
 JSON.  The oracle below restates the original encoding (``asdict`` of
 every record, the generic ``_canonical`` walk, one sorted-key
-``json.dumps``); every digest must equal it, so digests recorded before
-the direct encoding stay valid.
+``json.dumps``) over the report's seven result members; every digest
+must equal it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import AutoscalerConfig
 from repro.metrics.service_stats import ServedQuery
 from repro.scenarios import (
     FleetSpec,
@@ -33,7 +32,7 @@ from repro.scenarios import (
 from repro.sweep import run_sweep
 from repro.sweep.engine import _canonical, _record_layout, report_digest
 
-STREAMS = ("served", "windows", "rejected", "scale_events", "telemetry")
+STREAMS = ("served", "windows", "rejected", "telemetry")
 _RUN = dict(workers=0, sanitize=False, profile=False)
 
 
@@ -45,7 +44,6 @@ def _oracle_digest(report) -> str:
         "stats": dataclasses.asdict(report.stats),
         "outputs": report.outputs,
         "rejected": [dataclasses.asdict(r) for r in report.rejected],
-        "scale_events": [dataclasses.asdict(r) for r in report.scale_events],
         "telemetry": [dataclasses.asdict(r) for r in report.telemetry],
         "retention": report.retention,
     }
@@ -56,13 +54,13 @@ def _oracle_digest(report) -> str:
 
 
 def _streams_spec(retention: str) -> ScenarioSpec:
-    """A flash crowd on an autoscaled, bounded, deadline-shedding fleet
+    """A flash crowd on a replicated, bounded, deadline-shedding fleet
     with telemetry: every record stream is non-empty."""
     return ScenarioSpec(
         name="digest-streams",
         fleet=FleetSpec(
             capacity=16,
-            shards=("Fat-Tree",),
+            shards=("Fat-Tree", "Fat-Tree"),
             placement="shortest-queue",
             functional=False,
         ),
@@ -81,10 +79,6 @@ def _streams_spec(retention: str) -> ScenarioSpec:
             admission="edf",
             max_queue_depth=6,
             shed_expired=True,
-            autoscaler=AutoscalerConfig(
-                period=40.0, high_watermark=3, low_watermark=0,
-                min_shards=1, max_shards=3,
-            ),
         ),
         run=RunSpec(
             retention=retention,
@@ -169,17 +163,17 @@ def test_functional_digest_matches_oracle(functional_report):
 
 
 @pytest.mark.parametrize("retention", ["full"])
-def test_autoscaled_telemetry_digest_matches_oracle(retention):
+def test_telemetry_digest_matches_oracle(retention):
     report = _streams_spec(retention).execute()
     assert report.retention == retention
-    assert report.scale_events and report.telemetry
+    assert report.rejected and report.telemetry
     assert report_digest(report) == _oracle_digest(report)
 
 
 def test_empty_report_digest_matches_oracle(streams_report):
     empty = dataclasses.replace(
         streams_report, served=[], windows=[], rejected=[],
-        scale_events=[], telemetry=[], retention="none",
+        telemetry=[], retention="none",
     )
     assert report_digest(empty) == _oracle_digest(empty)
 
@@ -209,7 +203,7 @@ def test_non_scalar_record_class_takes_the_generic_walk(streams_report):
     report = dataclasses.replace(
         streams_report,
         telemetry=[_TableRecord(1.5, {2: 0.5, 10: 0.25})],
-        scale_events=[_OneFieldRecord(2.0), _OneFieldRecord(3.0)],
+        windows=[_OneFieldRecord(2.0), _OneFieldRecord(3.0)],
     )
     assert report_digest(report) == _oracle_digest(report)
 

@@ -16,7 +16,6 @@ from repro.engine import SANITIZE_ENV, SanitizerViolation
 from repro.engine.events import (
     ClientThink,
     EventHeap,
-    ScaleCheck,
     TelemetryTick,
     WindowStart,
 )
@@ -77,15 +76,15 @@ def test_sanitizer_defaults_off_and_reads_environment(monkeypatch):
 def test_nan_timestamp_rejected_only_under_sanitizer():
     heap = EventHeap(sanitize=True)
     with pytest.raises(SanitizerViolation, match="NaN"):
-        heap.push(math.nan, ScaleCheck())
+        heap.push(math.nan, TelemetryTick())
     # The unsanitized heap stays permissive (zero-overhead default path).
-    EventHeap().push(math.nan, ScaleCheck())
+    EventHeap().push(math.nan, TelemetryTick())
 
 
 def test_corrupted_heap_ordering_detected():
     heap = EventHeap(sanitize=True)
-    heap.push(5.0, ScaleCheck())
-    heap.push(1.0, ScaleCheck())
+    heap.push(5.0, TelemetryTick())
+    heap.push(1.0, TelemetryTick())
     heap._heap.reverse()  # break the heap invariant behind the API's back
     heap.pop()
     with pytest.raises(SanitizerViolation, match="nondecreasing"):

@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from repro import (
-    AutoscalerConfig,
     QRAMService,
     ServiceEngine,
     StreamingTraceSource,
@@ -54,7 +53,6 @@ from repro.scenarios import (
 from repro.sweep.engine import _canonical
 from repro.workloads import (
     closed_loop_source,
-    iter_bursty_trace,
     iter_poisson_trace,
     random_data,
 )
@@ -202,20 +200,6 @@ class TestPolicyRunValidation:
         with pytest.raises(SpecError, match="RunSpec.telemetry_interval"):
             RunSpec(telemetry_interval=0.0)
 
-    def test_autoscaler_needs_shortest_queue(self):
-        config = AutoscalerConfig(
-            period=100.0, high_watermark=4, low_watermark=0,
-            min_shards=1, max_shards=2,
-        )
-        with pytest.raises(SpecError, match="shortest-queue"):
-            ScenarioSpec(
-                fleet=FleetSpec(capacity=16),
-                workload=WorkloadSpec(
-                    kind="poisson", num_queries=5, mean_interarrival=5.0
-                ),
-                policy=PolicySpec(autoscaler=config),
-            )
-
     def test_shard_weights_must_match_fleet(self):
         with pytest.raises(SpecError, match="WorkloadSpec.shard_weights"):
             ScenarioSpec(
@@ -259,10 +243,6 @@ def _scenario_corpus() -> dict[str, ScenarioSpec]:
             admission_seed=13,
             max_queue_depth=5,
             shed_expired=True,
-            autoscaler=AutoscalerConfig(
-                period=50.0, high_watermark=3, low_watermark=1,
-                min_shards=1, max_shards=4,
-            ),
         ),
         run=RunSpec(
             retention="none",
@@ -284,20 +264,30 @@ def test_round_trip(name):
 
 
 @pytest.mark.parametrize(
-    "section", ["top", "fleet", "workload", "policy", "run"]
+    "section, key",
+    [
+        *(
+            pytest.param(section, f"{section}_extra", id=section)
+            for section in ("top", "fleet", "workload", "policy", "run")
+        ),
+        # A spec saved before the policy lost its elastic-fleet key fails
+        # loudly instead of silently serving on a fixed fleet.
+        pytest.param("policy", "autoscaler", id="policy-autoscaler"),
+    ],
 )
-def test_unknown_keys_rejected(section):
+def test_unknown_keys_rejected(section, key):
     payload = library_scenario("flash-crowd").to_dict()
     if section == "top":
-        payload["extra"] = 1
+        payload[key] = 1
         expected = "ScenarioSpec"
     else:
-        payload[section][f"{section}_extra"] = 1
+        payload[section][key] = None
         expected = {
             "fleet": "FleetSpec", "workload": "WorkloadSpec",
             "policy": "PolicySpec", "run": "RunSpec",
         }[section]
-    with pytest.raises(SpecError, match=f"unknown {expected} key"):
+    match = rf"unknown {expected} key\(s\) \['{key}'\]"
+    with pytest.raises(SpecError, match=match):
         ScenarioSpec.from_dict(payload)
 
 
@@ -316,6 +306,20 @@ def test_nested_config_unknown_keys_rejected():
 def test_missing_required_sections():
     with pytest.raises(SpecError, match="'fleet' and 'workload'"):
         ScenarioSpec.from_dict({"name": "empty"})
+
+
+def test_clops_converts_layers_to_seconds():
+    """``RunSpec.clops`` only rescales the per-second rates (Table 2's
+    1 MHz CLOPS clock): the simulated layers stay as they were."""
+    spec = library_scenario("diurnal-cycle")
+    slow = spec.execute().stats
+    run = dataclasses.replace(spec.run, clops=2.0 * spec.run.clops)
+    fast = dataclasses.replace(spec, run=run).execute().stats
+    assert fast.makespan_layers == slow.makespan_layers
+    assert fast.p99_latency_layers == slow.p99_latency_layers
+    assert fast.bandwidth_queries_per_sec == pytest.approx(
+        2.0 * slow.bandwidth_queries_per_sec
+    )
 
 
 # --------------------------------------------------- example bit-identity
@@ -354,18 +358,7 @@ def test_serving_closed_loop_bit_identity():
         service, max_queue_depth=6, shed_expired=True
     ).run(TraceSource(trace))
     assert scenarios["slo-aware"].execute() == expected
-
-    service = QRAMService(
-        16, num_shards=1, functional=False, placement="shortest-queue"
-    )
-    trace = list(iter_bursty_trace(16, 2, 12, 40_000.0))
-    config = AutoscalerConfig(
-        period=100.0, high_watermark=4, low_watermark=0,
-        min_shards=1, max_shards=3,
-    )
-    report = ServiceEngine(service, autoscaler=config).run(TraceSource(trace))
-    assert scenarios["elastic"].execute() == report
-    assert any(event.action == "up" for event in report.scale_events)
+    assert sorted(scenarios) == ["closed-loop", "open-loop", "slo-aware"]
 
 
 def test_serving_mixed_backends_bit_identity():

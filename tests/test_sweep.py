@@ -115,18 +115,12 @@ def test_with_value_validates_section_and_field():
         spec.with_value("fleet.nonexistent", 1)
     with pytest.raises(SpecError):
         spec.with_value("fleet.capacity", 63)  # revalidated on replace
-    with pytest.raises(SpecError):
-        # Cross-section check re-runs: autoscaler needs shortest-queue.
-        spec.with_value(
-            "policy.autoscaler",
-            {
-                "min_shards": 1,
-                "max_shards": 4,
-                "high_watermark": 8,
-                "low_watermark": 1,
-                "period": 50.0,
-            },
-        )
+    with pytest.raises(SpecError, match="WorkloadSpec.shard_weights"):
+        # Cross-section check re-runs: one weight per interleaved shard.
+        spec.with_value("workload.shard_weights", [0.5, 0.3, 0.2])
+    with pytest.raises(SpecError, match="fleet.parameters"):
+        # A dict value for the nested parameters is checked key by key.
+        spec.with_value("fleet.parameters", {"bogus": 1.0})
 
 
 def test_axis_paths_cover_sections_and_virtual_axes():
@@ -183,9 +177,8 @@ def test_sweep_spec_rejects_unknown_keys():
 
 
 def test_expand_names_invalid_point():
-    # placement axis alone: the autoscaler-less base is fine, but an
-    # interleaved 2-shard fleet over capacity 16 sweeping shard_count to
-    # a non-divisor must fail *naming the point*.
+    # An interleaved 2-shard fleet over capacity 16 sweeping shard_count
+    # to a non-divisor must fail *naming the point*.
     sweep = SweepSpec(
         base=small_base(), axes=(("fleet.shard_count", (2, 3)),)
     )
