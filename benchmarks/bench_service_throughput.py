@@ -30,9 +30,9 @@ Measurements:
   worker count (the parallel core's bit-identity contract) while each
   worker regenerates only its own shards' requests;
 * the scenario axis: every named adversarial scenario of
-  :mod:`repro.scenarios.library` (diurnal cycle, flash crowd, hot-key
-  skew, misbehaving tenant, deadline-impossible) drained end to end from
-  its declarative :class:`~repro.scenarios.ScenarioSpec`, comparing how
+  :mod:`repro.scenarios.library` (flash crowd, misbehaving tenant,
+  deadline-impossible) drained end to end from its declarative
+  :class:`~repro.scenarios.ScenarioSpec`, comparing how
   each stress pattern trades served counts, rejections and tail latency;
 * the retention axis: one 5,000-query streaming trace served under
   ``retention="full"`` vs ``retention="none"`` — identical counts and
@@ -488,9 +488,8 @@ def test_service_scenario_axis(benchmark):
     """The adversarial-scenario axis: every library scenario, end to end.
 
     Each named scenario of :mod:`repro.scenarios.library` stresses one
-    failure mode (diurnal load swing, flash crowd on a bounded queue,
-    hot-key shard skew, a flooding tenant, impossible deadlines under
-    EDF + shedding); draining them from their declarative specs compares
+    failure mode (a flash crowd on a bounded queue, a flooding tenant,
+    impossible deadlines under EDF + shedding); draining them from their declarative specs compares
     how the engine's accounting — served/rejected/shed splits, tail
     latency, per-shard utilization — responds to each stress pattern.
     """
@@ -524,7 +523,3 @@ def test_service_scenario_axis(benchmark):
     assert results["flash-crowd"].rejected_queries > 0
     assert results["misbehaving-tenant"].rejected_queries > 0
     assert results["deadline-impossible"].shed_queries > 0
-    skew = results["hot-key-skew"].per_shard
-    hot = max(s.queries for s in skew.values())
-    assert hot >= results["hot-key-skew"].total_queries // 2
-    assert results["diurnal-cycle"].rejected_queries == 0

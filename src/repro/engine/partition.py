@@ -124,7 +124,7 @@ class PartitionedTraceSource(StreamingTraceSource):
     stream's requests for the selected shards byte for byte — the
     contract the ``shards=`` parameter of
     :func:`repro.workloads.generators.iter_poisson_trace` /
-    :func:`~repro.workloads.generators.iter_bursty_trace` implements.
+    :func:`~repro.workloads.generators.iter_flash_crowd_trace` implements.
     """
 
     def __init__(self, factory: TraceFactory) -> None:

@@ -5,10 +5,10 @@ are provided:
 
 * :class:`StreamingTraceSource` — open loop: a *time-ordered iterator* of
   :class:`repro.core.query.QueryRequest` whose arrival times never react
-  to service latency (the Poisson / bursty traces of
+  to service latency (the Poisson / flash-crowd traces of
   :mod:`repro.workloads.generators`), pulled one arrival at a time, so
   million-query traces (the lazy ``iter_poisson_trace`` /
-  ``iter_bursty_trace`` generators) are never materialized and the engine
+  ``iter_flash_crowd_trace`` generators) are never materialized and the engine
   holds at most one future arrival, beside its event heap rather than in
   it.  :class:`TraceSource` is the materialized variant: it sorts a
   finite trace first, then streams it the same way.
@@ -184,7 +184,6 @@ class ClosedLoopClient:
         queries: total queries the client issues before retiring.
         think_layers: local processing time between a query's completion
             and the next request (``d`` in the paper's Fig. 7 loops).
-        start_time: when the client issues its first request.
         deadline_layers: per-request relative deadline (absolute deadline =
             issue time + ``deadline_layers``); ``None`` for best-effort.
         min_fidelity: per-request fidelity SLO carried by every query the
@@ -194,7 +193,6 @@ class ClosedLoopClient:
     client_id: int
     queries: int
     think_layers: float
-    start_time: float = 0.0
     deadline_layers: float | None = None
     min_fidelity: float | None = None
 
@@ -242,7 +240,7 @@ class ClosedLoopSource(WorkloadSource):
         for client_id in sorted(self.clients):
             client = self.clients[client_id]
             if client.queries > 0:
-                engine.schedule_think(client_id, client.start_time)
+                engine.schedule_think(client_id, 0.0)
 
     def next_request(
         self, engine: ServiceEngine, client_id: int, now: float

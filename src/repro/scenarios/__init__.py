@@ -7,9 +7,8 @@ property-based engine fuzzer.
   of complete serving runs, built into the exact
   ``QRAMService``/``ServiceEngine``/workload objects the hand-written
   paths produce.
-* :mod:`repro.scenarios.library` — named adversarial scenarios (diurnal
-  cycle, flash crowd, hot-key skew, misbehaving tenant,
-  deadline-impossible mix) as spec factories.
+* :mod:`repro.scenarios.library` — named adversarial scenarios (flash
+  crowd, misbehaving tenant, deadline-impossible mix) as spec factories.
 * :mod:`repro.scenarios.fuzz` — seeded random spec draws checked against
   the engine's invariants, with greedy shrinking to a minimal JSON
   reproducer (``python -m repro.scenarios.fuzz`` runs the CI smoke).

@@ -73,7 +73,7 @@ Mutator = Callable[[ServiceReport], ServiceReport]
 _EPS = 1e-9
 
 #: Open-loop generator kinds (streaming/partitioned deliveries exist).
-_OPEN_LOOP_KINDS = ("poisson", "bursty", "diurnal", "flash-crowd")
+_OPEN_LOOP_KINDS = ("poisson", "flash-crowd")
 
 #: Latency-percentile fields of the stats tables.
 _PERCENTILES = ("p50_latency_layers", "p95_latency_layers", "p99_latency_layers")
@@ -115,12 +115,10 @@ class FuzzReport:
 def offered_requests(spec: ScenarioSpec) -> int:
     """How many requests the spec's workload offers."""
     workload = spec.workload
-    if workload.kind in ("poisson", "diurnal"):
+    if workload.kind == "poisson":
         return workload.num_queries
     if workload.kind == "flash-crowd":
         return workload.num_queries + workload.crowd_size
-    if workload.kind == "bursty":
-        return workload.num_bursts * workload.burst_size
     return workload.num_clients * workload.queries_per_client
 
 
@@ -341,7 +339,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
         data_seed=rng.randrange(4),
     )
 
-    trace_shards = num_shards if placement == "interleaved" else 1
     kind = rng.choice(list(_OPEN_LOOP_KINDS) + ["closed-loop"])
     num_tenants = rng.choice([1, 2, 3, 4])
     deadline = rng.choice([None, None, 80.0, 200.0, 1000.0])
@@ -349,11 +346,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
     tenant_weights = (
         tuple(1.0 + rng.randrange(8) for _ in range(num_tenants))
         if num_tenants > 1 and rng.random() < 0.3
-        else None
-    )
-    shard_weights = (
-        tuple(1.0 + rng.randrange(8) for _ in range(trace_shards))
-        if trace_shards > 1 and rng.random() < 0.3
         else None
     )
     shared: dict[str, Any] = {
@@ -368,7 +360,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
             num_clients=rng.randrange(1, 5),
             queries_per_client=rng.randrange(1, 6),
             think_layers=rng.choice([0.0, 20.0, 100.0]),
-            stagger=rng.choice([0.0, 10.0]),
             **shared,
         )
     else:
@@ -377,7 +368,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
             "delivery": delivery,
             "num_tenants": num_tenants,
             "tenant_weights": tenant_weights,
-            "shard_weights": shard_weights,
             **shared,
         }
         if kind == "poisson":
@@ -385,23 +375,6 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
                 kind="poisson",
                 num_queries=rng.randrange(4, 25),
                 mean_interarrival=rng.choice([2.0, 6.0, 20.0]),
-                **open_loop,
-            )
-        elif kind == "bursty":
-            workload = WorkloadSpec(
-                kind="bursty",
-                num_bursts=rng.randrange(1, 5),
-                burst_size=rng.randrange(1, 7),
-                burst_spacing=rng.choice([25.0, 100.0, 400.0]),
-                **open_loop,
-            )
-        elif kind == "diurnal":
-            workload = WorkloadSpec(
-                kind="diurnal",
-                num_queries=rng.randrange(4, 25),
-                mean_interarrival=rng.choice([3.0, 8.0]),
-                period=rng.choice([60.0, 300.0]),
-                amplitude=rng.choice([0.0, 0.5, 0.9]),
                 **open_loop,
             )
         else:
@@ -452,7 +425,7 @@ def _shrink_edits(spec: ScenarioSpec) -> Iterator[_Edit]:
 
     # Fewer requests first: halve, then floor at one.
     for name in (
-        "num_queries", "num_bursts", "burst_size", "crowd_size",
+        "num_queries", "crowd_size",
         "num_clients", "queries_per_client",
     ):
         value = getattr(workload, name)
@@ -460,14 +433,11 @@ def _shrink_edits(spec: ScenarioSpec) -> Iterator[_Edit]:
             yield {"workload": {name: max(1, value // 2)}}
             yield {"workload": {name: 1}}
 
-    # Fewer shards (shard weights no longer fit — drop them together).
+    # Fewer shards.
     if fleet.num_shards > 1:
         for count in (1, fleet.num_shards // 2):
             if 1 <= count < fleet.num_shards:
-                yield {
-                    "fleet": {"shards": fleet.shards[:count]},
-                    "workload": {"shard_weights": None},
-                }
+                yield {"fleet": {"shards": fleet.shards[:count]}}
 
     # Smaller memory.
     if fleet.capacity > 4:
@@ -487,11 +457,9 @@ def _shrink_edits(spec: ScenarioSpec) -> Iterator[_Edit]:
     # no-ops — and skipped — for kinds the field does not apply to).
     for name, default in (
         ("deadline_layers", None), ("min_fidelity", None),
-        ("tenant_weights", None), ("shard_weights", None),
-        ("delivery", "trace"), ("addresses_per_query", 1),
-        ("think_layers", 0.0), ("stagger", 0.0),
-        ("crowd_spacing", 0.0), ("crowd_time", 0.0), ("amplitude", 0.0),
-        ("seed", 0),
+        ("tenant_weights", None), ("delivery", "trace"),
+        ("addresses_per_query", 1), ("think_layers", 0.0),
+        ("crowd_spacing", 0.0), ("crowd_time", 0.0), ("seed", 0),
     ):
         if getattr(workload, name) != default:
             yield {"workload": {name: default}}

@@ -5,12 +5,8 @@ survive, as a small deterministic spec usable from tests (characterization
 pins in ``tests/test_scenarios.py``), benchmarks (the scenario axis of
 ``benchmarks/bench_service_throughput.py``) and examples:
 
-* ``diurnal-cycle`` — sinusoidal day/night load swing: queue depth and
-  latency breathe with the rate while conservation holds.
 * ``flash-crowd`` — a simultaneous arrival spike on a bounded queue:
   backpressure rejects the overflow instead of collapsing latency.
-* ``hot-key-skew`` — one interleaved shard owns most of the traffic: the
-  hot shard queues while its siblings idle.
 * ``misbehaving-tenant`` — one tenant floods a shared bounded queue past
   its fair share and every tenant eats the rejections.
 * ``deadline-impossible`` — offered load far beyond capacity with tight
@@ -36,27 +32,6 @@ from repro.scenarios.spec import (
 __all__ = ["LIBRARY", "library_names", "library_scenario"]
 
 
-def diurnal_cycle() -> ScenarioSpec:
-    """Sinusoidal offered load over two interleaved Fat-Tree shards."""
-    return ScenarioSpec(
-        name="diurnal-cycle",
-        fleet=FleetSpec(
-            capacity=32,
-            shards=("Fat-Tree", "Fat-Tree"),
-            functional=False,
-        ),
-        workload=WorkloadSpec(
-            kind="diurnal",
-            num_queries=120,
-            mean_interarrival=6.0,
-            period=400.0,
-            amplitude=0.8,
-            num_tenants=4,
-            seed=11,
-        ),
-    )
-
-
 def flash_crowd() -> ScenarioSpec:
     """A 40-request spike on a bounded queue mid-run (backpressure)."""
     return ScenarioSpec(
@@ -76,26 +51,6 @@ def flash_crowd() -> ScenarioSpec:
             seed=5,
         ),
         policy=PolicySpec(max_queue_depth=8),
-    )
-
-
-def hot_key_skew() -> ScenarioSpec:
-    """85% of queries land on one of four interleaved shards."""
-    return ScenarioSpec(
-        name="hot-key-skew",
-        fleet=FleetSpec(
-            capacity=64,
-            shards=("Fat-Tree",) * 4,
-            functional=False,
-        ),
-        workload=WorkloadSpec(
-            kind="poisson",
-            num_queries=120,
-            mean_interarrival=5.0,
-            num_tenants=4,
-            seed=7,
-            shard_weights=(0.85, 0.05, 0.05, 0.05),
-        ),
     )
 
 
@@ -143,9 +98,7 @@ def deadline_impossible() -> ScenarioSpec:
 
 #: Every library scenario, keyed by its spec ``name``.
 LIBRARY: dict[str, Callable[[], ScenarioSpec]] = {
-    "diurnal-cycle": diurnal_cycle,
     "flash-crowd": flash_crowd,
-    "hot-key-skew": hot_key_skew,
     "misbehaving-tenant": misbehaving_tenant,
     "deadline-impossible": deadline_impossible,
 }

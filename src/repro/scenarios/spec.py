@@ -10,9 +10,8 @@ validated, JSON-round-trippable object instead:
 
 * :class:`FleetSpec` — shard architectures (``"<arch>@d<k>"`` names),
   placement, memory contents, noise parameters.
-* :class:`WorkloadSpec` — poisson / bursty / diurnal / flash-crowd /
-  closed-loop traffic, with rates, tenants, deadlines, fidelity SLOs and
-  tenant/shard skew.
+* :class:`WorkloadSpec` — poisson / flash-crowd / closed-loop traffic,
+  with rates, tenants, deadlines, fidelity SLOs and tenant skew.
 * :class:`PolicySpec` — admission order, queue bounds, shedding.
 * :class:`RunSpec` — retention, telemetry, distillation budget, workers,
   sanitizer, profiling, clock.
@@ -80,18 +79,10 @@ DATA_PATTERNS = (
 )
 
 #: Workload kinds a :class:`WorkloadSpec` can name.
-WORKLOAD_KINDS = (
-    "poisson", "bursty", "diurnal", "flash-crowd", "closed-loop",
-)
+WORKLOAD_KINDS = ("poisson", "flash-crowd", "closed-loop")
 
 #: How an open-loop trace reaches the engine.
 DELIVERIES = ("trace", "streaming", "partitioned")
-
-#: Workload kinds whose generators accept a ``shards=`` partition filter
-#: (the contract ``delivery="partitioned"`` requires).
-_PARTITIONABLE_KINDS = frozenset(
-    {"poisson", "bursty", "diurnal", "flash-crowd"}
-)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -327,24 +318,15 @@ class FleetSpec:
 _KIND_FIELDS: dict[str, frozenset[str]] = {
     "poisson": frozenset({
         "num_queries", "mean_interarrival", "addresses_per_query",
-        "num_tenants", "tenant_weights", "shard_weights",
-    }),
-    "bursty": frozenset({
-        "num_bursts", "burst_size", "burst_spacing", "addresses_per_query",
-        "num_tenants", "tenant_weights", "shard_weights",
-    }),
-    "diurnal": frozenset({
-        "num_queries", "mean_interarrival", "period", "amplitude",
-        "addresses_per_query", "num_tenants", "tenant_weights",
-        "shard_weights",
+        "num_tenants", "tenant_weights",
     }),
     "flash-crowd": frozenset({
         "num_queries", "mean_interarrival", "crowd_time", "crowd_size",
         "crowd_spacing", "addresses_per_query", "num_tenants",
-        "tenant_weights", "shard_weights",
+        "tenant_weights",
     }),
     "closed-loop": frozenset({
-        "num_clients", "queries_per_client", "think_layers", "stagger",
+        "num_clients", "queries_per_client", "think_layers",
         "addresses_per_query",
     }),
 }
@@ -364,9 +346,9 @@ class WorkloadSpec:
     :class:`SpecError` otherwise), so a serialized spec cannot smuggle
     silently-ignored knobs.
 
-    Kinds (see :mod:`repro.workloads`): ``"poisson"``, ``"bursty"``,
-    ``"diurnal"`` (sinusoidal rate), ``"flash-crowd"`` (baseline + spike)
-    and ``"closed-loop"`` (think-time clients).
+    Kinds (see :mod:`repro.workloads`): ``"poisson"`` (the memoryless
+    arrivals of Sec. 5.2), ``"flash-crowd"`` (Poisson baseline + spike)
+    and ``"closed-loop"`` (the think-time clients of Fig. 7).
 
     ``delivery`` picks the source type for open-loop kinds: ``"trace"``
     (materialized :class:`~repro.engine.TraceSource`), ``"streaming"``
@@ -377,16 +359,9 @@ class WorkloadSpec:
     """
 
     kind: str
-    # poisson / diurnal / flash-crowd
+    # poisson / flash-crowd
     num_queries: int = 0
     mean_interarrival: float = 0.0
-    # bursty
-    num_bursts: int = 0
-    burst_size: int = 0
-    burst_spacing: float = 0.0
-    # diurnal
-    period: float = 0.0
-    amplitude: float = 0.5
     # flash-crowd
     crowd_time: float = 0.0
     crowd_size: int = 0
@@ -395,7 +370,6 @@ class WorkloadSpec:
     num_clients: int = 0
     queries_per_client: int = 0
     think_layers: float = 0.0
-    stagger: float = 0.0
     # shared knobs
     addresses_per_query: int = 2
     num_tenants: int = 1
@@ -403,7 +377,6 @@ class WorkloadSpec:
     deadline_layers: float | None = None
     min_fidelity: float | None = None
     tenant_weights: tuple[float, ...] | None = None
-    shard_weights: tuple[float, ...] | None = None
     delivery: str = "trace"
 
     def __post_init__(self) -> None:
@@ -417,13 +390,6 @@ class WorkloadSpec:
             "tenant_weights",
             _as_optional_float_tuple(
                 self.tenant_weights, "WorkloadSpec.tenant_weights"
-            ),
-        )
-        object.__setattr__(
-            self,
-            "shard_weights",
-            _as_optional_float_tuple(
-                self.shard_weights, "WorkloadSpec.shard_weights"
             ),
         )
         # Reject values smuggled into fields the kind ignores.
@@ -474,20 +440,9 @@ class WorkloadSpec:
                 f"{self.num_tenants} entries (got {len(self.tenant_weights)})",
             )
         positives: dict[str, bool] = {}
-        if self.kind in ("poisson", "diurnal", "flash-crowd"):
+        if self.kind in ("poisson", "flash-crowd"):
             positives["num_queries"] = self.num_queries >= 1
             positives["mean_interarrival"] = self.mean_interarrival > 0
-        if self.kind == "bursty":
-            positives["num_bursts"] = self.num_bursts >= 1
-            positives["burst_size"] = self.burst_size >= 1
-            positives["burst_spacing"] = self.burst_spacing > 0
-        if self.kind == "diurnal":
-            positives["period"] = self.period > 0
-            _require(
-                0.0 <= self.amplitude < 1.0,
-                f"WorkloadSpec.amplitude must be in [0, 1) "
-                f"(got {self.amplitude!r})",
-            )
         if self.kind == "flash-crowd":
             positives["crowd_size"] = self.crowd_size >= 1
             _require(
@@ -499,9 +454,9 @@ class WorkloadSpec:
             positives["num_clients"] = self.num_clients >= 1
             positives["queries_per_client"] = self.queries_per_client >= 1
             _require(
-                self.think_layers >= 0 and self.stagger >= 0,
-                "WorkloadSpec.think_layers and WorkloadSpec.stagger must "
-                "be >= 0",
+                self.think_layers >= 0,
+                f"WorkloadSpec.think_layers must be >= 0 "
+                f"(got {self.think_layers!r})",
             )
         for name, ok in positives.items():
             _require(
@@ -528,35 +483,12 @@ class WorkloadSpec:
         from repro.workloads import generators as gen
 
         num_shards = self._trace_num_shards(fleet)
-        if self.shard_weights is not None and len(
-            self.shard_weights
-        ) != num_shards:
-            raise SpecError(
-                f"WorkloadSpec.shard_weights must have {num_shards} "
-                f"entries for this fleet (got {len(self.shard_weights)})"
-            )
         if self.kind == "poisson":
             return gen.iter_poisson_trace(
                 fleet.capacity, self.num_queries, self.mean_interarrival,
                 self.addresses_per_query, self.num_tenants, num_shards,
                 self.seed, self.deadline_layers, self.min_fidelity, shards,
-                self.tenant_weights, self.shard_weights,
-            )
-        if self.kind == "bursty":
-            return gen.iter_bursty_trace(
-                fleet.capacity, self.num_bursts, self.burst_size,
-                self.burst_spacing, self.addresses_per_query,
-                self.num_tenants, num_shards, self.seed,
-                self.deadline_layers, self.min_fidelity, shards,
-                self.tenant_weights, self.shard_weights,
-            )
-        if self.kind == "diurnal":
-            return gen.iter_diurnal_trace(
-                fleet.capacity, self.num_queries, self.mean_interarrival,
-                self.period, self.amplitude, self.addresses_per_query,
-                self.num_tenants, num_shards, self.seed,
-                self.deadline_layers, self.min_fidelity, shards,
-                self.tenant_weights, self.shard_weights,
+                self.tenant_weights,
             )
         if self.kind == "flash-crowd":
             return gen.iter_flash_crowd_trace(
@@ -564,7 +496,7 @@ class WorkloadSpec:
                 self.crowd_time, self.crowd_size, self.crowd_spacing,
                 self.addresses_per_query, self.num_tenants, num_shards,
                 self.seed, self.deadline_layers, self.min_fidelity, shards,
-                self.tenant_weights, self.shard_weights,
+                self.tenant_weights,
             )
         raise SpecError(f"kind {self.kind!r} has no open-loop iterator")
 
@@ -577,7 +509,7 @@ class WorkloadSpec:
                 fleet.capacity, self.num_clients, self.queries_per_client,
                 self.think_layers, self.addresses_per_query,
                 self._trace_num_shards(fleet), self.seed,
-                self.deadline_layers, self.stagger, self.min_fidelity,
+                self.deadline_layers, self.min_fidelity,
             )
         if self.delivery == "trace":
             return TraceSource(list(self._iterator(fleet, None)))
@@ -735,21 +667,6 @@ class ScenarioSpec:
     policy: PolicySpec = field(default_factory=PolicySpec)
     run: RunSpec = field(default_factory=RunSpec)
     name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.workload.kind in _PARTITIONABLE_KINDS and (
-            self.workload.shard_weights is not None
-        ):
-            expected = (
-                self.fleet.num_shards
-                if self.fleet.placement == "interleaved"
-                else 1
-            )
-            _require(
-                len(self.workload.shard_weights) == expected,
-                f"WorkloadSpec.shard_weights must have {expected} entries "
-                f"for this fleet (got {len(self.workload.shard_weights)})",
-            )
 
     # ---------------------------------------------------- fingerprints/axes
     def fingerprint(self) -> str:

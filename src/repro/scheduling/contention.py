@@ -173,7 +173,7 @@ def serve_closed_loop(
     depth = max(
         last_finish[client.client_id] + client.think_layers
         if client.client_id in last_finish
-        else client.start_time
+        else 0.0
         for client in clients
     )
     return ClosedLoopSummary(

@@ -85,9 +85,9 @@ _Resolved = tuple[str, tuple[int, ...]]
 class QubitLayout:
     """A fixed qubit order that many states start from, all in |0>.
 
-    States built with :meth:`_SparseView.from_layout` share
-    ``resolved``, the layout's ``(gate, qubits)`` resolution memo,
-    until one of them adds a qubit (and with it leaves the layout).
+    States built with :meth:`_SparseView.from_layout` (the only way to
+    build one) share ``resolved``, the layout's ``(gate, qubits)``
+    resolution memo: a state's qubits are fixed by its layout.
 
     Args:
         qubits: qubit labels in index order (no repeats).
@@ -110,7 +110,7 @@ class _SparseView:
     ``{basis tuple: amplitude}`` dict in branch order.
     """
 
-    _qubits: list[Qubit]
+    _qubits: tuple[Qubit, ...]
     _index: dict[Qubit, int]
     # (gate, qubits) -> resolved call, valid while the qubit order is.
     _resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved]
@@ -118,24 +118,23 @@ class _SparseView:
     @classmethod
     def from_layout(cls, layout: QubitLayout) -> Self:
         """A state over ``layout``'s qubits, all |0>, that resolves gates
-        through the layout's shared memo."""
+        through the layout's shared memo.
+
+        A state never changes its qubits, so it shares the layout's
+        labels, positions and memo instead of copying them.
+        """
         state = cls()
-        # Copies, not aliases: a state that adds a qubit leaves the layout.
-        state._qubits = list(layout.qubits)
-        state._index = dict(layout.index)
-        state._append_columns(len(layout.qubits), 0)
+        state._qubits = layout.qubits
+        state._index = layout.index
         state._resolved = layout.resolved
+        state._start(len(layout.qubits))
         return state
 
     def _terms(self) -> dict[Basis, complex]:
         raise NotImplementedError
 
-    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
-        raise NotImplementedError
-
-    def _append_columns(self, count: int, value: int) -> None:
-        """Extend every branch by ``count`` qubits in ``|value>`` (their
-        labels are already in ``_qubits``/``_index``)."""
+    def _start(self, count: int) -> None:
+        """Set a fresh state's one branch to ``count`` qubits in |0>."""
         raise NotImplementedError
 
     def apply_gate(
@@ -153,28 +152,24 @@ class _SparseView:
     def num_qubits(self) -> int:
         return len(self._qubits)
 
-    def _add_label(self, qubit: Qubit, value: int) -> None:
-        if qubit in self._index:
-            raise ValueError(f"qubit {qubit!r} already exists")
-        if value not in (0, 1):
-            raise ValueError("qubit value must be 0 or 1")
-        self._index[qubit] = len(self._qubits)
-        self._qubits.append(qubit)
-        # A new qubit leaves any shared layout: resolve into a private memo.
-        self._resolved = {}
+    def _indices(self, qubits: Iterable[Qubit]) -> list[int]:
+        """The positions of ``qubits``.
 
-    def ensure_qubits(self, qubits: Iterable[Qubit]) -> None:
-        """Add any of ``qubits`` that do not exist yet (initialised to |0>)."""
-        for q in qubits:
-            if q not in self._index:
-                self.add_qubit(q)
+        Raises:
+            ValueError: naming the first qubit the state's layout lacks.
+        """
+        index = self._index
+        try:
+            return [index[q] for q in qubits]
+        except KeyError as exc:
+            raise ValueError(f"unknown qubit {exc.args[0]!r}") from None
 
     def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> _Resolved:
         """Validate a gate call; return its canonical name and qubit indices.
 
-        Unknown qubits are added in |0>.  Repeated qubits are rejected:
-        applied to a basis branch they would not be a unitary.  Each
-        distinct call is validated once; repeats hit the memo.
+        Unknown qubits and repeated qubits are rejected (applied to a basis
+        branch, a repeated qubit would not be a unitary).  Each distinct
+        call is validated once; repeats hit the memo.
         """
         call = (gate, tuple(qubits))
         resolved = self._resolved.get(call)
@@ -190,9 +185,7 @@ class _SparseView:
             )
         if spec.n_qubits > 1 and len(set(qubits)) != spec.n_qubits:
             raise ValueError(f"duplicate qubits in gate {key}: {tuple(qubits)}")
-        self.ensure_qubits(qubits)
-        index = self._index
-        resolved = key, tuple(index[q] for q in qubits)
+        resolved = key, tuple(self._indices(qubits))
         self._resolved[call] = resolved
         return resolved
 
@@ -209,7 +202,7 @@ class _SparseView:
 
         ``qubits[0]`` is the most significant bit of ``value``.
         """
-        self.ensure_qubits(qubits)
+        self._indices(qubits)
         bits = _int_to_bits(value, len(qubits))
         for q, bit in zip(qubits, bits):
             if bit:
@@ -317,14 +310,12 @@ class _SparseView:
 class SparseState(_SparseView):
     """A pure state stored as bit-sliced qubit columns and an amplitude vector.
 
-    Args:
-        qubits: ordered list of qubit labels.  Additional qubits can be added
-            later with :meth:`add_qubit`, initialised to |0>.
+    Build one with :meth:`from_layout`.
     """
 
-    def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
-        self._qubits: list[Qubit] = []
-        self._index: dict[Qubit, int] = {}
+    def __init__(self) -> None:
+        self._qubits = ()
+        self._index = {}
         self._resolved = {}
         # The branch bits, in exactly one of two layouts at a time (the
         # other is None): _columns[i] is qubit i's column, whose bit t is
@@ -349,35 +340,14 @@ class SparseState(_SparseView):
         # exactly.
         self._signs: int | None = None
         self._tail: list[int] = []
-        for q in qubits:
-            self.add_qubit(q)
 
     @property
     def num_terms(self) -> int:
         """Number of nonzero basis states (sparsity)."""
         return len(self._amps)
 
-    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
-        """Add a new qubit initialised to ``|value>``."""
-        self._add_label(qubit, value)
-        self._append_columns(1, value)
-
-    def ensure_qubits(self, qubits: Iterable[Qubit]) -> None:
-        """Add any of ``qubits`` that do not exist yet (initialised to |0>)."""
-        new = [q for q in dict.fromkeys(qubits) if q not in self._index]
-        for q in new:
-            self._add_label(q, 0)
-        if new:
-            self._append_columns(len(new), 0)
-
-    def _append_columns(self, count: int, value: int) -> None:
-        if self._columns is not None:
-            column = (1 << len(self._amps)) - 1 if value else 0
-            self._columns.extend([column] * count)
-        else:
-            block = np.full((len(self._amps), count), value, dtype=np.uint8)
-            self._rows = np.concatenate((self._rows, block), axis=1)
-        self._view = None
+    def _start(self, count: int) -> None:
+        self._columns = [0] * count
 
     # ---------------------------------------------------------------- layouts
     def _as_columns(self) -> list[int]:
@@ -493,12 +463,11 @@ class SparseState(_SparseView):
             amplitudes: map from integer basis value to amplitude.  Normalised
                 automatically.
         """
-        self.ensure_qubits(qubits)
+        idx = self._indices(qubits)
         norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
         if norm < _ATOL:
             raise ValueError("cannot prepare the zero vector")
         rows = self._as_rows()
-        idx = [self._index[q] for q in qubits]
         if rows[:, idx].any():
             raise ValueError("register must be |0...0> before preparation")
         width = len(qubits)
@@ -748,20 +717,15 @@ class SparseStateScalar(_SparseView):
     """Reference storage: a dict from basis tuples to amplitudes.
 
     One Python loop per gate over every branch.  :class:`SparseState`
-    reproduces it bit for bit; tests compare the two.
-
-    Args:
-        qubits: ordered list of qubit labels.  Additional qubits can be added
-            later with :meth:`add_qubit`, initialised to |0>.
+    reproduces it bit for bit; tests compare the two.  Build one with
+    :meth:`from_layout`.
     """
 
-    def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
-        self._qubits: list[Qubit] = []
-        self._index: dict[Qubit, int] = {}
+    def __init__(self) -> None:
+        self._qubits = ()
+        self._index = {}
         self._resolved = {}
         self._amplitudes: dict[Basis, complex] = {(): 1.0 + 0.0j}
-        for q in qubits:
-            self.add_qubit(q)
 
     @property
     def num_terms(self) -> int:
@@ -771,16 +735,8 @@ class SparseStateScalar(_SparseView):
     def _terms(self) -> dict[Basis, complex]:
         return self._amplitudes
 
-    def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
-        """Add a new qubit initialised to ``|value>``."""
-        self._add_label(qubit, value)
-        self._append_columns(1, value)
-
-    def _append_columns(self, count: int, value: int) -> None:
-        bits = (value,) * count
-        self._amplitudes = {
-            basis + bits: amp for basis, amp in self._amplitudes.items()
-        }
+    def _start(self, count: int) -> None:
+        self._amplitudes = {(0,) * count: 1.0 + 0.0j}
 
     def _prune(self) -> None:
         self._amplitudes = {
@@ -793,11 +749,10 @@ class SparseStateScalar(_SparseView):
     ) -> None:
         """Prepare an arbitrary superposition over a register of fresh qubits
         (see :meth:`SparseState.prepare_superposition`)."""
-        self.ensure_qubits(qubits)
+        idx = self._indices(qubits)
         norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
         if norm < _ATOL:
             raise ValueError("cannot prepare the zero vector")
-        idx = [self._index[q] for q in qubits]
         for basis in self._amplitudes:
             for i in idx:
                 if basis[i] != 0:

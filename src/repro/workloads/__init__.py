@@ -1,7 +1,7 @@
 """Workload and trace generators used by examples, tests and benchmarks.
 
 * :mod:`repro.workloads.arrivals` — the shared arrival-time cores
-  (exponential, bursty, diurnal, flash crowd) behind both the scheduling streams in
+  (exponential, burst, flash crowd) behind both the scheduling streams in
   :mod:`repro.scheduling.events` and the serving traces here.
 * :mod:`repro.workloads.generators` — memory contents, address
   superpositions, open-loop query traces and the closed-loop client fleet
@@ -10,14 +10,11 @@
 
 from repro.workloads.arrivals import (
     iter_burst_times,
-    iter_diurnal_times,
     iter_exponential_times,
     iter_flash_crowd_times,
 )
 from repro.workloads.generators import (
     closed_loop_source,
-    iter_bursty_trace,
-    iter_diurnal_trace,
     iter_flash_crowd_trace,
     iter_poisson_trace,
     query_trace,
@@ -36,12 +33,9 @@ __all__ = [
     "shard_aligned_superposition",
     "query_trace",
     "iter_poisson_trace",
-    "iter_bursty_trace",
-    "iter_diurnal_trace",
     "iter_flash_crowd_trace",
     "closed_loop_source",
     "iter_exponential_times",
     "iter_burst_times",
-    "iter_diurnal_times",
     "iter_flash_crowd_times",
 ]

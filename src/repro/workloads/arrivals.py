@@ -14,7 +14,6 @@ scheduling streams, raw layers for the serving traces).
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -81,52 +80,6 @@ def iter_burst_times(
             time = float(burst * burst_spacing)
             for _ in range(burst_size):
                 yield time
-
-    return generate()
-
-
-def iter_diurnal_times(
-    num: int,
-    mean_interarrival: float,
-    period: float,
-    amplitude: float = 0.5,
-    seed: int = 0,
-) -> Iterator[float]:
-    """Lazily yield arrival times whose rate follows a sinusoidal cycle.
-
-    A non-homogeneous Poisson stream: each exponential gap (drawn exactly
-    like :func:`iter_exponential_times`, same block size, same stream) is
-    stretched by ``1 - amplitude * sin(2*pi*t / period)`` at the current
-    time ``t``, so the instantaneous rate peaks mid-cycle and bottoms out
-    half a period later — the day/night load swing of a diurnal workload.
-    ``amplitude`` must stay in ``[0, 1)`` so the gap factor stays positive
-    and times remain strictly increasing; ``amplitude=0`` degenerates to a
-    plain Poisson stream over the same RNG draws.
-    """
-    if num < 0:
-        raise ValueError("num must be >= 0")
-    if mean_interarrival <= 0:
-        raise ValueError("mean_interarrival must be positive")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError("amplitude must be in [0, 1)")
-
-    def generate() -> Iterator[float]:
-        rng = np.random.default_rng(seed)
-        total = 0.0
-        remaining = num
-        while remaining > 0:
-            block = rng.exponential(
-                mean_interarrival, size=min(remaining, _DRAW_BLOCK)
-            )
-            remaining -= len(block)
-            for gap in block:
-                factor = 1.0 - amplitude * math.sin(
-                    2.0 * math.pi * total / period
-                )
-                total += float(gap) * factor
-                yield total
 
     return generate()
 

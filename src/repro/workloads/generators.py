@@ -12,8 +12,6 @@ from repro.bucket_brigade.tree import validate_capacity
 from repro.core.query import QueryRequest
 from repro.engine.workload import ClosedLoopClient, ClosedLoopSource
 from repro.workloads.arrivals import (
-    iter_burst_times,
-    iter_diurnal_times,
     iter_exponential_times,
     iter_flash_crowd_times,
 )
@@ -277,7 +275,6 @@ def _iter_arrival_trace(
     min_fidelity: float | None = None,
     shards: Iterable[int] | None = None,
     tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
 ) -> Iterator[QueryRequest]:
     """Lazily yield requests at the given arrival times, round-robin over
     tenants and random (shard-aligned) address superpositions.
@@ -299,23 +296,16 @@ def _iter_arrival_trace(
     only the skipped requests are never built.  This is what lets a
     parallel serving worker regenerate only its partition of a trace.
 
-    ``shard_weights`` / ``tenant_weights`` skew the shard draw and the
-    tenant assignment (hot-key and misbehaving-tenant workloads).  Both
-    default to ``None``, which preserves the historical uniform /
-    round-robin streams byte for byte; when set, draws still advance one
-    slot per global position, so the ``shards`` partition filter stays
-    exact.
+    ``tenant_weights`` skews the tenant assignment (the misbehaving-tenant
+    workload).  It defaults to ``None``, which keeps the round-robin
+    tenants; when set, weighted draws still advance one slot per global
+    position, so the ``shards`` partition filter stays exact.
     """
     owned = None if shards is None else frozenset(int(s) for s in shards)
     superpositions = KeyedSuperpositions(
         capacity, num_shards, addresses_per_query, seed
     )
     rng = np.random.default_rng(seed)
-    shard_cdf = (
-        None
-        if shard_weights is None
-        else _cumulative_weights(shard_weights, num_shards, "shard_weights")
-    )
     tenant_cdf = (
         None
         if tenant_weights is None
@@ -336,14 +326,9 @@ def _iter_arrival_trace(
     tenant_index = 0
     for i, t in enumerate(times):
         if draw_index == len(shard_draws):
-            if shard_cdf is None:
-                shard_draws = rng.integers(
-                    num_shards, size=_SHARD_DRAW_BLOCK
-                ).tolist()
-            else:
-                shard_draws = np.searchsorted(
-                    shard_cdf, rng.random(_SHARD_DRAW_BLOCK), side="right"
-                ).tolist()
+            shard_draws = rng.integers(
+                num_shards, size=_SHARD_DRAW_BLOCK
+            ).tolist()
             draw_index = 0
         shard = shard_draws[draw_index]
         draw_index += 1
@@ -383,7 +368,6 @@ def iter_poisson_trace(
     min_fidelity: float | None = None,
     shards: Iterable[int] | None = None,
     tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
 ) -> Iterator[QueryRequest]:
     """Lazily yield open-loop Poisson traffic: exponential interarrival
     times (raw layers, from :mod:`repro.workloads.arrivals`).
@@ -401,76 +385,16 @@ def iter_poisson_trace(
     million-query trace is generated, served and discarded one request at
     a time (or ``list(...)`` it for a :class:`TraceSource`).  ``shards``
     restricts the stream to those shards' requests without perturbing
-    them, and ``tenant_weights`` / ``shard_weights`` skew the tenant/shard
-    draws (hot-key and misbehaving-tenant workloads; ``None`` keeps the
-    uniform / round-robin streams, see :func:`_iter_arrival_trace`).
+    them, and ``tenant_weights`` skews the tenant draw (the
+    misbehaving-tenant workload; ``None`` keeps the round-robin tenants,
+    see :func:`_iter_arrival_trace`).
     """
     if num_queries < 1:
         raise ValueError("num_queries must be >= 1")
     times = iter_exponential_times(num_queries, mean_interarrival, seed)
     return _iter_arrival_trace(
         capacity, times, addresses_per_query, num_tenants, num_shards, seed,
-        deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
-    )
-
-
-def iter_bursty_trace(
-    capacity: int,
-    num_bursts: int,
-    burst_size: int,
-    burst_spacing: float,
-    addresses_per_query: int = 2,
-    num_tenants: int = 1,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    shards: Iterable[int] | None = None,
-    tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
-) -> Iterator[QueryRequest]:
-    """Lazily yield bursty traffic: ``burst_size`` simultaneous requests
-    every ``burst_spacing`` raw layers (the stress pattern for window
-    batching).  Everything else — ids, tenants, shard-aligned
-    superpositions, the ``shards`` partition filter and the weighted
-    draws — matches :func:`iter_poisson_trace`."""
-    if num_bursts < 1 or burst_size < 1:
-        raise ValueError("num_bursts and burst_size must be >= 1")
-    times = iter_burst_times(num_bursts, burst_size, burst_spacing)
-    return _iter_arrival_trace(
-        capacity, times, addresses_per_query, num_tenants, num_shards, seed,
-        deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
-    )
-
-
-def iter_diurnal_trace(
-    capacity: int,
-    num_queries: int,
-    mean_interarrival: float,
-    period: float,
-    amplitude: float = 0.5,
-    addresses_per_query: int = 2,
-    num_tenants: int = 1,
-    num_shards: int = 1,
-    seed: int = 0,
-    deadline_layers: float | None = None,
-    min_fidelity: float | None = None,
-    shards: Iterable[int] | None = None,
-    tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
-) -> Iterator[QueryRequest]:
-    """Lazily yield a trace whose arrival rate follows a sinusoidal
-    day/night cycle (:func:`~repro.workloads.arrivals.iter_diurnal_times`);
-    everything else — ids, tenants, shard-aligned superpositions, the
-    ``shards`` partition filter — matches :func:`iter_poisson_trace`."""
-    if num_queries < 1:
-        raise ValueError("num_queries must be >= 1")
-    times = iter_diurnal_times(
-        num_queries, mean_interarrival, period, amplitude, seed
-    )
-    return _iter_arrival_trace(
-        capacity, times, addresses_per_query, num_tenants, num_shards, seed,
-        deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
+        deadline_layers, min_fidelity, shards, tenant_weights,
     )
 
 
@@ -489,7 +413,6 @@ def iter_flash_crowd_trace(
     min_fidelity: float | None = None,
     shards: Iterable[int] | None = None,
     tenant_weights: Sequence[float] | None = None,
-    shard_weights: Sequence[float] | None = None,
 ) -> Iterator[QueryRequest]:
     """Lazily yield a Poisson-baseline trace with a flash crowd of
     ``crowd_size`` extra requests landing at ``crowd_time``
@@ -504,7 +427,7 @@ def iter_flash_crowd_trace(
     )
     return _iter_arrival_trace(
         capacity, times, addresses_per_query, num_tenants, num_shards, seed,
-        deadline_layers, min_fidelity, shards, tenant_weights, shard_weights,
+        deadline_layers, min_fidelity, shards, tenant_weights,
     )
 
 
@@ -517,7 +440,6 @@ def closed_loop_source(
     num_shards: int = 1,
     seed: int = 0,
     deadline_layers: float | None = None,
-    stagger: float = 0.0,
     min_fidelity: float | None = None,
 ) -> ClosedLoopSource:
     """A seeded fleet of closed-loop clients for the discrete-event engine.
@@ -542,7 +464,6 @@ def closed_loop_source(
             nothing.
         deadline_layers: per-request relative deadline (``None`` = best
             effort).
-        stagger: offset between successive clients' start times.
         min_fidelity: per-request fidelity SLO (``None`` = best effort).
     """
     if num_clients < 1:
@@ -552,7 +473,6 @@ def closed_loop_source(
             client_id=client_id,
             queries=queries_per_client,
             think_layers=think_layers,
-            start_time=client_id * stagger,
             deadline_layers=deadline_layers,
             min_fidelity=min_fidelity,
         )

@@ -35,10 +35,9 @@ from repro.service import PLACEMENTS, QRAMService
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: A claim cell names at least one of these (or says it has none).
+#: A claim cell names at least one of these.
 CLAIM = re.compile(
     r"\b(Table [1-5]|Fig\. (?:[6-9]|1[01])|Sec\. [0-9A]|aim [1-4])\b"
-    r"|^none\b"
 )
 
 

@@ -8,7 +8,7 @@ from repro.bucket_brigade.instructions import (
     QubitNamer,
     lower_instruction,
 )
-from repro.sim.sparse import SparseState
+from repro.sim.sparse import QubitLayout, SparseState
 
 
 def test_instruction_kind_costs():
@@ -37,9 +37,10 @@ def test_route_lowering_routes_by_router_state():
     gates = lower_instruction(instruction, namer, address_width=2)
     # Level 0 has one router -> ANTI_CSWAP + CSWAP.
     assert [gate for gate, _, _ in gates] == ["ANTI_CSWAP", "CSWAP"]
-    state = SparseState()
-    state.ensure_qubits([namer.router_qubit(0, 0), namer.input_qubit(0, 0),
-                         namer.output_qubit(0, 0, 0), namer.output_qubit(0, 0, 1)])
+    state = SparseState.from_layout(QubitLayout([
+        namer.router_qubit(0, 0), namer.input_qubit(0, 0),
+        namer.output_qubit(0, 0, 0), namer.output_qubit(0, 0, 1),
+    ]))
     state.apply_gate("X", (namer.router_qubit(0, 0),))   # router holds |1>
     state.apply_gate("X", (namer.input_qubit(0, 0),))    # payload |1>
     for gate, qubits, theta in gates:

@@ -6,7 +6,6 @@ from repro import QRAMService, ServiceEngine, TraceSource
 from repro.core.query import QueryRequest
 from repro.service.sharding import InterleavedShardMap
 from repro.workloads import (
-    iter_bursty_trace,
     iter_poisson_trace,
     random_data,
     shard_aligned_superposition,
@@ -89,12 +88,26 @@ def test_service_serves_poisson_trace_functionally():
             assert bus == data[address]
 
 
+def _bursts(capacity, bursts, size):
+    """``size`` simultaneous requests at each burst time, alternating
+    between the two shards of a 2-shard interleaved fleet."""
+    return [
+        QueryRequest(
+            query_id=i,
+            address_amplitudes=shard_aligned_superposition(
+                capacity, 2, i % 2, 2, seed=i
+            ),
+            request_time=time,
+        )
+        for i, time in enumerate(t for t in bursts for _ in range(size))
+    ]
+
+
 def test_service_batches_into_pipeline_windows():
     capacity = 16        # 2 shards of capacity 8 -> window of up to 3 queries
     service = QRAMService(capacity, num_shards=2, data=random_data(capacity))
-    trace = list(iter_bursty_trace(
-        capacity, num_bursts=2, burst_size=8, burst_spacing=400.0, num_shards=2, seed=2
-    ))
+    # Two simultaneous bursts of 12 that fill each shard's windows.
+    trace = _bursts(capacity, bursts=(0.0, 400.0), size=12)
     report = ServiceEngine(service).run(TraceSource(trace))
     parallelism = service.shards[0].query_parallelism
     assert any(w.batch_size > 1 for w in report.windows)
@@ -125,9 +138,7 @@ def test_service_fifo_preserves_arrival_order_per_shard():
 
 def test_service_policies_differ_under_backlog():
     capacity = 16
-    trace = list(iter_bursty_trace(
-        capacity, num_bursts=1, burst_size=12, burst_spacing=100.0, num_shards=2, seed=4
-    ))
+    trace = _bursts(capacity, bursts=(0.0,), size=12)
     latencies = {}
     for policy in ("fifo", "lifo"):
         service = QRAMService(capacity, num_shards=2, policy=policy, functional=False)

@@ -10,6 +10,11 @@ from repro.sim.sparse import QubitLayout, SparseState, SparseStateScalar
 from repro.sim.statevector import StatevectorSimulator
 
 
+def _state(*qubits, storage=SparseState):
+    """A state over ``qubits``, all |0>."""
+    return storage.from_layout(QubitLayout(qubits))
+
+
 def test_single_qubit_gates_match_statevector():
     gates = [
         ("H", ("a",), None),
@@ -18,7 +23,7 @@ def test_single_qubit_gates_match_statevector():
         ("CX", ("a", "b"), None),
         ("Z", ("b",), None),
     ]
-    sparse = SparseState(["a", "b"])
+    sparse = _state("a", "b")
     dense = StatevectorSimulator(["a", "b"])
     for gate, qubits, theta in gates:
         sparse.apply_gate(gate, qubits, theta)
@@ -27,7 +32,7 @@ def test_single_qubit_gates_match_statevector():
 
 
 def test_permutation_gates_preserve_term_count():
-    state = SparseState(["a", "b", "c"])
+    state = _state("a", "b", "c")
     state.prepare_superposition(["a", "b"], {0: 1, 1: 1, 2: 1, 3: 1})
     before = state.num_terms
     state.apply_gate("CSWAP", ["a", "b", "c"])
@@ -38,7 +43,7 @@ def test_permutation_gates_preserve_term_count():
 
 
 def test_prepare_superposition_normalises():
-    state = SparseState()
+    state = _state("x0", "x1")
     state.prepare_superposition(["x0", "x1"], {0: 3, 3: 4})
     dist = state.marginal_distribution(["x0", "x1"])
     assert math.isclose(dist[0], 9 / 25, abs_tol=1e-12)
@@ -46,14 +51,14 @@ def test_prepare_superposition_normalises():
 
 
 def test_prepare_superposition_requires_fresh_register():
-    state = SparseState(["x"])
+    state = _state("x")
     state.apply_gate("X", ["x"])
     with pytest.raises(ValueError):
         state.prepare_superposition(["x"], {0: 1, 1: 1})
 
 
 def test_register_amplitudes_product_state():
-    state = SparseState()
+    state = _state("a0", "a1", "b0")
     state.prepare_superposition(["a0", "a1"], {0: 1, 3: 1})
     state.prepare_superposition(["b0"], {0: 1, 1: -1})
     amps = state.register_amplitudes(["a0", "a1"])
@@ -62,7 +67,7 @@ def test_register_amplitudes_product_state():
 
 
 def test_register_amplitudes_detects_entanglement():
-    state = SparseState(["a", "b"])
+    state = _state("a", "b")
     state.apply_gate("H", ["a"])
     state.apply_gate("CX", ["a", "b"])
     with pytest.raises(ValueError):
@@ -70,7 +75,7 @@ def test_register_amplitudes_detects_entanglement():
 
 
 def test_register_amplitudes_detects_phase_entanglement():
-    state = SparseState(["a", "b"])
+    state = _state("a", "b")
     state.apply_gate("H", ["a"])
     state.apply_gate("H", ["b"])
     state.apply_gate("CZ", ["a", "b"])
@@ -79,9 +84,9 @@ def test_register_amplitudes_detects_phase_entanglement():
 
 
 def test_fidelity_with_self_and_orthogonal():
-    plus = SparseState(["q"])
+    plus = _state("q")
     plus.apply_gate("H", ["q"])
-    minus = SparseState(["q"])
+    minus = _state("q")
     minus.apply_gate("X", ["q"])
     minus.apply_gate("H", ["q"])
     assert math.isclose(plus.fidelity_with(plus), 1.0, abs_tol=1e-12)
@@ -92,10 +97,29 @@ def test_fidelity_with_self_and_orthogonal():
 def test_apply_gate_rejects_bad_calls(storage):
     """An unknown gate name, the wrong number of qubits and a repeated
     qubit are refused before the gate touches the state."""
-    state = storage(["a", "b"])
+    state = _state("a", "b", storage=storage)
     for gate, qubits in [("NOPE", ("a",)), ("CX", ("a",)), ("SWAP", ("a", "a"))]:
         with pytest.raises(ValueError):
             state.apply_gate(gate, qubits)
+    assert state.qubit_values() == {"a": 0, "b": 0}
+
+
+@pytest.mark.parametrize("storage", [SparseState, SparseStateScalar])
+def test_unknown_qubits_are_rejected(storage):
+    """A state's qubits are its layout's: a gate, a preparation or a
+    register set on any other qubit names it and leaves the state as it
+    was."""
+    state = _state("a", "b", storage=storage)
+    calls = [
+        lambda: state.apply_gate("X", ("z",)),
+        lambda: state.apply_gate("CX", ("a", "z")),
+        lambda: state.prepare_superposition(["a", "z"], {0: 1, 3: 1}),
+        lambda: state.set_register(["z"], 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown qubit 'z'"):
+            call()
+    assert state.qubits == ["a", "b"]
     assert state.qubit_values() == {"a": 0, "b": 0}
 
 
@@ -110,7 +134,7 @@ def test_random_permutation_circuits_preserve_norm_and_sparsity(gates, seed):
     """Permutation circuits never change the number of terms or the norm."""
     rng = np.random.default_rng(seed)
     qubits = [f"q{i}" for i in range(5)]
-    state = SparseState(qubits)
+    state = _state(*qubits)
     state.prepare_superposition(qubits[:2], {0: 1, 1: 1j, 2: -1})
     before_terms = state.num_terms
     for name in gates:
@@ -126,8 +150,8 @@ def test_random_permutation_circuits_preserve_norm_and_sparsity(gates, seed):
     value=st.integers(min_value=0, max_value=15),
 )
 def test_set_register_roundtrip(value):
-    state = SparseState()
     qubits = [f"r{i}" for i in range(4)]
+    state = _state(*qubits)
     state.set_register(qubits, value)
     assert state.marginal_distribution(qubits) == {value: pytest.approx(1.0)}
 
@@ -145,7 +169,7 @@ def test_set_register_roundtrip(value):
 def test_repeated_qubits_are_rejected(storage, gate, qubits):
     """A gate on a repeated qubit is not unitary on basis branches (a CX on
     (a, a) after H left norm sqrt(2)); both storages refuse it unchanged."""
-    state = storage(["a", "b"])
+    state = _state("a", "b", storage=storage)
     state.apply_gate("H", ["a"])
     before = list(state.items())
     with pytest.raises(ValueError, match="duplicate qubits"):
@@ -156,8 +180,7 @@ def test_repeated_qubits_are_rejected(storage, gate, qubits):
 
 @pytest.mark.parametrize("storage", [SparseState, SparseStateScalar])
 def test_states_from_one_layout_share_its_resolution_memo(storage):
-    """States built from one layout resolve each distinct gate call once;
-    a state that adds a qubit leaves the shared memo for a private one."""
+    """States built from one layout resolve each distinct gate call once."""
     layout = QubitLayout(["a", "b", "c"])
     first = storage.from_layout(layout)
     assert first.qubits == ["a", "b", "c"]
@@ -169,16 +192,6 @@ def test_states_from_one_layout_share_its_resolution_memo(storage):
     second.apply_gate("H", ("a",))
     second.apply_gate("CX", ("a", "c"))
     assert list(second.items()) == list(first.items())
-    assert len(layout.resolved) == 2
-    second.add_qubit("d")
-    # The states copy the layout's labels: one leaving it changes neither
-    # the layout nor its other states.
-    assert first.qubits == ["a", "b", "c"]
-    fresh = storage.from_layout(layout)
-    assert fresh.qubits == ["a", "b", "c"]
-    fresh.add_qubit("d")
-    second.apply_gate("CX", ("d", "b"))
-    second.apply_gate("swap", ["a", "d"])
     assert len(layout.resolved) == 2
     first.apply_gate("CCX", ("a", "b", "c"))
     assert ("CCX", ("a", "b", "c")) in layout.resolved

@@ -115,9 +115,6 @@ def test_with_value_validates_section_and_field():
         spec.with_value("fleet.nonexistent", 1)
     with pytest.raises(SpecError):
         spec.with_value("fleet.capacity", 63)  # revalidated on replace
-    with pytest.raises(SpecError, match="WorkloadSpec.shard_weights"):
-        # Cross-section check re-runs: one weight per interleaved shard.
-        spec.with_value("workload.shard_weights", [0.5, 0.3, 0.2])
     with pytest.raises(SpecError, match="fleet.parameters"):
         # A dict value for the nested parameters is checked key by key.
         spec.with_value("fleet.parameters", {"bogus": 1.0})

@@ -322,8 +322,8 @@ def _branches(state):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_array_state_matches_scalar_on_random_circuits(data):
-    """Random circuits over every gate, with fresh qubits added in |1> and
-    fresh registers prepared in superposition between the gates.
+    """Random circuits over every gate, with fresh registers prepared in
+    superposition between the gates.
 
     After every step both storages hold the same basis tuples in the same
     order with bit-identical amplitudes, signed zeros included.  The
@@ -334,19 +334,17 @@ def test_array_state_matches_scalar_on_random_circuits(data):
     division differently.
     """
     labels = ["q0", "q1", "q2", "q3"]
-    array, scalar = SparseState(labels[:2]), SparseStateScalar(labels[:2])
+    steps = data.draw(st.integers(1, 25), label="steps")
+    # Every register a step may prepare, and the final readout's.
+    fresh = [f"p{step}.{bit}" for step in range(steps) for bit in (0, 1)]
+    layout = QubitLayout(labels + fresh + ["r0", "r1"])
+    array, scalar = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     amplitude = st.complex_numbers(
         max_magnitude=4.0, allow_nan=False, allow_infinity=False
     )
-    for step in range(data.draw(st.integers(1, 25), label="steps")):
-        action = data.draw(
-            st.sampled_from(sorted(GATES) + ["add_qubit", "prepare"])
-        )
-        if action == "add_qubit":
-            labels.append(f"a{step}")
-            for state in (array, scalar):
-                state.add_qubit(labels[-1], value=1)
-        elif action == "prepare":
+    for step in range(steps):
+        action = data.draw(st.sampled_from(sorted(GATES) + ["prepare"]))
+        if action == "prepare":
             register = [f"p{step}.0", f"p{step}.1"]
             amplitudes = data.draw(
                 st.dictionaries(st.integers(0, 3), amplitude, min_size=1)
@@ -387,27 +385,33 @@ def _prepare_negative_zero(state):
     state.apply_gate("Z", ["c"])
 
 
+#: The qubits of :data:`_CONSTANT_COLUMN_CASES`; ``b`` and ``d`` stay
+#: constant until the gate under test.
+_CONSTANT_COLUMN_LAYOUT = QubitLayout(
+    ["a", "c", *(f"r{i}" for i in range(6)), "b", "d"]
+)
+
+#: States whose ``b`` is a fresh |0>, or a |1> prepared without a
+#: permutation (so the work a preparation leaves is still pending).
 _CONSTANT_COLUMN_CASES = {
     "fresh-0": lambda s: (
         s.prepare_superposition(["r0", "r1", "r2"], {0: 1, 3: 1j, 5: -1, 6: 0.5}),
-        s.add_qubit("b"),
     ),
     "fresh-1": lambda s: (
         s.prepare_superposition(["r0", "r1", "r2"], {0: 1, 3: 1j, 5: -1, 6: 0.5}),
-        s.add_qubit("b", value=1),
+        s.prepare_superposition(["b"], {1: 1}),
     ),
     "constant-1-many-rows": lambda s: (
         s.prepare_superposition(
             [f"r{i}" for i in range(6)],
             {v: complex(math.cos(v), -math.sin(3 * v)) for v in range(0, 64, 3)},
         ),
-        s.add_qubit("b"),
         s.apply_gate("X", ["b"]),
     ),
-    "negative-zero-fresh-0": lambda s: (_prepare_negative_zero(s), s.add_qubit("b")),
+    "negative-zero-fresh-0": lambda s: (_prepare_negative_zero(s),),
     "negative-zero-fresh-1": lambda s: (
         _prepare_negative_zero(s),
-        s.add_qubit("b", value=1),
+        s.prepare_superposition(["b"], {1: 1}),
     ),
 }
 
@@ -419,7 +423,10 @@ def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
     as the bus basis change of a fresh query) merges no rows; its
     amplitudes equal the dict storage's ``0.0 + amp`` accumulation, signed
     zeros included."""
-    array, scalar = SparseState(), SparseStateScalar()
+    array, scalar = (
+        storage.from_layout(_CONSTANT_COLUMN_LAYOUT)
+        for storage in (SparseState, SparseStateScalar)
+    )
     for state in (array, scalar):
         _CONSTANT_COLUMN_CASES[case](state)
     assert _branches(array) == _branches(scalar)
@@ -431,7 +438,6 @@ def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
     # Once more on the now-mixed column, then on a fresh constant one.
     for state in (array, scalar):
         state.apply_gate(gate, ["b"], theta=theta)
-        state.add_qubit("d")
         state.apply_gate(gate, ["d"], theta=theta)
     assert _branches(array) == _branches(scalar)
 
@@ -461,7 +467,9 @@ def test_array_register_amplitudes_equal_the_view_path(seed):
     same order as the generic view, so the returned dict, its order, its
     bits and the entanglement verdicts are identical."""
     rng = np.random.default_rng(seed)
-    state = SparseState([f"q{i}" for i in range(5)])
+    state = SparseState.from_layout(
+        QubitLayout([*(f"q{i}" for i in range(5)), "a0", "a1", "a2"])
+    )
     state.prepare_superposition(
         ["a0", "a1", "a2"],
         {int(v): complex(*rng.normal(size=2)) for v in rng.choice(8, 4, replace=False)},
@@ -481,7 +489,7 @@ def test_array_register_amplitudes_tie_break_like_the_view():
     """All eight rest branches tie on weight: the reference branch, and
     with it the phase convention, is the one the view path picks, pinned
     at its historical value (the first tied branch in set order)."""
-    state = SparseState(["r", "s0", "s1", "s2"])
+    state = SparseState.from_layout(QubitLayout(["r", "s0", "s1", "s2"]))
     for gate, qubit in [("H", "r"), ("H", "s0"), ("H", "s1"), ("H", "s2")]:
         state.apply_gate(gate, [qubit])
     state.apply_gate("S", ["s1"])
@@ -590,18 +598,17 @@ def test_functional_serve_matches_scalar_storage(monkeypatch):
 def _word_boundary_pair(terms):
     """Both storages with exactly ``terms`` branches: a register of fresh
     qubits prepared over ``terms`` values (every fourth amplitude a pure
-    +-1, so diagonal gates produce signed zeros), plus qubits added in |0>
-    and |1>."""
+    +-1, so diagonal gates produce signed zeros), plus ``a`` and ``c`` in
+    |0>, ``b`` prepared in |1> and a fresh ``bus``."""
     width = max(1, (terms - 1).bit_length())
     register = [f"r{i}" for i in range(width)]
     amplitudes = {v: complex(math.cos(v), -math.sin(3 * v)) for v in range(terms)}
     amplitudes.update({v: (-1.0) ** (v // 4) for v in range(0, terms, 4)})
-    states = SparseState(), SparseStateScalar()
+    layout = QubitLayout([*register, "a", "b", "c", "bus"])
+    states = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     for state in states:
         state.prepare_superposition(register, amplitudes)
-        state.add_qubit("a")
-        state.add_qubit("b", value=1)
-        state.add_qubit("c")
+        state.prepare_superposition(["b"], {1: 1})
     return states, register
 
 
@@ -660,9 +667,9 @@ def _signed_zero_pair():
     """Both storages over pure real and pure imaginary amplitudes (so -0.0
     parts arise), left unsettled by an S: the state a deferred Z meets in
     a window, except that the amplitudes are np.complex128 after an H."""
-    states = SparseState(), SparseStateScalar()
+    layout = QubitLayout(["x", "a", "b", "c", "p0", "p1", "bus"])
+    states = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     for state in states:
-        state.add_qubit("x")
         state.apply_gate("H", ["x"])
         state.prepare_superposition(
             ["a", "b", "c"],
@@ -729,13 +736,12 @@ def test_two_z_gates_are_replayed_not_cancelled():
     (-0.0, s) comes out as (0.0, s) and (0.0, -s) as (-0.0, -s).  With
     no permutation after them they are replayed one by one, not
     cancelled."""
-    array, scalar = SparseState(), SparseStateScalar()
+    layout = QubitLayout(["x", "a", "y"])
+    array, scalar = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     for state in (array, scalar):
-        state.add_qubit("x")
         state.apply_gate("H", ["x"])
         state.prepare_superposition(["a"], {1: -1j})
         state.apply_gate("CZ", ["a", "x"])  # (0.0, -s) and (-0.0, s)
-        state.add_qubit("y")
         state.apply_gate("Z", ["y"])  # prunes, multiplies by 1 + 0j
     before = _branches(scalar)
     assert [(re, im[0]) for _, re, im in before] == [("0x0.0p+0", "-"), ("-0x0.0p+0", "0")]
@@ -751,7 +757,8 @@ def test_two_z_gates_are_replayed_not_cancelled():
 def test_z_right_after_a_preparation_prunes_like_the_scalar():
     """A preparation can leave |amp| <= 1e-12 branches; a Z right after it
     prunes them at once, as the dict storage's Z does."""
-    array, scalar = SparseState(), SparseStateScalar()
+    layout = QubitLayout(["a", "b"])
+    array, scalar = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     for state in (array, scalar):
         state.prepare_superposition(["a"], {0: 1, 1: 9e-7})
         state.prepare_superposition(["b"], {0: 1, 1: 9e-7})
@@ -768,8 +775,8 @@ def test_z_right_after_a_preparation_prunes_like_the_scalar():
 
 
 def _window_sequence(register):
-    """A query-shaped program on :func:`_word_boundary_pair`'s qubits and a
-    fresh bus: the bus basis change, routing, Z gates both between
+    """A query-shaped program on :func:`_word_boundary_pair`'s qubits with
+    the bus in |1>: the bus basis change, routing, Z gates both between
     permutations and back to back, the routing undone, and the bus basis
     change again, with nothing read in between."""
     r = register
@@ -802,7 +809,7 @@ def test_deferred_z_window_matches_scalar_across_the_word_boundary(terms):
     (array, scalar), register = _word_boundary_pair(terms)
     *sequence, last = _window_sequence(register)
     for state in (array, scalar):
-        state.add_qubit("bus", value=1)
+        state.prepare_superposition(["bus"], {1: 1})
         for gate, qubits in sequence:
             state.apply_gate(gate, qubits)
     # Read before the last H merges rows (and with them signed zeros).
@@ -826,7 +833,8 @@ def test_constant_column_gate_from_the_column_layout_matches_scalar(gate, bus):
     array, scalar = _signed_zero_pair()
     theta = 1.1 if gate == "RY" else None
     for state in (array, scalar):
-        state.add_qubit("bus", value=bus)
+        if bus:
+            state.apply_gate("X", ["bus"])
         state.apply_gate("Z", ["a"])
         state.apply_gate("SWAP", ["a", "b"])
         state.apply_gate("Z", ["c"])
@@ -836,22 +844,20 @@ def test_constant_column_gate_from_the_column_layout_matches_scalar(gate, bus):
     assert _branches(array) == _branches(scalar)
 
 
-def test_gates_dispatch_alike_after_leaving_a_shared_layout():
-    """States that add qubits after sharing a layout's memo still dispatch
-    every gate of ``GATES`` correctly: with list and with tuple qubits,
-    both storages hold the same branches after every gate."""
-    layout = QubitLayout(["r0", "r1"])
+def test_gates_dispatch_alike_from_a_shared_layout():
+    """States sharing a layout's memo dispatch every gate of ``GATES``
+    correctly: with list and with tuple qubits, both storages hold the
+    same branches after every gate."""
+    layout = QubitLayout(["r0", "r1", "a", "b", "c"])
     states = {}
     for storage in (SparseState, SparseStateScalar):
         for kind in (list, tuple):
             state = storage.from_layout(layout)
             state.apply_gate("H", ("r0",))
             state.apply_gate("CX", ["r0", "r1"])
+            state.apply_gate("X", ["b"])
             states[storage, kind] = state
-    assert len(layout.resolved) == 2
-    for state in states.values():
-        for label, value in (("a", 0), ("b", 1), ("c", 0)):
-            state.add_qubit(label, value)
+    assert len(layout.resolved) == 3
     sequence = _every_gate_sequence(["r0", "r1"])
     assert {gate for gate, _, _ in sequence} == set(GATES)
     for gate, qubits, theta in sequence:
@@ -859,5 +865,7 @@ def test_gates_dispatch_alike_after_leaving_a_shared_layout():
             state.apply_gate(gate, kind(qubits), theta=theta)
         first, *others = (_branches(state) for state in states.values())
         assert all(branches == first for branches in others), gate
-    # The states that left the layout resolved into private memos.
-    assert len(layout.resolved) == 2
+    # Every distinct call was resolved once, into the one shared memo.
+    calls = {("H", ("r0",)), ("CX", ("r0", "r1")), ("X", ("b",))}
+    calls.update((gate, tuple(qubits)) for gate, qubits, _ in sequence)
+    assert set(layout.resolved) == calls

@@ -11,9 +11,9 @@ from repro.baselines.registry import backend_names
 from repro.service.sharding import InterleavedShardMap
 from repro.workloads import (
     iter_burst_times,
-    iter_bursty_trace,
     iter_exponential_times,
     closed_loop_source,
+    iter_flash_crowd_trace,
     iter_poisson_trace,
     query_trace,
     random_data,
@@ -45,20 +45,21 @@ def test_poisson_trace_is_deterministic_per_seed():
     assert _trace_signature(first) != _trace_signature(other)
 
 
-def test_bursty_trace_is_deterministic_per_seed():
+def test_flash_crowd_trace_is_deterministic_per_seed():
     kwargs = dict(
         capacity=16,
-        num_bursts=3,
-        burst_size=5,
-        burst_spacing=50.0,
+        num_queries=10,
+        mean_interarrival=10.0,
+        crowd_time=50.0,
+        crowd_size=5,
         num_tenants=2,
         num_shards=4,
     )
-    first = list(iter_bursty_trace(seed=7, **kwargs))
-    second = list(iter_bursty_trace(seed=7, **kwargs))
+    first = list(iter_flash_crowd_trace(seed=7, **kwargs))
+    second = list(iter_flash_crowd_trace(seed=7, **kwargs))
     assert _trace_signature(first) == _trace_signature(second)
     assert [r.request_time for r in first] == sorted(r.request_time for r in first)
-    other = list(iter_bursty_trace(seed=8, **kwargs))
+    other = list(iter_flash_crowd_trace(seed=8, **kwargs))
     assert _trace_signature(first) != _trace_signature(other)
 
 
@@ -165,7 +166,7 @@ def test_trace_generators_carry_min_fidelity():
         8, 5, mean_interarrival=4.0, seed=1, min_fidelity=0.9
     ))
     assert all(r.min_fidelity == 0.9 for r in trace)
-    trace = list(iter_bursty_trace(8, 2, 2, 50.0, seed=1))
+    trace = list(iter_flash_crowd_trace(8, 2, 50.0, 20.0, 2, seed=1))
     assert all(r.min_fidelity is None for r in trace)
 
 
@@ -280,11 +281,10 @@ def test_closed_loop_draws_are_independent_of_interleaving():
 def test_shard_filter_yields_the_unrestricted_requests():
     """For every subset of shards, the restricted stream is exactly the
     unrestricted stream's requests on those shards (across superposition
-    blocks, with weighted shard and tenant draws)."""
+    blocks, with weighted tenant draws)."""
     kwargs = dict(
         capacity=32, num_queries=2500, mean_interarrival=2.0,
         addresses_per_query=2, num_tenants=3, num_shards=4, seed=4,
-        shard_weights=(0.4, 0.3, 0.2, 0.1),
         tenant_weights=(0.5, 0.25, 0.25),
     )
 

@@ -4,8 +4,10 @@ no consumer reaches.
 A *consumer* is an entry point a user or CI drives: every example, the
 benchmarks (under pytest and as scripts), the three ``perfbench``
 workloads at ``--trace 1``, the ``repro.sweep`` CLI on CI's smoke
-campaign and the ``repro.scenarios`` fuzzer.  Tests are not consumers:
-code that only its own tests call is what the audit looks for.
+campaign and the ``repro.scenarios`` fuzzer on CI's seed-0 campaign (500
+draws, so what the audit counts as reached is what CI runs).  Tests are
+not consumers: code that only its own tests call is what the audit looks
+for.
 
 Each ``def`` under ``src/repro`` is matched to the code objects the
 recorder saw by ``(file, first line)``.  A function no consumer entered is
@@ -180,8 +182,8 @@ def _entry_points(work: Path) -> list[tuple[str, list[str], dict[str, str]]]:
         ),
         (
             "python -m repro.scenarios",
-            [python, "-m", "repro.scenarios", "--draws", "50",
-             "--reproducer", "fuzz_reproducer.json"],
+            [python, "-m", "repro.scenarios", "--draws", "500", "--seed",
+             "0", "--reproducer", "fuzz_reproducer.json"],
             {},
         ),
     ]
