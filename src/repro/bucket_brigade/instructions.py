@@ -3,8 +3,8 @@
 The paper (Appendix A.1) defines five elementary operations — LOAD,
 TRANSPORT, ROUTE, STORE, CLASSICAL-GATES — plus their inverses.  This module
 represents scheduled instances of those operations as :class:`Instruction`
-records (who, where, when) and lowers them to ``(gate, qubits, theta)``
-triples on named qubits for the sparse simulator.
+records (who, where, when) and lowers them to ``(gate, qubits)`` pairs on
+named qubits for the sparse simulator.
 
 The same instruction set is reused by the Fat-Tree executor, which adds the
 ``SWAP_MIGRATE`` instruction for the local swap steps (SWAP-I / SWAP-II).
@@ -27,9 +27,8 @@ from repro.sim.sparse import Qubit, QubitLayout, SparseState
 FULL_LAYER_COST = 1.0
 FAST_LAYER_COST = 0.125
 
-#: One gate application: gate name, target qubits (controls first) and the
-#: parameter of a parametric gate.
-GateCall = tuple[str, tuple[Qubit, ...], float | None]
+#: One gate application: gate name and target qubits (controls first).
+GateCall = tuple[str, tuple[Qubit, ...]]
 
 
 class InstructionKind(enum.Enum):
@@ -148,7 +147,7 @@ def lower_instruction(
             leaves (``n - 1`` for Fat-Tree, 0/None for BB).
 
     Returns:
-        ``(gate, qubits, theta)`` triples implementing the instruction.
+        ``(gate, qubits)`` pairs implementing the instruction.
         Gates emitted for one instruction conceptually execute within one
         circuit layer (the pair of CSWAPs of a ROUTE counts as a single
         layer, following Sec. A.1 of the paper).
@@ -168,7 +167,7 @@ def lower_instruction(
             else namer.address_qubit(query, item - 1)
         )
         root_in = namer.input_qubit(0, 0, label)
-        gates.append(("SWAP", (external, root_in), None))
+        gates.append(("SWAP", (external, root_in)))
 
     elif kind in (InstructionKind.ROUTE, InstructionKind.UNROUTE):
         for index in range(2**level):
@@ -176,8 +175,8 @@ def lower_instruction(
             inp = namer.input_qubit(level, index, label)
             left = namer.output_qubit(level, index, 0, label)
             right = namer.output_qubit(level, index, 1, label)
-            gates.append(("ANTI_CSWAP", (r, inp, left), None))
-            gates.append(("CSWAP", (r, inp, right), None))
+            gates.append(("ANTI_CSWAP", (r, inp, left)))
+            gates.append(("CSWAP", (r, inp, right)))
 
     elif kind in (InstructionKind.TRANSPORT, InstructionKind.UNTRANSPORT):
         # Moves between level ``level`` outputs and level ``level + 1`` inputs.
@@ -185,13 +184,13 @@ def lower_instruction(
             for direction in (0, 1):
                 out = namer.output_qubit(level, index, direction, label)
                 child_in = namer.input_qubit(level + 1, 2 * index + direction, label)
-                gates.append(("SWAP", (out, child_in), None))
+                gates.append(("SWAP", (out, child_in)))
 
     elif kind in (InstructionKind.STORE, InstructionKind.UNSTORE):
         for index in range(2**level):
             inp = namer.input_qubit(level, index, label)
             r = namer.router_qubit(level, index, label)
-            gates.append(("SWAP", (inp, r), None))
+            gates.append(("SWAP", (inp, r)))
 
     elif kind is InstructionKind.CLASSICAL_GATES:
         if data is None:
@@ -203,33 +202,17 @@ def lower_instruction(
             if value & 1:
                 index, direction = address // 2, address % 2
                 leaf = namer.output_qubit(n - 1, index, direction, out_label)
-                gates.append(("Z", (leaf,), None))
+                gates.append(("Z", (leaf,)))
 
     elif kind is InstructionKind.SWAP_MIGRATE:
         low = label
         high = low + 1
         for lvl in range(min(low, n - 1) + 1):
             for index in range(2**lvl):
-                gates.append(
-                    (
-                        "SWAP",
-                        (
-                            namer.input_qubit(lvl, index, low),
-                            namer.input_qubit(lvl, index, high),
-                        ),
-                        None,
+                for qubit in (namer.input_qubit, namer.router_qubit):
+                    gates.append(
+                        ("SWAP", (qubit(lvl, index, low), qubit(lvl, index, high)))
                     )
-                )
-                gates.append(
-                    (
-                        "SWAP",
-                        (
-                            namer.router_qubit(lvl, index, low),
-                            namer.router_qubit(lvl, index, high),
-                        ),
-                        None,
-                    )
-                )
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unsupported instruction kind {kind}")
 
@@ -247,7 +230,7 @@ class WindowProgram:
             shares.
         registers: per slot, its address qubits (most significant first)
             and then its bus qubit.
-        gates: ``(gate, qubits, theta)`` in execution order.
+        gates: ``(gate, qubits)`` in execution order.
     """
 
     total_layers: int
@@ -289,8 +272,8 @@ class WindowProgram:
             state.apply_gate("H", register[-1:])
 
         apply_gate = state.apply_gate
-        for gate, qubits, theta in self.gates:
-            apply_gate(gate, qubits, theta)
+        for gate, qubits in self.gates:
+            apply_gate(gate, qubits)
 
         # Undo the bus basis change and read each register.
         outputs: list[dict[tuple[int, int], complex]] = []

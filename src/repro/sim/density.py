@@ -62,10 +62,8 @@ class DensityMatrixSimulator:
         return self._rho.copy()
 
     # ------------------------------------------------------------------ gates
-    def apply_gate(
-        self, gate: str, qubits: Sequence[Qubit], theta: float | None = None
-    ) -> None:
-        matrix = gate_unitary(gate, theta)
+    def apply_gate(self, gate: str, qubits: Sequence[Qubit]) -> None:
+        matrix = gate_unitary(gate)
         full = self._expand(matrix, [self._index[q] for q in qubits])
         self._rho = full @ self._rho @ full.conj().T
         if self.gate_noise is not None:

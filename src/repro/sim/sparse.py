@@ -2,9 +2,9 @@
 
 A state is a list of *branches*: computational basis assignments over a
 fixed qubit ordering, each carrying one complex amplitude.  Permutation
-gates (X, CX, CCX, SWAP, CSWAP, ANTI_CSWAP) and diagonal gates (Z, S, T, RZ,
-CZ) map every branch to one branch, so they never change the number of
-branches; superposition-creating gates (H, Y, RY) at most double it.  A QRAM
+gates (X, SWAP, CSWAP, ANTI_CSWAP) and Z map every branch to one branch, so
+they never change the number of branches; H and Y, applied as 2x2
+matrices, at most double it.  A QRAM
 query over an address register in an ``m``-branch superposition therefore
 stays at ``m`` branches throughout the routing circuit, no matter how many
 router qubits exist — this is exactly the "limited entanglement among
@@ -16,19 +16,17 @@ across all branches are one Python ``int``, ``_columns[i]``, whose bit
 ``t`` is branch ``t``'s value, so one bulk bitwise operation moves every
 branch at once.  Amplitudes are one ``complex128`` vector in branch order.
 
-* SWAP exchanges two list entries; CSWAP, ANTI_CSWAP, CX, CCX and X are
-  two or three big-int XOR/AND operations, each linear in the branch
-  count (CPython works through 30 branch bits per digit) and no numpy
-  call;
+* SWAP exchanges two list entries; CSWAP, ANTI_CSWAP and X are one to
+  three big-int XOR/AND operations, each linear in the branch count
+  (CPython works through 30 branch bits per digit) and no numpy call;
 * Z no longer unpacks its column per gate: it records the column int,
   the next permutation XORs the recorded columns into one sign mask, and
   the signs land on the amplitudes (one negation) only when something
   next reads them.  Z gates after the last permutation are replayed one
   by one instead, because two products by -1 are not the identity on
-  signed zeros;
-* the other diagonal gates (S, T, RZ, CZ) unpack the column into a branch
-  mask for one elementwise product;
-* H/Y/RY duplicate and merge rows (a column constant across rows, such
+  signed zeros.  A Z right after a preparation lands at once, because
+  the dict storage's prune may then drop branches;
+* H/Y duplicate and merge rows (a column constant across rows, such
   as a fresh bus, merges none, so its split skips the merge), and
   preparation, pruning, register readout and the basis view are row
   operations too: for those the bits are held as a ``branches x qubits``
@@ -50,7 +48,7 @@ on demand and caches it until the next mutation, and reads register
 amplitudes straight from its branch matrix instead.
 
 Every state memoizes how it resolved a gate call (``(gate, qubits)`` to
-canonical name and qubit indices).  States built from one
+name and qubit indices).  States built from one
 :class:`QubitLayout` share that memo: circuits replayed on many states of
 the same qubit order validate and look up each distinct gate call once,
 and :meth:`SparseState.apply_gate` reaches a gate's handler with one memo
@@ -59,7 +57,6 @@ lookup.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
@@ -78,7 +75,7 @@ _ATOL = 1e-12
 
 __all__ = ["QubitLayout", "SparseState", "SparseStateScalar"]
 
-#: A resolved gate call: canonical gate name and qubit indices.
+#: A resolved gate call: gate name and qubit indices.
 _Resolved = tuple[str, tuple[int, ...]]
 
 
@@ -137,9 +134,7 @@ class _SparseView:
         """Set a fresh state's one branch to ``count`` qubits in |0>."""
         raise NotImplementedError
 
-    def apply_gate(
-        self, gate: str, qubits: Sequence[Qubit], theta: float | None = None
-    ) -> None:
+    def apply_gate(self, gate: str, qubits: Sequence[Qubit]) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ state
@@ -165,27 +160,27 @@ class _SparseView:
             raise ValueError(f"unknown qubit {exc.args[0]!r}") from None
 
     def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> _Resolved:
-        """Validate a gate call; return its canonical name and qubit indices.
+        """Validate a gate call; return its name and qubit indices.
 
-        Unknown qubits and repeated qubits are rejected (applied to a basis
-        branch, a repeated qubit would not be a unitary).  Each distinct
-        call is validated once; repeats hit the memo.
+        Unknown gate names (looked up exactly as given), unknown qubits and
+        repeated qubits are rejected (applied to a basis branch, a repeated
+        qubit would not be a unitary).  Each distinct call is validated
+        once; repeats hit the memo.
         """
         call = (gate, tuple(qubits))
         resolved = self._resolved.get(call)
         if resolved is not None:
             return resolved
-        key = gate.upper()
-        spec = GATES.get(key)
+        spec = GATES.get(gate)
         if spec is None:
             raise ValueError(f"unknown gate {gate!r}")
         if len(qubits) != spec.n_qubits:
             raise ValueError(
-                f"gate {key} expects {spec.n_qubits} qubits, got {len(qubits)}"
+                f"gate {gate} expects {spec.n_qubits} qubits, got {len(qubits)}"
             )
         if spec.n_qubits > 1 and len(set(qubits)) != spec.n_qubits:
-            raise ValueError(f"duplicate qubits in gate {key}: {tuple(qubits)}")
-        resolved = key, tuple(self._indices(qubits))
+            raise ValueError(f"duplicate qubits in gate {gate}: {tuple(qubits)}")
+        resolved = gate, tuple(self._indices(qubits))
         self._resolved[call] = resolved
         return resolved
 
@@ -328,8 +323,7 @@ class SparseState(_SparseView):
         # The dict storage rebuilds every amplitude as ``0.0 + amp`` on a
         # permutation (a -0.0 part becomes +0.0) and then prunes.  That work
         # is pending only after a preparation, which may also leave |amp| <=
-        # _ATOL branches (_unpruned), or a diagonal gate, which may leave
-        # -0.0 parts.
+        # _ATOL branches (_unpruned), or a Z, which may leave -0.0 parts.
         self._pending = False
         self._unpruned = False
         # Work deferred while the bits are columns (see _z), applied by
@@ -490,23 +484,18 @@ class SparseState(_SparseView):
         self._view = None
 
     # -------------------------------------------------------------- gate application
-    def apply_gate(
-        self,
-        gate: str,
-        qubits: Sequence[Qubit],
-        theta: float | None = None,
-    ) -> None:
+    def apply_gate(self, gate: str, qubits: Sequence[Qubit]) -> None:
         """Apply a gate by name to the given qubits."""
         try:
             # A call seen before, with tuple qubits: one memo lookup.
             key, idx = self._resolved[gate, qubits]
         except (KeyError, TypeError):  # a new call, or list qubits
             key, idx = self._resolve(gate, qubits)
-        _HANDLERS[key](self, idx, theta)
+        _HANDLERS[key](self, idx)
         self._view = None
 
-    # Gate handlers take (qubit indices, theta).  Permutations and Z work
-    # on the columns, H/Y/RY on the rows.
+    # Gate handlers take the qubit indices.  Permutations and Z work on
+    # the columns, H/Y on the rows.
     def _settle(self) -> None:
         """A permutation's share of the dict storage's work (see __init__);
         the hot handlers test ``_pending`` before calling it."""
@@ -525,13 +514,13 @@ class SparseState(_SparseView):
             self._tail = []
         self._pending = False
 
-    def _swap(self, q: tuple[int, ...], theta: float | None) -> None:
+    def _swap(self, q: tuple[int, ...]) -> None:
         cols = self._columns or self._as_columns()
         cols[q[0]], cols[q[1]] = cols[q[1]], cols[q[0]]
         if self._pending:
             self._settle()
 
-    def _cswap(self, q: tuple[int, ...], theta: float | None) -> None:
+    def _cswap(self, q: tuple[int, ...]) -> None:
         cols = self._columns or self._as_columns()
         a, b = cols[q[1]], cols[q[2]]
         diff = (a ^ b) & cols[q[0]]
@@ -539,7 +528,7 @@ class SparseState(_SparseView):
         if self._pending:
             self._settle()
 
-    def _anti_cswap(self, q: tuple[int, ...], theta: float | None) -> None:
+    def _anti_cswap(self, q: tuple[int, ...]) -> None:
         cols = self._columns or self._as_columns()
         a, b = cols[q[1]], cols[q[2]]
         diff = (a ^ b) & ~cols[q[0]]  # differ and control is 0
@@ -547,25 +536,13 @@ class SparseState(_SparseView):
         if self._pending:
             self._settle()
 
-    def _x(self, q: tuple[int, ...], theta: float | None) -> None:
+    def _x(self, q: tuple[int, ...]) -> None:
         cols = self._columns or self._as_columns()
         cols[q[0]] ^= (1 << len(self._amps)) - 1
         if self._pending:
             self._settle()
 
-    def _cx(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._columns or self._as_columns()
-        cols[q[1]] ^= cols[q[0]]
-        if self._pending:
-            self._settle()
-
-    def _ccx(self, q: tuple[int, ...], theta: float | None) -> None:
-        cols = self._columns or self._as_columns()
-        cols[q[2]] ^= cols[q[0]] & cols[q[1]]
-        if self._pending:
-            self._settle()
-
-    def _z(self, q: tuple[int, ...], theta: float | None) -> None:
+    def _z(self, q: tuple[int, ...]) -> None:
         """Z multiplies each amplitude by +-1, which moves no branch and
         keeps every magnitude, so it only records the qubit's current
         column (a branch keeps its index under later permutations, so the
@@ -573,31 +550,15 @@ class SparseState(_SparseView):
         the amplitudes are read.
 
         After a preparation the dict storage's prune may drop branches, so
-        Z is applied at once there.
+        Z is applied at once there: nothing else is deferred then, and the
+        prune flushes this one Z first.
         """
+        self._tail.append((self._columns or self._as_columns())[q[0]])
         if self._unpruned:
-            self._diag(q[0], _Z_PHASES)
-        else:
-            self._tail.append((self._columns or self._as_columns())[q[0]])
-            self._pending = True
-
-    def _diag(self, index: int, phases: tuple[np.ndarray, np.ndarray]) -> None:
-        """Multiply every amplitude by its branch's phase (see :func:`_phases`)."""
-        self._flush()
-        bit = self._branch_mask(self._as_columns()[index])
-        re, im = phases
-        self._amps = _multiply(self._amps, re.take(bit), im.take(bit))
-        self._prune()
+            self._prune()
         self._pending = True
 
-    def _cz(self, q: tuple[int, ...], theta: float | None) -> None:
-        self._flush()
-        cols = self._as_columns()
-        both = self._branch_mask(cols[q[0]] & cols[q[1]])
-        np.negative(self._amps, out=self._amps, where=both.view(bool))
-        self._pending = True
-
-    def _h(self, q: tuple[int, ...], theta: float | None) -> None:
+    def _h(self, q: tuple[int, ...]) -> None:
         self._single_qubit_matrix(_H_MATRIX, q[0])
 
     def _single_qubit_matrix(self, matrix: np.ndarray, col: int) -> None:
@@ -662,54 +623,17 @@ def _multiply(amps: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_theta(key: str, theta: float | None) -> float:
-    if theta is None:
-        raise ValueError(f"{key} requires theta")
-    return theta
+_Handler = Callable[[SparseState, tuple[int, ...]], None]
 
-
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _phases(on_zero: complex, on_one: complex) -> tuple[np.ndarray, np.ndarray]:
-    """A diagonal gate's phases as (real parts, imaginary parts), each
-    indexed by the qubit's value."""
-    return (
-        np.array((on_zero.real, on_one.real)),
-        np.array((on_zero.imag, on_one.imag)),
-    )
-
-
-def _rz(state: SparseState, q: tuple[int, ...], theta: float | None) -> None:
-    theta = _require_theta("RZ", theta)
-    state._diag(
-        q[0], _phases(cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2))
-    )
-
-
-_Handler = Callable[[SparseState, tuple[int, ...], float | None], None]
-
-#: One handler per gate of :data:`GATES`: ``(state, qubit indices, theta)``.
+#: One handler per gate of :data:`GATES`: ``(state, qubit indices)``.
 _HANDLERS: dict[str, _Handler] = {
-    "I": lambda s, q, t: s._settle(),
     "X": SparseState._x,
-    "CX": SparseState._cx,
-    "CCX": SparseState._ccx,
     "SWAP": SparseState._swap,
     "CSWAP": SparseState._cswap,
     "ANTI_CSWAP": SparseState._anti_cswap,
     "H": SparseState._h,
-    "Y": lambda s, q, t: s._single_qubit_matrix(_Y_MATRIX, q[0]),
-    "RY": lambda s, q, t: s._single_qubit_matrix(
-        _ry_matrix(_require_theta("RY", t)), q[0]
-    ),
+    "Y": lambda s, q: s._single_qubit_matrix(_Y_MATRIX, q[0]),
     "Z": SparseState._z,
-    "S": lambda s, q, t: s._diag(q[0], _S_PHASES),
-    "T": lambda s, q, t: s._diag(q[0], _T_PHASES),
-    "RZ": _rz,
-    "CZ": SparseState._cz,
 }
 
 
@@ -771,12 +695,7 @@ class SparseStateScalar(_SparseView):
         self._amplitudes = new_amps
 
     # -------------------------------------------------------------- gate application
-    def apply_gate(
-        self,
-        gate: str,
-        qubits: Sequence[Qubit],
-        theta: float | None = None,
-    ) -> None:
+    def apply_gate(self, gate: str, qubits: Sequence[Qubit]) -> None:
         """Apply a gate by name to the given qubits."""
         key, idx = self._resolve(gate, qubits)
         spec = GATES[key]
@@ -785,25 +704,10 @@ class SparseStateScalar(_SparseView):
             self._apply_permutation(spec, idx)
         elif key == "H":
             self._apply_single_qubit_matrix(_H_MATRIX, idx[0])
-        elif key == "Z":
-            self._apply_diag(idx[0], 1.0 + 0j, -1.0 + 0j)
-        elif key == "S":
-            self._apply_diag(idx[0], 1.0 + 0j, 1j)
-        elif key == "T":
-            self._apply_diag(idx[0], 1.0 + 0j, _T_PHASE)
         elif key == "Y":
             self._apply_single_qubit_matrix(_Y_MATRIX, idx[0])
-        elif key == "RY":
-            self._apply_single_qubit_matrix(
-                _ry_matrix(_require_theta(key, theta)), idx[0]
-            )
-        elif key == "RZ":
-            theta = _require_theta(key, theta)
-            self._apply_diag(
-                idx[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2)
-            )
-        elif key == "CZ":
-            self._apply_cz(idx[0], idx[1])
+        elif key == "Z":
+            self._apply_z(idx[0])
         else:  # pragma: no cover - defensive, all gates covered above
             raise ValueError(f"gate {key} not supported by SparseState")
 
@@ -838,18 +742,12 @@ class SparseStateScalar(_SparseView):
         self._amplitudes = new_amps
         self._prune()
 
-    def _apply_diag(self, index: int, on_zero: complex, on_one: complex) -> None:
+    def _apply_z(self, index: int) -> None:
         self._amplitudes = {
-            basis: amp * (on_one if basis[index] else on_zero)
+            basis: amp * (-1.0 + 0j if basis[index] else 1.0 + 0j)
             for basis, amp in self._amplitudes.items()
         }
         self._prune()
-
-    def _apply_cz(self, control: int, target: int) -> None:
-        self._amplitudes = {
-            basis: (-amp if basis[control] and basis[target] else amp)
-            for basis, amp in self._amplitudes.items()
-        }
 
 
 def _factor_register(
@@ -943,7 +841,6 @@ def _bits_to_int(bits: Sequence[int]) -> int:
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _Y_MATRIX = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_T_PHASE = cmath.exp(1j * math.pi / 4)
-_Z_PHASES = _phases(1.0 + 0j, -1.0 + 0j)
-_S_PHASES = _phases(1.0 + 0j, 1j)
-_T_PHASES = _phases(1.0 + 0j, _T_PHASE)
+#: Z's phases (+1 on |0>, -1 on |1>) as real and imaginary parts, each
+#: indexed by the qubit's value.
+_Z_PHASES = (np.array((1.0, -1.0)), np.array((0.0, 0.0)))

@@ -1,8 +1,7 @@
 """Dense statevector simulator.
 
-Used to cross-validate the sparse simulator on small systems (<= ~20 qubits)
-and to run the non-permutation parts of the example algorithms (Grover
-iterations, QSP rotations, ...).
+Used to cross-validate the sparse simulator on small systems (<= ~20 qubits):
+the tests apply the same gates to both and compare the statevectors.
 """
 
 from __future__ import annotations
@@ -57,11 +56,9 @@ class StatevectorSimulator:
         self._state = np.zeros_like(self._state)
         self._state[index] = 1.0
 
-    def apply_gate(
-        self, gate: str, qubits: Sequence[Qubit], theta: float | None = None
-    ) -> None:
+    def apply_gate(self, gate: str, qubits: Sequence[Qubit]) -> None:
         """Apply a named gate to the given qubits."""
-        matrix = gate_unitary(gate, theta)
+        matrix = gate_unitary(gate)
         self._apply_matrix(matrix, [self._index[q] for q in qubits])
 
     def _apply_matrix(self, matrix: np.ndarray, targets: list[int]) -> None:

@@ -36,15 +36,15 @@ def test_route_lowering_routes_by_router_state():
     instruction = Instruction(InstructionKind.ROUTE, 0, 2, 0, 0, raw_layer=1)
     gates = lower_instruction(instruction, namer, address_width=2)
     # Level 0 has one router -> ANTI_CSWAP + CSWAP.
-    assert [gate for gate, _, _ in gates] == ["ANTI_CSWAP", "CSWAP"]
+    assert [gate for gate, _ in gates] == ["ANTI_CSWAP", "CSWAP"]
     state = SparseState.from_layout(QubitLayout([
         namer.router_qubit(0, 0), namer.input_qubit(0, 0),
         namer.output_qubit(0, 0, 0), namer.output_qubit(0, 0, 1),
     ]))
     state.apply_gate("X", (namer.router_qubit(0, 0),))   # router holds |1>
     state.apply_gate("X", (namer.input_qubit(0, 0),))    # payload |1>
-    for gate, qubits, theta in gates:
-        state.apply_gate(gate, qubits, theta)
+    for gate, qubits in gates:
+        state.apply_gate(gate, qubits)
     assert state.probability({namer.output_qubit(0, 0, 1): 1}) == pytest.approx(1.0)
     assert state.probability({namer.input_qubit(0, 0): 1}) == pytest.approx(0.0)
 
@@ -54,7 +54,7 @@ def test_classical_gates_lowering_targets_only_set_bits():
     instruction = Instruction(InstructionKind.CLASSICAL_GATES, 0, 0, 1, 0, raw_layer=1)
     gates = lower_instruction(instruction, namer, address_width=2, data=[1, 0, 0, 1])
     assert sorted(gates) == sorted(
-        ("Z", (namer.output_qubit(1, index, direction),), None)
+        ("Z", (namer.output_qubit(1, index, direction),))
         for index, direction in [(0, 0), (1, 1)]
     )
     with pytest.raises(ValueError):
@@ -71,8 +71,8 @@ def test_swap_migrate_lowering_covers_inputs_and_routers():
     gates = lower_instruction(instruction, namer, address_width=3)
     # Levels 0..1 (= 3 routers), 2 swaps each (input + router qubit).
     assert len(gates) == 2 * (1 + 2)
-    for gate, (low, high), theta in gates:
-        assert (gate, theta) == ("SWAP", None)
+    for gate, (low, high) in gates:
+        assert gate == "SWAP"
         assert low[4] == 1 and high[4] == 2   # labels 1 <-> 2
 
 
@@ -80,9 +80,9 @@ def test_load_lowering_uses_external_register():
     namer = QubitNamer("bb")
     load_bus = Instruction(InstructionKind.LOAD, 3, 3, -1, 0, raw_layer=1)
     assert lower_instruction(load_bus, namer, address_width=2) == [
-        ("SWAP", (("bus", 3), namer.input_qubit(0, 0, 0)), None)
+        ("SWAP", (("bus", 3), namer.input_qubit(0, 0, 0)))
     ]
     load_addr = Instruction(InstructionKind.LOAD, 3, 1, -1, 0, raw_layer=1)
     assert lower_instruction(load_addr, namer, address_width=2) == [
-        ("SWAP", (("addr", 3, 0), namer.input_qubit(0, 0, 0)), None)
+        ("SWAP", (("addr", 3, 0), namer.input_qubit(0, 0, 0)))
     ]

@@ -1,29 +1,33 @@
 """Unit tests for the gate library."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.bucket_brigade.executor import BBExecutor
+from repro.core.executor import FatTreeExecutor
 from repro.sim.gates import (
     GATES,
     controlled_swap_unitary,
     gate_unitary,
-    ry_unitary,
     swap_unitary,
 )
+from repro.sim.sparse import _HANDLERS, QubitLayout, SparseState, SparseStateScalar
+
+#: The permutation gates of :data:`GATES`.
+PERMUTATIONS = ["X", "SWAP", "CSWAP", "ANTI_CSWAP"]
 
 
 @pytest.mark.parametrize("name", list(GATES))
 def test_every_gate_is_unitary(name):
-    if GATES[name].is_parametric:
-        matrix = gate_unitary(name, theta=0.7)
-    else:
-        matrix = gate_unitary(name)
+    matrix = gate_unitary(name)
     dim = matrix.shape[0]
     assert matrix.shape == (dim, dim)
     assert np.allclose(matrix @ matrix.conj().T, np.eye(dim), atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["X", "CX", "CCX", "SWAP", "CSWAP", "ANTI_CSWAP"])
+@pytest.mark.parametrize("name", PERMUTATIONS)
 def test_permutation_gates_are_self_inverse(name):
     matrix = gate_unitary(name)
     assert np.allclose(matrix @ matrix, np.eye(matrix.shape[0]), atol=1e-12)
@@ -52,7 +56,7 @@ def test_anti_cswap_routes_on_control_zero():
 
 
 def test_permutation_bit_actions_match_unitaries():
-    for name in ("X", "CX", "CCX", "SWAP", "CSWAP", "ANTI_CSWAP"):
+    for name in PERMUTATIONS:
         gate = GATES[name]
         k = gate.n_qubits
         matrix = gate_unitary(name)
@@ -71,13 +75,6 @@ def test_permute_bits_rejects_non_permutation_gates():
         GATES["H"].permute_bits((0,))
 
 
-def test_ry_rotation_angle():
-    ry = ry_unitary(np.pi)
-    # RY(pi)|0> = |1> up to sign convention
-    out = ry @ np.array([1, 0], dtype=complex)
-    assert np.isclose(abs(out[1]), 1.0)
-
-
 def test_swap_unitary_swaps_basis_states():
     swap = swap_unitary()
     state = np.zeros(4)
@@ -86,10 +83,44 @@ def test_swap_unitary_swaps_basis_states():
 
 
 def test_unknown_gate_raises():
-    with pytest.raises(KeyError):
-        gate_unitary("FOO")
+    # Names are looked up exactly as given.
+    for name in ("FOO", "h"):
+        with pytest.raises(KeyError):
+            gate_unitary(name)
 
 
-def test_parametric_gate_requires_theta():
-    with pytest.raises(ValueError):
-        gate_unitary("RY")
+def _applied_gates():
+    """Every gate name a program or a Pauli error applies: the compiled
+    Fat-Tree windows at full occupancy and the BB queries at N = 4, 8 and
+    16, the bus basis change H, and the Pauli errors X and Y (Z is the
+    programs' phase kickback)."""
+    applied = {"H", "X", "Y"}
+    for capacity in (4, 8, 16):
+        data = [address % 2 for address in range(capacity)]
+        fat_tree = FatTreeExecutor(capacity, data)
+        occupancy = int(math.log2(capacity))
+        program = fat_tree.window_program(
+            occupancy, fat_tree.minimum_feasible_interval(occupancy)
+        )
+        applied.update(gate for gate, _ in program.gates)
+        applied.update(
+            gate for gate, _ in BBExecutor(capacity, data).window_program().gates
+        )
+    return applied
+
+
+def test_gate_table_holds_only_applied_gates():
+    """The gate table, the bit-sliced handlers, the dense unitaries and the
+    dict storage's dispatch cover the same gates, and each of them is one
+    a program or a Pauli error applies: a gate nothing applies fails."""
+    assert set(GATES) == set(_HANDLERS)
+    layout = QubitLayout(["a", "b", "c"])
+    for name, gate in GATES.items():
+        assert gate_unitary(name).shape == (2**gate.n_qubits,) * 2
+        states = [storage.from_layout(layout) for storage in (SparseState, SparseStateScalar)]
+        for state in states:
+            state.prepare_superposition(["a", "b", "c"], {0: 0.6, 5: 0.8j})
+            state.apply_gate(name, ("a", "b", "c")[: gate.n_qubits])
+        array, scalar = (list(state.items()) for state in states)
+        assert array == scalar, name
+    assert set(GATES) <= _applied_gates()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.gates import GATES
 from repro.sim.sparse import QubitLayout, SparseState, SparseStateScalar
 from repro.sim.statevector import StatevectorSimulator
 
@@ -16,19 +17,26 @@ def _state(*qubits, storage=SparseState):
 
 
 def test_single_qubit_gates_match_statevector():
+    """Every gate of ``GATES``, on the sparse and the dense simulator."""
     gates = [
-        ("H", ("a",), None),
-        ("T", ("a",), None),
-        ("H", ("b",), None),
-        ("CX", ("a", "b"), None),
-        ("Z", ("b",), None),
+        ("H", ("a",)),
+        ("Y", ("a",)),
+        ("H", ("b",)),
+        ("X", ("c",)),
+        ("CSWAP", ("a", "b", "c")),
+        ("Z", ("b",)),
+        ("ANTI_CSWAP", ("b", "a", "c")),
+        ("SWAP", ("a", "c")),
     ]
-    sparse = _state("a", "b")
-    dense = StatevectorSimulator(["a", "b"])
-    for gate, qubits, theta in gates:
-        sparse.apply_gate(gate, qubits, theta)
-        dense.apply_gate(gate, qubits, theta)
-    assert np.allclose(sparse.to_statevector(["a", "b"]), dense.state, atol=1e-12)
+    assert {gate for gate, _ in gates} == set(GATES)
+    sparse = _state("a", "b", "c")
+    dense = StatevectorSimulator(["a", "b", "c"])
+    for gate, qubits in gates:
+        sparse.apply_gate(gate, qubits)
+        dense.apply_gate(gate, qubits)
+    assert np.allclose(
+        sparse.to_statevector(["a", "b", "c"]), dense.state, atol=1e-12
+    )
 
 
 def test_permutation_gates_preserve_term_count():
@@ -37,7 +45,7 @@ def test_permutation_gates_preserve_term_count():
     before = state.num_terms
     state.apply_gate("CSWAP", ["a", "b", "c"])
     state.apply_gate("SWAP", ["b", "c"])
-    state.apply_gate("CX", ["a", "c"])
+    state.apply_gate("ANTI_CSWAP", ["a", "b", "c"])
     assert state.num_terms == before
     assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)
 
@@ -67,18 +75,25 @@ def test_register_amplitudes_product_state():
 
 
 def test_register_amplitudes_detects_entanglement():
-    state = _state("a", "b")
+    state = _state("a", "b", "c")
     state.apply_gate("H", ["a"])
-    state.apply_gate("CX", ["a", "b"])
+    state.apply_gate("X", ["c"])
+    state.apply_gate("CSWAP", ["a", "b", "c"])  # |001> + |110>
     with pytest.raises(ValueError):
         state.register_amplitudes(["a"])
 
 
 def test_register_amplitudes_detects_phase_entanglement():
-    state = _state("a", "b")
+    state = _state("a", "b", "c")
     state.apply_gate("H", ["a"])
     state.apply_gate("H", ["b"])
-    state.apply_gate("CZ", ["a", "b"])
+    # A controlled Z on (a, b) through the |0> ancilla c: b moves into c
+    # where a is 1, takes the phase there and moves back.
+    state.apply_gate("CSWAP", ["a", "b", "c"])
+    state.apply_gate("Z", ["c"])
+    state.apply_gate("CSWAP", ["a", "b", "c"])
+    assert state.qubit_values() is None
+    assert state.probability({"c": 0}) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         state.register_amplitudes(["a"])
 
@@ -98,7 +113,12 @@ def test_apply_gate_rejects_bad_calls(storage):
     """An unknown gate name, the wrong number of qubits and a repeated
     qubit are refused before the gate touches the state."""
     state = _state("a", "b", storage=storage)
-    for gate, qubits in [("NOPE", ("a",)), ("CX", ("a",)), ("SWAP", ("a", "a"))]:
+    for gate, qubits in [
+        ("NOPE", ("a",)),
+        ("h", ("a",)),
+        ("SWAP", ("a",)),
+        ("SWAP", ("a", "a")),
+    ]:
         with pytest.raises(ValueError):
             state.apply_gate(gate, qubits)
     assert state.qubit_values() == {"a": 0, "b": 0}
@@ -112,7 +132,7 @@ def test_unknown_qubits_are_rejected(storage):
     state = _state("a", "b", storage=storage)
     calls = [
         lambda: state.apply_gate("X", ("z",)),
-        lambda: state.apply_gate("CX", ("a", "z")),
+        lambda: state.apply_gate("SWAP", ("a", "z")),
         lambda: state.prepare_superposition(["a", "z"], {0: 1, 3: 1}),
         lambda: state.set_register(["z"], 0),
     ]
@@ -126,7 +146,7 @@ def test_unknown_qubits_are_rejected(storage):
 @settings(max_examples=25, deadline=None)
 @given(
     gates=st.lists(
-        st.sampled_from(["X", "CX", "SWAP", "CSWAP", "CCX"]), min_size=1, max_size=20
+        st.sampled_from(["X", "SWAP", "CSWAP", "ANTI_CSWAP"]), min_size=1, max_size=20
     ),
     seed=st.integers(min_value=0, max_value=1000),
 )
@@ -138,7 +158,7 @@ def test_random_permutation_circuits_preserve_norm_and_sparsity(gates, seed):
     state.prepare_superposition(qubits[:2], {0: 1, 1: 1j, 2: -1})
     before_terms = state.num_terms
     for name in gates:
-        arity = {"X": 1, "CX": 2, "SWAP": 2, "CSWAP": 3, "CCX": 3}[name]
+        arity = GATES[name].n_qubits
         targets = rng.choice(len(qubits), size=arity, replace=False)
         state.apply_gate(name, [qubits[i] for i in targets])
     assert state.num_terms == before_terms
@@ -160,15 +180,16 @@ def test_set_register_roundtrip(value):
 @pytest.mark.parametrize(
     "gate, qubits",
     [
-        ("CX", ["a", "a"]),
-        ("CCX", ["a", "b", "a"]),
+        ("CSWAP", ["a", "a", "b"]),
+        ("ANTI_CSWAP", ["a", "b", "a"]),
         ("SWAP", ["b", "b"]),
         ("CSWAP", ["a", "b", "b"]),
     ],
 )
 def test_repeated_qubits_are_rejected(storage, gate, qubits):
-    """A gate on a repeated qubit is not unitary on basis branches (a CX on
-    (a, a) after H left norm sqrt(2)); both storages refuse it unchanged."""
+    """A gate on a repeated qubit is not unitary on basis branches (a
+    control that is also a target, or a SWAP of a qubit with itself); both
+    storages refuse it unchanged."""
     state = _state("a", "b", storage=storage)
     state.apply_gate("H", ["a"])
     before = list(state.items())
@@ -186,20 +207,23 @@ def test_states_from_one_layout_share_its_resolution_memo(storage):
     assert first.qubits == ["a", "b", "c"]
     assert list(first.items()) == [((0, 0, 0), 1.0 + 0.0j)]
     first.apply_gate("H", ("a",))
-    first.apply_gate("CX", ("a", "c"))
-    assert layout.resolved == {("H", ("a",)): ("H", (0,)), ("CX", ("a", "c")): ("CX", (0, 2))}
+    first.apply_gate("SWAP", ("a", "c"))
+    assert layout.resolved == {
+        ("H", ("a",)): ("H", (0,)),
+        ("SWAP", ("a", "c")): ("SWAP", (0, 2)),
+    }
     second = storage.from_layout(layout)
     second.apply_gate("H", ("a",))
-    second.apply_gate("CX", ("a", "c"))
+    second.apply_gate("SWAP", ("a", "c"))
     assert list(second.items()) == list(first.items())
     assert len(layout.resolved) == 2
-    first.apply_gate("CCX", ("a", "b", "c"))
-    assert ("CCX", ("a", "b", "c")) in layout.resolved
+    first.apply_gate("CSWAP", ("a", "b", "c"))
+    assert ("CSWAP", ("a", "b", "c")) in layout.resolved
     # A memo hit skips validation, so a bad call is never memoized.
     with pytest.raises(ValueError, match="duplicate qubits"):
-        first.apply_gate("CX", ("a", "a"))
+        first.apply_gate("SWAP", ("a", "a"))
     with pytest.raises(ValueError, match="duplicate qubits"):
-        first.apply_gate("CX", ("a", "a"))
+        first.apply_gate("SWAP", ("a", "a"))
 
 
 def test_layout_names_every_qubit_once():

@@ -16,17 +16,19 @@ from repro.sim.noise import (
 from repro.sim.statevector import StatevectorSimulator
 
 
-#: ``(gate, qubits, theta)`` triples preparing a Bell pair.
-BELL = [("H", ("q0",), None), ("CX", ("q0", "q1"), None)]
+#: ``(gate, qubits)`` pairs preparing (|001> + |110>)/sqrt(2): a Bell pair
+#: on q0, q1, with q2 the complement of q1.
+BELL = [("H", ("q0",)), ("X", ("q2",)), ("CSWAP", ("q0", "q1", "q2"))]
+QUBITS = ["q0", "q1", "q2"]
 
 
 def run(sim, gates) -> None:
-    for gate, qubits, theta in gates:
-        sim.apply_gate(gate, qubits, theta)
+    for gate, qubits in gates:
+        sim.apply_gate(gate, qubits)
 
 
 def test_statevector_bell_state():
-    sim = StatevectorSimulator(["q0", "q1"])
+    sim = StatevectorSimulator(QUBITS)
     run(sim, BELL)
     dist = sim.marginal_distribution(["q0", "q1"])
     assert dist[0] == pytest.approx(0.5)
@@ -48,18 +50,18 @@ def test_statevector_cswap_routing():
 
 
 def test_density_matrix_matches_statevector_when_noiseless():
-    dense = StatevectorSimulator(["q0", "q1"])
+    dense = StatevectorSimulator(QUBITS)
     run(dense, BELL)
-    rho_sim = DensityMatrixSimulator(["q0", "q1"])
+    rho_sim = DensityMatrixSimulator(QUBITS)
     run(rho_sim, BELL)
     assert rho_sim.fidelity_with_state(dense.state) == pytest.approx(1.0)
     assert rho_sim.purity() == pytest.approx(1.0)
 
 
 def test_density_matrix_noise_reduces_fidelity_and_purity():
-    noisy = DensityMatrixSimulator(["q0", "q1"], gate_noise=depolarizing_channel(0.02))
+    noisy = DensityMatrixSimulator(QUBITS, gate_noise=depolarizing_channel(0.02))
     run(noisy, BELL)
-    dense = StatevectorSimulator(["q0", "q1"])
+    dense = StatevectorSimulator(QUBITS)
     run(dense, BELL)
     fidelity = noisy.fidelity_with_state(dense.state)
     assert 0.8 < fidelity < 1.0

@@ -330,7 +330,7 @@ def test_array_state_matches_scalar_on_random_circuits(data):
     inspections derived from the amplitudes (norm, marginals, register
     amplitudes) are compared within 1e-12 instead: the array view always
     yields ``np.complex128`` scalars, while the dict holds Python complex
-    values until its first H/Y/RY, and the two types round a complex
+    values until its first H/Y, and the two types round a complex
     division differently.
     """
     labels = ["q0", "q1", "q2", "q3"]
@@ -354,13 +354,9 @@ def test_array_state_matches_scalar_on_random_circuits(data):
             for state in (array, scalar):
                 state.prepare_superposition(register, amplitudes)
         else:
-            gate = GATES[action]
-            qubits = data.draw(st.permutations(labels))[: gate.n_qubits]
-            theta = (
-                data.draw(st.floats(-7.0, 7.0)) if gate.is_parametric else None
-            )
+            qubits = data.draw(st.permutations(labels))[: GATES[action].n_qubits]
             for state in (array, scalar):
-                state.apply_gate(action, qubits, theta=theta)
+                state.apply_gate(action, qubits)
         assert array.num_terms == scalar.num_terms
         assert _branches(array) == _branches(scalar)
         assert math.isclose(array.norm(), scalar.norm(), abs_tol=1e-12)
@@ -417,7 +413,7 @@ _CONSTANT_COLUMN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_CONSTANT_COLUMN_CASES))
-@pytest.mark.parametrize("gate", ["H", "Y", "RY"])
+@pytest.mark.parametrize("gate", ["H", "Y"])
 def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
     """A superposing gate on a qubit that is constant across rows (such
     as the bus basis change of a fresh query) merges no rows; its
@@ -430,15 +426,14 @@ def test_constant_column_single_qubit_gate_matches_scalar(case, gate):
     for state in (array, scalar):
         _CONSTANT_COLUMN_CASES[case](state)
     assert _branches(array) == _branches(scalar)
-    theta = 1.1 if gate == "RY" else None
     for state in (array, scalar):
-        state.apply_gate(gate, ["b"], theta=theta)
+        state.apply_gate(gate, ["b"])
     assert array.num_terms == scalar.num_terms
     assert _branches(array) == _branches(scalar)
     # Once more on the now-mixed column, then on a fresh constant one.
     for state in (array, scalar):
-        state.apply_gate(gate, ["b"], theta=theta)
-        state.apply_gate(gate, ["d"], theta=theta)
+        state.apply_gate(gate, ["b"])
+        state.apply_gate(gate, ["d"])
     assert _branches(array) == _branches(scalar)
 
 
@@ -475,9 +470,9 @@ def test_array_register_amplitudes_equal_the_view_path(seed):
         {int(v): complex(*rng.normal(size=2)) for v in rng.choice(8, 4, replace=False)},
     )
     for _ in range(12):
-        gate = str(rng.choice(["H", "CX", "CSWAP", "T", "X", "RY"]))
+        gate = str(rng.choice(["H", "SWAP", "CSWAP", "Z", "X", "Y"]))
         labels = list(rng.permutation(state.qubits))[: GATES[gate].n_qubits]
-        state.apply_gate(gate, labels, theta=0.7 if gate == "RY" else None)
+        state.apply_gate(gate, labels)
     for width in (1, 2, 3):
         for start in range(0, state.num_qubits - width + 1, 2):
             register = state.qubits[start : start + width]
@@ -486,18 +481,20 @@ def test_array_register_amplitudes_equal_the_view_path(seed):
 
 
 def test_array_register_amplitudes_tie_break_like_the_view():
-    """All eight rest branches tie on weight: the reference branch, and
-    with it the phase convention, is the one the view path picks, pinned
-    at its historical value (the first tied branch in set order)."""
+    """All eight rest branches tie on weight but not on phase (Y makes
+    them +-i, Z flips half of them): the reference branch, and with it the
+    phase convention, is the one the view path picks, pinned at its
+    historical value (the first tied branch in set order, whose phase is
+    -i; the first in branch order has +i)."""
     state = SparseState.from_layout(QubitLayout(["r", "s0", "s1", "s2"]))
     for gate, qubit in [("H", "r"), ("H", "s0"), ("H", "s1"), ("H", "s2")]:
         state.apply_gate(gate, [qubit])
-    state.apply_gate("S", ["s1"])
-    state.apply_gate("T", ["s2"])
+    state.apply_gate("Y", ["s0"])
+    state.apply_gate("Z", ["s2"])
     array, view = _register_columns(state, ["r"])
     assert array == view
-    half = ("0x1.0000000000001p-1", "0x1.0000000000000p-1")
-    assert [entry[:1] + entry[2:] for entry in array] == [(0, *half), (1, *half)]
+    minus_i = ("0x0.0p+0", "-0x1.6a09e667f3bcdp-1")
+    assert [entry[:1] + entry[2:] for entry in array] == [(0, *minus_i), (1, *minus_i)]
 
 
 def _run_both(monkeypatch, run):
@@ -598,7 +595,7 @@ def test_functional_serve_matches_scalar_storage(monkeypatch):
 def _word_boundary_pair(terms):
     """Both storages with exactly ``terms`` branches: a register of fresh
     qubits prepared over ``terms`` values (every fourth amplitude a pure
-    +-1, so diagonal gates produce signed zeros), plus ``a`` and ``c`` in
+    +-1, so Z produces signed zeros), plus ``a`` and ``c`` in
     |0>, ``b`` prepared in |1> and a fresh ``bus``."""
     width = max(1, (terms - 1).bit_length())
     register = [f"r{i}" for i in range(width)]
@@ -613,30 +610,29 @@ def _word_boundary_pair(terms):
 
 
 def _every_gate_sequence(register):
-    """Each gate of ``GATES`` once or more: permutations, then diagonal
-    gates, permutations again (the settle after a diagonal gate), the
-    superposing gates, and permutations on the merged rows."""
+    """Each gate of ``GATES`` once or more: permutations, then Z gates,
+    permutations again (the settle after a Z), the superposing gates, and
+    permutations on the merged rows."""
     r = register
     return [
-        ("X", ["a"], None),
-        ("CX", [r[-1], "b"], None),
-        ("CCX", [r[0], r[-1], "c"], None),
-        ("SWAP", [r[0], "a"], None),
-        ("CSWAP", [r[-1], r[0], "b"], None),
-        ("ANTI_CSWAP", [r[0], r[-1], "c"], None),
-        ("Z", [r[-1]], None),
-        ("S", ["b"], None),
-        ("T", [r[0]], None),
-        ("RZ", ["c"], 0.3),
-        ("CZ", [r[0], r[-1]], None),
-        ("I", ["a"], None),
-        ("CSWAP", ["a", r[-1], "c"], None),
-        ("H", ["c"], None),
-        ("Y", [r[0]], None),
-        ("RY", ["a"], 0.7),
-        ("ANTI_CSWAP", ["b", r[-1], "a"], None),
-        ("H", [r[-1]], None),
-        ("CX", ["c", r[0]], None),
+        ("X", ["a"]),
+        ("CSWAP", [r[-1], "a", "b"]),
+        ("ANTI_CSWAP", [r[0], r[-1], "c"]),
+        ("SWAP", [r[0], "a"]),
+        ("CSWAP", [r[-1], r[0], "b"]),
+        ("ANTI_CSWAP", [r[0], r[-1], "c"]),
+        ("Z", [r[-1]]),
+        ("Z", ["b"]),
+        ("Z", [r[0]]),
+        ("Z", ["c"]),
+        ("X", ["a"]),
+        ("CSWAP", ["a", r[-1], "c"]),
+        ("H", ["c"]),
+        ("Y", [r[0]]),
+        ("Y", ["a"]),
+        ("ANTI_CSWAP", ["b", r[-1], "a"]),
+        ("H", [r[-1]]),
+        ("SWAP", ["c", r[0]]),
     ]
 
 
@@ -649,10 +645,10 @@ def test_array_state_matches_scalar_across_the_word_boundary(terms):
     assert array.num_terms == scalar.num_terms == terms
     assert _branches(array) == _branches(scalar)
     sequence = _every_gate_sequence(register)
-    assert {gate for gate, _, _ in sequence} == set(GATES)
-    for gate, qubits, theta in sequence:
+    assert {gate for gate, _ in sequence} == set(GATES)
+    for gate, qubits in sequence:
         for state in (array, scalar):
-            state.apply_gate(gate, qubits, theta=theta)
+            state.apply_gate(gate, qubits)
         assert array.num_terms == scalar.num_terms, gate
         assert _branches(array) == _branches(scalar), gate
     assert array.num_terms > terms
@@ -665,8 +661,9 @@ def test_array_state_matches_scalar_across_the_word_boundary(terms):
 # --------------------------------------------------------------------------
 def _signed_zero_pair():
     """Both storages over pure real and pure imaginary amplitudes (so -0.0
-    parts arise), left unsettled by an S: the state a deferred Z meets in
-    a window, except that the amplitudes are np.complex128 after an H."""
+    parts arise), left unsettled by a Z right after the preparation: the
+    state a deferred Z meets in a window, except that the amplitudes are
+    np.complex128 after an H."""
     layout = QubitLayout(["x", "a", "b", "c", "p0", "p1", "bus"])
     states = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     for state in states:
@@ -675,7 +672,7 @@ def _signed_zero_pair():
             ["a", "b", "c"],
             {0: 1, 1: -1j, 2: 1j, 3: -1, 5: 0.5 - 0.5j, 6: -0.25, 7: 0.75j},
         )
-        state.apply_gate("S", ["b"])
+        state.apply_gate("Z", ["b"])
     return states
 
 
@@ -698,8 +695,8 @@ _Z_PATTERNS = {
 _Z_READERS = {
     "H": lambda s: s.apply_gate("H", ["c"]),
     "prepare": lambda s: s.prepare_superposition(["p0", "p1"], {0: 0.6, 3: -0.8j}),
-    "CZ": lambda s: s.apply_gate("CZ", ["a", "c"]),
-    "S": lambda s: s.apply_gate("S", ["a"]),
+    "Y": lambda s: s.apply_gate("Y", ["a"]),
+    "Y-fresh": lambda s: s.apply_gate("Y", ["bus"]),
     "register": lambda s: s.register_amplitudes(["x"]),
     "items": lambda s: list(s.items()),
 }
@@ -712,9 +709,10 @@ def _hex_column(column):
 @pytest.mark.parametrize("reader", sorted(_Z_READERS))
 @pytest.mark.parametrize("pattern", sorted(_Z_PATTERNS))
 def test_deferred_z_matches_scalar_at_every_reader(pattern, reader):
-    """Z gates recorded and then read by H, a preparation, CZ, S, a
-    register readout or the basis view: the storages agree bit for bit,
-    signed zeros included, before and after the reader."""
+    """Z gates recorded and then read by H, a preparation, Y (merging
+    rows, or splitting a fresh constant column), a register readout or
+    the basis view: the storages agree bit for bit, signed zeros
+    included, before and after the reader."""
     array, scalar = _signed_zero_pair()
     for gate, qubits in _Z_PATTERNS[pattern]:
         for state in (array, scalar):
@@ -727,24 +725,23 @@ def test_deferred_z_matches_scalar_at_every_reader(pattern, reader):
     assert _branches(array) == _branches(scalar)
     # A permutation and one more readout settle whatever is left.
     for state in (array, scalar):
-        state.apply_gate("CX", ["a", "b"])
+        state.apply_gate("CSWAP", ["x", "a", "b"])
     assert _branches(array) == _branches(scalar)
 
 
 def test_two_z_gates_are_replayed_not_cancelled():
     """Two Z gates on one column are not the identity on signed zeros:
-    (-0.0, s) comes out as (0.0, s) and (0.0, -s) as (-0.0, -s).  With
-    no permutation after them they are replayed one by one, not
-    cancelled."""
+    (0.0, -s) comes out as (-0.0, -s), while (0.0, s) comes back as
+    (0.0, s).  With no permutation after them they are replayed one by
+    one, not cancelled."""
     layout = QubitLayout(["x", "a", "y"])
     array, scalar = SparseState.from_layout(layout), SparseStateScalar.from_layout(layout)
     for state in (array, scalar):
-        state.apply_gate("H", ["x"])
-        state.prepare_superposition(["a"], {1: -1j})
-        state.apply_gate("CZ", ["a", "x"])  # (0.0, -s) and (-0.0, s)
+        state.prepare_superposition(["x"], {0: -1j, 1: 1j})  # (0.0, -s), (0.0, s)
+        state.prepare_superposition(["a"], {1: 1})
         state.apply_gate("Z", ["y"])  # prunes, multiplies by 1 + 0j
     before = _branches(scalar)
-    assert [(re, im[0]) for _, re, im in before] == [("0x0.0p+0", "-"), ("-0x0.0p+0", "0")]
+    assert [(re, im[0]) for _, re, im in before] == [("0x0.0p+0", "-"), ("0x0.0p+0", "0")]
     assert _branches(array) == before
     for state in (array, scalar):
         state.apply_gate("Z", ["a"])
@@ -784,8 +781,8 @@ def _window_sequence(register):
         ("SWAP", [r[0], "a"]),
         ("CSWAP", ["a", r[-1], "c"]),
         ("ANTI_CSWAP", ["a", "b", "c"]),
-        ("CX", [r[-1], "b"]),
-        ("CCX", [r[0], r[-1], "a"]),
+        ("X", ["b"]),
+        ("ANTI_CSWAP", [r[0], r[-1], "a"]),
     ]
     middle = [
         ("Z", ["c"]),
@@ -824,14 +821,13 @@ def test_deferred_z_window_matches_scalar_across_the_word_boundary(terms):
     assert all(type(amp) is np.complex128 for amp in column.values())
 
 
-@pytest.mark.parametrize("gate", ["H", "Y", "RY"])
+@pytest.mark.parametrize("gate", ["H", "Y"])
 @pytest.mark.parametrize("bus", [0, 1])
 def test_constant_column_gate_from_the_column_layout_matches_scalar(gate, bus):
-    """H/Y/RY on a constant column of a state held as columns, with Z
+    """H/Y on a constant column of a state held as columns, with Z
     signs both settled and pending: the merge-free split equals the dict
     storage's ``0.0 + coeff * amp``, signed zeros included."""
     array, scalar = _signed_zero_pair()
-    theta = 1.1 if gate == "RY" else None
     for state in (array, scalar):
         if bus:
             state.apply_gate("X", ["bus"])
@@ -839,7 +835,7 @@ def test_constant_column_gate_from_the_column_layout_matches_scalar(gate, bus):
         state.apply_gate("SWAP", ["a", "b"])
         state.apply_gate("Z", ["c"])
         assert isinstance(state, SparseStateScalar) or state._columns is not None
-        state.apply_gate(gate, ["bus"], theta=theta)
+        state.apply_gate(gate, ["bus"])
     assert array.num_terms == scalar.num_terms
     assert _branches(array) == _branches(scalar)
 
@@ -854,18 +850,18 @@ def test_gates_dispatch_alike_from_a_shared_layout():
         for kind in (list, tuple):
             state = storage.from_layout(layout)
             state.apply_gate("H", ("r0",))
-            state.apply_gate("CX", ["r0", "r1"])
+            state.apply_gate("SWAP", ["r0", "r1"])
             state.apply_gate("X", ["b"])
             states[storage, kind] = state
     assert len(layout.resolved) == 3
     sequence = _every_gate_sequence(["r0", "r1"])
-    assert {gate for gate, _, _ in sequence} == set(GATES)
-    for gate, qubits, theta in sequence:
+    assert {gate for gate, _ in sequence} == set(GATES)
+    for gate, qubits in sequence:
         for (_, kind), state in states.items():
-            state.apply_gate(gate, kind(qubits), theta=theta)
+            state.apply_gate(gate, kind(qubits))
         first, *others = (_branches(state) for state in states.values())
         assert all(branches == first for branches in others), gate
     # Every distinct call was resolved once, into the one shared memo.
-    calls = {("H", ("r0",)), ("CX", ("r0", "r1")), ("X", ("b",))}
-    calls.update((gate, tuple(qubits)) for gate, qubits, _ in sequence)
+    calls = {("H", ("r0",)), ("SWAP", ("r0", "r1")), ("X", ("b",))}
+    calls.update((gate, tuple(qubits)) for gate, qubits in sequence)
     assert set(layout.resolved) == calls
