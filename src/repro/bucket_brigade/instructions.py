@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.sparse import Qubit, QubitLayout, SparseState
 
@@ -77,9 +77,6 @@ class Instruction:
             and for whole-tree swap steps).
         label: sub-QRAM label ``k`` (always 0 for plain BB QRAM).
         raw_layer: 1-indexed raw circuit layer of the op within its schedule.
-        gate_layer: 1-indexed gate-step layer (excludes swap/CG layers); 0 for
-            fast-layer ops.
-        payload: extra data (e.g. the adjacent label for SWAP_MIGRATE).
     """
 
     kind: InstructionKind
@@ -88,8 +85,6 @@ class Instruction:
     level: int
     label: int
     raw_layer: int
-    gate_layer: int = 0
-    payload: tuple = field(default=())
 
 
 class QubitNamer:

@@ -121,7 +121,6 @@ class BBQuerySchedule:
                     level=level,
                     label=0,
                     raw_layer=layer,
-                    gate_layer=layer,
                 )
             )
 
@@ -164,7 +163,6 @@ class BBQuerySchedule:
                     level=instr.level,
                     label=instr.label,
                     raw_layer=total - instr.raw_layer,
-                    gate_layer=total - instr.raw_layer,
                 )
             )
         return out

@@ -2,10 +2,15 @@
 
 The executor materialises the full multiplexed router tree as named qubits on
 the sparse simulator and runs several queries *concurrently*: each query
-follows a BB-style bit-pipelined gate schedule annotated with its current
-sub-QRAM label, migrates between sub-QRAMs through explicit SWAP steps that
+runs :class:`~repro.bucket_brigade.schedule.BBQuerySchedule`'s bit-pipelined
+schedule, migrates between sub-QRAMs through explicit SWAP steps that
 exchange the input and router qubits of adjacent labels, and performs data
 retrieval through phase kickback on the leaf cells of sub-QRAM ``n - 1``.
+The migrations are Alg. 1's timeline
+(:func:`repro.core.pipeline.migration_layers`) at :data:`MIGRATION_SKEW`,
+interleaved into BB's layers as fast layers, and every instruction carries
+the label :func:`repro.core.pipeline.query_label` gives at its layer; the
+conflict search reads the same label.
 
 Two levels of fidelity to the paper:
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from repro.bucket_brigade.instructions import (
@@ -41,10 +46,15 @@ from repro.bucket_brigade.instructions import (
     WindowProgram,
     lower_instruction,
 )
-from repro.bucket_brigade.schedule import _touched_locations
+from repro.bucket_brigade.schedule import BBQuerySchedule, _touched_locations
 from repro.bucket_brigade.tree import validate_capacity
 from repro.core.fat_tree import FatTreeStructure
-from repro.core.pipeline import PIPELINE_INTERVAL
+from repro.core.pipeline import (
+    PIPELINE_INTERVAL,
+    fat_tree_raw_query_layers,
+    migration_layers,
+    query_label,
+)
 from repro.core.query import (
     QueryRequest,
     QueryResult,
@@ -59,6 +69,12 @@ from repro.sim.sparse import QubitLayout
 #: in the |+>/|-> basis; past this bound a window would run for minutes, so
 #: :meth:`FatTreeExecutor.run_pipelined_queries` refuses it up front.
 MAX_WINDOW_TERMS = 2**16
+
+#: Skew of the executor's migrations from Alg. 1's cadence
+#: (:func:`repro.core.pipeline.migration_layers`): up migration ``j`` runs at
+#: relative layer ``5j - 1``, just before BB gate layer ``4j``, the first
+#: that routes through label ``j``, and each down migration mirrors it.
+MIGRATION_SKEW = 1
 
 
 @dataclass
@@ -134,134 +150,42 @@ class FatTreeExecutor:
         return self._schedule_cache
 
     def _build_relative_schedule(self, query: int) -> list[Instruction]:
-        n = self._n
-        gate_instrs = self._bb_like_gate_schedule(query)
+        """BB's schedule with the migrations of :data:`MIGRATION_SKEW`
+        interleaved as fast layers.
+
+        Each BB instruction moves past every migration placed at or before
+        it and takes the label the query holds there; data retrieval (BB's
+        layer ``4n + 1``) lands at ``5n`` in label ``n - 1``.
+        """
+        ups, downs = migration_layers(self._capacity, MIGRATION_SKEW)
+        migrations = sorted(ups + downs)
         instructions: list[Instruction] = []
-        for instr in gate_instrs:
-            g = instr.gate_layer
-            label = self._label_at_gate(g)
-            instructions.append(
-                Instruction(
-                    instr.kind,
-                    query=query,
-                    item=instr.item,
-                    level=instr.level,
-                    label=label,
-                    raw_layer=self._raw_of_gate(g),
-                    gate_layer=g,
+        for instr in BBQuerySchedule(self._capacity, query).instructions:
+            raw = instr.raw_layer
+            for layer in migrations:
+                if layer <= raw:
+                    raw += 1
+            label = query_label(self._capacity, raw, MIGRATION_SKEW)
+            instructions.append(replace(instr, label=label, raw_layer=raw))
+        # Migration j exchanges labels j - 1 and j up to level j - 1.
+        for layers in (ups, downs):
+            for level, layer in enumerate(layers):
+                instructions.append(
+                    Instruction(
+                        InstructionKind.SWAP_MIGRATE,
+                        query=query,
+                        item=0,
+                        level=level,
+                        label=level,
+                        raw_layer=layer,
+                    )
                 )
-            )
-        # Upward migrations (to label j, just before gate 4j).
-        for j in range(1, n):
-            instructions.append(
-                Instruction(
-                    InstructionKind.SWAP_MIGRATE,
-                    query=query,
-                    item=0,
-                    level=j - 1,
-                    label=j - 1,
-                    raw_layer=self._raw_of_gate(4 * j - 1) + 1,
-                )
-            )
-        # Data retrieval on the leaf cells of sub-QRAM n-1.
-        instructions.append(
-            Instruction(
-                InstructionKind.CLASSICAL_GATES,
-                query=query,
-                item=0,
-                level=n - 1,
-                label=n - 1,
-                raw_layer=self._raw_of_gate(4 * n) + 1,
-            )
-        )
-        # Downward migrations (from label j, right after the last gate that
-        # needs it — the mirror of the upward placement).
-        for j in range(1, n):
-            instructions.append(
-                Instruction(
-                    InstructionKind.SWAP_MIGRATE,
-                    query=query,
-                    item=0,
-                    level=j - 1,
-                    label=j - 1,
-                    raw_layer=self._raw_of_gate(8 * n + 1 - 4 * j) + 1,
-                )
-            )
         instructions.sort(key=lambda i: (i.raw_layer, i.level, i.item))
         return instructions
 
     def relative_raw_latency(self) -> int:
         """Raw layers of one query in this realisation: ``10 n - 1``."""
-        return self._raw_of_gate(8 * self._n)
-
-    def _bb_like_gate_schedule(self, query: int) -> list[Instruction]:
-        """The 8n-gate-layer item schedule (labels filled in later)."""
-        n = self._n
-        out: list[Instruction] = []
-
-        def add(kind: InstructionKind, item: int, level: int, gate: int) -> None:
-            out.append(
-                Instruction(
-                    kind,
-                    query=query,
-                    item=item,
-                    level=level,
-                    label=0,
-                    raw_layer=gate,
-                    gate_layer=gate,
-                )
-            )
-
-        for m in range(1, n + 1):
-            add(InstructionKind.LOAD, m, -1, 2 * m - 1)
-            for i in range(m - 1):
-                add(InstructionKind.ROUTE, m, i, 2 * m + 2 * i)
-                add(InstructionKind.TRANSPORT, m, i, 2 * m + 2 * i + 1)
-            add(InstructionKind.STORE, m, m - 1, 4 * m - 2)
-        bus = n + 1
-        add(InstructionKind.LOAD, bus, -1, 2 * n + 1)
-        for i in range(n - 1):
-            add(InstructionKind.ROUTE, bus, i, 2 * n + 2 * i + 2)
-            add(InstructionKind.TRANSPORT, bus, i, 2 * n + 2 * i + 3)
-        add(InstructionKind.ROUTE, bus, n - 1, 4 * n)
-
-        inverse = {
-            InstructionKind.LOAD: InstructionKind.UNLOAD,
-            InstructionKind.ROUTE: InstructionKind.UNROUTE,
-            InstructionKind.TRANSPORT: InstructionKind.UNTRANSPORT,
-            InstructionKind.STORE: InstructionKind.UNSTORE,
-        }
-        mirrored = [
-            Instruction(
-                inverse[i.kind],
-                query=query,
-                item=i.item,
-                level=i.level,
-                label=0,
-                raw_layer=8 * n + 1 - i.gate_layer,
-                gate_layer=8 * n + 1 - i.gate_layer,
-            )
-            for i in out
-        ]
-        return out + mirrored
-
-    def _ups_before_gate(self, g: int) -> int:
-        """Upward migrations placed strictly before gate layer ``g``."""
-        return sum(1 for j in range(1, self._n) if 4 * j - 1 < g)
-
-    def _downs_before_gate(self, g: int) -> int:
-        """Downward migrations placed strictly before gate layer ``g``."""
-        n = self._n
-        return sum(1 for j in range(1, n) if 8 * n + 1 - 4 * j < g)
-
-    def _raw_of_gate(self, g: int) -> int:
-        """Relative raw layer of gate layer ``g`` (fast layers interleaved)."""
-        retrieval = 1 if g > 4 * self._n else 0
-        return g + self._ups_before_gate(g) + self._downs_before_gate(g) + retrieval
-
-    def _label_at_gate(self, g: int) -> int:
-        """Sub-QRAM label the query occupies while executing gate ``g``."""
-        return self._ups_before_gate(g) - self._downs_before_gate(g)
+        return fat_tree_raw_query_layers(self._capacity)
 
     # --------------------------------------------------- admission feasibility
     def minimum_feasible_interval(self, num_queries: int = 2) -> int:
@@ -302,28 +226,6 @@ class FatTreeExecutor:
                 return False
         return True
 
-    def resident_label(self, relative_raw: int) -> int | None:
-        """Sub-QRAM label a query resides in at one of its relative layers.
-
-        The query is considered resident in a label from the swap step that
-        brings it in up to and including the swap step that takes it out
-        (boundary layers are shared exchange layers).
-        """
-        lifetime = self.relative_raw_latency()
-        if relative_raw < 1 or relative_raw > lifetime:
-            return None
-        n = self._n
-        up_layers = [self._raw_of_gate(4 * j - 1) + 1 for j in range(1, n)]
-        down_layers = [self._raw_of_gate(8 * n + 1 - 4 * j) + 1 for j in range(1, n)]
-        label = 0
-        for layer in up_layers:
-            if relative_raw > layer:
-                label += 1
-        for layer in down_layers:
-            if relative_raw > layer:
-                label -= 1
-        return label
-
     def _touched(self, instr: Instruction) -> frozenset:
         """Qubit-group locations an instruction acts on, cached by identity."""
         locations = self._locations_cache.get(instr)
@@ -335,41 +237,30 @@ class FatTreeExecutor:
     def _offset_is_conflict_free(
         self, by_layer: dict[int, list[Instruction]], offset: int
     ) -> bool:
-        lifetime = self.relative_raw_latency()
+        """Check one query against another admitted ``offset`` layers earlier.
+
+        Two rules, at every layer of the later query:
+
+        (a) no two instructions touch the same qubit groups, except one
+            shared swap;
+        (b) neither query's migration moves qubits where the other query is
+            merely resident (:func:`_moves_resident`).
+        """
         for layer, instrs in by_layer.items():
             other_layer = layer - offset
             others = by_layer.get(other_layer, [])
-            # (a) instruction-vs-instruction overlap on the same qubit groups
             for a in instrs:
                 for b in others:
                     if _compatible_shared_swap(a, b):
                         continue
                     if self._touched(a) & self._touched(b):
                         return False
-            # (b) migrations must not move qubits where the *other* query is
-            #     merely resident (its stored bits and waiting items), unless
-            #     the other query is exchanging the same label pair.
-            if 1 <= other_layer <= lifetime:
-                other_resident = self.resident_label(other_layer)
-                for a in instrs:
-                    if a.kind is not InstructionKind.SWAP_MIGRATE:
-                        continue
-                    if other_resident not in (a.label, a.label + 1):
-                        continue
-                    shared = any(_compatible_shared_swap(a, b) for b in others)
-                    if not shared:
-                        return False
-            # Symmetric case: the other query's migrations vs this residency.
-            if 1 <= other_layer <= lifetime:
-                this_resident = self.resident_label(layer)
-                for b in others:
-                    if b.kind is not InstructionKind.SWAP_MIGRATE:
-                        continue
-                    if this_resident not in (b.label, b.label + 1):
-                        continue
-                    shared = any(_compatible_shared_swap(a, b) for a in instrs)
-                    if not shared:
-                        return False
+            this_label = query_label(self._capacity, layer, MIGRATION_SKEW)
+            other_label = query_label(self._capacity, other_layer, MIGRATION_SKEW)
+            if _moves_resident(instrs, others, other_label) or _moves_resident(
+                others, instrs, this_label
+            ):
+                return False
         return True
 
     # ------------------------------------------------------------- execution
@@ -571,6 +462,23 @@ def _check_window_terms(requests: Sequence[QueryRequest]) -> None:
             f"above MAX_WINDOW_TERMS={MAX_WINDOW_TERMS}; serve fewer or "
             f"narrower superpositions per window"
         )
+
+
+def _moves_resident(
+    instrs: Sequence[Instruction],
+    others: Sequence[Instruction],
+    other_label: int | None,
+) -> bool:
+    """True when a migration in ``instrs`` exchanges the sub-QRAM the other
+    query resides in (``other_label``; None when it is not in flight), where
+    its stored bits and waiting items sit, and the other query is not
+    exchanging the same label pair in the same layer (``others``)."""
+    return any(
+        a.kind is InstructionKind.SWAP_MIGRATE
+        and other_label in (a.label, a.label + 1)
+        and not any(_compatible_shared_swap(a, b) for b in others)
+        for a in instrs
+    )
 
 
 def _compatible_shared_swap(a: Instruction, b: Instruction) -> bool:

@@ -14,6 +14,13 @@ derive from this model; :meth:`FatTreePipeline.verify_no_conflicts` is the
 machine-checked version of Fig. 6's "no conflicting colors in the same
 layer".
 
+One query's timeline is stated once, here: :func:`migration_layers` places
+its ``n - 1`` up and ``n - 1`` down migrations at a given skew from Alg. 1's
+cadence and :func:`query_label` reads its sub-QRAM label off them.
+:meth:`FatTreePipeline.label_at` uses skew 0; the gate-level executor uses
+``repro.core.executor.MIGRATION_SKEW`` (1) for both its schedule and its
+conflict search.
+
 The gate-level realisation in :mod:`repro.core.executor` needs a longer
 steady-state admission interval that grows with ``N``:
 ``FatTreeExecutor.minimum_feasible_interval()`` is ``10·⌈n/2⌉ + 2`` raw
@@ -42,6 +49,39 @@ def fat_tree_raw_query_layers(capacity: int) -> int:
     """Raw layers of one Fat-Tree query: ``10 log2(N) - 1`` (29 for N = 8)."""
     n = validate_capacity(capacity)
     return 10 * n - 1
+
+
+def migration_layers(capacity: int, skew: int = 0) -> tuple[list[int], list[int]]:
+    """Relative raw layers of one query's up and down migrations.
+
+    Up migration ``j`` (label ``j - 1`` to ``j``, ``1 <= j < n``) sits at
+    ``5j - skew`` and down migration ``j`` (label ``j`` back to ``j - 1``) at
+    ``10n - 5j + skew``; data retrieval lies between them at ``5n``.  Alg. 1
+    uses skew 0 (a swap step after every 4 gate layers).
+
+    Returns:
+        ``(ups, downs)``, each indexed by ``j - 1``.
+    """
+    n = validate_capacity(capacity)
+    ups = [5 * j - skew for j in range(1, n)]
+    downs = [10 * n - 5 * j + skew for j in range(1, n)]
+    return ups, downs
+
+
+def query_label(capacity: int, relative_layer: int, skew: int = 0) -> int | None:
+    """Sub-QRAM label a query occupies at one of its relative raw layers.
+
+    The label is the number of up migrations strictly before
+    ``relative_layer`` minus the number of down migrations strictly before
+    it, so a migration layer still belongs to the label being left (it is the
+    shared exchange layer).  None outside the query's ``1..10n - 1`` layers.
+    """
+    if not 1 <= relative_layer <= fat_tree_raw_query_layers(capacity):
+        return None
+    ups, downs = migration_layers(capacity, skew)
+    return sum(layer < relative_layer for layer in ups) - sum(
+        layer < relative_layer for layer in downs
+    )
 
 
 def fat_tree_single_query_latency(capacity: int) -> float:
@@ -161,21 +201,14 @@ class FatTreePipeline:
 
         Returns None when the query is not active at that layer.
 
-        The trajectory follows Alg. 1: the query climbs one sub-QRAM per swap
-        step during loading (label ``ell`` during relative layers
-        ``[5 ell + 1, 5 (ell + 1)]``), stays in sub-QRAM ``n - 1`` for the
-        10 layers around data retrieval, and descends symmetrically.
+        The trajectory follows Alg. 1 (:func:`query_label` at skew 0): the
+        query climbs one sub-QRAM per swap step during loading (label ``ell``
+        during relative layers ``[5 ell + 1, 5 (ell + 1)]``), stays in
+        sub-QRAM ``n - 1`` for the 10 layers around data retrieval, and
+        descends symmetrically.
         """
         start = self.timeline(query_id).start_layer
-        r = raw_layer - start + 1
-        n = self._n
-        if r < 1 or r > self.query_raw_latency:
-            return None
-        if r <= 5 * (n - 1):
-            return (r - 1) // 5
-        if r <= 5 * (n + 1):
-            return n - 1
-        return (10 * n - r) // 5
+        return query_label(self._capacity, raw_layer - start + 1)
 
     def occupied_labels(self, raw_layer: int) -> dict[int, int]:
         """Map of sub-QRAM label -> query id at an absolute raw layer.

@@ -86,9 +86,7 @@ class DensityMatrixSimulator:
         k = len(targets)
         dim = 2**n
         full = np.zeros((dim, dim), dtype=complex)
-        others = [i for i in range(n) if i not in targets]
         target_shifts = [n - 1 - t for t in targets]
-        other_shifts = [n - 1 - o for o in others]
 
         for col in range(dim):
             t_in = 0
@@ -106,8 +104,6 @@ class DensityMatrixSimulator:
                     bit = (t_out >> (k - 1 - pos)) & 1
                     row |= bit << shift
                 full[row, col] += coeff
-        # other_shifts intentionally unused beyond documentation of layout
-        del other_shifts
         return full
 
     # ------------------------------------------------------------- inspection

@@ -48,7 +48,7 @@ on demand and caches it until the next mutation, and reads register
 amplitudes straight from its branch matrix instead.
 
 Every state memoizes how it resolved a gate call (``(gate, qubits)`` to
-name and qubit indices).  States built from one
+qubit indices).  States built from one
 :class:`QubitLayout` share that memo: circuits replayed on many states of
 the same qubit order validate and look up each distinct gate call once,
 and :meth:`SparseState.apply_gate` reaches a gate's handler with one memo
@@ -75,9 +75,6 @@ _ATOL = 1e-12
 
 __all__ = ["QubitLayout", "SparseState", "SparseStateScalar"]
 
-#: A resolved gate call: gate name and qubit indices.
-_Resolved = tuple[str, tuple[int, ...]]
-
 
 class QubitLayout:
     """A fixed qubit order that many states start from, all in |0>.
@@ -96,7 +93,7 @@ class QubitLayout:
         self.index = {qubit: i for i, qubit in enumerate(self.qubits)}
         if len(self.index) != len(self.qubits):
             raise ValueError("a layout names every qubit once")
-        self.resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved] = {}
+        self.resolved: dict[tuple[str, tuple[Qubit, ...]], tuple[int, ...]] = {}
 
 
 class _SparseView:
@@ -109,8 +106,8 @@ class _SparseView:
 
     _qubits: tuple[Qubit, ...]
     _index: dict[Qubit, int]
-    # (gate, qubits) -> resolved call, valid while the qubit order is.
-    _resolved: dict[tuple[str, tuple[Qubit, ...]], _Resolved]
+    # (gate, qubits) -> qubit indices, valid while the qubit order is.
+    _resolved: dict[tuple[str, tuple[Qubit, ...]], tuple[int, ...]]
 
     @classmethod
     def from_layout(cls, layout: QubitLayout) -> Self:
@@ -159,8 +156,8 @@ class _SparseView:
         except KeyError as exc:
             raise ValueError(f"unknown qubit {exc.args[0]!r}") from None
 
-    def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> _Resolved:
-        """Validate a gate call; return its name and qubit indices.
+    def _resolve(self, gate: str, qubits: Sequence[Qubit]) -> tuple[int, ...]:
+        """Validate a gate call; return its qubit indices.
 
         Unknown gate names (looked up exactly as given), unknown qubits and
         repeated qubits are rejected (applied to a basis branch, a repeated
@@ -180,7 +177,7 @@ class _SparseView:
             )
         if spec.n_qubits > 1 and len(set(qubits)) != spec.n_qubits:
             raise ValueError(f"duplicate qubits in gate {gate}: {tuple(qubits)}")
-        resolved = gate, tuple(self._indices(qubits))
+        resolved = tuple(self._indices(qubits))
         self._resolved[call] = resolved
         return resolved
 
@@ -488,10 +485,10 @@ class SparseState(_SparseView):
         """Apply a gate by name to the given qubits."""
         try:
             # A call seen before, with tuple qubits: one memo lookup.
-            key, idx = self._resolved[gate, qubits]
+            idx = self._resolved[gate, qubits]
         except (KeyError, TypeError):  # a new call, or list qubits
-            key, idx = self._resolve(gate, qubits)
-        _HANDLERS[key](self, idx)
+            idx = self._resolve(gate, qubits)
+        _HANDLERS[gate](self, idx)
         self._view = None
 
     # Gate handlers take the qubit indices.  Permutations and Z work on
@@ -697,19 +694,19 @@ class SparseStateScalar(_SparseView):
     # -------------------------------------------------------------- gate application
     def apply_gate(self, gate: str, qubits: Sequence[Qubit]) -> None:
         """Apply a gate by name to the given qubits."""
-        key, idx = self._resolve(gate, qubits)
-        spec = GATES[key]
+        idx = self._resolve(gate, qubits)
+        spec = GATES[gate]
 
         if spec.is_permutation:
             self._apply_permutation(spec, idx)
-        elif key == "H":
+        elif gate == "H":
             self._apply_single_qubit_matrix(_H_MATRIX, idx[0])
-        elif key == "Y":
+        elif gate == "Y":
             self._apply_single_qubit_matrix(_Y_MATRIX, idx[0])
-        elif key == "Z":
+        elif gate == "Z":
             self._apply_z(idx[0])
         else:  # pragma: no cover - defensive, all gates covered above
-            raise ValueError(f"gate {key} not supported by SparseState")
+            raise ValueError(f"gate {gate} not supported by SparseState")
 
     def _apply_permutation(self, spec: Gate, idx: tuple[int, ...]) -> None:
         new_amps: dict[Basis, complex] = {}

@@ -5,8 +5,8 @@ import time
 import pytest
 
 from repro.core import FatTreeQRAM, QueryRequest
-from repro.core.executor import MAX_WINDOW_TERMS, FatTreeExecutor
-from repro.core.pipeline import PIPELINE_INTERVAL
+from repro.core.executor import MAX_WINDOW_TERMS, MIGRATION_SKEW, FatTreeExecutor
+from repro.core.pipeline import PIPELINE_INTERVAL, query_label
 from repro.bucket_brigade.instructions import InstructionKind, lower_instruction
 from repro.workloads import structured_data
 
@@ -112,11 +112,11 @@ def test_capacity4_pipelined_queries():
 def test_resident_label_trajectory():
     executor = FatTreeExecutor(8, DATA8)
     lifetime = executor.relative_raw_latency()
-    labels = [executor.resident_label(r) for r in range(1, lifetime + 1)]
+    labels = [query_label(8, r, MIGRATION_SKEW) for r in range(1, lifetime + 1)]
     assert labels[0] == 0 and labels[-1] == 0
     assert max(labels) == executor.address_width - 1
-    assert executor.resident_label(0) is None
-    assert executor.resident_label(lifetime + 1) is None
+    assert query_label(8, 0, MIGRATION_SKEW) is None
+    assert query_label(8, lifetime + 1, MIGRATION_SKEW) is None
 
 
 def test_requests_require_amplitudes():

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.core.executor import FatTreeExecutor
-from repro.core.pipeline import FatTreePipeline
+from repro.core.executor import MIGRATION_SKEW, FatTreeExecutor
+from repro.core.pipeline import FatTreePipeline, query_label
 
 CAPACITIES = [2**k for k in range(1, 11)]
 
@@ -66,7 +66,6 @@ def test_n8_label_trajectories():
     assert [pipeline.label_at(0, r) for r in range(0, 31)] == (
         [None] + ALG1_LABELS_N8 + [None]
     )
-    executor = FatTreeExecutor(8, [0] * 8)
-    assert [executor.resident_label(r) for r in range(0, 31)] == (
+    assert [query_label(8, r, MIGRATION_SKEW) for r in range(0, 31)] == (
         [None] + EXECUTOR_LABELS_N8 + [None]
     )

@@ -209,8 +209,8 @@ def test_states_from_one_layout_share_its_resolution_memo(storage):
     first.apply_gate("H", ("a",))
     first.apply_gate("SWAP", ("a", "c"))
     assert layout.resolved == {
-        ("H", ("a",)): ("H", (0,)),
-        ("SWAP", ("a", "c")): ("SWAP", (0, 2)),
+        ("H", ("a",)): (0,),
+        ("SWAP", ("a", "c")): (0, 2),
     }
     second = storage.from_layout(layout)
     second.apply_gate("H", ("a",))
