@@ -209,7 +209,7 @@ def test_service_throughput_backend_axis(benchmark):
         results = {}
         for name in backend_names():
             service = QRAMService(
-                capacity, num_shards=2, data=data, architecture=name,
+                capacity, num_shards=2, data=data, architectures=[name] * 2,
                 functional=False,
             )
             results[name] = ServiceEngine(service).run(TraceSource(trace)).stats

@@ -13,7 +13,8 @@ Run with ``python examples/pipelined_query_fidelity.py``.
 
 from __future__ import annotations
 
-from repro import FatTreeQRAM
+from repro.backends.noise import window_offsets
+from repro.core.executor import FatTreeExecutor
 from repro.core.query import QueryRequest
 from repro.fidelity import (
     fat_tree_query_infidelity,
@@ -26,26 +27,29 @@ from repro.workloads import structured_data
 
 def gate_level_pipelining() -> None:
     data = structured_data(8, "parity")
-    qram = FatTreeQRAM(8, data)
-    executor = qram.executor()
+    executor = FatTreeExecutor(8, data)
     requests = [
         QueryRequest(0, {0: 1.0, 7: 1.0}),
         QueryRequest(1, {1: 1.0, 6: -1.0}),
         QueryRequest(2, {2: 1.0, 5: 1.0j}),
     ]
-    summary, outputs = executor.run_pipelined_queries(requests, interval=22)
+    interval = 22
+    outputs = executor.run_pipelined_queries(requests, interval=interval)
+    lifetime = executor.relative_raw_latency()
+    total, starts, finishes = window_offsets(len(requests), interval, lifetime)
     print("Gate-level pipelined execution (capacity 8, 3 queries):")
-    print(f"  admission interval : {summary.interval} raw layers")
-    print(f"  per-query latency  : {summary.per_query_raw_layers} raw layers "
-          "(10 log N - 1 = 29)")
-    print(f"  concurrent queries : {summary.max_concurrent}")
+    print(f"  admission interval : {interval} raw layers")
+    print(f"  per-query latency  : {lifetime} raw layers (10 log N - 1 = 29)")
+    print(f"  slot start layers  : {[int(s) for s in starts]}")
+    print(f"  slot finish layers : {[int(f) for f in finishes]} "
+          f"(window drains at {int(total)})")
     for request in requests:
         fidelity = executor.query_fidelity(request, outputs[request.query_id])
         answers = {a: b for (a, b) in outputs[request.query_id]}
         print(f"  query {request.query_id}: fidelity {fidelity:.6f}, "
               f"data read {answers} (memory: "
               f"{ {a: data[a] for a in answers} })")
-    program = executor.window_program(len(requests), summary.interval)
+    program = executor.window_program(len(requests), interval)
     _, state = program.replay(
         [(request.address_amplitudes, request.initial_bus) for request in requests]
     )

@@ -35,7 +35,7 @@ from repro.baselines.registry import (
 from repro.baselines.virtual_qram import VirtualQRAM
 from repro.core.pipeline import FatTreePipeline
 from repro.core.qram import FatTreeQRAM
-from repro.core.query import QueryRequest, QueryResult
+from repro.core.query import QueryRequest
 from repro.service import (
     InterleavedShardMap,
     QRAMService,
@@ -62,7 +62,6 @@ __all__ = [
     "DistributedFatTreeQRAM",
     "FatTreePipeline",
     "QueryRequest",
-    "QueryResult",
     "QRAMService",
     "ServiceReport",
     "ServiceEngine",

@@ -57,7 +57,7 @@ class FatTreeBackend(ModelBackend):
         occupancy replays the same compiled program.
         """
         executor = self.model.cached_executor()
-        _, outputs = executor.run_pipelined_queries(requests, interval=interval)
+        outputs = executor.run_pipelined_queries(requests, interval=interval)
         return (
             tuple(outputs[request.query_id] for request in requests),
             tuple(

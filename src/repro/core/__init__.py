@@ -9,15 +9,16 @@
   behind Fig. 6, Table 1 and Table 2).
 * :mod:`repro.core.executor` — gate-level execution of pipelined queries on
   the sparse simulator (functional validation of Eq. (1) under sharing).
-* :mod:`repro.core.query` — query request/result records.
+* :mod:`repro.core.query` — the shared query request and the Eq. (1)
+  output scoring (results are the engine's ``ServedQuery`` records).
 * :mod:`repro.core.qram` — the user-facing :class:`FatTreeQRAM`.
 """
 
 from repro.core.fat_tree import FatTreeStructure, FatTreeRouterId
 from repro.core.subqram import SubQRAM
 from repro.core.pipeline import FatTreePipeline, QueryTimeline
-from repro.core.query import QueryRequest, QueryResult, QueryStatus
-from repro.core.executor import FatTreeExecutor, PipelinedExecutionResult
+from repro.core.query import QueryRequest
+from repro.core.executor import FatTreeExecutor
 from repro.core.qram import FatTreeQRAM
 
 __all__ = [
@@ -27,9 +28,6 @@ __all__ = [
     "FatTreePipeline",
     "QueryTimeline",
     "QueryRequest",
-    "QueryResult",
-    "QueryStatus",
     "FatTreeExecutor",
-    "PipelinedExecutionResult",
     "FatTreeQRAM",
 ]

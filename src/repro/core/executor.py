@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from operator import itemgetter
 
 from repro.bucket_brigade.instructions import (
@@ -55,13 +55,7 @@ from repro.core.pipeline import (
     migration_layers,
     query_label,
 )
-from repro.core.query import (
-    QueryRequest,
-    QueryResult,
-    QueryStatus,
-    ideal_query_output,
-    output_fidelity,
-)
+from repro.core.query import QueryRequest, ideal_query_output, output_fidelity
 from repro.sim.sparse import QubitLayout
 
 #: Largest sparse state a functional window may build.  Each query
@@ -75,26 +69,6 @@ MAX_WINDOW_TERMS = 2**16
 #: relative layer ``5j - 1``, just before BB gate layer ``4j``, the first
 #: that routes through label ``j``, and each down migration mirrors it.
 MIGRATION_SKEW = 1
-
-
-@dataclass
-class PipelinedExecutionResult:
-    """Outcome of executing several pipelined queries at the gate level.
-
-    Attributes:
-        interval: admission interval (raw layers) actually used.
-        total_layers: raw layers until the last query finished.
-        per_query_raw_layers: raw layers each individual query took.
-        results: per-query functional results (amplitudes and fidelity
-            bookkeeping handled by the caller).
-        max_concurrent: maximum number of queries simultaneously in flight.
-    """
-
-    interval: int
-    total_layers: int
-    per_query_raw_layers: int
-    results: list[QueryResult] = field(default_factory=list)
-    max_concurrent: int = 0
 
 
 class FatTreeExecutor:
@@ -200,10 +174,7 @@ class FatTreeExecutor:
             return PIPELINE_INTERVAL
         if self._min_interval_cache is not None:
             return self._min_interval_cache
-        base = self.relative_schedule(0)
-        by_layer: dict[int, list[Instruction]] = {}
-        for instr in base:
-            by_layer.setdefault(instr.raw_layer, []).append(instr)
+        by_layer = self._schedule_by_layer()
         lifetime = self.relative_raw_latency()
         result = 10 * self._n  # fully sequential fallback (never reached)
         for interval in range(PIPELINE_INTERVAL, 10 * self._n + 1):
@@ -212,6 +183,13 @@ class FatTreeExecutor:
                 break
         self._min_interval_cache = result
         return result
+
+    def _schedule_by_layer(self) -> dict[int, list[Instruction]]:
+        """Query 0's relative schedule grouped by raw layer."""
+        by_layer: dict[int, list[Instruction]] = {}
+        for instr in self.relative_schedule(0):
+            by_layer.setdefault(instr.raw_layer, []).append(instr)
+        return by_layer
 
     def _interval_is_feasible(
         self, by_layer: dict[int, list[Instruction]], interval: int, lifetime: int
@@ -266,13 +244,33 @@ class FatTreeExecutor:
     # ------------------------------------------------------------- execution
     def window_program(self, occupancy: int, interval: int) -> WindowProgram:
         """The compiled program of a window of ``occupancy`` queries
-        admitted ``interval`` raw layers apart (built on first use)."""
+        admitted ``interval`` raw layers apart (built on first use).
+
+        Raises:
+            ValueError: if ``occupancy >= 2`` and the conflict search
+                rejects ``interval``.
+        """
         key = (occupancy, interval)
         program = self._program_cache.get(key)
         if program is None:
+            if occupancy >= 2:
+                self._check_interval(interval)
             program = self._compile_window(occupancy, interval)
             self._program_cache[key] = program
         return program
+
+    def _check_interval(self, interval: int) -> None:
+        """Refuse an admission interval the static conflict search rejects:
+        its queries would share qubits and the window would run wrong."""
+        if interval < 1 or not self._interval_is_feasible(
+            self._schedule_by_layer(), interval, self.relative_raw_latency()
+        ):
+            raise ValueError(
+                f"admission interval {interval} is infeasible at capacity "
+                f"{self._capacity}: its queries would share qubits "
+                f"(minimum_feasible_interval() is "
+                f"{self.minimum_feasible_interval()})"
+            )
 
     def _compile_window(self, occupancy: int, interval: int) -> WindowProgram:
         """Every slot's schedule shifted by ``slot * interval``, sorted by
@@ -319,11 +317,13 @@ class FatTreeExecutor:
         self,
         requests: Sequence[QueryRequest],
         interval: int | None = None,
-    ) -> tuple[PipelinedExecutionResult, dict[int, dict[tuple[int, int], complex]]]:
+    ) -> dict[int, dict[tuple[int, int], complex]]:
         """Execute several queries concurrently and return their outputs.
 
         Request ``s`` runs in window slot ``s``; the window's compiled
-        program is replayed on a fresh state.
+        program is replayed on a fresh state.  The window's timing is
+        :func:`repro.backends.noise.window_offsets` at ``interval`` and
+        :meth:`relative_raw_latency`.
 
         Args:
             requests: query requests with distinct ids; each must carry
@@ -332,8 +332,13 @@ class FatTreeExecutor:
                 smallest feasible interval for this capacity.
 
         Returns:
-            A pair of (execution summary, per-query output amplitudes over
-            ``(address, bus)``, keyed by query id).
+            Each query's output amplitudes over ``(address, bus)``, keyed
+            by query id.
+
+        Raises:
+            ValueError: for an empty window, repeated ids, a window past
+                :data:`MAX_WINDOW_TERMS` or an interval with cross-query
+                conflicts.
         """
         if not requests:
             raise ValueError("at least one query request is required")
@@ -345,35 +350,10 @@ class FatTreeExecutor:
         slot_outputs, _ = program.replay(
             [(request.address_amplitudes, request.initial_bus) for request in requests]
         )
-
-        outputs: dict[int, dict[tuple[int, int], complex]] = {}
-        results: list[QueryResult] = []
-        lifetime = self.relative_raw_latency()
-        for slot, (request, output) in enumerate(zip(requests, slot_outputs)):
-            outputs[request.query_id] = output
-            start_layer = slot * interval + 1
-            finish_layer = slot * interval + lifetime
-            results.append(
-                QueryResult(
-                    query_id=request.query_id,
-                    start_layer=start_layer,
-                    finish_layer=finish_layer,
-                    latency_layers=finish_layer - start_layer + 1,
-                    request_time=request.request_time,
-                    request_to_finish=finish_layer - request.request_time,
-                    amplitudes=output,
-                    status=QueryStatus.COMPLETED,
-                )
-            )
-
-        summary = PipelinedExecutionResult(
-            interval=interval,
-            total_layers=program.total_layers,
-            per_query_raw_layers=lifetime,
-            results=results,
-            max_concurrent=self._max_concurrent(len(requests), interval, lifetime),
-        )
-        return summary, outputs
+        return {
+            request.query_id: output
+            for request, output in zip(requests, slot_outputs)
+        }
 
     #: Instruction kinds whose lowering names per-slot external qubits
     #: (address / bus registers); everything else acts on tree qubits only
@@ -404,11 +384,6 @@ class FatTreeExecutor:
             )
             self._lowered_cache[key] = gates
         return gates
-
-    @staticmethod
-    def _max_concurrent(num_queries: int, interval: int, lifetime: int) -> int:
-        in_flight = 1 + (lifetime - 1) // interval
-        return min(num_queries, in_flight)
 
     # ------------------------------------------------------------ inspection
     def expected_output(

@@ -2,8 +2,9 @@
 
 ``FatTreeQRAM`` is the main entry point of the library: it exposes the
 architecture-level metrics of Tables 1-2 (qubits, parallelism, latency,
-bandwidth), the pipeline model of Fig. 6 and the gate-level functional
-execution of parallel queries.
+bandwidth), the pipeline model of Fig. 6 and gate-level functional
+queries.  Windows of pipelined queries run on
+:meth:`FatTreeQRAM.cached_executor`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.bucket_brigade.qram import QUBITS_PER_ROUTER
 from repro.bucket_brigade.tree import validate_capacity
-from repro.core.executor import FatTreeExecutor, PipelinedExecutionResult
+from repro.core.executor import FatTreeExecutor
 from repro.core.fat_tree import FatTreeStructure
 from repro.core.pipeline import (
     FatTreePipeline,
@@ -115,21 +116,7 @@ class FatTreeQRAM:
     ) -> dict[tuple[int, int], complex]:
         """Run one query on the gate-level executor and return its output."""
         request = QueryRequest(0, dict(address_amplitudes), initial_bus=initial_bus)
-        _, outputs = self.parallel_queries([request])
-        return outputs[0]
-
-    def parallel_queries(
-        self,
-        requests: Sequence[QueryRequest],
-        interval: int | None = None,
-    ) -> tuple[PipelinedExecutionResult, dict[int, dict[tuple[int, int], complex]]]:
-        """Execute several queries concurrently (query-level pipelining).
-
-        Repeated calls reuse one cached executor, so the relative schedule,
-        the lowered gate sequences and the minimum feasible interval are
-        derived once per memory image instead of once per call.
-        """
-        return self.cached_executor().run_pipelined_queries(requests, interval=interval)
+        return self.cached_executor().run_pipelined_queries([request])[0]
 
     def cached_executor(self) -> FatTreeExecutor:
         """The memoized gate-level executor of this QRAM's memory image.
@@ -152,7 +139,3 @@ class FatTreeQRAM:
                 lambda: FatTreeExecutor(self._capacity, self._data),
             )
         return self._executor
-
-    def executor(self) -> FatTreeExecutor:
-        """A fresh (unshared) gate-level executor over this QRAM's memory."""
-        return FatTreeExecutor(self._capacity, self._data)

@@ -1,10 +1,15 @@
-"""Query request / result records shared by the pipeline model, the
-scheduler and the gate-level executor."""
+"""The query request every layer shares — executors, backends, the
+serving engine and the Sec. 5 scheduler — and the Eq. (1) scoring of a
+query's output.
+
+Outcomes have one record each: a backend's window is a
+:class:`repro.backends.protocol.WindowResult`, and each query the engine
+serves is a :class:`repro.metrics.service_stats.ServedQuery`.
+"""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping
 
 
@@ -16,14 +21,6 @@ from collections.abc import Mapping
 ANY_SHARD = -1
 
 
-class QueryStatus(enum.Enum):
-    """Lifecycle of a query in a shared QRAM."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    COMPLETED = "completed"
-
-
 @dataclass
 class QueryRequest:
     """A quantum query submitted to a shared QRAM.
@@ -32,8 +29,9 @@ class QueryRequest:
         query_id: unique identifier.
         address_amplitudes: address superposition to query (normalised by the
             executor); ``None`` for purely timing-level simulations.
-        request_time: raw circuit layer at which the request arrives (used by
-            the scheduler; 0 means "available from the start").
+        request_time: layer at which the request arrives, on the serving
+            clock: raw layers for the backends, weighted layers for the
+            Sec. 5 timing model (0 means "available from the start").
         qpu: identifier of the requesting QPU (for multi-QPU workloads).
         initial_bus: initial bus bit ``b`` (the query XORs data into it).
         priority: admission priority (higher is served first under the
@@ -58,44 +56,6 @@ class QueryRequest:
     priority: int = 0
     deadline: float | None = None
     min_fidelity: float | None = None
-
-
-@dataclass
-class QueryResult:
-    """Outcome of a query.
-
-    All ``*_layers`` fields are raw circuit layers on the same time base as
-    ``start_layer`` / ``finish_layer``; request-to-finish time is reported
-    separately so that service latency (a pure layer count) is never mixed
-    with the arrival clock of the request.
-
-    Attributes:
-        query_id: identifier of the originating request.
-        start_layer: raw circuit layer at which the query entered the QRAM.
-        finish_layer: raw circuit layer at which it completed.
-        latency_layers: raw layers spent inside the QRAM, from admission to
-            completion (``finish_layer - start_layer + 1``).
-        request_time: arrival time of the originating request, in raw layers
-            on the same clock as ``start_layer`` (0 when unknown).
-        request_to_finish: raw layers from request arrival to completion,
-            i.e. queueing delay plus service time
-            (``finish_layer - request_time``).
-        weighted_latency: latency in weighted circuit layers (fast layers
-            count 1/8).
-        amplitudes: output amplitudes over ``(address, bus)`` pairs, when a
-            functional execution was performed.
-        status: final status.
-    """
-
-    query_id: int
-    start_layer: float
-    finish_layer: float
-    latency_layers: float
-    request_time: float = 0.0
-    request_to_finish: float = 0.0
-    weighted_latency: float = 0.0
-    amplitudes: dict[tuple[int, int], complex] = field(default_factory=dict)
-    status: QueryStatus = QueryStatus.COMPLETED
 
 
 def ideal_query_output(

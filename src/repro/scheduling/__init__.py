@@ -1,12 +1,13 @@
 """Query scheduling for a shared QRAM (Sec. 5).
 
 * :mod:`repro.scheduling.events` — query arrival streams (online/random
-  arrivals, bursts).
+  arrivals, bursts) as :class:`~repro.core.query.QueryRequest` lists.
 * :mod:`repro.scheduling.policy` — the pluggable admission-policy objects
   (FIFO / LIFO / random / priority) used by the scheduler and the serving
   layer.
-* :mod:`repro.scheduling.fifo` — FIFO scheduling, plus the empirical check
-  of the greedy-exchange optimality proof (Sec. A.2).
+* :mod:`repro.scheduling.fifo` — FIFO scheduling (a schedule is the
+  engine's :class:`~repro.metrics.service_stats.ServedQuery` records), plus
+  the empirical check of the greedy-exchange optimality proof (Sec. A.2).
 * :mod:`repro.scheduling.contention` — the paper's shared-QRAM timing model
   (one admission per pipeline interval, bounded in-flight queries) as a
   :class:`repro.engine.ServiceEngine` backend; QPUs/algorithms sharing one
@@ -14,11 +15,7 @@
 * :mod:`repro.scheduling.utilization` — utilization accounting.
 """
 
-from repro.scheduling.events import (
-    QueryArrival,
-    burst_arrivals,
-    random_arrivals,
-)
+from repro.scheduling.events import burst_arrivals, random_arrivals
 from repro.scheduling.fifo import (
     schedule_queries,
     total_latency,
@@ -43,7 +40,6 @@ from repro.scheduling.contention import (
 from repro.scheduling.utilization import utilization_from_busy_intervals
 
 __all__ = [
-    "QueryArrival",
     "random_arrivals",
     "burst_arrivals",
     "AdmissionPolicy",

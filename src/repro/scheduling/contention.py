@@ -9,7 +9,8 @@ event loop, admission policies and sanitizer checks as every serving
 scenario:
 
 * :func:`serve_model` — any workload source under any admission policy
-  (:func:`repro.scheduling.fifo.schedule_queries` serves a trace);
+  (:func:`repro.scheduling.fifo.schedule_queries` serves an arrival trace
+  and returns the report's ``served`` records as its schedule);
 * :func:`serve_closed_loop` — algorithms (one
   :class:`~repro.engine.ClosedLoopClient` each, on its own QPU) that
   alternate a query with ``think_layers`` of local processing (Sec. 6.3).

@@ -1,7 +1,11 @@
 """Query arrival streams for shared-QRAM scheduling experiments.
 
 Online (exponential) and bursty arrival lists for :func:`schedule_queries`
-(Sec. 5.2).  The query/process loop of Fig. 7 is closed-loop and runs on
+(Sec. 5.2), built as the engine's own
+:class:`~repro.core.query.QueryRequest` records: request ``i`` has id
+``i``, reads address 0 (the timing model is address-blind) and arrives at
+``request_time`` in weighted circuit layers.
+The query/process loop of Fig. 7 is closed-loop and runs on
 :class:`repro.engine.ClosedLoopSource`
 (:func:`repro.scheduling.contention.serve_closed_loop`).
 
@@ -13,24 +17,8 @@ from the same parameters and seed agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.query import QueryRequest
 from repro.workloads.arrivals import iter_burst_times, iter_exponential_times
-
-
-@dataclass(frozen=True, order=True)
-class QueryArrival:
-    """A query request arriving at the shared QRAM.
-
-    Attributes:
-        request_time: arrival time in weighted circuit layers.
-        qpu: identifier of the requesting QPU / algorithm.
-        query_id: unique identifier (assigned by the generator).
-    """
-
-    request_time: float
-    qpu: int
-    query_id: int
 
 
 def random_arrivals(
@@ -38,11 +26,11 @@ def random_arrivals(
     mean_interarrival: float,
     seed: int = 0,
     num_qpus: int = 1,
-) -> list[QueryArrival]:
+) -> list[QueryRequest]:
     """Online workload: exponential interarrival times (Sec. 5.2)."""
     times = iter_exponential_times(num_queries, mean_interarrival, seed)
     return [
-        QueryArrival(t, int(i % num_qpus), int(i)) for i, t in enumerate(times)
+        QueryRequest(i, {0: 1.0}, t, i % num_qpus) for i, t in enumerate(times)
     ]
 
 
@@ -51,11 +39,11 @@ def burst_arrivals(
     burst_size: int,
     burst_spacing: float,
     num_qpus: int = 1,
-) -> list[QueryArrival]:
+) -> list[QueryRequest]:
     """Bursty workload: ``burst_size`` simultaneous requests every
     ``burst_spacing`` layers."""
     times = iter_burst_times(num_bursts, burst_size, burst_spacing)
     return [
-        QueryArrival(t, (i % burst_size) % num_qpus, i)
+        QueryRequest(i, {0: 1.0}, t, (i % burst_size) % num_qpus)
         for i, t in enumerate(times)
     ]

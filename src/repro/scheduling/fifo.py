@@ -6,49 +6,30 @@ Fat-Tree QRAM (admissions are separated by a fixed pipeline interval and
 every query has the same service time).  This module serves an arrival
 trace through the discrete-event engine under FIFO or an alternative
 admission policy, and verifies the exchange argument empirically against
-an exhaustive fixed-order reference.
+an exhaustive fixed-order reference.  A schedule is the engine's own
+record: one :class:`~repro.metrics.service_stats.ServedQuery` per request.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.query import QueryRequest
 from repro.scheduling.contention import QRAMServiceModel, serve_model
-from repro.scheduling.events import QueryArrival
 
-
-@dataclass(frozen=True)
-class ScheduledQuery:
-    """Admission decision for one query.
-
-    Attributes:
-        query_id: the request's identifier.
-        request_time: when the request arrived.
-        start_time: when the QRAM admitted it.
-        finish_time: when its result was delivered.
-    """
-
-    query_id: int
-    request_time: float
-    start_time: float
-    finish_time: float
-
-    @property
-    def latency(self) -> float:
-        """Request-to-completion latency."""
-        return self.finish_time - self.request_time
+if TYPE_CHECKING:
+    from repro.metrics.service_stats import ServedQuery
 
 
 def schedule_queries(
-    arrivals: list[QueryArrival],
+    arrivals: list[QueryRequest],
     service_time: float,
     admission_interval: float,
     parallelism: int,
     policy="fifo",
     seed: int = 0,
-) -> list[ScheduledQuery]:
+) -> list[ServedQuery]:
     """Admit queries into a pipelined shared QRAM.
 
     The QRAM admits at most one query per ``admission_interval`` and holds at
@@ -60,7 +41,9 @@ def schedule_queries(
     ``parallelism * admission_interval < service_time``.
 
     Args:
-        arrivals: query requests.
+        arrivals: query requests, ``request_time`` in weighted layers
+            (:func:`repro.scheduling.events.random_arrivals` /
+            :func:`~repro.scheduling.events.burst_arrivals`).
         service_time: per-query service latency in weighted layers.
         admission_interval: minimum spacing between admissions.
         parallelism: maximum queries in flight.
@@ -70,7 +53,9 @@ def schedule_queries(
         seed: RNG seed for the RANDOM policy.
 
     Returns:
-        One :class:`ScheduledQuery` per request, in admission order.
+        The engine's record of each request, in admission order:
+        ``start_layer`` is its admission, ``finish_layer`` its completion
+        and ``latency_layers`` its request-to-completion latency.
     """
     model = QRAMServiceModel(
         "schedule", service_time, admission_interval, parallelism
@@ -80,26 +65,18 @@ def schedule_queries(
     # Imported here: repro.engine imports repro.scheduling.
     from repro.engine import TraceSource
 
-    requests = [
-        QueryRequest(a.query_id, {0: 1.0}, a.request_time, a.qpu)
-        for a in arrivals
-    ]
-    report = serve_model(model, TraceSource(requests), policy, seed)
     # Every query takes the same service time, so completion order is
     # admission order.
-    return [
-        ScheduledQuery(r.query_id, r.request_time, r.start_layer, r.finish_layer)
-        for r in report.served
-    ]
+    return serve_model(model, TraceSource(arrivals), policy, seed).served
 
 
-def total_latency(schedule: list[ScheduledQuery]) -> float:
+def total_latency(schedule: list[ServedQuery]) -> float:
     """Sum of request-to-completion latencies (the objective of Sec. A.2)."""
-    return sum(s.latency for s in schedule)
+    return sum(s.latency_layers for s in schedule)
 
 
 def verify_fifo_optimality(
-    arrivals: list[QueryArrival],
+    arrivals: list[QueryRequest],
     service_time: float,
     admission_interval: float,
     parallelism: int,
@@ -132,7 +109,7 @@ def verify_fifo_optimality(
 
 
 def _latency_of_fixed_order(
-    order: list[QueryArrival],
+    order: list[QueryRequest],
     service_time: float,
     admission_interval: float,
     parallelism: int,

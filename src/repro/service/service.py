@@ -69,13 +69,11 @@ class QRAMService:
             False the service is timing-only (same schedule, no state
             evolution).
         seed: RNG seed for the random policy.
-        architecture: architecture served by every shard (any name from
+        architectures: one architecture name per shard (any name from
             :func:`repro.baselines.registry.backend_names`, optionally
             with a QEC-distance suffix: ``"Fat-Tree@d3"`` serves encoded
-            logical queries).
-        architectures: per-shard architecture names (a heterogeneous
-            fleet, e.g. bare and encoded replicas side by side); overrides
-            ``architecture`` and must have one entry per shard.
+            logical queries), so bare and encoded replicas can serve side
+            by side; ``None`` serves Fat-Tree on every shard.
         placement: ``"interleaved"`` (address-interleaved shards; queries
             are pinned to the shard owning their addresses) or
             ``"shortest-queue"`` (every shard replicates the full memory
@@ -95,7 +93,6 @@ class QRAMService:
         window_size: int | None = None,
         functional: bool = True,
         seed: int = 0,
-        architecture: str = "Fat-Tree",
         architectures: Sequence[str] | None = None,
         placement: str = "interleaved",
         parameters=None,
@@ -111,7 +108,7 @@ class QRAMService:
             self.shard_map = ReplicatedShardMap(capacity, num_shards)
 
         if architectures is None:
-            architectures = [architecture] * num_shards
+            architectures = ["Fat-Tree"] * num_shards
         elif len(architectures) != num_shards:
             raise ValueError(
                 f"architectures must name one backend per shard "

@@ -1,11 +1,11 @@
 """Shared arrival-time cores for every trace and arrival-stream generator.
 
-Historically :mod:`repro.scheduling.events` (``QueryArrival`` streams for
-the scheduling experiments) and :mod:`repro.workloads.generators`
-(``QueryRequest`` traces for the serving layer) each drew their own
-arrival times — two RNG code paths that could silently diverge.  Both now
-call the lazy cores here, so a Poisson trace and a random arrival stream
-built from the same ``(num, mean, seed)`` land on *identical* times.
+Historically :mod:`repro.scheduling.events` (arrival streams for the
+scheduling experiments) and :mod:`repro.workloads.generators` (traces for
+the serving layer) each drew their own arrival times — two RNG code paths
+that could silently diverge.  Both now call the lazy cores here, so a
+Poisson trace and a random arrival stream built from the same
+``(num, mean, seed)`` land on *identical* times.
 
 All times are in layers on the caller's clock (weighted layers for the
 scheduling streams, raw layers for the serving traces).

@@ -146,7 +146,9 @@ def test_service_serves_trace_on_every_architecture(name):
     """Acceptance: QRAMService drains a functional trace on all five."""
     capacity = 16
     data = random_data(capacity, seed=4)
-    service = QRAMService(capacity, num_shards=2, data=data, architecture=name)
+    service = QRAMService(
+        capacity, num_shards=2, data=data, architectures=[name] * 2
+    )
     trace = list(iter_poisson_trace(
         capacity, 10, mean_interarrival=12.0, num_tenants=2, num_shards=2, seed=6
     ))
@@ -198,7 +200,7 @@ def test_service_rejects_mismatched_fleet_configuration():
     with pytest.raises(ValueError, match="placement"):
         QRAMService(16, num_shards=2, placement="round-robin")
     with pytest.raises(KeyError):
-        QRAMService(16, num_shards=2, architecture="Hyper-Tree")
+        QRAMService(16, num_shards=2, architectures=["Hyper-Tree"] * 2)
 
 
 def test_service_shortest_queue_replication():
@@ -209,7 +211,7 @@ def test_service_shortest_queue_replication():
         capacity,
         num_shards=3,
         data=data,
-        architecture="Fat-Tree",
+        architectures=["Fat-Tree"] * 3,
         placement="shortest-queue",
     )
     # Superpositions are NOT shard-aligned: replication allows any shard.

@@ -7,6 +7,10 @@ These tests pin the static half in seconds: every keep entry names a live
 code objects the way the recorder reports them.
 """
 
+import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +90,35 @@ def test_keep_rules_are_the_documented_set():
     assert set(KEEP_RULES) == {
         "oracle", "protocol", "fork-only", "cli", "claim", "reader",
     }
+
+
+def test_recorder_reports_identical_functions_of_two_files(tmp_path):
+    """Code objects of two files compare equal when their name, first line
+    and bytecode match; the recorder still reports both."""
+    hook_dir = tmp_path / "hook"
+    hook_dir.mkdir()
+    shutil.copy(
+        REPO_ROOT / "tools" / "consumer_audit" / "hook.py",
+        hook_dir / "sitecustomize.py",
+    )
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    for name in ("a.py", "b.py"):
+        (package / name).write_text("def capacity():\n    return 1\n")
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(hook_dir), str(tmp_path)])
+    )
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro.a, repro.b; repro.a.capacity(); repro.b.capacity()"],
+        env=env, cwd=tmp_path, check=True,
+    )
+    called = {
+        Path(filename).name
+        for record in (hook_dir / "calls").glob("*.json")
+        for filename, _, name in json.loads(record.read_text())
+        if name == "capacity"
+    }
+    assert called == {"a.py", "b.py"}
+

@@ -8,7 +8,7 @@ from repro.core import FatTreeQRAM, QueryRequest
 from repro.core.executor import MAX_WINDOW_TERMS, MIGRATION_SKEW, FatTreeExecutor
 from repro.core.pipeline import PIPELINE_INTERVAL, query_label
 from repro.bucket_brigade.instructions import InstructionKind, lower_instruction
-from repro.workloads import structured_data
+from repro.workloads import random_data, structured_data
 
 DATA8 = [1, 0, 1, 1, 0, 0, 1, 0]
 
@@ -57,9 +57,9 @@ def test_single_query_fidelity_and_cleanliness():
     qram = FatTreeQRAM(8, DATA8)
     out = qram.query({0: 1, 3: 1j, 6: -1})
     assert set(out) == {(0, 1), (3, 1), (6, 1)}
-    executor = qram.executor()
+    executor = FatTreeExecutor(8, DATA8)
     request = QueryRequest(0, {0: 1, 3: 1j, 6: -1})
-    _, outputs = executor.run_pipelined_queries([request], interval=40)
+    outputs = executor.run_pipelined_queries([request], interval=40)
     assert executor.query_fidelity(request, outputs[0]) == pytest.approx(1.0)
     assert _tree_ends_clean(executor, [request], interval=40)
 
@@ -70,21 +70,20 @@ def test_two_pipelined_queries_are_independent_and_correct():
         QueryRequest(0, {1: 1.0, 4: -1.0}),
         QueryRequest(1, {2: 1.0, 7: 1.0j}, initial_bus=1),
     ]
-    summary, outputs = executor.run_pipelined_queries(requests, interval=22)
+    outputs = executor.run_pipelined_queries(requests, interval=22)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
     assert _tree_ends_clean(executor, requests, interval=22)
-    assert summary.per_query_raw_layers == 29
-    assert summary.max_concurrent == 2
+    assert executor.relative_raw_latency() == 29
 
 
 def test_three_pipelined_queries_capacity8():
     executor = FatTreeExecutor(8, structured_data(8, "parity"))
     requests = [QueryRequest(i, {i: 1.0, (i + 3) % 8: 1.0}) for i in range(3)]
-    summary, outputs = executor.run_pipelined_queries(requests, interval=22)
+    outputs = executor.run_pipelined_queries(requests, interval=22)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
-    assert summary.total_layers == 2 * 22 + 29
+    assert executor.window_program(3, 22).total_layers == 2 * 22 + 29
 
 
 def test_minimum_feasible_interval_bounds():
@@ -93,19 +92,40 @@ def test_minimum_feasible_interval_bounds():
     assert PIPELINE_INTERVAL <= interval <= executor.relative_raw_latency()
     # Executing at that interval must be functionally correct.
     requests = [QueryRequest(i, {i: 1.0}) for i in range(2)]
-    _, outputs = executor.run_pipelined_queries(requests, interval=interval)
+    outputs = executor.run_pipelined_queries(requests, interval=interval)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
+
+
+def test_infeasible_intervals_are_refused_at_compile():
+    """An explicit interval the conflict search rejects is refused when its
+    window compiles, naming the interval and the minimum feasible one;
+    feasibility is not monotone (22 passes, 23 does not)."""
+    executor = FatTreeExecutor(8, random_data(8, seed=1))
+    everywhere = {address: 1.0 for address in range(8)}
+    requests = [QueryRequest(q, everywhere) for q in range(2)]
+    for interval in (0, 10, 17, 23):
+        with pytest.raises(ValueError, match=rf"interval {interval} .*is 22"):
+            executor.run_pipelined_queries(requests, interval=interval)
+    for interval in (22, 40):
+        outputs = executor.run_pipelined_queries(requests, interval=interval)
+        for request in requests:
+            assert executor.query_fidelity(
+                request, outputs[request.query_id]
+            ) == pytest.approx(1.0)
+    for interval in (1, 10, 17, 23):
+        outputs = executor.run_pipelined_queries(requests[:1], interval=interval)
+        assert executor.query_fidelity(requests[0], outputs[0]) == pytest.approx(1.0)
 
 
 def test_capacity4_pipelined_queries():
     data = [0, 1, 1, 0]
     executor = FatTreeExecutor(4, data)
     requests = [QueryRequest(i, {0: 1.0, 3: 1.0}) for i in range(2)]
-    summary, outputs = executor.run_pipelined_queries(requests)
+    outputs = executor.run_pipelined_queries(requests)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
-    assert summary.per_query_raw_layers == 19
+    assert executor.relative_raw_latency() == 19
     assert _tree_ends_clean(executor, requests)
 
 
@@ -183,12 +203,12 @@ def test_executor_caches_stay_bounded_over_fresh_query_ids():
             QueryRequest(first, {first % 8: 1.0}),
             QueryRequest(first + 1, {(first + 3) % 8: 1.0, 5: 1.0j}),
         ]
-        _, outputs = executor.run_pipelined_queries(requests, interval=22)
+        outputs = executor.run_pipelined_queries(requests, interval=22)
     assert len(executor._program_cache) == 1
     lowered = len(executor._lowered_cache)
     # Correctness after heavy churn, and no growth from more fresh ids.
     requests = [QueryRequest(5000, {1: 1.0}), QueryRequest(5001, {2: 1.0})]
-    _, outputs = executor.run_pipelined_queries(requests, interval=22)
+    outputs = executor.run_pipelined_queries(requests, interval=22)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
     assert _tree_ends_clean(executor, requests, interval=22)
@@ -331,27 +351,10 @@ def test_shared_swap_dedup_under_custom_interval():
         QueryRequest(0, {1: 1.0, 6: 1.0}),
         QueryRequest(1, {2: 1.0, 5: 1.0j}),
     ]
-    _, outputs = executor.run_pipelined_queries(requests, interval=interval)
+    outputs = executor.run_pipelined_queries(requests, interval=interval)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
     assert _tree_ends_clean(executor, requests, interval=interval)
-
-
-def test_query_result_units_are_consistent():
-    """latency_layers is a pure layer count; request-to-finish time is a
-    separate field on the request's arrival clock."""
-    executor = FatTreeExecutor(8, DATA8)
-    requests = [
-        QueryRequest(0, {0: 1.0}, request_time=0.0),
-        QueryRequest(1, {1: 1.0}, request_time=7.5),
-    ]
-    summary, _ = executor.run_pipelined_queries(requests, interval=22)
-    lifetime = executor.relative_raw_latency()
-    for slot, result in enumerate(summary.results):
-        assert result.latency_layers == lifetime
-        assert result.latency_layers == result.finish_layer - result.start_layer + 1
-        assert result.request_time == requests[slot].request_time
-        assert result.request_to_finish == result.finish_layer - requests[slot].request_time
 
 
 def test_qram_facade_resources():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.backends.fat_tree import FatTreeBackend
 from repro.core.executor import MIGRATION_SKEW, FatTreeExecutor
 from repro.core.pipeline import FatTreePipeline, query_label
 
@@ -69,3 +70,17 @@ def test_n8_label_trajectories():
     assert [query_label(8, r, MIGRATION_SKEW) for r in range(0, 31)] == (
         [None] + EXECUTOR_LABELS_N8 + [None]
     )
+
+
+def test_backend_window_timing_is_the_compiled_program():
+    """One window timing: at every occupancy up to log N, the backend's
+    timing window and the executor's compiled program agree on the
+    interval and the raw layers until the last query finishes."""
+    for capacity in CAPACITIES[:6]:
+        backend = FatTreeBackend(capacity)
+        executor = backend.model.cached_executor()
+        for occupancy in range(1, capacity.bit_length()):
+            window = backend.timing_window(occupancy)
+            program = executor.window_program(occupancy, window.interval)
+            assert window.interval == executor.minimum_feasible_interval(occupancy)
+            assert window.total_layers == program.total_layers

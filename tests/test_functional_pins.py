@@ -147,7 +147,7 @@ def test_4096_branch_window_is_pinned(monkeypatch):
     seen = _counted_gates(monkeypatch)
     executor = FatTreeExecutor(64, _random_data(64))
     requests = _window_requests(64, 6)
-    _, outputs = executor.run_pipelined_queries(requests)
+    outputs = executor.run_pipelined_queries(requests)
     assert seen["peak_terms"] == 4096
     for request in requests:
         fidelity = executor.query_fidelity(request, outputs[request.query_id])

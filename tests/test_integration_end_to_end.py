@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro import BucketBrigadeQRAM, FatTreeQRAM, VirtualQRAM, build_architecture
+from repro.core.executor import FatTreeExecutor
 from repro.core.query import QueryRequest
 from repro.metrics import bandwidth_qubits_per_second
 from repro.engine import ClosedLoopClient
@@ -43,8 +44,8 @@ def test_pipelined_fat_tree_queries_match_sequential_bb_queries():
         QueryRequest(i, random_address_superposition(capacity, 2, seed=20 + i))
         for i in range(3)
     ]
-    executor = FatTreeQRAM(capacity, data).executor()
-    _, outputs = executor.run_pipelined_queries(requests, interval=22)
+    executor = FatTreeExecutor(capacity, data)
+    outputs = executor.run_pipelined_queries(requests, interval=22)
     bb = BucketBrigadeQRAM(capacity, data)
     for request in requests:
         sequential = bb.query(request.address_amplitudes)

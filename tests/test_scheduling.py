@@ -38,13 +38,13 @@ def test_fifo_schedule_respects_interval_and_parallelism():
     scheduled = schedule_queries(
         arrivals, service_time=24.625, admission_interval=8.25, parallelism=3
     )
-    starts = sorted(s.start_time for s in scheduled)
+    starts = sorted(s.start_layer for s in scheduled)
     # Admissions at least one interval apart.
     assert all(b - a >= 8.25 - 1e-9 for a, b in zip(starts, starts[1:]))
     # Never more than 3 in flight.
     for s in scheduled:
         concurrent = sum(
-            1 for t in scheduled if t.start_time <= s.start_time < t.finish_time
+            1 for t in scheduled if t.start_layer <= s.start_layer < t.finish_layer
         )
         assert concurrent <= 3
 

@@ -76,7 +76,7 @@ def _schedules() -> dict[str, list[list[float]]]:
                     arrivals, service, interval, parallelism, policy, seed=3
                 )
                 out[f"{model_name}/{stream_name}/{policy}"] = [
-                    [s.query_id, s.request_time, s.start_time, s.finish_time]
+                    [s.query_id, s.request_time, s.start_layer, s.finish_layer]
                     for s in schedule
                 ]
     return out

@@ -525,7 +525,7 @@ def test_fat_tree_windows_match_scalar_storage(monkeypatch, capacity):
 
         def run():
             executor = FatTreeExecutor(capacity, data)
-            _, outputs = executor.run_pipelined_queries(requests)
+            outputs = executor.run_pipelined_queries(requests)
             program = executor.window_program(
                 occupancy, executor.minimum_feasible_interval(occupancy)
             )

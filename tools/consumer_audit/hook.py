@@ -17,12 +17,17 @@ import tempfile
 import threading
 
 _CALLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "calls")
-_SEEN = set()
+# Keyed by identity: code objects compare equal across files when their
+# name, first line and bytecode match, so a set would merge two modules'
+# identical functions (two ``capacity`` properties on the same line) and
+# record only one of them.
+_SEEN = {}
 
 
 def _profile(frame, event, arg):
     if event == "call":
-        _SEEN.add(frame.f_code)
+        code = frame.f_code
+        _SEEN[id(code)] = code
 
 
 def _flush():
@@ -30,7 +35,7 @@ def _flush():
     rows = sorted(
         {
             (code.co_filename, code.co_firstlineno, code.co_name)
-            for code in _SEEN
+            for code in _SEEN.values()
             if "repro" in code.co_filename
         }
     )
